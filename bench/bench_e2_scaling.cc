@@ -26,6 +26,7 @@
 #include "net/server.h"
 #include "service/service.h"
 #include "solver/cache.h"
+#include "solver/context.h"
 #include "solver/emptiness.h"
 #include "solver/graph.h"
 #include "solver/intern.h"
@@ -243,13 +244,12 @@ std::vector<JointMember> MaterializeJointMembers(const AllStructuresClass& cls,
 // stream. Steady state is the per-member cost the tentpole compiled:
 // bytecode guard evaluation, the direct projection key, a raw-memo hit and
 // an edge-dedup hit per guard hit — nothing interned, nothing recorded.
+// The graph is over the chain's distinct guards (one), as the engine's is.
 void BM_SweepKernel(benchmark::State& state) {
   DdsSystem system = ChainSystem(64, 1);
   AllStructuresClass cls(GraphZooSchema());
-  std::vector<FormulaRef> guards;
-  for (const TransitionRule& rule : system.rules()) {
-    guards.push_back(rule.guard);
-  }
+  const std::vector<FormulaRef> guards =
+      SystemGraphContext(BorrowBackend(cls), system).guards;
   const int k = system.num_registers();
   const std::vector<JointMember> members = MaterializeJointMembers(cls, k);
 
@@ -329,10 +329,9 @@ void BM_ColdResume(benchmark::State& state) {
   const int pct = static_cast<int>(state.range(0));
   DdsSystem system = ChainSystem(64, 1);
   AllStructuresClass cls(GraphZooSchema());
-  std::vector<FormulaRef> guards;
-  for (const TransitionRule& rule : system.rules()) {
-    guards.push_back(rule.guard);
-  }
+  // Over the distinct guards, as the front doors persist it.
+  const std::vector<FormulaRef> guards =
+      SystemGraphContext(BorrowBackend(cls), system).guards;
   const int k = system.num_registers();
   std::uint64_t joint_total = 0;
   cls.EnumerateGenerated(2 * k, [&](const Structure&, std::span<const Elem>) {
@@ -580,20 +579,31 @@ namespace {
 
 struct BenchRow {
   std::string name;
-  double real_time = 0;
+  double real_time_ms = 0;
 };
+
+// Milliseconds per google-benchmark "time_unit" value.
+double MsPerUnit(const std::string& unit) {
+  if (unit == "ns") return 1e-6;
+  if (unit == "us") return 1e-3;
+  if (unit == "s") return 1e3;
+  return 1.0;  // "ms"
+}
 
 // Minimal extraction from google-benchmark's pretty-printed JSON: each
 // benchmark object opens with its "name" line and later carries a
-// "real_time" line; aggregate rows repeat the pattern and are kept too
-// (their names are distinct). No JSON library is available in-tree, and
-// these two keys are all the trajectory needs.
+// "real_time" line followed by its "time_unit"; aggregate rows repeat the
+// pattern and are kept too (their names are distinct). Every row is
+// converted to milliseconds, so rows reported in other units meet the
+// noise floor and the gate on the same scale. No JSON library is
+// available in-tree, and these three keys are all the trajectory needs.
 std::vector<BenchRow> ParseBenchJson(const std::string& path) {
   std::vector<BenchRow> rows;
   std::ifstream in(path);
   if (!in) return rows;
   std::string line;
   std::string pending_name;
+  bool awaiting_unit = false;
   auto trimmed = [](const std::string& s) {
     const std::size_t b = s.find_first_not_of(" \t");
     return b == std::string::npos ? std::string() : s.substr(b);
@@ -610,6 +620,16 @@ std::vector<BenchRow> ParseBenchJson(const std::string& path) {
     } else if (t.rfind("\"real_time\":", 0) == 0 && !pending_name.empty()) {
       rows.push_back(BenchRow{pending_name, std::atof(t.c_str() + 12)});
       pending_name.clear();
+      awaiting_unit = true;
+    } else if (t.rfind("\"time_unit\":", 0) == 0 && awaiting_unit) {
+      const std::size_t open = t.find('"', 12);
+      const std::size_t close =
+          open == std::string::npos ? std::string::npos : t.find('"', open + 1);
+      if (close != std::string::npos) {
+        rows.back().real_time_ms *=
+            MsPerUnit(t.substr(open + 1, close - open - 1));
+      }
+      awaiting_unit = false;
     }
   }
   return rows;
@@ -684,13 +704,13 @@ double PrintBaselineDelta(const std::string& fresh_path,
     }
     if (!prev) {
       std::printf("  %-44s %31s %10.3f\n", row.name.c_str(), "(new)",
-                  row.real_time);
-    } else if (prev->real_time > 0) {
-      const double pct =
-          100.0 * (row.real_time - prev->real_time) / prev->real_time;
+                  row.real_time_ms);
+    } else if (prev->real_time_ms > 0) {
+      const double pct = 100.0 * (row.real_time_ms - prev->real_time_ms) /
+                         prev->real_time_ms;
       std::printf("  %-44s %10.3f -> %10.3f  (%+6.1f%%)\n", row.name.c_str(),
-                  prev->real_time, row.real_time, pct);
-      if (prev->real_time >= kNoiseFloorMs && pct > worst_regress_pct) {
+                  prev->real_time_ms, row.real_time_ms, pct);
+      if (prev->real_time_ms >= kNoiseFloorMs && pct > worst_regress_pct) {
         worst_regress_pct = pct;
       }
     }

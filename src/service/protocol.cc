@@ -101,6 +101,19 @@ int ResolveState(const std::unordered_map<std::string, int>& state_ids,
   return it->second;
 }
 
+// Rule lists repeat guards; each distinct guard text is parsed once per
+// spec and its FormulaRef shared, which also lets InternGuards
+// (solver/context.h) dedupe those rules by pointer without printing them.
+using GuardMemo = std::unordered_map<std::string, FormulaRef>;
+
+template <typename System>
+FormulaRef ParseGuardOnce(System& system, const std::string& text,
+                          GuardMemo& memo) {
+  auto it = memo.find(text);
+  if (it == memo.end()) it = memo.emplace(text, system.ParseGuard(text)).first;
+  return it->second;
+}
+
 std::shared_ptr<const DdsSystem> ParseSystemSpec(const JsonValue& spec,
                                                  SchemaRef schema) {
   auto system = std::make_shared<DdsSystem>(std::move(schema));
@@ -114,6 +127,7 @@ std::shared_ptr<const DdsSystem> ParseSystemSpec(const JsonValue& spec,
   if (!rules || !rules->is_array()) {
     throw ProtocolError("system spec needs a `rules` array");
   }
+  GuardMemo memo;
   for (const JsonValue& rule : rules->array) {
     if (!rule.is_object()) throw ProtocolError("`rules` entries are objects");
     const std::string from = rule.GetString("from");
@@ -122,11 +136,10 @@ std::shared_ptr<const DdsSystem> ParseSystemSpec(const JsonValue& spec,
     if (from.empty() || to.empty() || guard.empty()) {
       throw ProtocolError("a rule needs `from`, `to` and `guard`");
     }
+    const int from_id = ResolveState(state_ids, from);
+    const int to_id = ResolveState(state_ids, to);
     try {
-      system->AddRule(ResolveState(state_ids, from),
-                      ResolveState(state_ids, to), guard);
-    } catch (const ProtocolError&) {
-      throw;
+      system->AddRule(from_id, to_id, ParseGuardOnce(*system, guard, memo));
     } catch (const std::exception& e) {
       throw ProtocolError("bad guard \"" + guard + "\": " + e.what());
     }
@@ -147,6 +160,7 @@ std::shared_ptr<const BranchingSystem> ParseBranchingSpec(
   if (!rules || !rules->is_array()) {
     throw ProtocolError("branching spec needs a `rules` array");
   }
+  GuardMemo memo;
   for (const JsonValue& rule : rules->array) {
     const std::string from = rule.is_object() ? rule.GetString("from") : "";
     const JsonValue* branches = rule.is_object() ? rule.Get("branches")
@@ -166,13 +180,17 @@ std::shared_ptr<const BranchingSystem> ParseBranchingSpec(
       }
       guarded_targets.emplace_back(guard, ResolveState(state_ids, to));
     }
+    const int from_id = ResolveState(state_ids, from);
+    std::vector<Branch> parsed_branches;
     try {
-      system->AddRule(ResolveState(state_ids, from), guarded_targets);
-    } catch (const ProtocolError&) {
-      throw;
+      for (const auto& [guard, to_id] : guarded_targets) {
+        parsed_branches.push_back(
+            Branch{ParseGuardOnce(*system, guard, memo), to_id});
+      }
     } catch (const std::exception& e) {
       throw ProtocolError(std::string("bad branching guard: ") + e.what());
     }
+    system->AddRule(from_id, std::move(parsed_branches));
   }
   return system;
 }

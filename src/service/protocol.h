@@ -38,7 +38,8 @@
 // Responses echo the request's "id" verbatim and always carry "ok";
 // failures report {"ok":false,"error":"..."} and never kill the loop.
 // Machine-readable "error_code" values include "enumeration_cap" (atom cap
-// exceeded), "overloaded" (the connection's inflight cap refused a query
+// exceeded), "witness_invalid" (a requested witness failed its check),
+// "overloaded" (the connection's inflight cap refused a query
 // line — read pending responses, then resend) and "line_too_long" (the
 // daemon's per-line byte cap; the connection's input side is closed).
 #ifndef AMALGAM_SERVICE_PROTOCOL_H_

@@ -83,10 +83,11 @@ struct QueryResult {
   /// future, so batch callers can collect every outcome uniformly).
   bool ok = false;
   std::string error;
-  /// Machine-readable error class ("" = none). Currently the only value is
-  /// EnumerationCapError::kCode ("enumeration_cap"): the candidate space
+  /// Machine-readable error class ("" = none):
+  /// EnumerationCapError::kCode ("enumeration_cap"), the candidate space
   /// exceeded the atom cap — retry with a larger `atom_cap` or refine the
-  /// system.
+  /// system; or WitnessInvalidError::kCode ("witness_invalid"), the
+  /// requested witness failed its check, so no verdict is given.
   std::string error_code;
 
   bool nonempty = false;

@@ -19,81 +19,38 @@ namespace amalgam {
 
 namespace {
 
-std::vector<FormulaRef> RuleGuards(const DdsSystem& system) {
-  std::vector<FormulaRef> guards;
-  guards.reserve(system.rules().size());
-  for (const TransitionRule& rule : system.rules()) {
-    guards.push_back(rule.guard);
-  }
-  return guards;
-}
-
-// The backend, guard list, register count and cache key this request's
-// front door will query under — built the same way the front door builds
-// them (same backend construction, same guard order), so the single-flight
-// table, the prewarm path and the engine agree on what "the same graph"
-// means. The backend is owned (word/tree run classes are constructed
-// transiently here; they retain the request's nfa/automaton, which the
-// request keeps alive). This deliberately mirrors each front door's
-// derivation; if one of them ever changes its guard flattening or backend
-// construction, service_test's SingleFlightKeysAgreeWithEngineKeys
-// (exactly one cache miss per unique request) fails.
-struct GraphContext {
-  std::shared_ptr<const SolverBackend> backend;
-  std::vector<FormulaRef> guards;
-  int k = 0;
-  std::string key;
-};
-
+// The request's graph context, derived by the same function its front door
+// uses when called without one — so the single-flight table, the prewarm
+// path and the engine agree on what "the same graph" means by
+// construction. Word and tree run classes are built here and owned by the
+// context; they reference the request's automaton, which the request keeps
+// alive.
 GraphContext ComputeGraphContext(const QueryRequest& request) {
-  GraphContext ctx;
   switch (request.kind) {
-    case QueryKind::kSystem: {
+    case QueryKind::kSystem:
       if (!request.system || !request.cls) {
         throw std::invalid_argument("system query needs `system` and `cls`");
       }
-      ctx.backend = request.cls;
-      ctx.guards = RuleGuards(*request.system);
-      ctx.k = request.system->num_registers();
-      break;
-    }
-    case QueryKind::kWord: {
+      return SystemGraphContext(request.cls, *request.system);
+    case QueryKind::kWord:
       if (!request.system || !request.nfa) {
         throw std::invalid_argument("word query needs `system` and `nfa`");
       }
-      ctx.backend = std::make_shared<WordRunClass>(*request.nfa);
-      ctx.guards = RuleGuards(*request.system);
-      ctx.k = request.system->num_registers();
-      break;
-    }
-    case QueryKind::kTree: {
+      return WordGraphContext(*request.system, *request.nfa);
+    case QueryKind::kTree:
       if (!request.system || !request.automaton) {
         throw std::invalid_argument("tree query needs `system` and `automaton`");
       }
-      ctx.backend = std::make_shared<TreeRunClass>(request.automaton.get(),
-                                                   request.extra_pattern_cap);
-      ctx.guards = RuleGuards(*request.system);
-      ctx.k = request.system->num_registers();
-      break;
-    }
-    case QueryKind::kBranching: {
+      return TreeGraphContext(*request.system, *request.automaton,
+                              request.extra_pattern_cap);
+    case QueryKind::kBranching:
       if (!request.branching || !request.cls) {
         throw std::invalid_argument(
             "branching query needs `branching` and `cls`");
       }
-      ctx.backend = request.cls;
-      for (const BranchingRule& rule : request.branching->rules()) {
-        for (const Branch& branch : rule.branches) {
-          ctx.guards.push_back(branch.guard);
-        }
-      }
-      ctx.k = request.branching->skeleton().num_registers();
-      break;
-    }
+      return BranchingGraphContext(*request.branching, request.cls);
   }
-  if (!ctx.backend) throw std::invalid_argument("unknown query kind");
-  ctx.key = GraphCache::Key(*ctx.backend, ctx.k, ctx.guards);
-  return ctx;
+  throw std::invalid_argument("unknown query kind");
 }
 
 // The graph cache key embeds a separator byte and free-form formula text;
@@ -157,9 +114,9 @@ QueryService::QueryService(Options options)
 
 QueryService::~QueryService() { Shutdown(); }
 
-void QueryService::ComputeTaskKey(Task& task) {
+void QueryService::ComputeTaskContext(Task& task) {
   try {
-    task.graph_key = ComputeGraphContext(task.request).key;
+    task.context = ComputeGraphContext(task.request);
   } catch (const std::exception& e) {
     task.setup_error = e.what();
   }
@@ -219,14 +176,14 @@ void QueryService::RegisterFlight(Task& task) {
   // the entry and duplicate the same suffix sweep (the progress-guarded
   // insert keeps only the furthest, so all but one copy is wasted work).
   const std::shared_ptr<const SubTransitionGraph> cached =
-      cache_.Peek(task.graph_key);
+      cache_.Peek(task.context.key);
   if (cached != nullptr && cached->complete()) {
     task.role = Role::kDirect;
     return;
   }
   task.resume = cached != nullptr;
   std::lock_guard<std::mutex> flock(flights_mutex_);
-  auto it = flights_.find(task.graph_key);
+  auto it = flights_.find(task.context.key);
   if (it != flights_.end()) {
     task.role = Role::kJoiner;
     task.join_on = it->second.done;
@@ -239,7 +196,7 @@ void QueryService::RegisterFlight(Task& task) {
   } else {
     task.role = Role::kLeader;
     task.lead_done = std::make_shared<std::promise<void>>();
-    flights_.emplace(task.graph_key, Flight{task.lead_done->get_future()});
+    flights_.emplace(task.context.key, Flight{task.lead_done->get_future()});
     std::lock_guard<std::mutex> slock(stats_mutex_);
     if (task.resume) {
       ++resume_leads_;
@@ -253,8 +210,8 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request) {
   Task task;
   task.request = std::move(request);
   std::future<QueryResult> future = task.promise.get_future();
-  ComputeTaskKey(task);  // backend construction: keep it off the lock
-  if (task.setup_error.empty()) RecordRecipe(task.graph_key, task.request);
+  ComputeTaskContext(task);  // backend construction: keep it off the lock
+  if (task.setup_error.empty()) RecordRecipe(task.context.key, task.request);
   task.submitted_at = std::chrono::steady_clock::now();
   {
     // Registration and enqueue are atomic together: a joiner must never
@@ -282,8 +239,8 @@ std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
     Task task;
     task.request = std::move(request);
     futures.push_back(task.promise.get_future());
-    ComputeTaskKey(task);  // per-request backend construction, unlocked
-    if (task.setup_error.empty()) RecordRecipe(task.graph_key, task.request);
+    ComputeTaskContext(task);  // per-request backend construction, unlocked
+    if (task.setup_error.empty()) RecordRecipe(task.context.key, task.request);
     task.submitted_at = std::chrono::steady_clock::now();
     tasks.push_back(std::move(task));
   }
@@ -331,7 +288,8 @@ void QueryService::WorkerLoop() {
   }
 }
 
-QueryResult QueryService::RunQuery(const QueryRequest& request) {
+QueryResult QueryService::RunQuery(const QueryRequest& request,
+                                   const GraphContext& context) {
   const int threads = request.num_threads > 0 ? request.num_threads
                                               : options_.build_threads;
   TraceRecorder* trace = request.trace.get();
@@ -345,34 +303,32 @@ QueryResult QueryService::RunQuery(const QueryRequest& request) {
       options.num_threads = threads;
       options.relational_atom_cap = request.atom_cap;
       options.trace = trace;
-      SolveResult solved = SolveEmptiness(*request.system, *request.cls,
-                                          options);
+      SolveResult solved = SolveEmptiness(*request.system, context, options);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
     }
     case QueryKind::kWord: {
       WordSolveResult solved = SolveWordEmptiness(
-          *request.system, *request.nfa, request.build_witness,
-          request.strategy, &cache_, threads, /*store_dir=*/"", trace);
+          *request.system, context, request.build_witness, request.strategy,
+          &cache_, threads, /*store_dir=*/"", trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
     }
     case QueryKind::kTree: {
       TreeSolveResult solved = SolveTreeEmptiness(
-          *request.system, *request.automaton,
+          *request.system, context,
           /*witness_size_cap=*/request.build_witness ? 6 : 0,
-          request.extra_pattern_cap, request.strategy, &cache_, threads,
-          /*store_dir=*/"", trace);
+          request.strategy, &cache_, threads, /*store_dir=*/"", trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
     }
     case QueryKind::kBranching: {
       BranchingSolveResult solved = SolveBranchingEmptiness(
-          *request.branching, *request.cls, &cache_, threads,
-          /*store_dir=*/"", trace);
+          *request.branching, context, &cache_, threads, /*store_dir=*/"",
+          trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
@@ -413,7 +369,7 @@ QueryResult QueryService::Execute(Task& task) {
         {
           ScopedSpan run_span(trace, task.role == Role::kLeader ? "lead_build"
                                                                 : "run");
-          result = RunQuery(task.request);
+          result = RunQuery(task.request, task.context);
         }
         result.coalesced = coalesced;
       } catch (const EnumerationCapError& e) {
@@ -422,6 +378,10 @@ QueryResult QueryService::Execute(Task& task) {
         result.ok = false;
         result.error = e.what();
         result.error_code = EnumerationCapError::kCode;
+      } catch (const WitnessInvalidError& e) {
+        result.ok = false;
+        result.error = e.what();
+        result.error_code = WitnessInvalidError::kCode;
       } catch (const std::exception& e) {
         result.ok = false;
         result.error = e.what();
@@ -433,7 +393,7 @@ QueryResult QueryService::Execute(Task& task) {
       // cache path) and the key becomes eligible for a fresh flight.
       {
         std::lock_guard<std::mutex> flock(flights_mutex_);
-        flights_.erase(task.graph_key);
+        flights_.erase(task.context.key);
       }
       task.lead_done->set_value();
     }
@@ -456,7 +416,8 @@ QueryResult QueryService::Execute(Task& task) {
                                 start - task.submitted_at)
                                 .count());
   RecentQuery entry;
-  entry.key = task.graph_key.empty() ? std::string() : HashedKey(task.graph_key);
+  entry.key =
+      task.context.key.empty() ? std::string() : HashedKey(task.context.key);
   entry.kind = QueryKindName(task.request.kind);
   entry.ok = result.ok;
   entry.nonempty = result.nonempty;

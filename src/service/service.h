@@ -56,6 +56,7 @@
 #include "obs/metrics.h"
 #include "service/query.h"
 #include "solver/cache.h"
+#include "solver/context.h"
 
 namespace amalgam {
 
@@ -193,7 +194,10 @@ class QueryService {
     // (counts toward resume_leads/resume_coalesced instead of the cold
     // single-flight counters).
     bool resume = false;
-    std::string graph_key;                  // empty when key computation failed
+    // The graph context, derived once at submit time; the front door
+    // reuses it instead of deriving its own. Its key is empty when the
+    // derivation failed (setup_error says why).
+    GraphContext context;
     std::shared_ptr<std::promise<void>> lead_done;  // kLeader
     std::shared_future<void> join_on;               // kJoiner
     std::string setup_error;                // non-empty: fail without running
@@ -202,10 +206,10 @@ class QueryService {
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// Computes the request's graph cache key (constructing the front
-  /// door's backend the same way the front door will — the expensive part,
-  /// so it runs before any lock is taken). Fills graph_key/setup_error.
-  static void ComputeTaskKey(Task& task);
+  /// Derives the request's graph context (backend construction and guard
+  /// interning — the expensive part, so it runs before any lock is taken).
+  /// Fills context/setup_error.
+  static void ComputeTaskContext(Task& task);
 
   /// Remembers `request` as the recipe for `key` (bounded FIFO; see
   /// SnapshotRecipes).
@@ -224,8 +228,10 @@ class QueryService {
   /// must never report a query whose response was already observed.
   QueryResult Execute(Task& task);
 
-  /// The front-door dispatch; throws on invalid requests.
-  QueryResult RunQuery(const QueryRequest& request);
+  /// The front-door dispatch over the task's context; throws on invalid
+  /// requests.
+  QueryResult RunQuery(const QueryRequest& request,
+                       const GraphContext& context);
 
   void WorkerLoop();
 

@@ -24,16 +24,8 @@ void BranchingSystem::AddRule(int from, std::vector<Branch> branches) {
   rules_.push_back(BranchingRule{from, std::move(branches)});
 }
 
-BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
-                                             const FraisseClass& cls,
-                                             GraphCache* cache,
-                                             int num_threads,
-                                             const std::string& store_dir,
-                                             TraceRecorder* trace) {
-  ScopedSpan solve_span(trace, "solve");
-  const DdsSystem& skel = system.skeleton();
-  // The guard set, flattened in (rule, branch) order: the graph's guard
-  // indices are flattened branch ids.
+GraphContext BranchingGraphContext(const BranchingSystem& system,
+                                   std::shared_ptr<const SolverBackend> cls) {
   std::vector<FormulaRef> guards;
   for (const BranchingRule& rule : system.rules()) {
     for (const Branch& branch : rule.branches) {
@@ -43,11 +35,46 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
       guards.push_back(branch.guard);
     }
   }
-  if (!IsPrefixSchema(skel.schema(), *cls.schema())) {
+  if (!IsPrefixSchema(system.skeleton().schema(), *cls->schema())) {
     throw std::invalid_argument(
         "the system's schema must be a prefix of the class's schema");
   }
-  const int k = skel.num_registers();
+  return MakeGraphContext(std::move(cls), system.skeleton().num_registers(),
+                          guards);
+}
+
+BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
+                                             const FraisseClass& cls,
+                                             GraphCache* cache,
+                                             int num_threads,
+                                             const std::string& store_dir,
+                                             TraceRecorder* trace) {
+  return SolveBranchingEmptiness(system,
+                                 BranchingGraphContext(system,
+                                                       BorrowBackend(cls)),
+                                 cache, num_threads, store_dir, trace);
+}
+
+BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
+                                             const GraphContext& context,
+                                             GraphCache* cache,
+                                             int num_threads,
+                                             const std::string& store_dir,
+                                             TraceRecorder* trace) {
+  ScopedSpan solve_span(trace, "solve");
+  const DdsSystem& skel = system.skeleton();
+  const SolverBackend& cls = *context.backend;
+  const std::vector<FormulaRef>& guards = context.guards;
+  const int k = context.k;
+  std::size_t num_branches = 0;
+  for (const BranchingRule& rule : system.rules()) {
+    num_branches += rule.branches.size();
+  }
+  if (context.guard_of.size() != num_branches ||
+      k != skel.num_registers()) {
+    throw std::invalid_argument(
+        "the graph context was not derived from this system");
+  }
   BranchingSolveResult result;
 
   // The sub-transition graph: cache-served, or built eagerly (backward
@@ -65,15 +92,17 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
   }
   std::shared_ptr<const SubTransitionGraph> graph;
   std::shared_ptr<SubTransitionGraph> resumed;
-  std::string cache_key;
+  const std::string& cache_key = context.key;
   if (cache) {
-    cache_key = GraphCache::Key(cls, k, guards);
     std::shared_ptr<const SubTransitionGraph> hit;
     {
       ScopedSpan lookup_span(trace, "cache_lookup");
       hit = cache->Lookup(cache_key, cls.schema(), guards, k, trace);
       lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
       lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
+    }
+    if (hit && hit->guards().size() != guards.size()) {
+      throw std::logic_error("cached graph does not match its key's guards");
     }
     result.stats.graph_from_cache = hit != nullptr;
     if (hit && hit->complete()) {
@@ -112,9 +141,9 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
   result.stats.configs =
       static_cast<std::uint64_t>(num_shapes) * num_states;
 
-  // Per-branch adjacency view: old_shape -> new shapes.
-  std::size_t num_branches = guards.size();
-  std::vector<std::unordered_map<int, std::vector<int>>> edges(num_branches);
+  // Per-guard adjacency view: old_shape -> new shapes. Branches sharing a
+  // guard share its row.
+  std::vector<std::unordered_map<int, std::vector<int>>> edges(guards.size());
   for (int s = 0; s < num_shapes; ++s) {
     for (const SubTransitionGraph::Edge& e : graph->edges_from(s)) {
       edges[e.guard][s].push_back(e.new_shape);
@@ -139,7 +168,8 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
         bool all_branches = true;
         for (std::size_t b = 0; b < rule.branches.size() && all_branches;
              ++b) {
-          const auto& branch_edges = edges[branch_base + b];
+          const auto& branch_edges =
+              edges[context.guard_of[branch_base + b]];
           auto it = branch_edges.find(s);
           bool some_alive = false;
           if (it != branch_edges.end()) {

@@ -8,8 +8,8 @@
 // configurations) decides the problem on the same sub-transition relation
 // the linear solver builds — and since the port onto SubTransitionGraph it
 // literally is the same relation: one shared interner, one edge store,
-// labeled by flattened branch index instead of rule id, cacheable across
-// queries through the same GraphCache.
+// labeled by the distinct guards of the flattened branch list
+// (solver/context.h), cacheable across queries through the same GraphCache.
 #ifndef AMALGAM_SOLVER_BRANCHING_H_
 #define AMALGAM_SOLVER_BRANCHING_H_
 
@@ -18,6 +18,7 @@
 
 #include "fraisse/fraisse_class.h"
 #include "solver/cache.h"
+#include "solver/context.h"
 #include "solver/emptiness.h"
 #include "system/dds.h"
 
@@ -56,6 +57,10 @@ class BranchingSystem {
   /// Adds a branching rule with already-built guards (used to mirror an
   /// ordinary DdsSystem rule-for-rule, e.g. by the differential tests).
   void AddRule(int from, std::vector<Branch> branches);
+  /// Parses a guard in the skeleton's syntax without adding a rule.
+  FormulaRef ParseGuard(const std::string& guard_text) {
+    return skeleton_.ParseGuard(guard_text);
+  }
 
   const DdsSystem& skeleton() const { return skeleton_; }
   const std::vector<BranchingRule>& rules() const { return rules_; }
@@ -91,6 +96,20 @@ BranchingSolveResult SolveBranchingEmptiness(
     const BranchingSystem& system, const FraisseClass& cls,
     GraphCache* cache = nullptr, int num_threads = 1,
     const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+
+/// As above over a context from BranchingGraphContext (the query service
+/// derives it once per query, at submit time).
+BranchingSolveResult SolveBranchingEmptiness(
+    const BranchingSystem& system, const GraphContext& context,
+    GraphCache* cache = nullptr, int num_threads = 1,
+    const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+
+/// The graph context of a branching query: the branch guards flattened in
+/// (rule, branch) order, so GraphContext::guard_of is indexed by flattened
+/// branch id. Throws std::invalid_argument when a guard is not
+/// quantifier-free or the skeleton's schema is not a prefix of the class's.
+GraphContext BranchingGraphContext(const BranchingSystem& system,
+                                   std::shared_ptr<const SolverBackend> cls);
 
 }  // namespace amalgam
 

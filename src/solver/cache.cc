@@ -29,6 +29,11 @@ GraphCache::~GraphCache() = default;
 
 std::string GraphCache::Key(const SolverBackend& backend, int k,
                             std::span<const FormulaRef> guards) {
+  return Key(backend, k, InternGuards(guards, *backend.schema()));
+}
+
+std::string GraphCache::Key(const SolverBackend& backend, int k,
+                            const InternedGuards& interned) {
   // The fingerprint is length-prefixed so the key decodes uniquely even if
   // a backend's fingerprint happens to embed the separator byte.
   const std::string fp = backend.Fingerprint();
@@ -37,16 +42,24 @@ std::string GraphCache::Key(const SolverBackend& backend, int k,
   key += fp;
   key += '\x1f';
   key += std::to_string(k);
-  const Schema& schema = *backend.schema();
-  for (const FormulaRef& g : guards) {
+  for (const std::string& printed : interned.printed) {
     // Length-prefixed: printed guards embed free-text symbol names, which
     // must not be able to imitate the separator and merge two different
     // guard lists into one key.
-    const std::string printed = g->ToString(schema);
     key += '\x1f';
     key += std::to_string(printed.size());
     key += ':';
     key += printed;
+  }
+  // A duplicate-free list's rule -> guard index is the identity; only a
+  // list that repeats a guard spells it out, after a separator no guard
+  // entry can start with.
+  if (interned.guard_of.size() != interned.printed.size()) {
+    key += '\x1e';
+    for (std::size_t i = 0; i < interned.guard_of.size(); ++i) {
+      if (i > 0) key += ',';
+      key += std::to_string(interned.guard_of[i]);
+    }
   }
   return key;
 }

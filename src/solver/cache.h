@@ -41,6 +41,7 @@
 #include <unordered_map>
 
 #include "obs/trace.h"
+#include "solver/context.h"
 #include "solver/graph.h"
 
 namespace amalgam {
@@ -62,9 +63,19 @@ class GraphCache {
   ~GraphCache();
 
   /// The cache key for a query: backend fingerprint + register count +
-  /// printed guard set.
+  /// the distinct printed guards in first-occurrence order (InternGuards in
+  /// solver/context.h) + — only when some guard repeats — the rule (or
+  /// flattened branch) -> guard index. It names the rule list, not just its
+  /// distinct guards: [A, B, A] and [A, B] are separate entries (both
+  /// graphs are over [A, B]), so a never-seen rule list is never served
+  /// from another list's entry. A duplicate-free list's key is its printed
+  /// guards alone, as it always was.
   static std::string Key(const SolverBackend& backend, int k,
                          std::span<const FormulaRef> guards);
+  /// Key() over a list already interned under backend.schema(): each
+  /// distinct guard was printed once.
+  static std::string Key(const SolverBackend& backend, int k,
+                         const InternedGuards& interned);
 
   /// Attaches the disk tier rooted at `dir` (created if absent; throws
   /// std::runtime_error when that fails). Re-attaching the same directory

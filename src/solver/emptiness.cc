@@ -8,4 +8,10 @@ SolveResult SolveEmptiness(const DdsSystem& system,
   return ExplorationEngine(system, backend, options).Run();
 }
 
+SolveResult SolveEmptiness(const DdsSystem& system,
+                           const GraphContext& context,
+                           const SolveOptions& options) {
+  return ExplorationEngine(system, context, options).Run();
+}
+
 }  // namespace amalgam

@@ -25,6 +25,13 @@ SolveResult SolveEmptiness(const DdsSystem& system,
                            const SolverBackend& backend,
                            const SolveOptions& options = {});
 
+/// As above over a GraphContext already derived for `system`
+/// (SystemGraphContext): the query service derives it once per query, at
+/// submit time, and the engine reuses its key and distinct guards.
+SolveResult SolveEmptiness(const DdsSystem& system,
+                           const GraphContext& context,
+                           const SolveOptions& options = {});
+
 }  // namespace amalgam
 
 #endif  // AMALGAM_SOLVER_EMPTINESS_H_

@@ -1,7 +1,6 @@
 #include "solver/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "solver/store.h"
@@ -11,28 +10,81 @@ namespace amalgam {
 namespace {
 constexpr int kUnvisited = -1;
 constexpr int kRoot = -2;
+
+// The front door's preconditions. Checked before a context is derived:
+// printing a guard under a schema it does not fit is undefined.
+void CheckSystemFits(const DdsSystem& system, const SolverBackend& backend) {
+  if (!system.AllGuardsQuantifierFree()) {
+    throw std::invalid_argument(
+        "guards must be quantifier-free; run EliminateExistentials first");
+  }
+  if (!IsPrefixSchema(system.schema(), *backend.schema())) {
+    throw std::invalid_argument(
+        "the system's schema must be a prefix of the class's schema");
+  }
+}
+
+GraphContext CheckedSystemContext(const DdsSystem& system,
+                                  const SolverBackend& backend) {
+  CheckSystemFits(system, backend);
+  return SystemGraphContext(BorrowBackend(backend), system);
+}
+
+// Groups `value_of(i)` for i in [0, n) by `row_of(i)` into a CSR table
+// with `num_rows` rows, keeping index order within each row.
+template <typename RowOf, typename ValueOf>
+void BuildCsr(int n, int num_rows, RowOf&& row_of, ValueOf&& value_of,
+              std::vector<int>& begin, std::vector<int>& values) {
+  begin.assign(num_rows + 1, 0);
+  for (int i = 0; i < n; ++i) ++begin[row_of(i) + 1];
+  for (int r = 0; r < num_rows; ++r) begin[r + 1] += begin[r];
+  values.resize(n);
+  std::vector<int> fill(begin.begin(), begin.end() - 1);
+  for (int i = 0; i < n; ++i) values[fill[row_of(i)]++] = value_of(i);
+}
 }  // namespace
 
 ExplorationEngine::ExplorationEngine(const DdsSystem& system,
                                      const SolverBackend& backend,
                                      const SolveOptions& options)
     : system_(system),
+      owned_context_(CheckedSystemContext(system, backend)),
+      ctx_(&*owned_context_),
       backend_(backend),
       options_(options),
       k_(system.num_registers()),
       num_states_(system.num_states()) {
-  if (!system_.AllGuardsQuantifierFree()) {
+  Init();
+}
+
+ExplorationEngine::ExplorationEngine(const DdsSystem& system,
+                                     const GraphContext& context,
+                                     const SolveOptions& options)
+    : system_(system),
+      ctx_(&context),
+      backend_(*context.backend),
+      options_(options),
+      k_(system.num_registers()),
+      num_states_(system.num_states()) {
+  CheckSystemFits(system_, backend_);
+  Init();
+}
+
+void ExplorationEngine::Init() {
+  const std::vector<TransitionRule>& rules = system_.rules();
+  const int num_rules = static_cast<int>(rules.size());
+  const int num_guards = static_cast<int>(ctx_->guards.size());
+  if (ctx_->k != k_ || ctx_->guard_of.size() != rules.size()) {
     throw std::invalid_argument(
-        "guards must be quantifier-free; run EliminateExistentials first");
+        "the graph context was not derived from this system");
   }
-  if (!IsPrefixSchema(system_.schema(), *backend_.schema())) {
-    throw std::invalid_argument(
-        "the system's schema must be a prefix of the class's schema");
-  }
-  guards_.reserve(system_.rules().size());
-  for (const TransitionRule& rule : system_.rules()) {
-    guards_.push_back(rule.guard);
-  }
+  BuildCsr(
+      num_rules, num_guards, [&](int r) { return ctx_->guard_of[r]; },
+      [](int r) { return r; }, guard_rule_begin_, guard_rules_);
+  BuildCsr(
+      num_rules, num_states_ * num_guards,
+      [&](int r) { return rules[r].from * num_guards + ctx_->guard_of[r]; },
+      [&](int r) { return rules[r].to; }, target_begin_, targets_);
 }
 
 void ExplorationEngine::EnsureConfigCapacity() {
@@ -63,40 +115,50 @@ void ExplorationEngine::SeedInitialShape(int shape) {
   }
 }
 
-void ExplorationEngine::RelaxNewEdge(int rule, int old_shape, int new_shape,
+void ExplorationEngine::RelaxNewEdge(int guard, int old_shape, int new_shape,
                                      int step) {
-  const TransitionRule& r = system_.rules()[rule];
-  if (parent_[config_id(r.from, old_shape)] == kUnvisited) return;
-  const int next = config_id(r.to, new_shape);
-  if (parent_[next] != kUnvisited) return;
-  parent_[next] = config_id(r.from, old_shape);
-  via_step_[next] = step;
-  if (system_.is_accepting(r.to)) {
-    goal_ = next;
-    return;
+  bool pushed = false;
+  for (int i = guard_rule_begin_[guard]; i < guard_rule_begin_[guard + 1];
+       ++i) {
+    const TransitionRule& r = system_.rules()[guard_rules_[i]];
+    const int from = config_id(r.from, old_shape);
+    if (parent_[from] == kUnvisited) continue;
+    const int next = config_id(r.to, new_shape);
+    if (parent_[next] != kUnvisited) continue;
+    parent_[next] = from;
+    via_step_[next] = step;
+    if (system_.is_accepting(r.to)) {
+      goal_ = next;
+      return;
+    }
+    queue_.push(next);
+    pushed = true;
   }
-  queue_.push(next);
-  DrainQueue();
+  if (pushed) DrainQueue();
 }
 
 void ExplorationEngine::DrainQueue() {
+  const int num_guards = static_cast<int>(ctx_->guards.size());
   while (goal_ < 0 && !queue_.empty()) {
     const int c = queue_.front();
     queue_.pop();
     const int state = c % num_states_;
     const int shape = c / num_states_;
+    const int* row = target_begin_.data() + state * num_guards;
+    if (row[0] == row[num_guards]) continue;  // no rule leaves `state`
     for (const SubTransitionGraph::Edge& e : graph_->edges_from(shape)) {
-      const TransitionRule& rule = system_.rules()[e.guard];
-      if (rule.from != state) continue;
-      const int next = config_id(rule.to, e.new_shape);
-      if (parent_[next] != kUnvisited) continue;
-      parent_[next] = c;
-      via_step_[next] = e.step;
-      if (system_.is_accepting(rule.to)) {
-        goal_ = next;
-        return;
+      for (int t = row[e.guard]; t < row[e.guard + 1]; ++t) {
+        const int to = targets_[t];
+        const int next = config_id(to, e.new_shape);
+        if (parent_[next] != kUnvisited) continue;
+        parent_[next] = c;
+        via_step_[next] = e.step;
+        if (system_.is_accepting(to)) {
+          goal_ = next;
+          return;
+        }
+        queue_.push(next);
       }
-      queue_.push(next);
     }
   }
 }
@@ -188,9 +250,9 @@ void ExplorationEngine::RunOnTheFly() {
           ++result_.stats.members_enumerated;
           const bool swept = owned_graph_->ProcessJointMember(
               d, marks, result_.stats,
-              [&](int rule, int old_shape, int new_shape, int step) {
+              [&](int guard, int old_shape, int new_shape, int step) {
                 EnsureConfigCapacity();
-                RelaxNewEdge(rule, old_shape, new_shape, step);
+                RelaxNewEdge(guard, old_shape, new_shape, step);
                 return goal_ < 0;
               });
           if (swept) {
@@ -253,9 +315,9 @@ void ExplorationEngine::RunFrontierSweep() {
             ++result_.stats.members_enumerated;
             const bool swept = owned_graph_->ProcessJointMember(
                 d, marks, result_.stats,
-                [&](int rule, int old_shape, int new_shape, int step) {
+                [&](int guard, int old_shape, int new_shape, int step) {
                   EnsureConfigCapacity();
-                  RelaxNewEdge(rule, old_shape, new_shape, step);
+                  RelaxNewEdge(guard, old_shape, new_shape, step);
                   return goal_ < 0;
                 });
             return swept && goal_ < 0;
@@ -276,7 +338,7 @@ void ExplorationEngine::RunFullGraph() {
     {
       ScopedSpan build_span(options_.trace, "full_build");
       if (!owned_graph_) {
-        owned_graph_ = std::make_shared<SubTransitionGraph>(guards_, k_);
+        owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
       }
       const std::uint64_t max_shapes =
           num_states_ == 0 ? ~std::uint64_t{0}
@@ -297,7 +359,7 @@ void ExplorationEngine::RunFullGraph() {
       build_span.Annotate("edges", owned_graph_->num_edges());
     }
     if (active_cache_) {
-      active_cache_->Insert(cache_key_, owned_graph_, options_.trace);
+      active_cache_->Insert(ctx_->key, owned_graph_, options_.trace);
     }
     graph_ = owned_graph_;
   }
@@ -330,14 +392,18 @@ SolveResult ExplorationEngine::Run() {
       active_cache_ ? active_cache_->store_writes() : 0;
 
   if (active_cache_) {
-    cache_key_ = GraphCache::Key(backend_, k_, guards_);
     std::shared_ptr<const SubTransitionGraph> hit;
     {
       ScopedSpan lookup_span(options_.trace, "cache_lookup");
-      hit = active_cache_->Lookup(cache_key_, backend_.schema(), guards_, k_,
-                                  options_.trace);
+      hit = active_cache_->Lookup(ctx_->key, backend_.schema(), ctx_->guards,
+                                  k_, options_.trace);
       lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
       lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
+    }
+    if (hit && hit->guards().size() != ctx_->guards.size()) {
+      // Edge labels index the key's distinct guards; a graph built over any
+      // other list cannot be mapped back onto this system's rules.
+      throw std::logic_error("cached graph does not match its key's guards");
     }
     if (hit && !hit->complete()) {
       // Satellite observability for resumed flights: where the stored
@@ -367,7 +433,7 @@ SolveResult ExplorationEngine::Run() {
         graph_ = std::move(hit);
         result_.stats.graph_resumed = true;
       } else {
-        owned_graph_ = std::make_shared<SubTransitionGraph>(guards_, k_);
+        owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
         graph_ = owned_graph_;
       }
       RunOnTheFly();
@@ -375,13 +441,13 @@ SolveResult ExplorationEngine::Run() {
       // the next query; a replay-served query added nothing (and owns
       // nothing), and equal progress is a no-op inside Insert anyway.
       if (owned_graph_) {
-        active_cache_->Insert(cache_key_, owned_graph_, options_.trace);
+        active_cache_->Insert(ctx_->key, owned_graph_, options_.trace);
       }
     }
   } else if (options_.strategy == SolveStrategy::kEager) {
     RunFullGraph();
   } else {
-    owned_graph_ = std::make_shared<SubTransitionGraph>(guards_, k_);
+    owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
     graph_ = owned_graph_;
     RunOnTheFly();
   }
@@ -414,6 +480,9 @@ void ExplorationEngine::Finish() {
     return;
   }
   result_.nonempty = true;
+  // The path and its steps copy a canonical form and a joint structure per
+  // configuration; only witness reconstruction reads them.
+  if (!options_.build_witness) return;
 
   // ---- Reconstruct the path of small configurations. ----
   std::vector<int> config_path;
@@ -429,11 +498,8 @@ void ExplorationEngine::Finish() {
         c % num_states_, graph_->interner().shape(c / num_states_)});
   }
   for (int s : step_path) result_.steps.push_back(graph_->step(s));
-
-  if (options_.build_witness) {
-    ScopedSpan witness_span(options_.trace, "witness");
-    ReconstructWitness();
-  }
+  ScopedSpan witness_span(options_.trace, "witness");
+  ReconstructWitness();
 }
 
 void ExplorationEngine::ReconstructWitness() {
@@ -450,6 +516,12 @@ void ExplorationEngine::ReconstructWitness() {
   for (std::size_t i = 0; i < result_.steps.size(); ++i) {
     const SubTransition& st = result_.steps[i];
     const Structure& joint = st.joint;
+    if (st.marks.size() != static_cast<std::size_t>(2 * k_) ||
+        std::any_of(st.marks.begin(), st.marks.end(),
+                    [&](Elem m) { return m >= joint.size(); })) {
+      throw WitnessInvalidError("step " + std::to_string(i) +
+                                " has malformed marks");
+    }
     std::span<const Elem> old_marks(st.marks.data(), k_);
     std::span<const Elem> new_marks(st.marks.data() + k_, k_);
     SubstructureResult old_sub = GeneratedSubstructure(joint, old_marks);
@@ -458,7 +530,10 @@ void ExplorationEngine::ReconstructWitness() {
       old_sub_marks[j] = old_sub.old_to_new[old_marks[j]];
     }
     CanonicalForm old_canon = Canonicalize(old_sub.structure, old_sub_marks);
-    assert(old_canon.key == result_.path[i].form.key);
+    if (old_canon.key != result_.path[i].form.key) {
+      throw WitnessInvalidError("step " + std::to_string(i) +
+                                " does not start at its path configuration");
+    }
     // Map joint -> big over the common part (the old configuration).
     std::vector<Elem> joint_to_big(joint.size(), kNoElem);
     for (Elem sub_e = 0; sub_e < old_sub.structure.size(); ++sub_e) {
@@ -481,7 +556,10 @@ void ExplorationEngine::ReconstructWitness() {
       new_sub_marks[j] = new_sub.old_to_new[new_marks[j]];
     }
     CanonicalForm new_canon = Canonicalize(new_sub.structure, new_sub_marks);
-    assert(new_canon.key == result_.path[i + 1].form.key);
+    if (new_canon.key != result_.path[i + 1].form.key) {
+      throw WitnessInvalidError("step " + std::to_string(i) +
+                                " does not end at its path configuration");
+    }
     cur.assign(new_sub.structure.size(), kNoElem);
     for (Elem sub_e = 0; sub_e < new_sub.structure.size(); ++sub_e) {
       cur[new_canon.perm[sub_e]] = am->embed_b[new_sub.new_to_old[sub_e]];
@@ -494,6 +572,10 @@ void ExplorationEngine::ReconstructWitness() {
   ConcreteRun run;
   for (std::size_t i = 0; i < result_.path.size(); ++i) {
     run.push_back(ConcreteConfig{result_.path[i].state, valuations[i]});
+  }
+  if (!ValidateAcceptingRun(system_, big, run)) {
+    throw WitnessInvalidError(
+        "the reconstructed run is not an accepting run of the system");
   }
   result_.witness_db = std::move(big);
   result_.witness_run = std::move(run);

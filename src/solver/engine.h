@@ -37,7 +37,12 @@
 // All strategies share the canonical-form interner (solver/intern.h), the
 // predecessor links used for witness-path replay, and the witness
 // reconstruction that replays the soundness proof through the backend's
-// amalgamation operator.
+// amalgamation operator and then checks the concrete run it produced.
+//
+// The graph is labeled by the query's *distinct* guards (solver/context.h):
+// rules sharing a guard share its edges, and the engine maps an edge back
+// onto every rule with that guard — through a (from-state, guard) -> targets
+// table in the BFS, and a guard -> rules table when relaxing a fresh edge.
 #ifndef AMALGAM_SOLVER_ENGINE_H_
 #define AMALGAM_SOLVER_ENGINE_H_
 
@@ -45,6 +50,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,6 +58,7 @@
 #include "obs/trace.h"
 #include "solver/backend.h"
 #include "solver/cache.h"
+#include "solver/context.h"
 #include "solver/graph.h"
 #include "solver/intern.h"
 #include "system/concrete.h"
@@ -133,19 +140,36 @@ struct SolveOptions {
 struct SolveResult {
   /// True iff some database in the class drives an accepting run.
   bool nonempty = false;
-  /// The path of small configurations (nonempty verdicts only). With
-  /// kEager this is a BFS-shortest path; with kOnTheFly the path follows
-  /// edge-arrival order and may be longer (witness reconstruction cost
-  /// grows with path length — prefer kEager when minimal witnesses
-  /// matter more than solve time).
+  /// The path of small configurations (nonempty verdicts with
+  /// SolveOptions::build_witness only: each entry copies a canonical form,
+  /// which on a cache hit costs more than the BFS). With kEager this is a
+  /// BFS-shortest path; with kOnTheFly the path follows edge-arrival order
+  /// and may be longer (witness reconstruction cost grows with path length
+  /// — prefer kEager when minimal witnesses matter more than solve time).
   std::vector<SmallConfig> path;
-  /// The sub-transitions along the path (path.size() - 1 entries).
+  /// The sub-transitions along the path (path.size() - 1 entries), filled
+  /// with the path: each step carries a full joint structure, and witness
+  /// reconstruction is its only reader.
   std::vector<SubTransition> steps;
   /// Concrete witness (requires build_witness and a backend that implements
   /// Amalgamate; nullopt otherwise).
   std::optional<Structure> witness_db;
   std::optional<ConcreteRun> witness_run;
   SolveStats stats;
+};
+
+/// Structured "the reconstructed witness does not check out" error: a
+/// witness step whose joint member does not project onto the path's
+/// configurations, or a concrete run that ValidateAcceptingRun rejects.
+/// Either means the graph the verdict came from is inconsistent, so the
+/// query fails in-band (amalgamd reports `error_code` = kCode) instead of
+/// answering.
+class WitnessInvalidError : public std::runtime_error {
+ public:
+  static constexpr const char* kCode = "witness_invalid";
+
+  explicit WitnessInvalidError(const std::string& what)
+      : std::runtime_error("witness check failed: " + what) {}
 };
 
 /// One emptiness query over one system and one backend. Single-use: build,
@@ -156,7 +180,13 @@ class ExplorationEngine {
   /// extra symbols in the class's schema are invisible to quantifier-free
   /// guards). All guards must be quantifier-free (apply
   /// EliminateExistentials first). Throws std::invalid_argument otherwise.
+  /// Derives the query's GraphContext (SystemGraphContext) itself.
   ExplorationEngine(const DdsSystem& system, const SolverBackend& backend,
+                    const SolveOptions& options = {});
+  /// As above over a context the caller already derived for `system`
+  /// (SystemGraphContext, or a front door's wrapper of it); the engine
+  /// queries context.backend. The context must outlive the engine.
+  ExplorationEngine(const DdsSystem& system, const GraphContext& context,
                     const SolveOptions& options = {});
 
   SolveResult Run();
@@ -196,8 +226,9 @@ class ExplorationEngine {
   /// when one of them is accepting.
   void SeedInitialShape(int shape);
 
-  /// Relaxes one fresh edge against the current reached set.
-  void RelaxNewEdge(int rule, int old_shape, int new_shape, int step);
+  /// Relaxes one fresh edge against the current reached set, for every
+  /// rule whose guard is `guard`.
+  void RelaxNewEdge(int guard, int old_shape, int new_shape, int step);
 
   /// BFS over the recorded edges from the current queue until exhaustion or
   /// an accepting configuration.
@@ -205,23 +236,37 @@ class ExplorationEngine {
 
   /// Path reconstruction + optional witness replay into result_.
   void Finish();
+  /// Replays the soundness proof along the path and checks the concrete
+  /// run; throws WitnessInvalidError when either does not hold up.
   void ReconstructWitness();
 
+  /// Validates the system against the context and builds the rule tables.
+  void Init();
+
   const DdsSystem& system_;
+  // The query's graph context: the caller's, or owned_context_ when the
+  // engine was handed only a backend.
+  std::optional<GraphContext> owned_context_;
+  const GraphContext* ctx_;
   const SolverBackend& backend_;
   SolveOptions options_;
   int k_;
   int num_states_;
 
-  // One guard per rule, in rule order (the graph's guard indices are rule
-  // ids).
-  std::vector<FormulaRef> guards_;
+  // Rules by guard (CSR): guard_rules_[guard_rule_begin_[g] ..
+  // guard_rule_begin_[g + 1]) are the ids of the rules whose guard is g.
+  std::vector<int> guard_rule_begin_;
+  std::vector<int> guard_rules_;
+  // Target states by (from-state, guard) (CSR over the row
+  // state * num_guards + guard): the BFS looks up each edge's guard in the
+  // dequeued configuration's state row.
+  std::vector<int> target_begin_;
+  std::vector<int> targets_;
   // The active graph: `owned_graph_` when this query builds or resumes it
   // (resumption always copies the shared cache entry first), a cached
   // complete graph otherwise.
   std::shared_ptr<SubTransitionGraph> owned_graph_;
   std::shared_ptr<const SubTransitionGraph> graph_;
-  std::string cache_key_;
   // The cache this query reads/writes: options_.cache, or a private
   // store-backed cache owned by Run() when only store_dir is set.
   GraphCache* active_cache_ = nullptr;

@@ -55,7 +55,7 @@ namespace amalgam {
 /// One sub-transition along a witness path: the guard that held and the
 /// joint member of the class (with its 2k-mark tuple) in which it held.
 struct SubTransition {
-  int rule = -1;  // guard index (the engine's rule / the flattened branch)
+  int rule = -1;  // guard index into SubTransitionGraph::guards()
   Structure joint;
   std::vector<Elem> marks;  // old valuation ++ new valuation
 };
@@ -103,8 +103,9 @@ inline constexpr std::uint32_t kCursorPhaseJoint = 1;
 inline constexpr std::uint32_t kCursorPhaseComplete = 2;
 
 /// The labeled graph of sub-transitions between interned shapes. Guards are
-/// indexed 0..n-1; the caller fixes their meaning (rule ids for the linear
-/// engine, flattened branch ids for the branching solver).
+/// indexed 0..n-1; the front doors pass the distinct guards of their rule
+/// or branch list (GraphContext in solver/context.h) and map each guard
+/// back onto the rules or branches that carry it.
 class SubTransitionGraph {
  public:
   /// An edge out of an old shape: the guard that held, the interned shape

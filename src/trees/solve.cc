@@ -1,8 +1,16 @@
 #include "trees/solve.h"
 
+#include <memory>
 #include <stdexcept>
 
 namespace amalgam {
+
+GraphContext TreeGraphContext(const DdsSystem& system,
+                              const TreeAutomaton& automaton,
+                              int extra_pattern_cap) {
+  return SystemGraphContext(
+      std::make_shared<TreeRunClass>(&automaton, extra_pattern_cap), system);
+}
 
 TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
                                    const TreeAutomaton& automaton,
@@ -12,11 +20,27 @@ TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
                                    GraphCache* cache, int num_threads,
                                    const std::string& store_dir,
                                    TraceRecorder* trace) {
+  return SolveTreeEmptiness(
+      system, TreeGraphContext(system, automaton, extra_pattern_cap),
+      witness_size_cap, strategy, cache, num_threads, store_dir, trace);
+}
+
+TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
+                                   const GraphContext& context,
+                                   int witness_size_cap,
+                                   SolveStrategy strategy,
+                                   GraphCache* cache, int num_threads,
+                                   const std::string& store_dir,
+                                   TraceRecorder* trace) {
   if (system.num_registers() < 1) {
     throw std::invalid_argument(
         "tree emptiness requires at least one register");
   }
-  TreeRunClass cls(&automaton, extra_pattern_cap);
+  const auto* run_class =
+      dynamic_cast<const TreeRunClass*>(context.backend.get());
+  if (run_class == nullptr) {
+    throw std::invalid_argument("a tree query's context needs a TreeRunClass");
+  }
   SolveOptions options;
   options.build_witness = false;  // no generic amalgamation for trees
   options.strategy = strategy;
@@ -24,12 +48,13 @@ TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
   options.num_threads = num_threads;
   options.store_dir = store_dir;
   options.trace = trace;
-  SolveResult generic = SolveEmptiness(system, cls, options);
+  SolveResult generic = SolveEmptiness(system, context, options);
   TreeSolveResult result;
   result.nonempty = generic.nonempty;
   result.stats = generic.stats;
   if (result.nonempty && witness_size_cap > 0) {
-    result.witness = BruteForceTreeSearch(system, automaton, witness_size_cap);
+    result.witness = BruteForceTreeSearch(system, run_class->automaton(),
+                                          witness_size_cap);
   }
   return result;
 }

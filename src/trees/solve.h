@@ -50,6 +50,22 @@ TreeSolveResult SolveTreeEmptiness(
     GraphCache* cache = nullptr, int num_threads = 1,
     const std::string& store_dir = "", TraceRecorder* trace = nullptr);
 
+/// As above over a context from TreeGraphContext (the query service derives
+/// it once per query, at submit time); its backend is the run class, which
+/// also fixes the automaton and the pattern cap.
+TreeSolveResult SolveTreeEmptiness(
+    const DdsSystem& system, const GraphContext& context,
+    int witness_size_cap = 6,
+    SolveStrategy strategy = SolveStrategy::kOnTheFly,
+    GraphCache* cache = nullptr, int num_threads = 1,
+    const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+
+/// The graph context of a tree query: a TreeRunClass over `automaton`
+/// (which must outlive the context) and one guard per rule.
+GraphContext TreeGraphContext(const DdsSystem& system,
+                              const TreeAutomaton& automaton,
+                              int extra_pattern_cap = 4);
+
 /// Brute force: tries every tree with up to `max_size` nodes.
 std::optional<TreeWitness> BruteForceTreeSearch(const DdsSystem& system,
                                                 const TreeAutomaton& automaton,

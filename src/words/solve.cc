@@ -1,10 +1,26 @@
 #include "words/solve.h"
 
+#include <memory>
 #include <stdexcept>
 
 namespace amalgam {
 
+GraphContext WordGraphContext(const DdsSystem& system, const Nfa& nfa) {
+  return SystemGraphContext(std::make_shared<WordRunClass>(nfa), system);
+}
+
 WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
+                                   bool build_witness, SolveStrategy strategy,
+                                   GraphCache* cache, int num_threads,
+                                   const std::string& store_dir,
+                                   TraceRecorder* trace) {
+  return SolveWordEmptiness(system, WordGraphContext(system, nfa),
+                            build_witness, strategy, cache, num_threads,
+                            store_dir, trace);
+}
+
+WordSolveResult SolveWordEmptiness(const DdsSystem& system,
+                                   const GraphContext& context,
                                    bool build_witness, SolveStrategy strategy,
                                    GraphCache* cache, int num_threads,
                                    const std::string& store_dir,
@@ -13,7 +29,12 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
     throw std::invalid_argument(
         "word emptiness requires at least one register");
   }
-  WordRunClass cls(nfa);
+  const auto* run_class =
+      dynamic_cast<const WordRunClass*>(context.backend.get());
+  if (run_class == nullptr) {
+    throw std::invalid_argument("a word query's context needs a WordRunClass");
+  }
+  const WordRunClass& cls = *run_class;
   SolveOptions options;
   options.build_witness = build_witness;
   options.strategy = strategy;
@@ -21,7 +42,7 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
   options.num_threads = num_threads;
   options.store_dir = store_dir;
   options.trace = trace;
-  SolveResult generic = SolveEmptiness(system, cls, options);
+  SolveResult generic = SolveEmptiness(system, context, options);
   WordSolveResult result;
   result.nonempty = generic.nonempty;
   result.stats = generic.stats;

@@ -51,6 +51,19 @@ WordSolveResult SolveWordEmptiness(
     GraphCache* cache = nullptr, int num_threads = 1,
     const std::string& store_dir = "", TraceRecorder* trace = nullptr);
 
+/// As above over a context from WordGraphContext (the query service derives
+/// it once per query, at submit time); its backend is the run class.
+WordSolveResult SolveWordEmptiness(
+    const DdsSystem& system, const GraphContext& context,
+    bool build_witness = true,
+    SolveStrategy strategy = SolveStrategy::kOnTheFly,
+    GraphCache* cache = nullptr, int num_threads = 1,
+    const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+
+/// The graph context of a word query: a WordRunClass over `nfa` (which
+/// keeps its own copy of the automaton) and one guard per rule.
+GraphContext WordGraphContext(const DdsSystem& system, const Nfa& nfa);
+
 /// Brute-force reference: tries every word of length 1..max_len, returning
 /// the first word of the language driving an accepting run.
 std::optional<WordWitness> BruteForceWordSearch(const DdsSystem& system,

@@ -14,6 +14,7 @@
 #include "fraisse/relational.h"
 #include "solver/branching.h"
 #include "solver/cache.h"
+#include "solver/context.h"
 #include "solver/emptiness.h"
 #include "solver/graph.h"
 #include "system/zoo.h"
@@ -241,6 +242,58 @@ TEST(ParallelBuildTest, VerdictsMatchThroughEveryFrontDoor) {
   EXPECT_EQ(serial.nonempty, sharded.nonempty);
   EXPECT_EQ(serial.stats.edges, sharded.stats.edges);
   EXPECT_EQ(serial.stats.configs, sharded.stats.configs);
+}
+
+TEST(ParallelBuildTest, DuplicateGuardListsStayBitIdentical) {
+  // Five rules over two distinct guards, each repeat parsed separately (so
+  // pointer-distinct): the front door builds over the distinct list, and
+  // serial, sharded and resumed builds of it agree bit for bit.
+  AllStructuresClass all(GraphZooSchema());
+  DdsSystem system(GraphZooSchema());
+  system.AddRegister("x");
+  const int s0 = system.AddState("s0", true);
+  const int s1 = system.AddState("s1");
+  const int s2 = system.AddState("s2", false, true);
+  system.AddRule(s0, s1, "E(x_old, x_new)");
+  system.AddRule(s0, s0, "red(x_new)");
+  system.AddRule(s1, s1, "E(x_old, x_new)");
+  system.AddRule(s1, s2, "red(x_new)");
+  system.AddRule(s2, s0, "E(x_old, x_new)");
+  const GraphContext ctx = SystemGraphContext(BorrowBackend(all), system);
+  ASSERT_EQ(ctx.guards.size(), 2u);
+
+  auto eager_build = [&](GraphCache& cache, int threads) {
+    SolveOptions options;
+    options.build_witness = false;
+    options.strategy = SolveStrategy::kEager;
+    options.cache = &cache;
+    options.num_threads = threads;
+    return SolveEmptiness(system, all, options);
+  };
+  GraphCache serial_cache;
+  eager_build(serial_cache, 1);
+  const auto serial = serial_cache.Peek(ctx.key);
+  ASSERT_NE(serial, nullptr);
+  ASSERT_EQ(serial->guards().size(), 2u);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    GraphCache cache;
+    eager_build(cache, threads);
+    ASSERT_NE(cache.Peek(ctx.key), nullptr);
+    ExpectGraphsIdentical(*serial, *cache.Peek(ctx.key));
+
+    // Resumed: an early-exited on-the-fly query leaves a partial entry,
+    // which the eager build finishes.
+    GraphCache resumed_cache;
+    SolveOptions lazy;
+    lazy.build_witness = false;
+    lazy.cache = &resumed_cache;
+    ASSERT_TRUE(SolveEmptiness(system, all, lazy).nonempty);
+    ASSERT_NE(resumed_cache.Peek(ctx.key), nullptr);
+    ASSERT_FALSE(resumed_cache.Peek(ctx.key)->complete());
+    EXPECT_TRUE(eager_build(resumed_cache, threads).stats.graph_resumed);
+    ExpectGraphsIdentical(*serial, *resumed_cache.Peek(ctx.key));
+  }
 }
 
 TEST(ParallelBuildTest, ParallelBuiltCacheEntryServesSerialQueries) {

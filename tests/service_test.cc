@@ -172,6 +172,119 @@ TEST(ServiceTest, PartialEntryResumeCoalescesOntoOneSuffixBuild) {
       << "a complete entry must skip the flight table";
 }
 
+// A system over `guards` (one rule each) walking states 0 -> 1 -> ... with
+// the last state accepting.
+QueryRequest GuardListRequest(const std::vector<std::string>& guards,
+                              const std::shared_ptr<AllStructuresClass>& cls) {
+  auto system = std::make_shared<DdsSystem>(GraphZooSchema());
+  system->AddRegister("x");
+  int prev = system->AddState("s0", /*initial=*/true);
+  for (std::size_t i = 0; i < guards.size(); ++i) {
+    const int next = system->AddState("s" + std::to_string(i + 1),
+                                      /*initial=*/false,
+                                      /*accepting=*/i + 1 == guards.size());
+    system->AddRule(prev, next, guards[i]);
+    prev = next;
+  }
+  QueryRequest request;
+  request.kind = QueryKind::kSystem;
+  request.system = system;
+  request.cls = cls;
+  request.strategy = SolveStrategy::kEager;
+  return request;
+}
+
+TEST(ServiceTest, RepeatedGuardsBuildTheDistinctListsGraph) {
+  // [A, B, A] and [A, B] are different rule lists, so different entries,
+  // but both graphs are over the distinct guards [A, B]: same guards, same
+  // edges. A submitted query derives its key once, at submit time.
+  auto cls = std::make_shared<AllStructuresClass>(GraphZooSchema());
+  const std::string a = "E(x_old, x_new)";
+  const std::string b = "red(x_new)";
+  const QueryRequest repeated = GuardListRequest({a, b, a}, cls);
+  const QueryRequest distinct = GuardListRequest({a, b}, cls);
+  QueryService service;
+  const std::string repeated_key = service.GraphKeyFor(repeated);
+  const std::string distinct_key = service.GraphKeyFor(distinct);
+  EXPECT_NE(repeated_key, distinct_key);
+  QueryResult first = service.Submit(repeated).get();
+  QueryResult second = service.Submit(distinct).get();
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_TRUE(first.nonempty);
+  EXPECT_TRUE(second.nonempty);
+  EXPECT_FALSE(second.stats.graph_from_cache);
+  EXPECT_EQ(first.stats.edges, second.stats.edges);
+  const auto repeated_graph = service.cache().Peek(repeated_key);
+  const auto distinct_graph = service.cache().Peek(distinct_key);
+  ASSERT_NE(repeated_graph, nullptr);
+  ASSERT_NE(distinct_graph, nullptr);
+  EXPECT_EQ(repeated_graph->guards().size(), 2u);
+  EXPECT_EQ(distinct_graph->guards().size(), 2u);
+  EXPECT_EQ(repeated_graph->num_edges(), distinct_graph->num_edges());
+}
+
+TEST(ServiceTest, InconsistentWitnessStepAnswersInBand) {
+  // One rule from a non-red to a red register value. Its complete graph is
+  // rebuilt with every witness step's old and new marks swapped: the
+  // edges still say "non-red -> red", but each step's joint member now
+  // projects the other way, so the replayed witness cannot start at its
+  // path configuration.
+  auto cls = std::make_shared<AllStructuresClass>(GraphZooSchema());
+  QueryRequest request = GuardListRequest({"!red(x_old) & red(x_new)"}, cls);
+  GraphCache builder;
+  SolveOptions eager{.build_witness = false,
+                     .strategy = SolveStrategy::kEager,
+                     .cache = &builder};
+  ASSERT_TRUE(SolveEmptiness(*request.system, *cls, eager).nonempty);
+  QueryService service;
+  const std::string key = service.GraphKeyFor(request);
+  const std::shared_ptr<const SubTransitionGraph> good = builder.Peek(key);
+  ASSERT_NE(good, nullptr);
+
+  std::vector<CanonicalForm> shapes;
+  std::vector<std::vector<SubTransitionGraph::Edge>> edges;
+  for (int s = 0; s < good->num_shapes(); ++s) {
+    shapes.push_back(good->interner().shape(s));
+    edges.push_back(good->edges_from(s));
+  }
+  std::vector<SubTransition> steps;
+  for (int i = 0; i < good->num_steps(); ++i) {
+    SubTransition step = good->step(i);
+    std::swap(step.marks[0], step.marks[1]);
+    steps.push_back(std::move(step));
+  }
+  const std::shared_ptr<const SubTransitionGraph> bad =
+      SubTransitionGraph::FromParts(good->guards(), good->k(),
+                                    std::move(shapes), good->initial_shapes(),
+                                    std::move(steps), std::move(edges),
+                                    good->cursor());
+  ASSERT_NE(bad, nullptr);
+
+  // The front door refuses to answer with a witness it cannot check...
+  GraphCache poisoned;
+  poisoned.Insert(key, bad);
+  SolveOptions witnessed{.cache = &poisoned};
+  EXPECT_THROW(SolveEmptiness(*request.system, *cls, witnessed),
+               WitnessInvalidError);
+  // ...the verdict alone does not read the steps...
+  EXPECT_TRUE(SolveEmptiness(*request.system, *cls,
+                             SolveOptions{.build_witness = false,
+                                          .cache = &poisoned})
+                  .nonempty);
+  // ...and the service answers in-band with a machine-readable code.
+  service.cache().Insert(key, bad);
+  request.build_witness = true;
+  const QueryResult result = service.Submit(request).get();
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error_code, WitnessInvalidError::kCode);
+  ProtocolRequest line;
+  line.id_json = "7";
+  EXPECT_NE(FormatQueryResponse(line, result)
+                .find("\"error_code\":\"witness_invalid\""),
+            std::string::npos);
+}
+
 TEST(ServiceTest, TryAttachStoreRefusesASecondDirectory) {
   const std::string first = ServiceStoreDir("attach_first");
   const std::string second = ServiceStoreDir("attach_second");
@@ -352,12 +465,13 @@ TEST(ServiceTest, VerdictsMatchEverySynchronousFrontDoor) {
 }
 
 TEST(ServiceTest, SingleFlightKeysAgreeWithEngineKeys) {
-  // The service mirrors each front door's cache-key derivation for its
-  // flight table (service.cc's ComputeGraphKey). If the two ever diverge
-  // for some kind, the leader's build lands under a key the engine never
-  // looks up (or vice versa), and a cold identical pair stops coalescing
-  // onto one build — so: one cache miss per unique request, one coalesced
-  // join per duplicate, across every front-door kind.
+  // The service derives each request's graph context at submit time, with
+  // the function its front door uses when called without one, and the
+  // front door reuses it. If a kind ever built its key another way, the
+  // leader's build would land under a key the engine never looks up (or
+  // vice versa), and a cold identical pair would stop coalescing onto one
+  // build — so: one cache miss per unique request, one coalesced join per
+  // duplicate, across every front-door kind.
   QueryRequest word;
   word.kind = QueryKind::kWord;
   word.system = std::make_shared<DdsSystem>(ZigZagSystem(1));

@@ -2,11 +2,15 @@
 // 1, 2 and 4 and differential tests against brute-force database search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <random>
 
 #include "fraisse/data_class.h"
 #include "fraisse/hom_class.h"
 #include "fraisse/relational.h"
+#include "solver/branching.h"
+#include "solver/context.h"
 #include "solver/emptiness.h"
 #include "system/concrete.h"
 #include "system/zoo.h"
@@ -271,6 +275,242 @@ TEST_P(SolverDifferentialTest, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverDifferentialTest,
                          ::testing::Range(0, 25));
+
+// ---- Guard interning: a repeated guard adds no sub-transition. ----
+
+// A random 1-register system over the graph schema, drawn like the
+// differential tests' (3 states, 3-5 rules from a fixed guard pool).
+DdsSystem RandomGraphSystem(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  DdsSystem system(GraphZooSchema());
+  const int states[] = {system.AddState("s0", true), system.AddState("s1"),
+                        system.AddState("s2", false, true)};
+  system.AddRegister("x");
+  const char* guard_pool[] = {
+      "E(x_old, x_new)",
+      "E(x_new, x_old)",
+      "red(x_new) & E(x_old, x_new)",
+      "!red(x_new) & x_old != x_new",
+      "x_old = x_new & red(x_old)",
+      "E(x_old, x_old)",
+  };
+  const int num_rules = 3 + static_cast<int>(rng() % 3);
+  for (int i = 0; i < num_rules; ++i) {
+    system.AddRule(states[rng() % 3], states[rng() % 3],
+                   guard_pool[rng() % 6]);
+  }
+  return system;
+}
+
+// `system` with each rule repeated `r` times, every copy's guard a
+// pointer-distinct copy of the original formula, in shuffled rule order.
+DdsSystem RepeatGuards(const DdsSystem& system, int r, std::mt19937& rng) {
+  DdsSystem out(system.schema_ref());
+  for (int reg = 0; reg < system.num_registers(); ++reg) {
+    out.AddRegister(system.register_name(reg));
+  }
+  for (int q = 0; q < system.num_states(); ++q) {
+    out.AddState(system.state_name(q), system.is_initial(q),
+                 system.is_accepting(q));
+  }
+  std::vector<TransitionRule> rules;
+  for (const TransitionRule& rule : system.rules()) {
+    for (int copy = 0; copy < r; ++copy) {
+      rules.push_back(TransitionRule{rule.from, rule.to,
+                                     std::make_shared<Formula>(*rule.guard)});
+    }
+  }
+  std::shuffle(rules.begin(), rules.end(), rng);
+  for (const TransitionRule& rule : rules) {
+    out.AddRule(rule.from, rule.to, rule.guard);
+  }
+  return out;
+}
+
+// The branching mirror of a linear system: one single-branch rule per rule.
+BranchingSystem AsBranching(const DdsSystem& system) {
+  BranchingSystem out(system.schema_ref());
+  for (int reg = 0; reg < system.num_registers(); ++reg) {
+    out.AddRegister(system.register_name(reg));
+  }
+  for (int q = 0; q < system.num_states(); ++q) {
+    out.AddState(system.state_name(q), system.is_initial(q),
+                 system.is_accepting(q));
+  }
+  for (const TransitionRule& rule : system.rules()) {
+    out.AddRule(rule.from, {Branch{rule.guard, rule.to}});
+  }
+  return out;
+}
+
+std::string FreshStoreDir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("interning_" + name);
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+// Repeating guards changes nothing but guard-evaluation counts: under
+// on-the-fly, eager, cached, store-resumed and branching solving the
+// verdict and the member count match the un-repeated system's, and the
+// graph has the distinct-guard graph's edges.
+void ExpectRepeatsChangeNothing(const DdsSystem& system,
+                                const FraisseClass& cls) {
+  const SolveOptions eager{.build_witness = false,
+                           .strategy = SolveStrategy::kEager};
+  const SolveOptions lazy{.build_witness = false};
+  const SolveResult base_eager = SolveEmptiness(system, cls, eager);
+  const SolveResult base_lazy = SolveEmptiness(system, cls, lazy);
+  const BranchingSolveResult base_branching =
+      SolveBranchingEmptiness(AsBranching(system), cls);
+  ASSERT_EQ(base_lazy.nonempty, base_eager.nonempty);
+  std::mt19937 rng(17);
+  for (int r : {1, 2, 3}) {
+    SCOPED_TRACE("repeats = " + std::to_string(r));
+    const DdsSystem repeated = RepeatGuards(system, r, rng);
+
+    const SolveResult e = SolveEmptiness(repeated, cls, eager);
+    EXPECT_EQ(e.nonempty, base_eager.nonempty);
+    EXPECT_EQ(e.stats.members_enumerated, base_eager.stats.members_enumerated);
+    EXPECT_EQ(e.stats.edges, base_eager.stats.edges);
+
+    const SolveResult l = SolveEmptiness(repeated, cls, lazy);
+    EXPECT_EQ(l.nonempty, base_lazy.nonempty);
+    EXPECT_EQ(l.stats.members_enumerated, base_lazy.stats.members_enumerated);
+    if (l.nonempty) {
+      // An early exit may stop mid-member, where guard order decides
+      // which of that member's edges were recorded.
+      EXPECT_LE(l.stats.edges, base_eager.stats.edges);
+    } else {
+      // Without an exit every swept member records all of its edges (the
+      // frontier sweep sweeps only reached shapes' members).
+      EXPECT_EQ(l.stats.edges, base_lazy.stats.edges);
+    }
+
+    GraphCache cache;
+    SolveOptions cached = eager;
+    cached.cache = &cache;
+    SolveEmptiness(repeated, cls, cached);
+    const SolveResult hit = SolveEmptiness(repeated, cls, cached);
+    EXPECT_TRUE(hit.stats.graph_from_cache);
+    EXPECT_EQ(hit.stats.members_enumerated, 0u);
+    EXPECT_EQ(hit.nonempty, base_eager.nonempty);
+    EXPECT_EQ(hit.stats.edges, base_eager.stats.edges);
+
+    // An on-the-fly run persists its (partial, when it exits early) graph;
+    // a fresh cache over the same directory resumes it to completion.
+    const std::string dir = FreshStoreDir("r" + std::to_string(r));
+    SolveOptions persist = lazy;
+    persist.store_dir = dir;
+    SolveEmptiness(repeated, cls, persist);
+    SolveOptions resume = eager;
+    resume.store_dir = dir;
+    const SolveResult resumed = SolveEmptiness(repeated, cls, resume);
+    EXPECT_TRUE(resumed.stats.graph_from_cache);
+    EXPECT_EQ(resumed.nonempty, base_eager.nonempty);
+    EXPECT_EQ(resumed.stats.edges, base_eager.stats.edges);
+    std::filesystem::remove_all(dir);
+
+    const BranchingSolveResult b =
+        SolveBranchingEmptiness(AsBranching(repeated), cls);
+    EXPECT_EQ(b.nonempty, base_branching.nonempty);
+    EXPECT_EQ(b.nonempty, base_eager.nonempty);
+    EXPECT_EQ(b.stats.members_enumerated,
+              base_branching.stats.members_enumerated);
+    EXPECT_EQ(b.stats.edges, base_eager.stats.edges);
+  }
+}
+
+TEST(GuardInterningTest, ZooSystemsIgnoreRepeatedGuards) {
+  AllStructuresClass all(GraphZooSchema());
+  ExpectRepeatsChangeNothing(ReachRedSystem(), all);
+  ExpectRepeatsChangeNothing(ContradictionSystem(), all);
+  LinearOrderClass orders;
+  DdsSystem chain(orders.schema());
+  const int s0 = chain.AddState("s0", true);
+  const int s1 = chain.AddState("s1");
+  const int s2 = chain.AddState("s2", false, true);
+  chain.AddRegister("x");
+  chain.AddRule(s0, s1, "lt(x_old, x_new)");
+  chain.AddRule(s1, s2, "lt(x_new, x_old)");
+  ExpectRepeatsChangeNothing(chain, orders);
+}
+
+class GuardInterningRandomTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GuardInterningRandomTest, RandomSystemsIgnoreRepeatedGuards) {
+  AllStructuresClass all(GraphZooSchema());
+  ExpectRepeatsChangeNothing(RandomGraphSystem(GetParam()), all);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GuardInterningRandomTest,
+                         ::testing::Range(0, 8));
+
+TEST(GuardInterningTest, IdenticalFormulasCollapseInFirstOccurrenceOrder) {
+  DdsSystem system(GraphZooSchema());
+  system.AddRegister("x");
+  const FormulaRef a = system.ParseGuard("E(x_old, x_new)");
+  const FormulaRef b = system.ParseGuard("red(x_new)");
+  const FormulaRef a_again = system.ParseGuard("E(x_old, x_new)");
+  ASSERT_NE(a.get(), a_again.get());
+  const std::vector<FormulaRef> list = {b, a, b, a_again};
+  const InternedGuards interned = InternGuards(list, system.schema());
+  ASSERT_EQ(interned.guards.size(), 2u);
+  EXPECT_EQ(interned.guards[0], b);
+  EXPECT_EQ(interned.guards[1], a);
+  EXPECT_EQ(interned.guard_of, (std::vector<int>{0, 1, 0, 1}));
+
+  // The key names the rule list by printed form: pointer identity does not
+  // matter, repetition does. A duplicate-free list keeps the key format of
+  // a plain printed guard list, so its stored entries stay valid.
+  AllStructuresClass all(GraphZooSchema());
+  const std::vector<FormulaRef> shared = {b, a, b, a};
+  const std::vector<FormulaRef> distinct = {b, a};
+  EXPECT_EQ(GraphCache::Key(all, 1, list), GraphCache::Key(all, 1, shared));
+  EXPECT_NE(GraphCache::Key(all, 1, list), GraphCache::Key(all, 1, distinct));
+  std::string plain = std::to_string(all.Fingerprint().size()) + ":" +
+                      all.Fingerprint() + "\x1f" + "1";
+  for (const FormulaRef& g : distinct) {
+    const std::string printed = g->ToString(*all.schema());
+    plain += "\x1f" + std::to_string(printed.size()) + ":" + printed;
+  }
+  EXPECT_EQ(GraphCache::Key(all, 1, distinct), plain);
+  EXPECT_EQ(GraphCache::Key(all, 1, list), plain + "\x1e" + "0,1,0,1");
+}
+
+TEST(GuardInterningTest, Chain64SweepsOneGuard) {
+  // 64 states walking E edges: 63 rules, one distinct guard. The graph
+  // holds that guard's 16 edges, not 63 copies of them.
+  DdsSystem system(GraphZooSchema());
+  system.AddRegister("x");
+  int prev = system.AddState("s0", true);
+  for (int i = 1; i < 64; ++i) {
+    const int next = system.AddState("s" + std::to_string(i), false, i == 63);
+    system.AddRule(prev, next, "E(x_old, x_new)");
+    prev = next;
+  }
+  AllStructuresClass all(GraphZooSchema());
+  const SolveResult r = SolveEmptiness(
+      system, all,
+      SolveOptions{.build_witness = false, .strategy = SolveStrategy::kEager});
+  EXPECT_TRUE(r.nonempty);
+  EXPECT_EQ(r.stats.edges, 16u);
+  const SolveResult witnessed = SolveEmptiness(system, all);
+  ASSERT_TRUE(witnessed.witness_run.has_value());
+  EXPECT_EQ(witnessed.witness_run->size(), 64u);
+  EXPECT_EQ(witnessed.steps.size(), 63u);
+}
+
+TEST(GuardInterningTest, PathAndStepsAreCopiedOnlyForWitnesses) {
+  AllStructuresClass all(GraphZooSchema());
+  const SolveResult bare = SolveEmptiness(ReachRedSystem(), all,
+                                          SolveOptions{.build_witness = false});
+  ASSERT_TRUE(bare.nonempty);
+  EXPECT_TRUE(bare.path.empty());
+  EXPECT_TRUE(bare.steps.empty());
+  const SolveResult full = SolveEmptiness(ReachRedSystem(), all);
+  EXPECT_EQ(full.steps.size() + 1, full.path.size());
+}
 
 }  // namespace
 }  // namespace amalgam
