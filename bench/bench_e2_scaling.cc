@@ -30,6 +30,7 @@
 #include "solver/emptiness.h"
 #include "solver/graph.h"
 #include "solver/intern.h"
+#include "solver/member_table.h"
 #include "solver/store.h"
 #include "system/zoo.h"
 
@@ -381,6 +382,153 @@ BENCHMARK(BM_ColdResume)
     ->ArgsProduct({{25, 50, 75}})
     ->ArgNames({"cursor_pct"})
     ->Unit(benchmark::kMillisecond);
+
+// A cold eager build of one guard set over linear orders with 3 registers
+// (the cold_build "orders" shape of perfbench), streamed from the backend
+// (table:0) and over the class's warm member table (table:1), on 1 or 4
+// build threads through SubTransitionGraph::BuildComplete. The table is
+// built once, outside the timing loop, as the daemon builds it once per
+// class. The graphs are bit-identical, so `members`, `guard_evals` and
+// `edges` match between the rows; `members_generated` drops to 0 over the
+// table, and the time difference is the enumeration and projection
+// interning the table saves. table:0/threads:4 is the sharded
+// BuildFullParallel a table-less build takes; table:1/threads:4 reads
+// `threads` 1, because a table sweep is serial — it shows whether that
+// loses to the sharded stream.
+void BM_ColdBuildWarmTable(benchmark::State& state) {
+  const bool tabled = state.range(0) != 0;
+  const int threads = static_cast<int>(state.range(1));
+  LinearOrderClass orders;
+  DdsSystem system(orders.schema());
+  for (const char* reg : {"x", "y", "z"}) system.AddRegister(reg);
+  const int s0 = system.AddState("s0", true);
+  const int s1 = system.AddState("s1");
+  const int s2 = system.AddState("s2");
+  const int s3 = system.AddState("s3", false, true);
+  system.AddRule(s0, s1, "x_old = x_new & lt(y_old, z_new)");
+  system.AddRule(s1, s2, "lt(z_old, x_new)");
+  system.AddRule(s2, s3, "lt(x_old, x_new) & y_old = y_new");
+  system.AddRule(s3, s0, "lt(y_new, x_new) & z_new = z_old");
+  const GraphContext ctx = SystemGraphContext(BorrowBackend(orders), system);
+  const std::shared_ptr<const MemberTable> table =
+      tabled ? MemberTable::Build(orders, ctx.k) : nullptr;
+  const MemberSource source{orders, table.get()};
+  SolveStats last;
+  SubTransitionGraph::BuildPlan plan;
+  for (auto _ : state) {
+    SubTransitionGraph graph(ctx.guards, ctx.k);
+    SolveStats stats;
+    plan = graph.BuildComplete(source, threads, stats);
+    benchmark::DoNotOptimize(graph.num_edges());
+    last = stats;
+  }
+  state.counters["threads_used"] = plan.threads;
+  state.counters["members"] = static_cast<double>(last.members_enumerated);
+  state.counters["members_generated"] =
+      static_cast<double>(last.members_generated);
+  state.counters["guard_evals"] = static_cast<double>(last.guard_evaluations);
+  state.counters["edges"] = static_cast<double>(last.edges);
+}
+BENCHMARK(BM_ColdBuildWarmTable)
+    ->ArgNames({"table", "threads"})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({0, 4})
+    ->Args({1, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The workloads a member table must not make dearer than streaming.
+//
+// ClassRoundRobin: eager queries cycling over `classes` distinct classes
+// (all structures over {red_i, blue_i}, 2 registers: 776 members per
+// class), each through a GraphCache that keeps one graph, so no query is a
+// graph-cache hit and every one sweeps its class. With classes:4 a class
+// recurs while it is remembered, so from its second query on a member
+// table serves it; with classes:24 (more than GraphCache::kMaxMemberTables)
+// every class is forgotten before it recurs and no table is ever built.
+// cache:0 runs the same queries without a cache, streamed: the cost a
+// table must not exceed. Each iteration is one query.
+void BM_ClassRoundRobin(benchmark::State& state) {
+  const int num_classes = static_cast<int>(state.range(0));
+  const bool cached = state.range(1) != 0;
+  std::vector<std::unique_ptr<AllStructuresClass>> classes;
+  std::vector<DdsSystem> systems;
+  for (int c = 0; c < num_classes; ++c) {
+    Schema unary;
+    const std::string red = "red" + std::to_string(c);
+    const std::string blue = "blue" + std::to_string(c);
+    unary.AddRelation(red, 1);
+    unary.AddRelation(blue, 1);
+    classes.push_back(
+        std::make_unique<AllStructuresClass>(MakeSchema(std::move(unary))));
+    DdsSystem system(classes.back()->schema());
+    system.AddRegister("x");
+    system.AddRegister("y");
+    const int s0 = system.AddState("s0", true);
+    const int s1 = system.AddState("s1");
+    const int s2 = system.AddState("s2", false, true);
+    system.AddRule(s0, s1, "x_new = y_old & " + red + "(x_new)");
+    system.AddRule(s1, s1, "y_new = x_old & " + blue + "(y_new)");
+    system.AddRule(s1, s2, red + "(x_old) & " + blue + "(y_old) & x_old = y_old");
+    systems.push_back(std::move(system));
+  }
+  GraphCache cache(/*max_entries=*/1);
+  SolveOptions options;
+  options.build_witness = false;
+  options.strategy = SolveStrategy::kEager;
+  options.cache = cached ? &cache : nullptr;
+  std::uint64_t generated = 0;
+  std::uint64_t queries = 0;
+  for (auto _ : state) {
+    const int c = static_cast<int>(queries++ % num_classes);
+    const SolveResult result = SolveEmptiness(systems[c], *classes[c], options);
+    benchmark::DoNotOptimize(result.nonempty);
+    generated += result.stats.members_generated;
+  }
+  state.counters["generated_per_query"] =
+      static_cast<double>(generated) / static_cast<double>(queries);
+  state.counters["member_table_builds"] =
+      static_cast<double>(cache.member_table_builds());
+  state.counters["member_table_hits"] =
+      static_cast<double>(cache.member_table_hits());
+}
+BENCHMARK(BM_ClassRoundRobin)
+    ->ArgNames({"classes", "cache"})
+    ->ArgsProduct({{4, 24}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+// OnTheFlyEarlyExit: the on-the-fly query over OddRedCycleSystem (2
+// registers, over 1M joint members) that finds its goal after a few
+// members, through a fresh GraphCache per query (cache:1) and without one
+// (cache:0). On-the-fly sweeps never build or read a member table, so both
+// rows generate the same few members.
+void BM_OnTheFlyEarlyExit(benchmark::State& state) {
+  const bool cached = state.range(0) != 0;
+  const DdsSystem system = OddRedCycleSystem();
+  AllStructuresClass all(GraphZooSchema());
+  SolveOptions options;
+  options.build_witness = false;
+  options.strategy = SolveStrategy::kOnTheFly;
+  SolveStats last;
+  std::uint64_t builds = 0;
+  for (auto _ : state) {
+    GraphCache cache;
+    options.cache = cached ? &cache : nullptr;
+    const SolveResult result = SolveEmptiness(system, all, options);
+    benchmark::DoNotOptimize(result.nonempty);
+    last = result.stats;
+    builds += cache.member_table_builds();
+  }
+  state.counters["members_generated"] =
+      static_cast<double>(last.members_generated);
+  state.counters["member_table_builds"] = static_cast<double>(builds);
+}
+BENCHMARK(BM_OnTheFlyEarlyExit)
+    ->ArgNames({"cache"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 // The query service end to end on the 64-state chain: a pool of
 // 1/4/8 workers serving batches of identical cache-hot queries (the first

@@ -1,5 +1,6 @@
 #include "base/structure.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -160,6 +161,55 @@ void Structure::AppendContent(std::string& out) const {
   for (const auto& table : fn_tables_) {
     for (Elem value : table) AppendFullWidth(out, value);
   }
+}
+
+void Structure::AppendPacked(std::string& out) const {
+  AppendFullWidth(out, static_cast<std::uint32_t>(n_));
+  for (const auto& table : rel_tables_) {
+    std::uint8_t byte = 0;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      byte |= static_cast<std::uint8_t>(table[i] << (i % 8));
+      if (i % 8 == 7) {
+        out.push_back(static_cast<char>(byte));
+        byte = 0;
+      }
+    }
+    if (table.size() % 8 != 0) out.push_back(static_cast<char>(byte));
+  }
+  for (const auto& table : fn_tables_) {
+    for (Elem value : table) AppendFullWidth(out, value);
+  }
+}
+
+std::size_t Structure::AssignPacked(const char* data) {
+  const auto* in = reinterpret_cast<const std::uint8_t*>(data);
+  std::size_t pos = 0;
+  auto read_varint = [&] {
+    std::uint32_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t byte = in[pos++];
+      value |= static_cast<std::uint32_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return value;
+    }
+  };
+  n_ = read_varint();
+  for (int r = 0; r < schema_->num_relations(); ++r) {
+    std::vector<std::uint8_t>& table = rel_tables_[r];
+    table.resize(TableSize(schema_->relation(r).arity));
+    for (std::size_t base = 0; base < table.size(); base += 8) {
+      std::uint8_t byte = in[pos++];
+      const std::size_t end = std::min(table.size(), base + 8);
+      for (std::size_t i = base; i < end; ++i, byte >>= 1) {
+        table[i] = byte & 1;
+      }
+    }
+  }
+  for (int f = 0; f < schema_->num_functions(); ++f) {
+    std::vector<Elem>& table = fn_tables_[f];
+    table.resize(TableSize(schema_->function(f).arity));
+    for (Elem& value : table) value = read_varint();
+  }
+  return pos;
 }
 
 bool Structure::operator==(const Structure& other) const {

@@ -82,6 +82,18 @@ class Structure {
   /// variant the interner's raw-key memo builds its keys through.
   void AppendContent(std::string& out) const;
 
+  /// Appends a compact, self-delimiting record of the content: the domain
+  /// size and function values as varints, every relation table as a
+  /// bitmap. Member tables (solver/member_table.h) keep whole member
+  /// streams in this form, at a fraction of a Structure's footprint.
+  void AppendPacked(std::string& out) const;
+
+  /// Overwrites this structure with the record AppendPacked wrote at
+  /// `data` for a structure over the same schema, reusing the table
+  /// storage (no allocation once the tables have grown to the domain
+  /// size). Returns the number of bytes read.
+  std::size_t AssignPacked(const char* data);
+
   /// Structural equality under identity naming (same schema assumed).
   bool operator==(const Structure& other) const;
 

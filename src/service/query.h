@@ -162,6 +162,11 @@ struct RecentQuery {
   X(store_sweep_bytes_removed, Counter, "Bytes removed by disk-tier sweeps")   \
   X(store_repacks, Counter, "Pack generations published")                      \
   X(store_pack_entries, Gauge, "Entries in the current pack index")            \
+  X(member_table_builds, Counter, "Per-class member table builds started")     \
+  X(member_table_hits, Counter,                                                \
+    "Eager builds served by an existing or in-flight member table")            \
+  X(member_tables, Gauge, "Per-class member tables held in memory")            \
+  X(member_table_bytes, Gauge, "Approximate bytes held by member tables")      \
   X(members_enumerated, Counter,                                               \
     "Members delivered to the guard sweep, all completed queries")             \
   X(members_generated, Counter,                                                \

@@ -526,6 +526,10 @@ ServiceStats QueryService::Stats() const {
   stats.store_loads = cache_.store_loads();
   stats.store_load_failures = cache_.store_load_failures();
   stats.store_writes = cache_.store_writes();
+  stats.member_table_builds = cache_.member_table_builds();
+  stats.member_table_hits = cache_.member_table_hits();
+  stats.member_tables = cache_.member_tables();
+  stats.member_table_bytes = cache_.member_table_bytes();
   if (const std::shared_ptr<const GraphStore> store = cache_.store()) {
     const StoreCounters counters = store->counters();
     stats.store_loose_loads = counters.loose_loads;

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "solver/member_table.h"
+
 namespace amalgam {
 
 void BranchingSystem::AddRule(
@@ -82,6 +84,10 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
   // partial entry — left by an early-exited linear query over the same
   // guard set, possibly in another process via the store — is resumed
   // from its cursor on a private copy rather than rebuilt.
+  // The build is eager under the default atom cap, so it may sweep the
+  // class's member table — but only a caller-owned cache's: a private
+  // store-only cache would build one no later query reads.
+  GraphCache* const table_cache = cache;
   std::optional<GraphCache> store_only_cache;
   if (!store_dir.empty()) {
     if (!cache) {
@@ -119,14 +125,16 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
     auto built = resumed ? std::move(resumed)
                          : std::make_shared<SubTransitionGraph>(guards, k);
     {
-      ScopedSpan build_span(trace, "full_build");
-      if (num_threads > 1) {
-        built->BuildFullParallel(cls, num_threads, result.stats);
-      } else {
-        built->BuildFull(cls, result.stats);
+      std::shared_ptr<const MemberTable> table;
+      if (table_cache != nullptr) {
+        table = table_cache->AcquireMemberTable(context.class_key(), cls, k,
+                                                result.stats, trace);
       }
-      build_span.Annotate("threads",
-                          static_cast<std::uint64_t>(std::max(1, num_threads)));
+      ScopedSpan build_span(trace, "full_build");
+      const SubTransitionGraph::BuildPlan plan = built->BuildComplete(
+          MemberSource{cls, table.get()}, num_threads, result.stats);
+      build_span.Annotate("source", plan.from_table ? "table" : "stream");
+      build_span.Annotate("threads", static_cast<std::uint64_t>(plan.threads));
       build_span.Annotate("members_generated", result.stats.members_generated);
       build_span.Annotate("edges", built->num_edges());
     }

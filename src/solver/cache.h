@@ -24,6 +24,19 @@
 // a fresh process — or a different machine sharing the directory — starts
 // with the previous trajectory instead of an empty cache. Corrupt or
 // truncated files fail soft: the query rebuilds and overwrites them.
+// The cache also owns the classes' member tables (solver/member_table.h),
+// keyed by (fingerprint, k) — ClassKey, the graph key's class prefix. A
+// table is what every graph over one class shares whatever its guards: the
+// enumerated member streams and their interned projections. Only eager
+// builds, which sweep the whole class anyway, ask for a table, and the
+// class's first request only records the class: a table is built on its
+// second, so a class that is swept once costs what it did without tables.
+// The build is single-flight — every concurrent request for the class
+// waits for it — so which query pays for the enumeration depends on
+// scheduling but how often it is paid does not. The classes remembered,
+// tabled or not, are LRU-bounded by a fixed count (kMaxMemberTables),
+// independent of `max_entries`, and live in memory only.
+//
 // Store loads and saves run *outside* the map mutex (the store handle is
 // snapshotted under the lock, the I/O happens unlocked, and the result is
 // reconciled with a double-checked promote), so concurrent queries never
@@ -33,12 +46,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/trace.h"
 #include "solver/context.h"
@@ -47,6 +63,7 @@
 namespace amalgam {
 
 class GraphStore;
+class MemberTable;
 struct StoreSweepResult;
 
 /// A keyed store of sub-transition graphs (complete or partial).
@@ -72,10 +89,31 @@ class GraphCache {
   /// guards alone, as it always was.
   static std::string Key(const SolverBackend& backend, int k,
                          std::span<const FormulaRef> guards);
-  /// Key() over a list already interned under backend.schema(): each
-  /// distinct guard was printed once.
-  static std::string Key(const SolverBackend& backend, int k,
-                         const InternedGuards& interned);
+  /// The class prefix of every Key over (backend, k): the length-prefixed
+  /// fingerprint and the register count. It names the member table.
+  static std::string ClassKey(const SolverBackend& backend, int k);
+  /// Appends the guard part of Key — a list already interned under
+  /// backend.schema(), each distinct guard printed once — to a ClassKey.
+  static void AppendGuards(const InternedGuards& interned, std::string& key);
+
+  /// Classes remembered (with or without a table), least recently
+  /// requested forgotten first.
+  static constexpr std::size_t kMaxMemberTables = 16;
+
+  /// The member table of `class_key` (ClassKey(backend, k)) for an eager
+  /// build under the default atom cap, or nullptr when the caller should
+  /// stream from `backend` instead. The class's first request returns
+  /// nullptr and only records the class; the second builds the table from
+  /// `backend`. Concurrent callers for one class share a single build: the
+  /// caller that starts it adds the enumeration to its
+  /// `stats.members_generated` and, with a non-null `trace`, records a
+  /// "member_table_build" span; the others wait for it. A class that
+  /// MemberTable::Build leaves untabled returns nullptr to every later
+  /// request until it is forgotten. A build that throws rethrows to its
+  /// caller, returns nullptr to the waiters and forgets the class.
+  std::shared_ptr<const MemberTable> AcquireMemberTable(
+      std::string_view class_key, const SolverBackend& backend, int k,
+      SolveStats& stats, TraceRecorder* trace = nullptr);
 
   /// Attaches the disk tier rooted at `dir` (created if absent; throws
   /// std::runtime_error when that fails). Re-attaching the same directory
@@ -161,6 +199,18 @@ class GraphCache {
   std::uint64_t store_writes() const {
     return store_writes_.load(std::memory_order_relaxed);
   }
+  /// Member table builds started (including ones that left the class
+  /// untabled), and requests served by an existing or in-flight table.
+  std::uint64_t member_table_builds() const {
+    return member_table_builds_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t member_table_hits() const {
+    return member_table_hits_.load(std::memory_order_relaxed);
+  }
+  /// Tables currently held, and their approximate total size.
+  std::size_t member_tables() const;
+  std::size_t member_table_bytes() const;
+
   std::size_t max_entries() const { return max_entries_; }
   std::size_t size() const;
 
@@ -183,6 +233,23 @@ class GraphCache {
   /// The attached store handle, snapshotted under the lock so I/O can run
   /// without it (AttachStore may swap the tier concurrently).
   std::shared_ptr<const GraphStore> StoreSnapshot() const;
+
+  // One remembered class: its member table, in flight or built, once the
+  // class's second request started the build. `bytes` is 0 until a table
+  // is built (and stays 0 for a class left untabled).
+  struct TableSlot {
+    std::string class_key;
+    std::uint64_t id = 0;
+    std::shared_future<std::shared_ptr<const MemberTable>> table;
+    std::size_t bytes = 0;
+  };
+
+  mutable std::mutex tables_mutex_;
+  // Most recently requested first; at most kMaxMemberTables long.
+  std::vector<TableSlot> tables_;
+  std::uint64_t next_table_id_ = 0;
+  std::atomic<std::uint64_t> member_table_builds_{0};
+  std::atomic<std::uint64_t> member_table_hits_{0};
 
   mutable std::mutex mutex_;
   const std::size_t max_entries_;

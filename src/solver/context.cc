@@ -36,7 +36,9 @@ GraphContext MakeGraphContext(std::shared_ptr<const SolverBackend> backend,
                               int k, std::span<const FormulaRef> rule_guards) {
   InternedGuards interned = InternGuards(rule_guards, *backend->schema());
   GraphContext ctx;
-  ctx.key = GraphCache::Key(*backend, k, interned);
+  ctx.key = GraphCache::ClassKey(*backend, k);
+  ctx.class_key_length = ctx.key.size();
+  GraphCache::AppendGuards(interned, ctx.key);
   ctx.backend = std::move(backend);
   ctx.guards = std::move(interned.guards);
   ctx.guard_of = std::move(interned.guard_of);

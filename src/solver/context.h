@@ -23,6 +23,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "logic/formula.h"
@@ -58,6 +59,13 @@ struct GraphContext {
   int k = 0;
   /// GraphCache::Key of the rule list.
   std::string key;
+  /// The length of the key's class prefix (GraphCache::ClassKey: the
+  /// backend fingerprint and k), which names the class's member table.
+  std::size_t class_key_length = 0;
+
+  std::string_view class_key() const {
+    return std::string_view(key).substr(0, class_key_length);
+  }
 };
 
 /// The context for `rule_guards` (one per rule or flattened branch) over

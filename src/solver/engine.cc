@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "solver/member_table.h"
 #include "solver/store.h"
 
 namespace amalgam {
@@ -197,27 +198,17 @@ void ExplorationEngine::RunOnTheFly() {
     ScopedSpan sweep_span(options_.trace, "sweep_initial");
     const std::uint64_t enumerated_before = result_.stats.members_enumerated;
     const std::uint64_t generated_before = result_.stats.members_generated;
-    backend_.EnumerateGeneratedFrom(
-        k_, owned_graph_->cursor().next_member,
-        [&](const Structure& d, std::span<const Elem> marks,
-            std::uint64_t stream_index) {
-          ++result_.stats.members_enumerated;
-          const int shape = owned_graph_->AddInitialMember(d, marks);
-          owned_graph_->AdvanceCursorTo(
-              BuildCursor{kCursorPhaseInitial, stream_index + 1});
-          EnsureConfigCapacity();
-          SeedInitialShape(shape);
-          return goal_ < 0;
-        },
-        EnumControl{&result_.stats.members_generated,
-                    options_.relational_atom_cap});
+    owned_graph_->SweepInitial(StreamSource(), result_.stats,
+                               ~std::uint64_t{0},
+                               [&](int shape) {
+                                 EnsureConfigCapacity();
+                                 SeedInitialShape(shape);
+                                 return goal_ < 0;
+                               });
     sweep_span.Annotate("members_enumerated",
                         result_.stats.members_enumerated - enumerated_before);
     sweep_span.Annotate("members_generated",
                         result_.stats.members_generated - generated_before);
-    if (goal_ < 0) {
-      owned_graph_->AdvanceCursorTo(BuildCursor{kCursorPhaseJoint, 0});
-    }
   }
 
   // Joint sweep. Backends with the EnumerateExtensions capability get the
@@ -234,8 +225,8 @@ void ExplorationEngine::RunOnTheFly() {
   }
 
   // Sub-transition stream: reachability is relaxed against every edge the
-  // moment it is recorded, and the enumeration stops at the first accepting
-  // configuration instead of sweeping the rest of the class. The cursor
+  // moment it is recorded, and the sweep stops at the first accepting
+  // configuration instead of covering the rest of the class. The cursor
   // advances past fully swept members only — a member interrupted
   // mid-sweep stays in front of it and is re-swept (deduplicated) on
   // resume.
@@ -243,37 +234,25 @@ void ExplorationEngine::RunOnTheFly() {
     ScopedSpan sweep_span(options_.trace, "sweep_joint");
     const std::uint64_t enumerated_before = result_.stats.members_enumerated;
     const std::uint64_t edges_before = owned_graph_->num_edges();
-    backend_.EnumerateGeneratedFrom(
-        2 * k_, owned_graph_->cursor().next_member,
-        [&](const Structure& d, std::span<const Elem> marks,
-            std::uint64_t stream_index) {
-          ++result_.stats.members_enumerated;
-          const bool swept = owned_graph_->ProcessJointMember(
-              d, marks, result_.stats,
-              [&](int guard, int old_shape, int new_shape, int step) {
-                EnsureConfigCapacity();
-                RelaxNewEdge(guard, old_shape, new_shape, step);
-                return goal_ < 0;
-              });
-          if (swept) {
-            owned_graph_->AdvanceCursorTo(
-                BuildCursor{kCursorPhaseJoint, stream_index + 1});
-          }
-          return swept && goal_ < 0;
-        },
-        EnumControl{&result_.stats.members_generated,
-                    options_.relational_atom_cap});
+    owned_graph_->SweepJoint(
+        StreamSource(), result_.stats, ~std::uint64_t{0},
+        [&](int guard, int old_shape, int new_shape, int step) {
+          EnsureConfigCapacity();
+          RelaxNewEdge(guard, old_shape, new_shape, step);
+          return goal_ < 0;
+        });
     sweep_span.Annotate("members_enumerated",
                         result_.stats.members_enumerated - enumerated_before);
     sweep_span.Annotate("edges", owned_graph_->num_edges() - edges_before);
-    if (goal_ < 0) {
-      owned_graph_->AdvanceCursorTo(BuildCursor{kCursorPhaseComplete, 0});
-    }
   }
   // Only this query's own canonicalization work: a copied in-process
   // partial entry carries its builder's counter, which is not ours.
   result_.stats.raw_memo_hits =
       owned_graph_->interner().raw_hits() - raw_hits_before;
+}
+
+MemberSource ExplorationEngine::StreamSource() const {
+  return MemberSource{backend_, nullptr, options_.relational_atom_cap};
 }
 
 void ExplorationEngine::RunFrontierSweep() {
@@ -336,6 +315,16 @@ void ExplorationEngine::RunFullGraph() {
     // Build — or, when owned_graph_ was preloaded from a partial cache
     // entry, finish — the complete graph, then publish it.
     {
+      // A whole-class sweep: the class's member table serves it when the
+      // caller's cache has (or now builds) one.
+      std::shared_ptr<const MemberTable> table;
+      if (options_.cache != nullptr &&
+          MemberTable::Serves(options_.relational_atom_cap)) {
+        table = options_.cache->AcquireMemberTable(
+            ctx_->class_key(), backend_, k_, result_.stats, options_.trace);
+      }
+      const MemberSource source{backend_, table.get(),
+                                options_.relational_atom_cap};
       ScopedSpan build_span(options_.trace, "full_build");
       if (!owned_graph_) {
         owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
@@ -343,17 +332,10 @@ void ExplorationEngine::RunFullGraph() {
       const std::uint64_t max_shapes =
           num_states_ == 0 ? ~std::uint64_t{0}
                            : options_.max_configs / num_states_;
-      if (options_.num_threads > 1) {
-        owned_graph_->BuildFullParallel(backend_, options_.num_threads,
-                                        result_.stats, max_shapes,
-                                        options_.relational_atom_cap);
-      } else {
-        owned_graph_->BuildFull(backend_, result_.stats, max_shapes,
-                                options_.relational_atom_cap);
-      }
-      build_span.Annotate(
-          "threads",
-          static_cast<std::uint64_t>(std::max(1, options_.num_threads)));
+      const SubTransitionGraph::BuildPlan plan = owned_graph_->BuildComplete(
+          source, options_.num_threads, result_.stats, max_shapes);
+      build_span.Annotate("source", plan.from_table ? "table" : "stream");
+      build_span.Annotate("threads", static_cast<std::uint64_t>(plan.threads));
       build_span.Annotate("members_generated",
                           result_.stats.members_generated);
       build_span.Annotate("edges", owned_graph_->num_edges());

@@ -96,7 +96,12 @@ struct SolveOptions {
   /// if the verdict needs more of the class. Misses build fresh. With
   /// kOnTheFly the build keeps its early exit — the resulting partial
   /// graph is cached (and persisted, with a store) for the next query to
-  /// extend; with kEager the build runs to completion as before.
+  /// extend; with kEager the build runs to completion as before, drawing
+  /// its members from the class's member table
+  /// (GraphCache::AcquireMemberTable) when the query keeps the default
+  /// atom cap: the class's second eager build builds the table, later ones
+  /// only run guards. Graphs and all counters but members_generated are
+  /// the same as without the table.
   GraphCache* cache = nullptr;
   /// When non-empty, attaches the disk tier at this directory to `cache`
   /// (GraphCache::AttachStore) — or, if `cache` is null, to a private
@@ -117,7 +122,8 @@ struct SolveOptions {
   /// the result bit-identical to a serial build — parallel-built and
   /// serial-built graphs are interchangeable, including as GraphCache and
   /// store values. Ignored by the kOnTheFly strategy (the early-exit
-  /// stream is inherently sequential).
+  /// stream is inherently sequential) and by builds over a member table,
+  /// which are serial (SubTransitionGraph::BuildComplete).
   int num_threads = 1;
   /// Cap on the relational enumerators' per-partition atom count (the
   /// candidate space is 2^atoms). 0 keeps the backend default
@@ -239,6 +245,11 @@ class ExplorationEngine {
   /// Replays the soundness proof along the path and checks the concrete
   /// run; throws WitnessInvalidError when either does not hold up.
   void ReconstructWitness();
+
+  /// The backend's streams under this query's atom cap: what the
+  /// on-the-fly sweeps read. They never use a member table, so a query
+  /// that exits early enumerates no more than it needs.
+  MemberSource StreamSource() const;
 
   /// Validates the system against the context and builds the rule tables.
   void Init();

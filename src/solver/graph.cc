@@ -8,6 +8,8 @@
 #include <tuple>
 #include <utility>
 
+#include "solver/member_table.h"
+
 namespace amalgam {
 
 namespace {
@@ -116,9 +118,7 @@ void SubTransitionGraph::AdvanceCursorTo(const BuildCursor& c) {
   cursor_ = c;
 }
 
-int SubTransitionGraph::AddInitialMember(const Structure& d,
-                                         std::span<const Elem> marks) {
-  const int shape = interner_.Intern(d, marks);
+int SubTransitionGraph::MarkInitial(int shape) {
   if (static_cast<std::size_t>(interner_.size()) > edges_by_shape_.size()) {
     edges_by_shape_.resize(interner_.size());
   }
@@ -135,20 +135,25 @@ int SubTransitionGraph::AddInitialMember(const Structure& d,
   return shape;
 }
 
-bool SubTransitionGraph::ProcessJointMember(const Structure& d,
-                                            std::span<const Elem> marks,
-                                            SolveStats& stats,
-                                            const EdgeCallback& on_new_edge) {
+int SubTransitionGraph::AddInitialMember(const Structure& d,
+                                         std::span<const Elem> marks) {
+  return MarkInitial(interner_.Intern(d, marks));
+}
+
+template <typename Intern>
+bool SubTransitionGraph::SweepMember(const Structure& d,
+                                     std::span<const Elem> marks,
+                                     SolveStats& stats, Intern&& intern,
+                                     const EdgeCallback& on_new_edge) {
   return SweepJointMember(
       compiled_guards_, guard_eval_, k_, d, marks, stats,
       [&](std::span<const Elem> old_marks, std::span<const Elem> new_marks) {
-        const int old_shape = interner_.InternProjection(d, old_marks);
-        const int new_shape = interner_.InternProjection(d, new_marks);
+        const std::pair<int, int> shapes = intern(old_marks, new_marks);
         if (static_cast<std::size_t>(interner_.size()) >
             edges_by_shape_.size()) {
           edges_by_shape_.resize(interner_.size());
         }
-        return std::pair<int, int>(old_shape, new_shape);
+        return shapes;
       },
       [&](int g, int old_shape, int new_shape) {
         return seen_[g].Insert(PackShapePair(old_shape, new_shape));
@@ -164,55 +169,141 @@ bool SubTransitionGraph::ProcessJointMember(const Structure& d,
       });
 }
 
-void SubTransitionGraph::SweepInitialMembers(const SolverBackend& backend,
-                                             SolveStats& stats,
-                                             std::uint64_t max_shapes,
-                                             std::uint32_t atom_cap) {
-  backend.EnumerateGeneratedFrom(
-      k_, cursor_.next_member,
-      [&](const Structure& d, std::span<const Elem> marks,
-          std::uint64_t stream_index) {
-        ++stats.members_enumerated;
-        AddInitialMember(d, marks);
-        cursor_.next_member = stream_index + 1;
-        if (static_cast<std::uint64_t>(interner_.size()) > max_shapes) {
-          throw std::runtime_error(
-              "emptiness solver exceeded the configuration cap");
-        }
-        return true;
+bool SubTransitionGraph::ProcessJointMember(const Structure& d,
+                                            std::span<const Elem> marks,
+                                            SolveStats& stats,
+                                            const EdgeCallback& on_new_edge) {
+  return SweepMember(
+      d, marks, stats,
+      [&](std::span<const Elem> old_marks, std::span<const Elem> new_marks) {
+        const int old_shape = interner_.InternProjection(d, old_marks);
+        const int new_shape = interner_.InternProjection(d, new_marks);
+        return std::pair<int, int>(old_shape, new_shape);
       },
-      EnumControl{&stats.members_generated, atom_cap});
-  cursor_ = BuildCursor{kCursorPhaseJoint, 0};
+      on_new_edge);
 }
 
-void SubTransitionGraph::BuildFull(const SolverBackend& backend,
+void SubTransitionGraph::CheckShapeCap(std::uint64_t max_shapes) const {
+  if (static_cast<std::uint64_t>(interner_.size()) > max_shapes) {
+    throw std::runtime_error(
+        "emptiness solver exceeded the configuration cap");
+  }
+}
+
+bool SubTransitionGraph::SweepInitial(
+    const MemberSource& source, SolveStats& stats, std::uint64_t max_shapes,
+    const std::function<bool(int shape)>& visit) {
+  // After each member: the cursor passes it, then the caller sees it.
+  auto swept = [&](int shape, std::uint64_t stream_index) {
+    cursor_.next_member = stream_index + 1;
+    CheckShapeCap(max_shapes);
+    return !visit || visit(shape);
+  };
+  if (const MemberTable* table = source.table) {
+    for (std::uint64_t i = cursor_.next_member; i < table->initial_size();
+         ++i) {
+      ++stats.members_enumerated;
+      const int shape = MarkInitial(
+          interner_.InternCanonical(table->shape(table->initial_shape(i))));
+      if (!swept(shape, i)) return false;
+    }
+  } else {
+    bool stopped = false;
+    source.backend.EnumerateGeneratedFrom(
+        k_, cursor_.next_member,
+        [&](const Structure& d, std::span<const Elem> marks,
+            std::uint64_t stream_index) {
+          ++stats.members_enumerated;
+          stopped = !swept(AddInitialMember(d, marks), stream_index);
+          return !stopped;
+        },
+        EnumControl{&stats.members_generated, source.atom_cap});
+    if (stopped) return false;
+  }
+  cursor_ = BuildCursor{kCursorPhaseJoint, 0};
+  return true;
+}
+
+bool SubTransitionGraph::SweepJoint(const MemberSource& source,
+                                    SolveStats& stats,
+                                    std::uint64_t max_shapes,
+                                    const EdgeCallback& on_new_edge) {
+  if (const MemberTable* table = source.table) {
+    // The table's shape ids map into the graph through InternCanonical on
+    // a member's first guard hit, old before new — the order and forms a
+    // streamed sweep interns — memoized for the rest of the sweep.
+    std::vector<int> to_graph(table->num_shapes(), -1);
+    auto map_shape = [&](int table_shape) {
+      int& mapped = to_graph[table_shape];
+      if (mapped < 0) {
+        mapped = interner_.InternCanonical(table->shape(table_shape));
+      }
+      return mapped;
+    };
+    Structure joint(table->schema(), 0);
+    std::vector<Elem> marks;
+    for (std::uint64_t i = cursor_.next_member; i < table->joint_size(); ++i) {
+      ++stats.members_enumerated;
+      table->UnpackJoint(i, joint, marks);
+      const bool swept = SweepMember(
+          joint, marks, stats,
+          [&](std::span<const Elem>, std::span<const Elem>) {
+            const int old_shape = map_shape(table->joint_old_shape(i));
+            const int new_shape = map_shape(table->joint_new_shape(i));
+            return std::pair<int, int>(old_shape, new_shape);
+          },
+          on_new_edge);
+      if (!swept) return false;
+      cursor_.next_member = i + 1;
+      CheckShapeCap(max_shapes);
+    }
+  } else {
+    bool stopped = false;
+    source.backend.EnumerateGeneratedFrom(
+        2 * k_, cursor_.next_member,
+        [&](const Structure& d, std::span<const Elem> marks,
+            std::uint64_t stream_index) {
+          ++stats.members_enumerated;
+          if (!ProcessJointMember(d, marks, stats, on_new_edge)) {
+            stopped = true;
+            return false;
+          }
+          cursor_.next_member = stream_index + 1;
+          CheckShapeCap(max_shapes);
+          return true;
+        },
+        EnumControl{&stats.members_generated, source.atom_cap});
+    if (stopped) return false;
+  }
+  cursor_ = BuildCursor{kCursorPhaseComplete, 0};
+  return true;
+}
+
+void SubTransitionGraph::BuildFull(const MemberSource& source,
                                    SolveStats& stats,
-                                   std::uint64_t max_shapes,
-                                   std::uint32_t atom_cap) {
+                                   std::uint64_t max_shapes) {
   if (complete()) return;
   // Report only this build's canonicalization savings: a graph resumed
   // from an in-process partial entry arrives with its suspended builder's
   // counter.
   const std::uint64_t raw_hits_before = interner_.raw_hits();
   if (cursor_.phase == kCursorPhaseInitial) {
-    SweepInitialMembers(backend, stats, max_shapes, atom_cap);
+    SweepInitial(source, stats, max_shapes, nullptr);
   }
-  backend.EnumerateGeneratedFrom(
-      2 * k_, cursor_.next_member,
-      [&](const Structure& d, std::span<const Elem> marks,
-          std::uint64_t stream_index) {
-        ++stats.members_enumerated;
-        ProcessJointMember(d, marks, stats, nullptr);
-        cursor_.next_member = stream_index + 1;
-        if (static_cast<std::uint64_t>(interner_.size()) > max_shapes) {
-          throw std::runtime_error(
-              "emptiness solver exceeded the configuration cap");
-        }
-        return true;
-      },
-      EnumControl{&stats.members_generated, atom_cap});
+  SweepJoint(source, stats, max_shapes, nullptr);
   stats.raw_memo_hits = interner_.raw_hits() - raw_hits_before;
-  cursor_ = BuildCursor{kCursorPhaseComplete, 0};
+}
+
+SubTransitionGraph::BuildPlan SubTransitionGraph::BuildComplete(
+    const MemberSource& source, int n_threads, SolveStats& stats,
+    std::uint64_t max_shapes) {
+  if (n_threads > 1 && source.table == nullptr) {
+    BuildFullParallel(source.backend, n_threads, stats, max_shapes,
+                      source.atom_cap);
+    return BuildPlan{false, n_threads};
+  }
+  BuildFull(source, stats, max_shapes);
+  return BuildPlan{source.table != nullptr, 1};
 }
 
 void SubTransitionGraph::BuildFullParallel(const SolverBackend& backend,
@@ -227,7 +318,8 @@ void SubTransitionGraph::BuildFullParallel(const SolverBackend& backend,
   // of the 2k joint stream, so it stays on the calling thread and interns
   // straight into the shared graph (identical to BuildFull).
   if (cursor_.phase == kCursorPhaseInitial) {
-    SweepInitialMembers(backend, stats, max_shapes, atom_cap);
+    SweepInitial(MemberSource{backend, nullptr, atom_cap}, stats, max_shapes,
+                 nullptr);
   }
   // Members before this position were already processed by the suspended
   // build this graph resumes; their shapes and edges are present and the

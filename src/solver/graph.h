@@ -20,6 +20,12 @@
 //     are deduplicated by earliest stream position, so the result is
 //     bit-identical to BuildFull whatever the thread count or scheduling.
 //
+// Every sweep draws its members from a MemberSource: the backend's
+// positioned streams, optionally fronted by the class's MemberTable
+// (solver/member_table.h), which holds the same members already enumerated
+// and their projections already interned. A table-fronted sweep only runs
+// guards, and builds the same graph bit for bit.
+//
 // A graph depends only on (backend, k, guard set) — not on the control
 // skeleton that supplied the guards — so it is shareable across queries and
 // across solvers; solver/cache.h keys that reuse by backend fingerprint.
@@ -51,6 +57,19 @@
 #include "util/flat_hash.h"
 
 namespace amalgam {
+
+class MemberTable;
+
+/// Where a sweep's members come from: the class's `table` when set (the
+/// whole streams, unpacked member by member, with their projections
+/// pre-interned), `backend`'s positioned streams otherwise. `atom_cap` is
+/// threaded to the backend as EnumControl::atom_cap (0 = backend default);
+/// a table is only ever built and read under the default cap.
+struct MemberSource {
+  const SolverBackend& backend;
+  const MemberTable* table = nullptr;
+  std::uint32_t atom_cap = 0;
+};
 
 /// One sub-transition along a witness path: the guard that held and the
 /// joint member of the class (with its 2k-mark tuple) in which it held.
@@ -152,7 +171,35 @@ class SubTransitionGraph {
   bool ProcessJointMember(const Structure& d, std::span<const Elem> marks,
                           SolveStats& stats, const EdgeCallback& on_new_edge);
 
+  // ---- Positioned sweeps (the engine and the eager builds). ----
+
+  /// Sweeps the k-generated members from the cursor: interns each as an
+  /// initial shape, advances the cursor past it and calls `visit(shape)`
+  /// (when set), stopping as soon as `visit` returns false. Once the stream
+  /// is exhausted the cursor moves to the joint phase. Returns false iff
+  /// `visit` stopped the sweep. Throws std::runtime_error when the
+  /// interner grows past `max_shapes`.
+  bool SweepInitial(const MemberSource& source, SolveStats& stats,
+                    std::uint64_t max_shapes,
+                    const std::function<bool(int shape)>& visit);
+
+  /// Sweeps the joint members from the cursor as ProcessJointMember does,
+  /// invoking `on_new_edge` (when set) per fresh edge. The cursor advances
+  /// past each fully swept member and, once the stream is exhausted, to
+  /// complete; a member the callback interrupts stays in front of it.
+  /// Returns false iff `on_new_edge` stopped the sweep. Throws like
+  /// SweepInitial.
+  bool SweepJoint(const MemberSource& source, SolveStats& stats,
+                  std::uint64_t max_shapes, const EdgeCallback& on_new_edge);
+
   // ---- Eager construction (branching fixpoint, cached queries). ----
+
+  /// Sweeps both phases from the cursor to the end and marks the graph
+  /// complete (SweepInitial + SweepJoint without callbacks). No-op when
+  /// already complete. The graph does not depend on whether `source` has
+  /// a table; only the stats' members_generated and raw_memo_hits do.
+  void BuildFull(const MemberSource& source, SolveStats& stats,
+                 std::uint64_t max_shapes = ~std::uint64_t{0});
 
   /// Sweeps the k- and 2k-generated members of `backend` from the current
   /// cursor to the end of both streams and marks the graph complete. On a
@@ -165,7 +212,9 @@ class SubTransitionGraph {
   /// cap (0 = backend default), threaded through as EnumControl::atom_cap.
   void BuildFull(const SolverBackend& backend, SolveStats& stats,
                  std::uint64_t max_shapes = ~std::uint64_t{0},
-                 std::uint32_t atom_cap = 0);
+                 std::uint32_t atom_cap = 0) {
+    BuildFull(MemberSource{backend, nullptr, atom_cap}, stats, max_shapes);
+  }
 
   /// BuildFull with the joint-member sweep sharded across `n_threads`
   /// worker threads (backend.EnumerateGeneratedShard; the k-generated
@@ -183,6 +232,24 @@ class SubTransitionGraph {
                          SolveStats& stats,
                          std::uint64_t max_shapes = ~std::uint64_t{0},
                          std::uint32_t atom_cap = 0);
+
+  /// How an eager front door completed the graph: whether it swept the
+  /// source's table, and on how many threads.
+  struct BuildPlan {
+    bool from_table = false;
+    int threads = 1;
+  };
+
+  /// The eager front doors' build. A table is swept serially through
+  /// BuildFull: over linear orders with 3 registers (4696 members) the
+  /// serial table sweep takes under a quarter of the wall time of
+  /// BuildFullParallel's 4-thread sharded stream (bench_e2_scaling's
+  /// ColdBuildWarmTable rows). Without a table, `n_threads` > 1 shards the
+  /// backend's stream through BuildFullParallel, and a single thread runs
+  /// BuildFull.
+  BuildPlan BuildComplete(const MemberSource& source, int n_threads,
+                          SolveStats& stats,
+                          std::uint64_t max_shapes = ~std::uint64_t{0});
 
   // ---- Read access. ----
 
@@ -204,10 +271,11 @@ class SubTransitionGraph {
   /// graph so a later query resumes instead of rebuilding.
   const BuildCursor& cursor() const { return cursor_; }
 
-  /// Records sweep progress from a streaming build (the engine advances
-  /// the cursor member by member; phase kCursorPhaseComplete marks the
-  /// graph complete). Throws std::logic_error on a non-monotonic move —
-  /// cursors only ever advance.
+  /// Records sweep progress for a caller that feeds members through
+  /// AddInitialMember/ProcessJointMember itself (SweepInitial and
+  /// SweepJoint advance the cursor on their own; phase
+  /// kCursorPhaseComplete marks the graph complete). Throws
+  /// std::logic_error on a non-monotonic move — cursors only ever advance.
   void AdvanceCursorTo(const BuildCursor& c);
 
   /// True once the whole class has been swept (cursor phase 2): the graph
@@ -215,11 +283,18 @@ class SubTransitionGraph {
   bool complete() const { return cursor_.phase == kCursorPhaseComplete; }
 
  private:
-  /// The serial k-generated sweep (resuming at the cursor) shared by
-  /// BuildFull and the parallel build's phase 0; leaves the cursor at the
-  /// start of the joint phase.
-  void SweepInitialMembers(const SolverBackend& backend, SolveStats& stats,
-                           std::uint64_t max_shapes, std::uint32_t atom_cap);
+  /// Records `shape` as initial (once); returns it.
+  int MarkInitial(int shape);
+
+  /// ProcessJointMember with the projections' shape ids supplied by
+  /// `intern(old_marks, new_marks)` on the member's first guard hit.
+  template <typename Intern>
+  bool SweepMember(const Structure& d, std::span<const Elem> marks,
+                   SolveStats& stats, Intern&& intern,
+                   const EdgeCallback& on_new_edge);
+
+  /// Throws once the interner holds more than `max_shapes` shapes.
+  void CheckShapeCap(std::uint64_t max_shapes) const;
 
   std::vector<FormulaRef> guards_;
   // The guards lowered to bytecode once at construction (logic/compiled.h);

@@ -38,6 +38,14 @@ bool ConfigInterner::RestoreShapes(std::vector<CanonicalForm> shapes) {
   return true;
 }
 
+void ConfigInterner::ReleaseRawMemo() {
+  by_raw_hash_ = FlatTable<RawEntry>();
+  std::string().swap(raw_arena_);
+  std::string().swap(raw_scratch_);
+  proj_scratch_ = ProjectionScratch();
+  std::vector<Elem>().swap(sub_marks_scratch_);
+}
+
 template <typename Canonicalize>
 int ConfigInterner::InternRawScratch(Canonicalize&& canonicalize) {
   const std::size_t raw_hash =

@@ -284,6 +284,77 @@ TEST(CursorConformanceTest, ServiceDeliversTheCapErrorInBand) {
   EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
 }
 
+TEST(CursorConformanceTest, WarmMemberTablesKeepTheAtomCapHonest) {
+  // A member table is only built and read under the default cap — an
+  // atom_cap of 0 or of kDefaultRelationalAtomCap, which enumerate the
+  // same streams. Once the class's table is warm, a capped query over a
+  // fresh guard set still meets the cap in its own enumeration, and a
+  // query with any other explicit cap streams from the backend without
+  // touching the table.
+  QueryService::Options options;
+  options.num_workers = 1;
+  QueryService service(options);
+  const auto cls = std::make_shared<AllStructuresClass>(GraphZooSchema());
+  auto request_for = [&](const char* guard, std::uint32_t atom_cap) {
+    auto system = std::make_shared<DdsSystem>(GraphZooSchema());
+    system->AddRegister("x");
+    const int s = system->AddState("s", true);
+    const int t = system->AddState("t", false, true);
+    system->AddRule(s, t, guard);
+    QueryRequest request;
+    request.kind = QueryKind::kSystem;
+    request.system = std::move(system);
+    request.cls = cls;
+    request.build_witness = false;
+    request.strategy = SolveStrategy::kEager;
+    request.atom_cap = atom_cap;
+    return request;
+  };
+
+  // The class's first eager build streams; its second builds the table.
+  for (const char* guard : {"red(x_new)", "!red(x_new)"}) {
+    const QueryResult warm = service.Submit(request_for(guard, 0)).get();
+    ASSERT_TRUE(warm.ok) << warm.error;
+  }
+  ServiceStats stats = service.Stats();
+  ASSERT_EQ(stats.member_table_builds, 1u);
+  ASSERT_EQ(stats.member_tables, 1u);
+
+  const QueryResult capped =
+      service.Submit(request_for("E(x_old, x_new)", 1)).get();
+  EXPECT_FALSE(capped.ok);
+  EXPECT_EQ(capped.error_code, EnumerationCapError::kCode);
+  ProtocolRequest protocol_request;
+  protocol_request.id_json = "1";
+  EXPECT_NE(FormatQueryResponse(protocol_request, capped)
+                .find("\"error_code\":\"enumeration_cap\""),
+            std::string::npos);
+
+  const QueryResult raised =
+      service.Submit(request_for("E(x_new, x_old)", 32)).get();
+  ASSERT_TRUE(raised.ok) << raised.error;
+  EXPECT_GT(raised.stats.members_generated, 0u) << "streamed, not tabled";
+
+  stats = service.Stats();
+  EXPECT_EQ(stats.member_table_builds, 1u);
+  EXPECT_EQ(stats.member_table_hits, 0u);
+  EXPECT_EQ(stats.member_tables, 1u);
+
+  // Both spellings of the default cap read the warm table: no member
+  // generated.
+  std::uint64_t hits = 0;
+  for (const auto& [guard, atom_cap] :
+       {std::pair{"E(x_old, x_old)", std::uint32_t{0}},
+        std::pair{"E(x_new, x_new)", kDefaultRelationalAtomCap}}) {
+    SCOPED_TRACE(guard);
+    const QueryResult tabled =
+        service.Submit(request_for(guard, atom_cap)).get();
+    ASSERT_TRUE(tabled.ok) << tabled.error;
+    EXPECT_EQ(tabled.stats.members_generated, 0u);
+    EXPECT_EQ(service.Stats().member_table_hits, ++hits);
+  }
+}
+
 // The acceptance property: resuming a persisted partial graph whose
 // cursor sits at >= 50% of the joint stream materializes strictly fewer
 // members than the full stream (the native EnumerateGeneratedFrom seeks

@@ -6,7 +6,9 @@
 // parallel-built cache entry must serve a later serial query.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "fraisse/data_class.h"
@@ -17,6 +19,8 @@
 #include "solver/context.h"
 #include "solver/emptiness.h"
 #include "solver/graph.h"
+#include "solver/member_table.h"
+#include "solver/store.h"
 #include "system/zoo.h"
 #include "trees/run_class.h"
 #include "trees/solve.h"
@@ -38,10 +42,11 @@ std::vector<FormulaRef> GuardsOf(const DdsSystem& system) {
   return guards;
 }
 
-// Bit-identity of two graphs: shape arena (ids, keys, marks), initial set,
-// per-shape edge lists element-wise, and witness steps byte for byte.
-void ExpectGraphsIdentical(const SubTransitionGraph& serial,
-                           const SubTransitionGraph& parallel) {
+// Bit-identity of two graphs, complete or not: shape arena (ids, keys,
+// marks), initial set, per-shape edge lists element-wise, and witness steps
+// byte for byte.
+void ExpectSameGraph(const SubTransitionGraph& serial,
+                     const SubTransitionGraph& parallel) {
   ASSERT_EQ(serial.num_shapes(), parallel.num_shapes());
   for (int id = 0; id < serial.num_shapes(); ++id) {
     EXPECT_EQ(serial.interner().shape(id).key,
@@ -70,6 +75,12 @@ void ExpectGraphsIdentical(const SubTransitionGraph& serial,
     EXPECT_EQ(ss.joint.EncodeContent(), ps.joint.EncodeContent())
         << "witness step " << i << " records a different joint member";
   }
+}
+
+// ExpectSameGraph, and the second graph is complete.
+void ExpectGraphsIdentical(const SubTransitionGraph& serial,
+                           const SubTransitionGraph& parallel) {
+  ExpectSameGraph(serial, parallel);
   EXPECT_TRUE(parallel.complete());
 }
 
@@ -279,6 +290,9 @@ TEST(ParallelBuildTest, DuplicateGuardListsStayBitIdentical) {
     SCOPED_TRACE("threads = " + std::to_string(threads));
     GraphCache cache;
     eager_build(cache, threads);
+    // A fresh cache's first eager build of a class streams (no member
+    // table yet), so with threads > 1 it is the sharded sweep.
+    EXPECT_EQ(cache.member_table_builds(), 0u);
     ASSERT_NE(cache.Peek(ctx.key), nullptr);
     ExpectGraphsIdentical(*serial, *cache.Peek(ctx.key));
 
@@ -292,8 +306,198 @@ TEST(ParallelBuildTest, DuplicateGuardListsStayBitIdentical) {
     ASSERT_NE(resumed_cache.Peek(ctx.key), nullptr);
     ASSERT_FALSE(resumed_cache.Peek(ctx.key)->complete());
     EXPECT_TRUE(eager_build(resumed_cache, threads).stats.graph_resumed);
+    EXPECT_EQ(resumed_cache.member_table_builds(), 0u);
     ExpectGraphsIdentical(*serial, *resumed_cache.Peek(ctx.key));
   }
+}
+
+// ---- Sweeps over a member table ----------------------------------------
+
+// A table-fronted sweep against the streamed sweep of the same class: the
+// graphs (cursor and store bytes included) and the work counters agree,
+// and a sweep over a complete table materializes no member at all.
+void ExpectSameBuild(const SubTransitionGraph& stream,
+                     const SolveStats& stream_stats,
+                     const SubTransitionGraph& tabled,
+                     const SolveStats& table_stats) {
+  ExpectSameGraph(stream, tabled);
+  EXPECT_EQ(stream.cursor(), tabled.cursor());
+  EXPECT_EQ(SerializeGraph(stream, "k"), SerializeGraph(tabled, "k"));
+  EXPECT_EQ(stream_stats.members_enumerated, table_stats.members_enumerated);
+  EXPECT_EQ(stream_stats.guard_evaluations, table_stats.guard_evaluations);
+  EXPECT_EQ(stream_stats.edges, table_stats.edges);
+}
+
+// An early-exited streaming build: the initial sweep stops at its
+// `initial_stop`-th member, or the joint sweep at its `edge_stop`-th fresh
+// edge (0 = never), as the on-the-fly engine stops at a goal.
+std::unique_ptr<SubTransitionGraph> PartialBuild(
+    const std::vector<FormulaRef>& guards, int k, const MemberSource& source,
+    int initial_stop, int edge_stop, SolveStats& stats) {
+  auto graph = std::make_unique<SubTransitionGraph>(guards, k);
+  int initial = 0;
+  int edges = 0;
+  if (graph->SweepInitial(source, stats, ~std::uint64_t{0}, [&](int) {
+        return initial_stop == 0 || ++initial < initial_stop;
+      })) {
+    graph->SweepJoint(source, stats, ~std::uint64_t{0},
+                      [&](int, int, int, int) {
+                        return edge_stop == 0 || ++edges < edge_stop;
+                      });
+  }
+  return graph;
+}
+
+// Eager, early-exited and resumed builds over the class's member table
+// match the streamed builds bit for bit.
+void CheckTableSweeps(const std::vector<FormulaRef>& guards, int k,
+                      const SolverBackend& backend) {
+  std::uint64_t table_generated = 0;
+  const auto table = MemberTable::Build(backend, k, &table_generated);
+  ASSERT_NE(table, nullptr);
+  const MemberSource stream{backend};
+  const MemberSource tabled{backend, table.get()};
+
+  SubTransitionGraph full(guards, k);
+  SolveStats full_stats;
+  full.BuildFull(stream, full_stats);
+  EXPECT_EQ(table_generated, full_stats.members_generated);
+  {
+    SCOPED_TRACE("eager");
+    SubTransitionGraph graph(guards, k);
+    SolveStats stats;
+    graph.BuildFull(tabled, stats);
+    ExpectSameBuild(full, full_stats, graph, stats);
+    EXPECT_EQ(stats.members_generated, 0u);
+  }
+  {
+    // With build threads, a table is still swept serially.
+    SCOPED_TRACE("eager, 4 build threads");
+    SubTransitionGraph graph(guards, k);
+    SolveStats stats;
+    const SubTransitionGraph::BuildPlan plan =
+        graph.BuildComplete(tabled, 4, stats);
+    EXPECT_TRUE(plan.from_table);
+    EXPECT_EQ(plan.threads, 1);
+    ExpectSameBuild(full, full_stats, graph, stats);
+  }
+  for (const auto& [initial_stop, edge_stop] :
+       {std::pair{1, 0}, std::pair{0, 1}, std::pair{0, 3}, std::pair{0, 8}}) {
+    SCOPED_TRACE("early exit at initial member " +
+                 std::to_string(initial_stop) + " / fresh edge " +
+                 std::to_string(edge_stop));
+    SolveStats stream_stats;
+    SolveStats table_stats;
+    const auto streamed = PartialBuild(guards, k, stream, initial_stop,
+                                       edge_stop, stream_stats);
+    const auto partial = PartialBuild(guards, k, tabled, initial_stop,
+                                      edge_stop, table_stats);
+    ExpectSameBuild(*streamed, stream_stats, *partial, table_stats);
+
+    // Resume either partial graph from the other source: both finish as
+    // the cold full build.
+    SubTransitionGraph resumed_by_table(*streamed);
+    SolveStats by_table;
+    resumed_by_table.BuildFull(tabled, by_table);
+    ExpectGraphsIdentical(full, resumed_by_table);
+    EXPECT_EQ(SerializeGraph(full, "k"), SerializeGraph(resumed_by_table, "k"));
+    SubTransitionGraph resumed_by_stream(*partial);
+    SolveStats by_stream;
+    resumed_by_stream.BuildFull(stream, by_stream);
+    ExpectGraphsIdentical(full, resumed_by_stream);
+    EXPECT_EQ(by_table.members_enumerated, by_stream.members_enumerated);
+    EXPECT_EQ(by_table.guard_evaluations, by_stream.guard_evaluations);
+    EXPECT_EQ(by_table.members_generated, 0u);
+  }
+}
+
+void CheckTableSweeps(const DdsSystem& system, const SolverBackend& backend) {
+  CheckTableSweeps(GuardsOf(system), system.num_registers(), backend);
+}
+
+TEST(MemberTableSweepTest, SystemZooIsBitIdentical) {
+  AllStructuresClass all(GraphZooSchema());
+  for (const DdsSystem& system : {ReachRedSystem(), ContradictionSystem()}) {
+    CheckTableSweeps(system, all);
+  }
+  LiftedHomClass lifted(Example2Template());
+  CheckTableSweeps(ReachRedSystem(), lifted);
+}
+
+TEST(MemberTableSweepTest, ClassesPastTheCapStayUntabled) {
+  // Two registers over the graph zoo: over 1M joint members. The build
+  // stops one member past the cap.
+  AllStructuresClass all(GraphZooSchema());
+  std::uint64_t generated = 0;
+  EXPECT_EQ(MemberTable::Build(all, 2, &generated), nullptr);
+  EXPECT_GT(generated, MemberTable::kMemberCap);
+  EXPECT_LE(generated, 2 * MemberTable::kMemberCap + 1);
+
+  // 29 unary relations: one element already has more atoms than the
+  // default cap allows, so the backend stops the k-stream.
+  Schema wide;
+  for (int r = 0; r < 29; ++r) wide.AddRelation("p" + std::to_string(r), 1);
+  AllStructuresClass capped(MakeSchema(std::move(wide)));
+  EXPECT_EQ(MemberTable::Build(capped, 1), nullptr);
+}
+
+TEST(MemberTableSweepTest, OrderAndEquivalenceClassesAreBitIdentical) {
+  LinearOrderClass orders;
+  DdsSystem chain(orders.schema());
+  const int s0 = chain.AddState("s0", true);
+  const int s1 = chain.AddState("s1", false, true);
+  chain.AddRegister("x");
+  chain.AddRegister("y");
+  chain.AddRule(s0, s0, "lt(x_old, x_new) & y_new = y_old");
+  chain.AddRule(s0, s1, "lt(y_old, x_new) & lt(x_new, y_new)");
+  CheckTableSweeps(chain, orders);
+
+  EquivalenceClass eqv;
+  DdsSystem pairs(eqv.schema());
+  const int a = pairs.AddState("a", true);
+  const int b = pairs.AddState("b", false, true);
+  pairs.AddRegister("x");
+  pairs.AddRegister("y");
+  pairs.AddRule(a, a, "eqv(x_old, y_new) & x_new != x_old");
+  pairs.AddRule(a, b, "eqv(x_old, y_old) & x_old != y_old");
+  CheckTableSweeps(pairs, eqv);
+}
+
+TEST_P(ParallelRandomDeterminism, TableSweepsMatchStreamedBuilds) {
+  std::mt19937 rng(GetParam() + 100);
+  auto schema = GraphZooSchema();
+  AllStructuresClass cls(schema);
+  const char* guard_pool[] = {
+      "E(x_old, x_new)",
+      "E(x_new, x_old)",
+      "red(x_new) & E(x_old, x_new)",
+      "!red(x_new) & x_old != x_new",
+      "x_old = x_new & red(x_old)",
+      "E(x_old, x_old)",
+      "!E(x_old, x_new) & !E(x_new, x_old)",
+      "red(x_old) & !red(x_new)",
+  };
+  DdsSystem system(schema);
+  const int s0 = system.AddState("s0", true);
+  const int s1 = system.AddState("s1", false, true);
+  system.AddRegister("x");
+  const int num_rules = 2 + static_cast<int>(rng() % 4);
+  for (int i = 0; i < num_rules; ++i) {
+    system.AddRule(rng() % 2 ? s0 : s1, rng() % 2 ? s0 : s1,
+                   guard_pool[rng() % 8]);
+  }
+  CheckTableSweeps(system, cls);
+}
+
+TEST(MemberTableSweepTest, WordAndTreeZoosAreBitIdentical) {
+  WordRunClass plus(NfaAPlusBPlus());
+  CheckTableSweeps(ZigZagSystem(1), plus);
+  WordRunClass alternating(NfaAlternatingAB());
+  CheckTableSweeps(ZigZagSystem(2), alternating);
+
+  TreeAutomaton two = TaTwoLevel();
+  TreeRunClass trees(&two, 3);
+  CheckTableSweeps(DescendSystem(two, 1), trees);
 }
 
 TEST(ParallelBuildTest, ParallelBuiltCacheEntryServesSerialQueries) {
@@ -315,6 +519,8 @@ TEST(ParallelBuildTest, ParallelBuiltCacheEntryServesSerialQueries) {
   EXPECT_FALSE(first.stats.graph_from_cache);
   EXPECT_GT(first.stats.members_enumerated, 0u);
   EXPECT_EQ(cache.size(), 1u);
+  // The class's first eager build streams, so the sharded sweep ran.
+  EXPECT_EQ(cache.member_table_builds(), 0u);
 
   SolveOptions serial;
   serial.cache = &cache;

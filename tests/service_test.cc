@@ -92,6 +92,95 @@ TEST(ServiceTest, SingleFlightColdBatchBuildsExactlyOnce) {
   EXPECT_GE(stats.p95_latency_ms, stats.p50_latency_ms);
 }
 
+TEST(ServiceTest, MemberTableIsBuiltOnceForConcurrentGuardSets) {
+  // 32 distinct guard sets over one class, half eager and half on-the-fly,
+  // submitted at once to 4 workers. Only eager builds ask for the class's
+  // member table: the first request streams, the second builds the table,
+  // every other one waits for it and sweeps it. On-the-fly queries stream
+  // as they would without tables. So the summed generation cost is two
+  // k-streams plus two 2k-streams plus the on-the-fly queries' own,
+  // whatever the scheduling — and every verdict is the cache-less front
+  // door's.
+  Schema unary;
+  unary.AddRelation("red", 1);
+  unary.AddRelation("blue", 1);
+  const SchemaRef schema = MakeSchema(std::move(unary));
+  const auto cls = std::make_shared<AllStructuresClass>(schema);
+  const char* pool[] = {
+      "x_new = y_old & red(x_new)",   "y_new = x_old & blue(y_new)",
+      "x_old = x_new & y_old != y_new", "x_new = x_old & red(y_new)",
+      "red(x_old) & x_new = y_old",   "blue(y_old) & y_new = x_new",
+  };
+  std::vector<QueryRequest> batch;
+  std::vector<bool> expected;
+  std::uint64_t on_the_fly_generated = 0;
+  for (int mask = 1; batch.size() < 32; ++mask) {
+    if (__builtin_popcount(mask) < 2) continue;  // distinct multi-rule sets
+    auto system = std::make_shared<DdsSystem>(schema);
+    system->AddRegister("x");
+    system->AddRegister("y");
+    const int s0 = system->AddState("s0", true);
+    const int s1 = system->AddState("s1");
+    const int s2 = system->AddState("s2", false, true);
+    int rule = 0;
+    for (int g = 0; g < 6; ++g) {
+      if ((mask >> g & 1) == 0) continue;
+      const int from = rule % 2 == 0 ? s0 : s1;
+      system->AddRule(from, rule++ % 3 == 2 ? s2 : s1, pool[g]);
+    }
+    SolveOptions cacheless;
+    cacheless.build_witness = false;
+    expected.push_back(SolveEmptiness(*system, *cls, cacheless).nonempty);
+    const SolveStrategy strategy = batch.size() % 2 == 0
+                                       ? SolveStrategy::kEager
+                                       : SolveStrategy::kOnTheFly;
+    if (strategy == SolveStrategy::kOnTheFly) {
+      // What this on-the-fly query generates through a cache of its own.
+      GraphCache own;
+      SolveOptions options;
+      options.build_witness = false;
+      options.cache = &own;
+      on_the_fly_generated +=
+          SolveEmptiness(*system, *cls, options).stats.members_generated;
+    }
+    QueryRequest request;
+    request.kind = QueryKind::kSystem;
+    request.system = std::move(system);
+    request.cls = cls;
+    request.build_witness = false;
+    request.strategy = strategy;
+    batch.push_back(std::move(request));
+  }
+
+  QueryService::Options options;
+  options.num_workers = 4;
+  QueryService service(options);
+  std::vector<std::future<QueryResult>> futures =
+      service.SubmitBatch(std::move(batch));
+  std::uint64_t generated = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const QueryResult result = futures[i].get();
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.nonempty, expected[i]) << "query " << i;
+    EXPECT_FALSE(result.stats.graph_from_cache);
+    generated += result.stats.members_generated;
+  }
+
+  std::uint64_t streams = 0;
+  for (int m : {2, 4}) {
+    cls->EnumerateGenerated(
+        m, [&](const Structure&, std::span<const Elem>) { ++streams; });
+  }
+  EXPECT_EQ(generated, 2 * streams + on_the_fly_generated);
+  service.Drain();
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.member_table_builds, 1u);
+  EXPECT_EQ(stats.member_table_hits, 14u);
+  EXPECT_EQ(stats.member_tables, 1u);
+  EXPECT_GT(stats.member_table_bytes, 0u);
+  EXPECT_EQ(stats.members_generated, generated);
+}
+
 // Two systems that share a graph cache key — same schema, register count
 // and guard set ("red(x_new)") — but differ in whether the target state
 // accepts. The accepting variant early-exits its on-the-fly sweep the

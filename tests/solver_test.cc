@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <initializer_list>
+#include <memory>
 #include <random>
 
 #include "fraisse/data_class.h"
@@ -12,8 +15,14 @@
 #include "solver/branching.h"
 #include "solver/context.h"
 #include "solver/emptiness.h"
+#include "solver/member_table.h"
+#include "solver/store.h"
 #include "system/concrete.h"
 #include "system/zoo.h"
+#include "trees/solve.h"
+#include "trees/zoo.h"
+#include "words/solve.h"
+#include "words/zoo.h"
 
 namespace amalgam {
 namespace {
@@ -510,6 +519,205 @@ TEST(GuardInterningTest, PathAndStepsAreCopiedOnlyForWitnesses) {
   EXPECT_TRUE(bare.steps.empty());
   const SolveResult full = SolveEmptiness(ReachRedSystem(), all);
   EXPECT_EQ(full.steps.size() + 1, full.path.size());
+}
+
+// ---- Member tables: a warm table changes no graph and no counter. ----
+
+// A cache whose member table for `ctx`'s class is built: the class's first
+// request only records it, the second builds the table.
+void WarmMemberTable(GraphCache& cache, const GraphContext& ctx) {
+  SolveStats stats;
+  ASSERT_EQ(cache.AcquireMemberTable(ctx.class_key(), *ctx.backend, ctx.k,
+                                     stats),
+            nullptr);
+  ASSERT_NE(cache.AcquireMemberTable(ctx.class_key(), *ctx.backend, ctx.k,
+                                     stats),
+            nullptr);
+  ASSERT_EQ(cache.member_tables(), 1u);
+}
+
+// The front door's cached query over a cache whose class table is warm,
+// against the same query store-only: a query-private cache gets no table,
+// so its graph is streamed from the backend and persisted to `dir`.
+// Eager, early-exited on-the-fly and resumed queries must leave the same
+// graph (store bytes included, so shapes, initial set, edges, steps and
+// cursor) and count the same members, guard evaluations and edges. The
+// eager builds sweep the table and materialize no member; on-the-fly
+// sweeps never read a table, so they materialize what the streamed query
+// does.
+using SolveThrough = std::function<SolveStats(
+    GraphCache* cache, const std::string& dir, SolveStrategy strategy)>;
+
+void ExpectTableServedQueriesMatchStreamed(const GraphContext& ctx,
+                                           const SolveThrough& solve,
+                                           const std::string& name) {
+  // Each run is a sequence of strategies over one warm-table cache and,
+  // alongside, over one store directory.
+  auto run = [&](std::initializer_list<SolveStrategy> strategies,
+                 const std::string& label) {
+    SCOPED_TRACE(name + ": " + label);
+    GraphCache tabled;
+    WarmMemberTable(tabled, ctx);
+    const std::string dir = FreshStoreDir("table_" + name);
+    for (SolveStrategy strategy : strategies) {
+      const SolveStats streamed = solve(nullptr, dir, strategy);
+      const SolveStats served = solve(&tabled, "", strategy);
+      GraphCache loader;
+      loader.AttachStore(dir);
+      const auto expected =
+          loader.Lookup(ctx.key, ctx.backend->schema(), ctx.guards, ctx.k);
+      const auto got = tabled.Peek(ctx.key);
+      ASSERT_NE(expected, nullptr);
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(got->cursor(), expected->cursor());
+      EXPECT_EQ(SerializeGraph(*got, ctx.key),
+                SerializeGraph(*expected, ctx.key));
+      EXPECT_EQ(served.members_enumerated, streamed.members_enumerated);
+      EXPECT_EQ(served.guard_evaluations, streamed.guard_evaluations);
+      EXPECT_EQ(served.edges, streamed.edges);
+      EXPECT_EQ(served.members_generated,
+                strategy == SolveStrategy::kEager ? 0u
+                                                  : streamed.members_generated);
+    }
+    std::filesystem::remove_all(dir);
+  };
+  run({SolveStrategy::kEager}, "eager");
+  // On-the-fly exits early on a nonempty verdict, leaving a partial graph;
+  // the eager query after it resumes that graph to completion.
+  run({SolveStrategy::kOnTheFly, SolveStrategy::kEager},
+      "on-the-fly, then resumed");
+}
+
+TEST(MemberTableTest, BuiltOnASecondRequestAndForgottenPastTheBound) {
+  // Classes over distinct schemas, each with its own class key.
+  std::vector<std::unique_ptr<AllStructuresClass>> classes;
+  for (std::size_t c = 0; c <= GraphCache::kMaxMemberTables; ++c) {
+    Schema unary;
+    unary.AddRelation("p" + std::to_string(c), 1);
+    classes.push_back(
+        std::make_unique<AllStructuresClass>(MakeSchema(std::move(unary))));
+  }
+  GraphCache cache;
+  SolveStats stats;
+  auto request = [&](std::size_t c) {
+    return cache.AcquireMemberTable(GraphCache::ClassKey(*classes[c], 1),
+                                    *classes[c], 1, stats);
+  };
+  EXPECT_EQ(request(0), nullptr);
+  EXPECT_EQ(stats.members_generated, 0u) << "a first request enumerates nothing";
+  const auto table = request(0);
+  ASSERT_NE(table, nullptr);
+  EXPECT_GT(stats.members_generated, 0u);
+  EXPECT_EQ(request(0), table);
+  EXPECT_EQ(cache.member_table_builds(), 1u);
+  EXPECT_EQ(cache.member_table_hits(), 1u);
+
+  // Round-robin over one class more than the cache remembers, starting
+  // after class 0: each class is forgotten before it comes round again, so
+  // class 0's table goes and no other class is ever tabled.
+  for (std::size_t i = 1; i <= 3 * classes.size(); ++i) {
+    EXPECT_EQ(request(i % classes.size()), nullptr) << "request " << i;
+  }
+  EXPECT_EQ(cache.member_table_builds(), 1u);
+  EXPECT_EQ(cache.member_tables(), 0u);
+  EXPECT_EQ(cache.member_table_bytes(), 0u);
+}
+
+void ExpectSystemTablesChangeNothing(const DdsSystem& system,
+                                     const FraisseClass& cls,
+                                     const std::string& name) {
+  ExpectTableServedQueriesMatchStreamed(
+      SystemGraphContext(BorrowBackend(cls), system),
+      [&](GraphCache* cache, const std::string& dir, SolveStrategy strategy) {
+        SolveOptions options;
+        options.build_witness = false;
+        options.strategy = strategy;
+        options.cache = cache;
+        options.store_dir = dir;
+        return SolveEmptiness(system, cls, options).stats;
+      },
+      name);
+}
+
+TEST(MemberTableTest, ZooAndOrderSystemsBuildTheStreamedGraphs) {
+  AllStructuresClass all(GraphZooSchema());
+  ExpectSystemTablesChangeNothing(ReachRedSystem(), all, "reach_red");
+  ExpectSystemTablesChangeNothing(ContradictionSystem(), all, "contra");
+  LinearOrderClass orders;
+  DdsSystem chain(orders.schema());
+  const int s0 = chain.AddState("s0", true);
+  const int s1 = chain.AddState("s1");
+  const int s2 = chain.AddState("s2", false, true);
+  chain.AddRegister("x");
+  chain.AddRegister("y");
+  chain.AddRule(s0, s1, "lt(x_old, x_new) & y_new = y_old");
+  chain.AddRule(s1, s2, "lt(y_old, x_new) & lt(x_new, y_new)");
+  ExpectSystemTablesChangeNothing(chain, orders, "orders");
+}
+
+class MemberTableRandomTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MemberTableRandomTest, RandomSystemsBuildTheStreamedGraphs) {
+  AllStructuresClass all(GraphZooSchema());
+  ExpectSystemTablesChangeNothing(RandomGraphSystem(GetParam() + 50), all,
+                                  "random" + std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemberTableRandomTest, ::testing::Range(0, 8));
+
+TEST(MemberTableTest, WordAndTreeZoosBuildTheStreamedGraphs) {
+  const DdsSystem zig = ZigZagSystem(2);
+  const Nfa nfa = NfaAlternatingAB();
+  ExpectTableServedQueriesMatchStreamed(
+      WordGraphContext(zig, nfa),
+      [&](GraphCache* cache, const std::string& dir, SolveStrategy strategy) {
+        return SolveWordEmptiness(zig, nfa, false, strategy, cache, 1, dir)
+            .stats;
+      },
+      "words");
+
+  const TreeAutomaton two = TaTwoLevel();
+  const DdsSystem descend = DescendSystem(two, 1);
+  ExpectTableServedQueriesMatchStreamed(
+      TreeGraphContext(descend, two, 3),
+      [&](GraphCache* cache, const std::string& dir, SolveStrategy strategy) {
+        return SolveTreeEmptiness(descend, two, 0, 3, strategy, cache, 1, dir)
+            .stats;
+      },
+      "trees");
+}
+
+TEST(MemberTableTest, BranchingBuildsTheStreamedGraph) {
+  AllStructuresClass all(GraphZooSchema());
+  for (const DdsSystem& system :
+       {ReachRedSystem(), RandomGraphSystem(3), RandomGraphSystem(4)}) {
+    const BranchingSystem branching = AsBranching(system);
+    const GraphContext ctx = BranchingGraphContext(branching,
+                                                   BorrowBackend(all));
+    GraphCache tabled;
+    WarmMemberTable(tabled, ctx);
+    const BranchingSolveResult served =
+        SolveBranchingEmptiness(branching, all, &tabled);
+    const std::string dir = FreshStoreDir("table_branching");
+    const BranchingSolveResult streamed =
+        SolveBranchingEmptiness(branching, all, nullptr, 1, dir);
+    GraphCache loader;
+    loader.AttachStore(dir);
+    const auto expected =
+        loader.Lookup(ctx.key, all.schema(), ctx.guards, ctx.k);
+    ASSERT_NE(expected, nullptr);
+    EXPECT_EQ(SerializeGraph(*tabled.Peek(ctx.key), ctx.key),
+              SerializeGraph(*expected, ctx.key));
+    EXPECT_EQ(served.nonempty, streamed.nonempty);
+    EXPECT_EQ(served.stats.members_enumerated,
+              streamed.stats.members_enumerated);
+    EXPECT_EQ(served.stats.guard_evaluations,
+              streamed.stats.guard_evaluations);
+    EXPECT_EQ(served.stats.edges, streamed.stats.edges);
+    EXPECT_EQ(served.stats.members_generated, 0u);
+    EXPECT_GT(streamed.stats.members_generated, 0u);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace
