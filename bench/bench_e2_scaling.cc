@@ -192,36 +192,6 @@ BENCHMARK(BM_TraceOverhead)
     ->ArgNames({"traced"})
     ->Unit(benchmark::kMillisecond);
 
-// The sharded parallel sweep vs the serial eager build on the 64-state
-// chain: each worker owns one round-robin slice of the 2k joint-member
-// stream (guard evaluation, canonicalization and interning happen in the
-// workers), and the deterministic merge renumbers shapes so the graph is
-// bit-identical to the serial build at every thread count.
-void BM_ParallelBuild(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  DdsSystem system = ChainSystem(64, 1);
-  AllStructuresClass cls(GraphZooSchema());
-  SolveOptions options;
-  options.build_witness = false;
-  options.strategy = SolveStrategy::kEager;
-  options.num_threads = threads;
-  SolveResult last;
-  for (auto _ : state) {
-    last = SolveEmptiness(system, cls, options);
-    benchmark::DoNotOptimize(last.nonempty);
-  }
-  state.counters["members"] =
-      static_cast<double>(last.stats.members_enumerated);
-  state.counters["members_generated"] =
-      static_cast<double>(last.stats.members_generated);
-  state.counters["edges"] = static_cast<double>(last.stats.edges);
-}
-BENCHMARK(BM_ParallelBuild)
-    ->ArgsProduct({{1, 2, 4, 8}})
-    ->ArgNames({"threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // One member of the 2k joint stream, materialized so the kernel benchmarks
 // below replay the stream without re-enumerating it.
 struct JointMember {
@@ -385,19 +355,14 @@ BENCHMARK(BM_ColdResume)
 
 // A cold eager build of one guard set over linear orders with 3 registers
 // (the cold_build "orders" shape of perfbench), streamed from the backend
-// (table:0) and over the class's warm member table (table:1), on 1 or 4
-// build threads through SubTransitionGraph::BuildComplete. The table is
+// (table:0) and over the class's warm member table (table:1). The table is
 // built once, outside the timing loop, as the daemon builds it once per
 // class. The graphs are bit-identical, so `members`, `guard_evals` and
 // `edges` match between the rows; `members_generated` drops to 0 over the
 // table, and the time difference is the enumeration and projection
-// interning the table saves. table:0/threads:4 is the sharded
-// BuildFullParallel a table-less build takes; table:1/threads:4 reads
-// `threads` 1, because a table sweep is serial — it shows whether that
-// loses to the sharded stream.
+// interning the table saves.
 void BM_ColdBuildWarmTable(benchmark::State& state) {
   const bool tabled = state.range(0) != 0;
-  const int threads = static_cast<int>(state.range(1));
   LinearOrderClass orders;
   DdsSystem system(orders.schema());
   for (const char* reg : {"x", "y", "z"}) system.AddRegister(reg);
@@ -414,15 +379,13 @@ void BM_ColdBuildWarmTable(benchmark::State& state) {
       tabled ? MemberTable::Build(orders, ctx.k) : nullptr;
   const MemberSource source{orders, table.get()};
   SolveStats last;
-  SubTransitionGraph::BuildPlan plan;
   for (auto _ : state) {
     SubTransitionGraph graph(ctx.guards, ctx.k);
     SolveStats stats;
-    plan = graph.BuildComplete(source, threads, stats);
+    graph.BuildFull(source, stats);
     benchmark::DoNotOptimize(graph.num_edges());
     last = stats;
   }
-  state.counters["threads_used"] = plan.threads;
   state.counters["members"] = static_cast<double>(last.members_enumerated);
   state.counters["members_generated"] =
       static_cast<double>(last.members_generated);
@@ -430,11 +393,9 @@ void BM_ColdBuildWarmTable(benchmark::State& state) {
   state.counters["edges"] = static_cast<double>(last.edges);
 }
 BENCHMARK(BM_ColdBuildWarmTable)
-    ->ArgNames({"table", "threads"})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 4})
-    ->Args({1, 4})
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgNames({"table"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -804,26 +765,36 @@ std::string ReadBuildType(const std::string& path) {
   return {};
 }
 
+// The outcome of a baseline comparison: the worst regression in percent (0
+// when nothing regressed or nothing was comparable) and the number of
+// baseline rows the fresh run did not produce.
+struct BaselineDelta {
+  double worst_regress_pct = 0.0;
+  int missing = 0;
+};
+
 // Prints the per-benchmark delta of the fresh run against the committed
 // baseline (bench/e2_baseline.json) — the perf trajectory successive PRs
-// compare against — and returns the worst regression in percent (0 when
-// nothing regressed or nothing was comparable). Refresh the baseline by
-// copying a fresh BENCH_e2.json over it. Rows with a sub-0.1 ms baseline
+// compare against. With `list_missing`, every baseline row absent from the
+// fresh run is printed as "(missing)" and counted, so a gated row cannot
+// drop out of the comparison silently. Refresh the baseline by copying a
+// fresh BENCH_e2.json over it. Rows with a sub-0.1 ms baseline
 // are printed but excluded from the regression verdict: at that scale the
 // delta is timer noise, not trajectory. Runs whose recorded build type
 // differs from the baseline's are not diffed at all: a Debug run against a
 // Release baseline measures the optimizer, not the code, and would either
 // trip the gate spuriously or launder a real regression as "build noise".
-double PrintBaselineDelta(const std::string& fresh_path,
-                          const std::string& baseline_path) {
+BaselineDelta PrintBaselineDelta(const std::string& fresh_path,
+                                 const std::string& baseline_path,
+                                 bool list_missing) {
   std::vector<BenchRow> fresh = ParseBenchJson(fresh_path);
   std::vector<BenchRow> baseline = ParseBenchJson(baseline_path);
-  if (fresh.empty()) return 0.0;
+  if (fresh.empty()) return {};
   if (baseline.empty()) {
     std::printf("\nNo baseline at %s; commit a fresh BENCH_e2.json there to "
                 "start the trajectory.\n",
                 baseline_path.c_str());
-    return 0.0;
+    return {};
   }
   const std::string fresh_type = ReadBuildType(fresh_path);
   const std::string baseline_type = ReadBuildType(baseline_path);
@@ -836,10 +807,10 @@ double PrintBaselineDelta(const std::string& fresh_path,
         fresh_type.empty() ? "(unrecorded)" : fresh_type.c_str(),
         baseline_path.c_str(),
         baseline_type.empty() ? "(unrecorded)" : baseline_type.c_str());
-    return 0.0;
+    return {};
   }
   constexpr double kNoiseFloorMs = 0.1;
-  double worst_regress_pct = 0.0;
+  BaselineDelta delta;
   std::printf("\nDelta vs committed baseline (%s), real time [ms]:\n",
               baseline_path.c_str());
   for (const BenchRow& row : fresh) {
@@ -858,12 +829,23 @@ double PrintBaselineDelta(const std::string& fresh_path,
                          prev->real_time_ms;
       std::printf("  %-44s %10.3f -> %10.3f  (%+6.1f%%)\n", row.name.c_str(),
                   prev->real_time_ms, row.real_time_ms, pct);
-      if (prev->real_time_ms >= kNoiseFloorMs && pct > worst_regress_pct) {
-        worst_regress_pct = pct;
+      if (prev->real_time_ms >= kNoiseFloorMs &&
+          pct > delta.worst_regress_pct) {
+        delta.worst_regress_pct = pct;
       }
     }
   }
-  return worst_regress_pct;
+  if (list_missing) {
+    for (const BenchRow& b : baseline) {
+      bool ran = false;
+      for (const BenchRow& row : fresh) ran = ran || row.name == b.name;
+      if (ran) continue;
+      std::printf("  %-44s %10.3f -> %10s\n", b.name.c_str(), b.real_time_ms,
+                  "(missing)");
+      ++delta.missing;
+    }
+  }
+  return delta;
 }
 
 }  // namespace
@@ -904,24 +886,32 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!has_out) {
-#ifdef AMALGAM_E2_BASELINE
-    const double worst = PrintBaselineDelta("BENCH_e2.json",
-                                            AMALGAM_E2_BASELINE);
-#else
-    const double worst = PrintBaselineDelta("BENCH_e2.json",
-                                            "../bench/e2_baseline.json");
-#endif
     // Opt-in perf gate (CI sets AMALGAM_E2_MAX_REGRESS_PCT=25): a
-    // regression past the threshold fails the run instead of just printing.
-    if (const char* gate = std::getenv("AMALGAM_E2_MAX_REGRESS_PCT")) {
-      const double threshold = std::atof(gate);
-      if (threshold > 0 && worst > threshold) {
-        std::fprintf(stderr,
-                     "\nFAIL: worst benchmark regression %+.1f%% exceeds the "
-                     "%.0f%% gate (AMALGAM_E2_MAX_REGRESS_PCT)\n",
-                     worst, threshold);
-        return 1;
-      }
+    // regression past the threshold, or a baseline row the run did not
+    // produce, fails the run instead of just printing.
+    const char* gate = std::getenv("AMALGAM_E2_MAX_REGRESS_PCT");
+    const double threshold = gate != nullptr ? std::atof(gate) : 0.0;
+#ifdef AMALGAM_E2_BASELINE
+    const BaselineDelta delta = PrintBaselineDelta(
+        "BENCH_e2.json", AMALGAM_E2_BASELINE, threshold > 0);
+#else
+    const BaselineDelta delta = PrintBaselineDelta(
+        "BENCH_e2.json", "../bench/e2_baseline.json", threshold > 0);
+#endif
+    if (threshold > 0 && delta.worst_regress_pct > threshold) {
+      std::fprintf(stderr,
+                   "\nFAIL: worst benchmark regression %+.1f%% exceeds the "
+                   "%.0f%% gate (AMALGAM_E2_MAX_REGRESS_PCT)\n",
+                   delta.worst_regress_pct, threshold);
+      return 1;
+    }
+    if (delta.missing > 0) {
+      std::fprintf(stderr,
+                   "\nFAIL: %d baseline row(s) missing from this run; the "
+                   "gate (AMALGAM_E2_MAX_REGRESS_PCT) compares every "
+                   "baseline row\n",
+                   delta.missing);
+      return 1;
     }
   }
   return 0;

@@ -74,8 +74,7 @@ struct GridRow {
 // Collects the partition rows of the m-generated stream; `inner` maps the
 // block count d to the row's inner-space size.
 std::vector<GridRow> CollectGridRows(
-    int m, const std::function<std::uint64_t(int)>& inner,
-    std::uint64_t* total) {
+    int m, const std::function<std::uint64_t(int)>& inner) {
   std::vector<GridRow> rows;
   std::uint64_t offset = 0;
   ForEachSetPartition(m, [&](const std::vector<int>& block_of) {
@@ -89,7 +88,6 @@ std::vector<GridRow> CollectGridRows(
     offset = SatAdd(offset, row.count);
     rows.push_back(std::move(row));
   });
-  if (total != nullptr) *total = offset;
   return rows;
 }
 
@@ -99,18 +97,6 @@ std::vector<Elem> MarksOf(const std::vector<int>& block_of) {
     marks[i] = static_cast<Elem>(block_of[i]);
   }
   return marks;
-}
-
-// Balanced contiguous split of [0, total) into n_shards ranges.
-std::pair<std::uint64_t, std::uint64_t> ShardRange(std::uint64_t total,
-                                                   int n_shards, int shard) {
-  const std::uint64_t base = total / static_cast<std::uint64_t>(n_shards);
-  const std::uint64_t extra = total % static_cast<std::uint64_t>(n_shards);
-  auto lo_of = [&](std::uint64_t i) {
-    return i * base + std::min<std::uint64_t>(i, extra);
-  };
-  return {lo_of(static_cast<std::uint64_t>(shard)),
-          lo_of(static_cast<std::uint64_t>(shard) + 1)};
 }
 
 std::uint64_t Factorial(int d) {
@@ -263,11 +249,10 @@ void AllStructuresClass::EnumerateGeneratedUntil(
 // Positioned enumeration over the (set partition × atom mask) grid: a
 // stream position decodes into (row, mask), the seed mask's atoms are set
 // directly, and the incremental delta loop continues from there — so the
-// generation cost is O(hi - lo), not O(stream).
-void AllStructuresClass::EnumerateRange(int m, std::uint64_t lo,
-                                        std::uint64_t hi,
-                                        const ShardCallback& cb,
-                                        const EnumControl& ctl) const {
+// generation cost is O(stream - start), not O(stream).
+void AllStructuresClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
+                                                const PositionCallback& cb,
+                                                const EnumControl& ctl) const {
   const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
   const std::vector<GridRow> rows = CollectGridRows(
       m,
@@ -275,12 +260,10 @@ void AllStructuresClass::EnumerateRange(int m, std::uint64_t lo,
         const std::uint64_t atoms = AtomCountFor(schema_, d);
         if (atoms > cap) throw EnumerationCapError(atoms, cap);
         return std::uint64_t{1} << atoms;
-      },
-      nullptr);
+      });
   for (const GridRow& row : rows) {
-    if (row.offset >= hi || row.offset + row.count <= lo) continue;
-    const std::uint64_t mask_lo = lo > row.offset ? lo - row.offset : 0;
-    const std::uint64_t mask_hi = std::min(row.count, hi - row.offset);
+    if (row.offset + row.count <= start) continue;
+    const std::uint64_t mask_lo = start > row.offset ? start - row.offset : 0;
     const std::vector<RelAtom> atoms = AtomsFor(schema_, row.d);
     const std::vector<Elem> marks = MarksOf(row.block_of);
     Structure s(schema_, row.d);
@@ -288,7 +271,7 @@ void AllStructuresClass::EnumerateRange(int m, std::uint64_t lo,
       if ((mask_lo >> i) & 1) s.SetHolds(atoms[i].rel, atoms[i].tuple, true);
     }
     std::uint64_t previous = mask_lo;
-    for (std::uint64_t mask = mask_lo; mask < mask_hi; ++mask) {
+    for (std::uint64_t mask = mask_lo; mask < row.count; ++mask) {
       std::uint64_t diff = mask ^ previous;
       for (std::size_t i = 0; diff >> i; ++i) {
         if ((diff >> i) & 1) {
@@ -300,30 +283,6 @@ void AllStructuresClass::EnumerateRange(int m, std::uint64_t lo,
       if (!cb(s, marks, row.offset + mask)) return;
     }
   }
-}
-
-void AllStructuresClass::EnumerateGeneratedShard(int m, int n_shards,
-                                                 int shard,
-                                                 const ShardCallback& cb,
-                                                 const EnumControl& ctl) const {
-  const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
-  std::uint64_t total = 0;
-  CollectGridRows(
-      m,
-      [&](int d) {
-        const std::uint64_t atoms = AtomCountFor(schema_, d);
-        if (atoms > cap) throw EnumerationCapError(atoms, cap);
-        return std::uint64_t{1} << atoms;
-      },
-      &total);
-  const auto [lo, hi] = ShardRange(total, n_shards, shard);
-  EnumerateRange(m, lo, hi, cb, ctl);
-}
-
-void AllStructuresClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
-                                                const ShardCallback& cb,
-                                                const EnumControl& ctl) const {
-  EnumerateRange(m, start, UINT64_MAX, cb, ctl);
 }
 
 // Joint members extending one canonicalized shape: the new marks form a
@@ -513,18 +472,17 @@ void LinearOrderClass::EnumerateGeneratedUntil(int m,
 // unrank the seed permutation through the factorial number system, then
 // continue with std::next_permutation — the same order ForEachPermutation
 // walks, so positions match the full stream.
-void LinearOrderClass::EnumerateRange(int m, std::uint64_t lo,
-                                      std::uint64_t hi, const ShardCallback& cb,
-                                      const EnumControl& ctl) const {
+void LinearOrderClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
+                                              const PositionCallback& cb,
+                                              const EnumControl& ctl) const {
   const std::vector<GridRow> rows =
-      CollectGridRows(m, [](int d) { return Factorial(d); }, nullptr);
+      CollectGridRows(m, [](int d) { return Factorial(d); });
   for (const GridRow& row : rows) {
-    if (row.offset >= hi || row.offset + row.count <= lo) continue;
-    const std::uint64_t p_lo = lo > row.offset ? lo - row.offset : 0;
-    const std::uint64_t p_hi = std::min(row.count, hi - row.offset);
+    if (row.offset + row.count <= start) continue;
+    const std::uint64_t p_lo = start > row.offset ? start - row.offset : 0;
     const std::vector<Elem> marks = MarksOf(row.block_of);
     std::vector<int> position_of = UnrankPermutation(row.d, p_lo);
-    for (std::uint64_t idx = p_lo; idx < p_hi; ++idx) {
+    for (std::uint64_t idx = p_lo; idx < row.count; ++idx) {
       Structure s(schema_, row.d);
       for (Elem a = 0; a < static_cast<Elem>(row.d); ++a) {
         for (Elem b = 0; b < static_cast<Elem>(row.d); ++b) {
@@ -536,21 +494,6 @@ void LinearOrderClass::EnumerateRange(int m, std::uint64_t lo,
       std::next_permutation(position_of.begin(), position_of.end());
     }
   }
-}
-
-void LinearOrderClass::EnumerateGeneratedShard(int m, int n_shards, int shard,
-                                               const ShardCallback& cb,
-                                               const EnumControl& ctl) const {
-  std::uint64_t total = 0;
-  CollectGridRows(m, [](int d) { return Factorial(d); }, &total);
-  const auto [lo, hi] = ShardRange(total, n_shards, shard);
-  EnumerateRange(m, lo, hi, cb, ctl);
-}
-
-void LinearOrderClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
-                                              const ShardCallback& cb,
-                                              const EnumControl& ctl) const {
-  EnumerateRange(m, start, UINT64_MAX, cb, ctl);
 }
 
 std::optional<AmalgamResult> LinearOrderClass::Amalgamate(
@@ -637,19 +580,18 @@ void EquivalenceClass::EnumerateGeneratedUntil(int m,
 // grid: Bell-number counts per row, restricted-growth-string unranking for
 // the seed and the lexicographic RGS successor for iteration — the same
 // order the nested ForEachSetPartition walks.
-void EquivalenceClass::EnumerateRange(int m, std::uint64_t lo,
-                                      std::uint64_t hi, const ShardCallback& cb,
-                                      const EnumControl& ctl) const {
+void EquivalenceClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
+                                              const PositionCallback& cb,
+                                              const EnumControl& ctl) const {
   const std::vector<GridRow> rows =
-      CollectGridRows(m, [](int d) { return BellNumber(d); }, nullptr);
+      CollectGridRows(m, [](int d) { return BellNumber(d); });
   for (const GridRow& row : rows) {
-    if (row.offset >= hi || row.offset + row.count <= lo) continue;
-    const std::uint64_t p_lo = lo > row.offset ? lo - row.offset : 0;
-    const std::uint64_t p_hi = std::min(row.count, hi - row.offset);
+    if (row.offset + row.count <= start) continue;
+    const std::uint64_t p_lo = start > row.offset ? start - row.offset : 0;
     const std::vector<Elem> marks = MarksOf(row.block_of);
     std::vector<int> class_of =
         UnrankRgs(row.d, p_lo, RgsCounts(row.d));
-    for (std::uint64_t idx = p_lo; idx < p_hi; ++idx) {
+    for (std::uint64_t idx = p_lo; idx < row.count; ++idx) {
       Structure s(schema_, row.d);
       for (Elem a = 0; a < static_cast<Elem>(row.d); ++a) {
         for (Elem b = 0; b < static_cast<Elem>(row.d); ++b) {
@@ -661,21 +603,6 @@ void EquivalenceClass::EnumerateRange(int m, std::uint64_t lo,
       NextRgs(class_of);
     }
   }
-}
-
-void EquivalenceClass::EnumerateGeneratedShard(int m, int n_shards, int shard,
-                                               const ShardCallback& cb,
-                                               const EnumControl& ctl) const {
-  std::uint64_t total = 0;
-  CollectGridRows(m, [](int d) { return BellNumber(d); }, &total);
-  const auto [lo, hi] = ShardRange(total, n_shards, shard);
-  EnumerateRange(m, lo, hi, cb, ctl);
-}
-
-void EquivalenceClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
-                                              const ShardCallback& cb,
-                                              const EnumControl& ctl) const {
-  EnumerateRange(m, start, UINT64_MAX, cb, ctl);
 }
 
 std::optional<AmalgamResult> EquivalenceClass::Amalgamate(

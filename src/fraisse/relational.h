@@ -39,10 +39,10 @@ void EnumerateRelationalGenerated(
 /// structure" of the schema.
 ///
 /// The member stream is a product grid — set partitions of the marks times
-/// atom masks — so this class carries fully native cursors: positioned
-/// enumeration decodes a stream position into (partition, mask), seeds the
-/// incremental SetHolds delta loop mid-grid, shards get contiguous ranges,
-/// and joint members can be generated per shape via EnumerateExtensions.
+/// atom masks — so this class carries a native cursor: positioned
+/// enumeration decodes a stream position into (partition, mask) and seeds
+/// the incremental SetHolds delta loop mid-grid; joint members can be
+/// generated per shape via EnumerateExtensions.
 class AllStructuresClass : public FraisseClass {
  public:
   explicit AllStructuresClass(SchemaRef schema);
@@ -51,14 +51,9 @@ class AllStructuresClass : public FraisseClass {
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
   void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
-  CursorSupport cursor_support() const override {
-    return {.native_shard = true, .native_from = true, .extensions = true};
-  }
-  void EnumerateGeneratedShard(int m, int n_shards, int shard,
-                               const ShardCallback& cb,
-                               const EnumControl& ctl = {}) const override;
+  bool SupportsExtensions() const override { return true; }
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
-                              const ShardCallback& cb,
+                              const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;
   void EnumerateExtensions(const Structure& old_structure,
                            std::span<const Elem> old_marks, int extra_marks,
@@ -66,9 +61,6 @@ class AllStructuresClass : public FraisseClass {
                            const EnumControl& ctl = {}) const override;
 
  private:
-  void EnumerateRange(int m, std::uint64_t lo, std::uint64_t hi,
-                      const ShardCallback& cb, const EnumControl& ctl) const;
-
   SchemaRef schema_;
 };
 
@@ -83,14 +75,8 @@ class LinearOrderClass : public FraisseClass {
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
   void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
-  CursorSupport cursor_support() const override {
-    return {.native_shard = true, .native_from = true};
-  }
-  void EnumerateGeneratedShard(int m, int n_shards, int shard,
-                               const ShardCallback& cb,
-                               const EnumControl& ctl = {}) const override;
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
-                              const ShardCallback& cb,
+                              const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;
   std::optional<AmalgamResult> Amalgamate(
       const Structure& a, const Structure& b,
@@ -98,10 +84,6 @@ class LinearOrderClass : public FraisseClass {
 
   /// The id of the "<" relation (always 0).
   static constexpr int kLess = 0;
-
- private:
-  void EnumerateRange(int m, std::uint64_t lo, std::uint64_t hi,
-                      const ShardCallback& cb, const EnumControl& ctl) const;
 
  private:
   SchemaRef schema_;
@@ -118,24 +100,14 @@ class EquivalenceClass : public FraisseClass {
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
   void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
-  CursorSupport cursor_support() const override {
-    return {.native_shard = true, .native_from = true};
-  }
-  void EnumerateGeneratedShard(int m, int n_shards, int shard,
-                               const ShardCallback& cb,
-                               const EnumControl& ctl = {}) const override;
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
-                              const ShardCallback& cb,
+                              const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;
   std::optional<AmalgamResult> Amalgamate(
       const Structure& a, const Structure& b,
       std::span<const Elem> b_to_a) const override;
 
   static constexpr int kEquiv = 0;
-
- private:
-  void EnumerateRange(int m, std::uint64_t lo, std::uint64_t hi,
-                      const ShardCallback& cb, const EnumControl& ctl) const;
 
  private:
   SchemaRef schema_;

@@ -275,7 +275,6 @@ void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
     throw ProtocolError("unknown strategy \"" + strategy +
                         "\" (known: onthefly, eager)");
   }
-  query.num_threads = static_cast<int>(json.GetInt("num_threads", 0));
   query.build_witness = json.GetBool("build_witness", false);
   query.extra_pattern_cap =
       static_cast<int>(json.GetInt("extra_pattern_cap", 4));

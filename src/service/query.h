@@ -57,9 +57,6 @@ struct QueryRequest {
   /// Exploration strategy for the linear front doors (the branching
   /// fixpoint always needs the complete graph).
   SolveStrategy strategy = SolveStrategy::kOnTheFly;
-  /// Worker threads for this query's complete-graph builds
-  /// (SubTransitionGraph::BuildFullParallel); 0 means the service default.
-  int num_threads = 0;
   /// Reconstruct a concrete witness (kSystem/kWord; costs extra work).
   bool build_witness = false;
   /// kSystem only: cap on the relational enumerators' per-partition atom

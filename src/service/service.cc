@@ -88,7 +88,6 @@ const char* QueryKindName(QueryKind kind) {
 QueryService::QueryService(Options options)
     : options_(std::move(options)), cache_(options_.cache_max_entries) {
   if (options_.num_workers < 1) options_.num_workers = 1;
-  if (options_.build_threads < 1) options_.build_threads = 1;
   if (!options_.store_dir.empty()) {
     cache_.AttachStore(options_.store_dir);
     attached_store_dir_ = options_.store_dir;
@@ -290,8 +289,6 @@ void QueryService::WorkerLoop() {
 
 QueryResult QueryService::RunQuery(const QueryRequest& request,
                                    const GraphContext& context) {
-  const int threads = request.num_threads > 0 ? request.num_threads
-                                              : options_.build_threads;
   TraceRecorder* trace = request.trace.get();
   QueryResult result;
   switch (request.kind) {
@@ -300,7 +297,6 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
       options.build_witness = request.build_witness;
       options.strategy = request.strategy;
       options.cache = &cache_;
-      options.num_threads = threads;
       options.relational_atom_cap = request.atom_cap;
       options.trace = trace;
       SolveResult solved = SolveEmptiness(*request.system, context, options);
@@ -311,7 +307,7 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
     case QueryKind::kWord: {
       WordSolveResult solved = SolveWordEmptiness(
           *request.system, context, request.build_witness, request.strategy,
-          &cache_, threads, /*store_dir=*/"", trace);
+          &cache_, /*store_dir=*/"", trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
@@ -320,15 +316,14 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
       TreeSolveResult solved = SolveTreeEmptiness(
           *request.system, context,
           /*witness_size_cap=*/request.build_witness ? 6 : 0,
-          request.strategy, &cache_, threads, /*store_dir=*/"", trace);
+          request.strategy, &cache_, /*store_dir=*/"", trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
     }
     case QueryKind::kBranching: {
       BranchingSolveResult solved = SolveBranchingEmptiness(
-          *request.branching, context, &cache_, threads, /*store_dir=*/"",
-          trace);
+          *request.branching, context, &cache_, /*store_dir=*/"", trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;

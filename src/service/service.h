@@ -13,12 +13,12 @@
 //     every query, so distinct requests over the same (class, k, guard
 //     set) reuse one sub-transition graph;
 //   * a single-flight table keyed by the graph's cache key coalesces
-//     concurrent cold queries: the first becomes the *leader* and builds
-//     (serial or sharded-parallel), the rest *join* — they block on the
-//     leader's per-key flight future and then run pure BFS replay over the
-//     cached graph. Registration happens at submit time, and SubmitBatch
-//     registers the whole batch before any worker starts, so a batch of N
-//     identical cold queries deterministically performs exactly one build;
+//     concurrent cold queries: the first becomes the *leader* and builds,
+//     the rest *join* — they block on the leader's per-key flight future
+//     and then run pure BFS replay over the cached graph. Registration
+//     happens at submit time, and SubmitBatch registers the whole batch
+//     before any worker starts, so a batch of N identical cold queries
+//     deterministically performs exactly one build;
 //   * the same table carries *resume* flights: when the cached entry for a
 //     key is partial (an earlier on-the-fly query early-exited), at most
 //     one query extends it — concurrent queries over the warm-but-partial
@@ -65,10 +65,6 @@ class QueryService {
   struct Options {
     /// Worker threads executing queries (clamped to >= 1).
     int num_workers = 4;
-    /// Default SubTransitionGraph build threads per query (a request's
-    /// num_threads overrides it; > 1 routes complete-graph builds through
-    /// BuildFullParallel).
-    int build_threads = 1;
     /// GraphCache memory-tier cap (0 = unbounded).
     std::size_t cache_max_entries = 0;
     /// When non-empty, attach the disk tier at this directory.

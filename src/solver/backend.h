@@ -10,6 +10,12 @@
 // front doors — SolveEmptiness, SolveWordEmptiness, SolveTreeEmptiness —
 // route through one engine. The interface depends only on base/, keeping
 // the solver layer free of class-specific knowledge.
+//
+// Enumeration has one reference stream and one positioned form of it:
+// EnumerateGeneratedUntil fixes the member order, and EnumerateGeneratedFrom
+// replays that order from a stream position (the resume point of a
+// suspended graph build). EnumerateExtensions is an optional per-shape
+// partition of the 2m stream, gated by SupportsExtensions().
 #ifndef AMALGAM_SOLVER_BACKEND_H_
 #define AMALGAM_SOLVER_BACKEND_H_
 
@@ -51,31 +57,13 @@ class EnumerationCapError : public std::runtime_error {
   std::uint32_t cap_;
 };
 
-/// What a backend's cursor machinery can actually do, as opposed to what the
-/// default adapters fake by filtering the full stream. Reported by
-/// SolverBackend::cursor_support(); all fields default to false (adapter
-/// behavior). `native_shard`/`native_from` are purely informational — the
-/// adapters are semantically equivalent, just slower — but `extensions` gates
-/// a real capability: EnumerateExtensions throws unless it is set.
-struct CursorSupport {
-  /// EnumerateGeneratedShard is overridden with a real partition of the
-  /// member space (contiguous ranges or equivalent), not a strided filter.
-  bool native_shard = false;
-  /// EnumerateGeneratedFrom is overridden with a real seek: generation cost
-  /// is O(stream - start), not O(stream).
-  bool native_from = false;
-  /// EnumerateExtensions is implemented: joint members can be generated
-  /// per-shape instead of filtered out of the global 2k stream.
-  bool extensions = false;
-};
-
-/// Out-of-band knobs threaded through the positioned enumeration entry
-/// points. `generated` (when non-null) is incremented once per member the
-/// backend *materializes* — for native cursors that is only the requested
-/// slice; the default adapters materialize the full stream to filter it, so
-/// they count every member. The members_generated / members_enumerated split
-/// in SolveStats is exactly this distinction. `atom_cap` overrides the
-/// relational enumerators' candidate-space cap (0 = backend default).
+/// Out-of-band knobs threaded through the enumeration entry points.
+/// `generated` (when non-null) is incremented once per member the backend
+/// *materializes* — for a native cursor that is only the requested suffix;
+/// the default adapter materializes the full stream to skip its prefix, so
+/// it counts every member. The members_generated / members_enumerated
+/// split in SolveStats is exactly this distinction. `atom_cap` overrides
+/// the relational enumerators' candidate-space cap (0 = backend default).
 struct EnumControl {
   std::uint64_t* generated = nullptr;
   std::uint32_t atom_cap = 0;
@@ -105,12 +93,11 @@ class SolverBackend {
   /// returning false stops it (the on-the-fly early exit).
   using StopCallback =
       std::function<bool(const Structure&, std::span<const Elem>)>;
-  /// Callback for one shard of the member stream. `stream_index` is the
-  /// member's position in the full EnumerateGeneratedUntil stream — the
-  /// deterministic merge core orders shapes and edges by it, so sharded
-  /// builds are bit-identical to serial ones. Returning false stops this
-  /// shard only.
-  using ShardCallback = std::function<bool(
+  /// Callback for a positioned enumeration. `stream_index` is the member's
+  /// position in the full EnumerateGeneratedUntil stream — the position a
+  /// suspended graph build records in its cursor. Returning false stops
+  /// the enumeration.
+  using PositionCallback = std::function<bool(
       const Structure&, std::span<const Elem>, std::uint64_t stream_index)>;
 
   /// Enumerates, up to isomorphism of marked structures, every pair
@@ -119,39 +106,6 @@ class SolverBackend {
   /// necessarily instantly) once `cb` returns false.
   virtual void EnumerateGeneratedUntil(int m, const StopCallback& cb) const = 0;
 
-  /// Which of the positioned entry points below are backed by real cursors
-  /// into the member space rather than the filtering default adapters.
-  virtual CursorSupport cursor_support() const { return {}; }
-
-  /// Enumerates shard `shard` of `n_shards` disjoint slices of the
-  /// EnumerateGeneratedUntil(m, ...) stream. Requirements on overrides: the
-  /// n_shards shards must partition the full stream, each member must be
-  /// reported with its position in that full stream, and positions within a
-  /// shard must arrive in increasing order. Must be safe to call from
-  /// n_shards threads concurrently on one backend (the default adapter is:
-  /// every concrete backend enumerates with call-local state only).
-  ///
-  /// The default adapter walks the full stream and forwards every n_shards-th
-  /// member, so each worker pays the generation cost of the whole stream but
-  /// only the per-member processing cost (guard evaluation, canonicalization,
-  /// interning — the dominant part) of its slice. Backends with a natural
-  /// partition of their member space can override with a real shard cursor.
-  virtual void EnumerateGeneratedShard(int m, int n_shards, int shard,
-                                       const ShardCallback& cb,
-                                       const EnumControl& ctl = {}) const {
-    std::uint64_t index = 0;
-    EnumerateGeneratedUntil(
-        m, [&](const Structure& s, std::span<const Elem> marks) {
-          const std::uint64_t here = index++;
-          if (ctl.generated != nullptr) ++*ctl.generated;
-          if (here % static_cast<std::uint64_t>(n_shards) !=
-              static_cast<std::uint64_t>(shard)) {
-            return true;
-          }
-          return cb(s, marks, here);
-        });
-  }
-
   /// Enumerates the EnumerateGeneratedUntil(m, ...) stream starting at
   /// position `start`, reporting each member with its stream position — the
   /// positioned enumeration behind resumable graph builds (a persisted
@@ -159,11 +113,11 @@ class SolverBackend {
   /// at; see SubTransitionGraph::cursor()). The default adapter walks the
   /// stream from the beginning and skips the prefix, so a resume pays the
   /// prefix's generation cost but none of its processing cost (guard
-  /// evaluation, canonicalization, interning — the dominant part; the same
-  /// trade as EnumerateGeneratedShard's default). Backends with a real
-  /// cursor into their member space should override both together.
+  /// evaluation, canonicalization, interning — the dominant part). Backends
+  /// with a real cursor into their member space override it; overrides
+  /// must reproduce the EnumerateGeneratedUntil stream's suffix exactly.
   virtual void EnumerateGeneratedFrom(int m, std::uint64_t start,
-                                      const ShardCallback& cb,
+                                      const PositionCallback& cb,
                                       const EnumControl& ctl = {}) const {
     std::uint64_t index = 0;
     EnumerateGeneratedUntil(
@@ -186,8 +140,8 @@ class SolverBackend {
   /// stream exactly: same isomorphism classes, each exactly once across all
   /// shapes (per-shape streams partition the full stream), so frontier
   /// member counts never exceed — and on full sweeps equal — the eager
-  /// count. Optional capability: only callable when
-  /// cursor_support().extensions is true; the default throws.
+  /// count. Optional capability: only callable when SupportsExtensions()
+  /// is true; the default throws.
   virtual void EnumerateExtensions(const Structure& old_structure,
                                    std::span<const Elem> old_marks,
                                    int extra_marks, const StopCallback& cb,
@@ -199,8 +153,12 @@ class SolverBackend {
     (void)ctl;
     throw std::logic_error(
         "EnumerateExtensions called on a backend without the capability; "
-        "check cursor_support().extensions first");
+        "check SupportsExtensions() first");
   }
+
+  /// Whether EnumerateExtensions is implemented: joint members can be
+  /// generated per shape instead of filtered out of the global 2k stream.
+  virtual bool SupportsExtensions() const { return false; }
 
   /// Run-to-completion convenience wrapper over EnumerateGeneratedUntil.
   void EnumerateGenerated(int m, const EnumCallback& cb) const {

@@ -48,19 +48,17 @@ GraphContext BranchingGraphContext(const BranchingSystem& system,
 BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                                              const FraisseClass& cls,
                                              GraphCache* cache,
-                                             int num_threads,
                                              const std::string& store_dir,
                                              TraceRecorder* trace) {
   return SolveBranchingEmptiness(system,
                                  BranchingGraphContext(system,
                                                        BorrowBackend(cls)),
-                                 cache, num_threads, store_dir, trace);
+                                 cache, store_dir, trace);
 }
 
 BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                                              const GraphContext& context,
                                              GraphCache* cache,
-                                             int num_threads,
                                              const std::string& store_dir,
                                              TraceRecorder* trace) {
   ScopedSpan solve_span(trace, "solve");
@@ -131,10 +129,8 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                                                 result.stats, trace);
       }
       ScopedSpan build_span(trace, "full_build");
-      const SubTransitionGraph::BuildPlan plan = built->BuildComplete(
-          MemberSource{cls, table.get()}, num_threads, result.stats);
-      build_span.Annotate("source", plan.from_table ? "table" : "stream");
-      build_span.Annotate("threads", static_cast<std::uint64_t>(plan.threads));
+      built->BuildFull(MemberSource{cls, table.get()}, result.stats);
+      build_span.Annotate("source", table ? "table" : "stream");
       build_span.Annotate("members_generated", result.stats.members_generated);
       build_span.Annotate("edges", built->num_edges());
     }

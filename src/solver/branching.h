@@ -85,24 +85,21 @@ struct BranchingSolveResult {
 /// cursor to completion (the backward fixpoint needs the whole relation)
 /// rather than rebuilt. A non-empty `store_dir` attaches the disk tier
 /// (GraphCache::AttachStore; with a null `cache`, a private per-query
-/// cache fronts it), so the graph persists across processes.
-/// `num_threads` > 1 shards the joint-member sweep of a fresh or resumed
-/// build across worker threads (BuildFullParallel); the deterministic
-/// merge keeps the graph — and hence the fixpoint and the verdict —
-/// identical to a serial build. A non-null `trace` records a "solve" span
+/// cache fronts it), so the graph persists across processes. A non-null
+/// `trace` records a "solve" span
 /// with cache_lookup / full_build / fixpoint children (and the resume
 /// annotations when a partial entry was picked up).
 BranchingSolveResult SolveBranchingEmptiness(
     const BranchingSystem& system, const FraisseClass& cls,
-    GraphCache* cache = nullptr, int num_threads = 1,
-    const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, const std::string& store_dir = "",
+    TraceRecorder* trace = nullptr);
 
 /// As above over a context from BranchingGraphContext (the query service
 /// derives it once per query, at submit time).
 BranchingSolveResult SolveBranchingEmptiness(
     const BranchingSystem& system, const GraphContext& context,
-    GraphCache* cache = nullptr, int num_threads = 1,
-    const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, const std::string& store_dir = "",
+    TraceRecorder* trace = nullptr);
 
 /// The graph context of a branching query: the branch guards flattened in
 /// (rule, branch) order, so GraphContext::guard_of is indexed by flattened

@@ -216,7 +216,7 @@ void ExplorationEngine::RunOnTheFly() {
   // RunFrontierSweep — its graph is not a resumable stream prefix); the
   // positioned stream sweep below otherwise.
   if (goal_ < 0 && active_cache_ == nullptr && k_ >= 1 &&
-      backend_.cursor_support().extensions &&
+      backend_.SupportsExtensions() &&
       owned_graph_->cursor() == BuildCursor{kCursorPhaseJoint, 0}) {
     RunFrontierSweep();
     result_.stats.raw_memo_hits =
@@ -332,10 +332,8 @@ void ExplorationEngine::RunFullGraph() {
       const std::uint64_t max_shapes =
           num_states_ == 0 ? ~std::uint64_t{0}
                            : options_.max_configs / num_states_;
-      const SubTransitionGraph::BuildPlan plan = owned_graph_->BuildComplete(
-          source, options_.num_threads, result_.stats, max_shapes);
-      build_span.Annotate("source", plan.from_table ? "table" : "stream");
-      build_span.Annotate("threads", static_cast<std::uint64_t>(plan.threads));
+      owned_graph_->BuildFull(source, result_.stats, max_shapes);
+      build_span.Annotate("source", table ? "table" : "stream");
       build_span.Annotate("members_generated",
                           result_.stats.members_generated);
       build_span.Annotate("edges", owned_graph_->num_edges());
@@ -452,10 +450,9 @@ void ExplorationEngine::Finish() {
       static_cast<std::uint64_t>(graph_->num_shapes()) * num_states_;
   // On a cache hit no edges were recorded this query, but the counters
   // describe the graph the verdict was decided over — report it either way.
-  // raw_memo_hits is owned by whichever path built the graph (BuildFull,
-  // BuildFullParallel — whose memos are partly per-worker and invisible to
-  // the merged interner — or the on-the-fly stream) and stays 0 on a cache
-  // hit: no canonicalization ran at all.
+  // raw_memo_hits is owned by whichever path built the graph (BuildFull or
+  // the on-the-fly stream) and stays 0 on a cache hit: no canonicalization
+  // ran at all.
   result_.stats.edges = graph_->num_edges();
   if (goal_ < 0) {
     result_.nonempty = false;

@@ -115,16 +115,6 @@ struct SolveOptions {
   /// memory tier is governed separately by GraphCache(max_entries).
   std::uint64_t store_max_bytes = 0;
   std::uint64_t store_max_files = 0;
-  /// Number of worker threads for complete-graph builds (the kEager
-  /// strategy, including eager completion of a resumed partial entry):
-  /// > 1 routes the joint-member sweep through
-  /// SubTransitionGraph::BuildFullParallel, whose deterministic merge makes
-  /// the result bit-identical to a serial build — parallel-built and
-  /// serial-built graphs are interchangeable, including as GraphCache and
-  /// store values. Ignored by the kOnTheFly strategy (the early-exit
-  /// stream is inherently sequential) and by builds over a member table,
-  /// which are serial (SubTransitionGraph::BuildComplete).
-  int num_threads = 1;
   /// Cap on the relational enumerators' per-partition atom count (the
   /// candidate space is 2^atoms). 0 keeps the backend default
   /// (kDefaultRelationalAtomCap = 28). Exceeding the cap raises

@@ -12,13 +12,10 @@
 //     callback per fresh edge, stoppable mid-member for the on-the-fly
 //     early exit);
 //   * the branching solver and the cached path build it eagerly with
-//     BuildFull, which sweeps the whole class and marks the graph complete —
-//     or with BuildFullParallel, which splits the joint-member sweep across
-//     worker threads (each owning one shard of the stream, staging shapes
-//     and edges locally) and merges the shards deterministically: shapes are
-//     renumbered in serial first-encounter order, edges and witness steps
-//     are deduplicated by earliest stream position, so the result is
-//     bit-identical to BuildFull whatever the thread count or scheduling.
+//     BuildFull, which sweeps the whole class serially and marks the graph
+//     complete. There is no parallel build: over the classes the daemon
+//     serves (at most a few thousand members) sharding the sweep across
+//     threads measured slower than the serial sweep.
 //
 // Every sweep draws its members from a MemberSource: the backend's
 // positioned streams, optionally fronted by the class's MemberTable
@@ -29,8 +26,6 @@
 // A graph depends only on (backend, k, guard set) — not on the control
 // skeleton that supplied the guards — so it is shareable across queries and
 // across solvers; solver/cache.h keys that reuse by backend fingerprint.
-// Parallel-built and serial-built graphs are interchangeable cache values
-// for the same reason.
 //
 // Completeness is not a boolean precondition but a *cursor*: every graph
 // carries a BuildCursor recording how far its member sweep has progressed
@@ -38,9 +33,9 @@
 // early-exited on-the-fly build leaves a partial graph whose cursor marks
 // where a later query — in this process or, through solver/store.h, in a
 // different one — resumes the sweep instead of rebuilding from scratch;
-// BuildFull/BuildFullParallel on a partial graph finish the remaining
-// suffix only. A resumed-to-completion graph is bit-identical to a cold
-// full build (same shape numbering, edges, witness steps).
+// BuildFull on a partial graph finishes the remaining suffix only. A
+// resumed-to-completion graph is bit-identical to a cold full build (same
+// shape numbering, edges, witness steps).
 #ifndef AMALGAM_SOLVER_GRAPH_H_
 #define AMALGAM_SOLVER_GRAPH_H_
 
@@ -84,9 +79,9 @@ struct SolveStats {
   std::uint64_t members_enumerated = 0;  // candidates from the class
   /// Members the backend had to *materialize* to serve the sweep — the
   /// generation-vs-processing split. Backends with native cursors generate
-  /// only the requested slice, so sharded and resumed builds report less
-  /// than the full stream here; the default adapters regenerate everything
-  /// to filter it, so they report the full stream (per worker).
+  /// only the requested suffix, so resumed builds report less than the
+  /// full stream here; the default adapter regenerates the skipped prefix,
+  /// so it reports the full stream.
   std::uint64_t members_generated = 0;
   std::uint64_t guard_evaluations = 0;
   std::uint64_t edges = 0;               // distinct sub-transitions
@@ -216,41 +211,6 @@ class SubTransitionGraph {
     BuildFull(MemberSource{backend, nullptr, atom_cap}, stats, max_shapes);
   }
 
-  /// BuildFull with the joint-member sweep sharded across `n_threads`
-  /// worker threads (backend.EnumerateGeneratedShard; the k-generated
-  /// initial sweep is tiny and stays on the calling thread). Workers stage
-  /// shapes, edges and steps locally; the merge renumbers shapes in serial
-  /// first-encounter order and deduplicates edges by earliest stream
-  /// position, so the resulting graph — shapes, initial set, edges, steps —
-  /// is bit-identical to a serial BuildFull. Of the stats only
-  /// raw_memo_hits may differ (the raw-key memo is per-worker). Like
-  /// BuildFull it starts from the current cursor, so it also finishes
-  /// restored partial graphs (workers skip the already-processed stream
-  /// prefix). n_threads < 1 is clamped to 1 (which still runs the
-  /// stage-and-merge path).
-  void BuildFullParallel(const SolverBackend& backend, int n_threads,
-                         SolveStats& stats,
-                         std::uint64_t max_shapes = ~std::uint64_t{0},
-                         std::uint32_t atom_cap = 0);
-
-  /// How an eager front door completed the graph: whether it swept the
-  /// source's table, and on how many threads.
-  struct BuildPlan {
-    bool from_table = false;
-    int threads = 1;
-  };
-
-  /// The eager front doors' build. A table is swept serially through
-  /// BuildFull: over linear orders with 3 registers (4696 members) the
-  /// serial table sweep takes under a quarter of the wall time of
-  /// BuildFullParallel's 4-thread sharded stream (bench_e2_scaling's
-  /// ColdBuildWarmTable rows). Without a table, `n_threads` > 1 shards the
-  /// backend's stream through BuildFullParallel, and a single thread runs
-  /// BuildFull.
-  BuildPlan BuildComplete(const MemberSource& source, int n_threads,
-                          SolveStats& stats,
-                          std::uint64_t max_shapes = ~std::uint64_t{0});
-
   // ---- Read access. ----
 
   const ConfigInterner& interner() const { return interner_; }
@@ -297,12 +257,10 @@ class SubTransitionGraph {
   void CheckShapeCap(std::uint64_t max_shapes) const;
 
   std::vector<FormulaRef> guards_;
-  // The guards lowered to bytecode once at construction (logic/compiled.h);
-  // immutable and shared read-only by the parallel sweep workers, each of
-  // which owns its own GuardEvaluator.
+  // The guards lowered to bytecode once at construction (logic/compiled.h).
   std::vector<CompiledGuard> compiled_guards_;
-  // The streaming path's evaluator (ProcessJointMember is driven by one
-  // thread; the class was never thread-safe for concurrent mutation).
+  // The sweep's reusable VM state (the class is not thread-safe for
+  // concurrent mutation).
   GuardEvaluator guard_eval_;
   int k_;
 

@@ -1,8 +1,6 @@
 #include "solver/intern.h"
 
-#include <algorithm>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "util/hash.h"
@@ -101,58 +99,6 @@ int ConfigInterner::InternProjection(const Structure& joint,
     }
     return Canonicalize(sub.structure, sub_marks_scratch_);
   });
-}
-
-int StagingInterner::Intern(const Structure& s, std::span<const Elem> marks,
-                            const ShapeOrigin& origin) {
-  const int id = interner_.Intern(s, marks);
-  if (static_cast<std::size_t>(interner_.size()) > origins_.size()) {
-    origins_.push_back(origin);
-  }
-  return id;
-}
-
-int StagingInterner::InternProjection(const Structure& joint,
-                                      std::span<const Elem> marks,
-                                      const ShapeOrigin& origin) {
-  const int id = interner_.InternProjection(joint, marks);
-  if (static_cast<std::size_t>(interner_.size()) > origins_.size()) {
-    origins_.push_back(origin);
-  }
-  return id;
-}
-
-std::vector<std::vector<int>> MergeStagedShapes(
-    std::span<const StagingInterner> stagings, ConfigInterner& target) {
-  struct Item {
-    ShapeOrigin origin;
-    int staging;
-    int local;
-  };
-  std::vector<Item> items;
-  std::size_t total = 0;
-  for (const StagingInterner& s : stagings) total += s.size();
-  items.reserve(total);
-  for (std::size_t w = 0; w < stagings.size(); ++w) {
-    for (int local = 0; local < stagings[w].size(); ++local) {
-      items.push_back(Item{stagings[w].origin(local), static_cast<int>(w),
-                           local});
-    }
-  }
-  // Origins are unique across stagings (shards are disjoint stream slices),
-  // so this order is the serial first-encounter order of the staged shapes.
-  std::sort(items.begin(), items.end(),
-            [](const Item& a, const Item& b) { return a.origin < b.origin; });
-
-  std::vector<std::vector<int>> remap(stagings.size());
-  for (std::size_t w = 0; w < stagings.size(); ++w) {
-    remap[w].assign(stagings[w].size(), -1);
-  }
-  for (const Item& item : items) {
-    remap[item.staging][item.local] =
-        target.InternCanonical(stagings[item.staging].shape(item.local));
-  }
-  return remap;
 }
 
 }  // namespace amalgam

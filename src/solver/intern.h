@@ -17,21 +17,14 @@
 // hit performs zero heap allocations: no substructure is materialized, no
 // key string is constructed, nothing is node-allocated.
 //
-// For the sharded parallel sweep (SubTransitionGraph::BuildFullParallel)
-// each worker thread interns into its own StagingInterner — a ConfigInterner
-// that additionally records, per local shape id, the position of the shape's
-// first occurrence in the conceptual serial member stream. MergeStagedShapes
-// then renumbers the union of all staged shapes into a target interner in
-// ascending first-occurrence order, which is exactly the id assignment a
-// serial sweep would have produced: the merged graph is bit-identical
-// regardless of thread count or scheduling.
+// Ids are assigned in first-encounter order, so a sweep over a fixed member
+// stream numbers its shapes deterministically.
 #ifndef AMALGAM_SOLVER_INTERN_H_
 #define AMALGAM_SOLVER_INTERN_H_
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "base/canonical.h"
@@ -54,10 +47,10 @@ class ConfigInterner {
   int InternProjection(const Structure& joint, std::span<const Elem> marks);
 
   /// Interns an already-canonicalized form (hash-consing only; the raw-key
-  /// memo is not consulted or populated). Used by the shard merge to
-  /// renumber staged shapes into a target interner. The const-ref overload
-  /// copies the form only when it is genuinely new — cross-shard duplicates
-  /// resolve to an existing id without allocating.
+  /// memo is not consulted or populated). Used to restore a persisted arena
+  /// and to map a MemberTable's shapes into a graph. The const-ref overload
+  /// copies the form only when it is genuinely new — a form already present
+  /// resolves to its id without allocating.
   int InternCanonical(CanonicalForm&& canon);
   int InternCanonical(const CanonicalForm& canon);
 
@@ -119,57 +112,6 @@ class ConfigInterner {
   std::vector<Elem> sub_marks_scratch_;
   std::uint64_t raw_hits_ = 0;
 };
-
-/// The position of a shape's first occurrence in the conceptual serial
-/// member stream; the total order the deterministic merge renumbers by.
-/// Lexicographic: sweep phase (0 = k-generated initial members, 1 = 2k
-/// joint members), member position within the phase's full stream, then
-/// interning rank within the member (old projection before new).
-struct ShapeOrigin {
-  std::uint64_t phase = 0;
-  std::uint64_t member = 0;
-  std::uint64_t rank = 0;
-
-  friend bool operator<(const ShapeOrigin& a, const ShapeOrigin& b) {
-    return std::tie(a.phase, a.member, a.rank) <
-           std::tie(b.phase, b.member, b.rank);
-  }
-};
-
-/// A worker-thread-local interner over one shard of the member stream:
-/// shape ids are local to the staging and meaningless outside it until
-/// MergeStagedShapes maps them into a shared target interner.
-class StagingInterner {
- public:
-  /// As ConfigInterner::Intern; `origin` is recorded iff this call creates
-  /// a fresh local id (i.e. it is the shape's first occurrence in this
-  /// shard, which — shards being disjoint slices of the stream — is also
-  /// the shape's earliest origin this worker can contribute to the merge).
-  int Intern(const Structure& s, std::span<const Elem> marks,
-             const ShapeOrigin& origin);
-
-  /// As ConfigInterner::InternProjection, with origin recording.
-  int InternProjection(const Structure& joint, std::span<const Elem> marks,
-                       const ShapeOrigin& origin);
-
-  int size() const { return interner_.size(); }
-  std::uint64_t raw_hits() const { return interner_.raw_hits(); }
-  const CanonicalForm& shape(int id) const { return interner_.shape(id); }
-  const ShapeOrigin& origin(int id) const { return origins_[id]; }
-
- private:
-  ConfigInterner interner_;
-  std::vector<ShapeOrigin> origins_;  // parallel to the interner's arena
-};
-
-/// The deterministic merge core: renumbers the union of all staged shapes
-/// into `target` in ascending ShapeOrigin order. A shape staged by several
-/// workers (or already present in `target`, e.g. from the serial initial-
-/// member sweep) is interned once at its earliest origin and every later
-/// occurrence maps to that id — reproducing the first-encounter numbering
-/// of a serial sweep. Returns one local-id -> target-id table per staging.
-std::vector<std::vector<int>> MergeStagedShapes(
-    std::span<const StagingInterner> stagings, ConfigInterner& target);
 
 }  // namespace amalgam
 

@@ -448,24 +448,8 @@ void TreeRunClass::EnumerateGeneratedUntil(int m,
              const std::vector<Elem>& marks) { return cb(enc(), marks); });
 }
 
-void TreeRunClass::EnumerateGeneratedShard(int m, int n_shards, int shard,
-                                           const ShardCallback& cb,
-                                           const EnumControl& ctl) const {
-  std::uint64_t index = 0;
-  EnumeratePatterns(m, [&](const std::function<const Structure&()>& enc,
-                           const std::vector<Elem>& marks) {
-    const std::uint64_t here = index++;
-    if (here % static_cast<std::uint64_t>(n_shards) !=
-        static_cast<std::uint64_t>(shard)) {
-      return true;
-    }
-    if (ctl.generated != nullptr) ++*ctl.generated;
-    return cb(enc(), marks, here);
-  });
-}
-
 void TreeRunClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
-                                          const ShardCallback& cb,
+                                          const PositionCallback& cb,
                                           const EnumControl& ctl) const {
   std::uint64_t index = 0;
   EnumeratePatterns(m, [&](const std::function<const Structure&()>& enc,

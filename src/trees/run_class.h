@@ -38,20 +38,14 @@ class TreeRunClass : public FraisseClass {
     return static_cast<std::uint64_t>(n) + extra_cap_;
   }
   void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
-  /// Positioned cursors: positions are determined by the candidate walk
+  /// Positioned cursor: positions are determined by the candidate walk
   /// (shapes × states × flags × mark placements, filtered by realizability
-  /// and closure), so the cursors cannot seek past it — but the structure
+  /// and closure), so the cursor cannot seek past it — but the structure
   /// encoding (PatternToStructure, the dominant per-member cost: quadratic
   /// relations plus all pointer-function tables) is built lazily, only for
   /// members the cursor actually delivers.
-  CursorSupport cursor_support() const override {
-    return {.native_shard = true, .native_from = true};
-  }
-  void EnumerateGeneratedShard(int m, int n_shards, int shard,
-                               const ShardCallback& cb,
-                               const EnumControl& ctl = {}) const override;
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
-                              const ShardCallback& cb,
+                              const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;
   /// Not supported (tree witnesses come from trees/solve.h's bounded
   /// search); returns nullopt.

@@ -17,19 +17,19 @@ TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
                                    int witness_size_cap,
                                    int extra_pattern_cap,
                                    SolveStrategy strategy,
-                                   GraphCache* cache, int num_threads,
+                                   GraphCache* cache,
                                    const std::string& store_dir,
                                    TraceRecorder* trace) {
   return SolveTreeEmptiness(
       system, TreeGraphContext(system, automaton, extra_pattern_cap),
-      witness_size_cap, strategy, cache, num_threads, store_dir, trace);
+      witness_size_cap, strategy, cache, store_dir, trace);
 }
 
 TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
                                    const GraphContext& context,
                                    int witness_size_cap,
                                    SolveStrategy strategy,
-                                   GraphCache* cache, int num_threads,
+                                   GraphCache* cache,
                                    const std::string& store_dir,
                                    TraceRecorder* trace) {
   if (system.num_registers() < 1) {
@@ -45,7 +45,6 @@ TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
   options.build_witness = false;  // no generic amalgamation for trees
   options.strategy = strategy;
   options.cache = cache;
-  options.num_threads = num_threads;
   options.store_dir = store_dir;
   options.trace = trace;
   SolveResult generic = SolveEmptiness(system, context, options);

@@ -303,28 +303,12 @@ void WordRunClass::EnumerateGeneratedUntil(int m,
   });
 }
 
-// The positioned cursors below walk the same candidate space as the full
-// stream (positions are filter-determined, so there is no seeking past
-// it), but encode only in-range members as structures — the per-member
+// The positioned cursor walks the same candidate space as the full stream
+// (positions are filter-determined, so there is no seeking past it), but
+// encodes only members from `start` on as structures — the per-member
 // materialization cost, which EnumControl::generated counts.
-void WordRunClass::EnumerateGeneratedShard(int m, int n_shards, int shard,
-                                           const ShardCallback& cb,
-                                           const EnumControl& ctl) const {
-  std::uint64_t index = 0;
-  EnumeratePatterns(m, [&](const WordPattern& p,
-                           const std::vector<Elem>& marks) {
-    const std::uint64_t here = index++;
-    if (here % static_cast<std::uint64_t>(n_shards) !=
-        static_cast<std::uint64_t>(shard)) {
-      return true;
-    }
-    if (ctl.generated != nullptr) ++*ctl.generated;
-    return cb(PatternToStructure(p), marks, here);
-  });
-}
-
 void WordRunClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
-                                          const ShardCallback& cb,
+                                          const PositionCallback& cb,
                                           const EnumControl& ctl) const {
   std::uint64_t index = 0;
   EnumeratePatterns(m, [&](const WordPattern& p,

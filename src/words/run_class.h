@@ -57,20 +57,14 @@ class WordRunClass : public FraisseClass {
     return n + 2ULL * num_components_;
   }
   void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
-  /// Positioned cursors: the run-pattern candidate walk (slot placement +
+  /// Positioned cursor: the run-pattern candidate walk (slot placement +
   /// state assignment + membership filter) determines positions, so the
-  /// cursors cannot seek past it — but they materialize the structure
+  /// cursor cannot seek past it — but it materializes the structure
   /// encoding (PatternToStructure, the per-member allocation cost) only
   /// for members actually delivered, which is what EnumControl::generated
   /// counts.
-  CursorSupport cursor_support() const override {
-    return {.native_shard = true, .native_from = true};
-  }
-  void EnumerateGeneratedShard(int m, int n_shards, int shard,
-                               const ShardCallback& cb,
-                               const EnumControl& ctl = {}) const override;
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
-                              const ShardCallback& cb,
+                              const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;
   /// Merges the two patterns (brute-force over interleavings, validated by
   /// membership + pointer-consistent embeddings) and completes the result

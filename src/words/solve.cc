@@ -11,18 +11,17 @@ GraphContext WordGraphContext(const DdsSystem& system, const Nfa& nfa) {
 
 WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
                                    bool build_witness, SolveStrategy strategy,
-                                   GraphCache* cache, int num_threads,
+                                   GraphCache* cache,
                                    const std::string& store_dir,
                                    TraceRecorder* trace) {
   return SolveWordEmptiness(system, WordGraphContext(system, nfa),
-                            build_witness, strategy, cache, num_threads,
-                            store_dir, trace);
+                            build_witness, strategy, cache, store_dir, trace);
 }
 
 WordSolveResult SolveWordEmptiness(const DdsSystem& system,
                                    const GraphContext& context,
                                    bool build_witness, SolveStrategy strategy,
-                                   GraphCache* cache, int num_threads,
+                                   GraphCache* cache,
                                    const std::string& store_dir,
                                    TraceRecorder* trace) {
   if (system.num_registers() < 1) {
@@ -39,7 +38,6 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system,
   options.build_witness = build_witness;
   options.strategy = strategy;
   options.cache = cache;
-  options.num_threads = num_threads;
   options.store_dir = store_dir;
   options.trace = trace;
   SolveResult generic = SolveEmptiness(system, context, options);

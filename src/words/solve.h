@@ -40,16 +40,14 @@ struct WordSolveResult {
 /// queries skip run-pattern enumeration entirely, and a partial entry
 /// (early-exited earlier build) is resumed from its cursor. A non-empty
 /// `store_dir` persists graphs to disk (SolveOptions::store_dir), so the
-/// reuse also works in a fresh process. `num_threads` > 1 shards
-/// complete-graph builds (the eager strategy) across worker threads behind
-/// the deterministic merge; verdicts and graphs match the serial build bit
-/// for bit. A non-null `trace` is passed through as SolveOptions::trace —
-/// the engine records its "solve" span tree into it.
+/// reuse also works in a fresh process. A non-null `trace` is passed
+/// through as SolveOptions::trace — the engine records its "solve" span
+/// tree into it.
 WordSolveResult SolveWordEmptiness(
     const DdsSystem& system, const Nfa& nfa, bool build_witness = true,
     SolveStrategy strategy = SolveStrategy::kOnTheFly,
-    GraphCache* cache = nullptr, int num_threads = 1,
-    const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, const std::string& store_dir = "",
+    TraceRecorder* trace = nullptr);
 
 /// As above over a context from WordGraphContext (the query service derives
 /// it once per query, at submit time); its backend is the run class.
@@ -57,8 +55,8 @@ WordSolveResult SolveWordEmptiness(
     const DdsSystem& system, const GraphContext& context,
     bool build_witness = true,
     SolveStrategy strategy = SolveStrategy::kOnTheFly,
-    GraphCache* cache = nullptr, int num_threads = 1,
-    const std::string& store_dir = "", TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, const std::string& store_dir = "",
+    TraceRecorder* trace = nullptr);
 
 /// The graph context of a word query: a WordRunClass over `nfa` (which
 /// keeps its own copy of the automaton) and one guard per rule.

@@ -1,14 +1,13 @@
-// Conformance tests for the positioned enumeration cursors.
+// Conformance tests for the positioned enumeration cursor.
 //
-// The SolverBackend contract says the positioned entry points
-// (EnumerateGeneratedShard / EnumerateGeneratedFrom) must reproduce the
-// EnumerateGeneratedUntil stream exactly — same structures, same marks,
-// same positions — whether a backend uses the filtering default adapters
-// or overrides them with native cursors into its member space. These
-// tests pin that contract for every backend in the zoo, so a native
-// cursor that drifts from the reference stream (wrong unranking, wrong
-// successor step, wrong shard ranges) fails here rather than as a
-// miscached graph three layers up.
+// The SolverBackend contract says the positioned entry point
+// (EnumerateGeneratedFrom) must reproduce the EnumerateGeneratedUntil
+// stream exactly — same structures, same marks, same positions — whether
+// a backend uses the prefix-skipping default adapter or overrides it with
+// a native cursor into its member space. These tests pin that contract for
+// every backend in the zoo, so a native cursor that drifts from the
+// reference stream (wrong unranking, wrong successor step) fails here
+// rather than as a miscached graph three layers up.
 //
 // Also covered: the EnumerateExtensions partition law (per-shape
 // extension streams reproduce the joint stream exactly), the structured
@@ -67,6 +66,10 @@ struct NamedBackend {
   std::string name;
   std::shared_ptr<const SolverBackend> backend;
   std::vector<int> ms;
+  /// EnumerateGeneratedFrom materializes only the requested suffix (a
+  /// native cursor); false for the default adapter, which regenerates the
+  /// whole stream to skip the prefix.
+  bool seeks;
 };
 
 const TreeAutomaton* TwoLevelAutomaton() {
@@ -76,29 +79,36 @@ const TreeAutomaton* TwoLevelAutomaton() {
 
 // One backend per cursor implementation: the three relational native
 // cursors (grid, factorial, Bell), the word/tree positioned walks, and a
-// default-adapter backend (LiftedHomClass) to pin the adapters too.
+// default-adapter backend (LiftedHomClass) to pin the adapter too.
 std::vector<NamedBackend> AllBackends() {
   std::vector<NamedBackend> out;
   out.push_back({"all_graph",
                  std::make_shared<AllStructuresClass>(GraphZooSchema()),
-                 {0, 1, 2}});
+                 {0, 1, 2},
+                 true});
   Schema unary;
   unary.AddRelation("p", 1);
   out.push_back({"all_unary",
                  std::make_shared<AllStructuresClass>(
                      MakeSchema(std::move(unary))),
-                 {1, 2, 3}});
-  out.push_back({"orders", std::make_shared<LinearOrderClass>(), {1, 2, 3}});
-  out.push_back({"equiv", std::make_shared<EquivalenceClass>(), {1, 2, 3}});
+                 {1, 2, 3},
+                 true});
+  out.push_back(
+      {"orders", std::make_shared<LinearOrderClass>(), {1, 2, 3}, true});
+  out.push_back(
+      {"equiv", std::make_shared<EquivalenceClass>(), {1, 2, 3}, true});
   out.push_back({"word_runs",
                  std::make_shared<WordRunClass>(NfaAPlusBPlus()),
-                 {1, 2}});
+                 {1, 2},
+                 true});
   out.push_back({"tree_runs",
                  std::make_shared<TreeRunClass>(TwoLevelAutomaton(), 3),
-                 {1, 2}});
+                 {1, 2},
+                 true});
   out.push_back({"hom_lift",
                  std::make_shared<LiftedHomClass>(Example2Template()),
-                 {1, 2}});
+                 {1, 2},
+                 false});
   return out;
 }
 
@@ -112,7 +122,6 @@ std::vector<FormulaRef> GuardsOf(const DdsSystem& system) {
 
 TEST(CursorConformanceTest, FromReproducesEveryReferenceSuffix) {
   for (const NamedBackend& nb : AllBackends()) {
-    const bool native = nb.backend->cursor_support().native_from;
     for (int m : nb.ms) {
       const std::vector<Member> ref = ReferenceStream(*nb.backend, m);
       const std::uint64_t total = ref.size();
@@ -135,50 +144,10 @@ TEST(CursorConformanceTest, FromReproducesEveryReferenceSuffix) {
             EnumControl{&generated, 0});
         const std::uint64_t suffix = total - std::min(start, total);
         EXPECT_EQ(expect_next - start, suffix) << nb.name << " m=" << m;
-        // Native cursors materialize only the suffix; the adapters
-        // regenerate the whole stream to skip the prefix.
-        EXPECT_EQ(generated, native ? suffix : total)
+        // Native cursors materialize only the suffix; the adapter
+        // regenerates the whole stream to skip the prefix.
+        EXPECT_EQ(generated, nb.seeks ? suffix : total)
             << nb.name << " m=" << m << " start=" << start;
-      }
-    }
-  }
-}
-
-TEST(CursorConformanceTest, ShardsPartitionTheReferenceStream) {
-  for (const NamedBackend& nb : AllBackends()) {
-    const bool native = nb.backend->cursor_support().native_shard;
-    for (int m : nb.ms) {
-      const std::vector<Member> ref = ReferenceStream(*nb.backend, m);
-      const std::uint64_t total = ref.size();
-      for (int n_shards : {1, 2, 3, 8}) {
-        std::set<std::uint64_t> seen;
-        std::uint64_t generated = 0;
-        for (int shard = 0; shard < n_shards; ++shard) {
-          std::int64_t prev = -1;
-          nb.backend->EnumerateGeneratedShard(
-              m, n_shards, shard,
-              [&](const Structure& s, std::span<const Elem> marks,
-                  std::uint64_t pos) {
-                EXPECT_LT(pos, total);
-                EXPECT_GT(static_cast<std::int64_t>(pos), prev)
-                    << nb.name << ": positions must increase within a shard";
-                prev = static_cast<std::int64_t>(pos);
-                EXPECT_TRUE(seen.insert(pos).second)
-                    << nb.name << ": position " << pos
-                    << " delivered by two shards";
-                EXPECT_TRUE(SameMember(ref[pos], s, marks))
-                    << nb.name << " m=" << m << " diverges at position "
-                    << pos;
-                return true;
-              },
-              EnumControl{&generated, 0});
-        }
-        EXPECT_EQ(seen.size(), total)
-            << nb.name << " m=" << m << ": shards must cover the stream";
-        // Native shards materialize disjoint slices summing to the
-        // stream; each adapter shard regenerates the full stream.
-        EXPECT_EQ(generated, native ? total : total * n_shards)
-            << nb.name << " m=" << m << " n_shards=" << n_shards;
       }
     }
   }
@@ -186,7 +155,7 @@ TEST(CursorConformanceTest, ShardsPartitionTheReferenceStream) {
 
 TEST(CursorConformanceTest, ExtensionStreamsPartitionTheJointStream) {
   for (const NamedBackend& nb : AllBackends()) {
-    if (!nb.backend->cursor_support().extensions) continue;
+    if (!nb.backend->SupportsExtensions()) continue;
     for (int k : {1, 2}) {
       if (nb.name == "all_graph" && k > 1) continue;  // 2k=4 is ~1M members
       // The joint stream, one canonical key per isomorphism class.
@@ -413,31 +382,6 @@ TEST(CursorConformanceTest, StoreResumedBuildGeneratesOnlyTheSuffix) {
   EXPECT_EQ(resumed_stats.members_generated, joint_total - cutoff);
   EXPECT_LT(resumed_stats.members_generated, initial_total + joint_total);
   EXPECT_EQ(SerializeGraph(*restored, key), SerializeGraph(cold, key));
-}
-
-TEST(CursorConformanceTest, NativeShardedBuildsAreBitIdenticalAcrossThreads) {
-  DdsSystem system = ReachRedSystem();
-  AllStructuresClass cls(GraphZooSchema());
-  ASSERT_TRUE(cls.cursor_support().native_shard);
-  std::vector<FormulaRef> guards = GuardsOf(system);
-  const int k = system.num_registers();
-  SubTransitionGraph cold(guards, k);
-  SolveStats cold_stats;
-  cold.BuildFull(cls, cold_stats);
-  const std::string key = "cursor-parallel";
-  const std::string reference = SerializeGraph(cold, key);
-  for (int threads : {1, 2, 4, 8}) {
-    SubTransitionGraph sharded(guards, k);
-    SolveStats stats;
-    sharded.BuildFullParallel(cls, threads, stats);
-    EXPECT_EQ(SerializeGraph(sharded, key), reference)
-        << threads << " threads";
-    // Contiguous native shard ranges are disjoint, so the workers'
-    // combined generation cost is exactly one pass over the stream —
-    // independent of the thread count.
-    EXPECT_EQ(stats.members_generated, cold_stats.members_generated)
-        << threads << " threads";
-  }
 }
 
 }  // namespace

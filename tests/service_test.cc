@@ -434,6 +434,40 @@ TEST(ServiceTest, SessionEmitsResponsesInRequestOrder) {
   EXPECT_NE(lines[3].find("\"conn_requests\":4"), std::string::npos);
 }
 
+TEST(ServiceTest, RetiredBuildThreadFieldIsIgnored) {
+  // Clients written for daemons that took a per-query build-thread count
+  // still send that count; like any unknown field it is ignored, so the
+  // line gets the answer the same line without it gets.
+  for (const std::string system : {"reach_red", "contradiction"}) {
+    SCOPED_TRACE(system);
+    QueryService::Options options;
+    options.num_workers = 1;
+    QueryService service(options);
+    std::mutex lines_mutex;
+    std::vector<std::string> lines;
+    {
+      Session session(service, Session::Options{},
+                      [&](const std::string& line) {
+                        std::lock_guard<std::mutex> lock(lines_mutex);
+                        lines.push_back(line);
+                      });
+      const std::string query = R"("kind":"system","class":"all",)"
+                                R"("strategy":"eager","system":")" +
+                                system + "\"";
+      session.HandleLine(R"({"id":1,)" + query + "}");
+      session.HandleLine(R"({"id":2,"num_threads":4,)" + query + "}");
+      session.Flush();
+    }
+    ASSERT_EQ(lines.size(), 2u);
+    const std::string verdict =
+        system == "reach_red" ? "\"nonempty\":true" : "\"nonempty\":false";
+    for (const std::string& line : lines) {
+      EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+      EXPECT_NE(line.find(verdict), std::string::npos) << line;
+    }
+  }
+}
+
 TEST(ServiceTest, SessionInflightCapRejectsInBandAndInOrder) {
   QueryService::Options options;
   options.num_workers = 2;

@@ -671,8 +671,7 @@ TEST(MemberTableTest, WordAndTreeZoosBuildTheStreamedGraphs) {
   ExpectTableServedQueriesMatchStreamed(
       WordGraphContext(zig, nfa),
       [&](GraphCache* cache, const std::string& dir, SolveStrategy strategy) {
-        return SolveWordEmptiness(zig, nfa, false, strategy, cache, 1, dir)
-            .stats;
+        return SolveWordEmptiness(zig, nfa, false, strategy, cache, dir).stats;
       },
       "words");
 
@@ -681,7 +680,7 @@ TEST(MemberTableTest, WordAndTreeZoosBuildTheStreamedGraphs) {
   ExpectTableServedQueriesMatchStreamed(
       TreeGraphContext(descend, two, 3),
       [&](GraphCache* cache, const std::string& dir, SolveStrategy strategy) {
-        return SolveTreeEmptiness(descend, two, 0, 3, strategy, cache, 1, dir)
+        return SolveTreeEmptiness(descend, two, 0, 3, strategy, cache, dir)
             .stats;
       },
       "trees");
@@ -700,7 +699,7 @@ TEST(MemberTableTest, BranchingBuildsTheStreamedGraph) {
         SolveBranchingEmptiness(branching, all, &tabled);
     const std::string dir = FreshStoreDir("table_branching");
     const BranchingSolveResult streamed =
-        SolveBranchingEmptiness(branching, all, nullptr, 1, dir);
+        SolveBranchingEmptiness(branching, all, nullptr, dir);
     GraphCache loader;
     loader.AttachStore(dir);
     const auto expected =

@@ -245,7 +245,7 @@ TEST(StoreTest, ResumedBuildsAreBitIdenticalToColdBuilds) {
   ASSERT_NE(partial, nullptr);
   ASSERT_FALSE(partial->complete());
 
-  // ...finished serially and in parallel, against a cold full build.
+  // ...finished, against a cold full build.
   SubTransitionGraph cold(guards, k);
   SolveStats cold_stats;
   cold.BuildFull(all, cold_stats);
@@ -255,11 +255,6 @@ TEST(StoreTest, ResumedBuildsAreBitIdenticalToColdBuilds) {
   resumed.BuildFull(all, resumed_stats);
   EXPECT_LT(resumed_stats.members_enumerated, cold_stats.members_enumerated);
   EXPECT_EQ(SerializeGraph(resumed, key), SerializeGraph(cold, key));
-
-  SubTransitionGraph resumed_parallel(*partial);
-  SolveStats parallel_stats;
-  resumed_parallel.BuildFullParallel(all, 4, parallel_stats);
-  EXPECT_EQ(SerializeGraph(resumed_parallel, key), SerializeGraph(cold, key));
 
   // And a restored copy resumes just like the in-memory original.
   std::shared_ptr<SubTransitionGraph> reloaded = DeserializeGraph(
@@ -377,10 +372,10 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     Nfa nfa = NfaAPlusBPlus();
     WordSolveResult first =
         SolveWordEmptiness(system, nfa, true, SolveStrategy::kOnTheFly,
-                           nullptr, 1, dir);
+                           nullptr, dir);
     WordSolveResult second =
         SolveWordEmptiness(system, nfa, true, SolveStrategy::kOnTheFly,
-                           nullptr, 1, dir);
+                           nullptr, dir);
     EXPECT_EQ(first.nonempty, second.nonempty);
     EXPECT_GT(first.stats.members_enumerated, 0u);
     EXPECT_EQ(second.stats.members_enumerated, 0u);
@@ -396,9 +391,9 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     TreeAutomaton two = TaTwoLevel();
     DdsSystem system = DescendSystem(two, 1);
     TreeSolveResult first = SolveTreeEmptiness(
-        system, two, 0, 3, SolveStrategy::kOnTheFly, nullptr, 1, dir);
+        system, two, 0, 3, SolveStrategy::kOnTheFly, nullptr, dir);
     TreeSolveResult second = SolveTreeEmptiness(
-        system, two, 0, 3, SolveStrategy::kOnTheFly, nullptr, 1, dir);
+        system, two, 0, 3, SolveStrategy::kOnTheFly, nullptr, dir);
     EXPECT_EQ(first.nonempty, second.nonempty);
     EXPECT_GT(first.stats.members_enumerated, 0u);
     EXPECT_EQ(second.stats.members_enumerated, 0u);
@@ -417,9 +412,9 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     bs.AddRule(start, {{"E(x_old, x_new) & red(x_new)", red},
                        {"E(x_old, x_new) & !red(x_new)", white}});
     BranchingSolveResult first =
-        SolveBranchingEmptiness(bs, all, nullptr, 1, dir);
+        SolveBranchingEmptiness(bs, all, nullptr, dir);
     BranchingSolveResult second =
-        SolveBranchingEmptiness(bs, all, nullptr, 1, dir);
+        SolveBranchingEmptiness(bs, all, nullptr, dir);
     EXPECT_EQ(first.nonempty, second.nonempty);
     EXPECT_GT(first.stats.members_enumerated, 0u);
     EXPECT_EQ(second.stats.members_enumerated, 0u);
@@ -448,7 +443,7 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     int mb = mirrored.AddState("b", false, true);
     mirrored.AddRule(ma, {Branch{linear.rules()[0].guard, mb}});
     BranchingSolveResult resumed =
-        SolveBranchingEmptiness(mirrored, all, nullptr, 1, dir);
+        SolveBranchingEmptiness(mirrored, all, nullptr, dir);
     EXPECT_TRUE(resumed.stats.graph_from_cache);
     EXPECT_TRUE(resumed.stats.graph_resumed);
     EXPECT_TRUE(resumed.nonempty);

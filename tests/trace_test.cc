@@ -144,12 +144,14 @@ TEST(TraceEngineTest, ColdSolveRecordsPhaseSpans) {
 
   const std::vector<TraceSpan> spans = recorder.Snapshot();
   ASSERT_EQ(SpansNamed(spans, "solve").size(), 1u);
-  ASSERT_EQ(SpansNamed(spans, "sweep_initial").size(), 1u);
+  const std::vector<TraceSpan> sweeps = SpansNamed(spans, "sweep_initial");
+  ASSERT_EQ(sweeps.size(), 1u);
   // A cacheless direct solve extends via the frontier-directed sweep.
   EXPECT_FALSE(SpansNamed(spans, "frontier_sweep").empty());
+  // FindAnnotation points into the span, so the span's vector must outlive
+  // the pointer.
   const TraceAnnotation* enumerated =
-      FindAnnotation(SpansNamed(spans, "sweep_initial")[0],
-                     "members_enumerated");
+      FindAnnotation(sweeps[0], "members_enumerated");
   ASSERT_NE(enumerated, nullptr);
   EXPECT_TRUE(enumerated->is_number);
   // The witness phase runs by default.

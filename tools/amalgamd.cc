@@ -74,7 +74,6 @@ void PrintUsage(const char* argv0) {
       "\n"
       "service:\n"
       "  --threads N             query worker threads (alias: --workers)\n"
-      "  --build-threads N       graph build threads per query\n"
       "  --cache-max-entries N   memory-tier LRU cap (0 = unbounded)\n"
       "  --store-dir DIR         attach the disk tier at DIR\n"
       "  --store-max-bytes N / --store-max-files N   disk-tier sweep caps\n"
@@ -185,8 +184,6 @@ Cli ParseArgs(int argc, char** argv) {
     } else if (flag == "--threads" || flag == "--workers") {
       (flag == "--threads" ? saw_threads : saw_workers) = true;
       if (need_uint(&n)) cli.service.num_workers = static_cast<int>(n);
-    } else if (flag == "--build-threads") {
-      if (need_uint(&n)) cli.service.build_threads = static_cast<int>(n);
     } else if (flag == "--cache-max-entries") {
       if (need_uint(&n)) cli.service.cache_max_entries = static_cast<std::size_t>(n);
     } else if (flag == "--store-dir") {

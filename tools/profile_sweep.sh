@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Profiles the sweep hot path: a cold eager BuildFull of the 64-state chain
-# (BM_ParallelBuild/threads:1 — every iteration rebuilds the graph from
-# scratch, so the profile is dominated by guard bytecode evaluation,
+# (BM_StrategyComparison/states:64/onthefly:0 — every iteration rebuilds the
+# graph from scratch, so the profile is dominated by guard bytecode evaluation,
 # projection keying and interning rather than cache replay).
 #
 # Builds the Profile preset (-O2 -g -fno-omit-frame-pointer; see
@@ -15,11 +15,11 @@
 #   4. time                      — last resort, wall clock only.
 #
 # Usage: tools/profile_sweep.sh [benchmark-filter]
-#        (default filter: 'BM_ParallelBuild/threads:1/real_time')
+#        (default filter: 'BM_StrategyComparison/states:64/onthefly:0')
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-FILTER="${1:-BM_ParallelBuild/threads:1/real_time}"
+FILTER="${1:-BM_StrategyComparison/states:64/onthefly:0}"
 BENCH_ARGS=(--benchmark_filter="${FILTER}" --benchmark_min_time=1)
 
 build_preset() {
