@@ -225,7 +225,7 @@ void BM_SweepKernel(benchmark::State& state) {
   const std::vector<JointMember> members = MaterializeJointMembers(cls, k);
 
   SubTransitionGraph graph(guards, k);
-  const auto keep_going = [](int, int, int, int) { return true; };
+  const auto keep_going = [](int, int, int) { return true; };
   SolveStats stats;
   for (const JointMember& m : members) {
     graph.ProcessJointMember(m.s, m.marks, stats, keep_going);
@@ -326,7 +326,7 @@ void BM_ColdResume(benchmark::State& state) {
       [&](const Structure& s, std::span<const Elem> marks, std::uint64_t pos) {
         if (pos >= cutoff) return false;
         partial.ProcessJointMember(s, marks, partial_stats,
-                                   [](int, int, int, int) { return true; });
+                                   [](int, int, int) { return true; });
         partial.AdvanceCursorTo({kCursorPhaseJoint, pos + 1});
         return true;
       });

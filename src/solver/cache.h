@@ -4,8 +4,8 @@
 // count and the guard set — not on the control skeleton (states,
 // initial/accepting flags, rule endpoints) of the system that asked for it.
 // Repeated emptiness queries over the same (class, k, guards) therefore
-// reuse the interned shape arena, the edge store and the witness steps
-// as-is: a complete cached graph serves any query with
+// reuse the interned shape arena and the edge store (no joint members:
+// see solver/engine.h) as-is: a complete cached graph serves any query with
 // SolveStats::members_enumerated == 0, and a *partial* one — persisted by
 // an early-exited on-the-fly build together with its BuildCursor — lets
 // the next query resume the member sweep where it stopped instead of

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "solver/member_table.h"
 #include "solver/store.h"
@@ -98,7 +100,7 @@ void ExplorationEngine::EnsureConfigCapacity() {
   }
   if (parent_.size() < num_shapes * num_states_) {
     parent_.resize(num_shapes * num_states_, kUnvisited);
-    via_step_.resize(num_shapes * num_states_, -1);
+    via_guard_.resize(num_shapes * num_states_, -1);
   }
 }
 
@@ -116,8 +118,9 @@ void ExplorationEngine::SeedInitialShape(int shape) {
   }
 }
 
-void ExplorationEngine::RelaxNewEdge(int guard, int old_shape, int new_shape,
-                                     int step) {
+bool ExplorationEngine::RelaxNewEdge(int guard, int old_shape,
+                                     int new_shape) {
+  EnsureConfigCapacity();
   bool pushed = false;
   for (int i = guard_rule_begin_[guard]; i < guard_rule_begin_[guard + 1];
        ++i) {
@@ -127,15 +130,16 @@ void ExplorationEngine::RelaxNewEdge(int guard, int old_shape, int new_shape,
     const int next = config_id(r.to, new_shape);
     if (parent_[next] != kUnvisited) continue;
     parent_[next] = from;
-    via_step_[next] = step;
+    via_guard_[next] = guard;
     if (system_.is_accepting(r.to)) {
       goal_ = next;
-      return;
+      return false;
     }
     queue_.push(next);
     pushed = true;
   }
   if (pushed) DrainQueue();
+  return goal_ < 0;
 }
 
 void ExplorationEngine::DrainQueue() {
@@ -153,7 +157,7 @@ void ExplorationEngine::DrainQueue() {
         const int next = config_id(to, e.new_shape);
         if (parent_[next] != kUnvisited) continue;
         parent_[next] = c;
-        via_step_[next] = e.step;
+        via_guard_[next] = e.guard;
         if (system_.is_accepting(to)) {
           goal_ = next;
           return;
@@ -236,10 +240,8 @@ void ExplorationEngine::RunOnTheFly() {
     const std::uint64_t edges_before = owned_graph_->num_edges();
     owned_graph_->SweepJoint(
         StreamSource(), result_.stats, ~std::uint64_t{0},
-        [&](int guard, int old_shape, int new_shape, int step) {
-          EnsureConfigCapacity();
-          RelaxNewEdge(guard, old_shape, new_shape, step);
-          return goal_ < 0;
+        [this](int guard, int old_shape, int new_shape) {
+          return RelaxNewEdge(guard, old_shape, new_shape);
         });
     sweep_span.Annotate("members_enumerated",
                         result_.stats.members_enumerated - enumerated_before);
@@ -294,10 +296,8 @@ void ExplorationEngine::RunFrontierSweep() {
             ++result_.stats.members_enumerated;
             const bool swept = owned_graph_->ProcessJointMember(
                 d, marks, result_.stats,
-                [&](int guard, int old_shape, int new_shape, int step) {
-                  EnsureConfigCapacity();
-                  RelaxNewEdge(guard, old_shape, new_shape, step);
-                  return goal_ < 0;
+                [this](int guard, int old_shape, int new_shape) {
+                  return RelaxNewEdge(guard, old_shape, new_shape);
                 });
             return swept && goal_ < 0;
           },
@@ -459,26 +459,84 @@ void ExplorationEngine::Finish() {
     return;
   }
   result_.nonempty = true;
-  // The path and its steps copy a canonical form and a joint structure per
-  // configuration; only witness reconstruction reads them.
+  // The path copies a canonical form per configuration and its steps are
+  // re-derived from the backend; only witness reconstruction reads them.
   if (!options_.build_witness) return;
 
   // ---- Reconstruct the path of small configurations. ----
-  std::vector<int> config_path;
-  std::vector<int> step_path;
+  std::vector<int> guard_path;
   for (int c = goal_; c != kRoot; c = parent_[c]) {
-    config_path.push_back(c);
-    if (parent_[c] != kRoot) step_path.push_back(via_step_[c]);
-  }
-  std::reverse(config_path.begin(), config_path.end());
-  std::reverse(step_path.begin(), step_path.end());
-  for (int c : config_path) {
     result_.path.push_back(SmallConfig{
         c % num_states_, graph_->interner().shape(c / num_states_)});
+    if (parent_[c] != kRoot) guard_path.push_back(via_guard_[c]);
   }
-  for (int s : step_path) result_.steps.push_back(graph_->step(s));
+  std::reverse(result_.path.begin(), result_.path.end());
+  std::reverse(guard_path.begin(), guard_path.end());
   ScopedSpan witness_span(options_.trace, "witness");
+  witness_span.Annotate("members_enumerated", RealizeSteps(guard_path));
   ReconstructWitness();
+}
+
+std::uint64_t ExplorationEngine::RealizeSteps(
+    const std::vector<int>& guard_path) {
+  const std::size_t num_steps = guard_path.size();
+  // Projections compare by id in a scratch interner seeded with the path's
+  // shapes, so a raw-memo hit skips canonicalization.
+  ConfigInterner scratch;
+  std::vector<int> path_id;
+  for (const SmallConfig& config : result_.path) {
+    path_id.push_back(scratch.InternCanonical(config.form));
+  }
+  const std::vector<CompiledGuard>& guards = graph_->compiled_guards();
+  GuardEvaluator eval;
+  // Unrealized steps keep guard -1.
+  std::vector<SubTransition>& steps = result_.steps;
+  steps.assign(num_steps, SubTransition{-1, Structure(backend_.schema(), 0)});
+  std::uint64_t members = 0;
+  // Records (d, marks) as step i, and returns true, when it realizes the
+  // still unrealized path edge i.
+  auto realize = [&](std::size_t i, const Structure& d,
+                     std::span<const Elem> marks) {
+    if (steps[i].guard >= 0 || !eval.Eval(guards[guard_path[i]], d, marks) ||
+        scratch.InternProjection(d, marks.first(k_)) != path_id[i] ||
+        scratch.InternProjection(d, marks.subspan(k_, k_)) != path_id[i + 1]) {
+      return false;
+    }
+    steps[i] = SubTransition{guard_path[i], d, {marks.begin(), marks.end()}};
+    return true;
+  };
+  const EnumControl control{nullptr, options_.relational_atom_cap};
+  if (k_ >= 1 && backend_.SupportsExtensions()) {
+    for (std::size_t i = 0; i < num_steps; ++i) {
+      const CanonicalForm& from = result_.path[i].form;
+      backend_.EnumerateExtensions(
+          from.structure, from.marks, k_,
+          [&](const Structure& d, std::span<const Elem> marks) {
+            ++members;
+            return !realize(i, d, marks);
+          },
+          control);
+    }
+  } else if (num_steps > 0) {
+    std::size_t pending = num_steps;
+    backend_.EnumerateGeneratedFrom(
+        2 * k_, 0,
+        [&](const Structure& d, std::span<const Elem> marks, std::uint64_t) {
+          ++members;
+          for (std::size_t i = 0; i < num_steps; ++i) {
+            pending -= realize(i, d, marks);
+          }
+          return pending > 0;
+        },
+        control);
+  }
+  for (std::size_t i = 0; i < num_steps; ++i) {
+    if (steps[i].guard < 0) {
+      throw WitnessInvalidError("step " + std::to_string(i) +
+                                " is realized by no member of the class");
+    }
+  }
+  return members;
 }
 
 void ExplorationEngine::ReconstructWitness() {
@@ -491,28 +549,29 @@ void ExplorationEngine::ReconstructWitness() {
   for (Elem e = 0; e < big.size(); ++e) cur[e] = e;
   std::vector<std::vector<Elem>> valuations;
   valuations.push_back(result_.path.front().form.marks);
+  // The substructure of step i's joint member generated by `marks`, and its
+  // canonical form, which must be path configuration `at`'s shape.
+  auto project = [&](std::size_t i, std::span<const Elem> marks,
+                     std::size_t at) {
+    SubstructureResult sub =
+        GeneratedSubstructure(result_.steps[i].joint, marks);
+    std::vector<Elem> sub_marks(k_);
+    for (int j = 0; j < k_; ++j) sub_marks[j] = sub.old_to_new[marks[j]];
+    CanonicalForm canon = Canonicalize(sub.structure, sub_marks);
+    if (canon.key != result_.path[at].form.key) {
+      throw WitnessInvalidError("step " + std::to_string(i) + " does not " +
+                                (at == i ? "start" : "end") +
+                                " at its path configuration");
+    }
+    return std::pair(std::move(sub), std::move(canon));
+  };
 
   for (std::size_t i = 0; i < result_.steps.size(); ++i) {
     const SubTransition& st = result_.steps[i];
     const Structure& joint = st.joint;
-    if (st.marks.size() != static_cast<std::size_t>(2 * k_) ||
-        std::any_of(st.marks.begin(), st.marks.end(),
-                    [&](Elem m) { return m >= joint.size(); })) {
-      throw WitnessInvalidError("step " + std::to_string(i) +
-                                " has malformed marks");
-    }
     std::span<const Elem> old_marks(st.marks.data(), k_);
     std::span<const Elem> new_marks(st.marks.data() + k_, k_);
-    SubstructureResult old_sub = GeneratedSubstructure(joint, old_marks);
-    std::vector<Elem> old_sub_marks(k_);
-    for (int j = 0; j < k_; ++j) {
-      old_sub_marks[j] = old_sub.old_to_new[old_marks[j]];
-    }
-    CanonicalForm old_canon = Canonicalize(old_sub.structure, old_sub_marks);
-    if (old_canon.key != result_.path[i].form.key) {
-      throw WitnessInvalidError("step " + std::to_string(i) +
-                                " does not start at its path configuration");
-    }
+    const auto [old_sub, old_canon] = project(i, old_marks, i);
     // Map joint -> big over the common part (the old configuration).
     std::vector<Elem> joint_to_big(joint.size(), kNoElem);
     for (Elem sub_e = 0; sub_e < old_sub.structure.size(); ++sub_e) {
@@ -529,16 +588,7 @@ void ExplorationEngine::ReconstructWitness() {
     }
     // New current embedding: canonical elements of the new configuration's
     // shape -> big.
-    SubstructureResult new_sub = GeneratedSubstructure(joint, new_marks);
-    std::vector<Elem> new_sub_marks(k_);
-    for (int j = 0; j < k_; ++j) {
-      new_sub_marks[j] = new_sub.old_to_new[new_marks[j]];
-    }
-    CanonicalForm new_canon = Canonicalize(new_sub.structure, new_sub_marks);
-    if (new_canon.key != result_.path[i + 1].form.key) {
-      throw WitnessInvalidError("step " + std::to_string(i) +
-                                " does not end at its path configuration");
-    }
+    const auto [new_sub, new_canon] = project(i, new_marks, i + 1);
     cur.assign(new_sub.structure.size(), kNoElem);
     for (Elem sub_e = 0; sub_e < new_sub.structure.size(); ++sub_e) {
       cur[new_canon.perm[sub_e]] = am->embed_b[new_sub.new_to_old[sub_e]];

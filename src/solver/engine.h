@@ -37,7 +37,8 @@
 // All strategies share the canonical-form interner (solver/intern.h), the
 // predecessor links used for witness-path replay, and the witness
 // reconstruction that replays the soundness proof through the backend's
-// amalgamation operator and then checks the concrete run it produced.
+// amalgamation operator and then checks the concrete run it produced. The
+// graph keeps no joint members: RealizeSteps re-derives the path's.
 //
 // The graph is labeled by the query's *distinct* guards (solver/context.h):
 // rules sharing a guard share its edges, and the engine maps an edge back
@@ -133,6 +134,15 @@ struct SolveOptions {
   TraceRecorder* trace = nullptr;
 };
 
+/// One sub-transition along a witness path: the guard that held and a joint
+/// member of the class (with its 2k-mark tuple) in which it held, whose old
+/// and new projections are the path's two configurations.
+struct SubTransition {
+  int guard = -1;  // index into SubTransitionGraph::guards()
+  Structure joint;
+  std::vector<Elem> marks;  // old valuation ++ new valuation
+};
+
 struct SolveResult {
   /// True iff some database in the class drives an accepting run.
   bool nonempty = false;
@@ -144,8 +154,8 @@ struct SolveResult {
   /// — prefer kEager when minimal witnesses matter more than solve time).
   std::vector<SmallConfig> path;
   /// The sub-transitions along the path (path.size() - 1 entries), filled
-  /// with the path: each step carries a full joint structure, and witness
-  /// reconstruction is its only reader.
+  /// with it from joint members re-derived from the backend (the graph
+  /// stores none); witness reconstruction is their only reader.
   std::vector<SubTransition> steps;
   /// Concrete witness (requires build_witness and a backend that implements
   /// Amalgamate; nullopt otherwise).
@@ -154,9 +164,10 @@ struct SolveResult {
   SolveStats stats;
 };
 
-/// Structured "the reconstructed witness does not check out" error: a
-/// witness step whose joint member does not project onto the path's
-/// configurations, or a concrete run that ValidateAcceptingRun rejects.
+/// Structured "the reconstructed witness does not check out" error: a path
+/// edge that no joint member of the class realizes, a witness step whose
+/// joint member does not project onto the path's configurations, or a
+/// concrete run that ValidateAcceptingRun rejects.
 /// Either means the graph the verdict came from is inconsistent, so the
 /// query fails in-band (amalgamd reports `error_code` = kCode) instead of
 /// answering.
@@ -214,7 +225,7 @@ class ExplorationEngine {
   /// initial shapes.
   void RunFullGraph();
 
-  /// Grows the per-config reachability tables (parent_/via_step_) to the
+  /// Grows the per-config reachability tables (parent_/via_guard_) to the
   /// graph's current shape count and enforces the configuration cap.
   void EnsureConfigCapacity();
 
@@ -223,8 +234,8 @@ class ExplorationEngine {
   void SeedInitialShape(int shape);
 
   /// Relaxes one fresh edge against the current reached set, for every
-  /// rule whose guard is `guard`.
-  void RelaxNewEdge(int guard, int old_shape, int new_shape, int step);
+  /// rule whose guard is `guard`; false once the goal is reached.
+  bool RelaxNewEdge(int guard, int old_shape, int new_shape);
 
   /// BFS over the recorded edges from the current queue until exhaustion or
   /// an accepting configuration.
@@ -232,6 +243,13 @@ class ExplorationEngine {
 
   /// Path reconstruction + optional witness replay into result_.
   void Finish();
+  /// Fills result_.steps with one joint member per edge of result_.path
+  /// (edge i is taken under guard_path[i]): the first member of the old
+  /// shape's extension stream that realizes it when the backend has one,
+  /// else its earliest realizer in one shared pass over the 2k stream. The
+  /// graph, maybe a shared cache entry, is only read. Returns the members
+  /// enumerated; throws WitnessInvalidError for an unrealized edge.
+  std::uint64_t RealizeSteps(const std::vector<int>& guard_path);
   /// Replays the soundness proof along the path and checks the concrete
   /// run; throws WitnessInvalidError when either does not hold up.
   void ReconstructWitness();
@@ -273,9 +291,9 @@ class ExplorationEngine {
   GraphCache* active_cache_ = nullptr;
 
   // parent_[c] = config id of predecessor (kUnvisited / kRoot sentinels);
-  // via_step_[c] = step index used to reach c.
+  // via_guard_[c] = guard of the edge used to reach c.
   std::vector<int> parent_;
-  std::vector<int> via_step_;
+  std::vector<int> via_guard_;
   std::queue<int> queue_;
   int goal_ = -1;
 

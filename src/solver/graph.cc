@@ -30,10 +30,9 @@ SubTransitionGraph::SubTransitionGraph(std::vector<FormulaRef> guards, int k)
 
 std::shared_ptr<SubTransitionGraph> SubTransitionGraph::FromParts(
     std::vector<FormulaRef> guards, int k, std::vector<CanonicalForm> shapes,
-    std::vector<int> initial_shapes, std::vector<SubTransition> steps,
+    std::vector<int> initial_shapes,
     std::vector<std::vector<Edge>> edges_by_shape, BuildCursor cursor) {
   const int num_shapes = static_cast<int>(shapes.size());
-  const int num_steps = static_cast<int>(steps.size());
   const int num_guards = static_cast<int>(guards.size());
   if (cursor.phase > kCursorPhaseComplete) return nullptr;
   if (edges_by_shape.size() != shapes.size()) return nullptr;
@@ -54,7 +53,6 @@ std::shared_ptr<SubTransitionGraph> SubTransitionGraph::FromParts(
     for (const Edge& e : edges_by_shape[s]) {
       if (e.guard < 0 || e.guard >= num_guards) return nullptr;
       if (e.new_shape < 0 || e.new_shape >= num_shapes) return nullptr;
-      if (e.step < 0 || e.step >= num_steps) return nullptr;
       // Rebuild the per-guard dedup sets; a repeated (guard, old, new)
       // triple can only come from a corrupt payload.
       if (!graph->seen_[e.guard].Insert(PackShapePair(s, e.new_shape))) {
@@ -63,13 +61,7 @@ std::shared_ptr<SubTransitionGraph> SubTransitionGraph::FromParts(
       ++num_edges;
     }
   }
-  if (num_edges != static_cast<std::uint64_t>(num_steps)) return nullptr;
-  for (const SubTransition& st : steps) {
-    if (st.rule < 0 || st.rule >= num_guards) return nullptr;
-    if (st.marks.size() != static_cast<std::size_t>(2 * k)) return nullptr;
-  }
   graph->edges_by_shape_ = std::move(edges_by_shape);
-  graph->steps_ = std::move(steps);
   graph->num_edges_ = num_edges;
   graph->cursor_ = cursor;
   return graph;
@@ -129,13 +121,10 @@ bool SubTransitionGraph::SweepMember(const Structure& d,
     }
     if (!seen_[g].Insert(PackShapePair(old_shape, new_shape))) continue;
     const int guard = static_cast<int>(g);
-    const int step = static_cast<int>(steps_.size());
-    steps_.push_back(SubTransition{
-        guard, d, std::vector<Elem>(marks.begin(), marks.end())});
-    edges_by_shape_[old_shape].push_back(Edge{guard, new_shape, step});
+    edges_by_shape_[old_shape].push_back(Edge{guard, new_shape});
     ++num_edges_;
     ++stats.edges;
-    if (on_new_edge && !on_new_edge(guard, old_shape, new_shape, step)) {
+    if (on_new_edge && !on_new_edge(guard, old_shape, new_shape)) {
       return false;
     }
   }

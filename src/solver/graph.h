@@ -35,7 +35,9 @@
 // different one — resumes the sweep instead of rebuilding from scratch;
 // BuildFull on a partial graph finishes the remaining suffix only. A
 // resumed-to-completion graph is bit-identical to a cold full build (same
-// shape numbering, edges, witness steps).
+// shape numbering, same edges). An edge is only (guard, new shape): no
+// joint member is kept per edge, and a witness re-derives those of its
+// path's edges from the backend (solver/engine.h).
 #ifndef AMALGAM_SOLVER_GRAPH_H_
 #define AMALGAM_SOLVER_GRAPH_H_
 
@@ -64,14 +66,6 @@ struct MemberSource {
   const SolverBackend& backend;
   const MemberTable* table = nullptr;
   std::uint32_t atom_cap = 0;
-};
-
-/// One sub-transition along a witness path: the guard that held and the
-/// joint member of the class (with its 2k-mark tuple) in which it held.
-struct SubTransition {
-  int rule = -1;  // guard index into SubTransitionGraph::guards()
-  Structure joint;
-  std::vector<Elem> marks;  // old valuation ++ new valuation
 };
 
 /// Counters for the complexity experiments.
@@ -122,18 +116,17 @@ inline constexpr std::uint32_t kCursorPhaseComplete = 2;
 /// back onto the rules or branches that carry it.
 class SubTransitionGraph {
  public:
-  /// An edge out of an old shape: the guard that held, the interned shape
-  /// of the new projection, and the witness step recording the joint.
+  /// An edge out of an old shape: the guard that held and the interned
+  /// shape of the new projection.
   struct Edge {
     int guard;
     int new_shape;
-    int step;  // index into step()
   };
 
   /// Invoked once per freshly recorded (deduplicated) edge during a
   /// streaming build; return false to stop processing the current member.
   using EdgeCallback =
-      std::function<bool(int guard, int old_shape, int new_shape, int step)>;
+      std::function<bool(int guard, int old_shape, int new_shape)>;
 
   /// `guards` must be quantifier-free formulas over the old/new variable
   /// convention for `k` registers (variable i = old register i, k + i =
@@ -141,17 +134,16 @@ class SubTransitionGraph {
   SubTransitionGraph(std::vector<FormulaRef> guards, int k);
 
   /// Reassembles a graph from persisted parts (solver/store.cc): the shape
-  /// arena, initial set, witness steps and per-shape edge lists are adopted
-  /// verbatim; derived state (the interner's hash-consing map, per-guard
-  /// dedup sets, initial-shape flags, edge count) is rebuilt here, so a
-  /// restored graph resumes or serves queries exactly like the graph that
-  /// was serialized. Returns nullptr when the parts are inconsistent
-  /// (corrupt payload): out-of-range shape/step/guard indices, duplicate
-  /// shapes, steps not matching the edge count, or an out-of-range cursor.
+  /// arena, initial set and per-shape edge lists are adopted verbatim;
+  /// derived state (the interner's hash-consing map, per-guard dedup sets,
+  /// initial-shape flags, edge count) is rebuilt here, so a restored graph
+  /// resumes or serves queries exactly like the graph that was serialized.
+  /// Returns nullptr when the parts are inconsistent (corrupt payload):
+  /// out-of-range shape/guard indices, duplicate shapes, initial shapes or
+  /// edges, or an out-of-range cursor.
   static std::shared_ptr<SubTransitionGraph> FromParts(
       std::vector<FormulaRef> guards, int k,
       std::vector<CanonicalForm> shapes, std::vector<int> initial_shapes,
-      std::vector<SubTransition> steps,
       std::vector<std::vector<Edge>> edges_by_shape, BuildCursor cursor);
 
   // ---- Streaming construction (the incremental engine). ----
@@ -219,13 +211,13 @@ class SubTransitionGraph {
   const std::vector<Edge>& edges_from(int shape) const {
     return edges_by_shape_[shape];
   }
-  const SubTransition& step(int i) const { return steps_[i]; }
-  /// Witness steps recorded so far; always equal to num_edges() (each
-  /// deduplicated edge records exactly one step).
-  int num_steps() const { return static_cast<int>(steps_.size()); }
   std::uint64_t num_edges() const { return num_edges_; }
   int k() const { return k_; }
   const std::vector<FormulaRef>& guards() const { return guards_; }
+  /// guards() lowered to bytecode (immutable, so shareable across threads).
+  const std::vector<CompiledGuard>& compiled_guards() const {
+    return compiled_guards_;
+  }
 
   /// How far the member sweep has progressed; persisted alongside the
   /// graph so a later query resumes instead of rebuilding.
@@ -267,7 +259,6 @@ class SubTransitionGraph {
   ConfigInterner interner_;
   std::vector<int> initial_shapes_;
   std::vector<char> is_initial_;  // dedup flag per shape id
-  std::vector<SubTransition> steps_;
   std::vector<std::vector<Edge>> edges_by_shape_;
   // Deduplication per guard: packed (old_shape, new_shape) pairs already
   // recorded. Shape ids are 32-bit, so the pair packs exactly into the two

@@ -243,36 +243,47 @@ std::uint64_t ReadU64LE(std::string_view bytes) {
   return v;
 }
 
+/// A record's header: everything before the schema block.
+struct RecordHeader {
+  std::string_view key;  // views the record's bytes
+  std::uint64_t k = 0;
+  std::uint64_t num_guards = 0;
+  BuildCursor cursor;
+  std::uint64_t num_edges = 0;
+};
+
 /// Validates one serialized graph record (a loose file's bytes, or one
 /// entry sliced out of the pack) down to its progress header: checksum,
-/// magic, version. Extracts the embedded key and the (cursor, edge count)
-/// header. False on any mismatch — the record reads as absent.
-bool PeekEntryBytes(std::string_view bytes, std::string* key_out,
-                    BuildCursor* cursor, std::uint64_t* num_edges) {
+/// magic, version. Parses the header and leaves `r` at the schema block.
+/// False on any mismatch — the record reads as absent.
+bool ReadHeader(std::string_view bytes, RecordHeader* header, Reader* r) {
   if (bytes.size() < sizeof(kMagic) + 8) return false;
   const std::string_view payload = bytes.substr(0, bytes.size() - 8);
-  if (Fnv1a64(payload) != ReadU64LE(bytes.substr(bytes.size() - 8))) {
+  if (Fnv1a64(payload) != ReadU64LE(bytes.substr(bytes.size() - 8)) ||
+      payload.substr(0, sizeof(kMagic)) !=
+          std::string_view(kMagic, sizeof(kMagic))) {
     return false;
   }
-  if (payload.substr(0, sizeof(kMagic)) !=
-      std::string_view(kMagic, sizeof(kMagic))) {
-    return false;
-  }
-  Reader r(payload.substr(sizeof(kMagic)));
-  std::uint64_t version, key_len, stored_k, stored_guards;
-  std::string_view stored_key;
-  if (!r.ReadVarint(&version) || version != kGraphStoreFormatVersion) {
-    return false;
-  }
-  if (!r.ReadVarint(&key_len) || !r.ReadBytes(key_len, &stored_key)) {
-    return false;
-  }
-  if (!r.ReadVarint(&stored_k) || !r.ReadVarint(&stored_guards)) return false;
-  if (!r.ReadCounted(&cursor->phase) || !r.ReadVarint(&cursor->next_member) ||
-      !r.ReadVarint(num_edges)) {
-    return false;
-  }
-  key_out->assign(stored_key);
+  *r = Reader(payload.substr(sizeof(kMagic)));
+  std::uint64_t version, key_len;
+  return r->ReadVarint(&version) && version == kGraphStoreFormatVersion &&
+         r->ReadVarint(&key_len) && r->ReadBytes(key_len, &header->key) &&
+         r->ReadVarint(&header->k) && r->ReadVarint(&header->num_guards) &&
+         r->ReadCounted(&header->cursor.phase) &&
+         r->ReadVarint(&header->cursor.next_member) &&
+         r->ReadVarint(&header->num_edges);
+}
+
+/// The embedded key and (cursor, edge count) progress header of a record
+/// that ReadHeader accepts.
+bool PeekEntryBytes(std::string_view bytes, std::string* key_out,
+                    BuildCursor* cursor, std::uint64_t* num_edges) {
+  RecordHeader header;
+  Reader r{std::string_view()};
+  if (!ReadHeader(bytes, &header, &r)) return false;
+  key_out->assign(header.key);
+  *cursor = header.cursor;
+  *num_edges = header.num_edges;
   return true;
 }
 
@@ -311,23 +322,13 @@ std::string SerializeGraph(const SubTransitionGraph& graph,
   // without parsing the shape and edge blocks.
   AppendVarint(out, graph.num_edges());
 
-  // The schema is shared by every structure in the graph: shapes and step
-  // joints alike are members (or projections of members) of one backend
-  // class. Shapes of an empty graph leave it undetermined, but then there
-  // is nothing to reconstruct either — fall back to the steps, then to an
-  // empty block that validates against any schema... every graph with
-  // content has at least one shape, so take it from there.
-  const Schema* schema = nullptr;
+  // Every shape projects a member of one backend class, so all share one
+  // schema; a graph without shapes writes an empty block.
   if (graph.num_shapes() > 0) {
-    schema = &graph.interner().shape(0).structure.schema();
-  } else if (graph.num_steps() > 0) {
-    schema = &graph.step(0).joint.schema();
-  }
-  if (schema == nullptr) {
-    AppendVarint(out, 0);
-    AppendVarint(out, 0);
+    AppendSchema(out, graph.interner().shape(0).structure.schema());
   } else {
-    AppendSchema(out, *schema);
+    AppendVarint(out, 0);
+    AppendVarint(out, 0);
   }
 
   AppendVarint(out, graph.num_shapes());
@@ -344,22 +345,12 @@ std::string SerializeGraph(const SubTransitionGraph& graph,
   AppendVarint(out, graph.initial_shapes().size());
   for (int shape : graph.initial_shapes()) AppendVarint(out, shape);
 
-  AppendVarint(out, graph.num_steps());
-  for (int i = 0; i < graph.num_steps(); ++i) {
-    const SubTransition& step = graph.step(i);
-    AppendVarint(out, step.rule);
-    out += step.joint.EncodeContent();
-    AppendVarint(out, step.marks.size());
-    for (Elem m : step.marks) AppendVarint(out, m);
-  }
-
   for (int shape = 0; shape < graph.num_shapes(); ++shape) {
     const auto& edges = graph.edges_from(shape);
     AppendVarint(out, edges.size());
     for (const SubTransitionGraph::Edge& e : edges) {
       AppendVarint(out, e.guard);
       AppendVarint(out, e.new_shape);
-      AppendVarint(out, e.step);
     }
   }
 
@@ -373,46 +364,14 @@ std::string SerializeGraph(const SubTransitionGraph& graph,
 std::shared_ptr<SubTransitionGraph> DeserializeGraph(
     std::string_view bytes, std::string_view key, const SchemaRef& schema,
     std::span<const FormulaRef> guards, int k) {
-  if (bytes.size() < sizeof(kMagic) + 8) return nullptr;
-  const std::string_view payload = bytes.substr(0, bytes.size() - 8);
-  std::uint64_t stored_checksum = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored_checksum |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(
-                           bytes[bytes.size() - 8 + i]))
-                       << (8 * i);
-  }
-  if (Fnv1a64(payload) != stored_checksum) return nullptr;
-
-  Reader r(payload.substr(sizeof(kMagic)));
-  if (payload.substr(0, sizeof(kMagic)) !=
-      std::string_view(kMagic, sizeof(kMagic))) {
+  RecordHeader header;
+  Reader r{std::string_view()};
+  // A stored key other than `key` is a filename hash collision.
+  if (!ReadHeader(bytes, &header, &r) || header.key != key ||
+      header.k != static_cast<std::uint64_t>(k) ||
+      header.num_guards != guards.size() || !ReadAndCheckSchema(r, *schema)) {
     return nullptr;
   }
-  std::uint64_t version;
-  if (!r.ReadVarint(&version) || version != kGraphStoreFormatVersion) {
-    return nullptr;
-  }
-  std::uint64_t key_len;
-  std::string_view stored_key;
-  if (!r.ReadVarint(&key_len) || !r.ReadBytes(key_len, &stored_key)) {
-    return nullptr;
-  }
-  if (stored_key != key) return nullptr;  // filename hash collision
-  std::uint64_t stored_k, stored_guards;
-  if (!r.ReadVarint(&stored_k) || stored_k != static_cast<std::uint64_t>(k)) {
-    return nullptr;
-  }
-  if (!r.ReadVarint(&stored_guards) ||
-      stored_guards != static_cast<std::uint64_t>(guards.size())) {
-    return nullptr;
-  }
-  BuildCursor cursor;
-  std::uint64_t declared_edges;
-  if (!r.ReadCounted(&cursor.phase) || !r.ReadVarint(&cursor.next_member) ||
-      !r.ReadVarint(&declared_edges)) {
-    return nullptr;
-  }
-  if (!ReadAndCheckSchema(r, *schema)) return nullptr;
 
   std::size_t num_shapes;
   if (!r.ReadCounted(&num_shapes) || num_shapes > r.remaining()) {
@@ -457,26 +416,6 @@ std::shared_ptr<SubTransitionGraph> DeserializeGraph(
     initial_shapes.push_back(shape);
   }
 
-  std::size_t num_steps;
-  if (!r.ReadCounted(&num_steps) || num_steps > r.remaining()) {
-    return nullptr;
-  }
-  // Each deduplicated edge records exactly one step, so the header's edge
-  // count must match.
-  if (declared_edges != static_cast<std::uint64_t>(num_steps)) return nullptr;
-  std::vector<SubTransition> steps;
-  steps.reserve(num_steps);
-  for (std::size_t i = 0; i < num_steps; ++i) {
-    SubTransition step{0, Structure(schema, 0), {}};
-    if (!r.ReadCounted(&step.rule)) return nullptr;
-    if (!ReadStructure(r, schema, &step.joint)) return nullptr;
-    if (!ReadMarks(r, static_cast<std::size_t>(2 * k), step.joint.size(),
-                   &step.marks)) {
-      return nullptr;
-    }
-    steps.push_back(std::move(step));
-  }
-
   std::vector<std::vector<SubTransitionGraph::Edge>> edges(num_shapes);
   for (std::size_t shape = 0; shape < num_shapes; ++shape) {
     std::size_t count;
@@ -484,8 +423,7 @@ std::shared_ptr<SubTransitionGraph> DeserializeGraph(
     edges[shape].reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       SubTransitionGraph::Edge e;
-      if (!r.ReadCounted(&e.guard) || !r.ReadCounted(&e.new_shape) ||
-          !r.ReadCounted(&e.step)) {
+      if (!r.ReadCounted(&e.guard) || !r.ReadCounted(&e.new_shape)) {
         return nullptr;
       }
       edges[shape].push_back(e);
@@ -493,10 +431,16 @@ std::shared_ptr<SubTransitionGraph> DeserializeGraph(
   }
   if (!r.done()) return nullptr;  // trailing garbage
 
-  return SubTransitionGraph::FromParts(
+  std::shared_ptr<SubTransitionGraph> graph = SubTransitionGraph::FromParts(
       std::vector<FormulaRef>(guards.begin(), guards.end()), k,
-      std::move(shapes), std::move(initial_shapes), std::move(steps),
-      std::move(edges), cursor);
+      std::move(shapes), std::move(initial_shapes), std::move(edges),
+      header.cursor);
+  // Save compares records by their header alone, so the header's edge count
+  // must be the edge block's.
+  if (graph == nullptr || graph->num_edges() != header.num_edges) {
+    return nullptr;
+  }
+  return graph;
 }
 
 GraphStore::GraphStore(std::string dir) : dir_(std::move(dir)) {

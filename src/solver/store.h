@@ -9,11 +9,11 @@
 // *partial* graph (its BuildCursor travels with it) resumes its member
 // sweep exactly where the suspended build stopped.
 //
-// File format, version 1 — everything after the magic is varint-coded with
+// File format, version 2 — everything after the magic is varint-coded with
 // the same LEB128 encoding as AppendFullWidth (base/structure.h), so the
 // file shares its vocabulary with the canonical keys it contains:
 //
-//   "AMGS" magic, varint format version (= 1)
+//   "AMGS" magic, varint format version (= 2)
 //   varint key length, key bytes        (the GraphCache key, verified on load)
 //   varint k, varint guard count        (verified against the loading query)
 //   varint cursor phase, varint cursor next_member, varint edge count
@@ -25,8 +25,7 @@
 //                 bytes — decoded, not just compared), marks, canonical key,
 //                 canonical permutation
 //   varint #initial shapes, their ids
-//   step block:   #steps, per step (guard, joint Structure content, 2k marks)
-//   edge block:   per shape (#edges, per edge guard, new shape, step id)
+//   edge block:   per shape (#edges, per edge guard, new shape)
 //   8-byte little-endian FNV-1a checksum of all preceding bytes
 //
 // Guards are NOT serialized: the key already pins the printed guard set,
@@ -75,7 +74,8 @@ namespace amalgam {
 /// The serialization format version written by SerializeGraph and required
 /// by DeserializeGraph. Bump on any layout change; old files then fail
 /// soft (rebuild) instead of being misread.
-inline constexpr std::uint32_t kGraphStoreFormatVersion = 1;
+/// Version 2 dropped version 1's per-edge witness steps.
+inline constexpr std::uint32_t kGraphStoreFormatVersion = 2;
 
 /// Serializes `graph` (complete or partial) under its cache key. The
 /// output is a pure function of the graph's logical content — two

@@ -362,7 +362,7 @@ TEST(CursorConformanceTest, StoreResumedBuildGeneratesOnlyTheSuffix) {
       [&](const Structure& s, std::span<const Elem> marks, std::uint64_t pos) {
         if (pos >= cutoff) return false;
         partial.ProcessJointMember(s, marks, partial_stats,
-                                   [](int, int, int, int) { return true; });
+                                   [](int, int, int) { return true; });
         partial.AdvanceCursorTo({kCursorPhaseJoint, pos + 1});
         return true;
       },

@@ -5,11 +5,15 @@
 // point of the refactor).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "fraisse/data_class.h"
 #include "fraisse/hom_class.h"
 #include "fraisse/relational.h"
+#include "solver/cache.h"
 #include "solver/emptiness.h"
 #include "system/concrete.h"
 #include "system/zoo.h"
@@ -22,7 +26,47 @@
 namespace amalgam {
 namespace {
 
-// Runs both strategies and checks agreement; returns the two results.
+// The eager witness again, from graphs that carry no joint members: a
+// partial graph (an early-exited on-the-fly build's) resumed from its
+// cursor, the complete graph that resumption cached, and the same graph
+// stored and loaded by a fresh GraphCache. Each is the cold eager build's
+// graph bit for bit, so their witness paths are exactly as long as
+// `cold`'s.
+void ExpectResumedAndStoredWitnesses(const DdsSystem& system,
+                                     const SolverBackend& backend,
+                                     const SolveResult& cold) {
+  const std::string dir = ::testing::TempDir() + "/engine_witness_store";
+  std::filesystem::remove_all(dir);
+  GraphCache cache;
+  cache.AttachStore(dir);
+  SolveOptions partial{.build_witness = false, .cache = &cache};
+  ASSERT_TRUE(SolveEmptiness(system, backend, partial).nonempty);
+  SolveOptions eager{.strategy = SolveStrategy::kEager, .cache = &cache};
+  const SolveResult resumed = SolveEmptiness(system, backend, eager);
+  EXPECT_TRUE(resumed.stats.graph_resumed);
+  const SolveResult hit = SolveEmptiness(system, backend, eager);
+  EXPECT_TRUE(hit.stats.graph_from_cache);
+  EXPECT_EQ(hit.stats.members_enumerated, 0u);
+
+  GraphCache fresh;
+  fresh.AttachStore(dir);
+  eager.cache = &fresh;
+  const SolveResult loaded = SolveEmptiness(system, backend, eager);
+  EXPECT_TRUE(loaded.stats.graph_from_cache);
+  EXPECT_EQ(loaded.stats.members_enumerated, 0u);
+  for (const auto& [name, r] : {std::pair{"resumed", &resumed},
+                                 std::pair{"cache-hit", &hit},
+                                 std::pair{"store-loaded", &loaded}}) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(r->witness_db.has_value());
+    EXPECT_TRUE(ValidateAcceptingRun(system, *r->witness_db, *r->witness_run));
+    EXPECT_EQ(r->path.size(), cold.path.size());
+  }
+}
+
+// Runs both strategies and checks agreement; returns the two results. A
+// nonempty verdict's witness is also rebuilt from resumed, cache-hit and
+// store-loaded graphs.
 std::pair<SolveResult, SolveResult> SolveBoth(const DdsSystem& system,
                                               const SolverBackend& backend,
                                               bool build_witness = true) {
@@ -46,6 +90,7 @@ std::pair<SolveResult, SolveResult> SolveBoth(const DdsSystem& system,
             ValidateAcceptingRun(system, *rl.witness_db, *rl.witness_run))
             << "on-the-fly witness failed to validate";
       }
+      ExpectResumedAndStoredWitnesses(system, backend, re);
     }
     // Nonempty instances must exit early: the lazy sweep stops at the first
     // accepting configuration instead of exhausting the class.

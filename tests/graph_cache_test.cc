@@ -48,8 +48,8 @@ TEST(GraphCacheTest, SecondQuerySkipsEnumerationEntirely) {
   EXPECT_EQ(first.stats.configs, second.stats.configs);
   EXPECT_EQ(first.stats.edges, second.stats.edges);
 
-  // The cached graph keeps the witness steps, so reconstruction still
-  // replays the soundness proof.
+  // The cached graph keeps no joint members; the witness re-derives them
+  // from the class and still replays the soundness proof.
   ASSERT_TRUE(second.nonempty);
   ASSERT_TRUE(second.witness_db.has_value());
   EXPECT_TRUE(

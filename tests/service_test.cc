@@ -315,10 +315,10 @@ TEST(ServiceTest, RepeatedGuardsBuildTheDistinctListsGraph) {
 
 TEST(ServiceTest, InconsistentWitnessStepAnswersInBand) {
   // One rule from a non-red to a red register value. Its complete graph is
-  // rebuilt with every witness step's old and new marks swapped: the
-  // edges still say "non-red -> red", but each step's joint member now
-  // projects the other way, so the replayed witness cannot start at its
-  // path configuration.
+  // rebuilt with every edge reversed: the BFS now finds a path over the
+  // edge "red -> non-red", which no joint member of the class realizes
+  // (the guard needs a non-red old value), so the witness step for it
+  // cannot be derived.
   auto cls = std::make_shared<AllStructuresClass>(GraphZooSchema());
   QueryRequest request = GuardListRequest({"!red(x_old) & red(x_new)"}, cls);
   GraphCache builder;
@@ -332,23 +332,19 @@ TEST(ServiceTest, InconsistentWitnessStepAnswersInBand) {
   ASSERT_NE(good, nullptr);
 
   std::vector<CanonicalForm> shapes;
-  std::vector<std::vector<SubTransitionGraph::Edge>> edges;
+  std::vector<std::vector<SubTransitionGraph::Edge>> edges(good->num_shapes());
   for (int s = 0; s < good->num_shapes(); ++s) {
     shapes.push_back(good->interner().shape(s));
-    edges.push_back(good->edges_from(s));
-  }
-  std::vector<SubTransition> steps;
-  for (int i = 0; i < good->num_steps(); ++i) {
-    SubTransition step = good->step(i);
-    std::swap(step.marks[0], step.marks[1]);
-    steps.push_back(std::move(step));
+    for (const SubTransitionGraph::Edge& e : good->edges_from(s)) {
+      edges[e.new_shape].push_back(SubTransitionGraph::Edge{e.guard, s});
+    }
   }
   const std::shared_ptr<const SubTransitionGraph> bad =
       SubTransitionGraph::FromParts(good->guards(), good->k(),
                                     std::move(shapes), good->initial_shapes(),
-                                    std::move(steps), std::move(edges),
-                                    good->cursor());
+                                    std::move(edges), good->cursor());
   ASSERT_NE(bad, nullptr);
+  ASSERT_EQ(bad->num_edges(), good->num_edges());
 
   // The front door refuses to answer with a witness it cannot check...
   GraphCache poisoned;
@@ -356,7 +352,7 @@ TEST(ServiceTest, InconsistentWitnessStepAnswersInBand) {
   SolveOptions witnessed{.cache = &poisoned};
   EXPECT_THROW(SolveEmptiness(*request.system, *cls, witnessed),
                WitnessInvalidError);
-  // ...the verdict alone does not read the steps...
+  // ...the verdict alone derives no steps...
   EXPECT_TRUE(SolveEmptiness(*request.system, *cls,
                              SolveOptions{.build_witness = false,
                                           .cache = &poisoned})

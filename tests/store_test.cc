@@ -14,8 +14,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <sys/time.h>
@@ -359,6 +363,212 @@ TEST(StoreTest, DeserializeRejectsMismatchedContext) {
   LinearOrderClass orders;
   EXPECT_EQ(DeserializeGraph(bytes, key, orders.schema(), guards, k),
             nullptr);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// `payload` followed by its record trailer: the 8-byte little-endian
+// FNV-1a 64 of the payload (docs/STORE_FORMAT.md).
+std::string WithChecksum(std::string_view payload) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : payload) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  std::string out(payload);
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(h >> (8 * i)));
+  return out;
+}
+
+TEST(StoreTest, VersionSkewedRecordsReadAsMissesAndAreReplaced) {
+  // A record of the previous format version — restamped and re-checksummed,
+  // so only the version byte is wrong — in either tier: a fresh process
+  // misses, builds the right verdict, and its write-through replaces the
+  // record with a current one.
+  AllStructuresClass all(GraphZooSchema());
+  const DdsSystem system = ReachRedSystem();
+  const std::vector<FormulaRef> guards = GuardsOf(system);
+  const int k = system.num_registers();
+  const std::string key = GraphCache::Key(all, k, guards);
+  SubTransitionGraph graph(guards, k);
+  SolveStats stats;
+  graph.BuildFull(all, stats);
+  const std::string current = SerializeGraph(graph, key);
+  // "AMGS", then the version as a one-byte varint.
+  ASSERT_EQ(current[4], static_cast<char>(kGraphStoreFormatVersion));
+  std::string stale = current.substr(0, current.size() - 8);
+  stale[4] = 1;
+  stale = WithChecksum(stale);
+  ASSERT_EQ(DeserializeGraph(stale, key, all.schema(), guards, k), nullptr);
+
+  const SolveOptions eager{.build_witness = false,
+                           .strategy = SolveStrategy::kEager};
+  const SolveResult reference = SolveEmptiness(system, all, eager);
+  auto query_against_store = [&](const std::string& dir) {
+    GraphCache cache;
+    cache.AttachStore(dir);
+    SolveOptions options = eager;
+    options.cache = &cache;
+    SolveResult r = SolveEmptiness(system, all, options);
+    EXPECT_EQ(r.nonempty, reference.nonempty);
+    EXPECT_EQ(r.stats.edges, reference.stats.edges);
+    return std::pair<SolveResult, std::uint64_t>(std::move(r),
+                                                 cache.store_writes());
+  };
+  auto expect_miss_then_replaced = [&](const std::string& dir) {
+    const auto [rebuilt, writes] = query_against_store(dir);
+    EXPECT_FALSE(rebuilt.stats.graph_from_cache);
+    EXPECT_GT(rebuilt.stats.members_enumerated, 0u);
+    EXPECT_EQ(writes, 1u) << "the fresh build must replace the stale record";
+    EXPECT_EQ(ReadFile(GraphStore(dir).PathFor(key)), current);
+    const auto [served, no_writes] = query_against_store(dir);
+    EXPECT_TRUE(served.stats.graph_from_cache);
+    EXPECT_EQ(served.stats.members_enumerated, 0u);
+    EXPECT_EQ(no_writes, 0u);
+  };
+
+  {
+    SCOPED_TRACE("loose file");
+    const std::string dir = StoreDir("version_skew_loose");
+    WriteFile(GraphStore(dir).PathFor(key), stale);
+    expect_miss_then_replaced(dir);
+  }
+  {
+    SCOPED_TRACE("pack entry");
+    const std::string dir = StoreDir("version_skew_pack");
+    GraphStore store(dir);
+    ASSERT_TRUE(store.Save(key, graph));
+    ASSERT_TRUE(store.Repack().performed);
+    ASSERT_EQ(store.LooseFileCount(), 0u);
+    // Same length, so the index still binds to the restamped pack.
+    std::string pack = ReadFile(store.PackPath());
+    const std::size_t at = pack.find(current);
+    ASSERT_NE(at, std::string::npos);
+    pack.replace(at, stale.size(), stale);
+    WriteFile(store.PackPath(), pack);
+    ASSERT_EQ(GraphStore(dir).PackEntryCount(), 1u);
+    expect_miss_then_replaced(dir);
+  }
+}
+
+// A decoded graph is safe to serve: BFS from its initial shapes stays in
+// range, and it re-serializes to bytes that decode again.
+void ExpectServable(const SubTransitionGraph& graph, const std::string& key,
+                    const SchemaRef& schema,
+                    std::span<const FormulaRef> guards, int k) {
+  const int num_shapes = graph.num_shapes();
+  const int num_guards = static_cast<int>(guards.size());
+  std::vector<char> seen(num_shapes, 0);
+  std::vector<int> queue;
+  for (int shape : graph.initial_shapes()) {
+    ASSERT_GE(shape, 0);
+    ASSERT_LT(shape, num_shapes);
+    if (!seen[shape]) {
+      seen[shape] = 1;
+      queue.push_back(shape);
+    }
+  }
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    for (const SubTransitionGraph::Edge& e : graph.edges_from(queue[i])) {
+      ASSERT_GE(e.guard, 0);
+      ASSERT_LT(e.guard, num_guards);
+      ASSERT_GE(e.new_shape, 0);
+      ASSERT_LT(e.new_shape, num_shapes);
+      if (!seen[e.new_shape]) {
+        seen[e.new_shape] = 1;
+        queue.push_back(e.new_shape);
+      }
+    }
+  }
+  EXPECT_NE(DeserializeGraph(SerializeGraph(graph, key), key, schema, guards,
+                             k),
+            nullptr);
+}
+
+TEST(StoreTest, DeserializeSurvivesEveryTruncationAndSeededMutations) {
+  // Each zoo graph's record cut at every length, and single-byte mutations
+  // from a fixed seed — with the checksum recomputed, so the damage reaches
+  // the parser instead of stopping at the checksum. Every input decodes to
+  // nullptr or to a graph that ExpectServable accepts.
+  struct Record {
+    std::string name;
+    std::string key;
+    SchemaRef schema;
+    std::vector<FormulaRef> guards;
+    int k;
+    std::string bytes;
+  };
+  std::vector<Record> records;
+  auto add = [&](std::string name, const SubTransitionGraph& graph,
+                 const SolverBackend& backend) {
+    std::string key = GraphCache::Key(backend, graph.k(), graph.guards());
+    std::string bytes = SerializeGraph(graph, key);
+    records.push_back(Record{std::move(name), std::move(key),
+                             backend.schema(), graph.guards(), graph.k(),
+                             std::move(bytes)});
+  };
+  auto add_complete = [&](std::string name, const DdsSystem& system,
+                          const SolverBackend& backend) {
+    SubTransitionGraph graph(GuardsOf(system), system.num_registers());
+    SolveStats stats;
+    graph.BuildFull(backend, stats);
+    add(std::move(name), graph, backend);
+  };
+  AllStructuresClass all(GraphZooSchema());
+  add_complete("odd_red_cycle", OddRedCycleSystem(), all);
+  add_complete("reach_red", ReachRedSystem(), all);
+  add_complete("contradiction", ContradictionSystem(), all);
+  WordRunClass words(NfaAPlusBPlus());
+  add_complete("words_zigzag", ZigZagSystem(1), words);
+  TreeAutomaton two = TaTwoLevel();
+  TreeRunClass trees(&two, 3);
+  add_complete("trees_descend", DescendSystem(two, 1), trees);
+  {
+    GraphCache cache;
+    SolveOptions options{.build_witness = false, .cache = &cache};
+    const DdsSystem system = ReachRedSystem();
+    ASSERT_TRUE(SolveEmptiness(system, all, options).nonempty);
+    const auto partial = cache.Lookup(GraphCache::Key(
+        all, system.num_registers(), GuardsOf(system)));
+    ASSERT_NE(partial, nullptr);
+    ASSERT_FALSE(partial->complete());
+    add("reach_red_partial", *partial, all);
+  }
+
+  std::mt19937 rng(17);
+  std::uint64_t mutants_decoded = 0;
+  for (const Record& rec : records) {
+    SCOPED_TRACE(rec.name);
+    auto check = [&](const std::string& bytes) {
+      const auto graph =
+          DeserializeGraph(bytes, rec.key, rec.schema, rec.guards, rec.k);
+      if (graph) ExpectServable(*graph, rec.key, rec.schema, rec.guards, rec.k);
+      return graph != nullptr;
+    };
+    const std::string_view payload(rec.bytes.data(), rec.bytes.size() - 8);
+    for (std::size_t cut = 0; cut < rec.bytes.size(); ++cut) {
+      check(rec.bytes.substr(0, cut));
+      if (cut < payload.size()) check(WithChecksum(payload.substr(0, cut)));
+    }
+    for (int i = 0; i < 512; ++i) {
+      std::string mutated(payload);
+      const std::size_t at = rng() % mutated.size();
+      mutated[at] = static_cast<char>(mutated[at] ^ (1 + rng() % 255));
+      mutants_decoded += check(WithChecksum(mutated));
+    }
+  }
+  // Some mutations land where any value parses (a cursor position, a
+  // canonical key byte): the parser's accept path was exercised too.
+  EXPECT_GT(mutants_decoded, 0u);
 }
 
 TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {

@@ -154,8 +154,14 @@ TEST(TraceEngineTest, ColdSolveRecordsPhaseSpans) {
       FindAnnotation(sweeps[0], "members_enumerated");
   ASSERT_NE(enumerated, nullptr);
   EXPECT_TRUE(enumerated->is_number);
-  // The witness phase runs by default.
-  EXPECT_EQ(SpansNamed(spans, "witness").size(), 1u);
+  // The witness phase runs by default, and reports the members it read to
+  // re-derive its path's joint members.
+  const std::vector<TraceSpan> witness = SpansNamed(spans, "witness");
+  ASSERT_EQ(witness.size(), 1u);
+  const TraceAnnotation* witness_members =
+      FindAnnotation(witness[0], "members_enumerated");
+  ASSERT_NE(witness_members, nullptr);
+  EXPECT_TRUE(witness_members->is_number);
 }
 
 // ---- Service/daemon-level: the acceptance span tree. ----
