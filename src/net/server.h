@@ -58,7 +58,7 @@ struct DaemonServerOptions {
   /// A connection sending a longer line without a newline gets an
   /// in-band "line_too_long" error and its input side closed.
   std::size_t max_line_bytes = 1 << 20;
-  /// Handed to every connection's Session (access logging, the stats
+  /// Handed to every connection's Session (recipe recording, the stats
   /// fields, {"op":"maintain"}). May be null; must outlive the server.
   MaintenanceLoop* maintenance = nullptr;
 };

@@ -1,10 +1,13 @@
 #include "service/maintenance.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,17 +19,13 @@ namespace amalgam {
 MaintenanceLoop::MaintenanceLoop(QueryService& service,
                                  MaintenanceOptions options)
     : service_(service), options_(std::move(options)) {
-  // Seed the access buffer from the persisted log, so a daemon that never
-  // sees traffic does not clobber its predecessor's log on the first
-  // flush, and Prewarm() has lines to replay.
-  if (options_.store_dir.empty() || options_.access_log_capacity == 0) return;
+  // Load the persisted log unkeyed: keying parses every line, which
+  // Prewarm() does anyway, so it waits for Prewarm or the first pass.
+  if (options_.store_dir.empty()) return;
   std::ifstream in(AccessLogPath());
   std::string line;
-  while (in && access_lines_.size() < options_.access_log_capacity &&
-         std::getline(in, line)) {
-    if (line.empty() || access_index_.count(line)) continue;
-    access_lines_.push_back(line);
-    access_index_.emplace(line, std::prev(access_lines_.end()));
+  while (std::getline(in, line)) {
+    if (!line.empty()) unkeyed_.push_back(std::move(line));
   }
 }
 
@@ -51,6 +50,7 @@ void MaintenanceLoop::Stop() {
   }
   thread_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
+  std::lock_guard<std::mutex> pass_lock(pass_mutex_);
   FlushAccessLog();
 }
 
@@ -71,41 +71,24 @@ void MaintenanceLoop::ThreadLoop() {
 MaintenancePassResult MaintenanceLoop::RunOnce() {
   std::lock_guard<std::mutex> pass_lock(pass_mutex_);
   MaintenancePassResult result;
+  KeyLoggedLines(/*prewarm=*/false);
   FlushAccessLog();
   const std::shared_ptr<const GraphStore> store = service_.cache().store();
 
-  // Complete partials: every remembered recipe whose graph stopped short
-  // of complete, resumed through the ordinary submit path (eager, no
+  // Complete partials: every remembered key whose graph stopped short of
+  // complete, resumed through the ordinary submit path (eager, no
   // witness) so it occupies the key's resume flight — a live query either
   // joins this build or this build joins it, never a duplicate sweep.
-  //
-  // The in-memory recipe registry is empty on a fresh daemon, so the
-  // persisted access log doubles as a recipe source: each logged query
-  // line replays into a (key, request) pair. Registry recipes come first
-  // (they are fresher); the completeness re-check per key makes the two
-  // sources a natural dedupe.
-  std::vector<std::pair<std::string, QueryRequest>> recipes =
-      service_.SnapshotRecipes();
+  // Warmest first; a line is parsed only for a key that needs the work.
+  std::vector<std::string> keys;
   {
-    std::unordered_set<std::string> known;
-    known.reserve(recipes.size());
-    for (const auto& [key, recipe] : recipes) known.insert(key);
-    std::vector<std::string> lines;
-    {
-      std::lock_guard<std::mutex> lock(access_mutex_);
-      lines.assign(access_lines_.begin(), access_lines_.end());
-    }
-    for (const std::string& line : lines) {
-      const ProtocolRequest parsed = ParseRequestLine(line);
-      if (!parsed.error.empty() || parsed.op != ProtocolRequest::Op::kQuery) {
-        continue;
-      }
-      const std::string key = service_.GraphKeyFor(parsed.query);
-      if (key.empty() || !known.insert(key).second) continue;
-      recipes.emplace_back(key, parsed.query);
+    std::lock_guard<std::mutex> lock(recipes_mutex_);
+    keys.reserve(recipes_.size());
+    for (auto it = recipes_.rbegin(); it != recipes_.rend(); ++it) {
+      keys.push_back(it->key);
     }
   }
-  for (auto& [key, recipe] : recipes) {
+  for (const std::string& key : keys) {
     if (service_.Pending() > 0) break;  // live traffic: the pool is not idle
     const std::shared_ptr<const SubTransitionGraph> cached =
         service_.cache().Peek(key);
@@ -119,9 +102,21 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
         continue;
       }
     }
-    QueryRequest request = recipe;
+    std::string line;
+    {
+      std::lock_guard<std::mutex> lock(recipes_mutex_);
+      const auto it = recipe_index_.find(key);
+      if (it == recipe_index_.end()) continue;  // forgotten meanwhile
+      line = it->second->line;
+    }
+    ProtocolRequest parsed = ParseRequestLine(line);
+    if (!parsed.error.empty() || parsed.op != ProtocolRequest::Op::kQuery) {
+      continue;
+    }
+    QueryRequest request = std::move(parsed.query);
     request.strategy = SolveStrategy::kEager;
     request.build_witness = false;
+    request.trace = nullptr;
     try {
       const QueryResult completed = service_.Submit(std::move(request)).get();
       if (completed.ok) ++result.partials_completed;
@@ -156,63 +151,107 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
 }
 
 std::uint64_t MaintenanceLoop::Prewarm() {
-  std::vector<std::string> lines;
-  {
-    std::lock_guard<std::mutex> lock(access_mutex_);
-    lines.assign(access_lines_.begin(), access_lines_.end());
-  }
   std::uint64_t loads = 0;
-  for (const std::string& line : lines) {
-    const ProtocolRequest parsed = ParseRequestLine(line);
-    if (!parsed.error.empty() || parsed.op != ProtocolRequest::Op::kQuery) {
-      continue;
-    }
-    if (service_.Prewarm(parsed.query)) ++loads;
+  {
+    std::lock_guard<std::mutex> pass_lock(pass_mutex_);
+    loads = KeyLoggedLines(/*prewarm=*/true);
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.prewarm_loads += loads;
   return loads;
 }
 
-void MaintenanceLoop::RecordAccess(const std::string& line) {
-  if (options_.store_dir.empty() || options_.access_log_capacity == 0 ||
-      line.empty()) {
+std::uint64_t MaintenanceLoop::KeyLoggedLines(bool prewarm) {
+  std::vector<std::string> lines;
+  {
+    std::lock_guard<std::mutex> lock(recipes_mutex_);
+    lines.swap(unkeyed_);
+  }
+  if (lines.empty()) return 0;
+  // Parse and key outside the table lock — transport threads keep
+  // recording meanwhile. File order, so prewarm promotes the warmest
+  // graphs last and the memory tier's LRU keeps them longest.
+  std::uint64_t loads = 0;
+  std::vector<std::string> keys(lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const ProtocolRequest parsed = ParseRequestLine(lines[i]);
+    if (!parsed.error.empty() || parsed.op != ProtocolRequest::Op::kQuery) {
+      continue;
+    }
+    if (prewarm) {
+      if (service_.Prewarm(parsed.query, &keys[i])) ++loads;
+    } else {
+      keys[i] = service_.GraphKeyFor(parsed.query);
+    }
+  }
+  // Fold in warmest first, each at the cold end behind everything already
+  // there: a key recorded since startup keeps its fresher line, and a
+  // key's last logged line beats its earlier ones.
+  std::lock_guard<std::mutex> lock(recipes_mutex_);
+  for (std::size_t i = lines.size(); i-- > 0;) {
+    if (recipes_.size() >= kRecipeCapacity) break;
+    if (keys[i].empty() || recipe_index_.count(keys[i]) != 0) continue;
+    recipes_.push_front(Recipe{std::move(keys[i]), std::move(lines[i])});
+    recipe_index_.emplace(recipes_.front().key, recipes_.begin());
+  }
+  return loads;
+}
+
+void MaintenanceLoop::RecordAccess(std::string key, const std::string& line) {
+  if (key.empty()) return;
+  std::lock_guard<std::mutex> lock(recipes_mutex_);
+  dirty_ = true;
+  auto it = recipe_index_.find(key);
+  if (it != recipe_index_.end()) {
+    // A known graph: its latest line moves to the warm end.
+    it->second->line = line;
+    recipes_.splice(recipes_.end(), recipes_, it->second);
     return;
   }
-  std::lock_guard<std::mutex> lock(access_mutex_);
-  auto it = access_index_.find(line);
-  if (it != access_index_.end()) {
-    // Re-accessed: move to the warm end so eviction drops colder lines.
-    access_lines_.splice(access_lines_.end(), access_lines_, it->second);
-  } else {
-    if (access_lines_.size() >= options_.access_log_capacity) {
-      access_index_.erase(access_lines_.front());
-      access_lines_.pop_front();
-    }
-    access_lines_.push_back(line);
-    access_index_.emplace(line, std::prev(access_lines_.end()));
+  if (recipes_.size() >= kRecipeCapacity) {
+    recipe_index_.erase(recipes_.front().key);
+    recipes_.pop_front();
   }
-  access_dirty_ = true;
+  recipes_.push_back(Recipe{std::move(key), line});
+  recipe_index_.emplace(recipes_.back().key, std::prev(recipes_.end()));
 }
 
 void MaintenanceLoop::FlushAccessLog() {
   if (options_.store_dir.empty()) return;
-  std::vector<std::string> lines;
   {
-    std::lock_guard<std::mutex> lock(access_mutex_);
-    if (!access_dirty_) return;
-    lines.assign(access_lines_.begin(), access_lines_.end());
-    access_dirty_ = false;
+    std::lock_guard<std::mutex> lock(recipes_mutex_);
+    if (!dirty_) return;
   }
+  // The log holds one line per key, so lines loaded but not yet keyed
+  // are keyed before they are rewritten.
+  KeyLoggedLines(/*prewarm=*/false);
+  std::string bytes;
+  {
+    std::lock_guard<std::mutex> lock(recipes_mutex_);
+    for (const Recipe& recipe : recipes_) {
+      bytes += recipe.line;
+      bytes += '\n';
+    }
+    dirty_ = false;
+  }
+  // Unique temp name per process *and* per call: two daemons sharing the
+  // directory, or two loops in one process, never write one temp file.
+  static std::atomic<std::uint64_t> flush_counter{0};
   const std::string path = AccessLogPath();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    for (const std::string& line : lines) out << line << '\n';
-    if (!out.good()) return;  // disk trouble: keep the old log
-  }
+  const std::string tmp = path + ".tmp." +
+                          std::to_string(static_cast<long>(::getpid())) + "." +
+                          std::to_string(flush_counter.fetch_add(1));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
   std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
+  if (!out.fail()) std::filesystem::rename(tmp, path, ec);
+  if (out.fail() || ec) {
+    // Disk trouble: keep the old log, drop the temp file, retry next time.
+    std::filesystem::remove(tmp, ec);
+    std::lock_guard<std::mutex> lock(recipes_mutex_);
+    dirty_ = true;
+  }
 }
 
 MaintenanceStats MaintenanceLoop::GetStats() const {

@@ -3,35 +3,34 @@
 //
 // A MaintenanceLoop owns one background thread (optional — interval 0
 // means passes run only on demand, via the {"op":"maintain"} admin op or
-// RunOnce() directly) over a QueryService. Each pass does, in order:
+// RunOnce() directly) over a QueryService, and the daemon's only *recipe
+// table*: graph key → the latest query line over that graph, LRU. A store
+// entry persists no formulas, so resuming one needs a request; the table
+// supplies it. Sessions record each line under the key Submit already
+// derived, so recording parses nothing. Each pass does, in order:
 //
-//   1. *Complete partials.* Every recipe the service remembers
-//      (QueryService::SnapshotRecipes) whose graph is partial — in the
-//      memory tier or persisted in the store — is resubmitted with the
-//      strategy forced to eager and witness reconstruction off. The
-//      resubmission goes through the ordinary Submit path, so it rides
-//      the same resume-flight single-flight table as live traffic: a
-//      concurrent query over the key either coalesces with the
-//      maintenance build or the maintenance build joins it — never two
-//      racing suffix sweeps. Partials are only attacked while the worker
-//      pool is idle (Pending() == 0); the first sign of live traffic ends
-//      the completion phase of the pass.
+//   1. *Complete partials.* The pass walks the table's keys, warmest
+//      first, and skips every key whose graph is complete in memory or in
+//      the store without parsing its line. A partial graph's line is
+//      parsed and resubmitted through the ordinary Submit path, eager and
+//      without a witness, so it rides the same resume flight as live
+//      traffic: never two racing suffix sweeps over one key. Only while
+//      the worker pool is idle (Pending() == 0); live traffic ends the
+//      phase.
 //   2. *Repack.* When the loose tier has accumulated at least
 //      `repack_min_loose` files, GraphStore::Repack folds it into a fresh
 //      pack generation (see solver/store.h and docs/STORE_FORMAT.md).
 //   3. *Sweep.* With disk caps configured, GraphStore::Sweep enforces
 //      them on a schedule instead of only after writing queries.
 //
-// The loop also owns the *access log*: RecordAccess(line) buffers the raw
-// JSONL query lines clients send (bounded LRU of unique lines, memory
-// only — the transport thread never touches disk), and each pass persists
-// them to <store_dir>/access.jsonl via temp+rename. On startup, Prewarm()
-// replays the persisted log through the protocol parser and asks the
-// service to promote each request's graph from the store into the memory
-// tier — a restarted daemon answers its first real queries from a warm
-// cache. The log survives daemons that crash between passes only up to
-// the last flush; prewarm is an optimization, never a correctness
-// dependency.
+// The table persists as the *access log*, <store_dir>/access.jsonl, one
+// line per key, coldest first, rewritten (temp file + rename) only after
+// something new was recorded. A restarted loop loads the log's lines
+// unkeyed and keys each once: in Prewarm(), which derives every line's
+// context anyway to promote its graph into the memory tier, or else in
+// the first pass or flush. The last logged line per key wins, and keys
+// recorded since startup keep their fresher line. Prewarm is an
+// optimization, never a correctness dependency.
 #ifndef AMALGAM_SERVICE_MAINTENANCE_H_
 #define AMALGAM_SERVICE_MAINTENANCE_H_
 
@@ -40,8 +39,10 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "service/service.h"
 
@@ -49,7 +50,8 @@ namespace amalgam {
 
 struct MaintenanceOptions {
   /// The store directory (the access log lives beside the graph files).
-  /// Empty disables access logging and prewarm.
+  /// Empty disables the access log and prewarm; recipes are still kept in
+  /// memory for passes.
   std::string store_dir;
   /// Background pass cadence; 0 = no thread, passes only via RunOnce().
   int interval_ms = 0;
@@ -60,8 +62,6 @@ struct MaintenanceOptions {
   /// disables scheduled repack (the admin op still triggers a pass, and a
   /// pass with 0 never repacks).
   std::uint64_t repack_min_loose = 8;
-  /// Unique request lines the access log retains (LRU by last access).
-  std::size_t access_log_capacity = 1024;
 };
 
 /// What one maintenance pass did.
@@ -81,6 +81,10 @@ struct MaintenanceStats {
 
 class MaintenanceLoop {
  public:
+  /// Graph keys the recipe table (and so the access log) remembers; at the
+  /// cap, recording a new key forgets the least recently recorded one.
+  static constexpr std::size_t kRecipeCapacity = 1024;
+
   /// The service must outlive the loop. The loop does not start running
   /// until Start().
   MaintenanceLoop(QueryService& service, MaintenanceOptions options);
@@ -103,36 +107,56 @@ class MaintenanceLoop {
   /// concurrent callers queue on an internal mutex.
   MaintenancePassResult RunOnce();
 
-  /// Replays the persisted access log: every parsable query line's graph
-  /// is promoted from the store into the memory tier. Returns the number
-  /// of graphs now warm. Counted into stats as prewarm_loads.
+  /// Keys the persisted access log's lines, promoting each one's graph
+  /// from the store into the memory tier, coldest first. Returns the
+  /// number of lines whose graph is now warm; counted into stats as
+  /// prewarm_loads. Lines keyed earlier (by a pass or a flush) are not
+  /// revisited, so call it at startup, before Start().
   std::uint64_t Prewarm();
 
-  /// Remembers a client's raw query line for the access log. Cheap and
-  /// nonblocking (memory only); call from transport threads freely.
-  void RecordAccess(const std::string& line);
+  /// Remembers `line` as the latest request for graph `key` (the key
+  /// QueryService::Submit derived for it; "" records nothing). Memory
+  /// only, no parsing: call from transport threads freely.
+  void RecordAccess(std::string key, const std::string& line);
 
   MaintenanceStats GetStats() const;
 
  private:
+  struct Recipe {
+    std::string key;
+    std::string line;
+  };
+
   void ThreadLoop();
-  /// Persists the access buffer to <store_dir>/access.jsonl (temp+rename;
-  /// no-op when unchanged or without a store_dir).
+  /// Parses and keys the loaded log lines not yet keyed, in file order,
+  /// and folds them into the table behind every key recorded since (the
+  /// last line per key wins). With `prewarm`, each line's graph is also
+  /// promoted into the memory tier; returns how many were. Caller holds
+  /// pass_mutex_.
+  std::uint64_t KeyLoggedLines(bool prewarm);
+  /// Persists the table to <store_dir>/access.jsonl (temp+rename; no-op
+  /// when nothing new was recorded or without a store_dir). Caller holds
+  /// pass_mutex_, so a flush never publishes a table that keying is
+  /// halfway through filling.
   void FlushAccessLog();
   std::string AccessLogPath() const;
 
   QueryService& service_;
   const MaintenanceOptions options_;
 
-  // The access buffer: unique lines, least-recently-accessed first, so
-  // capacity eviction drops the coldest request.
-  mutable std::mutex access_mutex_;
-  std::list<std::string> access_lines_;
-  std::unordered_map<std::string, std::list<std::string>::iterator>
-      access_index_;
-  bool access_dirty_ = false;
+  // The recipe table, least recently recorded first. The index's views
+  // point into the list nodes' keys, which never move.
+  mutable std::mutex recipes_mutex_;
+  std::list<Recipe> recipes_;
+  std::unordered_map<std::string_view, std::list<Recipe>::iterator>
+      recipe_index_;
+  bool dirty_ = false;  // recorded since the last flush
+  // Persisted lines loaded at construction and not yet keyed, file order.
+  std::vector<std::string> unkeyed_;
 
-  std::mutex pass_mutex_;  // serializes RunOnce bodies
+  // Serializes passes, Prewarm and Stop's flush; taken before
+  // recipes_mutex_.
+  std::mutex pass_mutex_;
 
   mutable std::mutex stats_mutex_;
   MaintenanceStats stats_;

@@ -280,7 +280,13 @@ void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
       static_cast<int>(json.GetInt("extra_pattern_cap", 4));
   query.atom_cap = static_cast<std::uint32_t>(
       std::max<std::int64_t>(0, json.GetInt("atom_cap", 0)));
-  out.store_dir = json.GetString("store_dir");
+  // The client asked for persistence this daemon may not provide:
+  // refuse rather than answer from a tier it did not name.
+  if (json.Get("store_dir") != nullptr) {
+    throw ProtocolError(
+        "\"store_dir\" is not a query field: a daemon's store is attached "
+        "once, at startup (amalgamd --store-dir DIR)");
+  }
   // The recorder is created here, at parse time, so its epoch covers the
   // whole service-side life of the request (queue wait included).
   if (json.GetBool("trace", false)) {

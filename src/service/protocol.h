@@ -17,13 +17,13 @@
 // "extra_pattern_cap" (trees), "atom_cap" (kind "system": relational
 // enumeration cap; a query whose candidate space exceeds it fails in-band
 // with "error_code":"enumeration_cap"), "rounds"/"steps" (the parametrized
-// zoo systems), "schema"
-// ({"relations":[["E",2],...],"functions":[...]}; kind "system" specs
-// only — word/tree schemas are implied by the automaton), "store_dir"
-// (attaches the service's disk tier; an error if a different tier is
-// already attached elsewhere), "trace" (true: record the query's span
-// tree — queue wait, coalesced wait, per-phase sweeps, store I/O — and
-// return it in the response's "trace" member; see docs/OBSERVABILITY.md).
+// zoo systems), "schema" ({"relations":[["E",2],...],"functions":[...]};
+// kind "system" specs only — word/tree schemas are implied by the
+// automaton), "trace" (true: record the query's span tree — queue wait,
+// coalesced wait, per-phase sweeps, store I/O — and return it in the
+// response's "trace" member; see docs/OBSERVABILITY.md). A query line
+// carrying "store_dir" is refused in band: the store is attached once, at
+// daemon startup (amalgamd --store-dir).
 //
 // *Admin* lines select an op instead: {"op":"stats"}, {"op":"sweep",
 // "max_bytes":N,"max_files":N}, {"op":"maintain"} (one synchronous
@@ -75,7 +75,6 @@ struct ProtocolRequest {
   std::string error;
 
   QueryRequest query;              // kQuery
-  std::string store_dir;           // kQuery: optional disk-tier attach
   std::uint64_t max_bytes = 0;     // kSweep
   std::uint64_t max_files = 0;     // kSweep
 };

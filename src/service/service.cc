@@ -90,7 +90,6 @@ QueryService::QueryService(Options options)
   if (options_.num_workers < 1) options_.num_workers = 1;
   if (!options_.store_dir.empty()) {
     cache_.AttachStore(options_.store_dir);
-    attached_store_dir_ = options_.store_dir;
   }
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
@@ -121,33 +120,6 @@ void QueryService::ComputeTaskContext(Task& task) {
   }
 }
 
-void QueryService::RecordRecipe(const std::string& key,
-                                const QueryRequest& request) {
-  std::lock_guard<std::mutex> lock(recipes_mutex_);
-  auto it = recipes_.find(key);
-  if (it != recipes_.end()) {
-    it->second = request;  // freshen the inputs; keep the FIFO position
-    return;
-  }
-  if (recipes_.size() >= kMaxRecipes) {
-    recipes_.erase(recipe_order_.front());
-    recipe_order_.pop_front();
-  }
-  recipe_order_.push_back(key);
-  recipes_.emplace(key, request);
-}
-
-std::vector<std::pair<std::string, QueryRequest>>
-QueryService::SnapshotRecipes() const {
-  std::lock_guard<std::mutex> lock(recipes_mutex_);
-  std::vector<std::pair<std::string, QueryRequest>> out;
-  out.reserve(recipe_order_.size());
-  for (const std::string& key : recipe_order_) {
-    out.emplace_back(key, recipes_.at(key));
-  }
-  return out;
-}
-
 std::string QueryService::GraphKeyFor(const QueryRequest& request) const {
   try {
     return ComputeGraphContext(request).key;
@@ -156,9 +128,11 @@ std::string QueryService::GraphKeyFor(const QueryRequest& request) const {
   }
 }
 
-bool QueryService::Prewarm(const QueryRequest& request) {
+bool QueryService::Prewarm(const QueryRequest& request,
+                           std::string* graph_key) {
   try {
     const GraphContext ctx = ComputeGraphContext(request);
+    if (graph_key != nullptr) *graph_key = ctx.key;
     return cache_.Lookup(ctx.key, ctx.backend->schema(), ctx.guards,
                          ctx.k) != nullptr;
   } catch (const std::exception&) {
@@ -205,12 +179,13 @@ void QueryService::RegisterFlight(Task& task) {
   }
 }
 
-std::future<QueryResult> QueryService::Submit(QueryRequest request) {
+std::future<QueryResult> QueryService::Submit(QueryRequest request,
+                                              std::string* graph_key) {
   Task task;
   task.request = std::move(request);
   std::future<QueryResult> future = task.promise.get_future();
   ComputeTaskContext(task);  // backend construction: keep it off the lock
-  if (task.setup_error.empty()) RecordRecipe(task.context.key, task.request);
+  if (graph_key != nullptr) *graph_key = task.context.key;
   task.submitted_at = std::chrono::steady_clock::now();
   {
     // Registration and enqueue are atomic together: a joiner must never
@@ -239,7 +214,6 @@ std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
     task.request = std::move(request);
     futures.push_back(task.promise.get_future());
     ComputeTaskContext(task);  // per-request backend construction, unlocked
-    if (task.setup_error.empty()) RecordRecipe(task.context.key, task.request);
     task.submitted_at = std::chrono::steady_clock::now();
     tasks.push_back(std::move(task));
   }
@@ -307,7 +281,7 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
     case QueryKind::kWord: {
       WordSolveResult solved = SolveWordEmptiness(
           *request.system, context, request.build_witness, request.strategy,
-          &cache_, /*store_dir=*/"", trace);
+          &cache_, trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
@@ -316,14 +290,14 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
       TreeSolveResult solved = SolveTreeEmptiness(
           *request.system, context,
           /*witness_size_cap=*/request.build_witness ? 6 : 0,
-          request.strategy, &cache_, /*store_dir=*/"", trace);
+          request.strategy, &cache_, trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
     }
     case QueryKind::kBranching: {
       BranchingSolveResult solved = SolveBranchingEmptiness(
-          *request.branching, context, &cache_, /*store_dir=*/"", trace);
+          *request.branching, context, &cache_, trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
@@ -478,24 +452,6 @@ void QueryService::Shutdown() {
 StoreSweepResult QueryService::SweepStore(std::uint64_t max_bytes,
                                           std::uint64_t max_files) {
   return cache_.SweepStore(max_bytes, max_files);
-}
-
-std::string QueryService::TryAttachStore(const std::string& dir) {
-  std::lock_guard<std::mutex> lock(store_attach_mutex_);
-  if (attached_store_dir_.empty()) {
-    try {
-      cache_.AttachStore(dir);
-    } catch (const std::exception& e) {
-      return e.what();
-    }
-    attached_store_dir_ = dir;
-    return "";
-  }
-  if (dir != attached_store_dir_) {
-    return "store_dir mismatch: this service persists to " +
-           attached_store_dir_;
-  }
-  return "";
 }
 
 ServiceStats QueryService::Stats() const {

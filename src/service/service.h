@@ -9,9 +9,10 @@
 //   * a fixed worker pool executes submitted queries asynchronously
 //     (Submit returns a std::future<QueryResult>; SubmitBatch returns one
 //     future per request);
-//   * one GraphCache (optionally LRU-capped and disk-backed) is shared by
-//     every query, so distinct requests over the same (class, k, guard
-//     set) reuse one sub-transition graph;
+//   * one GraphCache (optionally LRU-capped, and disk-backed when
+//     Options::store_dir names a directory — the only way a service gets a
+//     store) is shared by every query, so distinct requests over the same
+//     (class, k, guard set) reuse one sub-transition graph;
 //   * a single-flight table keyed by the graph's cache key coalesces
 //     concurrent cold queries: the first becomes the *leader* and builds,
 //     the rest *join* — they block on the leader's per-key flight future
@@ -67,7 +68,8 @@ class QueryService {
     int num_workers = 4;
     /// GraphCache memory-tier cap (0 = unbounded).
     std::size_t cache_max_entries = 0;
-    /// When non-empty, attach the disk tier at this directory.
+    /// When non-empty, attach the disk tier at this directory. The store is
+    /// fixed for the service's lifetime: no query can attach another.
     std::string store_dir;
     /// Disk-tier caps, enforced by an LRU-by-atime sweep after each query
     /// that wrote to the store (0 = unlimited).
@@ -92,8 +94,12 @@ class QueryService {
 
   /// Enqueues one query; the future resolves when a worker has finished it
   /// (errors arrive in-band via QueryResult::ok/error — the future itself
-  /// never throws). Throws std::runtime_error after Shutdown().
-  std::future<QueryResult> Submit(QueryRequest request);
+  /// never throws). Throws std::runtime_error after Shutdown(). When
+  /// `graph_key` is non-null it receives the graph key Submit derived for
+  /// the request ("" when the request is invalid) — the maintenance loop's
+  /// recipe index, copied only for callers that ask.
+  std::future<QueryResult> Submit(QueryRequest request,
+                                  std::string* graph_key = nullptr);
 
   /// Enqueues a batch. All single-flight registrations happen before any
   /// of the batch's tasks can start, so identical cold requests within one
@@ -128,36 +134,23 @@ class QueryService {
   /// cheap idleness probe (Stats() copies the latency ring; this doesn't).
   std::uint64_t Pending() const;
 
-  /// The (graph key → request) recipes of recently submitted queries, a
-  /// bounded FIFO snapshot. A store entry deliberately persists no
-  /// formulas, so resuming one needs the guards/class only a request can
-  /// supply — the maintenance loop replays these recipes (strategy forced
-  /// to eager) to drive partial persisted graphs to completion.
-  std::vector<std::pair<std::string, QueryRequest>> SnapshotRecipes() const;
-
   /// Promotes the persisted graph for `request`'s key into the memory
   /// tier without running the query: builds the same backend/guards the
   /// front door would and pulls the key through the context-ful cache
   /// lookup (disk load + promote). Returns true when a graph (complete or
   /// partial) is now cached in memory; false on a store miss or an
-  /// invalid request. Never builds anything.
-  bool Prewarm(const QueryRequest& request);
+  /// invalid request. Never builds anything. When `graph_key` is non-null
+  /// it receives the key the lookup used ("" for an invalid request), so
+  /// a caller replaying logged requests keys each one once.
+  bool Prewarm(const QueryRequest& request, std::string* graph_key = nullptr);
 
   /// The cache key `request` would build under, or "" when the request
-  /// cannot produce one (invalid inputs). Lets the maintenance loop turn
-  /// replayed access-log lines into (key, recipe) pairs without going
-  /// through Submit.
+  /// cannot produce one (invalid inputs). Lets the maintenance loop key
+  /// persisted access-log lines without going through Submit.
   std::string GraphKeyFor(const QueryRequest& request) const;
 
   /// The shared cache (for tests and admin paths; thread-safe itself).
   GraphCache& cache() { return cache_; }
-  /// Attaches the disk tier at `dir` if the service has none yet (a
-  /// constructor-supplied store_dir counts). Returns "" on success — which
-  /// includes re-naming the already-attached directory — and an error
-  /// message otherwise: silently swapping the tier under concurrent
-  /// queries would strand the trajectory the operator believes is being
-  /// extended, so a second, different directory is refused.
-  std::string TryAttachStore(const std::string& dir);
   /// Sweeps the attached disk tier (no-op without one); the admin
   /// counterpart of the automatic post-query sweep.
   StoreSweepResult SweepStore(std::uint64_t max_bytes,
@@ -207,10 +200,6 @@ class QueryService {
   /// Fills context/setup_error.
   static void ComputeTaskContext(Task& task);
 
-  /// Remembers `request` as the recipe for `key` (bounded FIFO; see
-  /// SnapshotRecipes).
-  void RecordRecipe(const std::string& key, const QueryRequest& request);
-
   /// Registers the task in the single-flight table and assigns its role.
   /// Caller holds queue_mutex_ (registration must be atomic with the
   /// enqueue so a joiner can never precede its leader in the queue).
@@ -243,19 +232,6 @@ class QueryService {
 
   std::mutex flights_mutex_;
   std::unordered_map<std::string, Flight> flights_;
-
-  // The recipe registry: enough requests to re-derive any recently-queried
-  // key's build context. Bounded FIFO — at the cap the oldest recipe goes;
-  // requests hold their inputs by shared_ptr, so a recipe is a few
-  // refcounts, not a copy of the system.
-  static constexpr std::size_t kMaxRecipes = 1024;
-  mutable std::mutex recipes_mutex_;
-  std::unordered_map<std::string, QueryRequest> recipes_;
-  std::deque<std::string> recipe_order_;  // insertion order for eviction
-
-  // Guards the one-directory-per-service disk-tier attachment.
-  std::mutex store_attach_mutex_;
-  std::string attached_store_dir_;
 
   mutable std::mutex stats_mutex_;
   std::uint64_t completed_ = 0;

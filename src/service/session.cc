@@ -63,30 +63,42 @@ void Session::PushRendered(std::string line) {
   Push(Item{[line = std::move(line)] { return line; }, /*is_query=*/false});
 }
 
+ServiceStats DaemonStats(const QueryService& service,
+                         const ConnectionCounters* counters,
+                         const MaintenanceLoop* maintenance) {
+  ServiceStats stats = service.Stats();
+  if (counters != nullptr) {
+    stats.connections_open = counters->open.load(std::memory_order_relaxed);
+    stats.connections_opened =
+        counters->opened.load(std::memory_order_relaxed);
+    stats.overload_rejections =
+        counters->overload_rejections.load(std::memory_order_relaxed);
+  }
+  if (maintenance != nullptr) {
+    const MaintenanceStats mstats = maintenance->GetStats();
+    stats.maintenance_passes = mstats.passes;
+    stats.partials_completed = mstats.partials_completed;
+    stats.prewarm_loads = mstats.prewarm_loads;
+    stats.repacks = mstats.repacks;
+  }
+  return stats;
+}
+
 ServiceStats Session::SnapshotStats() const {
-  ServiceStats stats = service_.Stats();
+  ServiceStats stats = DaemonStats(service_, counters_, options_.maintenance);
   stats.conn_id = options_.id;
   stats.conn_requests = requests();
   stats.conn_rejected_overload = rejected_overload();
-  if (counters_ != nullptr) {
-    stats.connections_open = counters_->open.load(std::memory_order_relaxed);
-    stats.connections_opened =
-        counters_->opened.load(std::memory_order_relaxed);
-    stats.overload_rejections =
-        counters_->overload_rejections.load(std::memory_order_relaxed);
-  }
-  if (options_.maintenance != nullptr) {
-    const MaintenanceStats maintenance = options_.maintenance->GetStats();
-    stats.maintenance_passes = maintenance.passes;
-    stats.partials_completed = maintenance.partials_completed;
-    stats.prewarm_loads = maintenance.prewarm_loads;
-    stats.repacks = maintenance.repacks;
-  }
   return stats;
 }
 
 Session::LineOutcome Session::HandleLine(const std::string& line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::vector<QueryRequest> answered;  // released here, before the parse
+    std::lock_guard<std::mutex> lock(mutex_);
+    answered.swap(answered_);
+  }
   ProtocolRequest request = ParseRequestLine(line);
   if (!request.error.empty()) {
     PushRendered(FormatErrorResponse(request, request.error));
@@ -94,13 +106,6 @@ Session::LineOutcome Session::HandleLine(const std::string& line) {
   }
   switch (request.op) {
     case ProtocolRequest::Op::kQuery: {
-      if (!request.store_dir.empty()) {
-        const std::string error = service_.TryAttachStore(request.store_dir);
-        if (!error.empty()) {
-          PushRendered(FormatErrorResponse(request, error));
-          return LineOutcome::kContinue;
-        }
-      }
       if (options_.max_inflight > 0 && inflight() >= options_.max_inflight) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         if (counters_ != nullptr) {
@@ -115,22 +120,32 @@ Session::LineOutcome Session::HandleLine(const std::string& line) {
             "overloaded"));
         return LineOutcome::kContinue;
       }
+      // The graph key Submit derives anyway; copied out only when a
+      // maintenance loop will record it.
+      std::string key;
       std::shared_future<QueryResult> future;
       try {
-        future = service_.Submit(std::move(request.query)).share();
+        future = service_
+                     .Submit(request.query,
+                             options_.maintenance != nullptr ? &key : nullptr)
+                     .share();
       } catch (const std::exception& e) {
         PushRendered(FormatErrorResponse(request, e.what()));
         return LineOutcome::kContinue;
       }
-      // Accepted: the raw line joins the access log so a restarted daemon
-      // can prewarm this query's graph.
+      // Accepted: the line becomes its graph's recipe, so a pass can
+      // complete the graph and a restarted daemon can prewarm it.
       if (options_.maintenance != nullptr) {
-        options_.maintenance->RecordAccess(line);
+        options_.maintenance->RecordAccess(std::move(key), line);
       }
-      // `request` keeps its id for the echo; the query inputs moved into
-      // the service.
-      Push(Item{[request = std::move(request), future] {
-                  return FormatQueryResponse(request, future.get());
+      // `request` keeps its id for the echo, and its query inputs until
+      // the answer is out; then they go back to this thread (answered_).
+      Push(Item{[this, request = std::move(request), future]() mutable {
+                  std::string response =
+                      FormatQueryResponse(request, future.get());
+                  std::lock_guard<std::mutex> lock(mutex_);
+                  answered_.push_back(std::move(request.query));
+                  return response;
                 },
                 /*is_query=*/true});
       return LineOutcome::kContinue;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -48,18 +47,16 @@ GraphContext BranchingGraphContext(const BranchingSystem& system,
 BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                                              const FraisseClass& cls,
                                              GraphCache* cache,
-                                             const std::string& store_dir,
                                              TraceRecorder* trace) {
   return SolveBranchingEmptiness(system,
                                  BranchingGraphContext(system,
                                                        BorrowBackend(cls)),
-                                 cache, store_dir, trace);
+                                 cache, trace);
 }
 
 BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                                              const GraphContext& context,
                                              GraphCache* cache,
-                                             const std::string& store_dir,
                                              TraceRecorder* trace) {
   ScopedSpan solve_span(trace, "solve");
   const DdsSystem& skel = system.skeleton();
@@ -81,19 +78,9 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
   // fixpoints need the complete graph) and stored for the next query. A
   // partial entry — left by an early-exited linear query over the same
   // guard set, possibly in another process via the store — is resumed
-  // from its cursor on a private copy rather than rebuilt.
-  // The build is eager under the default atom cap, so it may sweep the
-  // class's member table — but only a caller-owned cache's: a private
-  // store-only cache would build one no later query reads.
-  GraphCache* const table_cache = cache;
-  std::optional<GraphCache> store_only_cache;
-  if (!store_dir.empty()) {
-    if (!cache) {
-      store_only_cache.emplace();
-      cache = &*store_only_cache;
-    }
-    cache->AttachStore(store_dir);
-  }
+  // from its cursor on a private copy rather than rebuilt. The build is
+  // eager under the default atom cap, so it may sweep the cache's member
+  // table for the class.
   std::shared_ptr<const SubTransitionGraph> graph;
   std::shared_ptr<SubTransitionGraph> resumed;
   const std::string& cache_key = context.key;
@@ -124,8 +111,8 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                          : std::make_shared<SubTransitionGraph>(guards, k);
     {
       std::shared_ptr<const MemberTable> table;
-      if (table_cache != nullptr) {
-        table = table_cache->AcquireMemberTable(context.class_key(), cls, k,
+      if (cache != nullptr) {
+        table = cache->AcquireMemberTable(context.class_key(), cls, k,
                                                 result.stats, trace);
       }
       ScopedSpan build_span(trace, "full_build");

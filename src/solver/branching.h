@@ -83,23 +83,20 @@ struct BranchingSolveResult {
 /// stats.members_enumerated == 0 — and a *partial* entry left by an
 /// early-exited linear query over the same guard set is resumed from its
 /// cursor to completion (the backward fixpoint needs the whole relation)
-/// rather than rebuilt. A non-empty `store_dir` attaches the disk tier
-/// (GraphCache::AttachStore; with a null `cache`, a private per-query
-/// cache fronts it), so the graph persists across processes. A non-null
-/// `trace` records a "solve" span
+/// rather than rebuilt. A store attached to `cache`
+/// (GraphCache::AttachStore) persists the graph across processes. A
+/// non-null `trace` records a "solve" span
 /// with cache_lookup / full_build / fixpoint children (and the resume
 /// annotations when a partial entry was picked up).
 BranchingSolveResult SolveBranchingEmptiness(
     const BranchingSystem& system, const FraisseClass& cls,
-    GraphCache* cache = nullptr, const std::string& store_dir = "",
-    TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, TraceRecorder* trace = nullptr);
 
 /// As above over a context from BranchingGraphContext (the query service
 /// derives it once per query, at submit time).
 BranchingSolveResult SolveBranchingEmptiness(
     const BranchingSystem& system, const GraphContext& context,
-    GraphCache* cache = nullptr, const std::string& store_dir = "",
-    TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, TraceRecorder* trace = nullptr);
 
 /// The graph context of a branching query: the branch guards flattened in
 /// (rule, branch) order, so GraphContext::guard_of is indexed by flattened

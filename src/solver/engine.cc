@@ -219,7 +219,7 @@ void ExplorationEngine::RunOnTheFly() {
   // frontier-directed form when nothing is cached or persisted (see
   // RunFrontierSweep — its graph is not a resumable stream prefix); the
   // positioned stream sweep below otherwise.
-  if (goal_ < 0 && active_cache_ == nullptr && k_ >= 1 &&
+  if (goal_ < 0 && options_.cache == nullptr && k_ >= 1 &&
       backend_.SupportsExtensions() &&
       owned_graph_->cursor() == BuildCursor{kCursorPhaseJoint, 0}) {
     RunFrontierSweep();
@@ -338,8 +338,8 @@ void ExplorationEngine::RunFullGraph() {
                           result_.stats.members_generated);
       build_span.Annotate("edges", owned_graph_->num_edges());
     }
-    if (active_cache_) {
-      active_cache_->Insert(ctx_->key, owned_graph_, options_.trace);
+    if (options_.cache) {
+      options_.cache->Insert(ctx_->key, owned_graph_, options_.trace);
     }
     graph_ = owned_graph_;
   }
@@ -355,28 +355,12 @@ void ExplorationEngine::RunFullGraph() {
 
 SolveResult ExplorationEngine::Run() {
   ScopedSpan solve_span(options_.trace, "solve");
-  // A store directory without a caller-owned cache still gets the disk
-  // tier: a private cache scoped to this query front-ends the store, which
-  // is where the persistence actually lives.
-  std::optional<GraphCache> store_only_cache;
-  active_cache_ = options_.cache;
-  if (!options_.store_dir.empty()) {
-    if (!active_cache_) {
-      store_only_cache.emplace();
-      active_cache_ = &*store_only_cache;
-    }
-    active_cache_->AttachStore(options_.store_dir);
-  }
-
-  const std::uint64_t store_writes_before =
-      active_cache_ ? active_cache_->store_writes() : 0;
-
-  if (active_cache_) {
+  if (options_.cache) {
     std::shared_ptr<const SubTransitionGraph> hit;
     {
       ScopedSpan lookup_span(options_.trace, "cache_lookup");
-      hit = active_cache_->Lookup(ctx_->key, backend_.schema(), ctx_->guards,
-                                  k_, options_.trace);
+      hit = options_.cache->Lookup(ctx_->key, backend_.schema(),
+                                   ctx_->guards, k_, options_.trace);
       lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
       lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
     }
@@ -421,7 +405,7 @@ SolveResult ExplorationEngine::Run() {
       // the next query; a replay-served query added nothing (and owns
       // nothing), and equal progress is a no-op inside Insert anyway.
       if (owned_graph_) {
-        active_cache_->Insert(ctx_->key, owned_graph_, options_.trace);
+        options_.cache->Insert(ctx_->key, owned_graph_, options_.trace);
       }
     }
   } else if (options_.strategy == SolveStrategy::kEager) {
@@ -431,17 +415,7 @@ SolveResult ExplorationEngine::Run() {
     graph_ = owned_graph_;
     RunOnTheFly();
   }
-  // Apply the disk-tier caps after this query's write-through — but only
-  // when something was actually written: cache-hit replay queries must
-  // not pay an O(files) directory scan. Without a store this is a no-op.
-  if (active_cache_ &&
-      (options_.store_max_bytes > 0 || options_.store_max_files > 0) &&
-      active_cache_->store_writes() != store_writes_before) {
-    active_cache_->SweepStore(options_.store_max_bytes,
-                              options_.store_max_files);
-  }
   Finish();
-  active_cache_ = nullptr;
   return std::move(result_);
 }
 

@@ -24,15 +24,15 @@
 //     then BFS decides reachability. Kept as the reference for differential
 //     testing.
 //
-//   * cached (SolveOptions::cache != nullptr and/or a non-empty
-//     SolveOptions::store_dir): the graph is fetched from a GraphCache — a
-//     complete entry serves the query with zero enumeration; a *partial*
-//     entry (persisted by an earlier early-exited on-the-fly run together
-//     with its BuildCursor) is replayed and, when the verdict needs more of
-//     the class, resumed from its cursor instead of rebuilt. Whatever this
-//     query adds is inserted back, so the cache's trajectory only ever
-//     advances. With a store directory attached the same holds across
-//     processes (solver/store.h).
+//   * cached (SolveOptions::cache != nullptr): the graph is fetched from
+//     the GraphCache — a complete entry serves the query with zero
+//     enumeration; a *partial* entry (persisted by an earlier early-exited
+//     on-the-fly run together with its BuildCursor) is replayed and, when
+//     the verdict needs more of the class, resumed from its cursor instead
+//     of rebuilt. Whatever this query adds is inserted back, so the cache's
+//     trajectory only ever advances. With a store attached to the cache
+//     (GraphCache::AttachStore) the same holds across processes
+//     (solver/store.h).
 //
 // All strategies share the canonical-form interner (solver/intern.h), the
 // predecessor links used for witness-path replay, and the witness
@@ -102,20 +102,13 @@ struct SolveOptions {
   /// (GraphCache::AcquireMemberTable) when the query keeps the default
   /// atom cap: the class's second eager build builds the table, later ones
   /// only run guards. Graphs and all counters but members_generated are
-  /// the same as without the table.
+  /// the same as without the table. Graphs persist across processes when
+  /// the cache has a store attached (GraphCache::AttachStore): a query in
+  /// a fresh process finds the previous run's complete graph (zero
+  /// enumeration) or resumes its partial one from the stored cursor. The
+  /// store's disk caps are the cache owner's to enforce
+  /// (GraphCache::SweepStore).
   GraphCache* cache = nullptr;
-  /// When non-empty, attaches the disk tier at this directory to `cache`
-  /// (GraphCache::AttachStore) — or, if `cache` is null, to a private
-  /// per-query cache — so graphs persist across processes: a query in a
-  /// fresh process finds the previous run's complete graph (zero
-  /// enumeration) or resumes its partial one from the stored cursor.
-  std::string store_dir;
-  /// Disk-tier caps, applied (GraphCache::SweepStore — LRU by access time)
-  /// after the query completes when a store is attached, so long-lived
-  /// store directories stop growing without bound. 0 = unlimited. The
-  /// memory tier is governed separately by GraphCache(max_entries).
-  std::uint64_t store_max_bytes = 0;
-  std::uint64_t store_max_files = 0;
   /// Cap on the relational enumerators' per-partition atom count (the
   /// candidate space is 2^atoms). 0 keeps the backend default
   /// (kDefaultRelationalAtomCap = 28). Exceeding the cap raises
@@ -286,9 +279,6 @@ class ExplorationEngine {
   // complete graph otherwise.
   std::shared_ptr<SubTransitionGraph> owned_graph_;
   std::shared_ptr<const SubTransitionGraph> graph_;
-  // The cache this query reads/writes: options_.cache, or a private
-  // store-backed cache owned by Run() when only store_dir is set.
-  GraphCache* active_cache_ = nullptr;
 
   // parent_[c] = config id of predecessor (kUnvisited / kRoot sentinels);
   // via_guard_[c] = guard of the edge used to reach c.

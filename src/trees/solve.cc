@@ -17,21 +17,17 @@ TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
                                    int witness_size_cap,
                                    int extra_pattern_cap,
                                    SolveStrategy strategy,
-                                   GraphCache* cache,
-                                   const std::string& store_dir,
-                                   TraceRecorder* trace) {
+                                   GraphCache* cache, TraceRecorder* trace) {
   return SolveTreeEmptiness(
       system, TreeGraphContext(system, automaton, extra_pattern_cap),
-      witness_size_cap, strategy, cache, store_dir, trace);
+      witness_size_cap, strategy, cache, trace);
 }
 
 TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
                                    const GraphContext& context,
                                    int witness_size_cap,
                                    SolveStrategy strategy,
-                                   GraphCache* cache,
-                                   const std::string& store_dir,
-                                   TraceRecorder* trace) {
+                                   GraphCache* cache, TraceRecorder* trace) {
   if (system.num_registers() < 1) {
     throw std::invalid_argument(
         "tree emptiness requires at least one register");
@@ -45,7 +41,6 @@ TreeSolveResult SolveTreeEmptiness(const DdsSystem& system,
   options.build_witness = false;  // no generic amalgamation for trees
   options.strategy = strategy;
   options.cache = cache;
-  options.store_dir = store_dir;
   options.trace = trace;
   SolveResult generic = SolveEmptiness(system, context, options);
   TreeSolveResult result;

@@ -37,16 +37,15 @@ struct TreeSolveResult {
 /// `cache`, when given, reuses/stores the sub-transition graph keyed by
 /// (automaton fingerprint + pattern cap, k, guard set); complete entries
 /// serve queries with zero enumeration, partial ones resume from their
-/// cursor. A non-empty `store_dir` persists graphs to disk
-/// (SolveOptions::store_dir) for cross-process reuse. A non-null `trace`
-/// is passed through as SolveOptions::trace — the engine records its
-/// "solve" span tree into it.
+/// cursor. A store attached to `cache` (GraphCache::AttachStore) persists
+/// graphs to disk for cross-process reuse. A non-null `trace` is passed
+/// through as SolveOptions::trace — the engine records its "solve" span
+/// tree into it.
 TreeSolveResult SolveTreeEmptiness(
     const DdsSystem& system, const TreeAutomaton& automaton,
     int witness_size_cap = 6, int extra_pattern_cap = 4,
     SolveStrategy strategy = SolveStrategy::kOnTheFly,
-    GraphCache* cache = nullptr, const std::string& store_dir = "",
-    TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, TraceRecorder* trace = nullptr);
 
 /// As above over a context from TreeGraphContext (the query service derives
 /// it once per query, at submit time); its backend is the run class, which
@@ -55,8 +54,7 @@ TreeSolveResult SolveTreeEmptiness(
     const DdsSystem& system, const GraphContext& context,
     int witness_size_cap = 6,
     SolveStrategy strategy = SolveStrategy::kOnTheFly,
-    GraphCache* cache = nullptr, const std::string& store_dir = "",
-    TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, TraceRecorder* trace = nullptr);
 
 /// The graph context of a tree query: a TreeRunClass over `automaton`
 /// (which must outlive the context) and one guard per rule.

@@ -11,19 +11,15 @@ GraphContext WordGraphContext(const DdsSystem& system, const Nfa& nfa) {
 
 WordSolveResult SolveWordEmptiness(const DdsSystem& system, const Nfa& nfa,
                                    bool build_witness, SolveStrategy strategy,
-                                   GraphCache* cache,
-                                   const std::string& store_dir,
-                                   TraceRecorder* trace) {
+                                   GraphCache* cache, TraceRecorder* trace) {
   return SolveWordEmptiness(system, WordGraphContext(system, nfa),
-                            build_witness, strategy, cache, store_dir, trace);
+                            build_witness, strategy, cache, trace);
 }
 
 WordSolveResult SolveWordEmptiness(const DdsSystem& system,
                                    const GraphContext& context,
                                    bool build_witness, SolveStrategy strategy,
-                                   GraphCache* cache,
-                                   const std::string& store_dir,
-                                   TraceRecorder* trace) {
+                                   GraphCache* cache, TraceRecorder* trace) {
   if (system.num_registers() < 1) {
     throw std::invalid_argument(
         "word emptiness requires at least one register");
@@ -38,7 +34,6 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system,
   options.build_witness = build_witness;
   options.strategy = strategy;
   options.cache = cache;
-  options.store_dir = store_dir;
   options.trace = trace;
   SolveResult generic = SolveEmptiness(system, context, options);
   WordSolveResult result;

@@ -38,16 +38,15 @@ struct WordSolveResult {
 /// `cache`, when given, reuses/stores the sub-transition graph keyed by
 /// (automaton fingerprint, k, guard set) — a complete entry lets repeated
 /// queries skip run-pattern enumeration entirely, and a partial entry
-/// (early-exited earlier build) is resumed from its cursor. A non-empty
-/// `store_dir` persists graphs to disk (SolveOptions::store_dir), so the
+/// (early-exited earlier build) is resumed from its cursor. A store attached
+/// to `cache` (GraphCache::AttachStore) persists graphs to disk, so the
 /// reuse also works in a fresh process. A non-null `trace` is passed
 /// through as SolveOptions::trace — the engine records its "solve" span
 /// tree into it.
 WordSolveResult SolveWordEmptiness(
     const DdsSystem& system, const Nfa& nfa, bool build_witness = true,
     SolveStrategy strategy = SolveStrategy::kOnTheFly,
-    GraphCache* cache = nullptr, const std::string& store_dir = "",
-    TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, TraceRecorder* trace = nullptr);
 
 /// As above over a context from WordGraphContext (the query service derives
 /// it once per query, at submit time); its backend is the run class.
@@ -55,8 +54,7 @@ WordSolveResult SolveWordEmptiness(
     const DdsSystem& system, const GraphContext& context,
     bool build_witness = true,
     SolveStrategy strategy = SolveStrategy::kOnTheFly,
-    GraphCache* cache = nullptr, const std::string& store_dir = "",
-    TraceRecorder* trace = nullptr);
+    GraphCache* cache = nullptr, TraceRecorder* trace = nullptr);
 
 /// The graph context of a word query: a WordRunClass over `nfa` (which
 /// keeps its own copy of the automaton) and one guard per rule.

@@ -3,9 +3,11 @@
 // persisted entry to completion using recipes derived from the persisted
 // access log, fold the loose tier into the pack, and leave the entry
 // servable with zero enumeration; prewarm must promote persisted graphs
-// into the memory tier across a restart; the access log must stay
-// bounded, LRU-ordered, and survive flush/reload; and the {"op":"maintain"}
-// admin op must report the pass through the session layer.
+// into the memory tier across a restart; the access log must hold one
+// line per graph key, stay bounded and LRU-ordered, load older logs with
+// many lines per key, and survive flush/reload and concurrent flushes
+// from two daemons; and the {"op":"maintain"} admin op must report the
+// pass through the session layer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,6 +15,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/maintenance.h"
@@ -64,7 +67,7 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
     MaintenanceOptions mopts;
     mopts.store_dir = dir;
     MaintenanceLoop loop(service, mopts);
-    loop.RecordAccess(kReachRedLine);
+    loop.RecordAccess(key, kReachRedLine);
     loop.Stop();  // flushes access.jsonl
     service.Shutdown();
   }
@@ -77,9 +80,8 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
   }
 
   // Daemon 2: NO queries. One maintenance pass — its recipes derived
-  // entirely from the persisted access log, since the in-memory recipe
-  // registry of a fresh daemon is empty — must complete the entry and
-  // fold it into the pack.
+  // entirely from the persisted access log, since a fresh daemon has
+  // recorded nothing — must complete the entry and fold it into the pack.
   {
     QueryService::Options options;
     options.store_dir = dir;
@@ -159,49 +161,199 @@ TEST(MaintenanceTest, PassRepairsAStaleIndexEvenWithNoLooseFiles) {
   service.Shutdown();
 }
 
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
 TEST(MaintenanceTest, AccessLogIsBoundedPersistedAndLruOrdered) {
   const std::string dir = MaintStoreDir("access_log");
+  QueryService service;
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  constexpr std::size_t kCap = MaintenanceLoop::kRecipeCapacity;
+  auto probe = [](std::size_t i) {
+    return "{\"probe\":" + std::to_string(i) + "}";
+  };
+  {
+    MaintenanceLoop loop(service, mopts);
+    for (std::size_t i = 0; i < kCap + 2; ++i) {
+      loop.RecordAccess("key" + std::to_string(i), probe(i));
+    }
+    loop.RecordAccess("key2", probe(2));  // re-recorded: moves to the warm end
+    loop.RecordAccess("", probe(kCap + 2));  // no key: never recorded
+    loop.Stop();
+  }
+
+  // At the cap, keys 0 and 1 were forgotten; the re-recorded key 2
+  // survived and sits at the warm end.
+  std::vector<std::string> lines = ReadLines(dir + "/access.jsonl");
+  ASSERT_EQ(lines.size(), kCap);
+  EXPECT_EQ(lines.front(), probe(3));
+  EXPECT_EQ(lines[kCap - 2], probe(kCap + 1));
+  EXPECT_EQ(lines.back(), probe(2));
+
+  // A fresh loop loads the file; with nothing new recorded, Stop() must
+  // not rewrite it (these lines are no queries, so keying them would
+  // drop every one).
+  {
+    MaintenanceLoop loop(service, mopts);
+    loop.Stop();
+  }
+  EXPECT_EQ(ReadLines(dir + "/access.jsonl").size(), kCap);
+  service.Shutdown();
+}
+
+const char kContradictionLine[] =
+    R"({"kind":"system","class":"all","system":"contradiction"})";
+
+// `line` (a JSON object) with an "id" member prepended.
+std::string WithId(int id, const std::string& line) {
+  return "{\"id\":" + std::to_string(id) + "," + line.substr(1);
+}
+
+TEST(MaintenanceTest, AccessLogHoldsOneLinePerGraphKey) {
+  // Every protocol line carries its own id, so three queries over one
+  // graph are three different lines — and still one recipe.
+  const std::string dir = MaintStoreDir("one_line_per_key");
   QueryService::Options options;
   options.store_dir = dir;
   QueryService service(options);
-
   MaintenanceOptions mopts;
   mopts.store_dir = dir;
-  mopts.access_log_capacity = 4;
+  MaintenanceLoop loop(service, mopts);
+  {
+    Session::Options sopts;
+    sopts.maintenance = &loop;
+    Session session(service, sopts, [](const std::string&) {});
+    session.HandleLine(WithId(1, kReachRedLine));
+    session.HandleLine(WithId(2, kReachRedLine));
+    session.HandleLine(WithId(3, kReachRedLine));
+    session.HandleLine(WithId(4, kContradictionLine));
+    session.HandleLine(R"({"id":5,"kind":"nope"})");  // no key: not recorded
+    session.Flush();
+  }
+  loop.Stop();
+  const std::vector<std::string> lines = ReadLines(dir + "/access.jsonl");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], WithId(3, kReachRedLine)) << "the latest line wins";
+  EXPECT_EQ(lines[1], WithId(4, kContradictionLine));
+  service.Shutdown();
+}
+
+TEST(MaintenanceTest, OlderLogWithManyLinesPerKeyLoadsAndDedupes) {
+  const std::string dir = MaintStoreDir("old_log");
+  const std::vector<std::string> old_log = {
+      WithId(1, kReachRedLine), WithId(2, kContradictionLine),
+      WithId(3, kReachRedLine), WithId(4, kReachRedLine),
+      "not a query line"};
+  {
+    std::ofstream out(dir + "/access.jsonl");
+    for (const std::string& line : old_log) out << line << '\n';
+  }
+  QueryService::Options options;
+  options.store_dir = dir;
+  QueryService service(options);
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+
+  // Keying the loaded lines (here: a pass) records nothing new, so the
+  // log stays as it was.
   {
     MaintenanceLoop loop(service, mopts);
-    for (int i = 0; i < 6; ++i) {
-      loop.RecordAccess("{\"probe\":" + std::to_string(i) + "}");
+    loop.RunOnce();
+    loop.Stop();
+  }
+  EXPECT_EQ(ReadLines(dir + "/access.jsonl"), old_log);
+
+  // Once something new is recorded, the rewrite holds one line per key:
+  // the last logged line for each, in log order, then the new one.
+  const ProtocolRequest word = ParseRequestLine(
+      R"({"id":5,"kind":"words","nfa":"aplus_bplus","system":"zigzag"})");
+  ASSERT_TRUE(word.error.empty()) << word.error;
+  {
+    MaintenanceLoop loop(service, mopts);
+    loop.RecordAccess(service.GraphKeyFor(word.query),
+                      R"({"id":5,"kind":"words","nfa":"aplus_bplus",)"
+                      R"("system":"zigzag"})");
+    loop.Stop();
+  }
+  const std::vector<std::string> lines = ReadLines(dir + "/access.jsonl");
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], WithId(2, kContradictionLine));
+  EXPECT_EQ(lines[1], WithId(4, kReachRedLine));
+  EXPECT_NE(lines[2].find("\"id\":5"), std::string::npos) << lines[2];
+  service.Shutdown();
+}
+
+TEST(MaintenanceTest, ConcurrentFlushesFromTwoLoopsPublishWholeLogs) {
+  // Two daemons sharing one store directory flush the same access log.
+  // Each flush must publish its own complete file: no torn lines, and no
+  // temp file left behind.
+  const std::string dir = MaintStoreDir("concurrent_flush");
+  QueryService service;
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  mopts.repack_min_loose = 0;
+  MaintenanceLoop first(service, mopts);
+  MaintenanceLoop second(service, mopts);
+  constexpr int kFlushes = 200;
+  auto churn = [&](MaintenanceLoop& loop, int loop_id) {
+    for (int i = 0; i < kFlushes; ++i) {
+      // Synthetic keys name no graph, so each pass is just the flush.
+      loop.RecordAccess(
+          "loop" + std::to_string(loop_id) + "/" + std::to_string(i),
+          WithId(loop_id * kFlushes + i, kReachRedLine));
+      loop.RunOnce();
     }
-    loop.RecordAccess("{\"probe\":2}");  // re-access: moves to the warm end
-    loop.Stop();
+  };
+  std::thread a(churn, std::ref(first), 0);
+  std::thread b(churn, std::ref(second), 1);
+  a.join();
+  b.join();
+
+  const std::vector<std::string> lines = ReadLines(dir + "/access.jsonl");
+  EXPECT_EQ(lines.size(), static_cast<std::size_t>(kFlushes));
+  for (const std::string& line : lines) {
+    const ProtocolRequest parsed = ParseRequestLine(line);
+    EXPECT_TRUE(parsed.error.empty()) << line;
+  }
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().filename().string().rfind("access.jsonl.tmp", 0),
+              0u)
+        << entry.path();
+  }
+  service.Shutdown();
+}
+
+TEST(MaintenanceTest, FailedFlushLeavesNoTempFileAndRetries) {
+  // A directory squatting on the log's name makes the publishing rename
+  // fail: the flush must clean up its temp file, keep what is there, and
+  // publish on the next flush once the name is free.
+  const std::string dir = MaintStoreDir("failed_flush");
+  const std::string log = dir + "/access.jsonl";
+  fs::create_directories(log + "/occupied");
+  QueryService service;
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  mopts.repack_min_loose = 0;
+  MaintenanceLoop loop(service, mopts);
+  loop.RecordAccess("key", WithId(1, kReachRedLine));
+  loop.RunOnce();
+  EXPECT_TRUE(fs::is_directory(log + "/occupied"));
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().filename().string().rfind("access.jsonl.tmp", 0),
+              0u)
+        << entry.path();
   }
 
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(dir + "/access.jsonl");
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  // Capacity 4: probes 0 and 1 evicted; the re-accessed 2 survived and
-  // sits at the warm end.
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_EQ(lines[0], "{\"probe\":3}");
-  EXPECT_EQ(lines[1], "{\"probe\":4}");
-  EXPECT_EQ(lines[2], "{\"probe\":5}");
-  EXPECT_EQ(lines[3], "{\"probe\":2}");
-
-  // A fresh loop seeds from the file; with nothing new recorded, Stop()
-  // must not clobber it (the buffer is not dirty).
-  {
-    MaintenanceLoop loop(service, mopts);
-    loop.Stop();
-  }
-  std::ifstream in(dir + "/access.jsonl");
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(in, line)) ++count;
-  EXPECT_EQ(count, 4u);
+  fs::remove_all(log);
+  loop.Stop();  // nothing new recorded, but the failed flush is retried
+  EXPECT_EQ(ReadLines(log),
+            std::vector<std::string>{WithId(1, kReachRedLine)});
   service.Shutdown();
 }
 

@@ -370,28 +370,42 @@ TEST(ServiceTest, InconsistentWitnessStepAnswersInBand) {
             std::string::npos);
 }
 
-TEST(ServiceTest, TryAttachStoreRefusesASecondDirectory) {
-  const std::string first = ServiceStoreDir("attach_first");
-  const std::string second = ServiceStoreDir("attach_second");
-  {
-    QueryService service;
-    EXPECT_EQ(service.TryAttachStore(first), "");
-    EXPECT_EQ(service.TryAttachStore(first), "") << "re-naming the attached "
-                                                    "directory is fine";
-    const std::string error = service.TryAttachStore(second);
-    EXPECT_NE(error.find("store_dir mismatch"), std::string::npos) << error;
-  }
-  {
-    // A constructor-supplied store_dir counts as the attached tier.
-    QueryService::Options options;
-    options.store_dir = first;
-    QueryService service(options);
-    EXPECT_EQ(service.TryAttachStore(first), "");
-    EXPECT_FALSE(service.TryAttachStore(second).empty());
-  }
-}
-
 // ---- The Session layer (the per-client half of amalgamd). ----
+
+TEST(ServiceTest, SessionRefusesAPerQueryStoreDirInBand) {
+  // A daemon's store is attached once, at startup. A query line that asks
+  // for persistence somewhere else is refused — not silently answered from
+  // the daemon's own tier — and the connection keeps serving.
+  const std::string dir = ServiceStoreDir("per_query_store_dir");
+  QueryService::Options options;
+  options.store_dir = dir;
+  QueryService service(options);
+  std::mutex lines_mutex;
+  std::vector<std::string> lines;
+  {
+    Session session(service, Session::Options{},
+                    [&](const std::string& line) {
+                      std::lock_guard<std::mutex> lock(lines_mutex);
+                      lines.push_back(line);
+                    });
+    session.HandleLine(R"({"id":1,"kind":"system","class":"all",)"
+                       R"("system":"reach_red","store_dir":")" +
+                       dir + "\"}");
+    session.HandleLine(
+        R"({"id":2,"kind":"system","class":"all","system":"reach_red"})");
+    session.Flush();
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"id\":1"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("\"ok\":false"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("--store-dir"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"id\":2"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"nonempty\":true"), std::string::npos)
+      << lines[1];
+  EXPECT_EQ(service.Stats().queries, 1u) << "the refused line never ran";
+  service.Shutdown();
+}
 
 TEST(ServiceTest, SessionEmitsResponsesInRequestOrder) {
   QueryService::Options options;

@@ -409,11 +409,17 @@ void ExpectRepeatsChangeNothing(const DdsSystem& system,
     // An on-the-fly run persists its (partial, when it exits early) graph;
     // a fresh cache over the same directory resumes it to completion.
     const std::string dir = FreshStoreDir("r" + std::to_string(r));
-    SolveOptions persist = lazy;
-    persist.store_dir = dir;
-    SolveEmptiness(repeated, cls, persist);
+    {
+      GraphCache persisting;
+      persisting.AttachStore(dir);
+      SolveOptions persist = lazy;
+      persist.cache = &persisting;
+      SolveEmptiness(repeated, cls, persist);
+    }
+    GraphCache resuming;
+    resuming.AttachStore(dir);
     SolveOptions resume = eager;
-    resume.store_dir = dir;
+    resume.cache = &resuming;
     const SolveResult resumed = SolveEmptiness(repeated, cls, resume);
     EXPECT_TRUE(resumed.stats.graph_from_cache);
     EXPECT_EQ(resumed.nonempty, base_eager.nonempty);
@@ -537,16 +543,17 @@ void WarmMemberTable(GraphCache& cache, const GraphContext& ctx) {
 }
 
 // The front door's cached query over a cache whose class table is warm,
-// against the same query store-only: a query-private cache gets no table,
-// so its graph is streamed from the backend and persisted to `dir`.
+// against the same query over a fresh store-backed cache per call: a
+// cache's first request for a class builds no table, so that graph is
+// streamed from the backend and persisted to `dir`.
 // Eager, early-exited on-the-fly and resumed queries must leave the same
 // graph (store bytes included, so shapes, initial set, edges, steps and
 // cursor) and count the same members, guard evaluations and edges. The
 // eager builds sweep the table and materialize no member; on-the-fly
 // sweeps never read a table, so they materialize what the streamed query
 // does.
-using SolveThrough = std::function<SolveStats(
-    GraphCache* cache, const std::string& dir, SolveStrategy strategy)>;
+using SolveThrough =
+    std::function<SolveStats(GraphCache* cache, SolveStrategy strategy)>;
 
 void ExpectTableServedQueriesMatchStreamed(const GraphContext& ctx,
                                            const SolveThrough& solve,
@@ -560,8 +567,10 @@ void ExpectTableServedQueriesMatchStreamed(const GraphContext& ctx,
     WarmMemberTable(tabled, ctx);
     const std::string dir = FreshStoreDir("table_" + name);
     for (SolveStrategy strategy : strategies) {
-      const SolveStats streamed = solve(nullptr, dir, strategy);
-      const SolveStats served = solve(&tabled, "", strategy);
+      GraphCache streaming;
+      streaming.AttachStore(dir);
+      const SolveStats streamed = solve(&streaming, strategy);
+      const SolveStats served = solve(&tabled, strategy);
       GraphCache loader;
       loader.AttachStore(dir);
       const auto expected =
@@ -628,12 +637,11 @@ void ExpectSystemTablesChangeNothing(const DdsSystem& system,
                                      const std::string& name) {
   ExpectTableServedQueriesMatchStreamed(
       SystemGraphContext(BorrowBackend(cls), system),
-      [&](GraphCache* cache, const std::string& dir, SolveStrategy strategy) {
+      [&](GraphCache* cache, SolveStrategy strategy) {
         SolveOptions options;
         options.build_witness = false;
         options.strategy = strategy;
         options.cache = cache;
-        options.store_dir = dir;
         return SolveEmptiness(system, cls, options).stats;
       },
       name);
@@ -670,8 +678,8 @@ TEST(MemberTableTest, WordAndTreeZoosBuildTheStreamedGraphs) {
   const Nfa nfa = NfaAlternatingAB();
   ExpectTableServedQueriesMatchStreamed(
       WordGraphContext(zig, nfa),
-      [&](GraphCache* cache, const std::string& dir, SolveStrategy strategy) {
-        return SolveWordEmptiness(zig, nfa, false, strategy, cache, dir).stats;
+      [&](GraphCache* cache, SolveStrategy strategy) {
+        return SolveWordEmptiness(zig, nfa, false, strategy, cache).stats;
       },
       "words");
 
@@ -679,9 +687,8 @@ TEST(MemberTableTest, WordAndTreeZoosBuildTheStreamedGraphs) {
   const DdsSystem descend = DescendSystem(two, 1);
   ExpectTableServedQueriesMatchStreamed(
       TreeGraphContext(descend, two, 3),
-      [&](GraphCache* cache, const std::string& dir, SolveStrategy strategy) {
-        return SolveTreeEmptiness(descend, two, 0, 3, strategy, cache, dir)
-            .stats;
+      [&](GraphCache* cache, SolveStrategy strategy) {
+        return SolveTreeEmptiness(descend, two, 0, 3, strategy, cache).stats;
       },
       "trees");
 }
@@ -698,8 +705,10 @@ TEST(MemberTableTest, BranchingBuildsTheStreamedGraph) {
     const BranchingSolveResult served =
         SolveBranchingEmptiness(branching, all, &tabled);
     const std::string dir = FreshStoreDir("table_branching");
+    GraphCache streaming;
+    streaming.AttachStore(dir);
     const BranchingSolveResult streamed =
-        SolveBranchingEmptiness(branching, all, nullptr, dir);
+        SolveBranchingEmptiness(branching, all, &streaming);
     GraphCache loader;
     loader.AttachStore(dir);
     const auto expected =

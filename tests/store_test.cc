@@ -147,9 +147,11 @@ TEST(StoreTest, CompleteGraphServesAFreshProcessWithZeroEnumeration) {
   AllStructuresClass all(GraphZooSchema());
   DdsSystem system = ContradictionSystem();  // empty: builds to completion
 
+  GraphCache building;
+  building.AttachStore(dir);
   SolveOptions first;
   first.build_witness = false;
-  first.store_dir = dir;
+  first.cache = &building;
   SolveResult built = SolveEmptiness(system, all, first);
   EXPECT_FALSE(built.nonempty);
   EXPECT_FALSE(built.stats.graph_from_cache);
@@ -277,9 +279,11 @@ TEST(StoreTest, CorruptOrTruncatedFilesFallBackToAFreshBuild) {
   const int k = system.num_registers();
   const std::string key = GraphCache::Key(all, k, guards);
 
+  GraphCache seeding;
+  seeding.AttachStore(dir);
   SolveOptions seed;
   seed.build_witness = false;
-  seed.store_dir = dir;
+  seed.cache = &seeding;
   const SolveResult reference = SolveEmptiness(system, all, seed);
 
   const std::string path = GraphStore(dir).PathFor(key);
@@ -572,6 +576,9 @@ TEST(StoreTest, DeserializeSurvivesEveryTruncationAndSeededMutations) {
 }
 
 TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
+  // Each query gets its own cache over the directory: the "first" and
+  // "second" process share nothing but the store.
+  //
   // Words: a nonempty query persists a partial graph whose explored region
   // already contains the goal — the "second process" answers with zero
   // enumeration and still reconstructs a valid witness from the restored
@@ -580,12 +587,15 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     const std::string dir = StoreDir("words");
     DdsSystem system = ZigZagSystem(1);
     Nfa nfa = NfaAPlusBPlus();
+    GraphCache first_process, second_process;
+    first_process.AttachStore(dir);
+    second_process.AttachStore(dir);
     WordSolveResult first =
         SolveWordEmptiness(system, nfa, true, SolveStrategy::kOnTheFly,
-                           nullptr, dir);
+                           &first_process);
     WordSolveResult second =
         SolveWordEmptiness(system, nfa, true, SolveStrategy::kOnTheFly,
-                           nullptr, dir);
+                           &second_process);
     EXPECT_EQ(first.nonempty, second.nonempty);
     EXPECT_GT(first.stats.members_enumerated, 0u);
     EXPECT_EQ(second.stats.members_enumerated, 0u);
@@ -600,10 +610,13 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     const std::string dir = StoreDir("trees");
     TreeAutomaton two = TaTwoLevel();
     DdsSystem system = DescendSystem(two, 1);
+    GraphCache first_process, second_process;
+    first_process.AttachStore(dir);
+    second_process.AttachStore(dir);
     TreeSolveResult first = SolveTreeEmptiness(
-        system, two, 0, 3, SolveStrategy::kOnTheFly, nullptr, dir);
+        system, two, 0, 3, SolveStrategy::kOnTheFly, &first_process);
     TreeSolveResult second = SolveTreeEmptiness(
-        system, two, 0, 3, SolveStrategy::kOnTheFly, nullptr, dir);
+        system, two, 0, 3, SolveStrategy::kOnTheFly, &second_process);
     EXPECT_EQ(first.nonempty, second.nonempty);
     EXPECT_GT(first.stats.members_enumerated, 0u);
     EXPECT_EQ(second.stats.members_enumerated, 0u);
@@ -621,10 +634,13 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     int white = bs.AddState("white_found", false, true);
     bs.AddRule(start, {{"E(x_old, x_new) & red(x_new)", red},
                        {"E(x_old, x_new) & !red(x_new)", white}});
+    GraphCache first_process, second_process;
+    first_process.AttachStore(dir);
+    second_process.AttachStore(dir);
     BranchingSolveResult first =
-        SolveBranchingEmptiness(bs, all, nullptr, dir);
+        SolveBranchingEmptiness(bs, all, &first_process);
     BranchingSolveResult second =
-        SolveBranchingEmptiness(bs, all, nullptr, dir);
+        SolveBranchingEmptiness(bs, all, &second_process);
     EXPECT_EQ(first.nonempty, second.nonempty);
     EXPECT_GT(first.stats.members_enumerated, 0u);
     EXPECT_EQ(second.stats.members_enumerated, 0u);
@@ -642,9 +658,12 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     int a = linear.AddState("a", true);
     int b = linear.AddState("b", false, true);
     linear.AddRule(a, b, "E(x_old, x_new)");
+    GraphCache linear_process, branching_process;
+    linear_process.AttachStore(dir);
+    branching_process.AttachStore(dir);
     SolveOptions options;
     options.build_witness = false;
-    options.store_dir = dir;
+    options.cache = &linear_process;
     ASSERT_TRUE(SolveEmptiness(linear, all, options).nonempty);
 
     BranchingSystem mirrored(GraphZooSchema());
@@ -653,7 +672,7 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     int mb = mirrored.AddState("b", false, true);
     mirrored.AddRule(ma, {Branch{linear.rules()[0].guard, mb}});
     BranchingSolveResult resumed =
-        SolveBranchingEmptiness(mirrored, all, nullptr, dir);
+        SolveBranchingEmptiness(mirrored, all, &branching_process);
     EXPECT_TRUE(resumed.stats.graph_from_cache);
     EXPECT_TRUE(resumed.stats.graph_resumed);
     EXPECT_TRUE(resumed.nonempty);
@@ -740,14 +759,15 @@ TEST(StoreTest, SweepWithoutCapsIsANoOp) {
   EXPECT_TRUE(fs::exists(store.PathFor(key) + ".tmp.123.0"));
 }
 
-TEST(StoreTest, SolveOptionsSweepKnobCapsTheStore) {
+TEST(StoreTest, SweepAfterAQueryCapsTheStore) {
   const std::string dir = StoreDir("sweep_knob");
   AllStructuresClass all(GraphZooSchema());
   GraphCache cache;
   cache.AttachStore(dir);
 
-  // Build up two persisted graphs, then run a third query with a
-  // one-file cap: after it completes the directory must hold one file.
+  // Build up two persisted graphs, run a third query, then sweep to a
+  // one-file cap (what a daemon's post-query sweep does): the directory
+  // must hold one file.
   for (const DdsSystem& system : {OddRedCycleSystem(), ReachRedSystem()}) {
     SolveOptions options;
     options.build_witness = false;
@@ -755,13 +775,13 @@ TEST(StoreTest, SolveOptionsSweepKnobCapsTheStore) {
     options.cache = &cache;
     SolveEmptiness(system, all, options);
   }
-  SolveOptions capped;
-  capped.build_witness = false;
-  capped.strategy = SolveStrategy::kEager;
-  capped.cache = &cache;
-  capped.store_max_files = 1;
-  SolveResult r = SolveEmptiness(ContradictionSystem(), all, capped);
+  SolveOptions third;
+  third.build_witness = false;
+  third.strategy = SolveStrategy::kEager;
+  third.cache = &cache;
+  SolveResult r = SolveEmptiness(ContradictionSystem(), all, third);
   EXPECT_FALSE(r.nonempty);
+  cache.SweepStore(/*max_bytes=*/0, /*max_files=*/1);
 
   std::size_t amg_files = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {

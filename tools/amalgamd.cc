@@ -229,30 +229,6 @@ Cli ParseArgs(int argc, char** argv) {
   return cli;
 }
 
-// The scrape-time stats snapshot: what Session::SnapshotStats assembles
-// for a stats op, minus the per-connection fields (a scrape belongs to no
-// connection).
-amalgam::ServiceStats ScrapeStats(amalgam::QueryService& service,
-                                  const amalgam::ConnectionCounters* counters,
-                                  amalgam::MaintenanceLoop* maintenance) {
-  amalgam::ServiceStats stats = service.Stats();
-  if (counters != nullptr) {
-    stats.connections_open = counters->open.load(std::memory_order_relaxed);
-    stats.connections_opened =
-        counters->opened.load(std::memory_order_relaxed);
-    stats.overload_rejections =
-        counters->overload_rejections.load(std::memory_order_relaxed);
-  }
-  if (maintenance != nullptr) {
-    const amalgam::MaintenanceStats mstats = maintenance->GetStats();
-    stats.maintenance_passes = mstats.passes;
-    stats.partials_completed = mstats.partials_completed;
-    stats.prewarm_loads = mstats.prewarm_loads;
-    stats.repacks = mstats.repacks;
-  }
-  return stats;
-}
-
 // Starts the --metrics-tcp endpoint when asked for. Returns false (after
 // printing the error) when the bind failed — the daemon refuses to start
 // half-observable rather than silently dropping the scrape surface.
@@ -276,7 +252,8 @@ int RunStdio(amalgam::QueryService& service, const Cli& cli,
   amalgam::MetricsHttpServer metrics_server(
       [&service, &counters, maintenance] {
         amalgam::ExportServiceStats(
-            ScrapeStats(service, &counters, maintenance), service.metrics());
+            amalgam::DaemonStats(service, &counters, maintenance),
+            service.metrics());
         return service.metrics().RenderPrometheus();
       });
   if (!StartMetricsEndpoint(metrics_server, cli.metrics_tcp_port)) return 1;
@@ -320,7 +297,7 @@ int RunServer(amalgam::QueryService& service, const Cli& cli,
   amalgam::MetricsHttpServer metrics_server(
       [&service, &server, maintenance] {
         amalgam::ExportServiceStats(
-            ScrapeStats(service, &server.counters(), maintenance),
+            amalgam::DaemonStats(service, &server.counters(), maintenance),
             service.metrics());
         return service.metrics().RenderPrometheus();
       });
