@@ -163,22 +163,31 @@ void Structure::AppendContent(std::string& out) const {
   }
 }
 
-void Structure::AppendPacked(std::string& out) const {
-  AppendFullWidth(out, static_cast<std::uint32_t>(n_));
+std::size_t Structure::PackedBound() const {
+  // A varint of a 32-bit value takes at most 5 bytes.
+  std::size_t bytes = 5;
+  for (const auto& table : rel_tables_) bytes += (table.size() + 7) / 8;
+  for (const auto& table : fn_tables_) bytes += 5 * table.size();
+  return bytes;
+}
+
+char* Structure::WritePacked(char* out) const {
+  out = WriteFullWidth(out, static_cast<std::uint32_t>(n_));
   for (const auto& table : rel_tables_) {
     std::uint8_t byte = 0;
     for (std::size_t i = 0; i < table.size(); ++i) {
       byte |= static_cast<std::uint8_t>(table[i] << (i % 8));
       if (i % 8 == 7) {
-        out.push_back(static_cast<char>(byte));
+        *out++ = static_cast<char>(byte);
         byte = 0;
       }
     }
-    if (table.size() % 8 != 0) out.push_back(static_cast<char>(byte));
+    if (table.size() % 8 != 0) *out++ = static_cast<char>(byte);
   }
   for (const auto& table : fn_tables_) {
-    for (Elem value : table) AppendFullWidth(out, value);
+    for (Elem value : table) out = WriteFullWidth(out, value);
   }
+  return out;
 }
 
 std::size_t Structure::AssignPacked(const char* data) {

@@ -32,6 +32,16 @@ inline void AppendFullWidth(std::string& out, std::uint32_t v) {
   out.push_back(static_cast<char>(v));
 }
 
+/// AppendFullWidth into a buffer with room for 5 bytes; returns the end.
+inline char* WriteFullWidth(char* out, std::uint32_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<char>(v);
+  return out;
+}
+
 /// A finite structure (database) over a fixed schema.
 class Structure {
  public:
@@ -82,13 +92,16 @@ class Structure {
   /// variant the interner's raw-key memo builds its keys through.
   void AppendContent(std::string& out) const;
 
-  /// Appends a compact, self-delimiting record of the content: the domain
-  /// size and function values as varints, every relation table as a
-  /// bitmap. Member tables (solver/member_table.h) keep whole member
+  /// Writes a compact, self-delimiting record of the content to `out`,
+  /// which has room for PackedBound() bytes, and returns the record's end:
+  /// the domain size and function values as varints, every relation table
+  /// as a bitmap. Member tables (solver/member_table.h) keep member
   /// streams in this form, at a fraction of a Structure's footprint.
-  void AppendPacked(std::string& out) const;
+  char* WritePacked(char* out) const;
+  /// An upper bound on the bytes of this structure's packed record.
+  std::size_t PackedBound() const;
 
-  /// Overwrites this structure with the record AppendPacked wrote at
+  /// Overwrites this structure with the record WritePacked wrote at
   /// `data` for a structure over the same schema, reusing the table
   /// storage (no allocation once the tables have grown to the domain
   /// size). Returns the number of bytes read.

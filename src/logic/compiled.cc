@@ -96,6 +96,124 @@ void EmitFormula(const Formula& f, std::vector<Instr>& code) {
 
 }  // namespace
 
+bool GuardAtom::Holds(const Structure& s,
+                      std::span<const Elem> valuation) const {
+  if (rel == kEquality) return valuation[vars[0]] == valuation[vars[1]];
+  if (arity == 2) return s.Holds2(rel, valuation[vars[0]], valuation[vars[1]]);
+  if (arity == 1) return s.Holds1(rel, valuation[vars[0]]);
+  Elem tuple[kMaxArity];
+  for (int i = 0; i < arity; ++i) tuple[i] = valuation[vars[i]];
+  return s.Holds(rel, std::span<const Elem>(tuple, arity));
+}
+
+std::optional<SlicedGuard> SlicedGuard::Lower(const Formula& f) {
+  SlicedGuard g;
+  int depth = 0;
+  int max_depth = 0;
+  // Pushes one instruction that pops `pops` words and pushes one.
+  auto emit = [&](Op op, std::int32_t a, int pops) {
+    g.code_.push_back(Instr{op, a});
+    depth += 1 - pops;
+    max_depth = std::max(max_depth, depth);
+  };
+  auto emit_atom = [&](const GuardAtom& atom) {
+    auto it = std::find(g.atoms_.begin(), g.atoms_.end(), atom);
+    if (it == g.atoms_.end()) it = g.atoms_.insert(g.atoms_.end(), atom);
+    emit(Op::kAtom, static_cast<std::int32_t>(it - g.atoms_.begin()), 0);
+  };
+  // Compile-time recursion only, as in EmitFormula.
+  auto lower = [&](auto& self, const Formula& node) -> bool {
+    switch (node.kind()) {
+      case Formula::Kind::kTrue:
+        emit(Op::kTrue, 0, 0);
+        return true;
+      case Formula::Kind::kFalse:
+        emit(Op::kFalse, 0, 0);
+        return true;
+      case Formula::Kind::kRel:
+      case Formula::Kind::kEq: {
+        const std::vector<Term>& ts = node.terms();
+        if (ts.size() > static_cast<std::size_t>(GuardAtom::kMaxArity)) {
+          return false;
+        }
+        GuardAtom atom;
+        atom.rel = node.kind() == Formula::Kind::kRel ? node.rel()
+                                                      : GuardAtom::kEquality;
+        atom.arity = static_cast<std::int32_t>(ts.size());
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+          if (!IsVar(ts[i])) return false;
+          atom.vars[i] = ts[i].var;
+        }
+        emit_atom(atom);
+        return true;
+      }
+      case Formula::Kind::kNot:
+        if (!self(self, *node.children()[0])) return false;
+        emit(Op::kNot, 0, 1);
+        return true;
+      case Formula::Kind::kAnd:
+      case Formula::Kind::kOr: {
+        const bool is_and = node.kind() == Formula::Kind::kAnd;
+        const auto& cs = node.children();
+        if (cs.empty()) {
+          emit(is_and ? Op::kTrue : Op::kFalse, 0, 0);
+          return true;
+        }
+        for (const FormulaRef& c : cs) {
+          if (!self(self, *c)) return false;
+        }
+        const int n = static_cast<int>(cs.size());
+        emit(is_and ? Op::kAnd : Op::kOr, n, n);
+        return true;
+      }
+      case Formula::Kind::kExists:
+        return false;
+    }
+    return false;
+  };
+  if (!lower(lower, f) || max_depth > kMaxDepth) return std::nullopt;
+  g.num_vars_ = f.MaxVar() + 1;
+  return g;
+}
+
+std::uint64_t SlicedGuard::Eval(const std::uint64_t* words,
+                                const int* index) const {
+  std::uint64_t stack[kMaxDepth];
+  int top = 0;
+  for (const Instr& ins : code_) {
+    switch (ins.op) {
+      case Op::kTrue:
+        stack[top++] = ~std::uint64_t{0};
+        break;
+      case Op::kFalse:
+        stack[top++] = 0;
+        break;
+      case Op::kAtom:
+        stack[top++] = words[index[ins.a]];
+        break;
+      case Op::kNot:
+        stack[top - 1] = ~stack[top - 1];
+        break;
+      case Op::kAnd: {
+        top -= ins.a;
+        std::uint64_t v = stack[top];
+        for (int i = 1; i < ins.a; ++i) v &= stack[top + i];
+        stack[top++] = v;
+        break;
+      }
+      case Op::kOr: {
+        top -= ins.a;
+        std::uint64_t v = stack[top];
+        for (int i = 1; i < ins.a; ++i) v |= stack[top + i];
+        stack[top++] = v;
+        break;
+      }
+    }
+  }
+  assert(top == 1);
+  return stack[0];
+}
+
 CompiledGuard CompiledGuard::Compile(const Formula& f) {
   CompiledGuard g;
   g.num_vars_ = f.MaxVar() + 1;

@@ -25,10 +25,20 @@
 // immutable after Compile and shareable across threads; all mutable state
 // (value/bool/frame stacks, scratch valuation) lives in the GuardEvaluator,
 // so each sweep worker owns one evaluator and evaluates concurrently.
+//
+// SlicedGuard is the VM's word-parallel sibling for the common guard shape:
+// a quantifier-free formula whose atoms are relations over plain variables
+// or equalities of two variables. It lowers to AND/OR/NOT over one bitmap
+// per atom, so a sweep over a member table (solver/member_table.h), which
+// keeps those bitmaps as columns across its members, decides 64 members
+// per machine word. Bit i of SlicedGuard::Eval equals GuardEvaluator::Eval
+// on member i — pinned by the same differential fuzz.
 #ifndef AMALGAM_LOGIC_COMPILED_H_
 #define AMALGAM_LOGIC_COMPILED_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -100,6 +110,59 @@ class GuardEvaluator {
   std::vector<Elem> values_;
   std::vector<char> bools_;
   std::vector<Frame> frames_;
+};
+
+/// An atom a SlicedGuard reads: `rel`(x_vars[0], ..., x_vars[arity-1])
+/// over plain variables, or x_vars[0] = x_vars[1] when `rel` is kEquality.
+struct GuardAtom {
+  static constexpr std::int32_t kEquality = -1;
+  /// The widest relation atom a guard may slice.
+  static constexpr int kMaxArity = 4;
+
+  std::int32_t rel = kEquality;
+  std::int32_t arity = 2;
+  std::int32_t vars[kMaxArity] = {};
+
+  /// Whether the atom holds in `s` under `valuation`, which must cover
+  /// every variable the atom names.
+  bool Holds(const Structure& s, std::span<const Elem> valuation) const;
+
+  friend bool operator==(const GuardAtom& a, const GuardAtom& b) {
+    return a.rel == b.rel && a.arity == b.arity &&
+           std::equal(a.vars, a.vars + a.arity, b.vars);
+  }
+};
+
+/// A quantifier-free guard without function terms, lowered to word-wide
+/// Boolean ops over its atoms. Immutable after Lower; shareable.
+class SlicedGuard {
+ public:
+  /// Lowers `f`, or returns nullopt when it has a quantifier, a function
+  /// term, a relation wider than GuardAtom::kMaxArity or more nesting than
+  /// the evaluation stack holds — guards that stay on the VM.
+  static std::optional<SlicedGuard> Lower(const Formula& f);
+
+  /// The distinct atoms, in first-occurrence order.
+  const std::vector<GuardAtom>& atoms() const { return atoms_; }
+  /// Valuation size the atoms need: the largest variable + 1.
+  int num_vars() const { return num_vars_; }
+
+  /// The guard over 64 members at once: atom a's bits are
+  /// `words[index[a]]`, and bit i of the result is the guard on member i.
+  /// Bits past the members a caller holds are garbage; mask them.
+  std::uint64_t Eval(const std::uint64_t* words, const int* index) const;
+
+ private:
+  enum class Op : std::uint8_t { kTrue, kFalse, kAtom, kNot, kAnd, kOr };
+  struct Instr {
+    Op op;
+    std::int32_t a = 0;  // kAtom: atom index; kAnd/kOr: operand count
+  };
+  static constexpr int kMaxDepth = 32;
+
+  std::vector<Instr> code_;  // postfix
+  std::vector<GuardAtom> atoms_;
+  int num_vars_ = 0;
 };
 
 }  // namespace amalgam

@@ -78,9 +78,8 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
   // fixpoints need the complete graph) and stored for the next query. A
   // partial entry — left by an early-exited linear query over the same
   // guard set, possibly in another process via the store — is resumed
-  // from its cursor on a private copy rather than rebuilt. The build is
-  // eager under the default atom cap, so it may sweep the cache's member
-  // table for the class.
+  // from its cursor on a private copy rather than rebuilt. With a cache the
+  // build sweeps (and grows) the cache's member table for the class.
   std::shared_ptr<const SubTransitionGraph> graph;
   std::shared_ptr<SubTransitionGraph> resumed;
   const std::string& cache_key = context.key;
@@ -110,16 +109,16 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
     auto built = resumed ? std::move(resumed)
                          : std::make_shared<SubTransitionGraph>(guards, k);
     {
-      std::shared_ptr<const MemberTable> table;
-      if (cache != nullptr) {
-        table = cache->AcquireMemberTable(context.class_key(), cls, k,
-                                                result.stats, trace);
-      }
+      const std::shared_ptr<MemberTable> table =
+          cache != nullptr
+              ? cache->AcquireMemberTable(context.class_key(), cls, k)
+              : nullptr;
       ScopedSpan build_span(trace, "full_build");
+      const SolveStats before = result.stats;
       built->BuildFull(MemberSource{cls, table.get()}, result.stats);
-      build_span.Annotate("source", table ? "table" : "stream");
       build_span.Annotate("members_generated", result.stats.members_generated);
       build_span.Annotate("edges", built->num_edges());
+      AnnotateSweepSource(build_span, table.get(), before, result.stats);
     }
     if (cache) cache->Insert(cache_key, built, trace);
     graph = std::move(built);

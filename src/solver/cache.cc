@@ -71,86 +71,36 @@ void GraphCache::AppendGuards(const InternedGuards& interned,
   }
 }
 
-std::shared_ptr<const MemberTable> GraphCache::AcquireMemberTable(
-    std::string_view class_key, const SolverBackend& backend, int k,
-    SolveStats& stats, TraceRecorder* trace) {
-  std::shared_future<std::shared_ptr<const MemberTable>> pending;
-  std::promise<std::shared_ptr<const MemberTable>> build;
-  std::uint64_t build_id = 0;
-  {
-    std::lock_guard<std::mutex> lock(tables_mutex_);
-    auto it = std::find_if(tables_.begin(), tables_.end(),
-                           [&](const TableSlot& slot) {
-                             return slot.class_key == class_key;
-                           });
-    if (it == tables_.end()) {
-      // First request: remember the class, and let the caller stream.
-      TableSlot slot;
-      slot.class_key = class_key;
-      slot.id = next_table_id_++;
-      tables_.insert(tables_.begin(), std::move(slot));
-      if (tables_.size() > kMaxMemberTables) tables_.pop_back();
-      return nullptr;
-    }
+std::shared_ptr<MemberTable> GraphCache::AcquireMemberTable(
+    std::string_view class_key, const SolverBackend& backend, int k) {
+  std::lock_guard<std::mutex> lock(tables_mutex_);
+  auto it = std::find_if(tables_.begin(), tables_.end(),
+                         [&](const TableSlot& slot) {
+                           return slot.class_key == class_key;
+                         });
+  if (it != tables_.end()) {
     std::rotate(tables_.begin(), it, it + 1);  // freshest first
-    TableSlot& slot = tables_.front();
-    if (slot.table.valid()) {
-      pending = slot.table;
-    } else {
-      build_id = slot.id;
-      slot.table = build.get_future().share();
-    }
+    member_table_hits_.fetch_add(1, std::memory_order_relaxed);
+    return tables_.front().table;
   }
-  if (pending.valid()) {
-    std::shared_ptr<const MemberTable> table;
-    try {
-      table = pending.get();
-    } catch (...) {
-      return nullptr;  // the build failed: this query streams instead
-    }
-    if (table) member_table_hits_.fetch_add(1, std::memory_order_relaxed);
-    return table;
-  }
-
+  // First request: an empty table, which the caller's sweep grows.
+  tables_.insert(tables_.begin(),
+                 TableSlot{std::string(class_key),
+                           std::make_shared<MemberTable>(backend.schema(), k)});
+  if (tables_.size() > kMaxMemberTables) tables_.pop_back();
   member_table_builds_.fetch_add(1, std::memory_order_relaxed);
-  ScopedSpan build_span(trace, "member_table_build");
-  std::shared_ptr<const MemberTable> table;
-  try {
-    table = MemberTable::Build(backend, k, &stats.members_generated);
-  } catch (...) {
-    build.set_exception(std::current_exception());
-    std::lock_guard<std::mutex> lock(tables_mutex_);
-    std::erase_if(tables_, [&](const TableSlot& slot) {
-      return slot.id == build_id;
-    });
-    throw;
-  }
-  build.set_value(table);
-  build_span.Annotate("tabled", std::uint64_t{table != nullptr});
-  if (!table) return nullptr;
-  {
-    std::lock_guard<std::mutex> lock(tables_mutex_);
-    for (TableSlot& slot : tables_) {
-      if (slot.id == build_id) slot.bytes = table->bytes();
-    }
-  }
-  build_span.Annotate("initial_members", table->initial_size());
-  build_span.Annotate("joint_members", table->joint_size());
-  build_span.Annotate("bytes", static_cast<std::uint64_t>(table->bytes()));
-  return table;
+  return tables_.front().table;
 }
 
 std::size_t GraphCache::member_tables() const {
   std::lock_guard<std::mutex> lock(tables_mutex_);
-  return static_cast<std::size_t>(
-      std::count_if(tables_.begin(), tables_.end(),
-                    [](const TableSlot& slot) { return slot.bytes > 0; }));
+  return tables_.size();
 }
 
 std::size_t GraphCache::member_table_bytes() const {
   std::lock_guard<std::mutex> lock(tables_mutex_);
   std::size_t bytes = 0;
-  for (const TableSlot& slot : tables_) bytes += slot.bytes;
+  for (const TableSlot& slot : tables_) bytes += slot.table->bytes();
   return bytes;
 }
 

@@ -27,15 +27,13 @@
 // The cache also owns the classes' member tables (solver/member_table.h),
 // keyed by (fingerprint, k) — ClassKey, the graph key's class prefix. A
 // table is what every graph over one class shares whatever its guards: the
-// enumerated member streams and their interned projections. Only eager
-// builds, which sweep the whole class anyway, ask for a table, and the
-// class's first request only records the class: a table is built on its
-// second, so a class that is swept once costs what it did without tables.
-// The build is single-flight — every concurrent request for the class
-// waits for it — so which query pays for the enumeration depends on
-// scheduling but how often it is paid does not. The classes remembered,
-// tabled or not, are LRU-bounded by a fixed count (kMaxMemberTables),
-// independent of `max_entries`, and live in memory only.
+// enumerated member streams and their interned projections. Every
+// positioned sweep under the default atom cap, eager or on the fly, asks
+// for its class's table; the class's first request creates it empty, and
+// the sweeps grow it as far as the furthest of them needed, so a class is
+// enumerated at most once however its queries interleave. The tables are
+// LRU-bounded by a fixed count (kMaxMemberTables), independent of
+// `max_entries`, and live in memory only.
 //
 // Store loads and saves run *outside* the map mutex (the store handle is
 // snapshotted under the lock, the I/O happens unlocked, and the result is
@@ -46,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -96,24 +93,16 @@ class GraphCache {
   /// backend.schema(), each distinct guard printed once — to a ClassKey.
   static void AppendGuards(const InternedGuards& interned, std::string& key);
 
-  /// Classes remembered (with or without a table), least recently
-  /// requested forgotten first.
+  /// Member tables held, least recently requested forgotten first.
   static constexpr std::size_t kMaxMemberTables = 16;
 
-  /// The member table of `class_key` (ClassKey(backend, k)) for an eager
-  /// build under the default atom cap, or nullptr when the caller should
-  /// stream from `backend` instead. The class's first request returns
-  /// nullptr and only records the class; the second builds the table from
-  /// `backend`. Concurrent callers for one class share a single build: the
-  /// caller that starts it adds the enumeration to its
-  /// `stats.members_generated` and, with a non-null `trace`, records a
-  /// "member_table_build" span; the others wait for it. A class that
-  /// MemberTable::Build leaves untabled returns nullptr to every later
-  /// request until it is forgotten. A build that throws rethrows to its
-  /// caller, returns nullptr to the waiters and forgets the class.
-  std::shared_ptr<const MemberTable> AcquireMemberTable(
-      std::string_view class_key, const SolverBackend& backend, int k,
-      SolveStats& stats, TraceRecorder* trace = nullptr);
+  /// The member table of `class_key` (ClassKey(backend, k)), for a sweep
+  /// under the default atom cap (MemberTable::Serves). The class's first
+  /// request creates the table empty; the sweeps that read it grow it. A
+  /// forgotten table stays alive for the sweeps still holding it.
+  std::shared_ptr<MemberTable> AcquireMemberTable(std::string_view class_key,
+                                                  const SolverBackend& backend,
+                                                  int k);
 
   /// Attaches the disk tier rooted at `dir` (created if absent; throws
   /// std::runtime_error when that fails). Re-attaching the same directory
@@ -199,8 +188,7 @@ class GraphCache {
   std::uint64_t store_writes() const {
     return store_writes_.load(std::memory_order_relaxed);
   }
-  /// Member table builds started (including ones that left the class
-  /// untabled), and requests served by an existing or in-flight table.
+  /// Member tables created, and requests that found their class's table.
   std::uint64_t member_table_builds() const {
     return member_table_builds_.load(std::memory_order_relaxed);
   }
@@ -234,20 +222,14 @@ class GraphCache {
   /// without it (AttachStore may swap the tier concurrently).
   std::shared_ptr<const GraphStore> StoreSnapshot() const;
 
-  // One remembered class: its member table, in flight or built, once the
-  // class's second request started the build. `bytes` is 0 until a table
-  // is built (and stays 0 for a class left untabled).
   struct TableSlot {
     std::string class_key;
-    std::uint64_t id = 0;
-    std::shared_future<std::shared_ptr<const MemberTable>> table;
-    std::size_t bytes = 0;
+    std::shared_ptr<MemberTable> table;
   };
 
   mutable std::mutex tables_mutex_;
   // Most recently requested first; at most kMaxMemberTables long.
   std::vector<TableSlot> tables_;
-  std::uint64_t next_table_id_ = 0;
   std::atomic<std::uint64_t> member_table_builds_{0};
   std::atomic<std::uint64_t> member_table_hits_{0};
 

@@ -195,24 +195,31 @@ void ExplorationEngine::RunOnTheFly() {
   }
   const std::uint64_t raw_hits_before = owned_graph_->interner().raw_hits();
 
+  // The cache-less frontier sweep draws no table; every positioned sweep
+  // below reads (and grows) the class's table when the query has one.
+  const std::shared_ptr<MemberTable> table = AcquireTable();
+  const MemberSource source{backend_, table.get(),
+                            options_.relational_atom_cap};
+
   // Initial frontier: members generated by the k registers, seeded as they
   // stream in (resuming mid-phase when the graph's cursor says so); an
   // accepting initial state exits before the 2k sweep starts.
   if (owned_graph_->cursor().phase == kCursorPhaseInitial) {
     ScopedSpan sweep_span(options_.trace, "sweep_initial");
-    const std::uint64_t enumerated_before = result_.stats.members_enumerated;
-    const std::uint64_t generated_before = result_.stats.members_generated;
-    owned_graph_->SweepInitial(StreamSource(), result_.stats,
-                               ~std::uint64_t{0},
+    const SolveStats before = result_.stats;
+    owned_graph_->SweepInitial(source, result_.stats, ~std::uint64_t{0},
                                [&](int shape) {
                                  EnsureConfigCapacity();
                                  SeedInitialShape(shape);
                                  return goal_ < 0;
                                });
     sweep_span.Annotate("members_enumerated",
-                        result_.stats.members_enumerated - enumerated_before);
+                        result_.stats.members_enumerated -
+                            before.members_enumerated);
     sweep_span.Annotate("members_generated",
-                        result_.stats.members_generated - generated_before);
+                        result_.stats.members_generated -
+                            before.members_generated);
+    AnnotateSweepSource(sweep_span, table.get(), before, result_.stats);
   }
 
   // Joint sweep. Backends with the EnumerateExtensions capability get the
@@ -236,16 +243,18 @@ void ExplorationEngine::RunOnTheFly() {
   // resume.
   if (goal_ < 0) {
     ScopedSpan sweep_span(options_.trace, "sweep_joint");
-    const std::uint64_t enumerated_before = result_.stats.members_enumerated;
+    const SolveStats before = result_.stats;
     const std::uint64_t edges_before = owned_graph_->num_edges();
     owned_graph_->SweepJoint(
-        StreamSource(), result_.stats, ~std::uint64_t{0},
+        source, result_.stats, ~std::uint64_t{0},
         [this](int guard, int old_shape, int new_shape) {
           return RelaxNewEdge(guard, old_shape, new_shape);
         });
     sweep_span.Annotate("members_enumerated",
-                        result_.stats.members_enumerated - enumerated_before);
+                        result_.stats.members_enumerated -
+                            before.members_enumerated);
     sweep_span.Annotate("edges", owned_graph_->num_edges() - edges_before);
+    AnnotateSweepSource(sweep_span, table.get(), before, result_.stats);
   }
   // Only this query's own canonicalization work: a copied in-process
   // partial entry carries its builder's counter, which is not ours.
@@ -253,8 +262,12 @@ void ExplorationEngine::RunOnTheFly() {
       owned_graph_->interner().raw_hits() - raw_hits_before;
 }
 
-MemberSource ExplorationEngine::StreamSource() const {
-  return MemberSource{backend_, nullptr, options_.relational_atom_cap};
+std::shared_ptr<MemberTable> ExplorationEngine::AcquireTable() const {
+  if (options_.cache == nullptr ||
+      !MemberTable::Serves(options_.relational_atom_cap)) {
+    return nullptr;
+  }
+  return options_.cache->AcquireMemberTable(ctx_->class_key(), backend_, k_);
 }
 
 void ExplorationEngine::RunFrontierSweep() {
@@ -315,14 +328,7 @@ void ExplorationEngine::RunFullGraph() {
     // Build — or, when owned_graph_ was preloaded from a partial cache
     // entry, finish — the complete graph, then publish it.
     {
-      // A whole-class sweep: the class's member table serves it when the
-      // caller's cache has (or now builds) one.
-      std::shared_ptr<const MemberTable> table;
-      if (options_.cache != nullptr &&
-          MemberTable::Serves(options_.relational_atom_cap)) {
-        table = options_.cache->AcquireMemberTable(
-            ctx_->class_key(), backend_, k_, result_.stats, options_.trace);
-      }
+      const std::shared_ptr<MemberTable> table = AcquireTable();
       const MemberSource source{backend_, table.get(),
                                 options_.relational_atom_cap};
       ScopedSpan build_span(options_.trace, "full_build");
@@ -332,11 +338,12 @@ void ExplorationEngine::RunFullGraph() {
       const std::uint64_t max_shapes =
           num_states_ == 0 ? ~std::uint64_t{0}
                            : options_.max_configs / num_states_;
+      const SolveStats before = result_.stats;
       owned_graph_->BuildFull(source, result_.stats, max_shapes);
-      build_span.Annotate("source", table ? "table" : "stream");
       build_span.Annotate("members_generated",
                           result_.stats.members_generated);
       build_span.Annotate("edges", owned_graph_->num_edges());
+      AnnotateSweepSource(build_span, table.get(), before, result_.stats);
     }
     if (options_.cache) {
       options_.cache->Insert(ctx_->key, owned_graph_, options_.trace);
@@ -465,7 +472,8 @@ std::uint64_t ExplorationEngine::RealizeSteps(
   GuardEvaluator eval;
   // Unrealized steps keep guard -1.
   std::vector<SubTransition>& steps = result_.steps;
-  steps.assign(num_steps, SubTransition{-1, Structure(backend_.schema(), 0)});
+  steps.assign(num_steps,
+               SubTransition{-1, Structure(backend_.schema(), 0), {}});
   std::uint64_t members = 0;
   // Records (d, marks) as step i, and returns true, when it realizes the
   // still unrealized path edge i.

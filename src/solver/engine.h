@@ -97,12 +97,12 @@ struct SolveOptions {
   /// if the verdict needs more of the class. Misses build fresh. With
   /// kOnTheFly the build keeps its early exit — the resulting partial
   /// graph is cached (and persisted, with a store) for the next query to
-  /// extend; with kEager the build runs to completion as before, drawing
-  /// its members from the class's member table
+  /// extend; with kEager the build runs to completion as before. Either
+  /// way the sweeps draw their members from the class's member table
   /// (GraphCache::AcquireMemberTable) when the query keeps the default
-  /// atom cap: the class's second eager build builds the table, later ones
-  /// only run guards. Graphs and all counters but members_generated are
-  /// the same as without the table. Graphs persist across processes when
+  /// atom cap: they read what earlier sweeps over the class appended and
+  /// append what they sweep past its end. Graphs and all counters but
+  /// members_generated are the same as without the table. Graphs persist across processes when
   /// the cache has a store attached (GraphCache::AttachStore): a query in
   /// a fresh process finds the previous run's complete graph (zero
   /// enumeration) or resumes its partial one from the stored cursor. The
@@ -247,10 +247,10 @@ class ExplorationEngine {
   /// run; throws WitnessInvalidError when either does not hold up.
   void ReconstructWitness();
 
-  /// The backend's streams under this query's atom cap: what the
-  /// on-the-fly sweeps read. They never use a member table, so a query
-  /// that exits early enumerates no more than it needs.
-  MemberSource StreamSource() const;
+  /// The class's member table for this query's positioned sweeps: the
+  /// cache's (GraphCache::AcquireMemberTable) when the query has a cache
+  /// and keeps the default atom cap, else null and the sweeps stream.
+  std::shared_ptr<MemberTable> AcquireTable() const;
 
   /// Validates the system against the context and builds the rule tables.
   void Init();

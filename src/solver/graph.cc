@@ -1,10 +1,13 @@
 #include "solver/graph.h"
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
+#include "obs/trace.h"
 #include "solver/member_table.h"
 
 namespace amalgam {
@@ -20,11 +23,22 @@ std::uint64_t PackShapePair(int old_shape, int new_shape) {
 
 }  // namespace
 
+void AnnotateSweepSource(ScopedSpan& span, const MemberTable* table,
+                         const SolveStats& before, const SolveStats& stats) {
+  span.Annotate("source", table != nullptr ? "table" : "stream");
+  span.Annotate("members_appended",
+                stats.members_appended - before.members_appended);
+  span.Annotate("members_unpacked",
+                stats.members_unpacked - before.members_unpacked);
+}
+
 SubTransitionGraph::SubTransitionGraph(std::vector<FormulaRef> guards, int k)
     : guards_(std::move(guards)), k_(k), seen_(guards_.size()) {
   compiled_guards_.reserve(guards_.size());
+  sliced_guards_.reserve(guards_.size());
   for (const FormulaRef& g : guards_) {
     compiled_guards_.push_back(CompiledGuard::Compile(*g));
+    sliced_guards_.push_back(SlicedGuard::Lower(*g));
   }
 }
 
@@ -96,24 +110,21 @@ int SubTransitionGraph::AddInitialMember(const Structure& d,
   return MarkInitial(interner_.Intern(d, marks));
 }
 
-// One joint member through the guard sweep: evaluates every compiled guard
-// in order; on the first hit interns the old/new k-mark projections (old
+// One joint member through the guard sweep: evaluates every guard in
+// order; on the first hit interns the old/new k-mark projections (old
 // before new — the order that fixes shape numbering) and records one edge
 // per (guard, old, new) triple not seen before.
-template <typename Intern>
-bool SubTransitionGraph::SweepMember(const Structure& d,
-                                     std::span<const Elem> marks,
-                                     SolveStats& stats, Intern&& intern,
+template <typename Hit, typename Intern>
+bool SubTransitionGraph::SweepMember(SolveStats& stats, Hit&& hit,
+                                     Intern&& intern,
                                      const EdgeCallback& on_new_edge) {
   int old_shape = -1;
   int new_shape = -1;
   for (std::size_t g = 0; g < compiled_guards_.size(); ++g) {
     ++stats.guard_evaluations;
-    if (!guard_eval_.Eval(compiled_guards_[g], d, marks)) continue;
+    if (!hit(g)) continue;
     if (old_shape < 0) {
-      std::tie(old_shape, new_shape) =
-          intern(std::span<const Elem>(marks.data(), k_),
-                 std::span<const Elem>(marks.data() + k_, k_));
+      std::tie(old_shape, new_shape) = intern();
       if (static_cast<std::size_t>(interner_.size()) >
           edges_by_shape_.size()) {
         edges_by_shape_.resize(interner_.size());
@@ -136,10 +147,14 @@ bool SubTransitionGraph::ProcessJointMember(const Structure& d,
                                             SolveStats& stats,
                                             const EdgeCallback& on_new_edge) {
   return SweepMember(
-      d, marks, stats,
-      [&](std::span<const Elem> old_marks, std::span<const Elem> new_marks) {
-        const int old_shape = interner_.InternProjection(d, old_marks);
-        const int new_shape = interner_.InternProjection(d, new_marks);
+      stats,
+      [&](std::size_t g) {
+        return guard_eval_.Eval(compiled_guards_[g], d, marks);
+      },
+      [&] {
+        const int old_shape = interner_.InternProjection(d, marks.first(k_));
+        const int new_shape =
+            interner_.InternProjection(d, marks.subspan(k_, k_));
         return std::pair<int, int>(old_shape, new_shape);
       },
       on_new_edge);
@@ -152,6 +167,91 @@ void SubTransitionGraph::CheckShapeCap(std::uint64_t max_shapes) const {
   }
 }
 
+// One sweep over a member table: the table's shape ids mapped into the
+// graph through InternCanonical — on a member's first guard hit, old
+// before new, the order and forms a streamed sweep interns — memoized for
+// the sweep, plus the bit-slicing plan, made on the sweep's first read.
+struct SubTransitionGraph::TableSweep {
+  TableSweep(MemberTable& table, ConfigInterner& into)
+      : table(table), into(into), joint(table.schema(), 0) {}
+
+  int Map(int table_shape) {
+    if (static_cast<std::size_t>(table_shape) >= to_graph.size()) {
+      to_graph.resize(table_shape + 1, -1);
+    }
+    int& mapped = to_graph[table_shape];
+    if (mapped < 0) mapped = table.MapShape(table_shape, into);
+    return mapped;
+  }
+  std::pair<int, int> Map(std::pair<int, int> table_shapes) {
+    const int old_shape = Map(table_shapes.first);
+    const int new_shape = Map(table_shapes.second);
+    return {old_shape, new_shape};
+  }
+
+  MemberTable& table;
+  ConfigInterner& into;
+  std::vector<int> to_graph;
+
+  bool planned = false;
+  // Per guard: its index into `slices`, or -1 for a guard on the VM.
+  std::vector<int> slice_of;
+  // Per sliced guard: its atoms' positions in `columns`.
+  std::vector<std::vector<int>> slices;
+  std::vector<MemberTable::Column> columns;
+  bool any_vm = false;
+  // The VM path's unpacked member.
+  Structure joint;
+  std::vector<Elem> marks;
+};
+
+namespace {
+
+// A stream's extension claim (MemberTable::Claim), released exactly once:
+// by the sweep, or by the unwinding of one that throws.
+class ExtensionClaim {
+ public:
+  ExtensionClaim(MemberTable* table, int stream)
+      : table_(table), stream_(stream) {}
+  ~ExtensionClaim() { Release(false); }
+  ExtensionClaim(const ExtensionClaim&) = delete;
+  ExtensionClaim& operator=(const ExtensionClaim&) = delete;
+
+  bool held() const { return table_ != nullptr; }
+  void Release(bool exhausted) {
+    if (table_ != nullptr) table_->EndExtend(stream_, exhausted);
+    table_ = nullptr;
+  }
+
+ private:
+  MemberTable* table_;
+  int stream_;
+};
+
+// One stream's sweep through `table` from `cursor`: the prefix the table
+// holds goes to `read(end)`, which sweeps up to `end`; the rest to
+// `stream(extend)`, which streams from the backend, appending to the
+// table when `extend`. False once either is stopped.
+template <typename Read, typename Stream>
+bool SweepThrough(MemberTable& table, int stream_id, const BuildCursor& cursor,
+                  Read&& read, Stream&& stream) {
+  for (;;) {
+    switch (table.Claim(stream_id, cursor.next_member)) {
+      case MemberTable::Reach::kRead:
+        if (!read(table.size(stream_id))) return false;
+        break;
+      case MemberTable::Reach::kExtend:
+        return stream(true);
+      case MemberTable::Reach::kStream:
+        return stream(false);
+      case MemberTable::Reach::kEnd:
+        return true;
+    }
+  }
+}
+
+}  // namespace
+
 bool SubTransitionGraph::SweepInitial(
     const MemberSource& source, SolveStats& stats, std::uint64_t max_shapes,
     const std::function<bool(int shape)>& visit) {
@@ -161,27 +261,46 @@ bool SubTransitionGraph::SweepInitial(
     CheckShapeCap(max_shapes);
     return !visit || visit(shape);
   };
-  if (const MemberTable* table = source.table) {
-    for (std::uint64_t i = cursor_.next_member; i < table->initial_size();
-         ++i) {
-      ++stats.members_enumerated;
-      const int shape = MarkInitial(
-          interner_.InternCanonical(table->shape(table->initial_shape(i))));
-      if (!swept(shape, i)) return false;
-    }
-  } else {
+  std::optional<TableSweep> sweep;
+  if (source.table != nullptr) sweep.emplace(*source.table, interner_);
+  // Streams from the cursor; while this sweep holds the table's extension
+  // claim, each member is also appended to the table.
+  auto stream = [&](bool extend) {
+    ExtensionClaim claim(extend ? source.table : nullptr,
+                         MemberTable::kInitial);
     bool stopped = false;
     source.backend.EnumerateGeneratedFrom(
         k_, cursor_.next_member,
         [&](const Structure& d, std::span<const Elem> marks,
             std::uint64_t stream_index) {
           ++stats.members_enumerated;
+          if (claim.held()) {
+            if (source.table->Append(MemberTable::kInitial, d, marks)) {
+              ++stats.members_appended;
+            } else {
+              claim.Release(false);
+            }
+          }
           stopped = !swept(AddInitialMember(d, marks), stream_index);
           return !stopped;
         },
         EnumControl{&stats.members_generated, source.atom_cap});
-    if (stopped) return false;
-  }
+    claim.Release(!stopped);
+    return !stopped;
+  };
+  auto read = [&](std::uint64_t end) {
+    for (std::uint64_t i = cursor_.next_member; i < end; ++i) {
+      ++stats.members_enumerated;
+      const int shape = MarkInitial(sweep->Map(source.table->InitialShape(i)));
+      if (!swept(shape, i)) return false;
+    }
+    return true;
+  };
+  const bool swept_all =
+      sweep ? SweepThrough(*source.table, MemberTable::kInitial, cursor_,
+                           read, stream)
+            : stream(false);
+  if (!swept_all) return false;
   cursor_ = BuildCursor{kCursorPhaseJoint, 0};
   return true;
 }
@@ -190,54 +309,149 @@ bool SubTransitionGraph::SweepJoint(const MemberSource& source,
                                     SolveStats& stats,
                                     std::uint64_t max_shapes,
                                     const EdgeCallback& on_new_edge) {
-  if (const MemberTable* table = source.table) {
-    // The table's shape ids map into the graph through InternCanonical on
-    // a member's first guard hit, old before new — the order and forms a
-    // streamed sweep interns — memoized for the rest of the sweep.
-    std::vector<int> to_graph(table->num_shapes(), -1);
-    auto map_shape = [&](int table_shape) {
-      int& mapped = to_graph[table_shape];
-      if (mapped < 0) {
-        mapped = interner_.InternCanonical(table->shape(table_shape));
+  std::optional<TableSweep> sweep;
+  if (source.table != nullptr) sweep.emplace(*source.table, interner_);
+  auto stream = [&](bool extend) {
+    return StreamJoint(source, extend ? source.table : nullptr, stats,
+                       max_shapes, on_new_edge);
+  };
+  auto read = [&](std::uint64_t end) {
+    return ReadJoint(*sweep, end, stats, max_shapes, on_new_edge);
+  };
+  const bool swept_all =
+      sweep ? SweepThrough(*source.table, MemberTable::kJoint, cursor_,
+                           read, stream)
+            : stream(false);
+  if (!swept_all) return false;
+  cursor_ = BuildCursor{kCursorPhaseComplete, 0};
+  return true;
+}
+
+bool SubTransitionGraph::StreamJoint(const MemberSource& source,
+                                     MemberTable* extend, SolveStats& stats,
+                                     std::uint64_t max_shapes,
+                                     const EdgeCallback& on_new_edge) {
+  ExtensionClaim claim(extend, MemberTable::kJoint);
+  bool stopped = false;
+  source.backend.EnumerateGeneratedFrom(
+      2 * k_, cursor_.next_member,
+      [&](const Structure& d, std::span<const Elem> marks,
+          std::uint64_t stream_index) {
+        ++stats.members_enumerated;
+        if (claim.held()) {
+          if (extend->Append(MemberTable::kJoint, d, marks)) {
+            ++stats.members_appended;
+          } else {
+            claim.Release(false);
+          }
+        }
+        const bool swept = ProcessJointMember(d, marks, stats, on_new_edge);
+        if (!swept) {
+          stopped = true;
+          return false;
+        }
+        cursor_.next_member = stream_index + 1;
+        CheckShapeCap(max_shapes);
+        return true;
+      },
+      EnumControl{&stats.members_generated, source.atom_cap});
+  claim.Release(!stopped);
+  return !stopped;
+}
+
+bool SubTransitionGraph::ReadJoint(TableSweep& sweep, std::uint64_t to,
+                                   SolveStats& stats,
+                                   std::uint64_t max_shapes,
+                                   const EdgeCallback& on_new_edge) {
+  MemberTable& table = sweep.table;
+  const std::size_t num_guards = compiled_guards_.size();
+  if (!sweep.planned) {
+    // Slice every guard whose atoms the marks cover; one column per
+    // distinct atom across them.
+    sweep.planned = true;
+    std::vector<GuardAtom> atoms;
+    for (std::size_t g = 0; g < num_guards; ++g) {
+      const std::optional<SlicedGuard>& sliced = sliced_guards_[g];
+      if (!sliced || sliced->num_vars() > 2 * k_) {
+        sweep.slice_of.push_back(-1);
+        sweep.any_vm = true;
+        continue;
       }
-      return mapped;
-    };
-    Structure joint(table->schema(), 0);
-    std::vector<Elem> marks;
-    for (std::uint64_t i = cursor_.next_member; i < table->joint_size(); ++i) {
-      ++stats.members_enumerated;
-      table->UnpackJoint(i, joint, marks);
-      const bool swept = SweepMember(
-          joint, marks, stats,
-          [&](std::span<const Elem>, std::span<const Elem>) {
-            const int old_shape = map_shape(table->joint_old_shape(i));
-            const int new_shape = map_shape(table->joint_new_shape(i));
-            return std::pair<int, int>(old_shape, new_shape);
+      sweep.slice_of.push_back(static_cast<int>(sweep.slices.size()));
+      std::vector<int>& index = sweep.slices.emplace_back();
+      for (const GuardAtom& atom : sliced->atoms()) {
+        auto it = std::find(atoms.begin(), atoms.end(), atom);
+        if (it == atoms.end()) it = atoms.insert(atoms.end(), atom);
+        index.push_back(static_cast<int>(it - atoms.begin()));
+      }
+    }
+    sweep.columns = table.Columns(atoms);
+  }
+
+  std::vector<std::uint64_t> words(sweep.columns.size());
+  std::vector<std::uint64_t> hits(num_guards);
+  std::uint64_t i = cursor_.next_member;
+  while (i < to) {
+    const std::uint64_t base = i & ~std::uint64_t{63};
+    const std::uint64_t end = std::min(to, base + 64);
+    for (std::size_t c = 0; c < words.size(); ++c) {
+      words[c] = sweep.columns[c][base / 64].load(std::memory_order_relaxed);
+    }
+    // Members [i, end) of this word.
+    const std::uint64_t live = (~std::uint64_t{0} >> (64 - (end - base))) &
+                               (~std::uint64_t{0} << (i - base));
+    std::uint64_t any = 0;
+    for (std::size_t g = 0; g < num_guards; ++g) {
+      const int s = sweep.slice_of[g];
+      if (s < 0) continue;
+      hits[g] = sliced_guards_[g]->Eval(words.data(), sweep.slices[s].data()) &
+                live;
+      any |= hits[g];
+    }
+    auto sweep_member = [&](std::uint64_t member, const Structure* d) {
+      const std::uint64_t bit = member - base;
+      return SweepMember(
+          stats,
+          [&](std::size_t g) {
+            return sweep.slice_of[g] >= 0
+                       ? (hits[g] >> bit & 1) != 0
+                       : guard_eval_.Eval(compiled_guards_[g], *d,
+                                          sweep.marks);
+          },
+          [&] {
+            return sweep.Map(table.JointShapes(member, d, sweep.marks));
           },
           on_new_edge);
-      if (!swept) return false;
+    };
+    if (!sweep.any_vm) {
+      // Only members with a hit are visited; the others count as swept
+      // with every guard evaluated.
+      for (std::uint64_t rest = any; rest != 0; rest &= rest - 1) {
+        const std::uint64_t member = base + std::countr_zero(rest);
+        stats.members_enumerated += member - i;
+        stats.guard_evaluations += (member - i) * num_guards;
+        cursor_.next_member = member;
+        ++stats.members_enumerated;
+        if (!sweep_member(member, nullptr)) return false;
+        cursor_.next_member = member + 1;
+        CheckShapeCap(max_shapes);
+        i = member + 1;
+      }
+      stats.members_enumerated += end - i;
+      stats.guard_evaluations += (end - i) * num_guards;
+      cursor_.next_member = end;
+      i = end;
+      continue;
+    }
+    for (; i < end; ++i) {
+      ++stats.members_enumerated;
+      ++stats.members_unpacked;
+      table.Unpack(MemberTable::kJoint, i, sweep.joint, sweep.marks);
+      if (!sweep_member(i, &sweep.joint)) return false;
       cursor_.next_member = i + 1;
       CheckShapeCap(max_shapes);
     }
-  } else {
-    bool stopped = false;
-    source.backend.EnumerateGeneratedFrom(
-        2 * k_, cursor_.next_member,
-        [&](const Structure& d, std::span<const Elem> marks,
-            std::uint64_t stream_index) {
-          ++stats.members_enumerated;
-          if (!ProcessJointMember(d, marks, stats, on_new_edge)) {
-            stopped = true;
-            return false;
-          }
-          cursor_.next_member = stream_index + 1;
-          CheckShapeCap(max_shapes);
-          return true;
-        },
-        EnumControl{&stats.members_generated, source.atom_cap});
-    if (stopped) return false;
   }
-  cursor_ = BuildCursor{kCursorPhaseComplete, 0};
   return true;
 }
 

@@ -19,9 +19,11 @@
 //
 // Every sweep draws its members from a MemberSource: the backend's
 // positioned streams, optionally fronted by the class's MemberTable
-// (solver/member_table.h), which holds the same members already enumerated
-// and their projections already interned. A table-fronted sweep only runs
-// guards, and builds the same graph bit for bit.
+// (solver/member_table.h), which holds a prefix of the same streams. A
+// table-fronted sweep reads that prefix with its quantifier-free guards
+// bit-sliced over the table's atom columns (SlicedGuard), visiting only
+// the members some guard hits, grows the table past its end from the
+// backend, and builds the same graph bit for bit.
 //
 // A graph depends only on (backend, k, guard set) — not on the control
 // skeleton that supplied the guards — so it is shareable across queries and
@@ -44,6 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -56,15 +59,17 @@
 namespace amalgam {
 
 class MemberTable;
+class ScopedSpan;
 
-/// Where a sweep's members come from: the class's `table` when set (the
-/// whole streams, unpacked member by member, with their projections
-/// pre-interned), `backend`'s positioned streams otherwise. `atom_cap` is
-/// threaded to the backend as EnumControl::atom_cap (0 = backend default);
-/// a table is only ever built and read under the default cap.
+/// Where a sweep's members come from: `backend`'s positioned streams,
+/// through the class's `table` when set — the sweep reads the members the
+/// table holds and grows it past its end (solver/member_table.h).
+/// `atom_cap` is threaded to the backend as EnumControl::atom_cap (0 =
+/// backend default); a table only ever grows and is read under the default
+/// cap.
 struct MemberSource {
   const SolverBackend& backend;
-  const MemberTable* table = nullptr;
+  MemberTable* table = nullptr;
   std::uint32_t atom_cap = 0;
 };
 
@@ -81,9 +86,20 @@ struct SolveStats {
   std::uint64_t edges = 0;               // distinct sub-transitions
   std::uint64_t configs = 0;             // distinct small configurations
   std::uint64_t raw_memo_hits = 0;       // canonicalizations skipped
+  /// Members this query's sweeps appended to their class's MemberTable.
+  std::uint64_t members_appended = 0;
+  /// Members a table sweep unpacked for guards the bit-sliced path cannot
+  /// decide (quantifiers, function terms).
+  std::uint64_t members_unpacked = 0;
   bool graph_from_cache = false;         // seeded by a GraphCache entry
   bool graph_resumed = false;            // that entry was partial (cursor)
 };
+
+/// Annotates a sweep's span with where its members came from (`source`:
+/// `table` or `stream`), and the members it appended to its class's table
+/// and unpacked from it: the growth of `stats` since `before`.
+void AnnotateSweepSource(ScopedSpan& span, const MemberTable* table,
+                         const SolveStats& before, const SolveStats& stats);
 
 /// Progress of a (possibly suspended) graph build, totally ordered by
 /// (phase, next_member). `next_member` is the position in the current
@@ -238,12 +254,25 @@ class SubTransitionGraph {
   /// Records `shape` as initial (once); returns it.
   int MarkInitial(int shape);
 
-  /// ProcessJointMember with the projections' shape ids supplied by
-  /// `intern(old_marks, new_marks)` on the member's first guard hit.
-  template <typename Intern>
-  bool SweepMember(const Structure& d, std::span<const Elem> marks,
-                   SolveStats& stats, Intern&& intern,
+  /// ProcessJointMember over one member whose guard g holds iff `hit(g)`,
+  /// with the projections' shape ids supplied by `intern()` on the
+  /// member's first guard hit.
+  template <typename Hit, typename Intern>
+  bool SweepMember(SolveStats& stats, Hit&& hit, Intern&& intern,
                    const EdgeCallback& on_new_edge);
+
+  /// One sweep's state over a member table (graph.cc).
+  struct TableSweep;
+  /// Streams the joint members from the cursor to the end of the stream;
+  /// with `extend` (a table whose extension claim this sweep holds) each
+  /// member is also appended to the table until it is full.
+  bool StreamJoint(const MemberSource& source, MemberTable* extend,
+                   SolveStats& stats, std::uint64_t max_shapes,
+                   const EdgeCallback& on_new_edge);
+  /// Sweeps the table's joint members from the cursor up to `to`, guards
+  /// bit-sliced over 64 members at a time where they allow it.
+  bool ReadJoint(TableSweep& sweep, std::uint64_t to, SolveStats& stats,
+                 std::uint64_t max_shapes, const EdgeCallback& on_new_edge);
 
   /// Throws once the interner holds more than `max_shapes` shapes.
   void CheckShapeCap(std::uint64_t max_shapes) const;
@@ -251,6 +280,9 @@ class SubTransitionGraph {
   std::vector<FormulaRef> guards_;
   // The guards lowered to bytecode once at construction (logic/compiled.h).
   std::vector<CompiledGuard> compiled_guards_;
+  // The guards lowered for bit-sliced table sweeps; nullopt keeps a guard
+  // on the VM.
+  std::vector<std::optional<SlicedGuard>> sliced_guards_;
   // The sweep's reusable VM state (the class is not thread-safe for
   // concurrent mutation).
   GuardEvaluator guard_eval_;

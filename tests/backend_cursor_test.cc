@@ -31,6 +31,7 @@
 #include "service/service.h"
 #include "solver/emptiness.h"
 #include "solver/graph.h"
+#include "solver/member_table.h"
 #include "solver/store.h"
 #include "system/zoo.h"
 #include "trees/run_class.h"
@@ -254,7 +255,7 @@ TEST(CursorConformanceTest, ServiceDeliversTheCapErrorInBand) {
 }
 
 TEST(CursorConformanceTest, WarmMemberTablesKeepTheAtomCapHonest) {
-  // A member table is only built and read under the default cap — an
+  // A member table only grows and is read under the default cap — an
   // atom_cap of 0 or of kDefaultRelationalAtomCap, which enumerate the
   // same streams. Once the class's table is warm, a capped query over a
   // fresh guard set still meets the cap in its own enumeration, and a
@@ -280,11 +281,10 @@ TEST(CursorConformanceTest, WarmMemberTablesKeepTheAtomCapHonest) {
     return request;
   };
 
-  // The class's first eager build streams; its second builds the table.
-  for (const char* guard : {"red(x_new)", "!red(x_new)"}) {
-    const QueryResult warm = service.Submit(request_for(guard, 0)).get();
-    ASSERT_TRUE(warm.ok) << warm.error;
-  }
+  // The class's first eager build creates its table and grows it whole.
+  const QueryResult warm = service.Submit(request_for("red(x_new)", 0)).get();
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_EQ(warm.stats.members_appended, warm.stats.members_enumerated);
   ServiceStats stats = service.Stats();
   ASSERT_EQ(stats.member_table_builds, 1u);
   ASSERT_EQ(stats.member_tables, 1u);
@@ -382,6 +382,20 @@ TEST(CursorConformanceTest, StoreResumedBuildGeneratesOnlyTheSuffix) {
   EXPECT_EQ(resumed_stats.members_generated, joint_total - cutoff);
   EXPECT_LT(resumed_stats.members_generated, initial_total + joint_total);
   EXPECT_EQ(SerializeGraph(*restored, key), SerializeGraph(cold, key));
+
+  // Through a member table that ends before the cursor (a fresh process's
+  // empty one), the resumed sweep streams the same suffix and appends
+  // nothing: the table cannot hold a stream with a gap.
+  MemberTable table(cls.schema(), k);
+  std::shared_ptr<SubTransitionGraph> via_table =
+      DeserializeGraph(bytes, key, cls.schema(), guards, k);
+  ASSERT_NE(via_table, nullptr);
+  SolveStats via_table_stats;
+  via_table->BuildFull(MemberSource{cls, &table}, via_table_stats);
+  EXPECT_EQ(via_table_stats.members_generated, joint_total - cutoff);
+  EXPECT_EQ(via_table_stats.members_appended, 0u);
+  EXPECT_EQ(table.joint_size(), 0u);
+  EXPECT_EQ(SerializeGraph(*via_table, key), SerializeGraph(cold, key));
 }
 
 }  // namespace

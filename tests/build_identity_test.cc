@@ -92,22 +92,23 @@ TEST(BuildIdentityTest, DuplicateGuardListsStayBitIdentical) {
     options.cache = &cache;
     return SolveEmptiness(system, all, options);
   };
-  GraphCache cold_cache;
-  eager_build(cold_cache);
-  const auto cold = cold_cache.Peek(ctx.key);
-  ASSERT_NE(cold, nullptr);
-  ASSERT_EQ(cold->guards().size(), 2u);
+  // The reference sweeps the backend's own streams.
+  SubTransitionGraph cold(ctx.guards, ctx.k);
+  SolveStats cold_stats;
+  cold.BuildFull(MemberSource{all, nullptr}, cold_stats);
 
-  // A fresh cache's first eager build of a class streams (no member table
-  // yet) and repeats the first cold build exactly.
+  // A fresh cache's first eager build of a class creates its member table
+  // and grows it whole, and repeats the streamed build exactly.
   GraphCache cache;
-  eager_build(cache);
-  EXPECT_EQ(cache.member_table_builds(), 0u);
+  const SolveResult first = eager_build(cache);
+  EXPECT_EQ(cache.member_table_builds(), 1u);
+  EXPECT_EQ(first.stats.members_generated, cold_stats.members_generated);
   ASSERT_NE(cache.Peek(ctx.key), nullptr);
-  ExpectGraphsIdentical(*cold, *cache.Peek(ctx.key));
+  ASSERT_EQ(cache.Peek(ctx.key)->guards().size(), 2u);
+  ExpectGraphsIdentical(cold, *cache.Peek(ctx.key));
 
   // Resumed: an early-exited on-the-fly query leaves a partial entry,
-  // which the eager build finishes.
+  // which the eager build finishes over the table the first one grew.
   GraphCache resumed_cache;
   SolveOptions lazy;
   lazy.build_witness = false;
@@ -116,15 +117,15 @@ TEST(BuildIdentityTest, DuplicateGuardListsStayBitIdentical) {
   ASSERT_NE(resumed_cache.Peek(ctx.key), nullptr);
   ASSERT_FALSE(resumed_cache.Peek(ctx.key)->complete());
   EXPECT_TRUE(eager_build(resumed_cache).stats.graph_resumed);
-  EXPECT_EQ(resumed_cache.member_table_builds(), 0u);
-  ExpectGraphsIdentical(*cold, *resumed_cache.Peek(ctx.key));
+  EXPECT_EQ(resumed_cache.member_table_builds(), 1u);
+  EXPECT_EQ(resumed_cache.member_table_hits(), 1u);
+  ExpectGraphsIdentical(cold, *resumed_cache.Peek(ctx.key));
 }
 
 // ---- Sweeps over a member table ----------------------------------------
 
 // A table-fronted sweep against the streamed sweep of the same class: the
-// graphs (cursor and store bytes included) and the work counters agree,
-// and a sweep over a complete table materializes no member at all.
+// graphs (cursor and store bytes included) and the work counters agree.
 void ExpectSameBuild(const SubTransitionGraph& stream,
                      const SolveStats& stream_stats,
                      const SubTransitionGraph& tabled,
@@ -157,27 +158,38 @@ std::unique_ptr<SubTransitionGraph> PartialBuild(
   return graph;
 }
 
-// Eager, early-exited and resumed builds over the class's member table
+// Eager, early-exited and resumed builds over the class's member table —
+// a cold one the sweep grows as it goes, and a warm one it only reads —
 // match the streamed builds bit for bit.
 void CheckTableSweeps(const std::vector<FormulaRef>& guards, int k,
                       const SolverBackend& backend) {
-  std::uint64_t table_generated = 0;
-  const auto table = MemberTable::Build(backend, k, &table_generated);
-  ASSERT_NE(table, nullptr);
   const MemberSource stream{backend};
-  const MemberSource tabled{backend, table.get()};
-
   SubTransitionGraph full(guards, k);
   SolveStats full_stats;
   full.BuildFull(stream, full_stats);
-  EXPECT_EQ(table_generated, full_stats.members_generated);
+
+  MemberTable warm(backend.schema(), k);
+  const MemberSource warm_source{backend, &warm};
   {
-    SCOPED_TRACE("eager");
+    SCOPED_TRACE("eager, cold table");
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
-    graph.BuildFull(tabled, stats);
+    graph.BuildFull(warm_source, stats);
+    ExpectSameBuild(full, full_stats, graph, stats);
+    // The sweep enumerates the streams once, appending every member.
+    EXPECT_EQ(stats.members_generated, full_stats.members_generated);
+    EXPECT_EQ(stats.members_appended, full_stats.members_enumerated);
+    EXPECT_EQ(warm.initial_size() + warm.joint_size(),
+              full_stats.members_enumerated);
+  }
+  {
+    SCOPED_TRACE("eager, warm table");
+    SubTransitionGraph graph(guards, k);
+    SolveStats stats;
+    graph.BuildFull(warm_source, stats);
     ExpectSameBuild(full, full_stats, graph, stats);
     EXPECT_EQ(stats.members_generated, 0u);
+    EXPECT_EQ(stats.members_appended, 0u);
   }
   for (const auto& [initial_stop, edge_stop] :
        {std::pair{1, 0}, std::pair{0, 1}, std::pair{0, 3}, std::pair{0, 8}}) {
@@ -185,27 +197,49 @@ void CheckTableSweeps(const std::vector<FormulaRef>& guards, int k,
                  std::to_string(initial_stop) + " / fresh edge " +
                  std::to_string(edge_stop));
     SolveStats stream_stats;
-    SolveStats table_stats;
     const auto streamed = PartialBuild(guards, k, stream, initial_stop,
                                        edge_stop, stream_stats);
-    const auto partial = PartialBuild(guards, k, tabled, initial_stop,
-                                      edge_stop, table_stats);
-    ExpectSameBuild(*streamed, stream_stats, *partial, table_stats);
+    MemberTable cold(backend.schema(), k);
+    const MemberSource cold_source{backend, &cold};
+    SolveStats cold_stats;
+    const auto grown = PartialBuild(guards, k, cold_source, initial_stop,
+                                    edge_stop, cold_stats);
+    ExpectSameBuild(*streamed, stream_stats, *grown, cold_stats);
+    // The cold table holds exactly the members the sweep enumerated.
+    EXPECT_EQ(cold_stats.members_appended, stream_stats.members_enumerated);
+    EXPECT_EQ(cold.initial_size() + cold.joint_size(),
+              stream_stats.members_enumerated);
+    SolveStats warm_stats;
+    const auto partial = PartialBuild(guards, k, warm_source, initial_stop,
+                                      edge_stop, warm_stats);
+    ExpectSameBuild(*streamed, stream_stats, *partial, warm_stats);
+    EXPECT_EQ(warm_stats.members_generated, 0u);
 
-    // Resume either partial graph from the other source: both finish as
-    // the cold full build.
+    // Resume the partial graphs from every source: all finish as the cold
+    // full build.
     SubTransitionGraph resumed_by_table(*streamed);
     SolveStats by_table;
-    resumed_by_table.BuildFull(tabled, by_table);
+    resumed_by_table.BuildFull(warm_source, by_table);
     ExpectGraphsIdentical(full, resumed_by_table);
     EXPECT_EQ(SerializeGraph(full, "k"), SerializeGraph(resumed_by_table, "k"));
+    EXPECT_EQ(by_table.members_generated, 0u);
     SubTransitionGraph resumed_by_stream(*partial);
     SolveStats by_stream;
     resumed_by_stream.BuildFull(stream, by_stream);
     ExpectGraphsIdentical(full, resumed_by_stream);
     EXPECT_EQ(by_table.members_enumerated, by_stream.members_enumerated);
     EXPECT_EQ(by_table.guard_evaluations, by_stream.guard_evaluations);
-    EXPECT_EQ(by_table.members_generated, 0u);
+    // The cold table is read up to its end and grown from there.
+    SubTransitionGraph resumed_by_growth(*grown);
+    SolveStats by_growth;
+    resumed_by_growth.BuildFull(cold_source, by_growth);
+    ExpectGraphsIdentical(full, resumed_by_growth);
+    EXPECT_EQ(SerializeGraph(full, "k"),
+              SerializeGraph(resumed_by_growth, "k"));
+    EXPECT_EQ(by_growth.members_enumerated, by_stream.members_enumerated);
+    EXPECT_EQ(by_growth.guard_evaluations, by_stream.guard_evaluations);
+    EXPECT_EQ(cold.initial_size() + cold.joint_size(),
+              full_stats.members_enumerated);
   }
 }
 
@@ -222,21 +256,74 @@ TEST(MemberTableSweepTest, SystemZooIsBitIdentical) {
   CheckTableSweeps(ReachRedSystem(), lifted);
 }
 
-TEST(MemberTableSweepTest, ClassesPastTheCapStayUntabled) {
-  // Two registers over the graph zoo: over 1M joint members. The build
-  // stops one member past the cap.
-  AllStructuresClass all(GraphZooSchema());
-  std::uint64_t generated = 0;
-  EXPECT_EQ(MemberTable::Build(all, 2, &generated), nullptr);
-  EXPECT_GT(generated, MemberTable::kMemberCap);
-  EXPECT_LE(generated, 2 * MemberTable::kMemberCap + 1);
+TEST(MemberTableSweepTest, TablesStopGrowingAtTheCap) {
+  // Two unary relations, three registers: 42,356 joint members, past the
+  // cap. The sweep fills the table to the cap and streams on from there;
+  // a second sweep reads the full table and streams the rest itself.
+  Schema unary;
+  unary.AddRelation("red", 1);
+  unary.AddRelation("blue", 1);
+  AllStructuresClass cls(MakeSchema(std::move(unary)));
+  DdsSystem system(cls.schema());
+  for (const char* reg : {"x", "y", "z"}) system.AddRegister(reg);
+  const int s = system.AddState("s", true, true);
+  system.AddRule(s, s, "x_old = x_new & red(y_new) & !blue(z_new)");
+  system.AddRule(s, s, "blue(y_old) & z_old != z_new");
+  const std::vector<FormulaRef> guards = GuardsOf(system);
+  const int k = system.num_registers();
+  SubTransitionGraph full(guards, k);
+  SolveStats full_stats;
+  full.BuildFull(MemberSource{cls}, full_stats);
+  std::uint64_t initial_total = 0;
+  cls.EnumerateGenerated(k, [&](const Structure&, std::span<const Elem>) {
+    ++initial_total;
+  });
+  const std::uint64_t joint_total =
+      full_stats.members_enumerated - initial_total;
+  ASSERT_GT(joint_total, MemberTable::kMemberCap);
 
+  MemberTable table(cls.schema(), k);
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    SCOPED_TRACE("sweep " + std::to_string(sweep));
+    SubTransitionGraph graph(guards, k);
+    SolveStats stats;
+    graph.BuildFull(MemberSource{cls, &table}, stats);
+    ExpectSameBuild(full, full_stats, graph, stats);
+    EXPECT_TRUE(graph.complete());
+    EXPECT_EQ(table.joint_size(), MemberTable::kMemberCap);
+    EXPECT_EQ(table.initial_size(), initial_total);
+    EXPECT_EQ(stats.members_appended,
+              sweep == 0 ? initial_total + MemberTable::kMemberCap : 0u);
+    EXPECT_EQ(stats.members_generated,
+              sweep == 0 ? full_stats.members_generated
+                         : joint_total - MemberTable::kMemberCap);
+  }
+}
+
+TEST(MemberTableSweepTest, EnumerationCapErrorsLeaveTheTableUsable) {
   // 29 unary relations: one element already has more atoms than the
-  // default cap allows, so the backend stops the k-stream.
+  // default cap allows, so the backend stops the k-stream — through a
+  // table as it does streamed, every time, and the table stays empty.
   Schema wide;
   for (int r = 0; r < 29; ++r) wide.AddRelation("p" + std::to_string(r), 1);
   AllStructuresClass capped(MakeSchema(std::move(wide)));
-  EXPECT_EQ(MemberTable::Build(capped, 1), nullptr);
+  DdsSystem system(capped.schema());
+  system.AddRegister("x");
+  const int s = system.AddState("s", true, true);
+  system.AddRule(s, s, "p0(x_old) & !p1(x_new)");
+  const std::vector<FormulaRef> guards = GuardsOf(system);
+  MemberTable table(capped.schema(), 1);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    SubTransitionGraph streamed(guards, 1);
+    SolveStats stream_stats;
+    EXPECT_THROW(streamed.BuildFull(MemberSource{capped}, stream_stats),
+                 EnumerationCapError);
+    SubTransitionGraph graph(guards, 1);
+    SolveStats stats;
+    EXPECT_THROW(graph.BuildFull(MemberSource{capped, &table}, stats),
+                 EnumerationCapError);
+    EXPECT_EQ(table.initial_size(), 0u);
+  }
 }
 
 TEST(MemberTableSweepTest, OrderAndEquivalenceClassesAreBitIdentical) {

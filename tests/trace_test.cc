@@ -164,6 +164,86 @@ TEST(TraceEngineTest, ColdSolveRecordsPhaseSpans) {
   EXPECT_TRUE(witness_members->is_number);
 }
 
+std::uint64_t NumberAnnotation(const TraceSpan& span, const std::string& key) {
+  const TraceAnnotation* ann = FindAnnotation(span, key);
+  EXPECT_NE(ann, nullptr) << span.name << " lacks " << key;
+  if (ann == nullptr) return 0;
+  EXPECT_TRUE(ann->is_number);
+  return std::stoull(ann->value);
+}
+
+std::string TextAnnotation(const TraceSpan& span, const std::string& key) {
+  const TraceAnnotation* ann = FindAnnotation(span, key);
+  EXPECT_NE(ann, nullptr) << span.name << " lacks " << key;
+  return ann == nullptr ? "" : ann->value;
+}
+
+TEST(TraceEngineTest, SweepsAnnotateTheirMemberTable) {
+  // Through a cache every sweep reads its class's member table. The first
+  // query, on the fly, creates the table and appends every member its
+  // sweeps reach; an eager query over the same class after it reads that
+  // prefix and appends the rest. No guard here needs the VM, so no member
+  // is unpacked.
+  const AllStructuresClass cls(GraphZooSchema());
+  GraphCache cache;
+  const DdsSystem lazy_system = ReachRedSystem();
+  TraceRecorder lazy_trace;
+  SolveOptions lazy;
+  lazy.build_witness = false;
+  lazy.cache = &cache;
+  lazy.trace = &lazy_trace;
+  const SolveResult first = SolveEmptiness(lazy_system, cls, lazy);
+  ASSERT_TRUE(first.nonempty);
+  const std::vector<TraceSpan> lazy_spans = lazy_trace.Snapshot();
+  std::uint64_t lazy_appended = 0;
+  for (const char* name : {"sweep_initial", "sweep_joint"}) {
+    const std::vector<TraceSpan> sweeps = SpansNamed(lazy_spans, name);
+    ASSERT_EQ(sweeps.size(), 1u) << name;
+    EXPECT_EQ(TextAnnotation(sweeps[0], "source"), "table");
+    const std::uint64_t appended =
+        NumberAnnotation(sweeps[0], "members_appended");
+    EXPECT_EQ(appended, NumberAnnotation(sweeps[0], "members_enumerated"));
+    EXPECT_EQ(NumberAnnotation(sweeps[0], "members_unpacked"), 0u);
+    lazy_appended += appended;
+  }
+  EXPECT_EQ(lazy_appended, first.stats.members_appended);
+
+  DdsSystem eager_system(GraphZooSchema());
+  eager_system.AddRegister("x");
+  const int s = eager_system.AddState("s", true);
+  const int t = eager_system.AddState("t", false, true);
+  eager_system.AddRule(s, t, "E(x_new, x_old) & !red(x_new)");
+  TraceRecorder eager_trace;
+  SolveOptions eager = lazy;
+  eager.strategy = SolveStrategy::kEager;
+  eager.trace = &eager_trace;
+  const SolveResult second = SolveEmptiness(eager_system, cls, eager);
+  const std::vector<TraceSpan> builds =
+      SpansNamed(eager_trace.Snapshot(), "full_build");
+  ASSERT_EQ(builds.size(), 1u);
+  EXPECT_EQ(TextAnnotation(builds[0], "source"), "table");
+  const std::uint64_t appended =
+      NumberAnnotation(builds[0], "members_appended");
+  EXPECT_EQ(appended, second.stats.members_appended);
+  EXPECT_GT(appended, 0u);
+  EXPECT_LT(appended, second.stats.members_enumerated);
+  EXPECT_EQ(NumberAnnotation(builds[0], "members_unpacked"), 0u);
+  EXPECT_TRUE(
+      SpansNamed(eager_trace.Snapshot(), "member_table_build").empty());
+
+  // Without a cache the sweeps stream and append nothing.
+  TraceRecorder streamed_trace;
+  SolveOptions cacheless = eager;
+  cacheless.cache = nullptr;
+  cacheless.trace = &streamed_trace;
+  SolveEmptiness(eager_system, cls, cacheless);
+  const std::vector<TraceSpan> streamed =
+      SpansNamed(streamed_trace.Snapshot(), "full_build");
+  ASSERT_EQ(streamed.size(), 1u);
+  EXPECT_EQ(TextAnnotation(streamed[0], "source"), "stream");
+  EXPECT_EQ(NumberAnnotation(streamed[0], "members_appended"), 0u);
+}
+
 // ---- Service/daemon-level: the acceptance span tree. ----
 
 QueryRequest ReachRedRequest(bool traced = false) {

@@ -29,10 +29,11 @@
 // over plain HTTP with --metrics-tcp PORT (a loopback Prometheus
 // endpoint that works alongside any transport, stdio included).
 //
-//   printf '%s\n' \
-//     '{"id":1,"kind":"system","class":"all","system":"reach_red"}' \
-//     '{"id":2,"kind":"words","nfa":"aplus_bplus","system":"zigzag"}' \
-//     | amalgamd --threads 4
+//   printf '%s\n' "$Q1" "$Q2" | amalgamd --threads 4
+//
+// with, for instance,
+//   Q1='{"id":1,"kind":"system","class":"all","system":"reach_red"}'
+//   Q2='{"id":2,"kind":"words","nfa":"aplus_bplus","system":"zigzag"}'
 //
 // In stdio mode EOF drains in-flight queries, flushes their responses and
 // exits 0. See src/service/protocol.h for the request/response reference.
