@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -247,9 +248,9 @@ void DaemonServer::HandleReadable(Conn& conn) {
   for (;;) {
     const std::size_t nl = conn.in_buf.find('\n', start);
     if (nl == std::string::npos) break;
-    std::string line = conn.in_buf.substr(start, nl - start);
+    std::string_view line(conn.in_buf.data() + start, nl - start);
     start = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty()) continue;
     if (line.size() > options_.max_line_bytes) {
       conn.session->HandleOversizedLine();

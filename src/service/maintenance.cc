@@ -197,7 +197,7 @@ std::uint64_t MaintenanceLoop::KeyLoggedLines(bool prewarm) {
   return loads;
 }
 
-void MaintenanceLoop::RecordAccess(std::string key, const std::string& line) {
+void MaintenanceLoop::RecordAccess(std::string key, std::string_view line) {
   if (key.empty()) return;
   std::lock_guard<std::mutex> lock(recipes_mutex_);
   dirty_ = true;
@@ -212,7 +212,7 @@ void MaintenanceLoop::RecordAccess(std::string key, const std::string& line) {
     recipe_index_.erase(recipes_.front().key);
     recipes_.pop_front();
   }
-  recipes_.push_back(Recipe{std::move(key), line});
+  recipes_.push_back(Recipe{std::move(key), std::string(line)});
   recipe_index_.emplace(recipes_.back().key, std::prev(recipes_.end()));
 }
 

@@ -117,7 +117,7 @@ class MaintenanceLoop {
   /// Remembers `line` as the latest request for graph `key` (the key
   /// QueryService::Submit derived for it; "" records nothing). Memory
   /// only, no parsing: call from transport threads freely.
-  void RecordAccess(std::string key, const std::string& line);
+  void RecordAccess(std::string key, std::string_view line);
 
   MaintenanceStats GetStats() const;
 

@@ -1,10 +1,12 @@
 #include "service/protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <stdexcept>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "system/zoo.h"
 #include "trees/run_class.h"
 #include "trees/zoo.h"
+#include "util/flat_hash.h"
 #include "words/worddb.h"
 #include "words/zoo.h"
 
@@ -28,25 +31,49 @@ class ProtocolError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-SchemaRef ParseSchemaSpec(const JsonValue& spec) {
+// `value` as an int, or a ProtocolError naming `what` unless it is an
+// integer in [0, max]. A float-to-int cast outside the target range is
+// undefined, and a fraction would truncate silently.
+int CheckedInt(double value, int max, const std::string& what) {
+  if (!(value >= 0 && value <= max && value == std::floor(value))) {
+    throw ProtocolError(what + " must be an integer in [0, " +
+                        std::to_string(max) + "]");
+  }
+  return static_cast<int>(value);
+}
+
+// A size parameter of the query: absent or not a number keeps `fallback`,
+// like every optional field; a number must lie within the protocol bound.
+int SizeParameter(JsonView json, std::string_view key, int fallback) {
+  const JsonView value = json.Get(key);
+  if (!value.is_number()) return fallback;
+  return CheckedInt(value.number(), kMaxSizeParameter,
+                    "\"" + std::string(key) + "\"");
+}
+
+SchemaRef ParseSchemaSpec(JsonView spec) {
   Schema schema;
   auto add_symbols = [&](const char* key, bool relation) {
-    const JsonValue* list = spec.Get(key);
+    const JsonView list = spec.Get(key);
     if (!list) return;
-    if (!list->is_array()) {
+    if (!list.is_array()) {
       throw ProtocolError(std::string("schema.") + key + " must be an array");
     }
-    for (const JsonValue& symbol : list->array) {
-      if (!symbol.is_array() || symbol.array.size() != 2 ||
-          !symbol.array[0].is_string() || !symbol.array[1].is_number()) {
+    for (const JsonView symbol : list.elements()) {
+      if (!symbol.is_array() || symbol.size() != 2 || !symbol[0].is_string() ||
+          !symbol[1].is_number()) {
         throw ProtocolError(std::string("schema.") + key +
                             " entries must be [name, arity] pairs");
       }
-      const int arity = static_cast<int>(symbol.array[1].number);
+      const std::string name(symbol[0].string());
+      const int arity =
+          CheckedInt(symbol[1].number(), std::numeric_limits<int>::max(),
+                     std::string("schema.") + key + " arity of \"" + name +
+                         "\"");
       if (relation) {
-        schema.AddRelation(symbol.array[0].string, arity);
+        schema.AddRelation(name, arity);
       } else {
-        schema.AddFunction(symbol.array[0].string, arity);
+        schema.AddFunction(name, arity);
       }
     }
   };
@@ -55,84 +82,107 @@ SchemaRef ParseSchemaSpec(const JsonValue& spec) {
   return MakeSchema(std::move(schema));
 }
 
+// A map keyed by views into the request line: one flat slot array, no
+// allocation per entry.
+template <typename Value>
+class ViewMap {
+ public:
+  explicit ViewMap(std::size_t expected = 0) { table_.Reserve(expected); }
+
+  const Value* Find(std::string_view key) const {
+    const auto* entry = table_.Find(
+        Hash(key), [key](const Entry& e) { return e.first == key; });
+    return entry != nullptr ? &entry->second : nullptr;
+  }
+  /// Maps `key` to `value` unless `key` is already mapped; returns the
+  /// value `key` maps to now.
+  const Value& Insert(std::string_view key, Value value) {
+    const std::size_t hash = Hash(key);
+    const auto eq = [key](const Entry& e) { return e.first == key; };
+    if (const Entry* entry = table_.Find(hash, eq)) return entry->second;
+    return table_.InsertUnique(hash, Entry{key, std::move(value)}).second;
+  }
+
+ private:
+  using Entry = std::pair<std::string_view, Value>;
+  static std::size_t Hash(std::string_view key) {
+    return std::hash<std::string_view>{}(key);
+  }
+  FlatTable<Entry> table_;
+};
+
+// State name -> id.
+using StateIds = ViewMap<int>;
+
 // The shared shape of spec-described control skeletons: registers, named
 // states, and guard texts handed to the existing parser. Returns the
 // name -> id map so branching rules can resolve their targets too.
-std::unordered_map<std::string, int> BuildSkeleton(
-    const JsonValue& spec, const std::function<int(std::string, bool, bool)>&
-                               add_state,
-    const std::function<int(std::string)>& add_register) {
-  const JsonValue* registers = spec.Get("registers");
-  if (!registers || !registers->is_array() || registers->array.empty()) {
+template <typename System>
+StateIds BuildSkeleton(JsonView spec, System& system) {
+  const JsonView registers = spec.Get("registers");
+  if (!registers.is_array() || registers.empty()) {
     throw ProtocolError("system spec needs a non-empty `registers` array");
   }
-  for (const JsonValue& reg : registers->array) {
+  for (const JsonView reg : registers.elements()) {
     if (!reg.is_string()) {
       throw ProtocolError("`registers` entries must be strings");
     }
-    add_register(reg.string);
+    system.AddRegister(std::string(reg.string()));
   }
-  const JsonValue* states = spec.Get("states");
-  if (!states || !states->is_array() || states->array.empty()) {
+  const JsonView states = spec.Get("states");
+  if (!states.is_array() || states.empty()) {
     throw ProtocolError("system spec needs a non-empty `states` array");
   }
-  std::unordered_map<std::string, int> state_ids;
-  for (const JsonValue& state : states->array) {
-    if (!state.is_object() || !state.Get("name") ||
-        !state.Get("name")->is_string()) {
+  StateIds state_ids(states.size());
+  for (const JsonView state : states.elements()) {
+    const JsonView name_field = state.Get("name");
+    if (!name_field.is_string()) {
       throw ProtocolError("`states` entries must be objects with a `name`");
     }
-    const std::string& name = state.Get("name")->string;
-    if (state_ids.count(name)) {
-      throw ProtocolError("duplicate state name: " + name);
+    const std::string_view name = name_field.string();
+    const int id = system.AddState(std::string(name), state.GetBool("initial"),
+                                   state.GetBool("accepting"));
+    if (state_ids.Insert(name, id) != id) {
+      throw ProtocolError("duplicate state name: " + std::string(name));
     }
-    state_ids[name] = add_state(name, state.GetBool("initial"),
-                                state.GetBool("accepting"));
   }
   return state_ids;
 }
 
-int ResolveState(const std::unordered_map<std::string, int>& state_ids,
-                 const std::string& name) {
-  auto it = state_ids.find(name);
-  if (it == state_ids.end()) {
-    throw ProtocolError("rule references unknown state: " + name);
+int ResolveState(const StateIds& state_ids, std::string_view name) {
+  const int* id = state_ids.Find(name);
+  if (id == nullptr) {
+    throw ProtocolError("rule references unknown state: " + std::string(name));
   }
-  return it->second;
+  return *id;
 }
 
 // Rule lists repeat guards; each distinct guard text is parsed once per
 // spec and its FormulaRef shared, which also lets InternGuards
 // (solver/context.h) dedupe those rules by pointer without printing them.
-using GuardMemo = std::unordered_map<std::string, FormulaRef>;
+using GuardMemo = ViewMap<FormulaRef>;
 
 template <typename System>
-FormulaRef ParseGuardOnce(System& system, const std::string& text,
+FormulaRef ParseGuardOnce(System& system, std::string_view text,
                           GuardMemo& memo) {
-  auto it = memo.find(text);
-  if (it == memo.end()) it = memo.emplace(text, system.ParseGuard(text)).first;
-  return it->second;
+  if (const FormulaRef* guard = memo.Find(text)) return *guard;
+  return memo.Insert(text, system.ParseGuard(std::string(text)));
 }
 
-std::shared_ptr<const DdsSystem> ParseSystemSpec(const JsonValue& spec,
+std::shared_ptr<const DdsSystem> ParseSystemSpec(JsonView spec,
                                                  SchemaRef schema) {
   auto system = std::make_shared<DdsSystem>(std::move(schema));
-  auto state_ids = BuildSkeleton(
-      spec,
-      [&](std::string name, bool initial, bool accepting) {
-        return system->AddState(std::move(name), initial, accepting);
-      },
-      [&](std::string name) { return system->AddRegister(std::move(name)); });
-  const JsonValue* rules = spec.Get("rules");
-  if (!rules || !rules->is_array()) {
+  const StateIds state_ids = BuildSkeleton(spec, *system);
+  const JsonView rules = spec.Get("rules");
+  if (!rules.is_array()) {
     throw ProtocolError("system spec needs a `rules` array");
   }
   GuardMemo memo;
-  for (const JsonValue& rule : rules->array) {
+  for (const JsonView rule : rules.elements()) {
     if (!rule.is_object()) throw ProtocolError("`rules` entries are objects");
-    const std::string from = rule.GetString("from");
-    const std::string to = rule.GetString("to");
-    const std::string guard = rule.GetString("guard");
+    const std::string_view from = rule.GetString("from");
+    const std::string_view to = rule.GetString("to");
+    const std::string_view guard = rule.GetString("guard");
     if (from.empty() || to.empty() || guard.empty()) {
       throw ProtocolError("a rule needs `from`, `to` and `guard`");
     }
@@ -141,40 +191,33 @@ std::shared_ptr<const DdsSystem> ParseSystemSpec(const JsonValue& spec,
     try {
       system->AddRule(from_id, to_id, ParseGuardOnce(*system, guard, memo));
     } catch (const std::exception& e) {
-      throw ProtocolError("bad guard \"" + guard + "\": " + e.what());
+      throw ProtocolError("bad guard \"" + std::string(guard) +
+                          "\": " + e.what());
     }
   }
   return system;
 }
 
-std::shared_ptr<const BranchingSystem> ParseBranchingSpec(
-    const JsonValue& spec, SchemaRef schema) {
+std::shared_ptr<const BranchingSystem> ParseBranchingSpec(JsonView spec,
+                                                          SchemaRef schema) {
   auto system = std::make_shared<BranchingSystem>(std::move(schema));
-  auto state_ids = BuildSkeleton(
-      spec,
-      [&](std::string name, bool initial, bool accepting) {
-        return system->AddState(std::move(name), initial, accepting);
-      },
-      [&](std::string name) { return system->AddRegister(std::move(name)); });
-  const JsonValue* rules = spec.Get("rules");
-  if (!rules || !rules->is_array()) {
+  const StateIds state_ids = BuildSkeleton(spec, *system);
+  const JsonView rules = spec.Get("rules");
+  if (!rules.is_array()) {
     throw ProtocolError("branching spec needs a `rules` array");
   }
   GuardMemo memo;
-  for (const JsonValue& rule : rules->array) {
-    const std::string from = rule.is_object() ? rule.GetString("from") : "";
-    const JsonValue* branches = rule.is_object() ? rule.Get("branches")
-                                                 : nullptr;
-    if (from.empty() || !branches || !branches->is_array() ||
-        branches->array.empty()) {
+  for (const JsonView rule : rules.elements()) {
+    const std::string_view from = rule.GetString("from");
+    const JsonView branches = rule.Get("branches");
+    if (from.empty() || !branches.is_array() || branches.empty()) {
       throw ProtocolError(
           "a branching rule needs `from` and a non-empty `branches` array");
     }
-    std::vector<std::pair<std::string, int>> guarded_targets;
-    for (const JsonValue& branch : branches->array) {
-      const std::string guard =
-          branch.is_object() ? branch.GetString("guard") : "";
-      const std::string to = branch.is_object() ? branch.GetString("to") : "";
+    std::vector<std::pair<std::string_view, int>> guarded_targets;
+    for (const JsonView branch : branches.elements()) {
+      const std::string_view guard = branch.GetString("guard");
+      const std::string_view to = branch.GetString("to");
       if (guard.empty() || to.empty()) {
         throw ProtocolError("a branch needs `guard` and `to`");
       }
@@ -195,33 +238,33 @@ std::shared_ptr<const BranchingSystem> ParseBranchingSpec(
   return system;
 }
 
-std::shared_ptr<const FraisseClass> MakeClass(const std::string& name,
+std::shared_ptr<const FraisseClass> MakeClass(std::string_view name,
                                               const SchemaRef& schema) {
   if (name == "all" || name.empty()) {
     return std::make_shared<AllStructuresClass>(schema);
   }
   if (name == "orders") return std::make_shared<LinearOrderClass>();
   if (name == "equiv") return std::make_shared<EquivalenceClass>();
-  throw ProtocolError("unknown class \"" + name +
+  throw ProtocolError("unknown class \"" + std::string(name) +
                       "\" (known: all, orders, equiv)");
 }
 
-std::shared_ptr<const Nfa> MakeNfa(const std::string& name) {
+std::shared_ptr<const Nfa> MakeNfa(std::string_view name) {
   if (name == "all_ab") return std::make_shared<Nfa>(NfaAllAB());
   if (name == "alternating_ab") {
     return std::make_shared<Nfa>(NfaAlternatingAB());
   }
   if (name == "aplus_bplus") return std::make_shared<Nfa>(NfaAPlusBPlus());
-  if (name.rfind("mod", 0) == 0) {
-    const int p = std::atoi(name.c_str() + 3);
+  if (name.substr(0, 3) == "mod") {
+    const int p = std::atoi(std::string(name.substr(3)).c_str());
     if (p >= 2) return std::make_shared<Nfa>(NfaModCounter(p));
   }
-  throw ProtocolError("unknown nfa \"" + name +
+  throw ProtocolError("unknown nfa \"" + std::string(name) +
                       "\" (known: all_ab, alternating_ab, aplus_bplus, "
                       "mod<p>)");
 }
 
-std::shared_ptr<const TreeAutomaton> MakeAutomaton(const std::string& name) {
+std::shared_ptr<const TreeAutomaton> MakeAutomaton(std::string_view name) {
   if (name == "all_trees") return std::make_shared<TreeAutomaton>(TaAllTrees());
   if (name == "chains") return std::make_shared<TreeAutomaton>(TaChains());
   if (name == "two_level") {
@@ -231,12 +274,12 @@ std::shared_ptr<const TreeAutomaton> MakeAutomaton(const std::string& name) {
   if (name == "alternating_chains") {
     return std::make_shared<TreeAutomaton>(TaAlternatingChains());
   }
-  throw ProtocolError("unknown automaton \"" + name +
+  throw ProtocolError("unknown automaton \"" + std::string(name) +
                       "\" (known: all_trees, chains, two_level, comb, "
                       "alternating_chains)");
 }
 
-std::shared_ptr<const DdsSystem> MakeZooSystem(const std::string& name) {
+std::shared_ptr<const DdsSystem> MakeZooSystem(std::string_view name) {
   if (name == "odd_red_cycle") {
     return std::make_shared<DdsSystem>(OddRedCycleSystem());
   }
@@ -244,15 +287,15 @@ std::shared_ptr<const DdsSystem> MakeZooSystem(const std::string& name) {
   if (name == "contradiction") {
     return std::make_shared<DdsSystem>(ContradictionSystem());
   }
-  throw ProtocolError("unknown system \"" + name +
+  throw ProtocolError("unknown system \"" + std::string(name) +
                       "\" (known: odd_red_cycle, reach_red, contradiction; "
                       "or pass a spec object)");
 }
 
-void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
+void ParseQuery(JsonView json, ProtocolRequest& out) {
   QueryRequest& query = out.query;
 
-  const std::string kind = json.GetString("kind", "system");
+  const std::string_view kind = json.GetString("kind", "system");
   if (kind == "system") {
     query.kind = QueryKind::kSystem;
   } else if (kind == "words" || kind == "word") {
@@ -262,27 +305,26 @@ void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
   } else if (kind == "branching") {
     query.kind = QueryKind::kBranching;
   } else {
-    throw ProtocolError("unknown kind \"" + kind +
+    throw ProtocolError("unknown kind \"" + std::string(kind) +
                         "\" (known: system, words, trees, branching)");
   }
 
-  const std::string strategy = json.GetString("strategy", "onthefly");
+  const std::string_view strategy = json.GetString("strategy", "onthefly");
   if (strategy == "onthefly") {
     query.strategy = SolveStrategy::kOnTheFly;
   } else if (strategy == "eager") {
     query.strategy = SolveStrategy::kEager;
   } else {
-    throw ProtocolError("unknown strategy \"" + strategy +
+    throw ProtocolError("unknown strategy \"" + std::string(strategy) +
                         "\" (known: onthefly, eager)");
   }
   query.build_witness = json.GetBool("build_witness", false);
-  query.extra_pattern_cap =
-      static_cast<int>(json.GetInt("extra_pattern_cap", 4));
+  query.extra_pattern_cap = SizeParameter(json, "extra_pattern_cap", 4);
   query.atom_cap = static_cast<std::uint32_t>(
       std::max<std::int64_t>(0, json.GetInt("atom_cap", 0)));
   // The client asked for persistence this daemon may not provide:
   // refuse rather than answer from a tier it did not name.
-  if (json.Get("store_dir") != nullptr) {
+  if (json.Get("store_dir")) {
     throw ProtocolError(
         "\"store_dir\" is not a query field: a daemon's store is attached "
         "once, at startup (amalgamd --store-dir DIR)");
@@ -293,7 +335,7 @@ void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
     query.trace = std::make_shared<TraceRecorder>();
   }
 
-  const JsonValue* system_field = json.Get("system");
+  const JsonView system_field = json.Get("system");
   if (!system_field) throw ProtocolError("a query needs a `system`");
 
   // Resolve the language first: word/tree schemas are implied by it.
@@ -308,26 +350,26 @@ void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
       break;
   }
 
-  if (system_field->is_string()) {
-    const std::string& name = system_field->string;
+  if (system_field.is_string()) {
+    const std::string_view name = system_field.string();
     switch (query.kind) {
       case QueryKind::kSystem:
         query.system = MakeZooSystem(name);
         break;
       case QueryKind::kWord: {
-        const int rounds = static_cast<int>(json.GetInt("rounds", 1));
+        const int rounds = SizeParameter(json, "rounds", 1);
         if (name == "zigzag") {
           query.system = std::make_shared<DdsSystem>(ZigZagSystem(rounds));
         } else if (name == "two_markers") {
           query.system = std::make_shared<DdsSystem>(TwoMarkersSystem());
         } else {
-          throw ProtocolError("unknown word system \"" + name +
+          throw ProtocolError("unknown word system \"" + std::string(name) +
                               "\" (known: zigzag, two_markers; or a spec)");
         }
         break;
       }
       case QueryKind::kTree: {
-        const int steps = static_cast<int>(json.GetInt("steps", 1));
+        const int steps = SizeParameter(json, "steps", 1);
         if (name == "descend") {
           query.system = std::make_shared<DdsSystem>(
               DescendSystem(*query.automaton, steps));
@@ -335,7 +377,7 @@ void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
           query.system = std::make_shared<DdsSystem>(
               FindBBelowSystem(*query.automaton));
         } else {
-          throw ProtocolError("unknown tree system \"" + name +
+          throw ProtocolError("unknown tree system \"" + std::string(name) +
                               "\" (known: descend, find_b_below; or a spec)");
         }
         break;
@@ -344,14 +386,13 @@ void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
         throw ProtocolError(
             "branching systems have no zoo names; pass a spec object");
     }
-  } else if (system_field->is_object()) {
+  } else if (system_field.is_object()) {
     SchemaRef schema;
     switch (query.kind) {
       case QueryKind::kSystem:
       case QueryKind::kBranching: {
-        const JsonValue* schema_spec = json.Get("schema");
-        schema = schema_spec ? ParseSchemaSpec(*schema_spec)
-                             : GraphZooSchema();
+        const JsonView schema_spec = json.Get("schema");
+        schema = schema_spec ? ParseSchemaSpec(schema_spec) : GraphZooSchema();
         break;
       }
       case QueryKind::kWord:
@@ -362,9 +403,9 @@ void ParseQuery(const JsonValue& json, ProtocolRequest& out) {
         break;
     }
     if (query.kind == QueryKind::kBranching) {
-      query.branching = ParseBranchingSpec(*system_field, std::move(schema));
+      query.branching = ParseBranchingSpec(system_field, std::move(schema));
     } else {
-      query.system = ParseSystemSpec(*system_field, std::move(schema));
+      query.system = ParseSystemSpec(system_field, std::move(schema));
     }
   } else {
     throw ProtocolError("`system` must be a zoo name or a spec object");
@@ -438,30 +479,29 @@ std::string CloseObject(std::string out) {
 
 }  // namespace
 
-ProtocolRequest ParseRequestLine(const std::string& line) {
+ProtocolRequest ParseRequestLine(std::string_view line) {
   ProtocolRequest request;
-  std::optional<JsonValue> json = ParseJson(line);
-  if (!json.has_value() || !json->is_object()) {
+  const JsonDocument doc = ParseJson(line);
+  const JsonView json = doc.root();
+  if (!json.is_object()) {
     request.error = "malformed request: not a JSON object";
     return request;
   }
-  if (const JsonValue* id = json->Get("id")) {
-    request.id_json = JsonToString(*id);
-  }
+  if (const JsonView id = json.Get("id")) request.id_json = JsonToString(id);
   try {
-    const std::string op = json->GetString("op", "query");
+    const std::string_view op = json.GetString("op", "query");
     if (op == "query") {
       request.op = ProtocolRequest::Op::kQuery;
-      ParseQuery(*json, request);
+      ParseQuery(json, request);
     } else if (op == "stats") {
       request.op = ProtocolRequest::Op::kStats;
     } else if (op == "sweep") {
       request.op = ProtocolRequest::Op::kSweep;
       // Negative caps would wrap to huge "unlimited" values; clamp to 0.
       request.max_bytes = static_cast<std::uint64_t>(
-          std::max<std::int64_t>(0, json->GetInt("max_bytes", 0)));
+          std::max<std::int64_t>(0, json.GetInt("max_bytes", 0)));
       request.max_files = static_cast<std::uint64_t>(
-          std::max<std::int64_t>(0, json->GetInt("max_files", 0)));
+          std::max<std::int64_t>(0, json.GetInt("max_files", 0)));
     } else if (op == "maintain") {
       request.op = ProtocolRequest::Op::kMaintain;
     } else if (op == "metrics") {
@@ -474,7 +514,7 @@ ProtocolRequest ParseRequestLine(const std::string& line) {
       request.op = ProtocolRequest::Op::kShutdown;
     } else {
       throw ProtocolError(
-          "unknown op \"" + op +
+          "unknown op \"" + std::string(op) +
           "\" (known: query, stats, sweep, maintain, metrics, recent, "
           "drain, shutdown)");
     }

@@ -34,7 +34,14 @@
 // {"op":"drain"}, {"op":"shutdown"}. metrics/recent are cheap snapshots:
 // they do not drain the service first.
 //
-// Responses echo the request's "id" verbatim and always carry "ok";
+// A line is read in one pass into a flat array of views over the line
+// (service/json.h); the ProtocolRequest built from it owns what it keeps.
+// "rounds", "steps" and "extra_pattern_cap" take an integer in
+// [0, kMaxSizeParameter], and a schema arity an integer in [0, INT_MAX];
+// anything else fails the line in band.
+//
+// Responses echo the request's "id" re-serialized (decoded, then
+// re-escaped: see JsonToString) and always carry "ok";
 // failures report {"ok":false,"error":"..."} and never kill the loop.
 // Machine-readable "error_code" values include "enumeration_cap" (atom cap
 // exceeded), "witness_invalid" (a requested witness failed its check),
@@ -46,6 +53,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -55,6 +63,10 @@
 
 namespace amalgam {
 
+/// One parsed request line. It owns everything it keeps (the re-serialized
+/// id, the error text, and the systems, classes and guards built from the
+/// line) and holds no view into the line, so a caller may keep it after
+/// the line is gone.
 struct ProtocolRequest {
   enum class Op {
     kQuery,
@@ -79,9 +91,19 @@ struct ProtocolRequest {
   std::uint64_t max_files = 0;     // kSweep
 };
 
-/// Parses one JSONL request line. Never throws: malformed input comes
-/// back as a ProtocolRequest with `error` set (and any parsable id).
-ProtocolRequest ParseRequestLine(const std::string& line);
+/// The largest "rounds", "steps" or "extra_pattern_cap" a query may carry;
+/// a negative, fractional or larger value fails the line in band. "rounds"
+/// and "steps" size a zoo system built on the transport's thread while the
+/// line is parsed, in time linear in the parameter, so an unbounded one
+/// would let one short line stall every other connection;
+/// "extra_pattern_cap" sizes the tree pattern class a worker builds.
+inline constexpr int kMaxSizeParameter = 64;
+
+/// Parses one JSONL request line in one pass over views into `line`.
+/// Never throws: malformed input comes back as a ProtocolRequest with
+/// `error` set (and any parsable id). The result owns everything it keeps
+/// and does not refer to `line`.
+ProtocolRequest ParseRequestLine(std::string_view line);
 
 std::string FormatQueryResponse(const ProtocolRequest& request,
                                 const QueryResult& result);

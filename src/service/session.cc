@@ -92,7 +92,7 @@ ServiceStats Session::SnapshotStats() const {
   return stats;
 }
 
-Session::LineOutcome Session::HandleLine(const std::string& line) {
+Session::LineOutcome Session::HandleLine(std::string_view line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   {
     std::vector<QueryRequest> answered;  // released here, before the parse

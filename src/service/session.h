@@ -8,7 +8,10 @@
 // stdin/stdout in amalgamd's --stdio mode, a socket connection in the
 // net/ event loop — only has to do two things: feed complete lines to
 // HandleLine from a single thread, and accept emitted response lines from
-// the writer thread.
+// the writer thread. HandleLine takes a std::string_view and reads it only
+// during the call, so a transport hands a view into its read buffer
+// rather than copying each line out; what outlives the call (the parsed
+// request, a maintenance recipe) is owned separately.
 //
 // Ordering: every response — query results, admin-op answers, parse
 // errors, overload rejections — goes through one FIFO of deferred
@@ -32,6 +35,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -101,8 +105,10 @@ class Session {
   /// Handles one request line (no terminator; empty lines are the
   /// transport's to skip). Never throws and never blocks on query
   /// execution — responses arrive later through `emit`. Call from one
-  /// transport thread only.
-  LineOutcome HandleLine(const std::string& line);
+  /// transport thread only. `line` is read during the call only: the
+  /// transport may hand a view into its read buffer, and the line is
+  /// copied only when a maintenance loop records it as a recipe.
+  LineOutcome HandleLine(std::string_view line);
 
   /// The transport read a line longer than its cap: emit an in-order
   /// "line_too_long" error. The transport should stop reading afterwards

@@ -134,25 +134,24 @@ class Client {
   std::string buf_;
 };
 
-JsonValue MustParse(const std::string& line) {
-  auto parsed = ParseJson(line);
-  EXPECT_TRUE(parsed.has_value()) << "unparsable response: " << line;
-  return parsed.value_or(JsonValue{});
+// The document reads views into `line`, which must outlive it.
+JsonDocument MustParse(const std::string& line) {
+  JsonDocument parsed = ParseJson(line);
+  EXPECT_TRUE(parsed.root()) << "unparsable response: " << line;
+  return parsed;
 }
 
-bool FieldBool(const JsonValue& value, const char* name) {
-  const JsonValue* field = value.Get(name);
-  return field != nullptr && field->boolean;
+bool FieldBool(const JsonDocument& doc, const char* name) {
+  return doc.root().Get(name).boolean();
 }
 
-double FieldNumber(const JsonValue& value, const char* name) {
-  const JsonValue* field = value.Get(name);
-  return field == nullptr ? -1 : field->number;
+double FieldNumber(const JsonDocument& doc, const char* name) {
+  const JsonView field = doc.root().Get(name);
+  return field ? field.number() : -1;
 }
 
-std::string FieldString(const JsonValue& value, const char* name) {
-  const JsonValue* field = value.Get(name);
-  return field == nullptr ? "" : field->string;
+std::string FieldString(const JsonDocument& doc, const char* name) {
+  return std::string(doc.root().Get(name).string());
 }
 
 constexpr const char* kReachRedLine =
@@ -214,7 +213,7 @@ TEST(DaemonNetTest, ConcurrentClientsGetOrderedParityOverUds) {
       for (int i = 1; i <= 4; ++i) {
         ASSERT_TRUE(client.ReadLine(&line)) << "client " << c << " response "
                                             << i;
-        const JsonValue response = MustParse(line);
+        const JsonDocument response = MustParse(line);
         EXPECT_EQ(FieldString(response, "id"),
                   "q" + tag + "-" + std::to_string(i))
             << "out of order for client " << c << ": " << line;
@@ -286,7 +285,7 @@ TEST(DaemonNetTest, TinyInflightCapRejectsOverloadInBand) {
   std::string line;
   for (int i = 1; i <= kBurst; ++i) {
     ASSERT_TRUE(client.ReadLine(&line)) << "response " << i;
-    const JsonValue response = MustParse(line);
+    const JsonDocument response = MustParse(line);
     ASSERT_EQ(FieldNumber(response, "id"), i) << "out of order: " << line;
     if (FieldBool(response, "ok")) {
       ++ok_count;
@@ -303,7 +302,7 @@ TEST(DaemonNetTest, TinyInflightCapRejectsOverloadInBand) {
   // client saw.
   client.SendLine(R"({"id":"s","op":"stats"})");
   ASSERT_TRUE(client.ReadLine(&line));
-  const JsonValue stats = MustParse(line);
+  const JsonDocument stats = MustParse(line);
   EXPECT_EQ(FieldNumber(stats, "overload_rejections"), overloaded);
   EXPECT_EQ(FieldNumber(stats, "conn_rejected_overload"), overloaded);
   EXPECT_EQ(FieldNumber(stats, "queries"), ok_count);
@@ -364,7 +363,7 @@ TEST(DaemonNetTest, PartialResumeCoalescesAcrossTheSocket) {
   seeder.SendLine(RedProbeLine("0", /*accepting=*/true));
   std::string line;
   ASSERT_TRUE(seeder.ReadLine(&line));
-  const JsonValue seeded = MustParse(line);
+  const JsonDocument seeded = MustParse(line);
   ASSERT_TRUE(FieldBool(seeded, "ok")) << line;
   ASSERT_TRUE(FieldBool(seeded, "nonempty"));
 
@@ -381,7 +380,7 @@ TEST(DaemonNetTest, PartialResumeCoalescesAcrossTheSocket) {
   int extenders = 0;
   for (int i = 1; i <= 16; ++i) {
     ASSERT_TRUE(prober.ReadLine(&line)) << "response " << i;
-    const JsonValue response = MustParse(line);
+    const JsonDocument response = MustParse(line);
     ASSERT_TRUE(FieldBool(response, "ok")) << line;
     EXPECT_FALSE(FieldBool(response, "nonempty")) << line;
     if (FieldNumber(response, "members") > 0) ++extenders;
@@ -390,7 +389,7 @@ TEST(DaemonNetTest, PartialResumeCoalescesAcrossTheSocket) {
 
   prober.SendLine(R"({"id":"s","op":"stats"})");
   ASSERT_TRUE(prober.ReadLine(&line));
-  const JsonValue stats = MustParse(line);
+  const JsonDocument stats = MustParse(line);
   EXPECT_EQ(FieldNumber(stats, "resume_leads"), 1) << line;
 
   server.Stop();
@@ -417,7 +416,7 @@ TEST(DaemonNetTest, TcpTransportAndProtocolShutdown) {
   // and WaitUntilStopped unblocks without Stop() having been called.
   client.SendLine(R"({"id":2,"op":"shutdown"})");
   ASSERT_TRUE(client.ReadLine(&line));
-  const JsonValue ack = MustParse(line);
+  const JsonDocument ack = MustParse(line);
   EXPECT_TRUE(FieldBool(ack, "ok")) << line;
   EXPECT_EQ(FieldString(ack, "op"), "shutdown") << line;
   server.WaitUntilStopped();
@@ -442,7 +441,7 @@ TEST(DaemonNetTest, OversizedLinesGetAnErrorNotABufferBloat) {
   client.Send(std::string(4096, 'x'));  // no newline, 4x the cap
   std::string line;
   ASSERT_TRUE(client.ReadLine(&line));
-  const JsonValue response = MustParse(line);
+  const JsonDocument response = MustParse(line);
   EXPECT_FALSE(FieldBool(response, "ok"));
   EXPECT_EQ(FieldString(response, "error_code"), "line_too_long") << line;
   EXPECT_TRUE(client.WaitForEof(5000)) << "the stream is mid-garbage; the "

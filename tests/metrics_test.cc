@@ -16,7 +16,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <string>
@@ -212,13 +211,14 @@ TEST(MetricsSessionTest, MetricsOpEmitsTheFullExposition) {
   }
   ASSERT_EQ(lines.size(), 3u);
 
-  const std::optional<JsonValue> metrics = ParseJson(lines[1]);
-  ASSERT_TRUE(metrics.has_value()) << lines[1];
-  EXPECT_TRUE(metrics->GetBool("ok"));
-  EXPECT_EQ(metrics->GetString("op"), "metrics");
-  EXPECT_EQ(metrics->GetString("content_type"),
+  const JsonDocument metrics_doc = ParseJson(lines[1]);
+  const JsonView metrics = metrics_doc.root();
+  ASSERT_TRUE(metrics) << lines[1];
+  EXPECT_TRUE(metrics.GetBool("ok"));
+  EXPECT_EQ(metrics.GetString("op"), "metrics");
+  EXPECT_EQ(metrics.GetString("content_type"),
             "text/plain; version=0.0.4; charset=utf-8");
-  const std::string body = metrics->GetString("body");
+  const std::string body(metrics.GetString("body"));
   // The FIFO put the scrape after the query's response, so the query is
   // already counted.
   EXPECT_NE(body.find("amalgam_queries 1\n"), std::string::npos) << body;
@@ -226,18 +226,19 @@ TEST(MetricsSessionTest, MetricsOpEmitsTheFullExposition) {
             std::string::npos)
       << body;
 
-  const std::optional<JsonValue> recent = ParseJson(lines[2]);
-  ASSERT_TRUE(recent.has_value()) << lines[2];
-  EXPECT_TRUE(recent->GetBool("ok"));
-  EXPECT_EQ(recent->GetInt("count"), 1);
-  const JsonValue* queries = recent->Get("queries");
-  ASSERT_NE(queries, nullptr);
-  ASSERT_EQ(queries->array.size(), 1u);
-  const JsonValue& entry = queries->array[0];
+  const JsonDocument recent_doc = ParseJson(lines[2]);
+  const JsonView recent = recent_doc.root();
+  ASSERT_TRUE(recent) << lines[2];
+  EXPECT_TRUE(recent.GetBool("ok"));
+  EXPECT_EQ(recent.GetInt("count"), 1);
+  const JsonView queries = recent.Get("queries");
+  ASSERT_TRUE(queries.is_array());
+  ASSERT_EQ(queries.size(), 1u);
+  const JsonView entry = queries[0];
   EXPECT_EQ(entry.GetString("kind"), "system");
   EXPECT_TRUE(entry.GetBool("ok"));
   EXPECT_FALSE(entry.GetBool("traced"));
-  EXPECT_EQ(entry.Get("spans"), nullptr)
+  EXPECT_FALSE(entry.Get("spans"))
       << "an untraced entry carries no span rollup";
 }
 

@@ -865,36 +865,152 @@ TEST(ServiceTest, ProtocolRejectsBadLinesWithoutDying) {
   EXPECT_FALSE(bad_guard.error.empty());
 }
 
-TEST(ServiceTest, JsonRoundTripsProtocolPayloads) {
-  auto parsed = ParseJson(
-      R"({"a":[1,2.5,-3],"b":"q\"uote","c":{"d":true,"e":null}})");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->Get("a")->array.size(), 3u);
-  EXPECT_EQ(parsed->Get("b")->string, "q\"uote");
-  EXPECT_TRUE(parsed->Get("c")->Get("d")->boolean);
-  EXPECT_TRUE(parsed->Get("c")->Get("e")->is_null());
-  // Serialize -> parse -> serialize is a fixpoint.
-  const std::string once = JsonToString(*parsed);
-  auto reparsed = ParseJson(once);
-  ASSERT_TRUE(reparsed.has_value());
-  EXPECT_EQ(JsonToString(*reparsed), once);
+TEST(ServiceTest, ProtocolBoundsTheZooSizeParameters) {
+  // "rounds" and "steps" size a zoo system built while the line is
+  // parsed; "extra_pattern_cap" sizes the tree pattern class. Each takes
+  // an integer in [0, kMaxSizeParameter] and refuses anything else in
+  // band.
+  const struct {
+    const char* field;
+    const char* line_head;
+  } kFields[] = {
+      {"rounds", R"({"kind":"words","nfa":"aplus_bplus","system":"zigzag",)"},
+      {"steps", R"({"kind":"trees","automaton":"two_level","system":"descend",)"},
+      {"extra_pattern_cap",
+       R"({"kind":"trees","automaton":"two_level","system":"descend",)"},
+  };
+  for (const auto& [field, line_head] : kFields) {
+    SCOPED_TRACE(field);
+    auto parse = [&](const std::string& value) {
+      return ParseRequestLine(std::string(line_head) + "\"" + field +
+                              "\":" + value + "}");
+    };
+    const std::string refusal = "\"" + std::string(field) +
+                                "\" must be an integer in [0, " +
+                                std::to_string(kMaxSizeParameter) + "]";
+    EXPECT_EQ(parse(std::to_string(kMaxSizeParameter)).error, "");
+    EXPECT_EQ(parse("0").error, "");
+    EXPECT_EQ(parse(std::to_string(kMaxSizeParameter + 1)).error, refusal);
+    EXPECT_EQ(parse("-1").error, refusal);
+    EXPECT_EQ(parse("1.5").error, refusal);
+    EXPECT_EQ(parse("100000").error, refusal);
+    EXPECT_EQ(parse("1e300").error, refusal);
+  }
+  const ProtocolRequest at_bound = ParseRequestLine(
+      R"({"kind":"words","nfa":"aplus_bplus","system":"zigzag","rounds":64})");
+  ASSERT_NE(at_bound.query.system, nullptr);
+  EXPECT_EQ(at_bound.query.system->num_states(), 2 * kMaxSizeParameter);
+}
 
-  EXPECT_FALSE(ParseJson("{\"a\":}").has_value());
-  EXPECT_FALSE(ParseJson("{} trailing").has_value());
-  EXPECT_FALSE(ParseJson("\"unterminated").has_value());
+TEST(ServiceTest, ProtocolRejectsSchemaAritiesThatAreNotInts) {
+  auto parse = [](const std::string& symbols) {
+    return ParseRequestLine(
+        R"({"kind":"system","schema":{)" + symbols +
+        R"(},"system":{"registers":["x"],"states":[{"name":"a","initial":true}],)"
+        R"("rules":[{"from":"a","to":"a","guard":"x_old = x_new"}]}})");
+  };
+  EXPECT_EQ(parse(R"("relations":[["E",2]])").error, "");
+  EXPECT_EQ(parse(R"("relations":[["E",0]])").error, "");
+  const std::string relation_refusal =
+      "schema.relations arity of \"E\" must be an integer in [0, 2147483647]";
+  for (const char* arity : {"-3", "-1", "1.5", "1e300", "2147483648"}) {
+    SCOPED_TRACE(arity);
+    EXPECT_EQ(parse(R"("relations":[["E",)" + std::string(arity) + "]]").error,
+              relation_refusal);
+  }
+  EXPECT_EQ(parse(R"("functions":[["f",-1]])").error,
+            "schema.functions arity of \"f\" must be an integer in [0, "
+            "2147483647]");
+}
+
+TEST(ServiceTest, ProtocolEchoesIdsByteForByte) {
+  // Each id, and the bytes a response echoes for it, as the owning-DOM
+  // reader rendered them: integers print bare, other numbers with 17
+  // significant digits, strings re-escaped (\u escapes decode to UTF-8,
+  // "\/" to "/", control bytes to \u00XX), containers compactly.
+  const struct {
+    const char* id;
+    const char* echo;
+  } kCases[] = {
+      {"7", "7"},
+      {"-42", "-42"},
+      {"0.25", "0.25"},
+      {"-0", "0"},
+      {"1.0", "1"},
+      {"1e300", "1.0000000000000001e+300"},
+      {"-1.5e-7", "-1.4999999999999999e-07"},
+      {"12345678901234567890", "1.2345678901234567e+19"},
+      {R"("q\"b\\sé😀/\/")", R"("q\"b\\sé😀//")"},
+      {R"("😀é\u0001\t")", "\"😀é\\u0001\\t\""},
+      {R"("")", R"("")"},
+      {"null", "null"},
+      {"true", "true"},
+      {R"({"a":[1,2.5,{"b":null}],"c":"\n"})",
+       R"({"a":[1,2.5,{"b":null}],"c":"\n"})"},
+      {R"([ 1 , "x" , [ ] , { } ])", R"([1,"x",[],{}])"},
+  };
+  for (const auto& [id, echo] : kCases) {
+    SCOPED_TRACE(id);
+    const ProtocolRequest request =
+        ParseRequestLine(R"({"id":)" + std::string(id) + R"(,"op":"drain"})");
+    ASSERT_EQ(request.error, "");
+    EXPECT_EQ(request.id_json, echo);
+    EXPECT_EQ(FormatDrainResponse(request, ServiceStats{}),
+              "{\"id\":" + std::string(echo) +
+                  ",\"ok\":true,\"op\":\"drain\",\"queries\":0}");
+  }
+  // A repeated key echoes its first value.
+  EXPECT_EQ(ParseRequestLine(R"({"op":"drain","id":1,"id":2})").id_json, "1");
+
+  // The error lines for a line that is not an object, an unknown op and a
+  // guard that does not parse.
+  const struct {
+    const char* line;
+    const char* response;
+  } kErrors[] = {
+      {"[1,2]", R"({"ok":false,"error":"malformed request: not a JSON object"})"},
+      {R"({"id":3,"op":"frobnicate"})",
+       R"j({"id":3,"ok":false,"error":"unknown op \"frobnicate\" (known: query, stats, sweep, maintain, metrics, recent, drain, shutdown)"})j"},
+      {R"({"id":4,"kind":"system","system":{"registers":["x"],"states":[{"name":"a","initial":true}],"rules":[{"from":"a","to":"a","guard":"E(x_old"}]}})",
+       R"({"id":4,"ok":false,"error":"bad guard \"E(x_old\": parse error at offset 7: expected ',' or ')' in atom in \"E(x_old\""})"},
+  };
+  for (const auto& [line, response] : kErrors) {
+    const ProtocolRequest request = ParseRequestLine(line);
+    EXPECT_EQ(FormatErrorResponse(request, request.error), response);
+  }
+}
+
+TEST(ServiceTest, JsonRoundTripsProtocolPayloads) {
+  const JsonDocument doc = ParseJson(
+      R"({"a":[1,2.5,-3],"b":"q\"uote","c":{"d":true,"e":null}})");
+  const JsonView parsed = doc.root();
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(parsed.Get("a").size(), 3u);
+  EXPECT_EQ(parsed.Get("b").string(), "q\"uote");
+  EXPECT_TRUE(parsed.Get("c").Get("d").boolean());
+  EXPECT_TRUE(parsed.Get("c").Get("e").is_null());
+  // Serialize -> parse -> serialize is a fixpoint.
+  const std::string once = JsonToString(parsed);
+  const JsonDocument reparsed = ParseJson(once);
+  ASSERT_TRUE(reparsed.root());
+  EXPECT_EQ(JsonToString(reparsed.root()), once);
+
+  EXPECT_FALSE(ParseJson("{\"a\":}").root());
+  EXPECT_FALSE(ParseJson("{} trailing").root());
+  EXPECT_FALSE(ParseJson("\"unterminated").root());
 }
 
 TEST(ServiceTest, JsonRejectsHostileNestingDepthWithoutCrashing) {
   // One line of brackets must come back as a parse error, not blow the
   // stack and kill the daemon (the parser recurses per nesting level).
   const std::string bomb(100000, '[');
-  EXPECT_FALSE(ParseJson(bomb).has_value());
-  EXPECT_FALSE(ParseJson(std::string(200, '[') + std::string(200, ']'))
-                   .has_value())
+  EXPECT_FALSE(ParseJson(bomb).root());
+  const std::string past_cap = std::string(200, '[') + std::string(200, ']');
+  EXPECT_FALSE(ParseJson(past_cap).root())
       << "past the documented 128-level cap";
   // Reasonable nesting still parses.
   std::string deep = std::string(50, '[') + "1" + std::string(50, ']');
-  EXPECT_TRUE(ParseJson(deep).has_value());
+  EXPECT_TRUE(ParseJson(deep).root());
 }
 
 }  // namespace

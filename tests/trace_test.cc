@@ -12,7 +12,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,22 +104,24 @@ TEST(TraceRecorderTest, ToJsonNestsChildrenAndTypesAnnotations) {
   recorder.EndSpan(child);
   recorder.EndSpan(root);
 
-  const std::optional<JsonValue> parsed = ParseJson(recorder.ToJson());
-  ASSERT_TRUE(parsed.has_value()) << recorder.ToJson();
-  ASSERT_TRUE(parsed->is_array());
-  ASSERT_EQ(parsed->array.size(), 1u);
-  const JsonValue& json_root = parsed->array[0];
+  const std::string text = recorder.ToJson();
+  const JsonDocument doc = ParseJson(text);
+  const JsonView parsed = doc.root();
+  ASSERT_TRUE(parsed) << text;
+  ASSERT_TRUE(parsed.is_array());
+  ASSERT_EQ(parsed.size(), 1u);
+  const JsonView json_root = parsed[0];
   EXPECT_EQ(json_root.GetString("name"), "query");
-  ASSERT_NE(json_root.Get("ann"), nullptr);
-  EXPECT_EQ(json_root.Get("ann")->GetString("kind"), "system");
-  ASSERT_NE(json_root.Get("children"), nullptr);
-  ASSERT_EQ(json_root.Get("children")->array.size(), 1u);
-  const JsonValue& json_child = json_root.Get("children")->array[0];
+  ASSERT_TRUE(json_root.Get("ann"));
+  EXPECT_EQ(json_root.Get("ann").GetString("kind"), "system");
+  ASSERT_TRUE(json_root.Get("children"));
+  ASSERT_EQ(json_root.Get("children").size(), 1u);
+  const JsonView json_child = json_root.Get("children")[0];
   EXPECT_EQ(json_child.GetString("name"), "solve");
-  const JsonValue* members = json_child.Get("ann")->Get("members");
-  ASSERT_NE(members, nullptr);
-  EXPECT_TRUE(members->is_number()) << "numeric annotations stay numbers";
-  EXPECT_EQ(members->number, 42.0);
+  const JsonView members = json_child.Get("ann").Get("members");
+  ASSERT_TRUE(members);
+  EXPECT_TRUE(members.is_number()) << "numeric annotations stay numbers";
+  EXPECT_EQ(members.number(), 42.0);
 }
 
 TEST(TraceRecorderTest, NullRecorderScopedSpanIsInert) {
@@ -398,32 +399,34 @@ TEST(TraceProtocolTest, TracedLineReturnsSpanTreeInBand) {
   }
   ASSERT_EQ(lines.size(), 2u);
 
-  const std::optional<JsonValue> traced = ParseJson(lines[0]);
-  ASSERT_TRUE(traced.has_value()) << lines[0];
-  ASSERT_TRUE(traced->GetBool("ok"));
-  const JsonValue* tree = traced->Get("trace");
-  ASSERT_NE(tree, nullptr) << "a traced query answers with its span tree";
-  ASSERT_TRUE(tree->is_array());
-  ASSERT_EQ(tree->array.size(), 1u);
-  const JsonValue& root = tree->array[0];
+  const JsonDocument traced_doc = ParseJson(lines[0]);
+  const JsonView traced = traced_doc.root();
+  ASSERT_TRUE(traced) << lines[0];
+  ASSERT_TRUE(traced.GetBool("ok"));
+  const JsonView tree = traced.Get("trace");
+  ASSERT_TRUE(tree) << "a traced query answers with its span tree";
+  ASSERT_TRUE(tree.is_array());
+  ASSERT_EQ(tree.size(), 1u);
+  const JsonView root = tree[0];
   EXPECT_EQ(root.GetString("name"), "query");
   // The root's children cover the whole service-side life of the query:
   // queue wait and the build (whose own subtree holds solve/BFS phases).
-  const JsonValue* children = root.Get("children");
-  ASSERT_NE(children, nullptr);
+  const JsonView children = root.Get("children");
+  ASSERT_TRUE(children);
   bool saw_queue_wait = false;
   bool saw_build = false;
-  for (const JsonValue& child : children->array) {
+  for (const JsonView child : children.elements()) {
     if (child.GetString("name") == "queue_wait") saw_queue_wait = true;
     if (child.GetString("name") == "lead_build") saw_build = true;
   }
   EXPECT_TRUE(saw_queue_wait);
   EXPECT_TRUE(saw_build);
 
-  const std::optional<JsonValue> untraced = ParseJson(lines[1]);
-  ASSERT_TRUE(untraced.has_value());
-  ASSERT_TRUE(untraced->GetBool("ok"));
-  EXPECT_EQ(untraced->Get("trace"), nullptr)
+  const JsonDocument untraced_doc = ParseJson(lines[1]);
+  const JsonView untraced = untraced_doc.root();
+  ASSERT_TRUE(untraced);
+  ASSERT_TRUE(untraced.GetBool("ok"));
+  EXPECT_FALSE(untraced.Get("trace"))
       << "an untraced response carries no trace member at all";
 }
 
