@@ -573,9 +573,9 @@ std::string ChainQueryLine(int n) {
 // The daemon end to end over a Unix-socket loopback: N concurrent clients
 // each pipeline a 32-query burst (the chain-64 spec above, cache-hot
 // after warmup) and read their 32 ordered responses back. Measures the
-// full transport stack — epoll event loop, line framing, per-connection
-// session writers, socket syscalls — on top of BM_ServiceThroughput's
-// broker overhead.
+// full transport stack — epoll event loop, line framing, in-order
+// responses emitted by the workers, socket syscalls — on top of
+// BM_ServiceThroughput's broker overhead.
 void BM_DaemonThroughput(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   constexpr int kQueriesPerBatch = 32;

@@ -21,9 +21,9 @@ Structure::Structure(SchemaRef schema, std::size_t domain_size)
 }
 
 std::size_t Structure::TableSize(int arity) const {
-  std::size_t size = 1;
-  for (int i = 0; i < arity; ++i) size *= n_;
-  return size;
+  // O(log arity): a schema's arity can come straight from a request line.
+  return static_cast<std::size_t>(
+      IntPow(n_, static_cast<unsigned>(arity)));
 }
 
 std::size_t Structure::EncodeIndex(std::span<const Elem> tuple) const {

@@ -51,9 +51,16 @@ std::vector<RelAtom> AtomsFor(const SchemaRef& schema, int d) {
   return atoms;
 }
 
+// The atoms of a d-element row, saturating. A relation wider than
+// kMaxGridAtoms counts as unbounded once d >= 1: over two or more elements
+// it alone has more atoms than any cap, and over one its single tuple
+// costs its arity to build, which a request line can set to 2^31 - 1.
 std::uint64_t AtomCountFor(const SchemaRef& schema, int d) {
   std::uint64_t atoms = 0;
   for (int r = 0; r < schema->num_relations(); ++r) {
+    if (d >= 1 && schema->relation(r).arity > static_cast<int>(kMaxGridAtoms)) {
+      return UINT64_MAX;
+    }
     atoms = SatAdd(
         atoms, IntPow(static_cast<std::uint64_t>(d),
                       static_cast<unsigned>(schema->relation(r).arity)));
@@ -200,10 +207,11 @@ void EnumerateRelationalGenerated(
             ? 0
             : 1 + *std::max_element(block_of.begin(), block_of.end());
     const std::vector<Elem> marks = MarksOf(block_of);
+    // Counted before any atom is built: the count saturates where building
+    // them would not finish.
+    const std::uint64_t count = AtomCountFor(schema, d);
+    if (count > cap) throw EnumerationCapError(count, cap);
     const std::vector<RelAtom> atoms = AtomsFor(schema, d);
-    if (atoms.size() > cap) {
-      throw EnumerationCapError(atoms.size(), cap);
-    }
     const std::uint64_t total = 1ULL << atoms.size();
     Structure s(schema, d);
     std::uint64_t previous = 0;
@@ -305,6 +313,11 @@ void AllStructuresClass::EnumerateExtensions(const Structure& old_structure,
 
   auto emit = [&](int used) {
     const int d = d0 + used;
+    // The new atoms are a share of all d-element atoms; when those saturate
+    // the count, building the share would not finish either.
+    if (AtomCountFor(schema_, d) == UINT64_MAX) {
+      throw EnumerationCapError(UINT64_MAX, cap);
+    }
     // Atoms touching at least one new element, in (relation, odometer)
     // order; all-old tuples keep the shape's truth values.
     std::vector<RelAtom> atoms;

@@ -140,9 +140,9 @@ void DaemonServer::Stop() {
   if (thread_.joinable()) thread_.join();
 
   // Loop is gone; this thread owns the connection state now. Destroying a
-  // session blocks until its in-flight queries resolve and renders every
-  // pending response into the out buffer; a final best-effort flush gets
-  // them onto the wire for clients still reading.
+  // session blocks until its in-flight queries resolve and every pending
+  // response is in the out buffer; a final best-effort flush gets them
+  // onto the wire for clients still reading.
   for (auto& [fd, conn] : conns_) {
     conn.session.reset();
     FlushOut(conn);
@@ -154,7 +154,7 @@ void DaemonServer::Stop() {
     counters_.open.fetch_sub(1, std::memory_order_relaxed);
   }
   conns_.clear();
-  graveyard_.clear();  // joins retired sessions' writers
+  graveyard_.clear();  // waits out retired sessions' in-flight queries
 
   CloseListeners();
   if (wake_fd_ >= 0) ::close(wake_fd_);
@@ -192,13 +192,19 @@ void DaemonServer::AcceptAll(int listen_fd) {
     conn.last_active = std::chrono::steady_clock::now();
     std::shared_ptr<OutBuf> out = conn.out;
     const int wake_fd = wake_fd_;
-    // Runs on the session's writer thread: append the line, wake the loop.
+    // Runs on whichever thread completes the session's head response (a
+    // query worker, the admin thread, this loop): append, wake the loop.
     Session::Emit emit = [out, wake_fd](const std::string& line) {
       {
         std::lock_guard<std::mutex> lock(out->mutex);
         if (out->closed) return;  // connection died; drop the response
+        // Unflushed bytes already have a wake pending or EPOLLOUT armed:
+        // the loop flushes every buffer after it drains the eventfd, so
+        // one wake covers a burst of responses.
+        const bool idle = out->offset == out->data.size();
         out->data.append(line);
         out->data.push_back('\n');
+        if (!idle) return;
       }
       std::uint64_t one = 1;
       ssize_t ignored = ::write(wake_fd, &one, sizeof(one));
@@ -221,6 +227,7 @@ void DaemonServer::AcceptAll(int listen_fd) {
       ::close(fd);
       continue;
     }
+    conn.armed = EPOLLIN;
     conns_.emplace(fd, std::move(conn));
   }
 }
@@ -277,8 +284,10 @@ bool DaemonServer::FlushOut(Conn& conn) {
   std::lock_guard<std::mutex> lock(conn.out->mutex);
   OutBuf& out = *conn.out;
   while (out.offset < out.data.size()) {
-    ssize_t n = ::write(conn.fd, out.data.data() + out.offset,
-                        out.data.size() - out.offset);
+    // send, not write: a peer that hung up must cost its connection
+    // (EPIPE), not the daemon (SIGPIPE).
+    ssize_t n = ::send(conn.fd, out.data.data() + out.offset,
+                       out.data.size() - out.offset, MSG_NOSIGNAL);
     if (n > 0) {
       out.offset += static_cast<std::size_t>(n);
       conn.last_active = std::chrono::steady_clock::now();
@@ -298,11 +307,15 @@ bool DaemonServer::FlushOut(Conn& conn) {
 }
 
 void DaemonServer::UpdateEpoll(Conn& conn) {
+  const std::uint32_t wanted =
+      (conn.input_open && !draining_ ? EPOLLIN : 0u) |
+      (conn.want_write ? EPOLLOUT : 0u);
+  if (wanted == conn.armed) return;
   epoll_event ev{};
-  ev.events = (conn.input_open && !draining_ ? EPOLLIN : 0u) |
-              (conn.want_write ? EPOLLOUT : 0u);
+  ev.events = wanted;
   ev.data.fd = conn.fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+  conn.armed = wanted;
 }
 
 void DaemonServer::CloseConn(int fd) {
@@ -311,14 +324,14 @@ void DaemonServer::CloseConn(int fd) {
   Conn& conn = it->second;
   {
     std::lock_guard<std::mutex> lock(conn.out->mutex);
-    conn.out->closed = true;  // late emits from the writer are dropped
+    conn.out->closed = true;  // late emits from the session are dropped
   }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   counters_.open.fetch_sub(1, std::memory_order_relaxed);
   if (conn.session != nullptr && !conn.session->FlushedAll()) {
     // Destroying it now would block the loop on its in-flight queries;
-    // park it until the writer drains (emits go nowhere — out is closed).
+    // park it until they resolve (emits go nowhere — out is closed).
     graveyard_.push_back(std::move(conn.session));
   }
   conns_.erase(it);
@@ -380,15 +393,11 @@ void DaemonServer::Loop() {
     std::vector<int> to_close;
     const auto now = std::chrono::steady_clock::now();
     for (auto& [fd, conn] : conns_) {
-      const bool had_backlog = [&] {
-        std::lock_guard<std::mutex> lock(conn.out->mutex);
-        return conn.out->offset < conn.out->data.size();
-      }();
       if (!FlushOut(conn)) {
         to_close.push_back(fd);
         continue;
       }
-      if (had_backlog || conn.want_write) UpdateEpoll(conn);
+      UpdateEpoll(conn);
       const bool out_empty = [&] {
         std::lock_guard<std::mutex> lock(conn.out->mutex);
         return conn.out->offset >= conn.out->data.size();
@@ -413,7 +422,7 @@ void DaemonServer::Loop() {
     graveyard_.erase(
         std::remove_if(graveyard_.begin(), graveyard_.end(),
                        [](const std::unique_ptr<Session>& s) {
-                         return s->FlushedAll();  // destructor joins, briefly
+                         return s->FlushedAll();  // destructor won't block
                        }),
         graveyard_.end());
 

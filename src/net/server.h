@@ -5,13 +5,16 @@
 // and/or TCP listeners, performs nonblocking reads into per-connection
 // line buffers, and hands complete lines to the connection's Session
 // (service/session.h), which parses, applies the per-connection inflight
-// cap, submits to the service, and emits ordered response lines from its
-// own writer thread. Emitted lines land in a per-connection output buffer
-// (mutex-guarded — the only state shared between a writer thread and the
-// loop); an eventfd wakes the loop, which flushes buffers with
-// nonblocking writes and arms EPOLLOUT for whatever the socket would not
-// take. Per-connection response ordering is therefore end to end: FIFO in
-// the session, FIFO in the byte buffer, FIFO on the wire.
+// cap, submits to the service, and emits ordered response lines from
+// whichever thread completes them — a query worker, the service's admin
+// thread, or this loop. A connection adds no thread. Emitted lines land
+// in a per-connection output buffer (mutex-guarded — the only state
+// shared between those threads and the loop); an eventfd wakes the loop,
+// which flushes buffers with nonblocking writes and arms EPOLLOUT for
+// whatever the socket would not take, calling epoll_ctl only when a
+// connection's interest set changes. Per-connection response ordering is
+// therefore end to end: FIFO in the session, FIFO in the byte buffer,
+// FIFO on the wire.
 //
 // Stuck clients are reaped: a connection with no socket progress for
 // idle_timeout_ms is closed — unless its silence is just a query still
@@ -97,9 +100,9 @@ class DaemonServer {
   const ConnectionCounters& counters() const { return counters_; }
 
  private:
-  /// The write side shared between a session's writer thread and the
-  /// loop. Closed connections keep the buffer alive (shared_ptr) so late
-  /// emits from a retiring session are dropped safely.
+  /// The write side shared between the threads a session emits from and
+  /// the loop. Closed connections keep the buffer alive (shared_ptr) so
+  /// late emits from a retiring session are dropped safely.
   struct OutBuf {
     std::mutex mutex;
     std::string data;
@@ -114,7 +117,8 @@ class DaemonServer {
     std::shared_ptr<OutBuf> out;
     std::string in_buf;
     bool input_open = true;
-    bool want_write = false;  // EPOLLOUT armed
+    bool want_write = false;     // the socket took less than the buffer
+    std::uint32_t armed = 0;     // the interest set epoll has for fd
     std::chrono::steady_clock::time_point last_active;
   };
 
@@ -125,6 +129,8 @@ class DaemonServer {
   /// Nonblocking drain of the out buffer; arms/disarms EPOLLOUT. Returns
   /// false when the connection died mid-write.
   bool FlushOut(Conn& conn);
+  /// Brings the fd's interest set in line with input_open, draining_ and
+  /// want_write; no syscall when it already is.
   void UpdateEpoll(Conn& conn);
   void CloseConn(int fd);
   /// {"op":"shutdown"}: close listeners, stop reading everywhere; the

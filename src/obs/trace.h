@@ -19,8 +19,9 @@
 // reads and the span storage.
 //
 // Thread model: spans are recorded under a small internal mutex, so a
-// recorder may be handed across threads (the session thread creates it,
-// a worker thread records into it, the writer thread serializes it) —
+// recorder may be handed across threads (the transport thread creates it
+// while parsing, a worker thread records into it and then serializes it
+// into the response) —
 // but span *nesting* is tracked by one open-span stack, so at most one
 // thread should be opening/closing spans at a time. That is exactly the
 // query pipeline's shape: one worker owns the query from pickup to

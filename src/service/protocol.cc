@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -13,6 +14,7 @@
 #include "fraisse/relational.h"
 #include "obs/build_info.h"
 #include "service/json.h"
+#include "system/guard_table.h"
 #include "system/zoo.h"
 #include "trees/run_class.h"
 #include "trees/zoo.h"
@@ -157,27 +159,63 @@ int ResolveState(const StateIds& state_ids, std::string_view name) {
   return *id;
 }
 
-// Rule lists repeat guards; each distinct guard text is parsed once per
-// spec and its FormulaRef shared, which also lets InternGuards
-// (solver/context.h) dedupe those rules by pointer without printing them.
-using GuardMemo = ViewMap<FormulaRef>;
+// Rule lists repeat guards, and request lines repeat each other's guards.
+// Each distinct guard text of a spec is looked up once in the daemon's
+// guard table (system/guard_table.h), which parses and prints it only the
+// first time any line uses it. Its rules share one FormulaRef, so
+// InternGuards (solver/context.h) dedupes them by pointer, and carry its
+// printed form, so the graph key is assembled without printing.
+class GuardMemo {
+ public:
+  /// Null `table`: every distinct text is parsed, and nothing printed.
+  explicit GuardMemo(GuardTable* table) : table_(table) {}
 
-template <typename System>
-FormulaRef ParseGuardOnce(System& system, std::string_view text,
-                          GuardMemo& memo) {
-  if (const FormulaRef* guard = memo.Find(text)) return *guard;
-  return memo.Insert(text, system.ParseGuard(std::string(text)));
-}
+  template <typename System>
+  std::shared_ptr<const ParsedGuard> Compile(System& system,
+                                             std::string_view text) {
+    if (const auto* guard = memo_.Find(text)) return *guard;
+    auto parse = [&system](const std::string& guard) {
+      return system.ParseGuard(guard);
+    };
+    if (table_ == nullptr) {
+      return memo_.Insert(text, std::make_shared<const ParsedGuard>(
+                                    ParsedGuard{parse(std::string(text)), ""}));
+    }
+    if (scope_.empty()) scope_ = GuardTable::Scope(Skeleton(system));
+    return memo_.Insert(
+        text,
+        table_->Compile(scope_, text, Skeleton(system).schema(), parse));
+  }
+
+  /// The printed form a rule carries: shares the parsed guard's
+  /// ownership, null when the table did not print it.
+  static std::shared_ptr<const std::string> Printed(
+      const std::shared_ptr<const ParsedGuard>& guard) {
+    if (guard->printed.empty()) return nullptr;
+    return std::shared_ptr<const std::string>(guard, &guard->printed);
+  }
+
+ private:
+  static const DdsSystem& Skeleton(const DdsSystem& system) { return system; }
+  static const DdsSystem& Skeleton(const BranchingSystem& system) {
+    return system.skeleton();
+  }
+
+  GuardTable* const table_;
+  ViewMap<std::shared_ptr<const ParsedGuard>> memo_;
+  std::string scope_;
+};
 
 std::shared_ptr<const DdsSystem> ParseSystemSpec(JsonView spec,
-                                                 SchemaRef schema) {
+                                                 SchemaRef schema,
+                                                 GuardTable* guards) {
   auto system = std::make_shared<DdsSystem>(std::move(schema));
   const StateIds state_ids = BuildSkeleton(spec, *system);
   const JsonView rules = spec.Get("rules");
   if (!rules.is_array()) {
     throw ProtocolError("system spec needs a `rules` array");
   }
-  GuardMemo memo;
+  GuardMemo memo(guards);
   for (const JsonView rule : rules.elements()) {
     if (!rule.is_object()) throw ProtocolError("`rules` entries are objects");
     const std::string_view from = rule.GetString("from");
@@ -189,7 +227,9 @@ std::shared_ptr<const DdsSystem> ParseSystemSpec(JsonView spec,
     const int from_id = ResolveState(state_ids, from);
     const int to_id = ResolveState(state_ids, to);
     try {
-      system->AddRule(from_id, to_id, ParseGuardOnce(*system, guard, memo));
+      const auto compiled = memo.Compile(*system, guard);
+      system->AddRule(from_id, to_id, compiled->formula,
+                      GuardMemo::Printed(compiled));
     } catch (const std::exception& e) {
       throw ProtocolError("bad guard \"" + std::string(guard) +
                           "\": " + e.what());
@@ -198,15 +238,15 @@ std::shared_ptr<const DdsSystem> ParseSystemSpec(JsonView spec,
   return system;
 }
 
-std::shared_ptr<const BranchingSystem> ParseBranchingSpec(JsonView spec,
-                                                          SchemaRef schema) {
+std::shared_ptr<const BranchingSystem> ParseBranchingSpec(
+    JsonView spec, SchemaRef schema, GuardTable* guards) {
   auto system = std::make_shared<BranchingSystem>(std::move(schema));
   const StateIds state_ids = BuildSkeleton(spec, *system);
   const JsonView rules = spec.Get("rules");
   if (!rules.is_array()) {
     throw ProtocolError("branching spec needs a `rules` array");
   }
-  GuardMemo memo;
+  GuardMemo memo(guards);
   for (const JsonView rule : rules.elements()) {
     const std::string_view from = rule.GetString("from");
     const JsonView branches = rule.Get("branches");
@@ -227,8 +267,9 @@ std::shared_ptr<const BranchingSystem> ParseBranchingSpec(JsonView spec,
     std::vector<Branch> parsed_branches;
     try {
       for (const auto& [guard, to_id] : guarded_targets) {
+        const auto compiled = memo.Compile(*system, guard);
         parsed_branches.push_back(
-            Branch{ParseGuardOnce(*system, guard, memo), to_id});
+            Branch{compiled->formula, to_id, GuardMemo::Printed(compiled)});
       }
     } catch (const std::exception& e) {
       throw ProtocolError(std::string("bad branching guard: ") + e.what());
@@ -256,8 +297,19 @@ std::shared_ptr<const Nfa> MakeNfa(std::string_view name) {
   }
   if (name == "aplus_bplus") return std::make_shared<Nfa>(NfaAPlusBPlus());
   if (name.substr(0, 3) == "mod") {
-    const int p = std::atoi(std::string(name.substr(3)).c_str());
-    if (p >= 2) return std::make_shared<Nfa>(NfaModCounter(p));
+    // The counter has p states and is built while the line is parsed; its
+    // run class has a schema symbol per state.
+    const std::string_view digits = name.substr(3);
+    int p = 0;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), p);
+    if (digits.empty() || ec != std::errc() ||
+        end != digits.data() + digits.size() || p < 2 ||
+        p > kMaxSizeParameter) {
+      throw ProtocolError("\"nfa\" mod<p> must have an integer p in [2, " +
+                          std::to_string(kMaxSizeParameter) + "]");
+    }
+    return std::make_shared<Nfa>(NfaModCounter(p));
   }
   throw ProtocolError("unknown nfa \"" + std::string(name) +
                       "\" (known: all_ab, alternating_ab, aplus_bplus, "
@@ -292,7 +344,7 @@ std::shared_ptr<const DdsSystem> MakeZooSystem(std::string_view name) {
                       "or pass a spec object)");
 }
 
-void ParseQuery(JsonView json, ProtocolRequest& out) {
+void ParseQuery(JsonView json, ProtocolRequest& out, GuardTable* guards) {
   QueryRequest& query = out.query;
 
   const std::string_view kind = json.GetString("kind", "system");
@@ -403,9 +455,10 @@ void ParseQuery(JsonView json, ProtocolRequest& out) {
         break;
     }
     if (query.kind == QueryKind::kBranching) {
-      query.branching = ParseBranchingSpec(system_field, std::move(schema));
+      query.branching =
+          ParseBranchingSpec(system_field, std::move(schema), guards);
     } else {
-      query.system = ParseSystemSpec(system_field, std::move(schema));
+      query.system = ParseSystemSpec(system_field, std::move(schema), guards);
     }
   } else {
     throw ProtocolError("`system` must be a zoo name or a spec object");
@@ -480,6 +533,10 @@ std::string CloseObject(std::string out) {
 }  // namespace
 
 ProtocolRequest ParseRequestLine(std::string_view line) {
+  return ParseRequestLine(line, &GuardTable::Shared());
+}
+
+ProtocolRequest ParseRequestLine(std::string_view line, GuardTable* guards) {
   ProtocolRequest request;
   const JsonDocument doc = ParseJson(line);
   const JsonView json = doc.root();
@@ -492,7 +549,7 @@ ProtocolRequest ParseRequestLine(std::string_view line) {
     const std::string_view op = json.GetString("op", "query");
     if (op == "query") {
       request.op = ProtocolRequest::Op::kQuery;
-      ParseQuery(json, request);
+      ParseQuery(json, request, guards);
     } else if (op == "stats") {
       request.op = ProtocolRequest::Op::kStats;
     } else if (op == "sweep") {

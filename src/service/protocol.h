@@ -37,7 +37,8 @@
 // A line is read in one pass into a flat array of views over the line
 // (service/json.h); the ProtocolRequest built from it owns what it keeps.
 // "rounds", "steps" and "extra_pattern_cap" take an integer in
-// [0, kMaxSizeParameter], and a schema arity an integer in [0, INT_MAX];
+// [0, kMaxSizeParameter], the p of "nfa":"mod<p>" an integer in
+// [2, kMaxSizeParameter], and a schema arity an integer in [0, INT_MAX];
 // anything else fails the line in band.
 //
 // Responses echo the request's "id" re-serialized (decoded, then
@@ -62,6 +63,8 @@
 #include "solver/store.h"
 
 namespace amalgam {
+
+class GuardTable;
 
 /// One parsed request line. It owns everything it keeps (the re-serialized
 /// id, the error text, and the systems, classes and guards built from the
@@ -91,19 +94,25 @@ struct ProtocolRequest {
   std::uint64_t max_files = 0;     // kSweep
 };
 
-/// The largest "rounds", "steps" or "extra_pattern_cap" a query may carry;
-/// a negative, fractional or larger value fails the line in band. "rounds"
-/// and "steps" size a zoo system built on the transport's thread while the
-/// line is parsed, in time linear in the parameter, so an unbounded one
-/// would let one short line stall every other connection;
-/// "extra_pattern_cap" sizes the tree pattern class a worker builds.
+/// The largest "rounds", "steps" or "extra_pattern_cap" a query may carry,
+/// and the largest p of "nfa":"mod<p>"; a negative, fractional or larger
+/// value fails the line in band. "rounds" and "steps" size a zoo system
+/// and p a counter automaton, each built on the transport's thread while
+/// the line is parsed, in time linear in the parameter, so an unbounded
+/// one would let one short line stall every other connection (a p of
+/// 100000 crashed the daemon); "extra_pattern_cap" sizes the tree pattern
+/// class a worker builds.
 inline constexpr int kMaxSizeParameter = 64;
 
 /// Parses one JSONL request line in one pass over views into `line`.
 /// Never throws: malformed input comes back as a ProtocolRequest with
 /// `error` set (and any parsable id). The result owns everything it keeps
-/// and does not refer to `line`.
+/// and does not refer to `line`. Spec guards are compiled through the
+/// daemon-wide GuardTable::Shared() (system/guard_table.h).
 ProtocolRequest ParseRequestLine(std::string_view line);
+/// The same through `guards` instead; null parses every distinct guard of
+/// the line afresh, as a line parsed without any table.
+ProtocolRequest ParseRequestLine(std::string_view line, GuardTable* guards);
 
 std::string FormatQueryResponse(const ProtocolRequest& request,
                                 const QueryResult& result);

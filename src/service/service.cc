@@ -112,14 +112,6 @@ QueryService::QueryService(Options options)
 
 QueryService::~QueryService() { Shutdown(); }
 
-void QueryService::ComputeTaskContext(Task& task) {
-  try {
-    task.context = ComputeGraphContext(task.request);
-  } catch (const std::exception& e) {
-    task.setup_error = e.what();
-  }
-}
-
 std::string QueryService::GraphKeyFor(const QueryRequest& request) const {
   try {
     return ComputeGraphContext(request).key;
@@ -140,21 +132,34 @@ bool QueryService::Prewarm(const QueryRequest& request,
   }
 }
 
-void QueryService::RegisterFlight(Task& task) {
-  if (!task.setup_error.empty()) return;
+void QueryService::ComputeTaskContext(Task& task) {
+  try {
+    task.context = ComputeGraphContext(task.request);
+  } catch (const std::exception& e) {
+    task.setup_error = e.what();
+    return;
+  }
   // A complete cached graph serves the query with zero build work: run it
   // directly, off the flight table, so hot complete keys never serialize.
   // A *partial* entry goes through the table as a resume flight — without
   // one, N concurrent queries over a warm-but-partial key would each copy
   // the entry and duplicate the same suffix sweep (the progress-guarded
   // insert keeps only the furthest, so all but one copy is wasted work).
+  // Peeked before the queue lock is taken: the cache may change either way
+  // until a worker runs the query, which the front door's own lookup
+  // absorbs.
   const std::shared_ptr<const SubTransitionGraph> cached =
       cache_.Peek(task.context.key);
   if (cached != nullptr && cached->complete()) {
     task.role = Role::kDirect;
     return;
   }
+  task.role = Role::kLeader;
   task.resume = cached != nullptr;
+}
+
+void QueryService::RegisterFlight(Task& task) {
+  if (!task.setup_error.empty() || task.role == Role::kDirect) return;
   std::lock_guard<std::mutex> flock(flights_mutex_);
   auto it = flights_.find(task.context.key);
   if (it != flights_.end()) {
@@ -181,26 +186,26 @@ void QueryService::RegisterFlight(Task& task) {
 
 std::future<QueryResult> QueryService::Submit(QueryRequest request,
                                               std::string* graph_key) {
+  auto promise = std::make_shared<std::promise<QueryResult>>();
+  std::future<QueryResult> future = promise->get_future();
+  Submit(
+      std::move(request),
+      [promise](QueryRequest, QueryResult result) {
+        promise->set_value(std::move(result));
+      },
+      graph_key);
+  return future;
+}
+
+void QueryService::Submit(QueryRequest request, Completion done,
+                          std::string* graph_key) {
   Task task;
   task.request = std::move(request);
-  std::future<QueryResult> future = task.promise.get_future();
+  task.done = std::move(done);
   ComputeTaskContext(task);  // backend construction: keep it off the lock
   if (graph_key != nullptr) *graph_key = task.context.key;
   task.submitted_at = std::chrono::steady_clock::now();
-  {
-    // Registration and enqueue are atomic together: a joiner must never
-    // precede its leader in the queue, or a one-worker pool would pick up
-    // the joiner first and deadlock waiting for a build that cannot start.
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (stopping_) {
-      throw std::runtime_error("QueryService is shut down");
-    }
-    RegisterFlight(task);
-    queue_.push_back(std::move(task));
-    ++outstanding_;
-  }
-  queue_cv_.notify_one();
-  return future;
+  Enqueue(std::span<Task>(&task, 1));
 }
 
 std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
@@ -212,15 +217,26 @@ std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
   for (QueryRequest& request : requests) {
     Task task;
     task.request = std::move(request);
-    futures.push_back(task.promise.get_future());
+    auto promise = std::make_shared<std::promise<QueryResult>>();
+    futures.push_back(promise->get_future());
+    task.done = [promise](QueryRequest, QueryResult result) {
+      promise->set_value(std::move(result));
+    };
     ComputeTaskContext(task);  // per-request backend construction, unlocked
     task.submitted_at = std::chrono::steady_clock::now();
     tasks.push_back(std::move(task));
   }
+  Enqueue(tasks);
+  return futures;
+}
+
+void QueryService::Enqueue(std::span<Task> tasks) {
   {
-    // One lock for the whole batch: every request is registered in the
-    // single-flight table before any worker can start the first one, so
-    // identical cold queries in a batch coalesce deterministically.
+    // Registration and enqueue are atomic together, for the whole batch:
+    // a joiner must never precede its leader in the queue, or a one-worker
+    // pool would pick up the joiner first and deadlock waiting for a build
+    // that cannot start; and identical cold queries in a batch coalesce
+    // deterministically.
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stopping_) {
       throw std::runtime_error("QueryService is shut down");
@@ -231,8 +247,11 @@ std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
       ++outstanding_;
     }
   }
-  queue_cv_.notify_all();
-  return futures;
+  if (tasks.size() == 1) {
+    queue_cv_.notify_one();
+  } else {
+    queue_cv_.notify_all();
+  }
 }
 
 void QueryService::WorkerLoop() {
@@ -246,18 +265,48 @@ void QueryService::WorkerLoop() {
       queue_.pop_front();
     }
     QueryResult result = Execute(task);
-    // Decrement before resolving the promise: an observer that synced on
-    // the future (a session writer emitting the response, the maintenance
-    // loop's idleness probe) must never read this query as still
-    // outstanding afterwards. Drain() may consequently return a moment
-    // before the final set_value lands; callers that need the result
-    // still block in future.get(), so nothing observes a gap.
+    // Decrement before completing: an observer that synced on the
+    // completion (a session emitting the response, a future's reader, the
+    // maintenance loop's idleness probe) must never read this query as
+    // still outstanding afterwards. Drain() may consequently return a
+    // moment before the completion runs; callers that need the result
+    // wait for the completion itself, so nothing observes a gap.
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       --outstanding_;
     }
     drained_cv_.notify_all();
-    task.promise.set_value(std::move(result));
+    task.done(std::move(task.request), std::move(result));
+  }
+}
+
+void QueryService::PostAdmin(std::function<void()> job) {
+  {
+    std::lock_guard<std::mutex> lock(admin_mutex_);
+    if (!admin_stopping_) {
+      if (!admin_thread_.joinable()) {
+        admin_thread_ = std::thread([this] { AdminLoop(); });
+      }
+      admin_jobs_.push_back(std::move(job));
+      admin_cv_.notify_one();
+      return;
+    }
+  }
+  job();
+}
+
+void QueryService::AdminLoop() {
+  for (;;) {
+    std::function<void()> job;
+    {
+      std::unique_lock<std::mutex> lock(admin_mutex_);
+      admin_cv_.wait(
+          lock, [this] { return admin_stopping_ || !admin_jobs_.empty(); });
+      if (admin_jobs_.empty()) return;  // stopping and nothing left to run
+      job = std::move(admin_jobs_.front());
+      admin_jobs_.pop_front();
+    }
+    job();
   }
 }
 
@@ -435,6 +484,14 @@ void QueryService::Drain() {
 }
 
 void QueryService::Shutdown() {
+  {
+    // Admin jobs first: they may still submit (a maintenance pass) and
+    // drain, which needs the workers.
+    std::lock_guard<std::mutex> lock(admin_mutex_);
+    admin_stopping_ = true;
+  }
+  admin_cv_.notify_all();
+  if (admin_thread_.joinable()) admin_thread_.join();
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
     // Graceful: everything accepted before the stop flag runs to its

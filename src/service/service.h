@@ -7,8 +7,9 @@
 // stack instead:
 //
 //   * a fixed worker pool executes submitted queries asynchronously
-//     (Submit returns a std::future<QueryResult>; SubmitBatch returns one
-//     future per request);
+//     (Submit returns a std::future<QueryResult>, or calls a completion on
+//     the worker that answered; SubmitBatch returns one future per
+//     request);
 //   * one GraphCache (optionally LRU-capped, and disk-backed when
 //     Options::store_dir names a directory — the only way a service gets a
 //     store) is shared by every query, so distinct requests over the same
@@ -35,9 +36,13 @@
 // graph; a joiner whose verdict needs more of the class resumes it through
 // the ordinary cache path (correct, just no longer coalesced).
 //
+// Blocking work that must not hold a query worker (an admin op that drains
+// the service would wait on the worker it held) runs on the service's one
+// admin thread instead: PostAdmin.
+//
 // Shutdown is graceful: Drain() blocks until every accepted query has
-// completed; Shutdown() (and the destructor) drains, then joins the
-// workers. Submissions after Shutdown throw.
+// completed; Shutdown() (and the destructor) runs the posted admin jobs,
+// drains, then joins the workers. Submissions after Shutdown throw.
 #ifndef AMALGAM_SERVICE_SERVICE_H_
 #define AMALGAM_SERVICE_SERVICE_H_
 
@@ -45,9 +50,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -101,6 +108,17 @@ class QueryService {
   std::future<QueryResult> Submit(QueryRequest request,
                                   std::string* graph_key = nullptr);
 
+  /// Receives a finished query on the worker that ran it: the request,
+  /// handed back so the caller decides on which thread its inputs are
+  /// freed, and the result. Must not throw.
+  using Completion =
+      std::function<void(QueryRequest request, QueryResult result)>;
+
+  /// Enqueues one query like Submit above; `done` runs on the worker once
+  /// the query finished, after Pending() stopped counting it.
+  void Submit(QueryRequest request, Completion done,
+              std::string* graph_key = nullptr);
+
   /// Enqueues a batch. All single-flight registrations happen before any
   /// of the batch's tasks can start, so identical cold requests within one
   /// batch coalesce deterministically onto a single build.
@@ -111,8 +129,13 @@ class QueryService {
   /// submissions during a drain are allowed and extend it.
   void Drain();
 
-  /// Drains, then stops and joins the workers. Idempotent; implied by the
-  /// destructor. Further Submit calls throw.
+  /// Runs `job` on the service's admin thread, started on first use, after
+  /// every job posted before it. Once Shutdown has begun, runs `job` on the
+  /// calling thread instead.
+  void PostAdmin(std::function<void()> job);
+
+  /// Runs the posted admin jobs, drains, then stops and joins the workers.
+  /// Idempotent; implied by the destructor. Further Submit calls throw.
   void Shutdown();
 
   /// Aggregated counters + latency percentiles; safe to call concurrently
@@ -177,7 +200,7 @@ class QueryService {
 
   struct Task {
     QueryRequest request;
-    std::promise<QueryResult> promise;
+    Completion done;
     Role role = Role::kDirect;
     // The flight extends a cached partial entry rather than building cold
     // (counts toward resume_leads/resume_coalesced instead of the cold
@@ -196,20 +219,26 @@ class QueryService {
   };
 
   /// Derives the request's graph context (backend construction and guard
-  /// interning — the expensive part, so it runs before any lock is taken).
-  /// Fills context/setup_error.
-  static void ComputeTaskContext(Task& task);
+  /// interning — the expensive part, so it runs before any lock is taken)
+  /// and peeks at the cache: a complete graph makes the task kDirect.
+  /// Fills context/setup_error/role/resume.
+  void ComputeTaskContext(Task& task);
 
-  /// Registers the task in the single-flight table and assigns its role.
-  /// Caller holds queue_mutex_ (registration must be atomic with the
-  /// enqueue so a joiner can never precede its leader in the queue).
+  /// Registers a task that is not kDirect in the single-flight table as
+  /// leader or joiner. Caller holds queue_mutex_ (registration must be
+  /// atomic with the enqueue so a joiner can never precede its leader in
+  /// the queue).
   void RegisterFlight(Task& task);
+
+  /// Enqueues tasks whose contexts are derived, registering every one in
+  /// the single-flight table before any of them can start.
+  void Enqueue(std::span<Task> tasks);
 
   /// Runs one query end to end on a worker thread: waits on the join
   /// future (joiners), executes the front door against the shared cache,
   /// resolves the flight (leaders) and records stats. Returns the result
-  /// instead of resolving the promise itself so WorkerLoop can mark the
-  /// query no-longer-outstanding *before* the future resolves — Pending()
+  /// instead of completing the task itself so WorkerLoop can mark the
+  /// query no-longer-outstanding *before* its completion runs — Pending()
   /// must never report a query whose response was already observed.
   QueryResult Execute(Task& task);
 
@@ -219,6 +248,7 @@ class QueryService {
                        const GraphContext& context);
 
   void WorkerLoop();
+  void AdminLoop();
 
   Options options_;
   GraphCache cache_;
@@ -258,6 +288,12 @@ class QueryService {
       std::chrono::steady_clock::now();
 
   std::vector<std::thread> workers_;
+
+  std::mutex admin_mutex_;
+  std::condition_variable admin_cv_;
+  std::deque<std::function<void()>> admin_jobs_;
+  bool admin_stopping_ = false;
+  std::thread admin_thread_;
 };
 
 }  // namespace amalgam

@@ -1,6 +1,5 @@
 #include "service/session.h"
 
-#include <future>
 #include <string>
 #include <utility>
 
@@ -14,53 +13,104 @@ Session::Session(QueryService& service, Options options, Emit emit,
     : service_(service),
       options_(options),
       emit_(std::move(emit)),
-      counters_(counters),
-      writer_([this] { WriterLoop(); }) {}
+      counters_(counters) {}
 
-Session::~Session() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  queue_cv_.notify_one();
-  writer_.join();  // drains the queue: every accepted line gets its line out
-}
+Session::~Session() { Flush(); }
 
-void Session::WriterLoop() {
-  for (;;) {
-    Item item;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and nothing left to emit
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    // Rendering may block (a query future, an admin drain); the emitted
-    // line lands with the transport in request order because this loop is
-    // the only consumer of the FIFO.
-    emit_(item.render());
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++written_;
-      if (item.is_query) --inflight_;
-    }
-    written_cv_.notify_all();
-  }
-}
-
-void Session::Push(Item item) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++enqueued_;
-    if (item.is_query) ++inflight_;
-    queue_.push_back(std::move(item));
-  }
-  queue_cv_.notify_one();
+std::uint64_t Session::Push(Slot slot) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const std::uint64_t seq = head_seq_ + slots_.size();
+  if (slot.is_query) ++inflight_;
+  const bool ready = slot.ready || slot.render != nullptr;
+  slots_.push_back(std::move(slot));
+  // A query's slot stays behind its worker; anything else may be, or
+  // start, what the head is waiting for.
+  if (ready) EmitReady(lock);
+  return seq;
 }
 
 void Session::PushRendered(std::string line) {
-  Push(Item{[line = std::move(line)] { return line; }, /*is_query=*/false});
+  Slot slot;
+  slot.line = std::move(line);
+  slot.ready = true;
+  Push(std::move(slot));
+}
+
+void Session::PushAdmin(
+    ProtocolRequest request, bool blocking,
+    std::function<std::string(const ProtocolRequest&)> render) {
+  Slot slot;
+  // A render that throws (a store sweep's filesystem error, say) still
+  // answers, in band: its slot must be filled, and the thread running it
+  // may be the daemon's one admin thread.
+  slot.render = [request = std::move(request), render = std::move(render)] {
+    try {
+      return render(request);
+    } catch (const std::exception& e) {
+      return FormatErrorResponse(request, e.what());
+    }
+  };
+  slot.blocking = blocking;
+  Push(std::move(slot));
+}
+
+void Session::Fill(std::uint64_t seq, std::string line,
+                   std::unique_lock<std::mutex>& lock) {
+  Slot& slot = slots_[seq - head_seq_];
+  slot.line = std::move(line);
+  slot.ready = true;
+  EmitReady(lock);
+}
+
+void Session::EmitReady(std::unique_lock<std::mutex>& lock) {
+  if (emitting_) return;  // that thread emits this slot too before it stops
+  emitting_ = true;
+  std::vector<std::string> batch;
+  for (;;) {
+    // An admin op at the head, to render now that every earlier response
+    // is out; off the lock, like every render.
+    std::function<void()> admin_job;
+    bool admin_blocking = false;
+    while (!slots_.empty()) {
+      Slot& head = slots_.front();
+      if (!head.ready) {
+        if (head.render != nullptr) {
+          admin_job = [this, seq = head_seq_,
+                       render = std::move(head.render)] {
+            std::string line = render();
+            std::unique_lock<std::mutex> job_lock(mutex_);
+            Fill(seq, std::move(line), job_lock);
+          };
+          head.render = nullptr;
+          admin_blocking = head.blocking;
+        }
+        break;
+      }
+      if (head.is_query) --inflight_;
+      batch.push_back(std::move(head.line));
+      slots_.pop_front();
+      ++head_seq_;
+    }
+    if (batch.empty() && admin_job == nullptr) break;
+    lock.unlock();
+    for (const std::string& line : batch) emit_(line);
+    batch.clear();
+    // The job fills its slot through Fill: run here, it finds this thread
+    // still emitting and leaves the slot to this loop; run on the admin
+    // thread, it emits from there unless this thread still is.
+    if (admin_job != nullptr) {
+      if (admin_blocking) {
+        service_.PostAdmin(std::move(admin_job));
+      } else {
+        admin_job();
+      }
+    }
+    lock.lock();
+  }
+  emitting_ = false;
+  // Notified under the lock: a waiting destructor may free the session as
+  // soon as it can take the lock.
+  flushed_cv_.notify_all();
 }
 
 ServiceStats DaemonStats(const QueryService& service,
@@ -120,17 +170,29 @@ Session::LineOutcome Session::HandleLine(std::string_view line) {
             "overloaded"));
         return LineOutcome::kContinue;
       }
+      Slot slot;
+      slot.is_query = true;
+      const std::uint64_t seq = Push(std::move(slot));
+      // The worker renders the response and hands the query's inputs back
+      // to this thread (answered_); `request` keeps only its id for the
+      // echo.
+      QueryRequest query = std::move(request.query);
       // The graph key Submit derives anyway; copied out only when a
       // maintenance loop will record it.
       std::string key;
-      std::shared_future<QueryResult> future;
       try {
-        future = service_
-                     .Submit(request.query,
-                             options_.maintenance != nullptr ? &key : nullptr)
-                     .share();
+        service_.Submit(
+            std::move(query),
+            [this, seq, request](QueryRequest answered, QueryResult result) {
+              std::string response = FormatQueryResponse(request, result);
+              std::unique_lock<std::mutex> lock(mutex_);
+              answered_.push_back(std::move(answered));
+              Fill(seq, std::move(response), lock);
+            },
+            options_.maintenance != nullptr ? &key : nullptr);
       } catch (const std::exception& e) {
-        PushRendered(FormatErrorResponse(request, e.what()));
+        std::unique_lock<std::mutex> lock(mutex_);
+        Fill(seq, FormatErrorResponse(request, e.what()), lock);
         return LineOutcome::kContinue;
       }
       // Accepted: the line becomes its graph's recipe, so a pass can
@@ -138,33 +200,24 @@ Session::LineOutcome Session::HandleLine(std::string_view line) {
       if (options_.maintenance != nullptr) {
         options_.maintenance->RecordAccess(std::move(key), line);
       }
-      // `request` keeps its id for the echo, and its query inputs until
-      // the answer is out; then they go back to this thread (answered_).
-      Push(Item{[this, request = std::move(request), future]() mutable {
-                  std::string response =
-                      FormatQueryResponse(request, future.get());
-                  std::lock_guard<std::mutex> lock(mutex_);
-                  answered_.push_back(std::move(request.query));
-                  return response;
-                },
-                /*is_query=*/true});
       return LineOutcome::kContinue;
     }
     case ProtocolRequest::Op::kStats:
-      // Drain so the answer reflects everything accepted before it —
-      // queued earlier responses were emitted first (FIFO), and `pending`
-      // reads the live remainder rather than a timing artifact.
-      Push(Item{[this, request = std::move(request)] {
-        service_.Drain();
-        return FormatStatsResponse(request, SnapshotStats());
-      }});
+      // Drain so the answer reflects everything accepted before it, and
+      // `pending` reads the live remainder rather than a timing artifact.
+      PushAdmin(std::move(request), /*blocking=*/true,
+                [this](const ProtocolRequest& request) {
+                  service_.Drain();
+                  return FormatStatsResponse(request, SnapshotStats());
+                });
       return LineOutcome::kContinue;
     case ProtocolRequest::Op::kSweep:
-      Push(Item{[this, request = std::move(request)] {
-        return FormatSweepResponse(
-            request, service_.SweepStore(request.max_bytes,
-                                         request.max_files));
-      }});
+      PushAdmin(std::move(request), /*blocking=*/true,
+                [this](const ProtocolRequest& request) {
+                  return FormatSweepResponse(
+                      request, service_.SweepStore(request.max_bytes,
+                                                   request.max_files));
+                });
       return LineOutcome::kContinue;
     case ProtocolRequest::Op::kMaintain:
       if (options_.maintenance == nullptr) {
@@ -175,41 +228,47 @@ Session::LineOutcome Session::HandleLine(std::string_view line) {
             "no_maintenance"));
         return LineOutcome::kContinue;
       }
-      // Rendered on the writer thread: the pass runs after every earlier
-      // response on this connection, and the FIFO keeps later ones behind
-      // it — slow maintenance never reorders a client's stream.
-      Push(Item{[this, request = std::move(request)] {
-        const MaintenancePassResult pass = options_.maintenance->RunOnce();
-        return FormatMaintainResponse(request, pass,
-                                      options_.maintenance->GetStats());
-      }});
+      // The pass runs after every earlier response on this connection, and
+      // the FIFO keeps later ones behind it — slow maintenance never
+      // reorders a client's stream.
+      PushAdmin(std::move(request), /*blocking=*/true,
+                [this](const ProtocolRequest& request) {
+                  const MaintenancePassResult pass =
+                      options_.maintenance->RunOnce();
+                  return FormatMaintainResponse(
+                      request, pass, options_.maintenance->GetStats());
+                });
       return LineOutcome::kContinue;
     case ProtocolRequest::Op::kMetrics:
       // Deliberately no Drain: a scrape is a cheap point-in-time snapshot
-      // (Prometheus hits it on a schedule), and the FIFO already puts it
-      // after every earlier response on this connection.
-      Push(Item{[this, request = std::move(request)] {
-        ExportServiceStats(SnapshotStats(), service_.metrics());
-        return FormatMetricsResponse(request,
-                                     service_.metrics().RenderPrometheus());
-      }});
+      // (Prometheus hits it on a schedule), rendered by whichever thread
+      // brings it to the head of the FIFO.
+      PushAdmin(std::move(request), /*blocking=*/false,
+                [this](const ProtocolRequest& request) {
+                  ExportServiceStats(SnapshotStats(), service_.metrics());
+                  return FormatMetricsResponse(
+                      request, service_.metrics().RenderPrometheus());
+                });
       return LineOutcome::kContinue;
     case ProtocolRequest::Op::kRecent:
-      Push(Item{[this, request = std::move(request)] {
-        return FormatRecentResponse(request, service_.Recent());
-      }});
+      PushAdmin(std::move(request), /*blocking=*/false,
+                [this](const ProtocolRequest& request) {
+                  return FormatRecentResponse(request, service_.Recent());
+                });
       return LineOutcome::kContinue;
     case ProtocolRequest::Op::kDrain:
-      Push(Item{[this, request = std::move(request)] {
-        service_.Drain();
-        return FormatDrainResponse(request, SnapshotStats());
-      }});
+      PushAdmin(std::move(request), /*blocking=*/true,
+                [this](const ProtocolRequest& request) {
+                  service_.Drain();
+                  return FormatDrainResponse(request, SnapshotStats());
+                });
       return LineOutcome::kContinue;
     case ProtocolRequest::Op::kShutdown:
-      Push(Item{[this, request = std::move(request)] {
-        service_.Drain();
-        return FormatShutdownResponse(request, SnapshotStats());
-      }});
+      PushAdmin(std::move(request), /*blocking=*/true,
+                [this](const ProtocolRequest& request) {
+                  service_.Drain();
+                  return FormatShutdownResponse(request, SnapshotStats());
+                });
       return LineOutcome::kShutdown;
   }
   return LineOutcome::kContinue;
@@ -225,12 +284,12 @@ void Session::HandleOversizedLine() {
 
 void Session::Flush() {
   std::unique_lock<std::mutex> lock(mutex_);
-  written_cv_.wait(lock, [this] { return written_ == enqueued_; });
+  flushed_cv_.wait(lock, [this] { return slots_.empty() && !emitting_; });
 }
 
 bool Session::FlushedAll() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return written_ == enqueued_;
+  return slots_.empty() && !emitting_;
 }
 
 int Session::inflight() const {

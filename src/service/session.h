@@ -3,22 +3,26 @@
 // A Session owns everything between a transport and the QueryService for a
 // single client: it parses request lines (service/protocol.h), submits
 // queries, applies per-connection admission control, and emits response
-// lines *in request order* through a dedicated writer thread — the PR-5
-// dedicated-writer pattern, one writer per connection. The transport —
+// lines *in request order*. It runs no thread of its own. The transport —
 // stdin/stdout in amalgamd's --stdio mode, a socket connection in the
 // net/ event loop — only has to do two things: feed complete lines to
-// HandleLine from a single thread, and accept emitted response lines from
-// the writer thread. HandleLine takes a std::string_view and reads it only
-// during the call, so a transport hands a view into its read buffer
-// rather than copying each line out; what outlives the call (the parsed
-// request, a maintenance recipe) is owned separately.
+// HandleLine from a single thread, and accept emitted response lines on
+// whichever thread emits them. HandleLine takes a std::string_view and
+// reads it only during the call, so a transport hands a view into its
+// read buffer rather than copying each line out; what outlives the call
+// (the parsed request, a maintenance recipe) is owned separately.
 //
-// Ordering: every response — query results, admin-op answers, parse
-// errors, overload rejections — goes through one FIFO of deferred
-// renderers. The writer pops in order and blocks on each query's future,
-// so a client always receives responses in the order it sent requests,
-// and an admin op's answer reflects every request before it (stats/drain
-// renderers additionally Drain() the service first).
+// Ordering: every line handled — query, admin op, parse error, overload
+// rejection — takes the next slot of one FIFO. A query's response is
+// rendered on the worker that answered it (a QueryService completion) and
+// fills its slot; an error fills its slot at once. Whichever thread fills
+// the head slot emits the ready prefix, one emitting thread at a time, so
+// a client always receives responses in the order it sent requests. An
+// admin op renders only once it reaches the head, so its answer reflects
+// every request before it; the blocking ones (stats, drain, shutdown,
+// maintain, sweep) render on the service's one admin thread
+// (QueryService::PostAdmin), and stats/drain/shutdown additionally Drain()
+// the service first.
 //
 // Backpressure: with max_inflight > 0, a query line arriving while that
 // many query responses are still unemitted is refused without touching
@@ -36,9 +40,9 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
+#include "service/protocol.h"
 #include "service/service.h"
 
 namespace amalgam {
@@ -46,8 +50,8 @@ namespace amalgam {
 class MaintenanceLoop;
 
 /// Transport-wide counters shared by every Session of one daemon (plain
-/// atomics: the sessions' writer threads, the event loop and the stats
-/// path all touch them concurrently).
+/// atomics: the event loop, the query workers and the stats path all touch
+/// them concurrently).
 struct ConnectionCounters {
   std::atomic<std::uint64_t> opened{0};  // connections accepted since start
   std::atomic<std::uint64_t> open{0};    // currently connected
@@ -77,18 +81,19 @@ class Session {
     MaintenanceLoop* maintenance = nullptr;
   };
 
-  /// Receives one complete response line (no terminator), called from the
-  /// session's writer thread only — consecutive calls are serialized, in
-  /// request order. Must not re-enter the Session.
+  /// Receives one complete response line (no terminator), in request
+  /// order. Calls are serialized but may come from any thread that fills
+  /// the head slot: the transport's (HandleLine), a query worker, or the
+  /// service's admin thread. Must not block for long (it holds up that
+  /// thread) and must not re-enter the Session.
   using Emit = std::function<void(const std::string& line)>;
 
   /// `counters` (optional) is the daemon-wide registry this session
   /// reports into; it must outlive the session.
   Session(QueryService& service, Options options, Emit emit,
           ConnectionCounters* counters = nullptr);
-  /// Flushes every pending response, then joins the writer. Blocks until
-  /// in-flight queries resolve — destroy sessions before shutting the
-  /// service down.
+  /// Flush(): blocks until in-flight queries resolve and every response is
+  /// emitted — destroy sessions before shutting the service down.
   ~Session();
 
   Session(const Session&) = delete;
@@ -118,7 +123,8 @@ class Session {
   /// Blocks until every response for lines handled so far has been
   /// emitted.
   void Flush();
-  /// Nonblocking: true when nothing is pending (all responses emitted).
+  /// Nonblocking: true when nothing is pending (all responses emitted and
+  /// no thread is inside the session any more).
   bool FlushedAll() const;
 
   std::uint64_t id() const { return options_.id; }
@@ -134,18 +140,34 @@ class Session {
   int inflight() const;
 
  private:
-  struct Item {
-    /// Renders the response line; runs on the writer thread and may block
-    /// (query futures, service drains).
-    std::function<std::string()> render;
+  /// One handled line's response, in request order.
+  struct Slot {
+    std::string line;  // the response, once `ready`
+    bool ready = false;
     bool is_query = false;  // counts toward the inflight cap
+    /// Admin ops: renders the response once every earlier one is out.
+    std::function<std::string()> render;
+    bool blocking = false;  // render on the service's admin thread
   };
 
-  void Push(Item item);
+  /// Appends a slot; returns its sequence number.
+  std::uint64_t Push(Slot slot);
+  /// A response known now.
   void PushRendered(std::string line);
+  /// An admin op's response, rendered from `request` once it reaches the
+  /// head; `blocking` renders may wait (on a drain, a maintenance pass, the
+  /// disk) and run on the service's admin thread.
+  void PushAdmin(ProtocolRequest request, bool blocking,
+                 std::function<std::string(const ProtocolRequest&)> render);
+  /// Fills slot `seq` with its response and emits what became ready.
+  void Fill(std::uint64_t seq, std::string line,
+            std::unique_lock<std::mutex>& lock);
+  /// Emits the ready prefix of the FIFO unless another thread is already
+  /// emitting it, and starts the render of an admin op at its head. Called
+  /// and returns with `lock` (on mutex_) held.
+  void EmitReady(std::unique_lock<std::mutex>& lock);
   /// DaemonStats plus this session's connection fields.
   ServiceStats SnapshotStats() const;
-  void WriterLoop();
 
   QueryService& service_;
   const Options options_;
@@ -156,20 +178,16 @@ class Session {
   std::atomic<std::uint64_t> rejected_{0};
 
   mutable std::mutex mutex_;
-  std::condition_variable queue_cv_;    // writer: work available / stop
-  std::condition_variable written_cv_;  // Flush(): all emitted
-  std::deque<Item> queue_;
+  std::condition_variable flushed_cv_;  // Flush(): all emitted
+  std::deque<Slot> slots_;
+  std::uint64_t head_seq_ = 0;  // sequence number of slots_.front()
+  bool emitting_ = false;       // some thread is emitting or inside Fill
+  int inflight_ = 0;
   // Inputs of answered queries (under mutex_), released by HandleLine on
   // the transport thread that parsed them. A parsed request is many small
   // allocations; freeing them on a worker instead cost the daemon about
   // 15% more CPU per query on cache-hot replay.
   std::vector<QueryRequest> answered_;
-  std::uint64_t enqueued_ = 0;
-  std::uint64_t written_ = 0;
-  int inflight_ = 0;
-  bool stop_ = false;
-
-  std::thread writer_;
 };
 
 }  // namespace amalgam

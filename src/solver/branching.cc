@@ -16,7 +16,8 @@ void BranchingSystem::AddRule(
   BranchingRule rule;
   rule.from = from;
   for (const auto& [guard_text, to] : guarded_targets) {
-    rule.branches.push_back(Branch{skeleton_.ParseGuard(guard_text), to});
+    rule.branches.push_back(
+        Branch{skeleton_.ParseGuard(guard_text), to, nullptr});
   }
   rules_.push_back(std::move(rule));
 }
@@ -28,20 +29,23 @@ void BranchingSystem::AddRule(int from, std::vector<Branch> branches) {
 GraphContext BranchingGraphContext(const BranchingSystem& system,
                                    std::shared_ptr<const SolverBackend> cls) {
   std::vector<FormulaRef> guards;
+  std::vector<const std::string*> printed;
   for (const BranchingRule& rule : system.rules()) {
     for (const Branch& branch : rule.branches) {
       if (!branch.guard->IsQuantifierFree()) {
         throw std::invalid_argument("branching guards must be QF");
       }
       guards.push_back(branch.guard);
+      printed.push_back(branch.printed.get());
     }
   }
+  // The prefix check is also what lets the branches' printed forms stand.
   if (!IsPrefixSchema(system.skeleton().schema(), *cls->schema())) {
     throw std::invalid_argument(
         "the system's schema must be a prefix of the class's schema");
   }
   return MakeGraphContext(std::move(cls), system.skeleton().num_registers(),
-                          guards);
+                          guards, printed);
 }
 
 BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,

@@ -13,6 +13,7 @@
 #ifndef AMALGAM_SOLVER_BRANCHING_H_
 #define AMALGAM_SOLVER_BRANCHING_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,8 @@ namespace amalgam {
 struct Branch {
   FormulaRef guard;
   int to = -1;
+  /// The guard's printed form, as TransitionRule::printed.
+  std::shared_ptr<const std::string> printed;
 };
 
 /// A branching rule: from `from`, spawn one successor per branch (all

@@ -1,6 +1,7 @@
 #include "solver/cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -15,6 +16,14 @@ namespace {
 // The replacement order for entries sharing a key: cursor phase, cursor
 // position, then edge count (a mid-member early exit records edges without
 // advancing the cursor). Strictly-greater progress replaces the incumbent.
+// Appends `value` in decimal, as std::to_string would, without its
+// temporary string: a rule list spells out one index per rule.
+void AppendDecimal(std::string& out, std::size_t value) {
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out.append(digits, end);
+}
+
 bool StrictlyFurtherAlong(const SubTransitionGraph& incumbent,
                           const SubTransitionGraph& candidate) {
   const BuildCursor& a = incumbent.cursor();
@@ -55,7 +64,7 @@ void GraphCache::AppendGuards(const InternedGuards& interned,
     // must not be able to imitate the separator and merge two different
     // guard lists into one key.
     key += '\x1f';
-    key += std::to_string(printed.size());
+    AppendDecimal(key, printed.size());
     key += ':';
     key += printed;
   }
@@ -66,7 +75,7 @@ void GraphCache::AppendGuards(const InternedGuards& interned,
     key += '\x1e';
     for (std::size_t i = 0; i < interned.guard_of.size(); ++i) {
       if (i > 0) key += ',';
-      key += std::to_string(interned.guard_of[i]);
+      AppendDecimal(key, static_cast<std::size_t>(interned.guard_of[i]));
     }
   }
 }

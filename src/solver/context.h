@@ -45,9 +45,13 @@ struct InternedGuards {
 
 /// Interns `list`, printing each formula under `schema`. Entries that share
 /// a FormulaRef are printed once; pointer-distinct but identical formulas
-/// collapse by their printed form.
+/// collapse by their printed form. `printed`, when not empty, runs
+/// parallel to `list`: a non-null entry is its formula's printed form
+/// (TransitionRule::printed) under a schema whose symbols `schema` extends,
+/// and is used instead of printing.
 InternedGuards InternGuards(std::span<const FormulaRef> list,
-                            const Schema& schema);
+                            const Schema& schema,
+                            std::span<const std::string* const> printed = {});
 
 /// Everything a front door needs to find, build or persist its graph.
 struct GraphContext {
@@ -69,9 +73,10 @@ struct GraphContext {
 };
 
 /// The context for `rule_guards` (one per rule or flattened branch) over
-/// `backend` with `k` registers.
+/// `backend` with `k` registers; `printed` as for InternGuards.
 GraphContext MakeGraphContext(std::shared_ptr<const SolverBackend> backend,
-                              int k, std::span<const FormulaRef> rule_guards);
+                              int k, std::span<const FormulaRef> rule_guards,
+                              std::span<const std::string* const> printed = {});
 
 /// The context of a linear system: one guard per rule, in rule order.
 GraphContext SystemGraphContext(std::shared_ptr<const SolverBackend> backend,

@@ -29,11 +29,13 @@ void DdsSystem::EnsureVarTable() {
   vars_built_ = true;
 }
 
-void DdsSystem::AddRule(int from, int to, FormulaRef guard) {
+void DdsSystem::AddRule(int from, int to, FormulaRef guard,
+                        std::shared_ptr<const std::string> printed) {
   assert(from >= 0 && from < num_states());
   assert(to >= 0 && to < num_states());
   EnsureVarTable();
-  rules_.push_back(TransitionRule{from, to, std::move(guard)});
+  rules_.push_back(
+      TransitionRule{from, to, std::move(guard), std::move(printed)});
 }
 
 void DdsSystem::AddRule(int from, int to, const std::string& guard_text) {

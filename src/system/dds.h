@@ -10,6 +10,7 @@
 #ifndef AMALGAM_SYSTEM_DDS_H_
 #define AMALGAM_SYSTEM_DDS_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,10 @@ struct TransitionRule {
   int from = -1;
   int to = -1;
   FormulaRef guard;
+  /// guard->ToString(schema) when the guard came from a GuardTable
+  /// (system/guard_table.h), so a graph key is assembled without printing
+  /// it again; null otherwise.
+  std::shared_ptr<const std::string> printed;
 };
 
 /// A database-driven system over a fixed schema.
@@ -37,8 +42,10 @@ class DdsSystem {
   /// guards (the variable-id convention depends on the register count).
   int AddRegister(std::string name);
 
-  /// Adds a rule with an already-built guard.
-  void AddRule(int from, int to, FormulaRef guard);
+  /// Adds a rule with an already-built guard and, when known, its printed
+  /// form under this system's schema (TransitionRule::printed).
+  void AddRule(int from, int to, FormulaRef guard,
+               std::shared_ptr<const std::string> printed = nullptr);
   /// Adds a rule with a guard in the parser syntax; register r is
   /// addressable as "<name>_old" and "<name>_new".
   void AddRule(int from, int to, const std::string& guard_text);

@@ -51,12 +51,12 @@ inline void ForEachPermutation(
 /// Calls `cb(tuple)` for every tuple in {0..base-1}^len (odometer order).
 inline void ForEachTuple(
     int base, int len, const std::function<void(const std::vector<int>&)>& cb) {
-  std::vector<int> tuple(len, 0);
   if (len == 0) {
-    cb(tuple);
+    cb(std::vector<int>());
     return;
   }
-  if (base == 0) return;
+  if (base == 0) return;  // no tuples: allocate nothing of length `len`
+  std::vector<int> tuple(len, 0);
   while (true) {
     cb(tuple);
     int i = len - 1;
@@ -70,13 +70,22 @@ inline void ForEachTuple(
 }
 
 /// Integer power with 64-bit result; saturates at UINT64_MAX on overflow.
+/// Squares and multiplies, so it takes O(log exp) steps: the exponent can
+/// be a schema arity straight from a request line.
 inline std::uint64_t IntPow(std::uint64_t base, unsigned exp) {
+  if (base <= 1) return exp == 0 ? 1 : base;
   std::uint64_t result = 1;
-  while (exp-- > 0) {
-    if (base != 0 && result > UINT64_MAX / base) return UINT64_MAX;
-    result *= base;
+  for (;;) {
+    if (exp & 1) {
+      if (result > UINT64_MAX / base) return UINT64_MAX;
+      result *= base;
+    }
+    exp >>= 1;
+    if (exp == 0) return result;
+    // A remaining factor of at least base^2 overflows with it.
+    if (base > UINT64_MAX / base) return UINT64_MAX;
+    base *= base;
   }
-  return result;
 }
 
 }  // namespace amalgam

@@ -271,12 +271,19 @@ TEST(DaemonNetTest, TinyInflightCapRejectsOverloadInBand) {
   // loop admits the first (the window is empty), and every line it parses
   // while that response is still pending is refused in-band. The exact
   // split depends on scheduling; the contract is order, the first accept,
-  // and agreement between the responses and every rejection counter.
+  // and agreement between the responses and every rejection counter. The
+  // query is an eager build over a million members, so the loop parses
+  // later lines while the first is still building: a worker emits a
+  // response as soon as it has it, and a query answered in microseconds
+  // would free the window before the next line arrives.
   constexpr int kBurst = 32;
+  constexpr const char* kSlowLine =
+      R"({"id":%,"kind":"system","class":"all","system":"odd_red_cycle",)"
+      R"("strategy":"eager"})";
   Client client = Client::ConnectUds(nopts.uds_path);
   std::string burst;
   for (int i = 1; i <= kBurst; ++i) {
-    burst += WithId(kReachRedLine, std::to_string(i)) + "\n";
+    burst += WithId(kSlowLine, std::to_string(i)) + "\n";
   }
   client.Send(burst);
 
@@ -446,6 +453,179 @@ TEST(DaemonNetTest, OversizedLinesGetAnErrorNotABufferBloat) {
   EXPECT_EQ(FieldString(response, "error_code"), "line_too_long") << line;
   EXPECT_TRUE(client.WaitForEof(5000)) << "the stream is mid-garbage; the "
                                           "daemon should close it";
+
+  server.Stop();
+  service.Shutdown();
+}
+
+// The threads of this process, from /proc/self/task.
+int ThreadCount() {
+  int count = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(DaemonNetTest, ConnectionsAddNoThreads) {
+  QueryService::Options sopts;
+  sopts.num_workers = 2;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.uds_path = SocketPath("threads");
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  // One connection that has run a query and a blocking admin op: the
+  // loop, the workers and the admin thread all exist now.
+  std::string line;
+  Client first = Client::ConnectUds(nopts.uds_path);
+  first.SendLine(WithId(kReachRedLine, "0"));
+  first.SendLine(R"({"id":"s","op":"stats"})");
+  ASSERT_TRUE(first.ReadLine(&line));
+  ASSERT_TRUE(first.ReadLine(&line));
+  const int baseline = ThreadCount();
+
+  // Sixteen more, each with queries answered and the connection still
+  // open.
+  std::vector<Client> clients;
+  for (int c = 0; c < 16; ++c) {
+    clients.push_back(Client::ConnectUds(nopts.uds_path));
+    clients.back().SendLine(WithId(kReachRedLine, std::to_string(c)));
+    clients.back().SendLine(WithId(kZigZagLine, std::to_string(100 + c)));
+  }
+  for (int c = 0; c < 16; ++c) {
+    ASSERT_TRUE(clients[c].ReadLine(&line)) << "client " << c;
+    EXPECT_EQ(FieldNumber(MustParse(line), "id"), c) << line;
+    ASSERT_TRUE(clients[c].ReadLine(&line)) << "client " << c;
+    EXPECT_EQ(FieldNumber(MustParse(line), "id"), 100 + c) << line;
+  }
+  EXPECT_EQ(server.counters().open.load(), 17u);
+  EXPECT_EQ(ThreadCount(), baseline) << "a connection started a thread";
+
+  // Admin ops on every connection share the one admin thread.
+  for (Client& client : clients) client.SendLine(R"({"id":"d","op":"drain"})");
+  for (Client& client : clients) {
+    ASSERT_TRUE(client.ReadLine(&line));
+    EXPECT_EQ(FieldString(MustParse(line), "op"), "drain") << line;
+  }
+  EXPECT_EQ(ThreadCount(), baseline);
+
+  clients.clear();
+  server.Stop();
+  service.Shutdown();
+}
+
+TEST(DaemonNetTest, ClosingAConnectionWithQueriesInFlightIsSafe) {
+  // The client hangs up while its queries are queued and running: their
+  // completions still land in the session, which the loop retires until
+  // they have; nothing may touch it after it is freed (ASan and TSan run
+  // this).
+  QueryService::Options sopts;
+  sopts.num_workers = 1;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.uds_path = SocketPath("hangup");
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  constexpr const char* kColdLine =
+      R"j({"id":%,"kind":"system","class":"all","strategy":"eager",)j"
+      R"j("schema":{"relations":[["E",2],["red",1]]},"system":{)j"
+      R"j("registers":["x","y"],"states":[{"name":"a","initial":true},)j"
+      R"j({"name":"b","accepting":true}],"rules":[{"from":"a","to":"b",)j"
+      R"j("guard":"E(x_old, y_new) & red(x_new)"},{"from":"b","to":"a",)j"
+      R"j("guard":"x_old = y_new"}]}})j";
+  for (int round = 0; round < 3; ++round) {
+    {
+      Client client = Client::ConnectUds(nopts.uds_path);
+      std::string burst;
+      for (int i = 0; i < 6; ++i) {
+        burst += WithId(kColdLine, std::to_string(i)) + "\n";
+        burst += WithId(kReachRedLine, std::to_string(100 + i)) + "\n";
+        burst += R"({"op":"recent"})" "\n";
+      }
+      burst += R"({"op":"stats"})" "\n";
+      client.Send(burst);
+      if (round == 1) {
+        std::string line;
+        ASSERT_TRUE(client.ReadLine(&line));  // hang up mid-stream
+      }
+    }  // closed with queries queued, running and answered
+    if (round == 2) {
+      Client waiting = Client::ConnectUds(nopts.uds_path);
+      waiting.SendLine(WithId(kReachRedLine, "7"));
+    }  // and one the daemon has not even read yet
+  }
+  // A fresh client still gets served, in order, while the retired
+  // sessions drain.
+  Client client = Client::ConnectUds(nopts.uds_path);
+  client.SendLine(WithId(kReachRedLine, "1"));
+  client.SendLine(R"({"id":2,"op":"drain"})");
+  std::string line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(FieldNumber(MustParse(line), "id"), 1) << line;
+  ASSERT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(FieldNumber(MustParse(line), "id"), 2) << line;
+  EXPECT_EQ(service.Pending(), 0u);
+
+  // Every retired session is collected once its queries resolve.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.counters().open.load() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.counters().open.load(), 1u);
+  server.Stop();
+  service.Shutdown();
+}
+
+TEST(DaemonNetTest, AdminOpsBetweenQueriesKeepRequestOrder) {
+  QueryService::Options sopts;
+  sopts.num_workers = 4;
+  QueryService service(sopts);
+  DaemonServerOptions nopts;
+  nopts.uds_path = SocketPath("adminorder");
+  DaemonServer server(service, nopts);
+  server.Start();
+
+  // Queries of mixed cost around every kind of admin op, in one write.
+  Client client = Client::ConnectUds(nopts.uds_path);
+  const std::vector<std::string> lines = {
+      R"({"id":1,"kind":"system","class":"all","system":"odd_red_cycle",)"
+      R"("strategy":"eager"})",
+      WithId(kReachRedLine, "2"),
+      R"({"id":3,"op":"stats"})",
+      WithId(kZigZagLine, "4"),
+      R"({"id":5,"op":"recent"})",
+      WithId(kReachRedLine, "6"),
+      R"({"id":7,"op":"metrics"})",
+      R"({"id":8,"kind":"nope"})",
+      R"({"id":9,"op":"sweep"})",
+      WithId(kZigZagLine, "10"),
+      R"({"id":11,"op":"drain"})",
+      WithId(kReachRedLine, "12"),
+  };
+  std::string burst;
+  for (const std::string& line : lines) burst += line + "\n";
+  client.Send(burst);
+  std::string line;
+  for (std::size_t i = 1; i <= lines.size(); ++i) {
+    ASSERT_TRUE(client.ReadLine(&line)) << "response " << i;
+    const JsonDocument response = MustParse(line);
+    ASSERT_EQ(FieldNumber(response, "id"), static_cast<double>(i))
+        << "out of order: " << line;
+    if (i == 3) {
+      // The stats op answers after both queries before it finished.
+      EXPECT_GE(FieldNumber(response, "queries"), 2) << line;
+    }
+    if (i == 5) {
+      // So does recent, without draining: the ring holds all three.
+      EXPECT_GE(FieldNumber(response, "count"), 3) << line;
+    }
+  }
 
   server.Stop();
   service.Shutdown();

@@ -7,6 +7,7 @@
 // the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
@@ -419,7 +420,7 @@ TEST(ServiceTest, SessionEmitsResponsesInRequestOrder) {
     session.Flush();
     EXPECT_TRUE(session.FlushedAll());
     EXPECT_EQ(session.requests(), 4u);
-  }  // destructor re-flushes and joins the writer
+  }  // destructor re-flushes: nothing of the session runs afterwards
 
   ASSERT_EQ(lines.size(), 4u);
   for (int i = 0; i < 4; ++i) {
@@ -900,6 +901,80 @@ TEST(ServiceTest, ProtocolBoundsTheZooSizeParameters) {
       R"({"kind":"words","nfa":"aplus_bplus","system":"zigzag","rounds":64})");
   ASSERT_NE(at_bound.query.system, nullptr);
   EXPECT_EQ(at_bound.query.system->num_states(), 2 * kMaxSizeParameter);
+}
+
+TEST(ServiceTest, ProtocolBoundsTheModCounterNfa) {
+  // "nfa":"mod<p>" builds a p-state automaton while the line is parsed;
+  // mod100000 used to crash the daemon. p takes an integer in
+  // [2, kMaxSizeParameter].
+  auto parse = [](const std::string& p) {
+    return ParseRequestLine(R"({"id":1,"kind":"words","nfa":"mod)" + p +
+                            R"(","system":"two_markers"})");
+  };
+  const std::string refusal = "\"nfa\" mod<p> must have an integer p in [2, " +
+                              std::to_string(kMaxSizeParameter) + "]";
+  const ProtocolRequest at_bound = parse(std::to_string(kMaxSizeParameter));
+  EXPECT_EQ(at_bound.error, "");
+  ASSERT_NE(at_bound.query.nfa, nullptr);
+  EXPECT_EQ(at_bound.query.nfa->num_states(), kMaxSizeParameter);
+  EXPECT_EQ(parse("2").error, "");
+  for (const std::string p :
+       {std::to_string(kMaxSizeParameter + 1), std::string("100000"),
+        std::string("1"), std::string("0"), std::string("-5"),
+        std::string("5x"), std::string(""), std::string("99999999999")}) {
+    SCOPED_TRACE(p);
+    EXPECT_EQ(parse(p).error, refusal);
+  }
+
+  // Through a session, the refusal comes back in band and the session
+  // keeps serving.
+  QueryService service;
+  std::vector<std::string> lines;
+  {
+    Session session(service, Session::Options{},
+                    [&](const std::string& line) { lines.push_back(line); });
+    session.HandleLine(
+        R"({"id":1,"kind":"words","nfa":"mod100000","system":"two_markers"})");
+    session.HandleLine(
+        R"({"id":2,"kind":"words","nfa":"aplus_bplus","system":"zigzag"})");
+    session.Flush();
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"ok\":false"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("mod<p> must have an integer p in [2, 64]"),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos) << lines[1];
+  service.Shutdown();
+}
+
+TEST(ServiceTest, HugeSchemaArityAnswersInBandAtOnce) {
+  // The atom count of a relation is d^arity: with arity 2147483647 the
+  // power must not loop once per unit of the exponent.
+  QueryService service;
+  std::vector<std::string> lines;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    Session session(service, Session::Options{},
+                    [&](const std::string& line) { lines.push_back(line); });
+    session.HandleLine(
+        R"({"id":1,"kind":"system","strategy":"eager",)"
+        R"("schema":{"relations":[["R",2147483647]]},)"
+        R"("system":{"registers":["x"],"states":[{"name":"a","initial":true},)"
+        R"({"name":"b","accepting":true}],)"
+        R"("rules":[{"from":"a","to":"b","guard":"x_old = x_new"}]}})");
+    session.Flush();
+  }
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"id\":1"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("\"error_code\":\"enumeration_cap\""),
+            std::string::npos)
+      << lines[0];
+  EXPECT_LT(elapsed_ms, 100.0);
+  service.Shutdown();
 }
 
 TEST(ServiceTest, ProtocolRejectsSchemaAritiesThatAreNotInts) {

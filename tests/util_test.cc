@@ -57,6 +57,40 @@ TEST(EnumerateTest, IntPowSaturates) {
   EXPECT_EQ(IntPow(UINT64_MAX, 2), UINT64_MAX);
 }
 
+TEST(EnumerateTest, IntPowAgreesWithRepeatedMultiplication) {
+  for (std::uint64_t base = 0; base <= 17; ++base) {
+    std::uint64_t expected = 1;
+    bool saturated = false;
+    for (unsigned exp = 0; exp <= 70; ++exp) {
+      EXPECT_EQ(IntPow(base, exp), saturated ? UINT64_MAX : expected)
+          << base << "^" << exp;
+      if (!saturated && base != 0 && expected > UINT64_MAX / base) {
+        saturated = true;
+      } else if (!saturated) {
+        expected *= base;
+      }
+    }
+  }
+  EXPECT_EQ(IntPow(2, 63), std::uint64_t{1} << 63);  // the largest exact power
+  EXPECT_EQ(IntPow(3, 40), 12157665459056928801u);   // exact, near the top
+  EXPECT_EQ(IntPow(3, 41), UINT64_MAX);
+  EXPECT_EQ(IntPow(UINT64_MAX, 1), UINT64_MAX);
+  EXPECT_EQ(IntPow(std::uint64_t{1} << 32, 2), UINT64_MAX);
+}
+
+TEST(EnumerateTest, IntPowReturnsAtOnceForBaseZeroOrOne) {
+  // A schema arity reaches the exponent straight from a request line; a
+  // linear loop would take 2^31 steps here.
+  const unsigned huge = 2147483647u;
+  EXPECT_EQ(IntPow(1, huge), 1u);
+  EXPECT_EQ(IntPow(1, 4294967295u), 1u);
+  EXPECT_EQ(IntPow(0, huge), 0u);
+  EXPECT_EQ(IntPow(0, 0), 1u);
+  EXPECT_EQ(IntPow(1, 0), 1u);
+  EXPECT_EQ(IntPow(2, huge), UINT64_MAX);
+  EXPECT_EQ(IntPow(7, 4294967295u), UINT64_MAX);
+}
+
 TEST(HashTest, VectorHashDistinguishesAndAgrees) {
   VectorHash<int> h;
   std::vector<int> a = {1, 2, 3};

@@ -14,7 +14,8 @@
 // concurrently on the shared worker pool — identical cold queries
 // coalesce onto one graph build, queries over a warm-but-partial graph
 // coalesce onto one suffix extension — and each client receives its
-// responses *in request order* from a dedicated per-connection writer.
+// responses *in request order*, each rendered on the worker that
+// answered it.
 // Socket clients are multiplexed by an epoll event loop (src/net/server.h)
 // with per-connection admission control (--max-inflight-per-conn; excess
 // query lines get {"ok":false,"error_code":"overloaded"}) and idle
@@ -277,7 +278,7 @@ int RunStdio(amalgam::QueryService& service, const Cli& cli,
       }
     }
     session.Flush();  // EOF/shutdown: every accepted line gets its response
-  }  // joins the session writer
+  }  // the session is flushed: nothing of it runs on another thread
   metrics_server.Stop();  // before counters/maintenance go away
   if (maintenance != nullptr) maintenance->Stop();
   service.Shutdown();
