@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -70,40 +71,56 @@ std::uint64_t AtomCountFor(const SchemaRef& schema, int d) {
 
 // One row of a positioned member grid: a set partition of the marks (its
 // restricted-growth string), the induced element count, the size of the
-// row's inner space and the stream position of the row's first member.
+// row's inner space, the stream position of the row's first member, and
+// the row-relative position a walk enters it at (0 past its first row).
 struct GridRow {
-  std::vector<int> block_of;
+  std::span<const int> block_of;
   int d = 0;
   std::uint64_t count = 0;
   std::uint64_t offset = 0;
+  std::uint64_t first = 0;
 };
 
-// Collects the partition rows of the m-generated stream; `inner` maps the
-// block count d to the row's inner-space size.
-std::vector<GridRow> CollectGridRows(
-    int m, const std::function<std::uint64_t(int)>& inner) {
-  std::vector<GridRow> rows;
-  std::uint64_t offset = 0;
-  ForEachSetPartition(m, [&](const std::vector<int>& block_of) {
-    GridRow row;
-    row.block_of = block_of;
-    row.d = block_of.empty()
-                ? 0
-                : 1 + *std::max_element(block_of.begin(), block_of.end());
-    row.count = inner(row.d);
-    row.offset = offset;
-    offset = SatAdd(offset, row.count);
-    rows.push_back(std::move(row));
-  });
-  return rows;
+std::vector<Elem> MarksOf(std::span<const int> block_of) {
+  return std::vector<Elem>(block_of.begin(), block_of.end());
 }
 
-std::vector<Elem> MarksOf(const std::vector<int>& block_of) {
-  std::vector<Elem> marks(block_of.size());
-  for (std::size_t i = 0; i < block_of.size(); ++i) {
-    marks[i] = static_cast<Elem>(block_of[i]);
+// Advances `r` to the lexicographically next restricted growth string;
+// false when `r` was the last one.
+bool NextRgs(std::vector<int>& r) {
+  for (std::size_t i = r.size(); i-- > 1;) {
+    if (r[i] <= *std::max_element(r.begin(), r.begin() + i)) {
+      ++r[i];
+      std::fill(r.begin() + i + 1, r.end(), 0);
+      return true;
+    }
   }
-  return marks;
+  return false;
+}
+
+// Walks the partition rows of the m-generated stream in ForEachSetPartition
+// order, handing each row from the one holding position `start` on to
+// `visit` until it returns false. `inner` maps the block count d to the
+// row's inner-space size; it is asked for every d the rows have (0 only
+// when m is 0), smallest first, before any row is visited. A stream read
+// only as far as it needs walks only the rows it reaches.
+template <typename Inner, typename Visit>
+void WalkGridRows(int m, std::uint64_t start, Inner&& inner, Visit&& visit) {
+  std::vector<std::uint64_t> count_of(m + 1);
+  for (int d = m == 0 ? 0 : 1; d <= m; ++d) count_of[d] = inner(d);
+  std::vector<int> block_of(m, 0);
+  std::uint64_t offset = 0;
+  do {
+    const int d =
+        m == 0 ? 0 : 1 + *std::max_element(block_of.begin(), block_of.end());
+    const std::uint64_t count = count_of[d];
+    if (SatAdd(offset, count) > start &&
+        !visit(GridRow{block_of, d, count, offset,
+                       start > offset ? start - offset : 0})) {
+      return;
+    }
+    offset = SatAdd(offset, count);
+  } while (NextRgs(block_of));
 }
 
 std::uint64_t Factorial(int d) {
@@ -170,24 +187,6 @@ std::vector<int> UnrankRgs(int d, std::uint64_t rank,
     }
   }
   return r;
-}
-
-// Advances `r` to the lexicographically next restricted growth string;
-// false when `r` was the last one.
-bool NextRgs(std::vector<int>& r) {
-  const int d = static_cast<int>(r.size());
-  std::vector<int> prefix_max(d, 0);
-  for (int i = 1; i < d; ++i) {
-    prefix_max[i] = std::max(prefix_max[i - 1], r[i - 1]);
-  }
-  for (int i = d - 1; i >= 1; --i) {
-    if (r[i] <= prefix_max[i]) {
-      ++r[i];
-      std::fill(r.begin() + i + 1, r.end(), 0);
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -261,25 +260,23 @@ void AllStructuresClass::EnumerateGeneratedUntil(
 void AllStructuresClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
                                                 const PositionCallback& cb,
                                                 const EnumControl& ctl) const {
+  // Every row size is checked before any member is built: a stream whose
+  // widest rows exceed the cap fails at once, not after the rows below.
   const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
-  const std::vector<GridRow> rows = CollectGridRows(
-      m,
-      [&](int d) {
-        const std::uint64_t atoms = AtomCountFor(schema_, d);
-        if (atoms > cap) throw EnumerationCapError(atoms, cap);
-        return std::uint64_t{1} << atoms;
-      });
-  for (const GridRow& row : rows) {
-    if (row.offset + row.count <= start) continue;
-    const std::uint64_t mask_lo = start > row.offset ? start - row.offset : 0;
+  auto masks_of = [&](int d) {
+    const std::uint64_t atoms = AtomCountFor(schema_, d);
+    if (atoms > cap) throw EnumerationCapError(atoms, cap);
+    return std::uint64_t{1} << atoms;
+  };
+  WalkGridRows(m, start, masks_of, [&](const GridRow& row) {
     const std::vector<RelAtom> atoms = AtomsFor(schema_, row.d);
     const std::vector<Elem> marks = MarksOf(row.block_of);
     Structure s(schema_, row.d);
     for (std::size_t i = 0; i < atoms.size(); ++i) {
-      if ((mask_lo >> i) & 1) s.SetHolds(atoms[i].rel, atoms[i].tuple, true);
+      if ((row.first >> i) & 1) s.SetHolds(atoms[i].rel, atoms[i].tuple, true);
     }
-    std::uint64_t previous = mask_lo;
-    for (std::uint64_t mask = mask_lo; mask < row.count; ++mask) {
+    std::uint64_t previous = row.first;
+    for (std::uint64_t mask = row.first; mask < row.count; ++mask) {
       std::uint64_t diff = mask ^ previous;
       for (std::size_t i = 0; diff >> i; ++i) {
         if ((diff >> i) & 1) {
@@ -288,92 +285,10 @@ void AllStructuresClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
       }
       previous = mask;
       if (ctl.generated != nullptr) ++*ctl.generated;
-      if (!cb(s, marks, row.offset + mask)) return;
+      if (!cb(s, marks, row.offset + mask)) return false;
     }
-  }
-}
-
-// Joint members extending one canonicalized shape: the new marks form a
-// restricted growth string relative to the shape's elements (a value below
-// d0 reuses an old element; new blocks are numbered d0, d0+1, ... by first
-// occurrence), and only atoms touching at least one new element are swept —
-// the old atoms are copied from the shape. Per the EnumerateExtensions
-// contract, the streams over all m-generated shapes partition the full
-// 2m-generated stream.
-void AllStructuresClass::EnumerateExtensions(const Structure& old_structure,
-                                             std::span<const Elem> old_marks,
-                                             int extra_marks,
-                                             const StopCallback& cb,
-                                             const EnumControl& ctl) const {
-  const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
-  const int d0 = static_cast<int>(old_structure.size());
-  std::vector<Elem> marks(old_marks.begin(), old_marks.end());
-  marks.resize(old_marks.size() + static_cast<std::size_t>(extra_marks));
-  bool go = true;
-
-  auto emit = [&](int used) {
-    const int d = d0 + used;
-    // The new atoms are a share of all d-element atoms; when those saturate
-    // the count, building the share would not finish either.
-    if (AtomCountFor(schema_, d) == UINT64_MAX) {
-      throw EnumerationCapError(UINT64_MAX, cap);
-    }
-    // Atoms touching at least one new element, in (relation, odometer)
-    // order; all-old tuples keep the shape's truth values.
-    std::vector<RelAtom> atoms;
-    for (int r = 0; r < schema_->num_relations(); ++r) {
-      const int arity = schema_->relation(r).arity;
-      std::vector<Elem> tuple(arity);
-      ForEachTuple(d, arity, [&](const std::vector<int>& t) {
-        bool touches_new = false;
-        for (int i = 0; i < arity; ++i) {
-          tuple[i] = static_cast<Elem>(t[i]);
-          touches_new = touches_new || t[i] >= d0;
-        }
-        if (touches_new) atoms.push_back(RelAtom{r, tuple});
-      });
-    }
-    if (atoms.size() > cap) throw EnumerationCapError(atoms.size(), cap);
-    Structure s(schema_, d);
-    for (int r = 0; r < schema_->num_relations(); ++r) {
-      const int arity = schema_->relation(r).arity;
-      std::vector<Elem> tuple(arity);
-      ForEachTuple(d0, arity, [&](const std::vector<int>& t) {
-        for (int i = 0; i < arity; ++i) tuple[i] = static_cast<Elem>(t[i]);
-        if (old_structure.Holds(r, tuple)) s.SetHolds(r, tuple, true);
-      });
-    }
-    const std::uint64_t total = 1ULL << atoms.size();
-    std::uint64_t previous = 0;
-    for (std::uint64_t mask = 0; mask < total; ++mask) {
-      std::uint64_t diff = mask ^ previous;
-      for (std::size_t i = 0; diff >> i; ++i) {
-        if ((diff >> i) & 1) {
-          s.SetHolds(atoms[i].rel, atoms[i].tuple, (mask >> i) & 1);
-        }
-      }
-      previous = mask;
-      if (ctl.generated != nullptr) ++*ctl.generated;
-      if (!cb(s, marks)) {
-        go = false;
-        return;
-      }
-    }
-  };
-
-  auto assign = [&](auto&& self, int i, int used) -> void {
-    if (!go) return;
-    if (i == extra_marks) {
-      emit(used);
-      return;
-    }
-    for (int b = 0; b <= d0 + used && go; ++b) {
-      marks[old_marks.size() + static_cast<std::size_t>(i)] =
-          static_cast<Elem>(b);
-      self(self, i + 1, b == d0 + used ? used + 1 : used);
-    }
-  };
-  assign(assign, 0, 0);
+    return true;
+  });
 }
 
 bool IsStrictLinearOrder(const Structure& s, int rel) {
@@ -488,14 +403,10 @@ void LinearOrderClass::EnumerateGeneratedUntil(int m,
 void LinearOrderClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
                                               const PositionCallback& cb,
                                               const EnumControl& ctl) const {
-  const std::vector<GridRow> rows =
-      CollectGridRows(m, [](int d) { return Factorial(d); });
-  for (const GridRow& row : rows) {
-    if (row.offset + row.count <= start) continue;
-    const std::uint64_t p_lo = start > row.offset ? start - row.offset : 0;
+  WalkGridRows(m, start, Factorial, [&](const GridRow& row) {
     const std::vector<Elem> marks = MarksOf(row.block_of);
-    std::vector<int> position_of = UnrankPermutation(row.d, p_lo);
-    for (std::uint64_t idx = p_lo; idx < row.count; ++idx) {
+    std::vector<int> position_of = UnrankPermutation(row.d, row.first);
+    for (std::uint64_t idx = row.first; idx < row.count; ++idx) {
       Structure s(schema_, row.d);
       for (Elem a = 0; a < static_cast<Elem>(row.d); ++a) {
         for (Elem b = 0; b < static_cast<Elem>(row.d); ++b) {
@@ -503,10 +414,11 @@ void LinearOrderClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
         }
       }
       if (ctl.generated != nullptr) ++*ctl.generated;
-      if (!cb(s, marks, row.offset + idx)) return;
+      if (!cb(s, marks, row.offset + idx)) return false;
       std::next_permutation(position_of.begin(), position_of.end());
     }
-  }
+    return true;
+  });
 }
 
 std::optional<AmalgamResult> LinearOrderClass::Amalgamate(
@@ -596,15 +508,10 @@ void EquivalenceClass::EnumerateGeneratedUntil(int m,
 void EquivalenceClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
                                               const PositionCallback& cb,
                                               const EnumControl& ctl) const {
-  const std::vector<GridRow> rows =
-      CollectGridRows(m, [](int d) { return BellNumber(d); });
-  for (const GridRow& row : rows) {
-    if (row.offset + row.count <= start) continue;
-    const std::uint64_t p_lo = start > row.offset ? start - row.offset : 0;
+  WalkGridRows(m, start, BellNumber, [&](const GridRow& row) {
     const std::vector<Elem> marks = MarksOf(row.block_of);
-    std::vector<int> class_of =
-        UnrankRgs(row.d, p_lo, RgsCounts(row.d));
-    for (std::uint64_t idx = p_lo; idx < row.count; ++idx) {
+    std::vector<int> class_of = UnrankRgs(row.d, row.first, RgsCounts(row.d));
+    for (std::uint64_t idx = row.first; idx < row.count; ++idx) {
       Structure s(schema_, row.d);
       for (Elem a = 0; a < static_cast<Elem>(row.d); ++a) {
         for (Elem b = 0; b < static_cast<Elem>(row.d); ++b) {
@@ -612,10 +519,11 @@ void EquivalenceClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
         }
       }
       if (ctl.generated != nullptr) ++*ctl.generated;
-      if (!cb(s, marks, row.offset + idx)) return;
+      if (!cb(s, marks, row.offset + idx)) return false;
       NextRgs(class_of);
     }
-  }
+    return true;
+  });
 }
 
 std::optional<AmalgamResult> EquivalenceClass::Amalgamate(

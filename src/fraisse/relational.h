@@ -41,8 +41,7 @@ void EnumerateRelationalGenerated(
 /// The member stream is a product grid — set partitions of the marks times
 /// atom masks — so this class carries a native cursor: positioned
 /// enumeration decodes a stream position into (partition, mask) and seeds
-/// the incremental SetHolds delta loop mid-grid; joint members can be
-/// generated per shape via EnumerateExtensions.
+/// the incremental SetHolds delta loop mid-grid.
 class AllStructuresClass : public FraisseClass {
  public:
   explicit AllStructuresClass(SchemaRef schema);
@@ -51,14 +50,9 @@ class AllStructuresClass : public FraisseClass {
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
   void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
-  bool SupportsExtensions() const override { return true; }
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
                               const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;
-  void EnumerateExtensions(const Structure& old_structure,
-                           std::span<const Elem> old_marks, int extra_marks,
-                           const StopCallback& cb,
-                           const EnumControl& ctl = {}) const override;
 
  private:
   SchemaRef schema_;

@@ -14,8 +14,7 @@
 // Enumeration has one reference stream and one positioned form of it:
 // EnumerateGeneratedUntil fixes the member order, and EnumerateGeneratedFrom
 // replays that order from a stream position (the resume point of a
-// suspended graph build). EnumerateExtensions is an optional per-shape
-// partition of the 2m stream, gated by SupportsExtensions().
+// suspended graph build).
 #ifndef AMALGAM_SOLVER_BACKEND_H_
 #define AMALGAM_SOLVER_BACKEND_H_
 
@@ -128,37 +127,6 @@ class SolverBackend {
           return cb(s, marks, here);
         });
   }
-
-  /// Enumerates, up to isomorphism, the joint members extending one already
-  /// canonicalized shape: every pair (J, old_marks ++ new_marks) where J is
-  /// generated by the combined tuple, the first `old_marks.size()` marks
-  /// induce (a copy of) `old_structure` with `old_marks`, and `extra_marks`
-  /// new marks are appended. The engine's frontier sweep uses this to
-  /// generate joint members per reached shape — O(reached region) — instead
-  /// of filtering the global 2k stream. The union of extension streams over
-  /// every m-generated shape must reproduce the EnumerateGeneratedUntil(2m)
-  /// stream exactly: same isomorphism classes, each exactly once across all
-  /// shapes (per-shape streams partition the full stream), so frontier
-  /// member counts never exceed — and on full sweeps equal — the eager
-  /// count. Optional capability: only callable when SupportsExtensions()
-  /// is true; the default throws.
-  virtual void EnumerateExtensions(const Structure& old_structure,
-                                   std::span<const Elem> old_marks,
-                                   int extra_marks, const StopCallback& cb,
-                                   const EnumControl& ctl = {}) const {
-    (void)old_structure;
-    (void)old_marks;
-    (void)extra_marks;
-    (void)cb;
-    (void)ctl;
-    throw std::logic_error(
-        "EnumerateExtensions called on a backend without the capability; "
-        "check SupportsExtensions() first");
-  }
-
-  /// Whether EnumerateExtensions is implemented: joint members can be
-  /// generated per shape instead of filtered out of the global 2k stream.
-  virtual bool SupportsExtensions() const { return false; }
 
   /// Run-to-completion convenience wrapper over EnumerateGeneratedUntil.
   void EnumerateGenerated(int m, const EnumCallback& cb) const {

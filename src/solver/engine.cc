@@ -195,8 +195,8 @@ void ExplorationEngine::RunOnTheFly() {
   }
   const std::uint64_t raw_hits_before = owned_graph_->interner().raw_hits();
 
-  // The cache-less frontier sweep draws no table; every positioned sweep
-  // below reads (and grows) the class's table when the query has one.
+  // The sweeps below read (and grow) the class's table when the query has
+  // one.
   const std::shared_ptr<MemberTable> table = AcquireTable();
   const MemberSource source{backend_, table.get(),
                             options_.relational_atom_cap};
@@ -220,19 +220,6 @@ void ExplorationEngine::RunOnTheFly() {
                         result_.stats.members_generated -
                             before.members_generated);
     AnnotateSweepSource(sweep_span, table.get(), before, result_.stats);
-  }
-
-  // Joint sweep. Backends with the EnumerateExtensions capability get the
-  // frontier-directed form when nothing is cached or persisted (see
-  // RunFrontierSweep — its graph is not a resumable stream prefix); the
-  // positioned stream sweep below otherwise.
-  if (goal_ < 0 && options_.cache == nullptr && k_ >= 1 &&
-      backend_.SupportsExtensions() &&
-      owned_graph_->cursor() == BuildCursor{kCursorPhaseJoint, 0}) {
-    RunFrontierSweep();
-    result_.stats.raw_memo_hits =
-        owned_graph_->interner().raw_hits() - raw_hits_before;
-    return;
   }
 
   // Sub-transition stream: reachability is relaxed against every edge the
@@ -268,59 +255,6 @@ std::shared_ptr<MemberTable> ExplorationEngine::AcquireTable() const {
     return nullptr;
   }
   return options_.cache->AcquireMemberTable(ctx_->class_key(), backend_, k_);
-}
-
-void ExplorationEngine::RunFrontierSweep() {
-  // Worklist over shapes: expand every shape some rule could currently
-  // fire out of, relax the fresh edges (which may reach new shapes'
-  // configurations), rescan until closed or the goal appears. Each shape
-  // expands at most once with all guards, so no joint member is generated
-  // twice. The k-phase interned every k-generated member, and a joint's
-  // projections are k-generated members, so expansion never adds shapes —
-  // the scan is over a fixed arena.
-  ScopedSpan sweep_span(options_.trace, "frontier_sweep");
-  const std::uint64_t enumerated_before = result_.stats.members_enumerated;
-  const std::uint64_t edges_before = owned_graph_->num_edges();
-  EnsureConfigCapacity();
-  const int num_shapes = graph_->num_shapes();
-  std::vector<char> expanded(num_shapes, 0);
-  bool progress = true;
-  while (goal_ < 0 && progress) {
-    progress = false;
-    for (int shape = 0; shape < num_shapes && goal_ < 0; ++shape) {
-      if (expanded[shape]) continue;
-      bool relevant = false;
-      for (const TransitionRule& rule : system_.rules()) {
-        if (parent_[config_id(rule.from, shape)] != kUnvisited) {
-          relevant = true;
-          break;
-        }
-      }
-      if (!relevant) continue;
-      expanded[shape] = 1;
-      progress = true;
-      // Copy: ProcessJointMember interns projections, and even though they
-      // dedupe to existing shapes, holding a reference into the arena
-      // across it would be fragile.
-      const CanonicalForm form = owned_graph_->interner().shape(shape);
-      backend_.EnumerateExtensions(
-          form.structure, form.marks, k_,
-          [&](const Structure& d, std::span<const Elem> marks) {
-            ++result_.stats.members_enumerated;
-            const bool swept = owned_graph_->ProcessJointMember(
-                d, marks, result_.stats,
-                [this](int guard, int old_shape, int new_shape) {
-                  return RelaxNewEdge(guard, old_shape, new_shape);
-                });
-            return swept && goal_ < 0;
-          },
-          EnumControl{&result_.stats.members_generated,
-                      options_.relational_atom_cap});
-    }
-  }
-  sweep_span.Annotate("members_enumerated",
-                      result_.stats.members_enumerated - enumerated_before);
-  sweep_span.Annotate("edges", owned_graph_->num_edges() - edges_before);
 }
 
 void ExplorationEngine::RunFullGraph() {
@@ -362,8 +296,8 @@ void ExplorationEngine::RunFullGraph() {
 
 SolveResult ExplorationEngine::Run() {
   ScopedSpan solve_span(options_.trace, "solve");
+  std::shared_ptr<const SubTransitionGraph> hit;
   if (options_.cache) {
-    std::shared_ptr<const SubTransitionGraph> hit;
     {
       ScopedSpan lookup_span(options_.trace, "cache_lookup");
       hit = options_.cache->Lookup(ctx_->key, backend_.schema(),
@@ -385,42 +319,36 @@ SolveResult ExplorationEngine::Run() {
       solve_span.Annotate("resumed_from_member", hit->cursor().next_member);
     }
     result_.stats.graph_from_cache = hit != nullptr;
-    if (hit && hit->complete()) {
-      // Complete entry: pure BFS over interned ids, zero enumeration.
-      graph_ = std::move(hit);
-      RunFullGraph();
-    } else if (options_.strategy == SolveStrategy::kEager) {
-      if (hit) {
-        // Partial entry: finish the build on a private copy — the cached
-        // graph is shared with concurrent readers and stays immutable.
-        owned_graph_ = std::make_shared<SubTransitionGraph>(*hit);
-        result_.stats.graph_resumed = true;
-      }
-      RunFullGraph();
-    } else {
-      if (hit) {
-        // Partial entry: replay it in place; RunOnTheFly copies it only
-        // if the sweep actually has to continue.
-        graph_ = std::move(hit);
-        result_.stats.graph_resumed = true;
-      } else {
-        owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
-        graph_ = owned_graph_;
-      }
-      RunOnTheFly();
-      // Whatever this run added — or the whole graph on a miss — feeds
-      // the next query; a replay-served query added nothing (and owns
-      // nothing), and equal progress is a no-op inside Insert anyway.
-      if (owned_graph_) {
-        options_.cache->Insert(ctx_->key, owned_graph_, options_.trace);
-      }
-    }
+  }
+  if (hit && hit->complete()) {
+    // Complete entry: pure BFS over interned ids, zero enumeration.
+    graph_ = std::move(hit);
+    RunFullGraph();
   } else if (options_.strategy == SolveStrategy::kEager) {
+    if (hit) {
+      // Partial entry: finish the build on a private copy — the cached
+      // graph is shared with concurrent readers and stays immutable.
+      owned_graph_ = std::make_shared<SubTransitionGraph>(*hit);
+      result_.stats.graph_resumed = true;
+    }
     RunFullGraph();
   } else {
-    owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
-    graph_ = owned_graph_;
+    if (hit) {
+      // Partial entry: replay it in place; RunOnTheFly copies it only
+      // if the sweep actually has to continue.
+      graph_ = std::move(hit);
+      result_.stats.graph_resumed = true;
+    } else {
+      owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
+      graph_ = owned_graph_;
+    }
     RunOnTheFly();
+    // Whatever this run added — or the whole graph on a miss — feeds
+    // the next query; a replay-served query added nothing (and owns
+    // nothing), and equal progress is a no-op inside Insert anyway.
+    if (options_.cache && owned_graph_) {
+      options_.cache->Insert(ctx_->key, owned_graph_, options_.trace);
+    }
   }
   Finish();
   return std::move(result_);
@@ -475,42 +403,35 @@ std::uint64_t ExplorationEngine::RealizeSteps(
   steps.assign(num_steps,
                SubTransition{-1, Structure(backend_.schema(), 0), {}});
   std::uint64_t members = 0;
-  // Records (d, marks) as step i, and returns true, when it realizes the
-  // still unrealized path edge i.
-  auto realize = [&](std::size_t i, const Structure& d,
-                     std::span<const Elem> marks) {
-    if (steps[i].guard >= 0 || !eval.Eval(guards[guard_path[i]], d, marks) ||
-        scratch.InternProjection(d, marks.first(k_)) != path_id[i] ||
-        scratch.InternProjection(d, marks.subspan(k_, k_)) != path_id[i + 1]) {
-      return false;
-    }
-    steps[i] = SubTransition{guard_path[i], d, {marks.begin(), marks.end()}};
-    return true;
-  };
-  const EnumControl control{nullptr, options_.relational_atom_cap};
-  if (k_ >= 1 && backend_.SupportsExtensions()) {
-    for (std::size_t i = 0; i < num_steps; ++i) {
-      const CanonicalForm& from = result_.path[i].form;
-      backend_.EnumerateExtensions(
-          from.structure, from.marks, k_,
-          [&](const Structure& d, std::span<const Elem> marks) {
-            ++members;
-            return !realize(i, d, marks);
-          },
-          control);
-    }
-  } else if (num_steps > 0) {
+  if (num_steps > 0) {
     std::size_t pending = num_steps;
     backend_.EnumerateGeneratedFrom(
         2 * k_, 0,
         [&](const Structure& d, std::span<const Elem> marks, std::uint64_t) {
           ++members;
+          // Each projection of the member is interned at most once, and
+          // only after some step's guard holds on it: a guard costs a few
+          // instructions, a projection a canonicalization.
+          int from = -1;
+          int to = -1;
           for (std::size_t i = 0; i < num_steps; ++i) {
-            pending -= realize(i, d, marks);
+            if (steps[i].guard >= 0 ||
+                !eval.Eval(guards[guard_path[i]], d, marks)) {
+              continue;
+            }
+            if (from < 0) from = scratch.InternProjection(d, marks.first(k_));
+            if (from != path_id[i]) continue;
+            if (to < 0) {
+              to = scratch.InternProjection(d, marks.subspan(k_, k_));
+            }
+            if (to != path_id[i + 1]) continue;
+            steps[i] =
+                SubTransition{guard_path[i], d, {marks.begin(), marks.end()}};
+            --pending;
           }
           return pending > 0;
         },
-        control);
+        EnumControl{nullptr, options_.relational_atom_cap});
   }
   for (std::size_t i = 0; i < num_steps; ++i) {
     if (steps[i].guard < 0) {

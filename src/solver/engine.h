@@ -10,14 +10,15 @@
 // dedup) lives in solver/graph.h, shared with the branching solver; the
 // engine layers reachability on top in one of three ways:
 //
-//   * kOnTheFly (default): a frontier-driven incremental search. Members of
-//     C generated by 2k marks stream in from the backend; each guard hit
-//     contributes a sub-transition edge between interned small-configuration
-//     shapes, reachability is propagated immediately over the edges known so
-//     far, and the enumeration is stopped the moment an accepting
-//     configuration is reached. Nonempty instances terminate after exploring
-//     a fraction of the sub-transition graph (see
-//     SolveStats::members_enumerated).
+//   * kOnTheFly (default): an incremental search. Members of C generated
+//     by 2k marks stream in from the backend's positioned stream; each
+//     guard hit contributes a sub-transition edge between interned
+//     small-configuration shapes, reachability is propagated immediately
+//     over the edges known so far, and the enumeration is stopped the
+//     moment an accepting configuration is reached. Nonempty instances
+//     terminate after exploring a fraction of the sub-transition graph (see
+//     SolveStats::members_enumerated). The graph built so far is always a
+//     prefix of the stream, so a cache can hold it and resume it later.
 //
 //   * kEager: the original materialize-then-BFS pipeline — one full pass
 //     over the 2k-generated members builds the whole sub-transition graph,
@@ -75,7 +76,7 @@ struct SmallConfig {
 
 /// How the engine explores the sub-transition graph.
 enum class SolveStrategy {
-  /// Frontier-driven incremental search with early exit (default).
+  /// Incremental search with early exit (default).
   kOnTheFly,
   /// Materialize the whole sub-transition graph, then BFS.
   kEager,
@@ -202,17 +203,6 @@ class ExplorationEngine {
   /// member sweep from the graph's cursor with early exit, advancing the
   /// cursor as it goes.
   void RunOnTheFly();
-  /// The joint-member half of RunOnTheFly for backends with the
-  /// EnumerateExtensions capability: instead of filtering the global 2k
-  /// stream, each interned shape is expanded at most once — and only after
-  /// some rule could fire out of it (a reached (from-state, shape)
-  /// configuration exists) — by generating its extension stream directly.
-  /// Per-shape extension streams partition the full 2k stream, so the
-  /// member count never exceeds the eager sweep's and equals it when every
-  /// shape expands. Only used cache-less: a frontier-built graph omits
-  /// unreached shapes' edges, so it is not a resumable stream prefix and
-  /// must never be cached or persisted.
-  void RunFrontierSweep();
   /// Eager and cached-complete queries: the complete graph (cache-fetched,
   /// or built/resumed to completion and inserted), then BFS from the
   /// initial shapes.
@@ -237,11 +227,10 @@ class ExplorationEngine {
   /// Path reconstruction + optional witness replay into result_.
   void Finish();
   /// Fills result_.steps with one joint member per edge of result_.path
-  /// (edge i is taken under guard_path[i]): the first member of the old
-  /// shape's extension stream that realizes it when the backend has one,
-  /// else its earliest realizer in one shared pass over the 2k stream. The
-  /// graph, maybe a shared cache entry, is only read. Returns the members
-  /// enumerated; throws WitnessInvalidError for an unrealized edge.
+  /// (edge i is taken under guard_path[i]): its earliest realizer in one
+  /// shared pass over the 2k stream. The graph, maybe a shared cache entry,
+  /// is only read. Returns the members enumerated; throws
+  /// WitnessInvalidError for an unrealized edge.
   std::uint64_t RealizeSteps(const std::vector<int>& guard_path);
   /// Replays the soundness proof along the path and checks the concrete
   /// run; throws WitnessInvalidError when either does not hold up.

@@ -9,22 +9,19 @@
 // reference stream (wrong unranking, wrong successor step) fails here
 // rather than as a miscached graph three layers up.
 //
-// Also covered: the EnumerateExtensions partition law (per-shape
-// extension streams reproduce the joint stream exactly), the structured
-// EnumerationCapError surfaced through engine options and the query
-// service, and the members_generated acceptance property — a
-// store-resumed relational build materializes only the stream suffix.
+// Also covered: the structured EnumerationCapError surfaced through engine
+// options and the query service, and the members_generated acceptance
+// property — a store-resumed relational build materializes only the stream
+// suffix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "base/canonical.h"
 #include "fraisse/hom_class.h"
 #include "fraisse/relational.h"
 #include "service/protocol.h"
@@ -154,48 +151,6 @@ TEST(CursorConformanceTest, FromReproducesEveryReferenceSuffix) {
   }
 }
 
-TEST(CursorConformanceTest, ExtensionStreamsPartitionTheJointStream) {
-  for (const NamedBackend& nb : AllBackends()) {
-    if (!nb.backend->SupportsExtensions()) continue;
-    for (int k : {1, 2}) {
-      if (nb.name == "all_graph" && k > 1) continue;  // 2k=4 is ~1M members
-      // The joint stream, one canonical key per isomorphism class.
-      std::vector<std::string> full;
-      nb.backend->EnumerateGeneratedUntil(
-          2 * k, [&](const Structure& s, std::span<const Elem> marks) {
-            full.push_back(Canonicalize(s, marks).key);
-            return true;
-          });
-      std::sort(full.begin(), full.end());
-      // Every k-generated shape, canonicalized the way the engine interns
-      // them, expanded exactly once.
-      std::map<std::string, CanonicalForm> shapes;
-      nb.backend->EnumerateGeneratedUntil(
-          k, [&](const Structure& s, std::span<const Elem> marks) {
-            CanonicalForm form = Canonicalize(s, marks);
-            shapes.emplace(form.key, std::move(form));
-            return true;
-          });
-      std::vector<std::string> joint;
-      std::uint64_t generated = 0;
-      for (const auto& [key, form] : shapes) {
-        nb.backend->EnumerateExtensions(
-            form.structure, form.marks, k,
-            [&](const Structure& s, std::span<const Elem> marks) {
-              joint.push_back(Canonicalize(s, marks).key);
-              return true;
-            },
-            EnumControl{&generated, 0});
-      }
-      std::sort(joint.begin(), joint.end());
-      // Partition law: same isomorphism classes, each exactly once across
-      // all shapes — duplicates or gaps both break the multiset equality.
-      EXPECT_EQ(joint, full) << nb.name << " k=" << k;
-      EXPECT_EQ(generated, full.size()) << nb.name << " k=" << k;
-    }
-  }
-}
-
 TEST(CursorConformanceTest, AtomCapThrowsStructuredError) {
   AllStructuresClass cls(GraphZooSchema());
   // m=2, d=2: 4 E-bits + 2 red-bits = 6 atoms > cap 3.
@@ -228,6 +183,47 @@ TEST(CursorConformanceTest, EngineSurfacesTheCapThroughSolveOptions) {
   SolveOptions raised;
   raised.build_witness = false;
   raised.relational_atom_cap = 32;
+  EXPECT_TRUE(SolveEmptiness(system, cls, raised).nonempty);
+}
+
+// Every sweep reads the one positioned stream, which checks each of its
+// row sizes before building a member. So a query whose 2k stream has rows
+// over the cap fails in every mode, even when its goal sits in the first
+// row: the on-the-fly sweep has no cheaper way round the wide rows.
+TEST(CursorConformanceTest, EveryModeFailsWhenTheJointStreamExceedsTheCap) {
+  DdsSystem system(GraphZooSchema());
+  system.AddRegister("x");
+  system.AddRegister("y");
+  const int s = system.AddState("s", true);
+  const int t = system.AddState("t", false, true);
+  system.AddRule(s, t, "x_old = x_new");
+  AllStructuresClass cls(GraphZooSchema());
+  // E is binary and red unary: d^2 + d atoms. The k = 2 marks span at most
+  // 6 atoms, the 2k = 4 marks up to 20.
+  for (SolveStrategy strategy :
+       {SolveStrategy::kEager, SolveStrategy::kOnTheFly}) {
+    for (bool cached : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "eager=" << (strategy == SolveStrategy::kEager)
+                   << " cached=" << cached);
+      GraphCache cache;
+      SolveOptions options;
+      options.build_witness = false;
+      options.strategy = strategy;
+      options.cache = cached ? &cache : nullptr;
+      options.relational_atom_cap = 12;
+      try {
+        SolveEmptiness(system, cls, options);
+        ADD_FAILURE() << "expected EnumerationCapError";
+      } catch (const EnumerationCapError& e) {
+        EXPECT_EQ(e.atoms(), 20u);
+        EXPECT_EQ(e.cap(), 12u);
+      }
+    }
+  }
+  SolveOptions raised;
+  raised.build_witness = false;
+  raised.relational_atom_cap = 20;
   EXPECT_TRUE(SolveEmptiness(system, cls, raised).nonempty);
 }
 

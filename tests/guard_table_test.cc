@@ -243,7 +243,9 @@ TEST(GuardTableTest, GuardsWithExistsAreNeverServedFromTheTable) {
   };
   GuardTable table;
   QueryService service;
-  std::vector<const Formula*> seen;
+  // Held, not just their addresses: a freed formula's address can be
+  // handed to the next parse's.
+  std::vector<FormulaRef> seen;
   for (const std::string& text : lines) {
     SCOPED_TRACE(text);
     const ProtocolRequest fresh = ParseRequestLine(text, nullptr);
@@ -259,10 +261,10 @@ TEST(GuardTableTest, GuardsWithExistsAreNeverServedFromTheTable) {
                     fresh.query.system->schema()));
       if (!rule.guard->IsQuantifierFree()) {
         EXPECT_EQ(rule.printed, nullptr);
-        for (const Formula* earlier : seen) {
-          EXPECT_NE(rule.guard.get(), earlier);
+        for (const FormulaRef& earlier : seen) {
+          EXPECT_NE(rule.guard.get(), earlier.get());
         }
-        seen.push_back(rule.guard.get());
+        seen.push_back(rule.guard);
       }
     }
     EXPECT_EQ(service.GraphKeyFor(served.query),

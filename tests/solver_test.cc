@@ -81,6 +81,33 @@ TEST(SolverTest, ContradictionEmptyEverywhere) {
   EXPECT_FALSE(SolveEmptiness(system, hom).nonempty);
 }
 
+// A cache-less on-the-fly query reads the same positioned member stream as
+// a cache miss and stops at the same member, so the graph it builds is the
+// stream prefix a cache would hold.
+TEST(SolverTest, CachelessOnTheFlyBuildsTheCachedStreamPrefix) {
+  AllStructuresClass all(GraphZooSchema());
+  LiftedHomClass lifted(Example2Template());
+  HomClass raw(Example2Template());
+  const SolveOptions cacheless{.build_witness = false};
+  for (const DdsSystem& system :
+       {OddRedCycleSystem(), ReachRedSystem(), ContradictionSystem()}) {
+    for (const SolverBackend* backend :
+         std::initializer_list<const SolverBackend*>{&all, &lifted, &raw}) {
+      SCOPED_TRACE(backend->Fingerprint());
+      const SolveResult streamed = SolveEmptiness(system, *backend, cacheless);
+      GraphCache cache;
+      SolveOptions cached = cacheless;
+      cached.cache = &cache;
+      const SolveResult miss = SolveEmptiness(system, *backend, cached);
+      ASSERT_FALSE(miss.stats.graph_from_cache);
+      EXPECT_EQ(streamed.nonempty, miss.nonempty);
+      EXPECT_EQ(streamed.stats.members_enumerated,
+                miss.stats.members_enumerated);
+      EXPECT_EQ(streamed.stats.edges, miss.stats.edges);
+    }
+  }
+}
+
 TEST(SolverTest, RejectsExistentialGuards) {
   DdsSystem system(GraphZooSchema());
   int a = system.AddState("a", true);
@@ -393,8 +420,8 @@ void ExpectRepeatsChangeNothing(const DdsSystem& system,
       // which of that member's edges were recorded.
       EXPECT_LE(l.stats.edges, base_eager.stats.edges);
     } else {
-      // Without an exit every swept member records all of its edges (the
-      // frontier sweep sweeps only reached shapes' members).
+      // Without an exit the sweep covers the whole 2k stream, recording
+      // every member's edges.
       EXPECT_EQ(l.stats.edges, base_lazy.stats.edges);
     }
 

@@ -4,14 +4,18 @@
 // a direct solve, and the full daemon path through Session — a traced
 // cold query returns an in-band "query" span tree covering queue wait,
 // build and BFS; cache hits, coalesced joiners and partial-entry resumes
-// each leave their distinguishing spans/annotations; and a query without
-// `"trace":true` records exactly zero spans.
+// each leave their distinguishing spans/annotations; a query without
+// `"trace":true` records exactly zero spans; and the span catalog in
+// docs/OBSERVABILITY.md names exactly the spans the scenarios record.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "service/protocol.h"
 #include "service/service.h"
 #include "service/session.h"
+#include "solver/branching.h"
 #include "solver/emptiness.h"
 #include "system/zoo.h"
 
@@ -147,14 +152,24 @@ TEST(TraceEngineTest, ColdSolveRecordsPhaseSpans) {
   ASSERT_EQ(SpansNamed(spans, "solve").size(), 1u);
   const std::vector<TraceSpan> sweeps = SpansNamed(spans, "sweep_initial");
   ASSERT_EQ(sweeps.size(), 1u);
-  // A cacheless direct solve extends via the frontier-directed sweep.
-  EXPECT_FALSE(SpansNamed(spans, "frontier_sweep").empty());
   // FindAnnotation points into the span, so the span's vector must outlive
   // the pointer.
   const TraceAnnotation* enumerated =
       FindAnnotation(sweeps[0], "members_enumerated");
   ASSERT_NE(enumerated, nullptr);
   EXPECT_TRUE(enumerated->is_number);
+  // A cache-less solve sweeps the joint members of the same positioned
+  // stream a cached one does, streamed because it has no member table.
+  const std::vector<TraceSpan> joints = SpansNamed(spans, "sweep_joint");
+  ASSERT_EQ(joints.size(), 1u);
+  for (const char* key : {"members_enumerated", "edges"}) {
+    const TraceAnnotation* count = FindAnnotation(joints[0], key);
+    ASSERT_NE(count, nullptr) << key;
+    EXPECT_TRUE(count->is_number) << key;
+  }
+  const TraceAnnotation* source = FindAnnotation(joints[0], "source");
+  ASSERT_NE(source, nullptr);
+  EXPECT_EQ(source->value, "stream");
   // The witness phase runs by default, and reports the members it read to
   // re-derive its path's joint members.
   const std::vector<TraceSpan> witness = SpansNamed(spans, "witness");
@@ -428,6 +443,105 @@ TEST(TraceProtocolTest, TracedLineReturnsSpanTreeInBand) {
   ASSERT_TRUE(untraced.GetBool("ok"));
   EXPECT_FALSE(untraced.Get("trace"))
       << "an untraced response carries no trace member at all";
+}
+
+// ---- The span catalog in docs/OBSERVABILITY.md against recorded spans. ----
+
+// The span names in the first column of the "Span catalog" tables.
+std::set<std::string> DocumentedSpans() {
+  std::ifstream in(std::string(AMALGAM_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  EXPECT_TRUE(in) << "docs/OBSERVABILITY.md is unreadable";
+  std::set<std::string> names;
+  bool in_catalog = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.starts_with("#")) in_catalog = line == "### Span catalog";
+    if (!in_catalog || !line.starts_with("| `")) continue;
+    const std::size_t end = line.find('`', 3);
+    if (end != std::string::npos) names.insert(line.substr(3, end - 3));
+  }
+  return names;
+}
+
+void AddSpanNames(const TraceRecorder& recorder,
+                  std::set<std::string>& names) {
+  for (const TraceSpan& span : recorder.Snapshot()) names.insert(span.name);
+}
+
+// One scenario per way through the engine, the branching solver, the
+// store and the service: a renamed or deleted span cannot leave a stale
+// catalog row, and a new one cannot go undocumented.
+TEST(TraceCatalogTest, DocumentedSpansAreExactlyTheRecordedOnes) {
+  const AllStructuresClass cls(GraphZooSchema());
+  std::set<std::string> recorded;
+  {
+    // Cache-less on the fly, with the witness.
+    TraceRecorder trace;
+    SolveOptions options;
+    options.trace = &trace;
+    ASSERT_TRUE(SolveEmptiness(ReachRedSystem(), cls, options).nonempty);
+    AddSpanNames(trace, recorded);
+  }
+  {
+    // Eager through a store-attached cache: a store miss, then the save.
+    const std::string dir = ::testing::TempDir() + "/trace_catalog_store";
+    std::filesystem::remove_all(dir);
+    GraphCache cache;
+    cache.AttachStore(dir);
+    TraceRecorder trace;
+    SolveOptions options;
+    options.strategy = SolveStrategy::kEager;
+    options.cache = &cache;
+    options.trace = &trace;
+    SolveEmptiness(ReachRedSystem(), cls, options);
+    AddSpanNames(trace, recorded);
+    std::filesystem::remove_all(dir);
+  }
+  {
+    // A branching query's fixpoint.
+    BranchingSystem branching(GraphZooSchema());
+    branching.AddRegister("x");
+    const int walk = branching.AddState("walk", true);
+    const int done = branching.AddState("done", false, true);
+    branching.AddRule(walk, {{"E(x_old, x_new)", walk}});
+    branching.AddRule(walk, {{"x_old = x_new & red(x_old)", done}});
+    TraceRecorder trace;
+    SolveBranchingEmptiness(branching, cls, nullptr, &trace);
+    AddSpanNames(trace, recorded);
+  }
+  {
+    // Two identical service queries: a leader and a coalesced joiner, which
+    // waits for the leader and then replays the partial graph it left.
+    QueryService::Options options;
+    options.num_workers = 2;
+    QueryService service(options);
+    std::vector<QueryRequest> batch;
+    batch.push_back(ReachRedRequest(true));
+    batch.push_back(ReachRedRequest(true));
+    int joiners = 0;
+    for (auto& future : service.SubmitBatch(std::move(batch))) {
+      const QueryResult result = future.get();
+      ASSERT_TRUE(result.ok) << result.error;
+      ASSERT_NE(result.trace, nullptr);
+      AddSpanNames(*result.trace, recorded);
+      if (!result.coalesced) continue;
+      ++joiners;
+      const std::vector<TraceSpan> spans = result.trace->Snapshot();
+      EXPECT_EQ(SpansNamed(spans, "coalesced_wait").size(), 1u);
+      EXPECT_EQ(SpansNamed(spans, "bfs_replay").size(), 1u);
+    }
+    EXPECT_EQ(joiners, 1);
+  }
+
+  const std::set<std::string> documented = DocumentedSpans();
+  for (const std::string& name : recorded) {
+    EXPECT_TRUE(documented.contains(name))
+        << "span `" << name << "` is missing from the catalog";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(recorded.contains(name))
+        << "catalog span `" << name << "` is recorded by no scenario";
+  }
 }
 
 }  // namespace
