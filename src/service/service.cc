@@ -125,8 +125,7 @@ bool QueryService::Prewarm(const QueryRequest& request,
   try {
     const GraphContext ctx = ComputeGraphContext(request);
     if (graph_key != nullptr) *graph_key = ctx.key;
-    return cache_.Lookup(ctx.key, ctx.backend->schema(), ctx.guards,
-                         ctx.k) != nullptr;
+    return cache_.Lookup(ctx) != nullptr;
   } catch (const std::exception&) {
     return false;
   }

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "solver/member_table.h"
-
 namespace amalgam {
 
 void BranchingSystem::AddRule(
@@ -64,69 +62,23 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
                                              TraceRecorder* trace) {
   ScopedSpan solve_span(trace, "solve");
   const DdsSystem& skel = system.skeleton();
-  const SolverBackend& cls = *context.backend;
-  const std::vector<FormulaRef>& guards = context.guards;
-  const int k = context.k;
   std::size_t num_branches = 0;
   for (const BranchingRule& rule : system.rules()) {
     num_branches += rule.branches.size();
   }
   if (context.guard_of.size() != num_branches ||
-      k != skel.num_registers()) {
+      context.k != skel.num_registers()) {
     throw std::invalid_argument(
         "the graph context was not derived from this system");
   }
   BranchingSolveResult result;
 
-  // The sub-transition graph: cache-served, or built eagerly (backward
-  // fixpoints need the complete graph) and stored for the next query. A
-  // partial entry — left by an early-exited linear query over the same
-  // guard set, possibly in another process via the store — is resumed
-  // from its cursor on a private copy rather than rebuilt. With a cache the
-  // build sweeps (and grows) the cache's member table for the class.
-  std::shared_ptr<const SubTransitionGraph> graph;
-  std::shared_ptr<SubTransitionGraph> resumed;
-  const std::string& cache_key = context.key;
-  if (cache) {
-    std::shared_ptr<const SubTransitionGraph> hit;
-    {
-      ScopedSpan lookup_span(trace, "cache_lookup");
-      hit = cache->Lookup(cache_key, cls.schema(), guards, k, trace);
-      lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
-      lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
-    }
-    if (hit && hit->guards().size() != guards.size()) {
-      throw std::logic_error("cached graph does not match its key's guards");
-    }
-    result.stats.graph_from_cache = hit != nullptr;
-    if (hit && hit->complete()) {
-      graph = std::move(hit);
-    } else if (hit) {
-      solve_span.Annotate("resumed_from_phase",
-                          static_cast<std::uint64_t>(hit->cursor().phase));
-      solve_span.Annotate("resumed_from_member", hit->cursor().next_member);
-      resumed = std::make_shared<SubTransitionGraph>(*hit);
-      result.stats.graph_resumed = true;
-    }
-  }
-  if (!graph) {
-    auto built = resumed ? std::move(resumed)
-                         : std::make_shared<SubTransitionGraph>(guards, k);
-    {
-      const std::shared_ptr<MemberTable> table =
-          cache != nullptr
-              ? cache->AcquireMemberTable(context.class_key(), cls, k)
-              : nullptr;
-      ScopedSpan build_span(trace, "full_build");
-      const SolveStats before = result.stats;
-      built->BuildFull(MemberSource{cls, table.get()}, result.stats);
-      build_span.Annotate("members_generated", result.stats.members_generated);
-      build_span.Annotate("edges", built->num_edges());
-      AnnotateSweepSource(build_span, table.get(), before, result.stats);
-    }
-    if (cache) cache->Insert(cache_key, built, trace);
-    graph = std::move(built);
-  }
+  // The complete sub-transition graph (the backward fixpoint needs the
+  // whole relation), by the linear engine's eager path: a partial entry —
+  // left by an early-exited linear query over the same guard set, possibly
+  // in another process via the store — is resumed rather than rebuilt.
+  const std::shared_ptr<const SubTransitionGraph> graph =
+      AcquireCompleteGraph(cache, context, solve_span, result.stats);
   ScopedSpan fixpoint_span(trace, "fixpoint");
 
   const int num_shapes = graph->num_shapes();
@@ -137,7 +89,8 @@ BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,
 
   // Per-guard adjacency view: old_shape -> new shapes. Branches sharing a
   // guard share its row.
-  std::vector<std::unordered_map<int, std::vector<int>>> edges(guards.size());
+  std::vector<std::unordered_map<int, std::vector<int>>> edges(
+      context.guards.size());
   for (int s = 0; s < num_shapes; ++s) {
     for (const SubTransitionGraph::Edge& e : graph->edges_from(s)) {
       edges[e.guard][s].push_back(e.new_shape);

@@ -80,17 +80,19 @@ struct BranchingSolveResult {
 
 /// Decides: is there a database in `cls` driving a finite accepting run
 /// tree of `system`? Routes through the shared SubTransitionGraph (the
-/// same interner and edge store as the linear engine); when `cache` is
-/// given, the complete graph for (class fingerprint, k, guard set) is
-/// reused or stored, so a repeated query reports
-/// stats.members_enumerated == 0 — and a *partial* entry left by an
-/// early-exited linear query over the same guard set is resumed from its
-/// cursor to completion (the backward fixpoint needs the whole relation)
-/// rather than rebuilt. A store attached to `cache`
+/// same interner and edge store as the linear engine), which it obtains
+/// exactly as the linear engine's eager path does (AcquireCompleteGraph in
+/// solver/cache.h): when `cache` is given, the complete graph for (class
+/// fingerprint, k, guard set) is reused or stored, so a repeated query
+/// reports stats.members_enumerated == 0 — and a *partial* entry left by
+/// an early-exited linear query over the same guard set is resumed from
+/// its cursor to completion (the backward fixpoint needs the whole
+/// relation) rather than rebuilt. A store attached to `cache`
 /// (GraphCache::AttachStore) persists the graph across processes. A
-/// non-null `trace` records a "solve" span
-/// with cache_lookup / full_build / fixpoint children (and the resume
-/// annotations when a partial entry was picked up).
+/// non-null `trace` records a "solve" span with cache_lookup / full_build
+/// / fixpoint children (and the resume annotations when a partial entry
+/// was picked up), the same cache_lookup and full_build the linear engine
+/// records.
 BranchingSolveResult SolveBranchingEmptiness(
     const BranchingSystem& system, const FraisseClass& cls,
     GraphCache* cache = nullptr, TraceRecorder* trace = nullptr);
@@ -103,7 +105,9 @@ BranchingSolveResult SolveBranchingEmptiness(
 
 /// The graph context of a branching query: the branch guards flattened in
 /// (rule, branch) order, so GraphContext::guard_of is indexed by flattened
-/// branch id. Throws std::invalid_argument when a guard is not
+/// branch id. A linear system with one rule per branch, in the same order,
+/// has the same context, and so shares the cache entry. Throws
+/// std::invalid_argument, before printing any guard, when a guard is not
 /// quantifier-free or the skeleton's schema is not a prefix of the class's.
 GraphContext BranchingGraphContext(const BranchingSystem& system,
                                    std::shared_ptr<const SolverBackend> cls);

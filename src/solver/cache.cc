@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -37,13 +38,6 @@ bool StrictlyFurtherAlong(const SubTransitionGraph& incumbent,
 GraphCache::GraphCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
 GraphCache::~GraphCache() = default;
-
-std::string GraphCache::Key(const SolverBackend& backend, int k,
-                            std::span<const FormulaRef> guards) {
-  std::string key = ClassKey(backend, k);
-  AppendGuards(InternGuards(guards, *backend.schema()), key);
-  return key;
-}
 
 std::string GraphCache::ClassKey(const SolverBackend& backend, int k) {
   // The fingerprint is length-prefixed so the key decodes uniquely even if
@@ -81,7 +75,9 @@ void GraphCache::AppendGuards(const InternedGuards& interned,
 }
 
 std::shared_ptr<MemberTable> GraphCache::AcquireMemberTable(
-    std::string_view class_key, const SolverBackend& backend, int k) {
+    const GraphContext& context, std::uint32_t atom_cap) {
+  if (!MemberTable::Serves(atom_cap)) return nullptr;
+  const std::string_view class_key = context.class_key();
   std::lock_guard<std::mutex> lock(tables_mutex_);
   auto it = std::find_if(tables_.begin(), tables_.end(),
                          [&](const TableSlot& slot) {
@@ -95,7 +91,8 @@ std::shared_ptr<MemberTable> GraphCache::AcquireMemberTable(
   // First request: an empty table, which the caller's sweep grows.
   tables_.insert(tables_.begin(),
                  TableSlot{std::string(class_key),
-                           std::make_shared<MemberTable>(backend.schema(), k)});
+                           std::make_shared<MemberTable>(
+                               context.backend->schema(), context.k)});
   if (tables_.size() > kMaxMemberTables) tables_.pop_back();
   member_table_builds_.fetch_add(1, std::memory_order_relaxed);
   return tables_.front().table;
@@ -155,8 +152,8 @@ std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
 }
 
 std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
-    const std::string& key, const SchemaRef& schema,
-    std::span<const FormulaRef> guards, int k, TraceRecorder* trace) {
+    const GraphContext& context, TraceRecorder* trace) {
+  const std::string& key = context.key;
   std::shared_ptr<const GraphStore> store;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -179,7 +176,8 @@ std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
     // them. Only traced queries pay for the extra snapshot.
     StoreCounters before{};
     if (trace != nullptr) before = store->counters();
-    GraphStore::LoadResult loaded = store->Load(key, schema, guards, k);
+    GraphStore::LoadResult loaded = store->Load(
+        key, context.backend->schema(), context.guards, context.k);
     if (trace != nullptr) {
       const StoreCounters after = store->counters();
       load_span.Annotate("tier",
@@ -273,6 +271,59 @@ StoreSweepResult GraphCache::SweepStore(std::uint64_t max_bytes,
 std::size_t GraphCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return graphs_.size();
+}
+
+std::shared_ptr<const SubTransitionGraph> LookupGraph(
+    GraphCache* cache, const GraphContext& context, ScopedSpan& solve_span,
+    SolveStats& stats) {
+  if (cache == nullptr) return nullptr;
+  std::shared_ptr<const SubTransitionGraph> hit;
+  {
+    ScopedSpan lookup_span(solve_span.recorder(), "cache_lookup");
+    hit = cache->Lookup(context, solve_span.recorder());
+    lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
+    lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
+  }
+  if (hit && hit->guards().size() != context.guards.size()) {
+    throw std::logic_error("cached graph does not match its key's guards");
+  }
+  stats.graph_from_cache = hit != nullptr;
+  if (hit && !hit->complete()) {
+    // Where the stored trajectory left off, straight off the entry's
+    // cursor.
+    solve_span.Annotate("resumed_from_phase",
+                        static_cast<std::uint64_t>(hit->cursor().phase));
+    solve_span.Annotate("resumed_from_member", hit->cursor().next_member);
+    stats.graph_resumed = true;
+  }
+  return hit;
+}
+
+std::shared_ptr<const SubTransitionGraph> AcquireCompleteGraph(
+    GraphCache* cache, const GraphContext& context, ScopedSpan& solve_span,
+    SolveStats& stats, std::uint32_t atom_cap, std::uint64_t max_shapes) {
+  std::shared_ptr<const SubTransitionGraph> hit =
+      LookupGraph(cache, context, solve_span, stats);
+  if (hit && hit->complete()) return hit;
+  auto built = hit ? std::make_shared<SubTransitionGraph>(*hit)
+                   : std::make_shared<SubTransitionGraph>(context.guards,
+                                                          context.k);
+  {
+    const std::shared_ptr<MemberTable> table =
+        cache != nullptr ? cache->AcquireMemberTable(context, atom_cap)
+                         : nullptr;
+    ScopedSpan build_span(solve_span.recorder(), "full_build");
+    const SolveStats before = stats;
+    built->BuildFull(MemberSource{*context.backend, table.get(), atom_cap},
+                     stats, max_shapes);
+    build_span.Annotate("members_generated", stats.members_generated);
+    build_span.Annotate("edges", built->num_edges());
+    AnnotateSweepSource(build_span, table.get(), before, stats);
+  }
+  if (cache != nullptr) {
+    cache->Insert(context.key, built, solve_span.recorder());
+  }
+  return built;
 }
 
 }  // namespace amalgam

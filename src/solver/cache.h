@@ -14,10 +14,17 @@
 //
 // Keys are built from SolverBackend::Fingerprint() (a stable serialization
 // of the class's identity implemented by every backend), the register
-// count, and the printed guard formulas. Entries are immutable graphs held
-// by shared_ptr, so lookups can outlive the cache and concurrent readers
-// need no coordination beyond the map mutex; resuming a partial entry
-// always happens on a private copy.
+// count, and the printed guard formulas; MakeGraphContext (solver/context.h)
+// derives them, and the store-aware lookup and the member tables are asked
+// with the query's GraphContext. Entries are immutable graphs held by
+// shared_ptr, so lookups can outlive the cache and concurrent readers need
+// no coordination beyond the map mutex; resuming a partial entry always
+// happens on a private copy.
+//
+// LookupGraph and AcquireCompleteGraph, at the end of this header, are the
+// one path from a query's context to its graph: the linear engine and the
+// branching fixpoint both take it, so the lookup, resume, build and insert
+// policy (and its spans and counters) is written once.
 //
 // AttachStore(dir) adds a disk tier (solver/store.h): memory misses fall
 // through to a load from `dir`, and accepted inserts are written back, so
@@ -47,9 +54,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -76,33 +81,26 @@ class GraphCache {
   explicit GraphCache(std::size_t max_entries = 0);
   ~GraphCache();
 
-  /// The cache key for a query: backend fingerprint + register count +
-  /// the distinct printed guards in first-occurrence order (InternGuards in
-  /// solver/context.h) + — only when some guard repeats — the rule (or
-  /// flattened branch) -> guard index. It names the rule list, not just its
-  /// distinct guards: [A, B, A] and [A, B] are separate entries (both
-  /// graphs are over [A, B]), so a never-seen rule list is never served
-  /// from another list's entry. A duplicate-free list's key is its printed
-  /// guards alone, as it always was.
-  static std::string Key(const SolverBackend& backend, int k,
-                         std::span<const FormulaRef> guards);
-  /// The class prefix of every Key over (backend, k): the length-prefixed
+  /// The class prefix of every key over (backend, k): the length-prefixed
   /// fingerprint and the register count. It names the member table.
   static std::string ClassKey(const SolverBackend& backend, int k);
-  /// Appends the guard part of Key — a list already interned under
-  /// backend.schema(), each distinct guard printed once — to a ClassKey.
+  /// Appends the guard part of a key to a ClassKey: the distinct guards'
+  /// printed forms (a list already interned under backend.schema(), each
+  /// distinct guard printed once), then — only when some guard repeats —
+  /// the rule (or flattened branch) -> guard index. A duplicate-free
+  /// list's key is its printed guards alone.
   static void AppendGuards(const InternedGuards& interned, std::string& key);
 
   /// Member tables held, least recently requested forgotten first.
   static constexpr std::size_t kMaxMemberTables = 16;
 
-  /// The member table of `class_key` (ClassKey(backend, k)), for a sweep
-  /// under the default atom cap (MemberTable::Serves). The class's first
+  /// The member table of the context's class (GraphContext::class_key)
+  /// for a sweep under `atom_cap`, or null when no table serves that cap
+  /// (MemberTable::Serves) and the sweep streams. The class's first
   /// request creates the table empty; the sweeps that read it grow it. A
   /// forgotten table stays alive for the sweeps still holding it.
-  std::shared_ptr<MemberTable> AcquireMemberTable(std::string_view class_key,
-                                                  const SolverBackend& backend,
-                                                  int k);
+  std::shared_ptr<MemberTable> AcquireMemberTable(const GraphContext& context,
+                                                  std::uint32_t atom_cap = 0);
 
   /// Attaches the disk tier rooted at `dir` (created if absent; throws
   /// std::runtime_error when that fails). Re-attaching the same directory
@@ -122,10 +120,10 @@ class GraphCache {
   /// Counts a hit/miss; a hit freshens the entry's eviction rank.
   std::shared_ptr<const SubTransitionGraph> Lookup(const std::string& key);
 
-  /// As above, but a memory miss falls through to the attached store (if
-  /// any): a successful load — `schema`, `guards` and `k` supply the
-  /// deserialization context, which the caller owns because it also built
-  /// `key` — is promoted into the memory tier and counts as a hit. The
+  /// The cached graph for the context's key, where a memory miss falls
+  /// through to the attached store (if any): a successful load — the
+  /// context's backend schema, guards and k are its deserialization
+  /// context — is promoted into the memory tier and counts as a hit. The
   /// disk read runs outside the map mutex; if a racing query populated the
   /// key meanwhile, the double-checked promote keeps whichever graph is
   /// further along. A missing, corrupt or truncated file counts as a miss
@@ -135,9 +133,7 @@ class GraphCache {
   /// disk read as a "store_load" span annotated with the serving tier
   /// (loose/pack/miss).
   std::shared_ptr<const SubTransitionGraph> Lookup(
-      const std::string& key, const SchemaRef& schema,
-      std::span<const FormulaRef> guards, int k,
-      TraceRecorder* trace = nullptr);
+      const GraphContext& context, TraceRecorder* trace = nullptr);
 
   /// The memory-tier entry for `key` without counting a hit or miss and
   /// without freshening its eviction rank — a pure side-effect-free probe
@@ -247,6 +243,29 @@ class GraphCache {
   std::atomic<std::uint64_t> store_load_failures_{0};
   std::atomic<std::uint64_t> store_writes_{0};
 };
+
+/// The lookup half of a query's path to its graph: the context's entry in
+/// `cache` (memory, then store) under a "cache_lookup" span annotated with
+/// `hit` and `complete`, or null without a cache. Sets
+/// stats.graph_from_cache, and for a partial entry stats.graph_resumed and
+/// `solve_span`'s resumed_from_phase / resumed_from_member. Throws
+/// std::logic_error when the entry's guards are not the context's: edge
+/// labels index them, so such a graph cannot be mapped onto the rules.
+std::shared_ptr<const SubTransitionGraph> LookupGraph(
+    GraphCache* cache, const GraphContext& context, ScopedSpan& solve_span,
+    SolveStats& stats);
+
+/// The context's complete graph: LookupGraph's complete entry, or else its
+/// partial entry resumed on a private copy (the cached graph stays
+/// immutable for concurrent readers) or a fresh graph, built to completion
+/// under a "full_build" span and inserted into `cache`. The build sweeps
+/// the class's member table when `cache` has one for `atom_cap`. Throws
+/// std::runtime_error when the graph interns more than `max_shapes`
+/// shapes.
+std::shared_ptr<const SubTransitionGraph> AcquireCompleteGraph(
+    GraphCache* cache, const GraphContext& context, ScopedSpan& solve_span,
+    SolveStats& stats, std::uint32_t atom_cap = 0,
+    std::uint64_t max_shapes = ~std::uint64_t{0});
 
 }  // namespace amalgam
 

@@ -1,6 +1,7 @@
 #include "solver/context.h"
 
 #include <functional>
+#include <stdexcept>
 #include <string_view>
 #include <utility>
 
@@ -67,19 +68,26 @@ GraphContext MakeGraphContext(std::shared_ptr<const SolverBackend> backend,
 
 GraphContext SystemGraphContext(std::shared_ptr<const SolverBackend> backend,
                                 const DdsSystem& system) {
+  // Checked first: printing a guard under a schema it does not fit reads
+  // past the schema's symbols.
+  if (!system.AllGuardsQuantifierFree()) {
+    throw std::invalid_argument(
+        "guards must be quantifier-free; run EliminateExistentials first");
+  }
+  if (!IsPrefixSchema(system.schema(), *backend->schema())) {
+    throw std::invalid_argument(
+        "the system's schema must be a prefix of the class's schema");
+  }
   // A guard over the system prints the same under any schema that extends
-  // the system's symbols, so the rules' printed forms stand for such a
-  // backend; for any other, InternGuards prints under the backend's.
-  const Schema& schema = *backend->schema();
-  const bool use_printed = &schema == &system.schema() ||
-                           IsPrefixSchema(system.schema(), schema);
+  // the system's symbols, so the rules' printed forms stand for the
+  // backend's.
   std::vector<FormulaRef> guards;
   std::vector<const std::string*> printed;
   guards.reserve(system.rules().size());
-  if (use_printed) printed.reserve(system.rules().size());
+  printed.reserve(system.rules().size());
   for (const TransitionRule& rule : system.rules()) {
     guards.push_back(rule.guard);
-    if (use_printed) printed.push_back(rule.printed.get());
+    printed.push_back(rule.printed.get());
   }
   return MakeGraphContext(std::move(backend), system.num_registers(), guards,
                           printed);

@@ -8,15 +8,20 @@
 // first-occurrence order, and each rule keeps the index of its guard. The
 // graph, the guard sweep and the store see only the distinct guards; the
 // front doors map edges back onto rules through GraphContext::guard_of.
-// The cache key still names the whole rule list (see GraphCache::Key): the
-// distinct guards' printed forms, each printed once, plus the rule -> guard
-// index when a guard repeats.
+// The cache key still names the whole rule list: the class prefix
+// (GraphCache::ClassKey), the distinct guards' printed forms, each printed
+// once, plus the rule -> guard index when a guard repeats
+// (GraphCache::AppendGuards).
 //
 // GraphContext bundles that derivation with the backend and the cache key,
 // so it is computed once per query: the query service builds it at submit
 // time (it needs the key for single-flight registration) and hands it to
 // the front door, and a front door called without one builds its own
-// through the same function.
+// through the same function. MakeGraphContext is the only place a key is
+// derived, and the context is the only thing the cache is asked with
+// (GraphCache::Lookup, GraphCache::AcquireMemberTable). The system and
+// branching derivations check that the system fits the class before they
+// print a guard, so a context always describes a query the engine can run.
 #ifndef AMALGAM_SOLVER_CONTEXT_H_
 #define AMALGAM_SOLVER_CONTEXT_H_
 
@@ -61,7 +66,11 @@ struct GraphContext {
   /// Per rule (or flattened branch), the index of its guard in `guards`.
   std::vector<int> guard_of;
   int k = 0;
-  /// GraphCache::Key of the rule list.
+  /// The cache key of the rule list: the class prefix, the distinct
+  /// guards' printed forms and, when a guard repeats, the rule -> guard
+  /// index. [A, B, A] and [A, B] are separate entries (both graphs are
+  /// over [A, B]), so a never-seen rule list is never served from another
+  /// list's entry.
   std::string key;
   /// The length of the key's class prefix (GraphCache::ClassKey: the
   /// backend fingerprint and k), which names the class's member table.
@@ -79,6 +88,10 @@ GraphContext MakeGraphContext(std::shared_ptr<const SolverBackend> backend,
                               std::span<const std::string* const> printed = {});
 
 /// The context of a linear system: one guard per rule, in rule order.
+/// Throws std::invalid_argument, before printing any guard, unless every
+/// guard is quantifier-free (apply EliminateExistentials first) and the
+/// system's schema is a prefix of the backend's (Lemma 6: extra symbols in
+/// the class's schema are invisible to quantifier-free guards).
 GraphContext SystemGraphContext(std::shared_ptr<const SolverBackend> backend,
                                 const DdsSystem& system);
 

@@ -5,7 +5,9 @@ namespace amalgam {
 SolveResult SolveEmptiness(const DdsSystem& system,
                            const SolverBackend& backend,
                            const SolveOptions& options) {
-  return ExplorationEngine(system, backend, options).Run();
+  return SolveEmptiness(system, SystemGraphContext(BorrowBackend(backend),
+                                                   system),
+                        options);
 }
 
 SolveResult SolveEmptiness(const DdsSystem& system,

@@ -20,7 +20,8 @@ namespace amalgam {
 /// FraisseClass, including the word/tree run-pattern classes). The system's
 /// schema must be a prefix of backend.schema() (Lemma 6: extra symbols in
 /// the class's schema are invisible to quantifier-free guards). All guards
-/// must be quantifier-free (apply EliminateExistentials first).
+/// must be quantifier-free (apply EliminateExistentials first). Throws
+/// std::invalid_argument otherwise (SystemGraphContext).
 SolveResult SolveEmptiness(const DdsSystem& system,
                            const SolverBackend& backend,
                            const SolveOptions& options = {});

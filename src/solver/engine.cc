@@ -6,32 +6,12 @@
 #include <utility>
 
 #include "solver/member_table.h"
-#include "solver/store.h"
 
 namespace amalgam {
 
 namespace {
 constexpr int kUnvisited = -1;
 constexpr int kRoot = -2;
-
-// The front door's preconditions. Checked before a context is derived:
-// printing a guard under a schema it does not fit is undefined.
-void CheckSystemFits(const DdsSystem& system, const SolverBackend& backend) {
-  if (!system.AllGuardsQuantifierFree()) {
-    throw std::invalid_argument(
-        "guards must be quantifier-free; run EliminateExistentials first");
-  }
-  if (!IsPrefixSchema(system.schema(), *backend.schema())) {
-    throw std::invalid_argument(
-        "the system's schema must be a prefix of the class's schema");
-  }
-}
-
-GraphContext CheckedSystemContext(const DdsSystem& system,
-                                  const SolverBackend& backend) {
-  CheckSystemFits(system, backend);
-  return SystemGraphContext(BorrowBackend(backend), system);
-}
 
 // Groups `value_of(i)` for i in [0, n) by `row_of(i)` into a CSR table
 // with `num_rows` rows, keeping index order within each row.
@@ -48,45 +28,27 @@ void BuildCsr(int n, int num_rows, RowOf&& row_of, ValueOf&& value_of,
 }  // namespace
 
 ExplorationEngine::ExplorationEngine(const DdsSystem& system,
-                                     const SolverBackend& backend,
-                                     const SolveOptions& options)
-    : system_(system),
-      owned_context_(CheckedSystemContext(system, backend)),
-      ctx_(&*owned_context_),
-      backend_(backend),
-      options_(options),
-      k_(system.num_registers()),
-      num_states_(system.num_states()) {
-  Init();
-}
-
-ExplorationEngine::ExplorationEngine(const DdsSystem& system,
                                      const GraphContext& context,
                                      const SolveOptions& options)
     : system_(system),
-      ctx_(&context),
+      ctx_(context),
       backend_(*context.backend),
       options_(options),
       k_(system.num_registers()),
       num_states_(system.num_states()) {
-  CheckSystemFits(system_, backend_);
-  Init();
-}
-
-void ExplorationEngine::Init() {
   const std::vector<TransitionRule>& rules = system_.rules();
   const int num_rules = static_cast<int>(rules.size());
-  const int num_guards = static_cast<int>(ctx_->guards.size());
-  if (ctx_->k != k_ || ctx_->guard_of.size() != rules.size()) {
+  const int num_guards = static_cast<int>(ctx_.guards.size());
+  if (ctx_.k != k_ || ctx_.guard_of.size() != rules.size()) {
     throw std::invalid_argument(
         "the graph context was not derived from this system");
   }
   BuildCsr(
-      num_rules, num_guards, [&](int r) { return ctx_->guard_of[r]; },
+      num_rules, num_guards, [&](int r) { return ctx_.guard_of[r]; },
       [](int r) { return r; }, guard_rule_begin_, guard_rules_);
   BuildCsr(
       num_rules, num_states_ * num_guards,
-      [&](int r) { return rules[r].from * num_guards + ctx_->guard_of[r]; },
+      [&](int r) { return rules[r].from * num_guards + ctx_.guard_of[r]; },
       [&](int r) { return rules[r].to; }, target_begin_, targets_);
 }
 
@@ -143,7 +105,7 @@ bool ExplorationEngine::RelaxNewEdge(int guard, int old_shape,
 }
 
 void ExplorationEngine::DrainQueue() {
-  const int num_guards = static_cast<int>(ctx_->guards.size());
+  const int num_guards = static_cast<int>(ctx_.guards.size());
   while (goal_ < 0 && !queue_.empty()) {
     const int c = queue_.front();
     queue_.pop();
@@ -168,22 +130,24 @@ void ExplorationEngine::DrainQueue() {
   }
 }
 
+void ExplorationEngine::SearchRecorded(const char* span_name) {
+  ScopedSpan span(options_.trace, span_name);
+  EnsureConfigCapacity();
+  for (int shape : graph_->initial_shapes()) {
+    if (goal_ >= 0) break;
+    SeedInitialShape(shape);
+  }
+  DrainQueue();
+  span.Annotate("goal_found", std::uint64_t{goal_ >= 0});
+}
+
 void ExplorationEngine::RunOnTheFly() {
   // Replay: a partial cache entry already holds shapes and edges — BFS
   // over them before touching the backend, so a goal inside the explored
   // region is found with zero enumeration and zero copying (the steady
   // state for repeated nonempty queries). On a fresh graph this is a
   // no-op.
-  {
-    ScopedSpan replay_span(options_.trace, "bfs_replay");
-    EnsureConfigCapacity();
-    for (int shape : graph_->initial_shapes()) {
-      if (goal_ >= 0) break;
-      SeedInitialShape(shape);
-    }
-    DrainQueue();
-    replay_span.Annotate("goal_found", std::uint64_t{goal_ >= 0});
-  }
+  SearchRecorded("bfs_replay");
   if (goal_ >= 0) return;
 
   // The sweep must continue: from here on the graph is mutated, so a
@@ -197,7 +161,11 @@ void ExplorationEngine::RunOnTheFly() {
 
   // The sweeps below read (and grow) the class's table when the query has
   // one.
-  const std::shared_ptr<MemberTable> table = AcquireTable();
+  const std::shared_ptr<MemberTable> table =
+      options_.cache != nullptr
+          ? options_.cache->AcquireMemberTable(ctx_,
+                                               options_.relational_atom_cap)
+          : nullptr;
   const MemberSource source{backend_, table.get(),
                             options_.relational_atom_cap};
 
@@ -249,105 +217,34 @@ void ExplorationEngine::RunOnTheFly() {
       owned_graph_->interner().raw_hits() - raw_hits_before;
 }
 
-std::shared_ptr<MemberTable> ExplorationEngine::AcquireTable() const {
-  if (options_.cache == nullptr ||
-      !MemberTable::Serves(options_.relational_atom_cap)) {
-    return nullptr;
-  }
-  return options_.cache->AcquireMemberTable(ctx_->class_key(), backend_, k_);
-}
-
-void ExplorationEngine::RunFullGraph() {
-  if (!graph_) {
-    // Build — or, when owned_graph_ was preloaded from a partial cache
-    // entry, finish — the complete graph, then publish it.
-    {
-      const std::shared_ptr<MemberTable> table = AcquireTable();
-      const MemberSource source{backend_, table.get(),
-                                options_.relational_atom_cap};
-      ScopedSpan build_span(options_.trace, "full_build");
-      if (!owned_graph_) {
-        owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
-      }
-      const std::uint64_t max_shapes =
-          num_states_ == 0 ? ~std::uint64_t{0}
-                           : options_.max_configs / num_states_;
-      const SolveStats before = result_.stats;
-      owned_graph_->BuildFull(source, result_.stats, max_shapes);
-      build_span.Annotate("members_generated",
-                          result_.stats.members_generated);
-      build_span.Annotate("edges", owned_graph_->num_edges());
-      AnnotateSweepSource(build_span, table.get(), before, result_.stats);
-    }
-    if (options_.cache) {
-      options_.cache->Insert(ctx_->key, owned_graph_, options_.trace);
-    }
-    graph_ = owned_graph_;
-  }
-  ScopedSpan bfs_span(options_.trace, "bfs");
-  EnsureConfigCapacity();
-  for (int shape : graph_->initial_shapes()) {
-    if (goal_ >= 0) break;
-    SeedInitialShape(shape);
-  }
-  DrainQueue();
-  bfs_span.Annotate("goal_found", std::uint64_t{goal_ >= 0});
-}
-
 SolveResult ExplorationEngine::Run() {
   ScopedSpan solve_span(options_.trace, "solve");
-  std::shared_ptr<const SubTransitionGraph> hit;
-  if (options_.cache) {
-    {
-      ScopedSpan lookup_span(options_.trace, "cache_lookup");
-      hit = options_.cache->Lookup(ctx_->key, backend_.schema(),
-                                   ctx_->guards, k_, options_.trace);
-      lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
-      lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
-    }
-    if (hit && hit->guards().size() != ctx_->guards.size()) {
-      // Edge labels index the key's distinct guards; a graph built over any
-      // other list cannot be mapped back onto this system's rules.
-      throw std::logic_error("cached graph does not match its key's guards");
-    }
-    if (hit && !hit->complete()) {
-      // Satellite observability for resumed flights: where the stored
-      // trajectory left off, straight off the entry's cursor.
-      solve_span.Annotate(
-          "resumed_from_phase",
-          static_cast<std::uint64_t>(hit->cursor().phase));
-      solve_span.Annotate("resumed_from_member", hit->cursor().next_member);
-    }
-    result_.stats.graph_from_cache = hit != nullptr;
-  }
-  if (hit && hit->complete()) {
-    // Complete entry: pure BFS over interned ids, zero enumeration.
-    graph_ = std::move(hit);
-    RunFullGraph();
-  } else if (options_.strategy == SolveStrategy::kEager) {
-    if (hit) {
-      // Partial entry: finish the build on a private copy — the cached
-      // graph is shared with concurrent readers and stays immutable.
-      owned_graph_ = std::make_shared<SubTransitionGraph>(*hit);
-      result_.stats.graph_resumed = true;
-    }
-    RunFullGraph();
+  if (options_.strategy == SolveStrategy::kEager) {
+    const std::uint64_t max_shapes = num_states_ == 0
+                                         ? ~std::uint64_t{0}
+                                         : options_.max_configs / num_states_;
+    graph_ = AcquireCompleteGraph(options_.cache, ctx_, solve_span,
+                                  result_.stats, options_.relational_atom_cap,
+                                  max_shapes);
   } else {
-    if (hit) {
-      // Partial entry: replay it in place; RunOnTheFly copies it only
-      // if the sweep actually has to continue.
-      graph_ = std::move(hit);
-      result_.stats.graph_resumed = true;
-    } else {
-      owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_->guards, k_);
+    graph_ = LookupGraph(options_.cache, ctx_, solve_span, result_.stats);
+  }
+  if (graph_ && graph_->complete()) {
+    // Pure BFS over interned ids, zero enumeration.
+    SearchRecorded("bfs");
+  } else {
+    // On the fly: a partial entry is replayed in place (RunOnTheFly copies
+    // it only if the sweep has to continue), a miss starts a fresh graph.
+    if (!graph_) {
+      owned_graph_ = std::make_shared<SubTransitionGraph>(ctx_.guards, k_);
       graph_ = owned_graph_;
     }
     RunOnTheFly();
-    // Whatever this run added — or the whole graph on a miss — feeds
-    // the next query; a replay-served query added nothing (and owns
-    // nothing), and equal progress is a no-op inside Insert anyway.
+    // Whatever this run added — or the whole graph on a miss — feeds the
+    // next query; a replay-served query added nothing (and owns nothing),
+    // and equal progress is a no-op inside Insert anyway.
     if (options_.cache && owned_graph_) {
-      options_.cache->Insert(ctx_->key, owned_graph_, options_.trace);
+      options_.cache->Insert(ctx_.key, owned_graph_, options_.trace);
     }
   }
   Finish();

@@ -33,7 +33,10 @@
 //     of rebuilt. Whatever this query adds is inserted back, so the cache's
 //     trajectory only ever advances. With a store attached to the cache
 //     (GraphCache::AttachStore) the same holds across processes
-//     (solver/store.h).
+//     (solver/store.h). The eager path takes its graph from
+//     AcquireCompleteGraph and the on-the-fly path from its lookup half,
+//     LookupGraph (solver/cache.h) — the same path the branching fixpoint
+//     takes.
 //
 // All strategies share the canonical-form interner (solver/intern.h), the
 // predecessor links used for witness-path replay, and the witness
@@ -177,16 +180,11 @@ class WitnessInvalidError : public std::runtime_error {
 /// Run() once, discard.
 class ExplorationEngine {
  public:
-  /// The system's schema must be a prefix of backend.schema() (Lemma 6:
-  /// extra symbols in the class's schema are invisible to quantifier-free
-  /// guards). All guards must be quantifier-free (apply
-  /// EliminateExistentials first). Throws std::invalid_argument otherwise.
-  /// Derives the query's GraphContext (SystemGraphContext) itself.
-  ExplorationEngine(const DdsSystem& system, const SolverBackend& backend,
-                    const SolveOptions& options = {});
-  /// As above over a context the caller already derived for `system`
-  /// (SystemGraphContext, or a front door's wrapper of it); the engine
-  /// queries context.backend. The context must outlive the engine.
+  /// A query over `context`, which SystemGraphContext (or a front door's
+  /// wrapper of it) derived for `system` and which checked that the system
+  /// fits the class; the engine queries context.backend. Throws
+  /// std::invalid_argument when the context's register count or rule
+  /// count is not the system's. The context must outlive the engine.
   ExplorationEngine(const DdsSystem& system, const GraphContext& context,
                     const SolveOptions& options = {});
 
@@ -203,10 +201,9 @@ class ExplorationEngine {
   /// member sweep from the graph's cursor with early exit, advancing the
   /// cursor as it goes.
   void RunOnTheFly();
-  /// Eager and cached-complete queries: the complete graph (cache-fetched,
-  /// or built/resumed to completion and inserted), then BFS from the
-  /// initial shapes.
-  void RunFullGraph();
+  /// BFS over graph_'s recorded edges from its initial shapes, under a span
+  /// named `span_name` annotated with whether the goal was found.
+  void SearchRecorded(const char* span_name);
 
   /// Grows the per-config reachability tables (parent_/via_guard_) to the
   /// graph's current shape count and enforces the configuration cap.
@@ -236,19 +233,8 @@ class ExplorationEngine {
   /// run; throws WitnessInvalidError when either does not hold up.
   void ReconstructWitness();
 
-  /// The class's member table for this query's positioned sweeps: the
-  /// cache's (GraphCache::AcquireMemberTable) when the query has a cache
-  /// and keeps the default atom cap, else null and the sweeps stream.
-  std::shared_ptr<MemberTable> AcquireTable() const;
-
-  /// Validates the system against the context and builds the rule tables.
-  void Init();
-
   const DdsSystem& system_;
-  // The query's graph context: the caller's, or owned_context_ when the
-  // engine was handed only a backend.
-  std::optional<GraphContext> owned_context_;
-  const GraphContext* ctx_;
+  const GraphContext& ctx_;
   const SolverBackend& backend_;
   SolveOptions options_;
   int k_;
@@ -263,9 +249,9 @@ class ExplorationEngine {
   // dequeued configuration's state row.
   std::vector<int> target_begin_;
   std::vector<int> targets_;
-  // The active graph: `owned_graph_` when this query builds or resumes it
-  // (resumption always copies the shared cache entry first), a cached
-  // complete graph otherwise.
+  // The active graph: `owned_graph_` when this on-the-fly query builds or
+  // resumes it (resumption always copies the shared cache entry first),
+  // else the complete or replayed graph the cache path handed over.
   std::shared_ptr<SubTransitionGraph> owned_graph_;
   std::shared_ptr<const SubTransitionGraph> graph_;
 

@@ -39,19 +39,24 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system,
   WordSolveResult result;
   result.nonempty = generic.nonempty;
   result.stats = generic.stats;
-  if (!generic.nonempty || !build_witness || !generic.witness_db.has_value()) {
-    return result;
-  }
+  if (!generic.nonempty || !build_witness) return result;
 
   // The accumulated witness structure is a run pattern (a full accepting
   // run after any amalgamation step; possibly a gappy member when the path
   // has a single configuration). Complete it and remap the register
   // valuations into word positions.
+  if (!generic.witness_db.has_value()) {
+    throw WitnessInvalidError("the run class amalgamated no witness");
+  }
   std::vector<Elem> order;
   auto pattern = cls.StructureToPattern(*generic.witness_db, &order);
-  if (!pattern.has_value()) return result;  // should not happen
+  if (!pattern.has_value()) {
+    throw WitnessInvalidError("the witness structure is not a run pattern");
+  }
   auto completed = cls.Complete(*pattern);
-  if (!completed.has_value()) return result;
+  if (!completed.has_value()) {
+    throw WitnessInvalidError("the witness run pattern has no completion");
+  }
   auto& [run_states, slot_pos] = *completed;
 
   std::vector<int> pos_of_elem(order.size());
@@ -72,6 +77,17 @@ WordSolveResult SolveWordEmptiness(const DdsSystem& system,
           static_cast<Elem>(slot_pos[pos_of_elem[e]]));
     }
     witness.system_run.push_back(std::move(mapped));
+  }
+  // The mapped witness is checked on its own terms: a word of the
+  // language whose database drives the mapped run.
+  if (!cls.nfa().Accepts(witness.letters)) {
+    throw WitnessInvalidError("the witness word is not in the language");
+  }
+  if (!ValidateAcceptingRun(system, WorddbOf(witness.letters,
+                                             system.schema_ref()),
+                            witness.system_run)) {
+    throw WitnessInvalidError(
+        "the witness run is not an accepting run over the word's database");
   }
   result.witness = std::move(witness);
   return result;

@@ -42,7 +42,10 @@ struct WordSolveResult {
 /// to `cache` (GraphCache::AttachStore) persists graphs to disk, so the
 /// reuse also works in a fresh process. A non-null `trace` is passed
 /// through as SolveOptions::trace — the engine records its "solve" span
-/// tree into it.
+/// tree into it. With `build_witness`, a nonempty verdict always carries a
+/// witness whose word the automaton accepts and whose run
+/// ValidateAcceptingRun accepts over Worddb(word); a witness that cannot be
+/// built or fails either check throws WitnessInvalidError instead.
 WordSolveResult SolveWordEmptiness(
     const DdsSystem& system, const Nfa& nfa, bool build_witness = true,
     SolveStrategy strategy = SolveStrategy::kOnTheFly,

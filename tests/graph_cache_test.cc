@@ -356,12 +356,7 @@ TEST(GraphCacheTest, ConcurrentColdStoreLookupsDoNotConvoyOrRace) {
 
   AllStructuresClass cls(GraphZooSchema());
   DdsSystem system = ContradictionSystem();
-  std::vector<FormulaRef> guards;
-  for (const TransitionRule& rule : system.rules()) {
-    guards.push_back(rule.guard);
-  }
-  const std::string key =
-      GraphCache::Key(cls, system.num_registers(), guards);
+  const GraphContext ctx = SystemGraphContext(BorrowBackend(cls), system);
   {
     // Seed the directory with a complete graph.
     GraphCache seeder;
@@ -379,8 +374,7 @@ TEST(GraphCacheTest, ConcurrentColdStoreLookupsDoNotConvoyOrRace) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < results.size(); ++t) {
     threads.emplace_back([&, t] {
-      results[t] = cache.Lookup(key, cls.schema(), guards,
-                                system.num_registers());
+      results[t] = cache.Lookup(ctx);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -393,7 +387,7 @@ TEST(GraphCacheTest, ConcurrentColdStoreLookupsDoNotConvoyOrRace) {
   // Whatever the interleaving, one memory entry survives and later
   // lookups are pure memory hits.
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_NE(cache.Lookup(key), nullptr);
+  EXPECT_NE(cache.Lookup(ctx.key), nullptr);
 }
 
 TEST(GraphCacheTest, FingerprintsAreInjectionSafe) {

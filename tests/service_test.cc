@@ -210,10 +210,7 @@ TEST(ServiceTest, PartialEntryResumeCoalescesOntoOneSuffixBuild) {
   ASSERT_TRUE(seeded.ok) << seeded.error;
   ASSERT_TRUE(seeded.nonempty);
 
-  const DdsSystem probe = RedProbeSystem(false);
-  std::vector<FormulaRef> guards;
-  for (const TransitionRule& rule : probe.rules()) guards.push_back(rule.guard);
-  const std::string key = GraphCache::Key(*cls, 1, guards);
+  const std::string key = service.GraphKeyFor(RedProbeRequest(false, cls));
   std::shared_ptr<const SubTransitionGraph> cached = service.cache().Peek(key);
   ASSERT_NE(cached, nullptr);
   ASSERT_FALSE(cached->complete())

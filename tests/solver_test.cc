@@ -14,6 +14,7 @@
 #include "fraisse/data_class.h"
 #include "fraisse/hom_class.h"
 #include "fraisse/relational.h"
+#include "service/service.h"
 #include "solver/branching.h"
 #include "solver/context.h"
 #include "solver/emptiness.h"
@@ -128,6 +129,47 @@ TEST(SolverTest, RejectsSchemaMismatch) {
   DdsSystem system = OddRedCycleSystem();
   LinearOrderClass orders;  // schema {lt} does not extend {E, red}
   EXPECT_THROW(SolveEmptiness(system, orders), std::invalid_argument);
+}
+
+TEST(SolverTest, RejectsMisfitSystemsBeforePrintingTheirGuards) {
+  // A guard on the 60th relation of a schema no class below extends:
+  // printing it under the class's schema would read that relation's name
+  // past the end of the class's symbols, so every front door must reject
+  // the system before it derives a key.
+  Schema wide_schema;
+  for (int r = 0; r < 60; ++r) {
+    wide_schema.AddRelation("r" + std::to_string(r), 1);
+  }
+  auto wide = std::make_shared<DdsSystem>(MakeSchema(std::move(wide_schema)));
+  const int a = wide->AddState("a", true);
+  const int b = wide->AddState("b", false, true);
+  wide->AddRegister("x");
+  wide->AddRule(a, b, "r59(x_new)");
+  EXPECT_THROW(SolveWordEmptiness(*wide, NfaAllAB()), std::invalid_argument);
+  EXPECT_THROW(SolveTreeEmptiness(*wide, TaTwoLevel()), std::invalid_argument);
+  EXPECT_THROW(
+      SystemGraphContext(std::make_shared<LinearOrderClass>(), *wide),
+      std::invalid_argument);
+
+  // Through the service the rejection is in band, at submit time: no key,
+  // no flight. Zigzag's {a, b} guards print fine under the unary mod-5
+  // schema, which still does not extend the system's.
+  QueryService service;
+  for (const std::shared_ptr<const DdsSystem>& system :
+       {std::shared_ptr<const DdsSystem>(wide),
+        std::make_shared<const DdsSystem>(ZigZagSystem(1))}) {
+    QueryRequest request;
+    request.kind = QueryKind::kWord;
+    request.system = system;
+    request.nfa = std::make_shared<Nfa>(NfaModCounter(5));
+    std::string key = "unset";
+    const QueryResult result = service.Submit(request, &key).get();
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("prefix"), std::string::npos) << result.error;
+    EXPECT_EQ(key, "");
+  }
+  EXPECT_EQ(service.Stats().single_flight_leads, 0u);
+  EXPECT_EQ(service.Stats().failed, 2u);
 }
 
 TEST(SolverTest, IncreasingChainOverLinearOrders) {
@@ -381,6 +423,105 @@ BranchingSystem AsBranching(const DdsSystem& system) {
   return out;
 }
 
+// ---- One path from a query to its graph, for both front doors. ----
+
+// The "solve" root of `trace` and its children, except the front door's
+// own search over the graph (bfs, fixpoint): each span as its name
+// followed by its annotations.
+std::vector<std::string> GraphAcquisitionSpans(const TraceRecorder& trace) {
+  const std::vector<TraceSpan> spans = trace.Snapshot();
+  auto describe = [](const TraceSpan& span) {
+    std::string out = span.name;
+    for (const TraceAnnotation& a : span.annotations) {
+      out += " " + a.key + "=" + a.value;
+    }
+    return out;
+  };
+  std::vector<std::string> out;
+  int solve = -1;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const std::string name = spans[i].name;
+    if (spans[i].parent == -1 && name == "solve") {
+      solve = static_cast<int>(i);
+      out.push_back(describe(spans[i]));
+    } else if (solve >= 0 && spans[i].parent == solve && name != "bfs" &&
+               name != "fixpoint") {
+      out.push_back(describe(spans[i]));
+    }
+  }
+  return out;
+}
+
+TEST(SharedGraphPathTest, LinearAndBranchingFrontDoorsShareOneEntry) {
+  // A linear system and its branching mirror flatten to one guard list,
+  // so they share a cache key. From the same cache state — empty, or
+  // holding the partial graph an early-exited on-the-fly query left — the
+  // branching fixpoint and an eager linear query record the same
+  // cache_lookup and full_build spans and count the same work; and either
+  // one's complete entry then serves the other with zero enumeration.
+  AllStructuresClass all(GraphZooSchema());
+  const DdsSystem system = ReachRedSystem();
+  const BranchingSystem branching = AsBranching(system);
+  const std::string key = SystemGraphContext(BorrowBackend(all), system).key;
+  ASSERT_EQ(BranchingGraphContext(branching, BorrowBackend(all)).key, key);
+  const SolveOptions eager{.build_witness = false,
+                           .strategy = SolveStrategy::kEager};
+  for (bool partial : {false, true}) {
+    SCOPED_TRACE(partial ? "resumed from a partial entry" : "cold");
+    GraphCache by_branching;
+    GraphCache by_linear;
+    if (partial) {
+      for (GraphCache* cache : {&by_branching, &by_linear}) {
+        SolveOptions lazy{.build_witness = false, .cache = cache};
+        ASSERT_TRUE(SolveEmptiness(system, all, lazy).nonempty);
+        ASSERT_FALSE(cache->Peek(key)->complete());
+      }
+    }
+    TraceRecorder branching_trace;
+    const BranchingSolveResult b = SolveBranchingEmptiness(
+        branching, all, &by_branching, &branching_trace);
+    TraceRecorder linear_trace;
+    SolveOptions traced = eager;
+    traced.cache = &by_linear;
+    traced.trace = &linear_trace;
+    const SolveResult l = SolveEmptiness(system, all, traced);
+    EXPECT_EQ(b.nonempty, l.nonempty);
+    for (const SolveStats* stats : {&b.stats, &l.stats}) {
+      EXPECT_EQ(stats->graph_from_cache, partial);
+      EXPECT_EQ(stats->graph_resumed, partial);
+    }
+    EXPECT_EQ(b.stats.members_enumerated, l.stats.members_enumerated);
+    EXPECT_EQ(b.stats.guard_evaluations, l.stats.guard_evaluations);
+    EXPECT_EQ(b.stats.edges, l.stats.edges);
+    EXPECT_EQ(b.stats.configs, l.stats.configs);
+
+    const std::vector<std::string> spans = GraphAcquisitionSpans(linear_trace);
+    EXPECT_EQ(GraphAcquisitionSpans(branching_trace), spans);
+    ASSERT_EQ(spans.size(), 3u);
+    EXPECT_EQ(spans[0].find("resumed_from_phase") != std::string::npos,
+              partial)
+        << spans[0];
+    EXPECT_EQ(spans[1].rfind("cache_lookup", 0), 0u) << spans[1];
+    EXPECT_EQ(spans[2].rfind("full_build", 0), 0u) << spans[2];
+
+    // Each front door hits the complete entry the other one built.
+    SolveOptions hit_options = eager;
+    hit_options.cache = &by_branching;
+    const SolveResult linear_hit = SolveEmptiness(system, all, hit_options);
+    const BranchingSolveResult branching_hit =
+        SolveBranchingEmptiness(branching, all, &by_linear);
+    for (const SolveStats* stats : {&linear_hit.stats, &branching_hit.stats}) {
+      EXPECT_TRUE(stats->graph_from_cache);
+      EXPECT_FALSE(stats->graph_resumed);
+      EXPECT_EQ(stats->members_enumerated, 0u);
+      EXPECT_EQ(stats->edges, l.stats.edges);
+      EXPECT_EQ(stats->configs, l.stats.configs);
+    }
+    EXPECT_EQ(linear_hit.nonempty, l.nonempty);
+    EXPECT_EQ(branching_hit.nonempty, b.nonempty);
+  }
+}
+
 std::string FreshStoreDir(const std::string& name) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / ("interning_" + name);
@@ -510,16 +651,19 @@ TEST(GuardInterningTest, IdenticalFormulasCollapseInFirstOccurrenceOrder) {
   AllStructuresClass all(GraphZooSchema());
   const std::vector<FormulaRef> shared = {b, a, b, a};
   const std::vector<FormulaRef> distinct = {b, a};
-  EXPECT_EQ(GraphCache::Key(all, 1, list), GraphCache::Key(all, 1, shared));
-  EXPECT_NE(GraphCache::Key(all, 1, list), GraphCache::Key(all, 1, distinct));
+  auto key = [&](const std::vector<FormulaRef>& guards) {
+    return MakeGraphContext(BorrowBackend(all), 1, guards).key;
+  };
+  EXPECT_EQ(key(list), key(shared));
+  EXPECT_NE(key(list), key(distinct));
   std::string plain = std::to_string(all.Fingerprint().size()) + ":" +
                       all.Fingerprint() + "\x1f" + "1";
   for (const FormulaRef& g : distinct) {
     const std::string printed = g->ToString(*all.schema());
     plain += "\x1f" + std::to_string(printed.size()) + ":" + printed;
   }
-  EXPECT_EQ(GraphCache::Key(all, 1, distinct), plain);
-  EXPECT_EQ(GraphCache::Key(all, 1, list), plain + "\x1e" + "0,1,0,1");
+  EXPECT_EQ(key(distinct), plain);
+  EXPECT_EQ(key(list), plain + "\x1e" + "0,1,0,1");
 }
 
 TEST(GuardInterningTest, Chain64SweepsOneGuard) {
@@ -575,8 +719,7 @@ SolveStats SolveStreamed(const DdsSystem& system, const GraphContext& ctx,
 // Grows the class table of `ctx` in `cache` whole, through a sweep whose
 // graph is thrown away.
 void WarmMemberTable(GraphCache& cache, const GraphContext& ctx) {
-  const std::shared_ptr<MemberTable> table =
-      cache.AcquireMemberTable(ctx.class_key(), *ctx.backend, ctx.k);
+  const std::shared_ptr<MemberTable> table = cache.AcquireMemberTable(ctx);
   SubTransitionGraph graph(ctx.guards, ctx.k);
   SolveStats stats;
   graph.BuildFull(MemberSource{*ctx.backend, table.get()}, stats);
@@ -616,8 +759,7 @@ void ExpectTableServedQueriesMatchStreamed(const DdsSystem& system,
       EXPECT_EQ(streaming.member_table_builds(), 0u);
       GraphCache loader;
       loader.AttachStore(dir);
-      const auto expected =
-          loader.Lookup(ctx.key, ctx.backend->schema(), ctx.guards, ctx.k);
+      const auto expected = loader.Lookup(ctx);
       ASSERT_NE(expected, nullptr);
       for (GraphCache* tabled : {&cold, &warm}) {
         SCOPED_TRACE(tabled == &cold ? "cold table" : "warm table");
@@ -666,8 +808,8 @@ TEST(MemberTableTest, CreatedOnAFirstRequestAndForgottenPastTheBound) {
   const auto classes = UnaryClasses(GraphCache::kMaxMemberTables + 1);
   GraphCache cache;
   auto request = [&](std::size_t c) {
-    return cache.AcquireMemberTable(GraphCache::ClassKey(*classes[c], 1),
-                                    *classes[c], 1);
+    return cache.AcquireMemberTable(
+        MakeGraphContext(BorrowBackend(*classes[c]), 1, {}));
   };
   const auto table = request(0);
   ASSERT_NE(table, nullptr);
@@ -706,7 +848,7 @@ TEST(MemberTableTest, GrowsOnlyAsFarAsTheFurthestSweep) {
   ASSERT_TRUE(lazy.nonempty);
   const BuildCursor stopped = cache.Peek(ctx.key)->cursor();
   ASSERT_EQ(stopped.phase, kCursorPhaseJoint);
-  const auto table = cache.AcquireMemberTable(ctx.class_key(), all, ctx.k);
+  const auto table = cache.AcquireMemberTable(ctx);
   std::uint64_t initial_total = 0;
   std::uint64_t joint_total = 0;
   all.EnumerateGenerated(ctx.k, [&](const Structure&, std::span<const Elem>) {

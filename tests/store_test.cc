@@ -88,8 +88,9 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
     graph.BuildFull(all, stats);
-    ExpectRoundTripIdentical(graph, GraphCache::Key(all, k, guards),
-                             all.schema(), guards, k);
+    ExpectRoundTripIdentical(
+        graph, MakeGraphContext(BorrowBackend(all), k, guards).key,
+        all.schema(), guards, k);
   }
 
   // Words zoo: run-pattern class of an NFA.
@@ -101,8 +102,9 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
     graph.BuildFull(cls, stats);
-    ExpectRoundTripIdentical(graph, GraphCache::Key(cls, k, guards),
-                             cls.schema(), guards, k);
+    ExpectRoundTripIdentical(
+        graph, MakeGraphContext(BorrowBackend(cls), k, guards).key,
+        cls.schema(), guards, k);
   }
 
   // Trees zoo: run-pattern class of a tree automaton.
@@ -115,8 +117,9 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
     graph.BuildFull(cls, stats);
-    ExpectRoundTripIdentical(graph, GraphCache::Key(cls, k, guards),
-                             cls.schema(), guards, k);
+    ExpectRoundTripIdentical(
+        graph, MakeGraphContext(BorrowBackend(cls), k, guards).key,
+        cls.schema(), guards, k);
   }
 }
 
@@ -134,7 +137,7 @@ TEST(StoreTest, PartialGraphsRoundTripWithTheirCursor) {
   SolveResult r = SolveEmptiness(system, all, options);
   ASSERT_TRUE(r.nonempty);
 
-  const std::string key = GraphCache::Key(all, k, guards);
+  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
   std::shared_ptr<const SubTransitionGraph> partial = cache.Lookup(key);
   ASSERT_NE(partial, nullptr);
   ASSERT_FALSE(partial->complete()) << "nonempty query should early-exit";
@@ -239,7 +242,7 @@ TEST(StoreTest, ResumedBuildsAreBitIdenticalToColdBuilds) {
   DdsSystem system = ReachRedSystem();
   std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
-  const std::string key = GraphCache::Key(all, k, guards);
+  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
 
   // A partial graph from an early-exited query...
   GraphCache cache;
@@ -277,7 +280,7 @@ TEST(StoreTest, CorruptOrTruncatedFilesFallBackToAFreshBuild) {
   DdsSystem system = ContradictionSystem();
   std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
-  const std::string key = GraphCache::Key(all, k, guards);
+  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
 
   GraphCache seeding;
   seeding.AttachStore(dir);
@@ -346,7 +349,7 @@ TEST(StoreTest, DeserializeRejectsMismatchedContext) {
   DdsSystem system = ContradictionSystem();
   std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
-  const std::string key = GraphCache::Key(all, k, guards);
+  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
   SubTransitionGraph graph(guards, k);
   SolveStats stats;
   graph.BuildFull(all, stats);
@@ -402,7 +405,7 @@ TEST(StoreTest, VersionSkewedRecordsReadAsMissesAndAreReplaced) {
   const DdsSystem system = ReachRedSystem();
   const std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
-  const std::string key = GraphCache::Key(all, k, guards);
+  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
   SubTransitionGraph graph(guards, k);
   SolveStats stats;
   graph.BuildFull(all, stats);
@@ -514,7 +517,9 @@ TEST(StoreTest, DeserializeSurvivesEveryTruncationAndSeededMutations) {
   std::vector<Record> records;
   auto add = [&](std::string name, const SubTransitionGraph& graph,
                  const SolverBackend& backend) {
-    std::string key = GraphCache::Key(backend, graph.k(), graph.guards());
+    std::string key =
+        MakeGraphContext(BorrowBackend(backend), graph.k(), graph.guards())
+            .key;
     std::string bytes = SerializeGraph(graph, key);
     records.push_back(Record{std::move(name), std::move(key),
                              backend.schema(), graph.guards(), graph.k(),
@@ -541,8 +546,8 @@ TEST(StoreTest, DeserializeSurvivesEveryTruncationAndSeededMutations) {
     SolveOptions options{.build_witness = false, .cache = &cache};
     const DdsSystem system = ReachRedSystem();
     ASSERT_TRUE(SolveEmptiness(system, all, options).nonempty);
-    const auto partial = cache.Lookup(GraphCache::Key(
-        all, system.num_registers(), GuardsOf(system)));
+    const auto partial =
+        cache.Lookup(SystemGraphContext(BorrowBackend(all), system).key);
     ASSERT_NE(partial, nullptr);
     ASSERT_FALSE(partial->complete());
     add("reach_red_partial", *partial, all);
@@ -704,8 +709,7 @@ TEST(StoreTest, SweepEvictsLeastRecentlyUsedFilesFirst) {
                                                       system.num_registers());
     SolveStats stats;
     graph->BuildFull(all, stats);
-    const std::string key =
-        GraphCache::Key(all, system.num_registers(), guards);
+    const std::string key = SystemGraphContext(BorrowBackend(all), system).key;
     ASSERT_TRUE(store.Save(key, *graph));
     keys.push_back(key);
     guard_sets.push_back(std::move(guards));
@@ -742,7 +746,7 @@ TEST(StoreTest, SweepWithoutCapsIsANoOp) {
       std::make_shared<SubTransitionGraph>(guards, system.num_registers());
   SolveStats stats;
   graph->BuildFull(all, stats);
-  const std::string key = GraphCache::Key(all, system.num_registers(), guards);
+  const std::string key = SystemGraphContext(BorrowBackend(all), system).key;
   ASSERT_TRUE(store.Save(key, *graph));
 
   StoreSweepResult swept = store.Sweep(0, 0);

@@ -273,6 +273,44 @@ TEST(WordSolveTest, UnaryCounterNeedsLongWords) {
   EXPECT_TRUE(ValidateAcceptingRun(system, db, r.witness->system_run));
 }
 
+TEST(WordSolveTest, EveryNonemptyZooVerdictCarriesItsWitness) {
+  // The front door checks each witness it returns (the word is accepted,
+  // its database drives the run) and throws rather than answer without
+  // one, so a nonempty verdict is always witnessed, under both strategies.
+  // A system over {a, b} does not fit the unary mod-5 language's schema.
+  const std::vector<DdsSystem> systems = {ZigZagSystem(1), ZigZagSystem(2),
+                                          TwoMarkersSystem()};
+  const std::vector<Nfa> languages = {NfaAllAB(), NfaAlternatingAB(),
+                                      NfaModCounter(5), NfaAPlusBPlus()};
+  int nonempty = 0;
+  for (std::size_t i = 0; i < systems.size(); ++i) {
+    for (std::size_t j = 0; j < languages.size(); ++j) {
+      for (SolveStrategy strategy :
+           {SolveStrategy::kOnTheFly, SolveStrategy::kEager}) {
+        SCOPED_TRACE("system " + std::to_string(i) + ", language " +
+                     std::to_string(j));
+        if (languages[j].num_letters() == 1) {
+          EXPECT_THROW(SolveWordEmptiness(systems[i], languages[j], true,
+                                          strategy),
+                       std::invalid_argument);
+          continue;
+        }
+        const WordSolveResult r =
+            SolveWordEmptiness(systems[i], languages[j], true, strategy);
+        if (!r.nonempty) continue;
+        ++nonempty;
+        ASSERT_TRUE(r.witness.has_value());
+        EXPECT_TRUE(languages[j].Accepts(r.witness->letters));
+        const Structure db =
+            WorddbOf(r.witness->letters, systems[i].schema_ref());
+        EXPECT_TRUE(ValidateAcceptingRun(systems[i], db,
+                                         r.witness->system_run));
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 0);
+}
+
 // Random systems, differential against brute force.
 class WordSolverDifferential : public ::testing::TestWithParam<int> {};
 
