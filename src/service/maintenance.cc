@@ -134,12 +134,7 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
     if (store->Repack().performed) ++result.repacks;
   }
 
-  if (options_.store_max_bytes > 0 || options_.store_max_files > 0) {
-    result.sweep_files_removed =
-        service_
-            .SweepStore(options_.store_max_bytes, options_.store_max_files)
-            .files_removed;
-  }
+  result.sweep_files_removed = service_.SweepStoreToCaps().files_removed;
 
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);

@@ -20,8 +20,10 @@
 //   2. *Repack.* When the loose tier has accumulated at least
 //      `repack_min_loose` files, GraphStore::Repack folds it into a fresh
 //      pack generation (see solver/store.h and docs/STORE_FORMAT.md).
-//   3. *Sweep.* With disk caps configured, GraphStore::Sweep enforces
-//      them on a schedule instead of only after writing queries.
+//   3. *Sweep.* With disk caps configured on the service
+//      (QueryService::Options::store_max_bytes/store_max_files), the pass
+//      sweeps the store to them (QueryService::SweepStoreToCaps), on a
+//      schedule instead of only after writing queries.
 //
 // The table persists as the *access log*, <store_dir>/access.jsonl, one
 // line per key, coldest first, rewritten (temp file + rename) only after
@@ -55,9 +57,6 @@ struct MaintenanceOptions {
   std::string store_dir;
   /// Background pass cadence; 0 = no thread, passes only via RunOnce().
   int interval_ms = 0;
-  /// Disk caps for the scheduled sweep (0/0 = no scheduled sweep).
-  std::uint64_t store_max_bytes = 0;
-  std::uint64_t store_max_files = 0;
   /// Repack when the loose tier holds at least this many files. 0
   /// disables scheduled repack (the admin op still triggers a pass, and a
   /// pass with 0 never repacks).

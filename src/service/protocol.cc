@@ -162,12 +162,12 @@ int ResolveState(const StateIds& state_ids, std::string_view name) {
 // Rule lists repeat guards, and request lines repeat each other's guards.
 // Each distinct guard text of a spec is looked up once in the daemon's
 // guard table (system/guard_table.h), which parses and prints it only the
-// first time any line uses it. Its rules share one FormulaRef, so
-// InternGuards (solver/context.h) dedupes them by pointer, and carry its
-// printed form, so the graph key is assembled without printing.
+// first time any line uses it. Its rules share one FormulaRef and carry
+// its printed form (TransitionRule::printed), so adding them prints
+// nothing.
 class GuardMemo {
  public:
-  /// Null `table`: every distinct text is parsed, and nothing printed.
+  /// Null `table`: every distinct text of the spec is parsed and printed.
   explicit GuardMemo(GuardTable* table) : table_(table) {}
 
   template <typename System>
@@ -177,21 +177,23 @@ class GuardMemo {
     auto parse = [&system](const std::string& guard) {
       return system.ParseGuard(guard);
     };
+    const DdsSystem& skeleton = Skeleton(system);
     if (table_ == nullptr) {
+      FormulaRef formula = parse(std::string(text));
+      std::string printed = formula->ToString(skeleton.schema());
       return memo_.Insert(text, std::make_shared<const ParsedGuard>(
-                                    ParsedGuard{parse(std::string(text)), ""}));
+                                    ParsedGuard{std::move(formula),
+                                                std::move(printed)}));
     }
-    if (scope_.empty()) scope_ = GuardTable::Scope(Skeleton(system));
+    if (scope_.empty()) scope_ = GuardTable::Scope(skeleton);
     return memo_.Insert(
-        text,
-        table_->Compile(scope_, text, Skeleton(system).schema(), parse));
+        text, table_->Compile(scope_, text, skeleton.schema(), parse));
   }
 
-  /// The printed form a rule carries: shares the parsed guard's
-  /// ownership, null when the table did not print it.
+  /// The printed form a rule carries, sharing the parsed guard's
+  /// ownership.
   static std::shared_ptr<const std::string> Printed(
       const std::shared_ptr<const ParsedGuard>& guard) {
-    if (guard->printed.empty()) return nullptr;
     return std::shared_ptr<const std::string>(guard, &guard->printed);
   }
 

@@ -13,8 +13,9 @@
 //     "states":[...],"rules":[{"from":"a","branches":[{"guard":"...",
 //     "to":"b"},...]}]}}
 //
-// Optional query fields: "strategy" ("onthefly"|"eager"), "build_witness",
-// "extra_pattern_cap" (trees), "atom_cap" (kind "system": relational
+// Optional query fields: "strategy" ("onthefly"|"eager"), "build_witness"
+// (kinds "system" and "word"; tree and branching queries build no witness
+// yet), "extra_pattern_cap" (trees), "atom_cap" (kind "system": relational
 // enumeration cap; a query whose candidate space exceeds it fails in-band
 // with "error_code":"enumeration_cap"), "rounds"/"steps" (the parametrized
 // zoo systems), "schema" ({"relations":[["E",2],...],"functions":[...]};

@@ -335,10 +335,12 @@ QueryResult QueryService::RunQuery(const QueryRequest& request,
       break;
     }
     case QueryKind::kTree: {
-      TreeSolveResult solved = SolveTreeEmptiness(
-          *request.system, context,
-          /*witness_size_cap=*/request.build_witness ? 6 : 0,
-          request.strategy, &cache_, trace);
+      // No tree witness: QueryResult has no field to return one in, and
+      // the only tree witnesses are a bounded brute-force search's.
+      TreeSolveResult solved =
+          SolveTreeEmptiness(*request.system, context,
+                             /*witness_size_cap=*/0, request.strategy,
+                             &cache_, trace);
       result.nonempty = solved.nonempty;
       result.stats = solved.stats;
       break;
@@ -417,10 +419,8 @@ QueryResult QueryService::Execute(Task& task) {
     // Sweep only when something was actually written to the disk tier
     // since this query started — cache-hot replay traffic must not pay an
     // O(files) directory scan per query.
-    if (result.ok &&
-        (options_.store_max_bytes > 0 || options_.store_max_files > 0) &&
-        cache_.store_writes() != store_writes_before) {
-      cache_.SweepStore(options_.store_max_bytes, options_.store_max_files);
+    if (result.ok && cache_.store_writes() != store_writes_before) {
+      SweepStoreToCaps();
     }
   }
   result.trace = task.request.trace;
@@ -508,6 +508,13 @@ void QueryService::Shutdown() {
 StoreSweepResult QueryService::SweepStore(std::uint64_t max_bytes,
                                           std::uint64_t max_files) {
   return cache_.SweepStore(max_bytes, max_files);
+}
+
+StoreSweepResult QueryService::SweepStoreToCaps() {
+  if (options_.store_max_bytes == 0 && options_.store_max_files == 0) {
+    return {};
+  }
+  return cache_.SweepStore(options_.store_max_bytes, options_.store_max_files);
 }
 
 ServiceStats QueryService::Stats() const {

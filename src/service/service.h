@@ -79,7 +79,8 @@ class QueryService {
     /// fixed for the service's lifetime: no query can attach another.
     std::string store_dir;
     /// Disk-tier caps, enforced by an LRU-by-atime sweep after each query
-    /// that wrote to the store (0 = unlimited).
+    /// that wrote to the store and by each maintenance pass (0 =
+    /// unlimited).
     std::uint64_t store_max_bytes = 0;
     std::uint64_t store_max_files = 0;
     /// The registry the service's latency/queue-wait histograms live in
@@ -178,6 +179,10 @@ class QueryService {
   /// counterpart of the automatic post-query sweep.
   StoreSweepResult SweepStore(std::uint64_t max_bytes,
                               std::uint64_t max_files);
+  /// Sweeps the attached disk tier to Options::store_max_bytes and
+  /// store_max_files, as after each query that wrote to it; a no-op
+  /// without caps. The maintenance loop's scheduled sweep.
+  StoreSweepResult SweepStoreToCaps();
 
  private:
   // One in-flight build permit per cache key. Joiners wait on `done`;

@@ -11,39 +11,32 @@ namespace amalgam {
 void BranchingSystem::AddRule(
     int from,
     const std::vector<std::pair<std::string, int>>& guarded_targets) {
-  BranchingRule rule;
-  rule.from = from;
+  std::vector<Branch> branches;
   for (const auto& [guard_text, to] : guarded_targets) {
-    rule.branches.push_back(
-        Branch{skeleton_.ParseGuard(guard_text), to, nullptr});
+    branches.push_back(Branch{skeleton_.ParseGuard(guard_text), to, nullptr});
   }
-  rules_.push_back(std::move(rule));
+  AddRule(from, std::move(branches));
 }
 
 void BranchingSystem::AddRule(int from, std::vector<Branch> branches) {
+  for (Branch& branch : branches) {
+    if (branch.printed == nullptr) {
+      branch.printed = skeleton_.PrintGuard(*branch.guard);
+    }
+  }
   rules_.push_back(BranchingRule{from, std::move(branches)});
 }
 
 GraphContext BranchingGraphContext(const BranchingSystem& system,
                                    std::shared_ptr<const SolverBackend> cls) {
-  std::vector<FormulaRef> guards;
-  std::vector<const std::string*> printed;
+  std::vector<RuleGuard> guards;
   for (const BranchingRule& rule : system.rules()) {
     for (const Branch& branch : rule.branches) {
-      if (!branch.guard->IsQuantifierFree()) {
-        throw std::invalid_argument("branching guards must be QF");
-      }
-      guards.push_back(branch.guard);
-      printed.push_back(branch.printed.get());
+      guards.push_back(RuleGuard{branch.guard, *branch.printed});
     }
   }
-  // The prefix check is also what lets the branches' printed forms stand.
-  if (!IsPrefixSchema(system.skeleton().schema(), *cls->schema())) {
-    throw std::invalid_argument(
-        "the system's schema must be a prefix of the class's schema");
-  }
-  return MakeGraphContext(std::move(cls), system.skeleton().num_registers(),
-                          guards, printed);
+  return MakeGraphContext(std::move(cls), system.skeleton().schema(),
+                          system.skeleton().num_registers(), guards);
 }
 
 BranchingSolveResult SolveBranchingEmptiness(const BranchingSystem& system,

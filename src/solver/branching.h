@@ -30,7 +30,8 @@ namespace amalgam {
 struct Branch {
   FormulaRef guard;
   int to = -1;
-  /// The guard's printed form, as TransitionRule::printed.
+  /// The guard's printed form, as TransitionRule::printed: never null in
+  /// a BranchingSystem, whose AddRule prints a guard that arrives without.
   std::shared_ptr<const std::string> printed;
 };
 
@@ -57,8 +58,10 @@ class BranchingSystem {
   /// Adds a branching rule; guards in parser syntax.
   void AddRule(int from, const std::vector<std::pair<std::string, int>>&
                              guarded_targets);
-  /// Adds a branching rule with already-built guards (used to mirror an
-  /// ordinary DdsSystem rule-for-rule, e.g. by the differential tests).
+  /// Adds a branching rule with already-built guards over the skeleton's
+  /// schema (used to mirror an ordinary DdsSystem rule-for-rule, e.g. by
+  /// the differential tests); a branch without a printed form is printed
+  /// here.
   void AddRule(int from, std::vector<Branch> branches);
   /// Parses a guard in the skeleton's syntax without adding a rule.
   FormulaRef ParseGuard(const std::string& guard_text) {
@@ -107,8 +110,8 @@ BranchingSolveResult SolveBranchingEmptiness(
 /// (rule, branch) order, so GraphContext::guard_of is indexed by flattened
 /// branch id. A linear system with one rule per branch, in the same order,
 /// has the same context, and so shares the cache entry. Throws
-/// std::invalid_argument, before printing any guard, when a guard is not
-/// quantifier-free or the skeleton's schema is not a prefix of the class's.
+/// std::invalid_argument when a guard is not quantifier-free or the
+/// skeleton's schema is not a prefix of the class's (MakeGraphContext).
 GraphContext BranchingGraphContext(const BranchingSystem& system,
                                    std::shared_ptr<const SolverBackend> cls);
 

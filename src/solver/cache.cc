@@ -1,7 +1,6 @@
 #include "solver/cache.h"
 
 #include <algorithm>
-#include <charconv>
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
@@ -17,14 +16,6 @@ namespace {
 // The replacement order for entries sharing a key: cursor phase, cursor
 // position, then edge count (a mid-member early exit records edges without
 // advancing the cursor). Strictly-greater progress replaces the incumbent.
-// Appends `value` in decimal, as std::to_string would, without its
-// temporary string: a rule list spells out one index per rule.
-void AppendDecimal(std::string& out, std::size_t value) {
-  char digits[24];
-  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
-  out.append(digits, end);
-}
-
 bool StrictlyFurtherAlong(const SubTransitionGraph& incumbent,
                           const SubTransitionGraph& candidate) {
   const BuildCursor& a = incumbent.cursor();
@@ -38,41 +29,6 @@ bool StrictlyFurtherAlong(const SubTransitionGraph& incumbent,
 GraphCache::GraphCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
 GraphCache::~GraphCache() = default;
-
-std::string GraphCache::ClassKey(const SolverBackend& backend, int k) {
-  // The fingerprint is length-prefixed so the key decodes uniquely even if
-  // a backend's fingerprint happens to embed the separator byte.
-  const std::string fp = backend.Fingerprint();
-  std::string key = std::to_string(fp.size());
-  key += ':';
-  key += fp;
-  key += '\x1f';
-  key += std::to_string(k);
-  return key;
-}
-
-void GraphCache::AppendGuards(const InternedGuards& interned,
-                              std::string& key) {
-  for (const std::string& printed : interned.printed) {
-    // Length-prefixed: printed guards embed free-text symbol names, which
-    // must not be able to imitate the separator and merge two different
-    // guard lists into one key.
-    key += '\x1f';
-    AppendDecimal(key, printed.size());
-    key += ':';
-    key += printed;
-  }
-  // A duplicate-free list's rule -> guard index is the identity; only a
-  // list that repeats a guard spells it out, after a separator no guard
-  // entry can start with.
-  if (interned.guard_of.size() != interned.printed.size()) {
-    key += '\x1e';
-    for (std::size_t i = 0; i < interned.guard_of.size(); ++i) {
-      if (i > 0) key += ',';
-      AppendDecimal(key, static_cast<std::size_t>(interned.guard_of[i]));
-    }
-  }
-}
 
 std::shared_ptr<MemberTable> GraphCache::AcquireMemberTable(
     const GraphContext& context, std::uint32_t atom_cap) {

@@ -32,13 +32,14 @@
 // with the previous trajectory instead of an empty cache. Corrupt or
 // truncated files fail soft: the query rebuilds and overwrites them.
 // The cache also owns the classes' member tables (solver/member_table.h),
-// keyed by (fingerprint, k) — ClassKey, the graph key's class prefix. A
-// table is what every graph over one class shares whatever its guards: the
-// enumerated member streams and their interned projections. Every
-// positioned sweep under the default atom cap, eager or on the fly, asks
-// for its class's table; the class's first request creates it empty, and
-// the sweeps grow it as far as the furthest of them needed, so a class is
-// enumerated at most once however its queries interleave. The tables are
+// keyed by (fingerprint, k) — GraphContext::class_key, the graph key's
+// class prefix. A table is what every graph over one class shares whatever
+// its guards: the enumerated member streams and their interned
+// projections. Every positioned sweep under the default atom cap, eager or
+// on the fly, asks for its class's table; the class's first request
+// creates it empty, and the sweeps grow it as far as the furthest of them
+// needed, so a class is enumerated at most once however its queries
+// interleave. The tables are
 // LRU-bounded by a fixed count (kMaxMemberTables), independent of
 // `max_entries`, and live in memory only.
 //
@@ -80,16 +81,6 @@ class GraphCache {
   /// behavior; a long-lived service should set a cap.
   explicit GraphCache(std::size_t max_entries = 0);
   ~GraphCache();
-
-  /// The class prefix of every key over (backend, k): the length-prefixed
-  /// fingerprint and the register count. It names the member table.
-  static std::string ClassKey(const SolverBackend& backend, int k);
-  /// Appends the guard part of a key to a ClassKey: the distinct guards'
-  /// printed forms (a list already interned under backend.schema(), each
-  /// distinct guard printed once), then — only when some guard repeats —
-  /// the rule (or flattened branch) -> guard index. A duplicate-free
-  /// list's key is its printed guards alone.
-  static void AppendGuards(const InternedGuards& interned, std::string& key);
 
   /// Member tables held, least recently requested forgotten first.
   static constexpr std::size_t kMaxMemberTables = 16;

@@ -8,10 +8,16 @@
 // first-occurrence order, and each rule keeps the index of its guard. The
 // graph, the guard sweep and the store see only the distinct guards; the
 // front doors map edges back onto rules through GraphContext::guard_of.
-// The cache key still names the whole rule list: the class prefix
-// (GraphCache::ClassKey), the distinct guards' printed forms, each printed
-// once, plus the rule -> guard index when a guard repeats
-// (GraphCache::AppendGuards).
+// The cache key still names the whole rule list: the class prefix (the
+// backend fingerprint and k), the distinct guards' printed forms, plus the
+// rule -> guard index when a guard repeats.
+//
+// Every guard is printed once, when its rule enters a system
+// (TransitionRule::printed, Branch::printed), so deriving a context prints
+// nothing: it reads the rules' printed forms. The key format lives in
+// context.cc alone, and store records are found by its bytes, so a change
+// to it (or to the formula printer) turns every stored graph into a miss;
+// solver_test pins one literal key per query kind.
 //
 // GraphContext bundles that derivation with the backend and the cache key,
 // so it is computed once per query: the query service builds it at submit
@@ -19,9 +25,9 @@
 // the front door, and a front door called without one builds its own
 // through the same function. MakeGraphContext is the only place a key is
 // derived, and the context is the only thing the cache is asked with
-// (GraphCache::Lookup, GraphCache::AcquireMemberTable). The system and
-// branching derivations check that the system fits the class before they
-// print a guard, so a context always describes a query the engine can run.
+// (GraphCache::Lookup, GraphCache::AcquireMemberTable). It checks that the
+// system fits the class, so a context always describes a query the engine
+// can run.
 #ifndef AMALGAM_SOLVER_CONTEXT_H_
 #define AMALGAM_SOLVER_CONTEXT_H_
 
@@ -37,26 +43,13 @@
 
 namespace amalgam {
 
-/// A guard list deduplicated by printed form.
-struct InternedGuards {
-  /// The distinct guards, in first-occurrence order.
-  std::vector<FormulaRef> guards;
-  /// Their printed forms (parallel to `guards`), from which the cache key
-  /// is assembled.
-  std::vector<std::string> printed;
-  /// guard_of[i] = index into `guards` of input entry i.
-  std::vector<int> guard_of;
+/// One rule's (or flattened branch's) guard as a context reads it: the
+/// formula and its printed form under the system's schema
+/// (TransitionRule::printed), both borrowed from the system.
+struct RuleGuard {
+  const FormulaRef& guard;
+  const std::string& printed;
 };
-
-/// Interns `list`, printing each formula under `schema`. Entries that share
-/// a FormulaRef are printed once; pointer-distinct but identical formulas
-/// collapse by their printed form. `printed`, when not empty, runs
-/// parallel to `list`: a non-null entry is its formula's printed form
-/// (TransitionRule::printed) under a schema whose symbols `schema` extends,
-/// and is used instead of printing.
-InternedGuards InternGuards(std::span<const FormulaRef> list,
-                            const Schema& schema,
-                            std::span<const std::string* const> printed = {});
 
 /// Everything a front door needs to find, build or persist its graph.
 struct GraphContext {
@@ -72,8 +65,8 @@ struct GraphContext {
   /// over [A, B]), so a never-seen rule list is never served from another
   /// list's entry.
   std::string key;
-  /// The length of the key's class prefix (GraphCache::ClassKey: the
-  /// backend fingerprint and k), which names the class's member table.
+  /// The length of the key's class prefix (the backend fingerprint and
+  /// k), which names the class's member table.
   std::size_t class_key_length = 0;
 
   std::string_view class_key() const {
@@ -81,17 +74,19 @@ struct GraphContext {
   }
 };
 
-/// The context for `rule_guards` (one per rule or flattened branch) over
-/// `backend` with `k` registers; `printed` as for InternGuards.
+/// The context for `rule_guards` (one per rule or flattened branch, printed
+/// under `schema`, the system's) over `backend` with `k` registers. Throws
+/// std::invalid_argument unless every guard is quantifier-free (apply
+/// EliminateExistentials first) and `schema` is a prefix of the backend's
+/// (Lemma 6: extra symbols in the class's schema are invisible to
+/// quantifier-free guards, and a guard prints the same under any schema
+/// that extends its symbols, so its printed form stands for the backend's).
 GraphContext MakeGraphContext(std::shared_ptr<const SolverBackend> backend,
-                              int k, std::span<const FormulaRef> rule_guards,
-                              std::span<const std::string* const> printed = {});
+                              const Schema& schema, int k,
+                              std::span<const RuleGuard> rule_guards);
 
-/// The context of a linear system: one guard per rule, in rule order.
-/// Throws std::invalid_argument, before printing any guard, unless every
-/// guard is quantifier-free (apply EliminateExistentials first) and the
-/// system's schema is a prefix of the backend's (Lemma 6: extra symbols in
-/// the class's schema are invisible to quantifier-free guards).
+/// The context of a linear system: one guard per rule, in rule order, as
+/// MakeGraphContext checks and keys them.
 GraphContext SystemGraphContext(std::shared_ptr<const SolverBackend> backend,
                                 const DdsSystem& system);
 

@@ -34,6 +34,7 @@ void DdsSystem::AddRule(int from, int to, FormulaRef guard,
   assert(from >= 0 && from < num_states());
   assert(to >= 0 && to < num_states());
   EnsureVarTable();
+  if (printed == nullptr) printed = PrintGuard(*guard);
   rules_.push_back(
       TransitionRule{from, to, std::move(guard), std::move(printed)});
 }
@@ -46,6 +47,11 @@ void DdsSystem::AddRule(int from, int to, const std::string& guard_text) {
 FormulaRef DdsSystem::ParseGuard(const std::string& guard_text) {
   EnsureVarTable();
   return ParseFormula(guard_text, *schema_, &vars_);
+}
+
+std::shared_ptr<const std::string> DdsSystem::PrintGuard(
+    const Formula& guard) const {
+  return std::make_shared<const std::string>(guard.ToString(*schema_));
 }
 
 bool DdsSystem::AllGuardsQuantifierFree() const {

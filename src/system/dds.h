@@ -24,9 +24,9 @@ struct TransitionRule {
   int from = -1;
   int to = -1;
   FormulaRef guard;
-  /// guard->ToString(schema) when the guard came from a GuardTable
-  /// (system/guard_table.h), so a graph key is assembled without printing
-  /// it again; null otherwise.
+  /// guard->ToString(schema) under the system's schema, the text a graph
+  /// key is assembled from (solver/context.h). Never null: AddRule prints
+  /// a guard that arrives without it, once, when the rule is added.
   std::shared_ptr<const std::string> printed;
 };
 
@@ -42,8 +42,9 @@ class DdsSystem {
   /// guards (the variable-id convention depends on the register count).
   int AddRegister(std::string name);
 
-  /// Adds a rule with an already-built guard and, when known, its printed
-  /// form under this system's schema (TransitionRule::printed).
+  /// Adds a rule with an already-built guard over this system's schema
+  /// and, when known, its printed form under that schema
+  /// (TransitionRule::printed); null prints it here.
   void AddRule(int from, int to, FormulaRef guard,
                std::shared_ptr<const std::string> printed = nullptr);
   /// Adds a rule with a guard in the parser syntax; register r is
@@ -53,6 +54,9 @@ class DdsSystem {
   /// Parses a guard in the same syntax and variable convention without
   /// adding a rule (used by system extensions, e.g. branching rules).
   FormulaRef ParseGuard(const std::string& guard_text);
+  /// `guard` printed under this system's schema: a rule's printed form
+  /// (TransitionRule::printed).
+  std::shared_ptr<const std::string> PrintGuard(const Formula& guard) const;
 
   const Schema& schema() const { return *schema_; }
   const SchemaRef& schema_ref() const { return schema_; }

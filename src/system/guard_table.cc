@@ -54,6 +54,7 @@ std::shared_ptr<const ParsedGuard> GuardTable::Compile(
     // The parse depends on the system's variable table: never shared.
     auto compiled = std::make_shared<ParsedGuard>();
     compiled->formula = parse(std::string(text));
+    compiled->printed = compiled->formula->ToString(schema);
     std::lock_guard<std::mutex> lock(mutex_);
     ++misses_;
     return compiled;

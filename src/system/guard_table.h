@@ -38,8 +38,8 @@ namespace amalgam {
 /// VM's CompiledGuard, logic/compiled.h, which a graph build makes from it).
 struct ParsedGuard {
   FormulaRef formula;
-  /// formula->ToString(schema) under the schema it was parsed over, or ""
-  /// for a guard the table does not keep (one with `exists`).
+  /// formula->ToString(schema) under the schema it was parsed over
+  /// (TransitionRule::printed), for kept and unkept guards alike.
   std::string printed;
 };
 
@@ -68,9 +68,10 @@ class GuardTable {
   using Parse = std::function<FormulaRef(const std::string& text)>;
 
   /// `text` compiled as a guard of a system over `schema` whose Scope is
-  /// `scope`: the table's entry when it has one, else `parse(text)`, kept
-  /// unless it has `exists` or exceeds a sixteenth of the budget. Throws
-  /// what `parse` throws, and then keeps nothing.
+  /// `scope`: the table's entry when it has one, else `parse(text)`
+  /// printed under `schema`, kept unless it has `exists` or exceeds a
+  /// sixteenth of the budget. Throws what `parse` throws, and then keeps
+  /// nothing.
   std::shared_ptr<const ParsedGuard> Compile(std::string_view scope,
                                                std::string_view text,
                                                const Schema& schema,

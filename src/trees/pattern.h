@@ -2,7 +2,7 @@
 //
 // A member of the class C is a substructure of Rundb(rho) for a run rho of
 // the tree automaton, closed under the closest-common-ancestor function and
-// the pointer functions. The closure analysis (DESIGN.md §trees) yields:
+// the pointer functions. The closure analysis (docs/TREES.md) yields:
 //
 //   * cca-closure makes a member a *meet-tree*: a rooted ordered tree of
 //     pattern nodes whose real tree realizes each pattern edge as a

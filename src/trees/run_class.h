@@ -1,6 +1,7 @@
 // The Fraïssé-style run-pattern class for regular tree languages, pluggable
 // into the generic Theorem 5 solver. See pattern.h for the underlying
-// theory and DESIGN.md for the documented bounded-size caveat.
+// theory and docs/TREES.md for the closure analysis and the bounded-size
+// caveat.
 #ifndef AMALGAM_TREES_RUN_CLASS_H_
 #define AMALGAM_TREES_RUN_CLASS_H_
 

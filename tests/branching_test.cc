@@ -19,6 +19,24 @@
 namespace amalgam {
 namespace {
 
+TEST(BranchingTest, EveryBranchCarriesItsPrintedGuard) {
+  BranchingSystem system(GraphZooSchema());
+  const int a = system.AddState("a", true);
+  const int b = system.AddState("b", false, true);
+  system.AddRegister("x");
+  system.AddRule(a, {{"E(x_old, x_new)", b}, {"red(x_new)", b}});
+  const FormulaRef red = system.ParseGuard("red(x_old)");
+  system.AddRule(b, {Branch{red, a, nullptr}});
+  for (const BranchingRule& rule : system.rules()) {
+    for (const Branch& branch : rule.branches) {
+      ASSERT_NE(branch.printed, nullptr);
+      EXPECT_EQ(*branch.printed,
+                branch.guard->ToString(system.skeleton().schema()));
+    }
+  }
+  EXPECT_EQ(*system.rules()[1].branches[0].printed, "red(v0)");
+}
+
 TEST(BranchingTest, LinearRulesMatchTheLinearSolver) {
   // A branching system whose rules all have one branch is an ordinary
   // system; verdicts must coincide on a battery of cases.

@@ -18,6 +18,7 @@
 
 #include "service/protocol.h"
 #include "service/service.h"
+#include "solver/branching.h"
 #include "system/guard_table.h"
 
 namespace amalgam {
@@ -87,14 +88,22 @@ bool IsQuery(const ProtocolRequest& request) {
   return request.error.empty() && request.op == ProtocolRequest::Op::kQuery;
 }
 
-// Each rule's printed form, where it carries one, is its guard printed
-// under the system's schema.
+// Every rule (and branch) carries a printed form: its guard printed under
+// the system's schema.
 void ExpectPrintedFormsMatch(const ProtocolRequest& request) {
-  if (request.query.system == nullptr) return;
-  const DdsSystem& system = *request.query.system;
-  for (const TransitionRule& rule : system.rules()) {
-    if (rule.printed != nullptr) {
-      EXPECT_EQ(*rule.printed, rule.guard->ToString(system.schema()));
+  if (const DdsSystem* system = request.query.system.get()) {
+    for (const TransitionRule& rule : system->rules()) {
+      ASSERT_NE(rule.printed, nullptr);
+      EXPECT_EQ(*rule.printed, rule.guard->ToString(system->schema()));
+    }
+  }
+  if (const BranchingSystem* branching = request.query.branching.get()) {
+    for (const BranchingRule& rule : branching->rules()) {
+      for (const Branch& branch : rule.branches) {
+        ASSERT_NE(branch.printed, nullptr);
+        EXPECT_EQ(*branch.printed,
+                  branch.guard->ToString(branching->skeleton().schema()));
+      }
     }
   }
 }
@@ -116,6 +125,7 @@ TEST(GuardTableTest, KeysAndVerdictsMatchAFreshParse) {
     ASSERT_EQ(served.error, fresh.error);
     ASSERT_EQ(served.op, fresh.op);
     if (!IsQuery(fresh)) continue;
+    ExpectPrintedFormsMatch(fresh);
     ExpectPrintedFormsMatch(served);
     ASSERT_EQ(table_service.GraphKeyFor(served.query),
               fresh_service.GraphKeyFor(fresh.query));
@@ -252,6 +262,8 @@ TEST(GuardTableTest, GuardsWithExistsAreNeverServedFromTheTable) {
     const ProtocolRequest served = ParseRequestLine(text, &table);
     ASSERT_TRUE(IsQuery(fresh)) << fresh.error;
     ASSERT_TRUE(IsQuery(served)) << served.error;
+    ExpectPrintedFormsMatch(fresh);
+    ExpectPrintedFormsMatch(served);
     const DdsSystem& system = *served.query.system;
     ASSERT_EQ(system.rules().size(), fresh.query.system->rules().size());
     for (std::size_t r = 0; r < system.rules().size(); ++r) {
@@ -260,7 +272,6 @@ TEST(GuardTableTest, GuardsWithExistsAreNeverServedFromTheTable) {
                 fresh.query.system->rules()[r].guard->ToString(
                     fresh.query.system->schema()));
       if (!rule.guard->IsQuantifierFree()) {
-        EXPECT_EQ(rule.printed, nullptr);
         for (const FormulaRef& earlier : seen) {
           EXPECT_NE(rule.guard.get(), earlier.get());
         }

@@ -161,6 +161,44 @@ TEST(MaintenanceTest, PassRepairsAStaleIndexEvenWithNoLooseFiles) {
   service.Shutdown();
 }
 
+TEST(MaintenanceTest, PassSweepsTheStoreToTheServicesCaps) {
+  // The disk caps are the service's options, and a pass enforces them
+  // with no query writing: a store an uncapped daemon left over the caps
+  // shrinks on the next daemon's first pass.
+  const std::string dir = MaintStoreDir("scheduled_sweep");
+  const char* const lines[] = {
+      kReachRedLine,
+      R"({"kind":"system","class":"all","system":"contradiction"})",
+      R"({"kind":"words","nfa":"aplus_bplus","system":"zigzag"})",
+  };
+  {
+    QueryService::Options options;
+    options.store_dir = dir;
+    QueryService service(options);
+    for (const char* line : lines) {
+      const ProtocolRequest parsed = ParseRequestLine(line);
+      ASSERT_TRUE(parsed.error.empty()) << parsed.error;
+      const QueryResult result = service.Submit(parsed.query).get();
+      ASSERT_TRUE(result.ok) << result.error;
+    }
+    service.Shutdown();
+  }
+  ASSERT_EQ(GraphStore(dir).LooseFileCount(), 3u);
+
+  QueryService::Options options;
+  options.store_dir = dir;
+  options.store_max_files = 1;
+  QueryService service(options);
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  mopts.repack_min_loose = 0;  // sweep the loose tier, do not fold it
+  MaintenanceLoop loop(service, mopts);
+  const MaintenancePassResult pass = loop.RunOnce();
+  EXPECT_EQ(pass.sweep_files_removed, 2u);
+  EXPECT_EQ(GraphStore(dir).LooseFileCount(), 1u);
+  service.Shutdown();
+}
+
 std::vector<std::string> ReadLines(const std::string& path) {
   std::vector<std::string> lines;
   std::ifstream in(path);

@@ -638,8 +638,20 @@ TEST(GuardInterningTest, IdenticalFormulasCollapseInFirstOccurrenceOrder) {
   const FormulaRef b = system.ParseGuard("red(x_new)");
   const FormulaRef a_again = system.ParseGuard("E(x_old, x_new)");
   ASSERT_NE(a.get(), a_again.get());
+  // One rule per guard, each printed under the system's schema, as
+  // DdsSystem::AddRule prints it.
+  AllStructuresClass all(GraphZooSchema());
+  auto context = [&](const std::vector<FormulaRef>& guards) {
+    std::vector<std::shared_ptr<const std::string>> printed;
+    std::vector<RuleGuard> rules;
+    for (const FormulaRef& g : guards) printed.push_back(system.PrintGuard(*g));
+    for (std::size_t i = 0; i < guards.size(); ++i) {
+      rules.push_back(RuleGuard{guards[i], *printed[i]});
+    }
+    return MakeGraphContext(BorrowBackend(all), system.schema(), 1, rules);
+  };
   const std::vector<FormulaRef> list = {b, a, b, a_again};
-  const InternedGuards interned = InternGuards(list, system.schema());
+  const GraphContext interned = context(list);
   ASSERT_EQ(interned.guards.size(), 2u);
   EXPECT_EQ(interned.guards[0], b);
   EXPECT_EQ(interned.guards[1], a);
@@ -648,22 +660,47 @@ TEST(GuardInterningTest, IdenticalFormulasCollapseInFirstOccurrenceOrder) {
   // The key names the rule list by printed form: pointer identity does not
   // matter, repetition does. A duplicate-free list keeps the key format of
   // a plain printed guard list, so its stored entries stay valid.
-  AllStructuresClass all(GraphZooSchema());
   const std::vector<FormulaRef> shared = {b, a, b, a};
   const std::vector<FormulaRef> distinct = {b, a};
-  auto key = [&](const std::vector<FormulaRef>& guards) {
-    return MakeGraphContext(BorrowBackend(all), 1, guards).key;
-  };
-  EXPECT_EQ(key(list), key(shared));
-  EXPECT_NE(key(list), key(distinct));
+  EXPECT_EQ(interned.key, context(shared).key);
+  EXPECT_NE(interned.key, context(distinct).key);
   std::string plain = std::to_string(all.Fingerprint().size()) + ":" +
                       all.Fingerprint() + "\x1f" + "1";
   for (const FormulaRef& g : distinct) {
     const std::string printed = g->ToString(*all.schema());
     plain += "\x1f" + std::to_string(printed.size()) + ":" + printed;
   }
-  EXPECT_EQ(key(distinct), plain);
-  EXPECT_EQ(key(list), plain + "\x1e" + "0,1,0,1");
+  EXPECT_EQ(context(distinct).key, plain);
+  EXPECT_EQ(interned.key, plain + "\x1e" + "0,1,0,1");
+}
+
+// Store records are found by their key's bytes, so the key format and the
+// formula printer are pinned here by one literal key per query kind: a
+// change to either fails this test instead of silently turning every
+// stored graph into a miss. The branching query repeats a guard, so its
+// key spells out the rule -> guard index.
+TEST(GraphKeyTest, GoldenKeyPerQueryKind) {
+  AllStructuresClass all(GraphZooSchema());
+  EXPECT_EQ(SystemGraphContext(BorrowBackend(all), ReachRedSystem()).key,
+            "35:all-structures|R2;1:E/2;3:red/1;F0;\x1f" "1\x1f"
+            "9:E(v0, v1)\x1f" "19:(v0 = v1 & red(v0))");
+  EXPECT_EQ(WordGraphContext(ZigZagSystem(1), NfaAPlusBPlus()).key,
+            "31:word-runs|1:a|1:b;0s-,0,1;1-a,1\x1f" "1\x1f"
+            "17:(v1 = v0 & a(v0))\x1f" "20:(lt(v0, v1) & b(v1))");
+  const TreeAutomaton two = TaTwoLevel();
+  EXPECT_EQ(TreeGraphContext(DescendSystem(two, 1), two, 4).key,
+            "40:tree-runs|cap4|1:r|1:a;0r--;1-lm00100001\x1f" "1\x1f"
+            "27:(desc(v0, v1) & !(v0 = v1))");
+  BranchingSystem branching(GraphZooSchema());
+  const int s = branching.AddState("s", true);
+  const int t = branching.AddState("t");
+  const int u = branching.AddState("u", false, true);
+  branching.AddRegister("x");
+  branching.AddRule(s, {{"E(x_old, x_new)", t}, {"red(x_new)", u}});
+  branching.AddRule(t, {{"E(x_old, x_new)", u}});
+  EXPECT_EQ(BranchingGraphContext(branching, BorrowBackend(all)).key,
+            "35:all-structures|R2;1:E/2;3:red/1;F0;\x1f" "1\x1f"
+            "9:E(v0, v1)\x1f" "7:red(v1)\x1e" "0,1,0");
 }
 
 TEST(GuardInterningTest, Chain64SweepsOneGuard) {
@@ -809,7 +846,8 @@ TEST(MemberTableTest, CreatedOnAFirstRequestAndForgottenPastTheBound) {
   GraphCache cache;
   auto request = [&](std::size_t c) {
     return cache.AcquireMemberTable(
-        MakeGraphContext(BorrowBackend(*classes[c]), 1, {}));
+        MakeGraphContext(BorrowBackend(*classes[c]), *classes[c]->schema(),
+                         1, {}));
   };
   const auto table = request(0);
   ASSERT_NE(table, nullptr);

@@ -17,6 +17,7 @@
 #include <iterator>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,6 +64,22 @@ std::vector<FormulaRef> GuardsOf(const DdsSystem& system) {
   return guards;
 }
 
+// The graph key of `guards` over `backend`, as a system over the
+// backend's own schema with one rule per guard derives it.
+std::string KeyOf(const SolverBackend& backend, int k,
+                  std::span<const FormulaRef> guards) {
+  std::vector<std::string> printed;
+  for (const FormulaRef& guard : guards) {
+    printed.push_back(guard->ToString(*backend.schema()));
+  }
+  std::vector<RuleGuard> rules;
+  for (std::size_t i = 0; i < guards.size(); ++i) {
+    rules.push_back(RuleGuard{guards[i], printed[i]});
+  }
+  return MakeGraphContext(BorrowBackend(backend), *backend.schema(), k, rules)
+      .key;
+}
+
 void ExpectRoundTripIdentical(const SubTransitionGraph& graph,
                               const std::string& key, const SchemaRef& schema,
                               std::span<const FormulaRef> guards, int k) {
@@ -88,9 +105,8 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
     graph.BuildFull(all, stats);
-    ExpectRoundTripIdentical(
-        graph, MakeGraphContext(BorrowBackend(all), k, guards).key,
-        all.schema(), guards, k);
+    ExpectRoundTripIdentical(graph, KeyOf(all, k, guards), all.schema(),
+                             guards, k);
   }
 
   // Words zoo: run-pattern class of an NFA.
@@ -102,9 +118,8 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
     graph.BuildFull(cls, stats);
-    ExpectRoundTripIdentical(
-        graph, MakeGraphContext(BorrowBackend(cls), k, guards).key,
-        cls.schema(), guards, k);
+    ExpectRoundTripIdentical(graph, KeyOf(cls, k, guards), cls.schema(),
+                             guards, k);
   }
 
   // Trees zoo: run-pattern class of a tree automaton.
@@ -117,9 +132,8 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
     graph.BuildFull(cls, stats);
-    ExpectRoundTripIdentical(
-        graph, MakeGraphContext(BorrowBackend(cls), k, guards).key,
-        cls.schema(), guards, k);
+    ExpectRoundTripIdentical(graph, KeyOf(cls, k, guards), cls.schema(),
+                             guards, k);
   }
 }
 
@@ -137,7 +151,7 @@ TEST(StoreTest, PartialGraphsRoundTripWithTheirCursor) {
   SolveResult r = SolveEmptiness(system, all, options);
   ASSERT_TRUE(r.nonempty);
 
-  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
+  const std::string key = KeyOf(all, k, guards);
   std::shared_ptr<const SubTransitionGraph> partial = cache.Lookup(key);
   ASSERT_NE(partial, nullptr);
   ASSERT_FALSE(partial->complete()) << "nonempty query should early-exit";
@@ -242,7 +256,7 @@ TEST(StoreTest, ResumedBuildsAreBitIdenticalToColdBuilds) {
   DdsSystem system = ReachRedSystem();
   std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
-  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
+  const std::string key = KeyOf(all, k, guards);
 
   // A partial graph from an early-exited query...
   GraphCache cache;
@@ -280,7 +294,7 @@ TEST(StoreTest, CorruptOrTruncatedFilesFallBackToAFreshBuild) {
   DdsSystem system = ContradictionSystem();
   std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
-  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
+  const std::string key = KeyOf(all, k, guards);
 
   GraphCache seeding;
   seeding.AttachStore(dir);
@@ -349,7 +363,7 @@ TEST(StoreTest, DeserializeRejectsMismatchedContext) {
   DdsSystem system = ContradictionSystem();
   std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
-  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
+  const std::string key = KeyOf(all, k, guards);
   SubTransitionGraph graph(guards, k);
   SolveStats stats;
   graph.BuildFull(all, stats);
@@ -405,7 +419,7 @@ TEST(StoreTest, VersionSkewedRecordsReadAsMissesAndAreReplaced) {
   const DdsSystem system = ReachRedSystem();
   const std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
-  const std::string key = MakeGraphContext(BorrowBackend(all), k, guards).key;
+  const std::string key = KeyOf(all, k, guards);
   SubTransitionGraph graph(guards, k);
   SolveStats stats;
   graph.BuildFull(all, stats);
@@ -517,9 +531,7 @@ TEST(StoreTest, DeserializeSurvivesEveryTruncationAndSeededMutations) {
   std::vector<Record> records;
   auto add = [&](std::string name, const SubTransitionGraph& graph,
                  const SolverBackend& backend) {
-    std::string key =
-        MakeGraphContext(BorrowBackend(backend), graph.k(), graph.guards())
-            .key;
+    std::string key = KeyOf(backend, graph.k(), graph.guards());
     std::string bytes = SerializeGraph(graph, key);
     records.push_back(Record{std::move(name), std::move(key),
                              backend.schema(), graph.guards(), graph.k(),

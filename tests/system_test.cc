@@ -22,6 +22,31 @@ TEST(DdsSystemTest, BuildAndQuery) {
   EXPECT_EQ(s.NewVar(1), 3);
 }
 
+// Every rule carries its guard printed under the system's schema, the
+// text its graph key is assembled from: a rule added from text, from a
+// formula, with a given printed form, or by existential elimination.
+void ExpectEveryRulePrinted(const DdsSystem& system) {
+  for (const TransitionRule& rule : system.rules()) {
+    ASSERT_NE(rule.printed, nullptr);
+    EXPECT_EQ(*rule.printed, rule.guard->ToString(system.schema()));
+  }
+}
+
+TEST(DdsSystemTest, EveryRuleCarriesItsPrintedGuard) {
+  DdsSystem s(GraphZooSchema());
+  const int a = s.AddState("a", true);
+  const int b = s.AddState("b", false, true);
+  s.AddRegister("x");
+  s.AddRule(a, b, "E(x_old, x_new) & exists z: (E(x_new, z) & red(z))");
+  const FormulaRef red = s.ParseGuard("red(x_new)");
+  s.AddRule(a, a, red);
+  s.AddRule(b, b, red, s.PrintGuard(*red));
+  ExpectEveryRulePrinted(s);
+  EXPECT_EQ(*s.rules()[1].printed, "red(v1)");
+  ExpectEveryRulePrinted(EliminateExistentials(s));
+  ExpectEveryRulePrinted(OddRedCycleSystem());
+}
+
 TEST(ConcreteTest, Example1RunFromThePaper) {
   // The run printed in the paper: registers [x, y] walk the red 5-cycle.
   DdsSystem s = OddRedCycleSystem();

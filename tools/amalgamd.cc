@@ -345,8 +345,6 @@ int main(int argc, char** argv) {
     amalgam::MaintenanceOptions mopts;
     mopts.store_dir = cli.service.store_dir;
     mopts.interval_ms = cli.maintenance_interval_ms;
-    mopts.store_max_bytes = cli.service.store_max_bytes;
-    mopts.store_max_files = cli.service.store_max_files;
     mopts.repack_min_loose = cli.repack_min_loose;
     maintenance =
         std::make_unique<amalgam::MaintenanceLoop>(service, mopts);
