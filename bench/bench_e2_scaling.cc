@@ -339,7 +339,7 @@ void BM_ColdResume(benchmark::State& state) {
     std::shared_ptr<SubTransitionGraph> graph = DeserializeGraph(
         bytes, "bench-cold-resume", cls.schema(), guards, k);
     SolveStats stats;
-    graph->BuildFull(cls, stats);
+    graph->BuildFull(MemberSource{cls}, stats);
     benchmark::DoNotOptimize(graph->num_edges());
     last = stats;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace amalgam {
 
@@ -82,15 +83,9 @@ void EmitFormula(const Formula& f, std::vector<Instr>& code) {
       }
       return;
     }
-    case Formula::Kind::kExists: {
-      const std::size_t begin = code.size();
-      code.push_back(Instr{Op::kExistsBegin, f.exists_var()});
-      const std::int32_t body = static_cast<std::int32_t>(code.size());
-      EmitFormula(*f.children()[0], code);
-      code.push_back(Instr{Op::kExistsEnd, f.exists_var(), body});
-      code[begin].b = static_cast<std::int32_t>(code.size());
-      return;
-    }
+    case Formula::Kind::kExists:
+      throw std::invalid_argument(
+          "a compiled guard must be quantifier-free");
   }
 }
 
@@ -231,7 +226,6 @@ bool GuardEvaluator::Eval(const CompiledGuard& g, const Structure& s,
 
   values_.clear();
   bools_.clear();
-  frames_.clear();
 
   const Instr* code = g.code().data();
   const std::size_t end = g.code().size();
@@ -315,36 +309,6 @@ bool GuardEvaluator::Eval(const CompiledGuard& g, const Structure& s,
         bools_.push_back(scratch_[ins.a] == scratch_[ins.b] ? 1 : 0);
         ++pc;
         break;
-      case CompiledGuard::Op::kExistsBegin:
-        if (s.size() == 0) {
-          bools_.push_back(0);
-          pc = static_cast<std::size_t>(ins.b);
-        } else {
-          frames_.push_back(Frame{0, scratch_[ins.a]});
-          scratch_[ins.a] = 0;
-          ++pc;
-        }
-        break;
-      case CompiledGuard::Op::kExistsEnd: {
-        const bool hit = bools_.back() != 0;
-        bools_.pop_back();
-        Frame& frame = frames_.back();
-        if (hit) {
-          scratch_[ins.a] = frame.saved;
-          frames_.pop_back();
-          bools_.push_back(1);
-          ++pc;
-        } else if (static_cast<std::size_t>(++frame.next) < s.size()) {
-          scratch_[ins.a] = frame.next;
-          pc = static_cast<std::size_t>(ins.b);
-        } else {
-          scratch_[ins.a] = frame.saved;
-          frames_.pop_back();
-          bools_.push_back(0);
-          ++pc;
-        }
-        break;
-      }
     }
   }
   assert(bools_.size() == 1);

@@ -1,30 +1,28 @@
 // Compiled guard kernels: flat postfix bytecode for formula evaluation.
 //
-// EvalFormula walks the Formula AST recursively and allocates an extended
-// valuation per quantifier frame — fine for one-off evaluation, far too
-// heavy for the sweep hot loop, which evaluates every guard on every joint
-// member of the class. CompiledGuard lowers a formula once per build into a
-// flat instruction array; GuardEvaluator runs it in a non-recursive,
-// zero-allocation VM over (Structure, valuation):
+// EvalFormula walks the Formula AST recursively — fine for one-off
+// evaluation, far too slow for the sweep hot loop, which evaluates every
+// guard on every joint member of the class. CompiledGuard lowers a guard
+// once per build into a flat instruction array; GuardEvaluator runs it in a
+// non-recursive, zero-allocation VM over (Structure, valuation):
 //
 //   * connectives compile to short-circuit jumps over a reusable bool
 //     stack, so And/Or cost exactly what the reference evaluator's early
 //     exits cost;
 //   * binary/unary relation atoms whose terms are plain variables dispatch
-//     straight to Structure::Holds2/Holds1 — no term stack, no span;
-//   * quantifiers become explicit loop frames over a scratch valuation
-//     owned by the evaluator: kExistsBegin saves the shadowed variable and
-//     starts the domain loop, kExistsEnd either exits with the result or
-//     jumps back to the body start with the next element. Save/restore
-//     reproduces exactly the per-frame valuation copies of EvalFormula
-//     (variable shadowing included), without the copies.
+//     straight to Structure::Holds2/Holds1 — no term stack, no span.
+//
+// The VM compiles exactly what a sub-transition graph admits: quantifier-
+// free guards (MakeGraphContext, solver/context.h, rejects the others).
+// Quantified formulas stay with EvalFormula, the reference evaluator.
 //
 // CompiledGuard::Eval(evaluator, s, valuation) == EvalFormula(f, s,
-// valuation) for every formula, structure and covering valuation — pinned
-// by the differential fuzz in tests/compiled_guard_test.cc. The bytecode is
-// immutable after Compile and shareable across threads; all mutable state
-// (value/bool/frame stacks, scratch valuation) lives in the GuardEvaluator,
-// so each sweep worker owns one evaluator and evaluates concurrently.
+// valuation) for every quantifier-free formula, structure and valuation —
+// pinned by the differential fuzz in tests/compiled_guard_test.cc. The
+// bytecode is immutable after Compile and shareable across threads; all
+// mutable state (value/bool stacks, scratch valuation) lives in the
+// GuardEvaluator, so each sweep worker owns one evaluator and evaluates
+// concurrently.
 //
 // SlicedGuard is the VM's word-parallel sibling for the common guard shape:
 // a quantifier-free formula whose atoms are relations over plain variables
@@ -64,9 +62,6 @@ class CompiledGuard {
     kRel2VV,       // push bool s.Holds2(a, scratch[b], scratch[c])
     kEq,           // pop 2 values, push bool equality
     kEqVV,         // push bool scratch[a] == scratch[b]
-    kExistsBegin,  // open a domain loop over variable a; b = pc past the
-                   // matching kExistsEnd (taken when the domain is empty)
-    kExistsEnd,    // close the loop for variable a; b = body-start pc
   };
 
   struct Instr {
@@ -76,7 +71,8 @@ class CompiledGuard {
     std::int32_t c = 0;
   };
 
-  /// Lowers `f` (any formula, quantifiers included) to bytecode.
+  /// Lowers the quantifier-free `f` to bytecode. Throws
+  /// std::invalid_argument on a quantifier.
   static CompiledGuard Compile(const Formula& f);
 
   const std::vector<Instr>& code() const { return code_; }
@@ -95,21 +91,14 @@ class GuardEvaluator {
  public:
   /// Evaluates `g` on `s` under `valuation` (entries beyond the guard's
   /// variables are ignored; missing entries read as 0, matching the
-  /// reference evaluator's zero-extension). Quantifiers range over the
-  /// domain of `s`.
+  /// reference evaluator's zero-extension).
   bool Eval(const CompiledGuard& g, const Structure& s,
             std::span<const Elem> valuation);
 
  private:
-  struct Frame {
-    Elem next;   // current domain element of the open quantifier loop
-    Elem saved;  // shadowed scratch value, restored on loop exit
-  };
-
   std::vector<Elem> scratch_;
   std::vector<Elem> values_;
   std::vector<char> bools_;
-  std::vector<Frame> frames_;
 };
 
 /// An atom a SlicedGuard reads: `rel`(x_vars[0], ..., x_vars[arity-1])

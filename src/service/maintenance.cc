@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,8 +98,8 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
       // Nothing in memory: only a *partial* persisted entry needs work
       // (a complete one is prewarm's business, not completion's).
       if (!store) continue;
-      const GraphStore::KeyProgress progress = store->PeekKey(key);
-      if (!progress.found || progress.cursor.phase == kCursorPhaseComplete) {
+      const std::optional<BuildProgress> progress = store->PeekKey(key);
+      if (!progress || progress->cursor.phase == kCursorPhaseComplete) {
         continue;
       }
     }

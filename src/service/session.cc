@@ -66,6 +66,8 @@ void Session::EmitReady(std::unique_lock<std::mutex>& lock) {
   if (emitting_) return;  // that thread emits this slot too before it stops
   emitting_ = true;
   std::vector<std::string> batch;
+  // Queries in `batch`: their inflight slots free once they are emitted.
+  int batch_queries = 0;
   for (;;) {
     // An admin op at the head, to render now that every earlier response
     // is out; off the lock, like every render.
@@ -86,7 +88,7 @@ void Session::EmitReady(std::unique_lock<std::mutex>& lock) {
         }
         break;
       }
-      if (head.is_query) --inflight_;
+      if (head.is_query) ++batch_queries;
       batch.push_back(std::move(head.line));
       slots_.pop_front();
       ++head_seq_;
@@ -106,6 +108,8 @@ void Session::EmitReady(std::unique_lock<std::mutex>& lock) {
       }
     }
     lock.lock();
+    inflight_ -= batch_queries;
+    batch_queries = 0;
   }
   emitting_ = false;
   // Notified under the lock: a waiting destructor may free the session as

@@ -3,28 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string_view>
-#include <tuple>
 #include <utility>
 
 #include "solver/member_table.h"
 #include "solver/store.h"
 
 namespace amalgam {
-
-namespace {
-
-// The replacement order for entries sharing a key: cursor phase, cursor
-// position, then edge count (a mid-member early exit records edges without
-// advancing the cursor). Strictly-greater progress replaces the incumbent.
-bool StrictlyFurtherAlong(const SubTransitionGraph& incumbent,
-                          const SubTransitionGraph& candidate) {
-  const BuildCursor& a = incumbent.cursor();
-  const BuildCursor& b = candidate.cursor();
-  return std::tie(a.phase, a.next_member) < std::tie(b.phase, b.next_member) ||
-         (a == b && incumbent.num_edges() < candidate.num_edges());
-}
-
-}  // namespace
 
 GraphCache::GraphCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
@@ -78,11 +62,6 @@ void GraphCache::AttachStore(const std::string& dir) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (store_ && store_->dir() == dir) return;  // lost a benign attach race
   store_ = std::move(fresh);
-}
-
-bool GraphCache::has_store() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return store_ != nullptr;
 }
 
 std::shared_ptr<const GraphStore> GraphCache::StoreSnapshot() const {
@@ -200,7 +179,8 @@ std::shared_ptr<const SubTransitionGraph> GraphCache::InsertLocked(
     bool want_store_write) {
   auto it = graphs_.find(key);
   if (it != graphs_.end()) {
-    if (!StrictlyFurtherAlong(*it->second.graph, *graph)) return nullptr;
+    // Only strictly greater progress replaces the incumbent.
+    if (graph->progress() <= it->second.graph->progress()) return nullptr;
     it->second.graph = graph;
     if (it->second.lru_pos != lru_.begin()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);

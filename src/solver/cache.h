@@ -100,7 +100,6 @@ class GraphCache {
   /// the filesystem's — the LRU cap governs memory only, and evicted
   /// entries remain loadable from disk.
   void AttachStore(const std::string& dir);
-  bool has_store() const;
   /// The attached disk-tier handle (nullptr without one). The handle is
   /// internally synchronized; callers may run store I/O on it directly
   /// (the maintenance loop peeks progress and repacks through it, the
@@ -116,10 +115,10 @@ class GraphCache {
   /// context's backend schema, guards and k are its deserialization
   /// context — is promoted into the memory tier and counts as a hit. The
   /// disk read runs outside the map mutex; if a racing query populated the
-  /// key meanwhile, the double-checked promote keeps whichever graph is
-  /// further along. A missing, corrupt or truncated file counts as a miss
-  /// (plus store_load_failures() when a file was present) and the caller
-  /// builds fresh. The returned graph may be partial — check complete()
+  /// key meanwhile, the double-checked promote keeps whichever graph has
+  /// the greater BuildProgress. A missing, corrupt or truncated file
+  /// counts as a miss (plus store_load_failures() when a file was present)
+  /// and the caller builds fresh. The returned graph may be partial — check complete()
   /// and resume from cursor() on a copy. A non-null `trace` records the
   /// disk read as a "store_load" span annotated with the serving tier
   /// (loose/pack/miss).
@@ -134,10 +133,10 @@ class GraphCache {
 
   /// Stores a graph under `key`, evicting the least-recently-hit entry if
   /// a cap is set and reached. Partial graphs are first-class entries; an
-  /// incumbent is replaced only by a strictly further-along graph
-  /// (lexicographically by cursor phase, cursor position, edge count), so
-  /// a complete entry is never downgraded and re-inserting equal progress
-  /// is a no-op ("first insert wins" for complete graphs, as before).
+  /// incumbent is replaced only by a graph of strictly greater
+  /// BuildProgress (solver/graph.h), so a complete entry is never
+  /// downgraded and re-inserting equal progress is a no-op ("first insert
+  /// wins" for complete graphs).
   /// Accepted inserts are written through to the attached store, outside
   /// the map mutex. Throws std::invalid_argument on a null graph. A
   /// non-null `trace` records the write-through as a "store_save" span

@@ -157,7 +157,6 @@ void ExplorationEngine::RunOnTheFly() {
     owned_graph_ = std::make_shared<SubTransitionGraph>(*graph_);
     graph_ = owned_graph_;
   }
-  const std::uint64_t raw_hits_before = owned_graph_->interner().raw_hits();
 
   // The sweeps below read (and grow) the class's table when the query has
   // one.
@@ -211,10 +210,6 @@ void ExplorationEngine::RunOnTheFly() {
     sweep_span.Annotate("edges", owned_graph_->num_edges() - edges_before);
     AnnotateSweepSource(sweep_span, table.get(), before, result_.stats);
   }
-  // Only this query's own canonicalization work: a copied in-process
-  // partial entry carries its builder's counter, which is not ours.
-  result_.stats.raw_memo_hits =
-      owned_graph_->interner().raw_hits() - raw_hits_before;
 }
 
 SolveResult ExplorationEngine::Run() {
@@ -256,9 +251,8 @@ void ExplorationEngine::Finish() {
       static_cast<std::uint64_t>(graph_->num_shapes()) * num_states_;
   // On a cache hit no edges were recorded this query, but the counters
   // describe the graph the verdict was decided over — report it either way.
-  // raw_memo_hits is owned by whichever path built the graph (BuildFull or
-  // the on-the-fly stream) and stays 0 on a cache hit: no canonicalization
-  // ran at all.
+  // raw_memo_hits counts the sweeps this query ran, so it stays 0 on a
+  // cache hit: no canonicalization ran at all.
   result_.stats.edges = graph_->num_edges();
   if (goal_ < 0) {
     result_.nonempty = false;

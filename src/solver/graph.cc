@@ -160,7 +160,9 @@ bool SubTransitionGraph::ProcessJointMember(const Structure& d,
       on_new_edge);
 }
 
-void SubTransitionGraph::CheckShapeCap(std::uint64_t max_shapes) const {
+void SubTransitionGraph::PassMember(std::uint64_t index,
+                                    std::uint64_t max_shapes) {
+  cursor_.next_member = index + 1;
   if (static_cast<std::uint64_t>(interner_.size()) > max_shapes) {
     throw std::runtime_error(
         "emptiness solver exceeded the configuration cap");
@@ -228,135 +230,121 @@ class ExtensionClaim {
   int stream_;
 };
 
-// One stream's sweep through `table` from `cursor`: the prefix the table
-// holds goes to `read(end)`, which sweeps up to `end`; the rest to
-// `stream(extend)`, which streams from the backend, appending to the
-// table when `extend`. False once either is stopped.
-template <typename Read, typename Stream>
-bool SweepThrough(MemberTable& table, int stream_id, const BuildCursor& cursor,
-                  Read&& read, Stream&& stream) {
-  for (;;) {
-    switch (table.Claim(stream_id, cursor.next_member)) {
-      case MemberTable::Reach::kRead:
-        if (!read(table.size(stream_id))) return false;
-        break;
-      case MemberTable::Reach::kExtend:
-        return stream(true);
-      case MemberTable::Reach::kStream:
-        return stream(false);
-      case MemberTable::Reach::kEnd:
-        return true;
-    }
-  }
+// Streams `stream`'s members (k- or 2k-generated) from position `from`,
+// counting each and handing it to `member(d, marks, index)` until that
+// returns false; while `extend` (a table whose extension claim this sweep
+// holds) has room, each member is appended to it first. False iff `member`
+// stopped the stream.
+template <typename Member>
+bool StreamMembers(const MemberSource& source, int stream, int m,
+                   std::uint64_t from, MemberTable* extend, SolveStats& stats,
+                   Member&& member) {
+  ExtensionClaim claim(extend, stream);
+  bool stopped = false;
+  source.backend.EnumerateGeneratedFrom(
+      m, from,
+      [&](const Structure& d, std::span<const Elem> marks,
+          std::uint64_t index) {
+        ++stats.members_enumerated;
+        if (claim.held()) {
+          if (extend->Append(stream, d, marks)) {
+            ++stats.members_appended;
+          } else {
+            claim.Release(false);
+          }
+        }
+        stopped = !member(d, marks, index);
+        return !stopped;
+      },
+      EnumControl{&stats.members_generated, source.atom_cap});
+  claim.Release(!stopped);
+  return !stopped;
 }
 
 }  // namespace
+
+static_assert(MemberTable::kInitial == kCursorPhaseInitial &&
+              MemberTable::kJoint == kCursorPhaseJoint);
+
+template <typename Read, typename Member>
+bool SubTransitionGraph::SweepPhase(const MemberSource& source, int stream,
+                                    SolveStats& stats, Read&& read,
+                                    Member&& member) {
+  const std::uint64_t raw_hits_before = interner_.raw_hits();
+  auto stream_from_backend = [&](MemberTable* extend) {
+    return StreamMembers(source, stream,
+                         stream == MemberTable::kInitial ? k_ : 2 * k_,
+                         cursor_.next_member, extend, stats, member);
+  };
+  // Through the table: read the members it holds, then extend it from the
+  // backend, or stream where it will not grow; after a read, ask again —
+  // another sweep may have extended it meanwhile.
+  auto through_table = [&] {
+    MemberTable& table = *source.table;
+    TableSweep sweep(table, interner_);
+    for (;;) {
+      switch (table.Claim(stream, cursor_.next_member)) {
+        case MemberTable::Reach::kRead:
+          if (!read(sweep, table.size(stream))) return false;
+          break;
+        case MemberTable::Reach::kExtend:
+          return stream_from_backend(&table);
+        case MemberTable::Reach::kStream:
+          return stream_from_backend(nullptr);
+        case MemberTable::Reach::kEnd:
+          return true;
+      }
+    }
+  };
+  const bool swept_all = source.table != nullptr ? through_table()
+                                                 : stream_from_backend(nullptr);
+  stats.raw_memo_hits += interner_.raw_hits() - raw_hits_before;
+  if (!swept_all) return false;
+  cursor_ = BuildCursor{static_cast<std::uint32_t>(stream) + 1, 0};
+  return true;
+}
 
 bool SubTransitionGraph::SweepInitial(
     const MemberSource& source, SolveStats& stats, std::uint64_t max_shapes,
     const std::function<bool(int shape)>& visit) {
   // After each member: the cursor passes it, then the caller sees it.
-  auto swept = [&](int shape, std::uint64_t stream_index) {
-    cursor_.next_member = stream_index + 1;
-    CheckShapeCap(max_shapes);
+  auto swept = [&](int shape, std::uint64_t index) {
+    PassMember(index, max_shapes);
     return !visit || visit(shape);
   };
-  std::optional<TableSweep> sweep;
-  if (source.table != nullptr) sweep.emplace(*source.table, interner_);
-  // Streams from the cursor; while this sweep holds the table's extension
-  // claim, each member is also appended to the table.
-  auto stream = [&](bool extend) {
-    ExtensionClaim claim(extend ? source.table : nullptr,
-                         MemberTable::kInitial);
-    bool stopped = false;
-    source.backend.EnumerateGeneratedFrom(
-        k_, cursor_.next_member,
-        [&](const Structure& d, std::span<const Elem> marks,
-            std::uint64_t stream_index) {
+  return SweepPhase(
+      source, MemberTable::kInitial, stats,
+      [&](TableSweep& sweep, std::uint64_t end) {
+        for (std::uint64_t i = cursor_.next_member; i < end; ++i) {
           ++stats.members_enumerated;
-          if (claim.held()) {
-            if (source.table->Append(MemberTable::kInitial, d, marks)) {
-              ++stats.members_appended;
-            } else {
-              claim.Release(false);
-            }
+          if (!swept(MarkInitial(sweep.Map(sweep.table.InitialShape(i))), i)) {
+            return false;
           }
-          stopped = !swept(AddInitialMember(d, marks), stream_index);
-          return !stopped;
-        },
-        EnumControl{&stats.members_generated, source.atom_cap});
-    claim.Release(!stopped);
-    return !stopped;
-  };
-  auto read = [&](std::uint64_t end) {
-    for (std::uint64_t i = cursor_.next_member; i < end; ++i) {
-      ++stats.members_enumerated;
-      const int shape = MarkInitial(sweep->Map(source.table->InitialShape(i)));
-      if (!swept(shape, i)) return false;
-    }
-    return true;
-  };
-  const bool swept_all =
-      sweep ? SweepThrough(*source.table, MemberTable::kInitial, cursor_,
-                           read, stream)
-            : stream(false);
-  if (!swept_all) return false;
-  cursor_ = BuildCursor{kCursorPhaseJoint, 0};
-  return true;
+        }
+        return true;
+      },
+      [&](const Structure& d, std::span<const Elem> marks,
+          std::uint64_t index) {
+        return swept(AddInitialMember(d, marks), index);
+      });
 }
 
 bool SubTransitionGraph::SweepJoint(const MemberSource& source,
                                     SolveStats& stats,
                                     std::uint64_t max_shapes,
                                     const EdgeCallback& on_new_edge) {
-  std::optional<TableSweep> sweep;
-  if (source.table != nullptr) sweep.emplace(*source.table, interner_);
-  auto stream = [&](bool extend) {
-    return StreamJoint(source, extend ? source.table : nullptr, stats,
-                       max_shapes, on_new_edge);
-  };
-  auto read = [&](std::uint64_t end) {
-    return ReadJoint(*sweep, end, stats, max_shapes, on_new_edge);
-  };
-  const bool swept_all =
-      sweep ? SweepThrough(*source.table, MemberTable::kJoint, cursor_,
-                           read, stream)
-            : stream(false);
-  if (!swept_all) return false;
-  cursor_ = BuildCursor{kCursorPhaseComplete, 0};
-  return true;
-}
-
-bool SubTransitionGraph::StreamJoint(const MemberSource& source,
-                                     MemberTable* extend, SolveStats& stats,
-                                     std::uint64_t max_shapes,
-                                     const EdgeCallback& on_new_edge) {
-  ExtensionClaim claim(extend, MemberTable::kJoint);
-  bool stopped = false;
-  source.backend.EnumerateGeneratedFrom(
-      2 * k_, cursor_.next_member,
-      [&](const Structure& d, std::span<const Elem> marks,
-          std::uint64_t stream_index) {
-        ++stats.members_enumerated;
-        if (claim.held()) {
-          if (extend->Append(MemberTable::kJoint, d, marks)) {
-            ++stats.members_appended;
-          } else {
-            claim.Release(false);
-          }
-        }
-        const bool swept = ProcessJointMember(d, marks, stats, on_new_edge);
-        if (!swept) {
-          stopped = true;
-          return false;
-        }
-        cursor_.next_member = stream_index + 1;
-        CheckShapeCap(max_shapes);
-        return true;
+  return SweepPhase(
+      source, MemberTable::kJoint, stats,
+      [&](TableSweep& sweep, std::uint64_t end) {
+        return ReadJoint(sweep, end, stats, max_shapes, on_new_edge);
       },
-      EnumControl{&stats.members_generated, source.atom_cap});
-  claim.Release(!stopped);
-  return !stopped;
+      [&](const Structure& d, std::span<const Elem> marks,
+          std::uint64_t index) {
+        // A member the callback interrupts stays in front of the cursor.
+        if (!ProcessJointMember(d, marks, stats, on_new_edge)) return false;
+        PassMember(index, max_shapes);
+        return true;
+      });
 }
 
 bool SubTransitionGraph::ReadJoint(TableSweep& sweep, std::uint64_t to,
@@ -433,8 +421,7 @@ bool SubTransitionGraph::ReadJoint(TableSweep& sweep, std::uint64_t to,
         cursor_.next_member = member;
         ++stats.members_enumerated;
         if (!sweep_member(member, nullptr)) return false;
-        cursor_.next_member = member + 1;
-        CheckShapeCap(max_shapes);
+        PassMember(member, max_shapes);
         i = member + 1;
       }
       stats.members_enumerated += end - i;
@@ -448,8 +435,7 @@ bool SubTransitionGraph::ReadJoint(TableSweep& sweep, std::uint64_t to,
       ++stats.members_unpacked;
       table.Unpack(MemberTable::kJoint, i, sweep.joint, sweep.marks);
       if (!sweep_member(i, &sweep.joint)) return false;
-      cursor_.next_member = i + 1;
-      CheckShapeCap(max_shapes);
+      PassMember(i, max_shapes);
     }
   }
   return true;
@@ -459,15 +445,10 @@ void SubTransitionGraph::BuildFull(const MemberSource& source,
                                    SolveStats& stats,
                                    std::uint64_t max_shapes) {
   if (complete()) return;
-  // Report only this build's canonicalization savings: a graph resumed
-  // from an in-process partial entry arrives with its suspended builder's
-  // counter.
-  const std::uint64_t raw_hits_before = interner_.raw_hits();
   if (cursor_.phase == kCursorPhaseInitial) {
     SweepInitial(source, stats, max_shapes, nullptr);
   }
   SweepJoint(source, stats, max_shapes, nullptr);
-  stats.raw_memo_hits = interner_.raw_hits() - raw_hits_before;
 }
 
 }  // namespace amalgam

@@ -37,12 +37,17 @@
 // different one — resumes the sweep instead of rebuilding from scratch;
 // BuildFull on a partial graph finishes the remaining suffix only. A
 // resumed-to-completion graph is bit-identical to a cold full build (same
-// shape numbering, same edges). An edge is only (guard, new shape): no
-// joint member is kept per edge, and a witness re-derives those of its
-// path's edges from the backend (solver/engine.h).
+// shape numbering, same edges). The cursor and the edge count together
+// are the graph's BuildProgress, the one order by which copies of a graph
+// compete in the cache and the store. Both sweep phases run through one
+// driver (SweepPhase, graph.cc): the table prefix, then the backend's
+// stream, then the cursor moves on to the next phase. An edge is only
+// (guard, new shape): no joint member is kept per edge, and a witness
+// re-derives those of its path's edges from the backend (solver/engine.h).
 #ifndef AMALGAM_SOLVER_GRAPH_H_
 #define AMALGAM_SOLVER_GRAPH_H_
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -89,7 +94,7 @@ struct SolveStats {
   /// Members this query's sweeps appended to their class's MemberTable.
   std::uint64_t members_appended = 0;
   /// Members a table sweep unpacked for guards the bit-sliced path cannot
-  /// decide (quantifiers, function terms).
+  /// decide (function terms, relations wider than GuardAtom::kMaxArity).
   std::uint64_t members_unpacked = 0;
   bool graph_from_cache = false;         // seeded by a GraphCache entry
   bool graph_resumed = false;            // that entry was partial (cursor)
@@ -101,25 +106,35 @@ struct SolveStats {
 void AnnotateSweepSource(ScopedSpan& span, const MemberTable* table,
                          const SolveStats& before, const SolveStats& stats);
 
-/// Progress of a (possibly suspended) graph build, totally ordered by
-/// (phase, next_member). `next_member` is the position in the current
-/// phase's member stream the build resumes at: members before it are fully
-/// processed; the member *at* it may have been partially processed by a
-/// mid-member early exit, and re-sweeping it is safe because edge
-/// recording deduplicates. The streams are deterministic per backend
-/// fingerprint (same structures, same order — the Fingerprint contract),
-/// which is what makes a cursor meaningful across processes.
+/// Where a (possibly suspended) graph build stands in its member sweep.
+/// `next_member` is the position in the current phase's member stream the
+/// build resumes at: members before it are fully processed; the member
+/// *at* it may have been partially processed by a mid-member early exit,
+/// and re-sweeping it is safe because edge recording deduplicates. The
+/// streams are deterministic per backend fingerprint (same structures, same
+/// order — the Fingerprint contract), which is what makes a cursor
+/// meaningful across processes. Ordered by (phase, next_member).
 struct BuildCursor {
   /// 0 = in the k-generated initial-member sweep, 1 = in the 2k
   /// joint-member sweep, 2 = complete.
   std::uint32_t phase = 0;
   std::uint64_t next_member = 0;
 
-  friend bool operator==(const BuildCursor&, const BuildCursor&) = default;
-  friend bool operator<(const BuildCursor& a, const BuildCursor& b) {
-    return a.phase != b.phase ? a.phase < b.phase
-                              : a.next_member < b.next_member;
-  }
+  friend auto operator<=>(const BuildCursor&, const BuildCursor&) = default;
+};
+
+/// How far a graph's build has got: its cursor, then its edge count (a
+/// mid-member early exit records edges without advancing the cursor).
+/// This is the one order among copies of a graph: the cache keeps the
+/// greater of two entries for a key (solver/cache.h), the store writes a
+/// graph only over lesser persisted progress and a repack keeps a key's
+/// greatest copy (solver/store.h).
+struct BuildProgress {
+  BuildCursor cursor;
+  std::uint64_t edges = 0;
+
+  friend auto operator<=>(const BuildProgress&, const BuildProgress&) =
+      default;
 };
 
 inline constexpr std::uint32_t kCursorPhaseInitial = 0;
@@ -198,26 +213,15 @@ class SubTransitionGraph {
   // ---- Eager construction (branching fixpoint, cached queries). ----
 
   /// Sweeps both phases from the cursor to the end and marks the graph
-  /// complete (SweepInitial + SweepJoint without callbacks). No-op when
-  /// already complete. The graph does not depend on whether `source` has
-  /// a table; only the stats' members_generated and raw_memo_hits do.
+  /// complete (SweepInitial + SweepJoint without callbacks). On a restored
+  /// partial graph only the remaining stream suffix is swept (stats count
+  /// just that suffix), and the finished graph is bit-identical to a cold
+  /// full build. No-op when already complete. The graph does not depend on
+  /// whether `source` has a table; only the stats' members_generated and
+  /// raw_memo_hits do. Throws std::runtime_error when the interner grows
+  /// past `max_shapes` (a guard against mis-specified classes).
   void BuildFull(const MemberSource& source, SolveStats& stats,
                  std::uint64_t max_shapes = ~std::uint64_t{0});
-
-  /// Sweeps the k- and 2k-generated members of `backend` from the current
-  /// cursor to the end of both streams and marks the graph complete. On a
-  /// fresh graph this is the historical full build; on a restored partial
-  /// graph it processes only the remaining stream suffix (stats count just
-  /// that suffix) and the finished graph is bit-identical to a cold full
-  /// build. No-op when already complete. Throws std::runtime_error when
-  /// the interner grows past `max_shapes` (a guard against mis-specified
-  /// classes). `atom_cap` overrides the relational enumerators' candidate
-  /// cap (0 = backend default), threaded through as EnumControl::atom_cap.
-  void BuildFull(const SolverBackend& backend, SolveStats& stats,
-                 std::uint64_t max_shapes = ~std::uint64_t{0},
-                 std::uint32_t atom_cap = 0) {
-    BuildFull(MemberSource{backend, nullptr, atom_cap}, stats, max_shapes);
-  }
 
   // ---- Read access. ----
 
@@ -238,6 +242,8 @@ class SubTransitionGraph {
   /// How far the member sweep has progressed; persisted alongside the
   /// graph so a later query resumes instead of rebuilding.
   const BuildCursor& cursor() const { return cursor_; }
+  /// The cursor and edge count, in the order copies of a graph compete by.
+  BuildProgress progress() const { return BuildProgress{cursor_, num_edges_}; }
 
   /// Records sweep progress for a caller that feeds members through
   /// AddInitialMember/ProcessJointMember itself (SweepInitial and
@@ -263,19 +269,25 @@ class SubTransitionGraph {
 
   /// One sweep's state over a member table (graph.cc).
   struct TableSweep;
-  /// Streams the joint members from the cursor to the end of the stream;
-  /// with `extend` (a table whose extension claim this sweep holds) each
-  /// member is also appended to the table until it is full.
-  bool StreamJoint(const MemberSource& source, MemberTable* extend,
-                   SolveStats& stats, std::uint64_t max_shapes,
-                   const EdgeCallback& on_new_edge);
+  /// Sweeps phase `stream` (MemberTable::kInitial or kJoint) from the
+  /// cursor to the end of its member stream, then moves the cursor to the
+  /// next phase: the prefix the source's table holds goes to
+  /// `read(sweep, end)`, which sweeps up to `end`, and the rest is streamed
+  /// from the backend, one member at a time, to `member(d, marks, index)`.
+  /// Either returns false to stop the sweep; this returns false iff one
+  /// did. Adds the canonicalizations the phase skipped to
+  /// stats.raw_memo_hits.
+  template <typename Read, typename Member>
+  bool SweepPhase(const MemberSource& source, int stream, SolveStats& stats,
+                  Read&& read, Member&& member);
   /// Sweeps the table's joint members from the cursor up to `to`, guards
   /// bit-sliced over 64 members at a time where they allow it.
   bool ReadJoint(TableSweep& sweep, std::uint64_t to, SolveStats& stats,
                  std::uint64_t max_shapes, const EdgeCallback& on_new_edge);
 
-  /// Throws once the interner holds more than `max_shapes` shapes.
-  void CheckShapeCap(std::uint64_t max_shapes) const;
+  /// Moves the cursor past member `index` of the current phase; throws
+  /// once the interner holds more than `max_shapes` shapes.
+  void PassMember(std::uint64_t index, std::uint64_t max_shapes);
 
   std::vector<FormulaRef> guards_;
   // The guards lowered to bytecode once at construction (logic/compiled.h).

@@ -66,12 +66,6 @@ class ConfigInterner {
   /// store loader falls back to a fresh build.
   bool RestoreShapes(std::vector<CanonicalForm> shapes);
 
-  /// Frees the raw-key memo and the scratch buffers, keeping the shapes
-  /// and their hash-consing. For an interner that is done interning (a
-  /// built MemberTable's) the memo is dead weight; later Intern calls
-  /// would still work and regrow it.
-  void ReleaseRawMemo();
-
   /// The interned canonical form with id `id`.
   const CanonicalForm& shape(int id) const { return shapes_[id]; }
 

@@ -248,8 +248,7 @@ struct RecordHeader {
   std::string_view key;  // views the record's bytes
   std::uint64_t k = 0;
   std::uint64_t num_guards = 0;
-  BuildCursor cursor;
-  std::uint64_t num_edges = 0;
+  BuildProgress progress;
 };
 
 /// Validates one serialized graph record (a loose file's bytes, or one
@@ -269,40 +268,37 @@ bool ReadHeader(std::string_view bytes, RecordHeader* header, Reader* r) {
   return r->ReadVarint(&version) && version == kGraphStoreFormatVersion &&
          r->ReadVarint(&key_len) && r->ReadBytes(key_len, &header->key) &&
          r->ReadVarint(&header->k) && r->ReadVarint(&header->num_guards) &&
-         r->ReadCounted(&header->cursor.phase) &&
-         r->ReadVarint(&header->cursor.next_member) &&
-         r->ReadVarint(&header->num_edges);
+         r->ReadCounted(&header->progress.cursor.phase) &&
+         r->ReadVarint(&header->progress.cursor.next_member) &&
+         r->ReadVarint(&header->progress.edges);
 }
 
-/// The embedded key and (cursor, edge count) progress header of a record
-/// that ReadHeader accepts.
+/// The embedded key and progress header of a record that ReadHeader
+/// accepts.
 bool PeekEntryBytes(std::string_view bytes, std::string* key_out,
-                    BuildCursor* cursor, std::uint64_t* num_edges) {
+                    BuildProgress* progress) {
   RecordHeader header;
   Reader r{std::string_view()};
   if (!ReadHeader(bytes, &header, &r)) return false;
   key_out->assign(header.key);
-  *cursor = header.cursor;
-  *num_edges = header.num_edges;
+  *progress = header.progress;
   return true;
 }
 
 /// The progress recorded in an existing, checksum-valid store file for
-/// `key`. False when the file is absent, torn, for a different key (hash
+/// `key`. Nullopt when the file is absent, torn, for a different key (hash
 /// collision) or otherwise unreadable — all cases where overwriting loses
 /// nothing.
-bool PeekProgress(const std::string& path, std::string_view key,
-                  BuildCursor* cursor, std::uint64_t* num_edges) {
+std::optional<BuildProgress> PeekProgress(const std::string& path,
+                                          std::string_view key) {
   std::string bytes;
   std::string stored_key;
-  return ReadFileBytes(path, &bytes) &&
-         PeekEntryBytes(bytes, &stored_key, cursor, num_edges) &&
-         stored_key == key;
-}
-
-bool StrictlyBefore(const BuildCursor& a, std::uint64_t a_edges,
-                    const BuildCursor& b, std::uint64_t b_edges) {
-  return a < b || (a == b && a_edges < b_edges);
+  BuildProgress progress;
+  if (ReadFileBytes(path, &bytes) &&
+      PeekEntryBytes(bytes, &stored_key, &progress) && stored_key == key) {
+    return progress;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -315,12 +311,12 @@ std::string SerializeGraph(const SubTransitionGraph& graph,
   out += key;
   AppendVarint(out, graph.k());
   AppendVarint(out, graph.guards().size());
-  AppendVarint(out, graph.cursor().phase);
-  AppendVarint(out, graph.cursor().next_member);
-  // In the header so Save can compare two files' progress — (cursor, edge
-  // count) is the same order GraphCache::Insert replaces entries by —
-  // without parsing the shape and edge blocks.
-  AppendVarint(out, graph.num_edges());
+  // The graph's BuildProgress, in the header so Save can compare two
+  // files' progress without parsing the shape and edge blocks.
+  const BuildProgress progress = graph.progress();
+  AppendVarint(out, progress.cursor.phase);
+  AppendVarint(out, progress.cursor.next_member);
+  AppendVarint(out, progress.edges);
 
   // Every shape projects a member of one backend class, so all share one
   // schema; a graph without shapes writes an empty block.
@@ -434,10 +430,10 @@ std::shared_ptr<SubTransitionGraph> DeserializeGraph(
   std::shared_ptr<SubTransitionGraph> graph = SubTransitionGraph::FromParts(
       std::vector<FormulaRef>(guards.begin(), guards.end()), k,
       std::move(shapes), std::move(initial_shapes), std::move(edges),
-      header.cursor);
+      header.progress.cursor);
   // Save compares records by their header alone, so the header's edge count
   // must be the edge block's.
-  if (graph == nullptr || graph->num_edges() != header.num_edges) {
+  if (graph == nullptr || graph->progress() != header.progress) {
     return nullptr;
   }
   return graph;
@@ -495,22 +491,16 @@ GraphStore::LoadResult GraphStore::Load(const std::string& key,
   return result;
 }
 
-GraphStore::KeyProgress GraphStore::PeekKey(const std::string& key) const {
-  KeyProgress progress;
-  BuildCursor cursor;
-  std::uint64_t edges = 0;
-  if (PeekProgress(PathFor(key), key, &cursor, &edges)) {
-    progress = KeyProgress{true, cursor, edges};
-  }
+std::optional<BuildProgress> GraphStore::PeekKey(
+    const std::string& key) const {
+  std::optional<BuildProgress> progress = PeekProgress(PathFor(key), key);
+  // ReadPackEntry returns only a record that carries `key`.
   const std::string entry = ReadPackEntry(key);
-  if (!entry.empty()) {
-    std::string stored_key;
-    if (PeekEntryBytes(entry, &stored_key, &cursor, &edges) &&
-        stored_key == key &&
-        (!progress.found || StrictlyBefore(progress.cursor, progress.num_edges,
-                                           cursor, edges))) {
-      progress = KeyProgress{true, cursor, edges};
-    }
+  std::string stored_key;
+  BuildProgress packed;
+  if (!entry.empty() && PeekEntryBytes(entry, &stored_key, &packed) &&
+      (!progress || *progress < packed)) {
+    progress = packed;
   }
   return progress;
 }
@@ -520,17 +510,15 @@ bool GraphStore::Save(const std::string& key,
   const std::string path = PathFor(key);
   // Never clobber further-along progress persisted by someone we have not
   // seen — another process, or another cache in this one — with a
-  // less-explored graph: write-through only when this graph is strictly
-  // ahead of the furthest copy either tier already holds, mirroring
-  // GraphCache::Insert's replacement order. (Against the pack the check
+  // less-explored graph: write-through only when this graph's
+  // BuildProgress is strictly greater than that of the furthest copy
+  // either tier already holds. (Against the pack the check
   // also prevents a *shadow* downgrade: a partial loose file would eclipse
   // the packed entry on the read path.) Last-writer-wins remains possible
   // between racing saves of incomparable snapshots, but both snapshots are
   // then correct graphs and the trajectory merely pauses, never corrupts.
-  const KeyProgress incumbent = PeekKey(key);
-  if (incumbent.found &&
-      !StrictlyBefore(incumbent.cursor, incumbent.num_edges, graph.cursor(),
-                      graph.num_edges())) {
+  const std::optional<BuildProgress> incumbent = PeekKey(key);
+  if (incumbent && graph.progress() <= *incumbent) {
     save_skips_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -734,10 +722,8 @@ std::string GraphStore::ReadPackEntry(const std::string& key) const {
     if (static_cast<std::uint64_t>(in.gcount()) != lo->length) continue;
     // Colliding hashes share an index slot; the embedded key decides.
     std::string stored_key;
-    BuildCursor cursor;
-    std::uint64_t edges;
-    if (PeekEntryBytes(entry, &stored_key, &cursor, &edges) &&
-        stored_key == key) {
+    BuildProgress progress;
+    if (PeekEntryBytes(entry, &stored_key, &progress) && stored_key == key) {
       return entry;
     }
   }
@@ -802,8 +788,7 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
   // (ties go to the loose file so it can be folded away).
   struct Candidate {
     std::string bytes;
-    BuildCursor cursor;
-    std::uint64_t edges = 0;
+    BuildProgress progress;
     std::string loose_path;  // empty: came from the current pack
   };
   std::unordered_map<std::string, Candidate> best;
@@ -827,14 +812,11 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
         std::string_view entry;
         if (!r.ReadVarint(&len) || !r.ReadBytes(len, &entry)) break;
         std::string key;
-        BuildCursor cursor;
-        std::uint64_t edges;
-        if (!PeekEntryBytes(entry, &key, &cursor, &edges)) break;
+        BuildProgress progress;
+        if (!PeekEntryBytes(entry, &key, &progress)) break;
         auto it = best.find(key);
-        if (it == best.end() ||
-            StrictlyBefore(it->second.cursor, it->second.edges, cursor,
-                           edges)) {
-          best[key] = Candidate{std::string(entry), cursor, edges, ""};
+        if (it == best.end() || it->second.progress < progress) {
+          best[key] = Candidate{std::string(entry), progress, ""};
         }
       }
     }
@@ -847,15 +829,12 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
     std::string bytes;
     if (!ReadFileBytes(entry.path().string(), &bytes)) continue;
     std::string key;
-    BuildCursor cursor;
-    std::uint64_t edges;
-    if (!PeekEntryBytes(bytes, &key, &cursor, &edges)) continue;  // corrupt
+    BuildProgress progress;
+    if (!PeekEntryBytes(bytes, &key, &progress)) continue;  // corrupt
     ++loose_seen;
     auto it = best.find(key);
-    if (it == best.end() ||
-        !StrictlyBefore(cursor, edges, it->second.cursor, it->second.edges)) {
-      best[key] = Candidate{std::move(bytes), cursor, edges,
-                            entry.path().string()};
+    if (it == best.end() || progress >= it->second.progress) {
+      best[key] = Candidate{std::move(bytes), progress, entry.path().string()};
     }
   }
 
@@ -960,10 +939,9 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
   // pass ran, in which case it stays authoritative until the next repack.
   for (const auto& [key, candidate] : best) {
     if (candidate.loose_path.empty()) continue;
-    BuildCursor cursor;
-    std::uint64_t edges = 0;
-    if (PeekProgress(candidate.loose_path, key, &cursor, &edges) &&
-        StrictlyBefore(candidate.cursor, candidate.edges, cursor, edges)) {
+    const std::optional<BuildProgress> now =
+        PeekProgress(candidate.loose_path, key);
+    if (now && candidate.progress < *now) {
       ++result.loose_kept;
       continue;
     }

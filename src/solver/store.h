@@ -17,8 +17,9 @@
 //   varint key length, key bytes        (the GraphCache key, verified on load)
 //   varint k, varint guard count        (verified against the loading query)
 //   varint cursor phase, varint cursor next_member, varint edge count
-//                                       (progress header — lets Save compare
-//                                       two files without parsing the body)
+//                                       (the graph's BuildProgress — lets
+//                                       Save compare two files without
+//                                       parsing the body)
 //   schema block: #relations, per symbol (name length, name, arity);
 //                 #functions likewise    (verified against the backend schema)
 //   shape block:  #shapes, per shape its Structure content (EncodeContent
@@ -62,6 +63,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -176,27 +178,23 @@ class GraphStore {
                   std::span<const FormulaRef> guards, int k) const;
 
   /// Persists `graph` under `key` as a loose file via an atomic rename —
-  /// but only when it is strictly further along (by cursor, then edge
-  /// count — the same order GraphCache::Insert replaces entries by) than
-  /// the furthest valid copy already persisted in either tier, so a
-  /// less-explored graph never clobbers progress persisted by another
-  /// process and a packed complete entry is never shadowed by a partial
-  /// loose one. Corrupt/torn incumbents are always overwritten. Returns
+  /// but only when its BuildProgress (solver/graph.h) is strictly greater
+  /// than that of the furthest valid copy already persisted in either
+  /// tier, so a less-explored graph never clobbers progress persisted by
+  /// another process and a packed complete entry is never shadowed by a
+  /// partial loose one. Corrupt/torn incumbents are always overwritten. Returns
   /// true only when a file was actually written; false means the write
   /// failed or was skipped in favor of the further-along incumbent.
   bool Save(const std::string& key, const SubTransitionGraph& graph) const;
 
-  /// The build progress persisted for `key` (the furthest of the two
-  /// tiers), read from entry headers without materializing a graph.
-  struct KeyProgress {
-    bool found = false;  // some valid entry exists for the key
-    BuildCursor cursor;
-    std::uint64_t num_edges = 0;
-  };
-  KeyProgress PeekKey(const std::string& key) const;
+  /// The build progress persisted for `key` (the greater of the two
+  /// tiers'), read from entry headers without materializing a graph;
+  /// nullopt when neither tier holds a valid entry for the key.
+  std::optional<BuildProgress> PeekKey(const std::string& key) const;
 
   /// Folds the loose tier into a fresh pack generation: reads every valid
-  /// packed and loose entry, keeps the further-along copy per key, writes
+  /// packed and loose entry, keeps the copy of greatest BuildProgress per
+  /// key (a loose copy on a tie), writes
   /// a new pack + index under temp names, publishes both atomically (pack
   /// first, then the index that references it), and only then deletes the
   /// loose files it absorbed — re-checking each one so progress saved

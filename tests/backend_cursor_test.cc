@@ -336,7 +336,7 @@ TEST(CursorConformanceTest, StoreResumedBuildGeneratesOnlyTheSuffix) {
 
   SubTransitionGraph cold(guards, k);
   SolveStats cold_stats;
-  cold.BuildFull(cls, cold_stats);
+  cold.BuildFull(MemberSource{cls}, cold_stats);
   EXPECT_EQ(cold_stats.members_generated, initial_total + joint_total);
 
   // A streaming build suspended halfway through the joint sweep — the
@@ -372,7 +372,7 @@ TEST(CursorConformanceTest, StoreResumedBuildGeneratesOnlyTheSuffix) {
   EXPECT_EQ(restored->cursor(), (BuildCursor{kCursorPhaseJoint, cutoff}));
 
   SolveStats resumed_stats;
-  restored->BuildFull(cls, resumed_stats);
+  restored->BuildFull(MemberSource{cls}, resumed_stats);
   // The resumed build materializes exactly the unswept suffix — strictly
   // less than the full stream, which is the whole point of the cursors.
   EXPECT_EQ(resumed_stats.members_generated, joint_total - cutoff);

@@ -1,16 +1,16 @@
 // Differential fuzz for the compiled guard kernels: CompiledGuard::Eval
 // must agree with the recursive reference evaluator (EvalFormula) on every
-// (formula, structure, valuation) triple — quantifiers, negation, nested
+// (quantifier-free formula, structure, valuation) triple — negation, nested
 // connectives and function terms included — and SlicedGuard::Eval over a
 // member table's atom columns must agree with the VM on every member of
 // every zoo class's table. The generators are seeded, so a failure
-// reproduces; the fixed regressions at the bottom pin the two semantic
-// corners that are easiest to get wrong in a loop-frame VM (empty-domain
-// quantification and variable shadowing).
+// reproduces; the fixed cases at the bottom pin the VM's zero-extension of
+// short valuations and its refusal of quantifiers.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,8 +72,9 @@ Term RandomTerm(std::mt19937& rng, int depth) {
   }
 }
 
+// A random quantifier-free formula: what a compiled guard admits.
 FormulaRef RandomFormula(std::mt19937& rng, int depth) {
-  const int pick = static_cast<int>(rng() % (depth > 0 ? 9 : 5));
+  const int pick = static_cast<int>(rng() % (depth > 0 ? 8 : 5));
   switch (pick) {
     case 0:
       return Formula::True();
@@ -90,12 +91,9 @@ FormulaRef RandomFormula(std::mt19937& rng, int depth) {
     case 6:
       return Formula::And(RandomFormula(rng, depth - 1),
                           RandomFormula(rng, depth - 1));
-    case 7:
+    default:
       return Formula::Or(RandomFormula(rng, depth - 1),
                          RandomFormula(rng, depth - 1));
-    default:
-      return Formula::Exists(static_cast<int>(rng() % kNumVars),
-                             RandomFormula(rng, depth - 1));
   }
 }
 
@@ -125,7 +123,7 @@ TEST(CompiledGuardTest, DifferentialFuzzAgainstEvalFormula) {
 
 TEST(CompiledGuardTest, EvaluatorIsReusableAcrossGuards) {
   // One evaluator serves many guards of different variable counts and
-  // quantifier depths back to back — exactly how the sweep uses it.
+  // shapes back to back — exactly how the sweep uses it.
   SchemaRef schema = FuzzSchema();
   std::mt19937 rng(7);
   Structure s = RandomStructure(schema, rng);
@@ -322,49 +320,30 @@ TEST(SlicedGuardTest, QuantifiersAndFunctionTermsStayOnTheVm) {
   EXPECT_EQ(sliced->num_vars(), 3);
 }
 
-TEST(CompiledGuardTest, ExistsOverEmptyDomainIsFalse) {
-  SchemaRef schema = FuzzSchema();
-  Structure empty(schema, 0);
-  GuardEvaluator eval;
-
-  FormulaRef f = Formula::Exists(0, Formula::True());
-  EXPECT_FALSE(eval.Eval(CompiledGuard::Compile(*f), empty, {}));
-  EXPECT_FALSE(EvalFormula(*f, empty, {}));
-
-  // Under negation the empty loop flips: !Ex0.true is true.
-  FormulaRef g = Formula::Not(f);
-  EXPECT_TRUE(eval.Eval(CompiledGuard::Compile(*g), empty, {}));
-  EXPECT_TRUE(EvalFormula(*g, empty, {}));
-}
-
-TEST(CompiledGuardTest, InnerQuantifierShadowingRestoresOuterBinding) {
-  // Ex0. (Ex0. p(x0)) & !p(x0): the inner loop rebinds x0; after it exits,
-  // the outer binding must be restored or the conjunct !p(x0) reads the
-  // inner loop's last element. With p(0) and !p(1) the formula is true
-  // (witness x0 = 1), and a VM that fails to restore the shadowed slot
-  // would leave x0 at the inner loop's exit value instead.
-  SchemaRef schema = FuzzSchema();
-  Structure s(schema, 2);
-  s.SetHolds1(1, 0);
-  FormulaRef f = Formula::Exists(
-      0, Formula::And(Formula::Exists(0, Formula::Rel(1, {Term::Var(0)})),
-                      Formula::Not(Formula::Rel(1, {Term::Var(0)}))));
-  GuardEvaluator eval;
-  EXPECT_TRUE(EvalFormula(*f, s, {}));
-  EXPECT_TRUE(eval.Eval(CompiledGuard::Compile(*f), s, {}));
-}
-
 TEST(CompiledGuardTest, ShortValuationZeroExtends) {
-  // A guard whose quantified variable id exceeds the valuation length:
-  // both evaluators zero-extend, so a closed formula over high variable
-  // ids evaluates under an empty valuation.
+  // A free variable past the valuation reads as element 0: the VM
+  // evaluates a short valuation as its zero extension. Here p(x2) reads
+  // p(0), which holds, and !p(x0) reads !p(2).
   SchemaRef schema = FuzzSchema();
   Structure s(schema, 3);
-  s.SetHolds1(1, 2);
-  FormulaRef f = Formula::Exists(2, Formula::Rel(1, {Term::Var(2)}));
+  s.SetHolds1(1, 0);
+  FormulaRef f = Formula::And(Formula::Rel(1, {Term::Var(2)}),
+                              Formula::Not(Formula::Rel(1, {Term::Var(0)})));
+  const std::vector<Elem> short_valuation = {2};
+  const std::vector<Elem> extended = {2, 0, 0};
   GuardEvaluator eval;
-  EXPECT_TRUE(EvalFormula(*f, s, {}));
-  EXPECT_TRUE(eval.Eval(CompiledGuard::Compile(*f), s, {}));
+  EXPECT_TRUE(EvalFormula(*f, s, extended));
+  EXPECT_TRUE(eval.Eval(CompiledGuard::Compile(*f), s, short_valuation));
+}
+
+TEST(CompiledGuardTest, CompileRejectsQuantifiers) {
+  // A graph admits only quantifier-free guards, and so does the VM, at
+  // any depth of the formula.
+  const FormulaRef exists = Formula::Exists(0, Formula::Rel(1, {Term::Var(0)}));
+  EXPECT_THROW(CompiledGuard::Compile(*exists), std::invalid_argument);
+  EXPECT_THROW(CompiledGuard::Compile(*Formula::And(
+                   Formula::True(), Formula::Not(exists))),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ std::shared_ptr<const SubTransitionGraph> TinyCompleteGraph() {
   auto graph =
       std::make_shared<SubTransitionGraph>(std::vector<FormulaRef>{}, 1);
   SolveStats stats;
-  graph->BuildFull(orders, stats);
+  graph->BuildFull(MemberSource{orders}, stats);
   return graph;
 }
 

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,9 +74,9 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
   }
   {
     GraphStore store(dir);
-    const GraphStore::KeyProgress before = store.PeekKey(key);
-    ASSERT_TRUE(before.found);
-    ASSERT_NE(before.cursor.phase, kCursorPhaseComplete)
+    const std::optional<BuildProgress> before = store.PeekKey(key);
+    ASSERT_TRUE(before.has_value());
+    ASSERT_NE(before->cursor.phase, kCursorPhaseComplete)
         << "the early-exited query must persist a *partial* entry";
   }
 
@@ -100,9 +101,9 @@ TEST(MaintenanceTest, IdleLoopAloneCompletesAPartialStoreEntry) {
   }
   {
     GraphStore store(dir);
-    const GraphStore::KeyProgress after = store.PeekKey(key);
-    ASSERT_TRUE(after.found);
-    EXPECT_EQ(after.cursor.phase, kCursorPhaseComplete);
+    const std::optional<BuildProgress> after = store.PeekKey(key);
+    ASSERT_TRUE(after.has_value());
+    EXPECT_EQ(after->cursor.phase, kCursorPhaseComplete);
     EXPECT_EQ(store.PackEntryCount(), 1u);
     EXPECT_EQ(store.LooseFileCount(), 0u);
   }

@@ -522,6 +522,63 @@ TEST(ServiceTest, SessionInflightCapRejectsInBandAndInOrder) {
   EXPECT_EQ(service.Stats().queries, 1u);
 }
 
+TEST(ServiceTest, SessionInflightSlotFreesOnlyOnceItsResponseIsEmitted) {
+  QueryService::Options options;
+  options.num_workers = 2;
+  QueryService service(options);
+
+  // The emit hook signals that the first response is being emitted and
+  // blocks there; lines 2 and 3 arrive only after that signal, while the
+  // response is out of the FIFO but not yet emitted. Its slot must still
+  // count against the cap, so both are refused.
+  std::promise<void> emitting;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::mutex lines_mutex;
+  std::vector<std::string> lines;
+  Session::Options sopts;
+  sopts.max_inflight = 1;
+  {
+    Session session(service, sopts, [&](const std::string& line) {
+      bool first;
+      {
+        std::lock_guard<std::mutex> lock(lines_mutex);
+        lines.push_back(line);
+        first = lines.size() == 1;
+      }
+      if (first) {
+        emitting.set_value();
+        gate.wait();
+      }
+    });
+    const std::string query =
+        R"({"id":%,"kind":"system","class":"all","system":"reach_red"})";
+    auto line_with_id = [&](int id) {
+      std::string line = query;
+      return line.replace(line.find('%'), 1, std::to_string(id));
+    };
+    session.HandleLine(line_with_id(1));
+    emitting.get_future().wait();
+    session.HandleLine(line_with_id(2));
+    session.HandleLine(line_with_id(3));
+    EXPECT_EQ(session.rejected_overload(), 2u);
+    EXPECT_EQ(session.inflight(), 1);
+    release.set_value();
+    session.Flush();
+    EXPECT_EQ(session.inflight(), 0);
+  }
+
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  for (int i = 1; i <= 2; ++i) {
+    EXPECT_NE(lines[i].find("\"error_code\":\"overloaded\""),
+              std::string::npos)
+        << lines[i];
+  }
+  service.Drain();
+  EXPECT_EQ(service.Stats().queries, 1u);
+}
+
 TEST(ServiceTest, VerdictsMatchEverySynchronousFrontDoor) {
   QueryService::Options options;
   options.num_workers = 4;

@@ -104,7 +104,7 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     const int k = system.num_registers();
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
-    graph.BuildFull(all, stats);
+    graph.BuildFull(MemberSource{all}, stats);
     ExpectRoundTripIdentical(graph, KeyOf(all, k, guards), all.schema(),
                              guards, k);
   }
@@ -117,7 +117,7 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     const int k = system.num_registers();
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
-    graph.BuildFull(cls, stats);
+    graph.BuildFull(MemberSource{cls}, stats);
     ExpectRoundTripIdentical(graph, KeyOf(cls, k, guards), cls.schema(),
                              guards, k);
   }
@@ -131,7 +131,7 @@ TEST(StoreTest, CompleteGraphsRoundTripByteIdenticalAcrossTheZoos) {
     const int k = system.num_registers();
     SubTransitionGraph graph(guards, k);
     SolveStats stats;
-    graph.BuildFull(cls, stats);
+    graph.BuildFull(MemberSource{cls}, stats);
     ExpectRoundTripIdentical(graph, KeyOf(cls, k, guards), cls.schema(),
                              guards, k);
   }
@@ -271,11 +271,11 @@ TEST(StoreTest, ResumedBuildsAreBitIdenticalToColdBuilds) {
   // ...finished, against a cold full build.
   SubTransitionGraph cold(guards, k);
   SolveStats cold_stats;
-  cold.BuildFull(all, cold_stats);
+  cold.BuildFull(MemberSource{all}, cold_stats);
 
   SubTransitionGraph resumed(*partial);
   SolveStats resumed_stats;
-  resumed.BuildFull(all, resumed_stats);
+  resumed.BuildFull(MemberSource{all}, resumed_stats);
   EXPECT_LT(resumed_stats.members_enumerated, cold_stats.members_enumerated);
   EXPECT_EQ(SerializeGraph(resumed, key), SerializeGraph(cold, key));
 
@@ -284,7 +284,7 @@ TEST(StoreTest, ResumedBuildsAreBitIdenticalToColdBuilds) {
       SerializeGraph(*partial, key), key, all.schema(), guards, k);
   ASSERT_NE(reloaded, nullptr);
   SolveStats reloaded_stats;
-  reloaded->BuildFull(all, reloaded_stats);
+  reloaded->BuildFull(MemberSource{all}, reloaded_stats);
   EXPECT_EQ(SerializeGraph(*reloaded, key), SerializeGraph(cold, key));
 }
 
@@ -366,7 +366,7 @@ TEST(StoreTest, DeserializeRejectsMismatchedContext) {
   const std::string key = KeyOf(all, k, guards);
   SubTransitionGraph graph(guards, k);
   SolveStats stats;
-  graph.BuildFull(all, stats);
+  graph.BuildFull(MemberSource{all}, stats);
   const std::string bytes = SerializeGraph(graph, key);
 
   EXPECT_NE(DeserializeGraph(bytes, key, all.schema(), guards, k), nullptr);
@@ -422,7 +422,7 @@ TEST(StoreTest, VersionSkewedRecordsReadAsMissesAndAreReplaced) {
   const std::string key = KeyOf(all, k, guards);
   SubTransitionGraph graph(guards, k);
   SolveStats stats;
-  graph.BuildFull(all, stats);
+  graph.BuildFull(MemberSource{all}, stats);
   const std::string current = SerializeGraph(graph, key);
   // "AMGS", then the version as a one-byte varint.
   ASSERT_EQ(current[4], static_cast<char>(kGraphStoreFormatVersion));
@@ -541,7 +541,7 @@ TEST(StoreTest, DeserializeSurvivesEveryTruncationAndSeededMutations) {
                           const SolverBackend& backend) {
     SubTransitionGraph graph(GuardsOf(system), system.num_registers());
     SolveStats stats;
-    graph.BuildFull(backend, stats);
+    graph.BuildFull(MemberSource{backend}, stats);
     add(std::move(name), graph, backend);
   };
   AllStructuresClass all(GraphZooSchema());
@@ -720,7 +720,7 @@ TEST(StoreTest, SweepEvictsLeastRecentlyUsedFilesFirst) {
     auto graph = std::make_shared<SubTransitionGraph>(guards,
                                                       system.num_registers());
     SolveStats stats;
-    graph->BuildFull(all, stats);
+    graph->BuildFull(MemberSource{all}, stats);
     const std::string key = SystemGraphContext(BorrowBackend(all), system).key;
     ASSERT_TRUE(store.Save(key, *graph));
     keys.push_back(key);
@@ -757,7 +757,7 @@ TEST(StoreTest, SweepWithoutCapsIsANoOp) {
   auto graph =
       std::make_shared<SubTransitionGraph>(guards, system.num_registers());
   SolveStats stats;
-  graph->BuildFull(all, stats);
+  graph->BuildFull(MemberSource{all}, stats);
   const std::string key = SystemGraphContext(BorrowBackend(all), system).key;
   ASSERT_TRUE(store.Save(key, *graph));
 
@@ -814,7 +814,7 @@ SubTransitionGraph BuildSmallCompleteGraph(const AllStructuresClass& all,
   std::vector<FormulaRef> guards = GuardsOf(system);
   SubTransitionGraph graph(guards, system.num_registers());
   SolveStats stats;
-  graph.BuildFull(all, stats);
+  graph.BuildFull(MemberSource{all}, stats);
   return graph;
 }
 

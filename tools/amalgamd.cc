@@ -75,7 +75,7 @@ void PrintUsage(const char* argv0) {
       "                          count as idle; 0 = never)\n"
       "\n"
       "service:\n"
-      "  --threads N             query worker threads (alias: --workers)\n"
+      "  --threads N             query worker threads\n"
       "  --cache-max-entries N   memory-tier LRU cap (0 = unbounded)\n"
       "  --store-dir DIR         attach the disk tier at DIR\n"
       "  --store-max-bytes N / --store-max-files N   disk-tier sweep caps\n"
@@ -125,8 +125,6 @@ struct Cli {
 
 Cli ParseArgs(int argc, char** argv) {
   Cli cli;
-  bool saw_threads = false;
-  bool saw_workers = false;
   bool saw_stdio = false;
   for (int i = 1; i < argc && cli.error.empty(); ++i) {
     std::string flag = argv[i];
@@ -183,8 +181,7 @@ Cli ParseArgs(int argc, char** argv) {
       if (need_uint(&n)) cli.net.max_inflight_per_conn = static_cast<int>(n);
     } else if (flag == "--idle-timeout-ms") {
       if (need_uint(&n)) cli.net.idle_timeout_ms = static_cast<int>(n);
-    } else if (flag == "--threads" || flag == "--workers") {
-      (flag == "--threads" ? saw_threads : saw_workers) = true;
+    } else if (flag == "--threads") {
       if (need_uint(&n)) cli.service.num_workers = static_cast<int>(n);
     } else if (flag == "--cache-max-entries") {
       if (need_uint(&n)) cli.service.cache_max_entries = static_cast<std::size_t>(n);
@@ -205,10 +202,6 @@ Cli ParseArgs(int argc, char** argv) {
     }
   }
   if (!cli.error.empty() || cli.help) return cli;
-  if (saw_threads && saw_workers) {
-    cli.error = "--threads and --workers are aliases; pass only one";
-    return cli;
-  }
   const bool has_socket = !cli.net.uds_path.empty() || cli.net.tcp_port >= 0;
   if (saw_stdio && has_socket) {
     cli.error = "--stdio cannot be combined with --uds/--tcp: stdio serves "
