@@ -294,8 +294,8 @@ BENCHMARK(BM_InternThroughput)
 // The relational backend's native EnumerateGeneratedFrom seeks straight
 // to the cursor position in the set-partition × atom-mask grid, so the
 // resume generates only the unswept suffix; `members_generated` reports
-// exactly that suffix (the default adapter would report the full stream
-// at every cursor).
+// exactly that suffix (a backend that walks its stream from the start to
+// skip the prefix would report the full stream at every cursor).
 void BM_ColdResume(benchmark::State& state) {
   const int pct = static_cast<int>(state.range(0));
   DdsSystem system = ChainSystem(64, 1);

@@ -80,10 +80,23 @@ bool DataClass::Contains(const Structure& s) const {
   return base_->Contains(ProjectToPrefixSchema(s, base_->schema()));
 }
 
-void DataClass::EnumerateGeneratedUntil(int m, const StopCallback& cb) const {
+// Each base member, then each data labeling of it. The labelings of a
+// member depend on its size, so the stream cannot seek: it walks the base
+// stream from its start and skips the members before `start`.
+void DataClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
+                                       const PositionCallback& cb,
+                                       const EnumControl& ctl) const {
+  std::uint64_t index = 0;
   bool go = true;
-  base_->EnumerateGeneratedUntil(m, [&](const Structure& d,
-                                        std::span<const Elem> marks) {
+  auto emit = [&](const Structure& s, std::span<const Elem> marks) {
+    const std::uint64_t here = index++;
+    if (ctl.generated != nullptr) ++*ctl.generated;
+    go = here < start || cb(s, marks, here);
+    return go;
+  };
+  base_->EnumerateGeneratedFrom(m, 0, [&](const Structure& d,
+                                          std::span<const Elem> marks,
+                                          std::uint64_t) {
     const int n = static_cast<int>(d.size());
     Structure extended = ExtendToSchema(d, schema_);
     auto clear_data = [&] {
@@ -98,8 +111,7 @@ void DataClass::EnumerateGeneratedUntil(int m, const StopCallback& cb) const {
         for (Elem a = 0; a < static_cast<Elem>(n); ++a) {
           extended.SetHolds2(data_rel_, a, a, true);
         }
-        go = cb(extended, marks);
-        return go;
+        return emit(extended, marks);
       }
       // All equivalence relations on the domain.
       ForEachSetPartition(n, [&](const std::vector<int>& class_of) {
@@ -112,7 +124,7 @@ void DataClass::EnumerateGeneratedUntil(int m, const StopCallback& cb) const {
             }
           }
         }
-        if (!cb(extended, marks)) go = false;
+        emit(extended, marks);
       });
       return go;
     }
@@ -129,7 +141,7 @@ void DataClass::EnumerateGeneratedUntil(int m, const StopCallback& cb) const {
             }
           }
         }
-        if (!cb(extended, marks)) go = false;
+        emit(extended, marks);
       });
       return go;
     }
@@ -149,11 +161,11 @@ void DataClass::EnumerateGeneratedUntil(int m, const StopCallback& cb) const {
             }
           }
         }
-        if (!cb(extended, marks)) go = false;
+        emit(extended, marks);
       });
     });
     return go;
-  });
+  }, EnumControl{nullptr, ctl.atom_cap});
 }
 
 std::optional<AmalgamResult> DataClass::Amalgamate(

@@ -42,7 +42,9 @@ class DataClass : public FraisseClass {
   std::string Fingerprint() const override;
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return base_->Blowup(n); }
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
+  void EnumerateGeneratedFrom(int m, std::uint64_t start,
+                              const PositionCallback& cb,
+                              const EnumControl& ctl = {}) const override;
   std::optional<AmalgamResult> Amalgamate(
       const Structure& a, const Structure& b,
       std::span<const Elem> b_to_a) const override;

@@ -6,7 +6,7 @@
 //   * decidable membership                      -> Contains()
 //   * a bound on the size of n-generated members -> Blowup()
 //   * effective enumeration of the members generated by a marked tuple
-//     (up to isomorphism)                        -> EnumerateGeneratedUntil()
+//     (up to isomorphism)                        -> EnumerateGeneratedFrom()
 // plus, optionally, an amalgamation operator used to reconstruct concrete
 // witness databases (the executable form of the soundness proof).
 #ifndef AMALGAM_FRAISSE_FRAISSE_CLASS_H_

@@ -26,9 +26,23 @@ bool HomClass::Contains(const Structure& s) const {
   return FindHomomorphism(s, template_).has_value();
 }
 
-void HomClass::EnumerateGeneratedUntil(int m, const StopCallback& cb) const {
-  EnumerateRelationalGenerated(
-      schema_, m, [this](const Structure& s) { return Contains(s); }, cb);
+// The all-structures grid walk over the template's schema, filtered by
+// membership. Positions count only the grid cells that pass the filter, so
+// the stream cannot seek: it walks the grid from its start and skips the
+// members before `start`.
+void HomClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
+                                      const PositionCallback& cb,
+                                      const EnumControl& ctl) const {
+  std::uint64_t index = 0;
+  AllStructuresClass(schema_).EnumerateGeneratedFrom(
+      m, 0,
+      [&](const Structure& s, std::span<const Elem> marks, std::uint64_t) {
+        if (!Contains(s)) return true;
+        const std::uint64_t here = index++;
+        if (ctl.generated != nullptr) ++*ctl.generated;
+        return here < start || cb(s, marks, here);
+      },
+      EnumControl{nullptr, ctl.atom_cap});
 }
 
 LiftedHomClass::LiftedHomClass(Structure template_db)
@@ -79,14 +93,19 @@ bool LiftedHomClass::Contains(const Structure& s) const {
   return true;
 }
 
-void LiftedHomClass::EnumerateGeneratedUntil(int m,
-                                             const StopCallback& cb) const {
+void LiftedHomClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
+                                            const PositionCallback& cb,
+                                            const EnumControl& ctl) const {
   // Direct enumeration: choose the mark partition, a color for each
   // element, then any subset of the base-relation tuples allowed by the
   // template through the coloring. This produces exactly the members,
   // without the 2^(d * |H|) waste of enumerating color predicates as
-  // arbitrary unary relations.
+  // arbitrary unary relations. The allowed atoms depend on the coloring,
+  // so the stream cannot seek: it walks from its start and skips the
+  // members before `start`.
   const int num_base_rels = template_.schema().num_relations();
+  const std::uint32_t cap = EffectiveAtomCap(ctl.atom_cap);
+  std::uint64_t index = 0;
   bool go = true;
   ForEachSetPartition(m, [&](const std::vector<int>& block_of) {
     if (!go) return;
@@ -117,9 +136,7 @@ void LiftedHomClass::EnumerateGeneratedUntil(int m,
           if (template_.Holds(r, colors)) atoms.push_back(Atom{r, tuple});
         });
       }
-      if (atoms.size() > kDefaultRelationalAtomCap) {
-        throw EnumerationCapError(atoms.size(), kDefaultRelationalAtomCap);
-      }
+      if (atoms.size() > cap) throw EnumerationCapError(atoms.size(), cap);
       Structure s(schema_, d);
       for (Elem e = 0; e < static_cast<Elem>(d); ++e) {
         s.SetHolds1(ColorRel(static_cast<Elem>(coloring[e])), e);
@@ -134,7 +151,9 @@ void LiftedHomClass::EnumerateGeneratedUntil(int m,
           }
         }
         previous = mask;
-        if (!cb(s, marks)) {
+        const std::uint64_t here = index++;
+        if (ctl.generated != nullptr) ++*ctl.generated;
+        if (here >= start && !cb(s, marks, here)) {
           go = false;
           return;
         }

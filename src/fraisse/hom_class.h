@@ -23,7 +23,9 @@ class HomClass : public FraisseClass {
   std::string Fingerprint() const override;
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
+  void EnumerateGeneratedFrom(int m, std::uint64_t start,
+                              const PositionCallback& cb,
+                              const EnumControl& ctl = {}) const override;
   const Structure& template_db() const { return template_; }
 
  private:
@@ -43,7 +45,9 @@ class LiftedHomClass : public FraisseClass {
   std::string Fingerprint() const override;
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
+  void EnumerateGeneratedFrom(int m, std::uint64_t start,
+                              const PositionCallback& cb,
+                              const EnumControl& ctl = {}) const override;
   /// Free amalgamation — always succeeds in this class (Lemma 7's proof).
   std::optional<AmalgamResult> Amalgamate(
       const Structure& a, const Structure& b,

@@ -16,12 +16,6 @@ namespace {
 // 1ULL << atoms must stay representable; caps above this are clamped.
 constexpr std::uint32_t kMaxGridAtoms = 62;
 
-std::uint32_t EffectiveAtomCap(std::uint32_t atom_cap) {
-  const std::uint32_t cap =
-      atom_cap == 0 ? kDefaultRelationalAtomCap : atom_cap;
-  return std::min(cap, kMaxGridAtoms);
-}
-
 std::uint64_t SatAdd(std::uint64_t a, std::uint64_t b) {
   return a > UINT64_MAX - b ? UINT64_MAX : a + b;
 }
@@ -191,44 +185,10 @@ std::vector<int> UnrankRgs(int d, std::uint64_t rank,
 
 }  // namespace
 
-void EnumerateRelationalGenerated(
-    const SchemaRef& schema, int m,
-    const std::function<bool(const Structure&)>& contains,
-    const FraisseClass::StopCallback& cb, std::uint32_t atom_cap) {
-  assert(schema->num_functions() == 0 &&
-         "relational enumerator requires a function-free schema");
-  const std::uint32_t cap = EffectiveAtomCap(atom_cap);
-  bool go = true;
-  ForEachSetPartition(m, [&](const std::vector<int>& block_of) {
-    if (!go) return;
-    const int d =
-        block_of.empty()
-            ? 0
-            : 1 + *std::max_element(block_of.begin(), block_of.end());
-    const std::vector<Elem> marks = MarksOf(block_of);
-    // Counted before any atom is built: the count saturates where building
-    // them would not finish.
-    const std::uint64_t count = AtomCountFor(schema, d);
-    if (count > cap) throw EnumerationCapError(count, cap);
-    const std::vector<RelAtom> atoms = AtomsFor(schema, d);
-    const std::uint64_t total = 1ULL << atoms.size();
-    Structure s(schema, d);
-    std::uint64_t previous = 0;
-    for (std::uint64_t mask = 0; mask < total; ++mask) {
-      // Update only the changed atoms (mask increments flip a suffix).
-      std::uint64_t diff = mask ^ previous;
-      for (std::size_t i = 0; diff >> i; ++i) {
-        if ((diff >> i) & 1) {
-          s.SetHolds(atoms[i].rel, atoms[i].tuple, (mask >> i) & 1);
-        }
-      }
-      previous = mask;
-      if (contains(s) && !cb(s, marks)) {
-        go = false;
-        return;
-      }
-    }
-  });
+std::uint32_t EffectiveAtomCap(std::uint32_t atom_cap) {
+  const std::uint32_t cap =
+      atom_cap == 0 ? kDefaultRelationalAtomCap : atom_cap;
+  return std::min(cap, kMaxGridAtoms);
 }
 
 AllStructuresClass::AllStructuresClass(SchemaRef schema)
@@ -245,12 +205,6 @@ std::string AllStructuresClass::Fingerprint() const {
 
 bool AllStructuresClass::Contains(const Structure& s) const {
   return s.schema() == *schema_;
-}
-
-void AllStructuresClass::EnumerateGeneratedUntil(
-    int m, const StopCallback& cb) const {
-  EnumerateRelationalGenerated(
-      schema_, m, [](const Structure&) { return true; }, cb);
 }
 
 // Positioned enumeration over the (set partition × atom mask) grid: a
@@ -369,37 +323,11 @@ bool LinearOrderClass::Contains(const Structure& s) const {
   return IsStrictLinearOrder(s, kLess);
 }
 
-void LinearOrderClass::EnumerateGeneratedUntil(int m,
-                                               const StopCallback& cb) const {
-  // Direct enumeration: a partition of the marks into d classes plus a
-  // linear order of the classes. (The generic enumerator would also work
-  // but wastes 2^(d^2) candidates.)
-  bool go = true;
-  ForEachSetPartition(m, [&](const std::vector<int>& block_of) {
-    if (!go) return;
-    const int d =
-        block_of.empty()
-            ? 0
-            : 1 + *std::max_element(block_of.begin(), block_of.end());
-    std::vector<Elem> marks(m);
-    for (int i = 0; i < m; ++i) marks[i] = static_cast<Elem>(block_of[i]);
-    ForEachPermutation(d, [&](const std::vector<int>& position_of) {
-      if (!go) return;
-      Structure s(schema_, d);
-      for (Elem a = 0; a < static_cast<Elem>(d); ++a) {
-        for (Elem b = 0; b < static_cast<Elem>(d); ++b) {
-          if (position_of[a] < position_of[b]) s.SetHolds2(kLess, a, b);
-        }
-      }
-      if (!cb(s, marks)) go = false;
-    });
-  });
-}
-
-// Positioned enumeration over the (set partition × permutation) grid:
-// unrank the seed permutation through the factorial number system, then
-// continue with std::next_permutation — the same order ForEachPermutation
-// walks, so positions match the full stream.
+// A member is a partition of the marks into d classes plus a linear order
+// of the classes (the all-structures grid would waste 2^(d^2) candidates
+// on it). The stream walks the (set partition × permutation) grid: unrank
+// the seed permutation through the factorial number system, then continue
+// with std::next_permutation in lexicographic order.
 void LinearOrderClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
                                               const PositionCallback& cb,
                                               const EnumControl& ctl) const {
@@ -476,35 +404,9 @@ bool EquivalenceClass::Contains(const Structure& s) const {
   return IsEquivalenceRelation(s, kEquiv);
 }
 
-void EquivalenceClass::EnumerateGeneratedUntil(int m,
-                                               const StopCallback& cb) const {
-  bool go = true;
-  ForEachSetPartition(m, [&](const std::vector<int>& block_of) {
-    if (!go) return;
-    const int d =
-        block_of.empty()
-            ? 0
-            : 1 + *std::max_element(block_of.begin(), block_of.end());
-    std::vector<Elem> marks(m);
-    for (int i = 0; i < m; ++i) marks[i] = static_cast<Elem>(block_of[i]);
-    // Group the d elements into equivalence classes.
-    ForEachSetPartition(d, [&](const std::vector<int>& class_of) {
-      if (!go) return;
-      Structure s(schema_, d);
-      for (Elem a = 0; a < static_cast<Elem>(d); ++a) {
-        for (Elem b = 0; b < static_cast<Elem>(d); ++b) {
-          if (class_of[a] == class_of[b]) s.SetHolds2(kEquiv, a, b);
-        }
-      }
-      if (!cb(s, marks)) go = false;
-    });
-  });
-}
-
 // Positioned enumeration over the (mark partition × element partition)
 // grid: Bell-number counts per row, restricted-growth-string unranking for
-// the seed and the lexicographic RGS successor for iteration — the same
-// order the nested ForEachSetPartition walks.
+// the seed and the lexicographic RGS successor for iteration.
 void EquivalenceClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
                                               const PositionCallback& cb,
                                               const EnumControl& ctl) const {

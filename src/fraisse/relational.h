@@ -1,4 +1,4 @@
-// Relational Fraïssé classes and the generic generated-structure enumerator.
+// Relational Fraïssé classes and their positioned member streams.
 //
 // For a purely relational schema, the substructure generated by a tuple of
 // marks is simply the restriction to the marked elements, so every
@@ -6,6 +6,12 @@
 // structures whose elements are numbered by first occurrence in the mark
 // tuple produces every isomorphism class exactly once: an isomorphism of
 // marked structures is the identity whenever every element carries a mark.
+//
+// Each class's stream is a product grid — the set partitions of the marks
+// (restricted growth strings, lexicographic) times a per-partition inner
+// space — walked by rank/unrank cursors, so a stream position decodes
+// straight into a grid cell. The reference nests the cursors are checked
+// against live in tests/backend_cursor_test.cc.
 #ifndef AMALGAM_FRAISSE_RELATIONAL_H_
 #define AMALGAM_FRAISSE_RELATIONAL_H_
 
@@ -20,19 +26,10 @@ namespace amalgam {
 /// query through SolveOptions::relational_atom_cap (0 keeps this default).
 inline constexpr std::uint32_t kDefaultRelationalAtomCap = 28;
 
-/// Enumerates all (D, marks) over `schema` (relations only) with D generated
-/// by the m marks, filtered by `contains`. Every marked isomorphism class
-/// whose structure passes the filter is produced exactly once; enumeration
-/// stops once `cb` returns false.
-/// Cost: sum over set partitions of m of 2^(total atom count); throws
-/// EnumerationCapError when a single candidate space exceeds 2^atom_cap
-/// atoms (0 = kDefaultRelationalAtomCap; callers with bigger register
-/// counts need a class-specific enumerator — this exponential is exactly
-/// the PSPACE lower bound showing through).
-void EnumerateRelationalGenerated(
-    const SchemaRef& schema, int m,
-    const std::function<bool(const Structure&)>& contains,
-    const FraisseClass::StopCallback& cb, std::uint32_t atom_cap = 0);
+/// The atom cap a stream under EnumControl::atom_cap `atom_cap` runs
+/// with: 0 selects kDefaultRelationalAtomCap, and caps past 62 are clamped
+/// so that a grid's mask count stays representable.
+std::uint32_t EffectiveAtomCap(std::uint32_t atom_cap);
 
 /// The class of *all* finite structures over a relational schema. The
 /// largest Fraïssé class over the schema; its Fraïssé limit is the "random
@@ -41,7 +38,12 @@ void EnumerateRelationalGenerated(
 /// The member stream is a product grid — set partitions of the marks times
 /// atom masks — so this class carries a native cursor: positioned
 /// enumeration decodes a stream position into (partition, mask) and seeds
-/// the incremental SetHolds delta loop mid-grid.
+/// the incremental SetHolds delta loop mid-grid. Cost: sum over set
+/// partitions of m of 2^(atom count); every row size is checked against
+/// the atom cap before any member is built, and a row past it throws
+/// EnumerationCapError (callers with bigger register counts need a
+/// class-specific enumerator — this exponential is exactly the PSPACE
+/// lower bound showing through).
 class AllStructuresClass : public FraisseClass {
  public:
   explicit AllStructuresClass(SchemaRef schema);
@@ -49,7 +51,6 @@ class AllStructuresClass : public FraisseClass {
   std::string Fingerprint() const override;
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
                               const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;
@@ -68,7 +69,6 @@ class LinearOrderClass : public FraisseClass {
   std::string Fingerprint() const override { return "linear-orders"; }
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
                               const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;
@@ -93,7 +93,6 @@ class EquivalenceClass : public FraisseClass {
   std::string Fingerprint() const override { return "equivalences"; }
   bool Contains(const Structure& s) const override;
   std::uint64_t Blowup(int n) const override { return n; }
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
   void EnumerateGeneratedFrom(int m, std::uint64_t start,
                               const PositionCallback& cb,
                               const EnumControl& ctl = {}) const override;

@@ -11,10 +11,10 @@
 // route through one engine. The interface depends only on base/, keeping
 // the solver layer free of class-specific knowledge.
 //
-// Enumeration has one reference stream and one positioned form of it:
-// EnumerateGeneratedUntil fixes the member order, and EnumerateGeneratedFrom
-// replays that order from a stream position (the resume point of a
-// suspended graph build).
+// Enumeration has one entry point, EnumerateGeneratedFrom: it fixes the
+// member order and replays it from any stream position (the resume point
+// of a suspended graph build). tests/backend_cursor_test.cc pins every
+// backend's stream against test-local reference enumerations.
 #ifndef AMALGAM_SOLVER_BACKEND_H_
 #define AMALGAM_SOLVER_BACKEND_H_
 
@@ -56,13 +56,14 @@ class EnumerationCapError : public std::runtime_error {
   std::uint32_t cap_;
 };
 
-/// Out-of-band knobs threaded through the enumeration entry points.
+/// Out-of-band knobs threaded through EnumerateGeneratedFrom.
 /// `generated` (when non-null) is incremented once per member the backend
 /// *materializes* — for a native cursor that is only the requested suffix;
-/// the default adapter materializes the full stream to skip its prefix, so
-/// it counts every member. The members_generated / members_enumerated
-/// split in SolveStats is exactly this distinction. `atom_cap` overrides
-/// the relational enumerators' candidate-space cap (0 = backend default).
+/// a backend that walks its stream from the beginning to skip the prefix
+/// counts every member it walks. The members_generated /
+/// members_enumerated split in SolveStats is exactly this distinction.
+/// `atom_cap` overrides the relational candidate-space cap (0 = backend
+/// default); every relational backend honours it.
 struct EnumControl {
   std::uint64_t* generated = nullptr;
   std::uint32_t atom_cap = 0;
@@ -88,50 +89,33 @@ class SolverBackend {
   /// (not necessarily distinct) elements.
   using EnumCallback =
       std::function<void(const Structure&, std::span<const Elem>)>;
-  /// Like EnumCallback, but the return value steers the enumeration:
-  /// returning false stops it (the on-the-fly early exit).
-  using StopCallback =
-      std::function<bool(const Structure&, std::span<const Elem>)>;
   /// Callback for a positioned enumeration. `stream_index` is the member's
-  /// position in the full EnumerateGeneratedUntil stream — the position a
-  /// suspended graph build records in its cursor. Returning false stops
-  /// the enumeration.
+  /// position in the full stream — the position a suspended graph build
+  /// records in its cursor. Returning false stops the enumeration.
   using PositionCallback = std::function<bool(
       const Structure&, std::span<const Elem>, std::uint64_t stream_index)>;
 
   /// Enumerates, up to isomorphism of marked structures, every pair
-  /// (D, marks) where D is a member generated by the m-tuple `marks`.
-  /// Each isomorphism class is produced exactly once. Stops (promptly, not
-  /// necessarily instantly) once `cb` returns false.
-  virtual void EnumerateGeneratedUntil(int m, const StopCallback& cb) const = 0;
-
-  /// Enumerates the EnumerateGeneratedUntil(m, ...) stream starting at
-  /// position `start`, reporting each member with its stream position — the
-  /// positioned enumeration behind resumable graph builds (a persisted
-  /// partial graph records the position its suspended sweep would continue
-  /// at; see SubTransitionGraph::cursor()). The default adapter walks the
-  /// stream from the beginning and skips the prefix, so a resume pays the
-  /// prefix's generation cost but none of its processing cost (guard
-  /// evaluation, canonicalization, interning — the dominant part). Backends
-  /// with a real cursor into their member space override it; overrides
-  /// must reproduce the EnumerateGeneratedUntil stream's suffix exactly.
+  /// (D, marks) where D is a member generated by the m-tuple `marks`, in a
+  /// fixed order, starting at stream position `start` and reporting each
+  /// member with its position. Each isomorphism class is produced exactly
+  /// once by the full (start = 0) stream, and the stream from `start` is
+  /// exactly its suffix, so a persisted partial graph resumes where its
+  /// suspended sweep stopped (see SubTransitionGraph::cursor()). Stops
+  /// (promptly, not necessarily instantly) once `cb` returns false.
+  /// Backends with a real cursor into their member space seek to `start`;
+  /// the others walk the stream from 0 and skip the prefix, which costs
+  /// its generation but none of its processing (guard evaluation,
+  /// canonicalization, interning — the dominant part).
   virtual void EnumerateGeneratedFrom(int m, std::uint64_t start,
                                       const PositionCallback& cb,
-                                      const EnumControl& ctl = {}) const {
-    std::uint64_t index = 0;
-    EnumerateGeneratedUntil(
-        m, [&](const Structure& s, std::span<const Elem> marks) {
-          const std::uint64_t here = index++;
-          if (ctl.generated != nullptr) ++*ctl.generated;
-          if (here < start) return true;
-          return cb(s, marks, here);
-        });
-  }
+                                      const EnumControl& ctl = {}) const = 0;
 
-  /// Run-to-completion convenience wrapper over EnumerateGeneratedUntil.
+  /// Run-to-completion convenience wrapper over EnumerateGeneratedFrom.
   void EnumerateGenerated(int m, const EnumCallback& cb) const {
-    EnumerateGeneratedUntil(
-        m, [&](const Structure& s, std::span<const Elem> marks) {
+    EnumerateGeneratedFrom(
+        m, 0,
+        [&](const Structure& s, std::span<const Elem> marks, std::uint64_t) {
           cb(s, marks);
           return true;
         });

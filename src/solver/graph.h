@@ -84,8 +84,8 @@ struct SolveStats {
   /// Members the backend had to *materialize* to serve the sweep — the
   /// generation-vs-processing split. Backends with native cursors generate
   /// only the requested suffix, so resumed builds report less than the
-  /// full stream here; the default adapter regenerates the skipped prefix,
-  /// so it reports the full stream.
+  /// full stream here; backends that walk their stream from its start to
+  /// skip the prefix report the full stream.
   std::uint64_t members_generated = 0;
   std::uint64_t guard_evaluations = 0;
   std::uint64_t edges = 0;               // distinct sub-transitions

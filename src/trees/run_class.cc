@@ -441,13 +441,6 @@ bool TreeRunClass::EmitWithMarks(
   return go;
 }
 
-void TreeRunClass::EnumerateGeneratedUntil(int m,
-                                           const StopCallback& cb) const {
-  EnumeratePatterns(
-      m, [&](const std::function<const Structure&()>& enc,
-             const std::vector<Elem>& marks) { return cb(enc(), marks); });
-}
-
 void TreeRunClass::EnumerateGeneratedFrom(int m, std::uint64_t start,
                                           const PositionCallback& cb,
                                           const EnumControl& ctl) const {

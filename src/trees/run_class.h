@@ -20,7 +20,7 @@ namespace amalgam {
 /// and the pointer functions extend it (a conservative refinement — guards
 /// cannot mention them, Lemma 6).
 ///
-/// EnumerateGenerated explores patterns up to `max_pattern_size(m)` nodes;
+/// The member stream explores patterns up to `max_pattern_size(m)` nodes;
 /// the closure of m registers is bounded by Lemma 14's c*n with c
 /// exponential in the state space, so for large automata the default cap
 /// can in principle truncate the search (risking "empty" verdicts for
@@ -38,7 +38,6 @@ class TreeRunClass : public FraisseClass {
   std::uint64_t Blowup(int n) const override {
     return static_cast<std::uint64_t>(n) + extra_cap_;
   }
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
   /// Positioned cursor: positions are determined by the candidate walk
   /// (shapes × states × flags × mark placements, filtered by realizability
   /// and closure), so the cursor cannot seek past it — but the structure
@@ -72,8 +71,9 @@ class TreeRunClass : public FraisseClass {
   using PatternSink = std::function<bool(
       const std::function<const Structure&()>&, const std::vector<Elem>&)>;
 
-  /// The shared enumeration core: walks the candidate space and hands
-  /// every member to `sink` without eagerly encoding it as a structure.
+  /// The enumeration core behind EnumerateGeneratedFrom: walks the
+  /// candidate space and hands every member to `sink` without eagerly
+  /// encoding it as a structure.
   void EnumeratePatterns(int m, const PatternSink& sink) const;
 
   /// Returns false when `sink` requested a stop.

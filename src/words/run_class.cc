@@ -295,15 +295,7 @@ void WordRunClass::EnumeratePatterns(
   });
 }
 
-void WordRunClass::EnumerateGeneratedUntil(int m,
-                                           const StopCallback& cb) const {
-  EnumeratePatterns(m, [&](const WordPattern& p,
-                           const std::vector<Elem>& marks) {
-    return cb(PatternToStructure(p), marks);
-  });
-}
-
-// The positioned cursor walks the same candidate space as the full stream
+// The positioned cursor walks the whole candidate space from its start
 // (positions are filter-determined, so there is no seeking past it), but
 // encodes only members from `start` on as structures — the per-member
 // materialization cost, which EnumControl::generated counts.

@@ -56,7 +56,6 @@ class WordRunClass : public FraisseClass {
   std::uint64_t Blowup(int n) const override {
     return n + 2ULL * num_components_;
   }
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override;
   /// Positioned cursor: the run-pattern candidate walk (slot placement +
   /// state assignment + membership filter) determines positions, so the
   /// cursor cannot seek past it — but it materializes the structure
@@ -109,11 +108,11 @@ class WordRunClass : public FraisseClass {
  private:
   bool GapRealizable(const WordPattern& p, int gap) const;
 
-  /// The shared enumeration core: walks the candidate space (set
-  /// partitions of the marks × slot placements × state assignments), runs
-  /// the closure + membership filters, and hands every member to `sink` as
-  /// a pattern + marks — without encoding it as a structure. `sink`
-  /// returns false to stop.
+  /// The enumeration core behind EnumerateGeneratedFrom: walks the
+  /// candidate space (set partitions of the marks × slot placements × state
+  /// assignments), runs the closure + membership filters, and hands every
+  /// member to `sink` as a pattern + marks — without encoding it as a
+  /// structure. `sink` returns false to stop.
   void EnumeratePatterns(
       int m,
       const std::function<bool(const WordPattern&, const std::vector<Elem>&)>&

@@ -1,27 +1,34 @@
-// Conformance tests for the positioned enumeration cursor.
+// Conformance tests for the positioned member streams.
 //
-// The SolverBackend contract says the positioned entry point
-// (EnumerateGeneratedFrom) must reproduce the EnumerateGeneratedUntil
-// stream exactly — same structures, same marks, same positions — whether
-// a backend uses the prefix-skipping default adapter or overrides it with
-// a native cursor into its member space. These tests pin that contract for
-// every backend in the zoo, so a native cursor that drifts from the
-// reference stream (wrong unranking, wrong successor step) fails here
-// rather than as a miscached graph three layers up.
+// EnumerateGeneratedFrom is a backend's only enumeration, and the relational
+// backends implement it as rank/unrank cursors into a product grid. These
+// tests pin every backend's stream, from every start, against a reference
+// the library does not run: plain nested loops over the same grid (set
+// partition × atom mask, × permutation, × partition, and the data
+// labelings), so a cursor that drifts from its order (wrong unranking,
+// wrong successor step) fails here rather than as a miscached graph three
+// layers up. The word, tree and lifted-HOM streams have no second
+// enumeration; for them the stream from 0 is the reference, which pins how
+// they skip to a start.
 //
-// Also covered: the structured EnumerationCapError surfaced through engine
-// options and the query service, and the members_generated acceptance
-// property — a store-resumed relational build materializes only the stream
-// suffix.
+// Also covered: the structured EnumerationCapError surfaced through every
+// relational backend, engine options and the query service, and the
+// members_generated acceptance property — a store-resumed relational build
+// materializes only the stream suffix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "fraisse/data_class.h"
 #include "fraisse/hom_class.h"
 #include "fraisse/relational.h"
 #include "service/protocol.h"
@@ -33,6 +40,7 @@
 #include "system/zoo.h"
 #include "trees/run_class.h"
 #include "trees/zoo.h"
+#include "util/enumerate.h"
 #include "words/run_class.h"
 #include "words/zoo.h"
 
@@ -44,12 +52,14 @@ struct Member {
   std::vector<Elem> marks;
 };
 
-std::vector<Member> ReferenceStream(const SolverBackend& backend, int m) {
-  std::vector<Member> out;
-  backend.EnumerateGeneratedUntil(
+using Stream = std::vector<Member>;
+
+// The stream a backend delivers from position 0.
+Stream StreamFromStart(const SolverBackend& backend, int m) {
+  Stream out;
+  backend.EnumerateGenerated(
       m, [&](const Structure& s, std::span<const Elem> marks) {
         out.push_back({s, std::vector<Elem>(marks.begin(), marks.end())});
-        return true;
       });
   return out;
 }
@@ -60,13 +70,141 @@ bool SameMember(const Member& a, const Structure& s,
          a.marks == std::vector<Elem>(marks.begin(), marks.end());
 }
 
+// ---------------------------------------------------------------------------
+// Reference nests: the member orders of the relational streams, written as
+// the nested loops the cursors unrank.
+// ---------------------------------------------------------------------------
+
+int BlockCount(const std::vector<int>& block_of) {
+  return block_of.empty()
+             ? 0
+             : 1 + *std::max_element(block_of.begin(), block_of.end());
+}
+
+// Calls `visit(d, marks)` for every set partition of the m marks, in
+// restricted-growth-string order; `marks` names each mark's block.
+void ForEachMarkPartition(
+    int m, const std::function<void(int, const std::vector<Elem>&)>& visit) {
+  ForEachSetPartition(m, [&](const std::vector<int>& block_of) {
+    visit(BlockCount(block_of),
+          std::vector<Elem>(block_of.begin(), block_of.end()));
+  });
+}
+
+// Partition × atom mask: every structure over the relational `schema`
+// generated by the marks, in mask order over the atoms (relations in schema
+// order, tuples in odometer order), filtered by `keep`.
+Stream AtomMaskNest(const SchemaRef& schema, int m,
+                    const std::function<bool(const Structure&)>& keep) {
+  Stream out;
+  ForEachMarkPartition(m, [&](int d, const std::vector<Elem>& marks) {
+    std::vector<std::pair<int, std::vector<Elem>>> atoms;
+    for (int r = 0; r < schema->num_relations(); ++r) {
+      ForEachTuple(d, schema->relation(r).arity,
+                   [&](const std::vector<int>& t) {
+                     atoms.emplace_back(r, std::vector<Elem>(t.begin(),
+                                                             t.end()));
+                   });
+    }
+    for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << atoms.size());
+         ++mask) {
+      Structure s(schema, d);
+      for (std::size_t i = 0; i < atoms.size(); ++i) {
+        if ((mask >> i) & 1) s.SetHolds(atoms[i].first, atoms[i].second, true);
+      }
+      if (keep(s)) out.push_back({std::move(s), marks});
+    }
+  });
+  return out;
+}
+
+// Calls `visit(pairs)` once per value labeling of n elements, with the
+// pairs it relates: a partition of the elements into value classes (every
+// partition, or only the discrete one when `injective`), then, when
+// `ordered`, an order of the classes (every permutation) relating a < b
+// across classes; unordered labelings relate a ~ b within a class.
+void ForEachValueLabeling(
+    int n, bool injective, bool ordered,
+    const std::function<void(const std::vector<std::pair<Elem, Elem>>&)>&
+        visit) {
+  auto with_classes = [&](const std::vector<int>& class_of) {
+    auto relate = [&](const std::vector<int>& class_pos) {
+      std::vector<std::pair<Elem, Elem>> pairs;
+      for (Elem a = 0; a < static_cast<Elem>(n); ++a) {
+        for (Elem b = 0; b < static_cast<Elem>(n); ++b) {
+          if (ordered ? class_pos[class_of[a]] < class_pos[class_of[b]]
+                      : class_of[a] == class_of[b]) {
+            pairs.push_back({a, b});
+          }
+        }
+      }
+      visit(pairs);
+    };
+    if (ordered) {
+      ForEachPermutation(BlockCount(class_of), relate);
+    } else {
+      relate({});
+    }
+  };
+  if (injective) {
+    std::vector<int> discrete(n);
+    for (int i = 0; i < n; ++i) discrete[i] = i;
+    with_classes(discrete);
+  } else {
+    ForEachSetPartition(n, with_classes);
+  }
+}
+
+// Partition × permutation (strict linear orders, `ordered`) or partition ×
+// partition (equivalences): one binary relation 0 over the d elements of
+// each mark partition.
+Stream BinaryRelationNest(const SchemaRef& schema, int m, bool ordered) {
+  Stream out;
+  ForEachMarkPartition(m, [&](int d, const std::vector<Elem>& marks) {
+    ForEachValueLabeling(d, /*injective=*/ordered, ordered,
+                         [&](const std::vector<std::pair<Elem, Elem>>& rel) {
+                           Structure s(schema, d);
+                           for (const auto& [a, b] : rel) s.SetHolds2(0, a, b);
+                           out.push_back({std::move(s), marks});
+                         });
+  });
+  return out;
+}
+
+// Base stream × data labelings: each member of `base`, then each labeling
+// of its elements by `data`'s value domain.
+Stream DataNest(const DataClass& data, const Stream& base) {
+  const bool ordered = data.domain() == DataDomain::kRationalsWithOrder;
+  Stream out;
+  for (const Member& member : base) {
+    ForEachValueLabeling(
+        static_cast<int>(member.s.size()), data.injective(), ordered,
+        [&](const std::vector<std::pair<Elem, Elem>>& rel) {
+          Structure s = ExtendToSchema(member.s, data.schema());
+          for (const auto& [a, b] : rel) s.SetHolds2(data.data_rel(), a, b);
+          out.push_back({std::move(s), member.marks});
+        });
+  }
+  return out;
+}
+
+// The all-structures nest over `schema`, as a reference for m marks.
+std::function<Stream(int)> EveryStructure(SchemaRef schema) {
+  return [schema](int m) {
+    return AtomMaskNest(schema, m, [](const Structure&) { return true; });
+  };
+}
+
 struct NamedBackend {
   std::string name;
   std::shared_ptr<const SolverBackend> backend;
   std::vector<int> ms;
+  /// The reference stream for m marks; null for the backends whose stream
+  /// from 0 is their own reference.
+  std::function<Stream(int)> reference;
   /// EnumerateGeneratedFrom materializes only the requested suffix (a
-  /// native cursor); false for the default adapter, which regenerates the
-  /// whole stream to skip the prefix.
+  /// native cursor, or a walk that encodes only what it delivers); false
+  /// for the streams that count every member they walk to skip the prefix.
   bool seeks;
 };
 
@@ -75,38 +213,73 @@ const TreeAutomaton* TwoLevelAutomaton() {
   return &automaton;
 }
 
-// One backend per cursor implementation: the three relational native
-// cursors (grid, factorial, Bell), the word/tree positioned walks, and a
-// default-adapter backend (LiftedHomClass) to pin the adapter too.
+// One backend per stream implementation: the three relational native
+// cursors (grid, factorial, Bell), the filtered grid walk of raw HOM(H),
+// the word/tree positioned walks, the lifted HOM(H~) walk, and the data
+// products over both value domains, injective and not.
 std::vector<NamedBackend> AllBackends() {
   std::vector<NamedBackend> out;
-  out.push_back({"all_graph",
-                 std::make_shared<AllStructuresClass>(GraphZooSchema()),
-                 {0, 1, 2},
-                 true});
-  Schema unary;
-  unary.AddRelation("p", 1);
-  out.push_back({"all_unary",
-                 std::make_shared<AllStructuresClass>(
-                     MakeSchema(std::move(unary))),
+  const SchemaRef graph = GraphZooSchema();
+  const auto all = std::make_shared<AllStructuresClass>(graph);
+  out.push_back({"all_graph", all, {0, 1, 2}, EveryStructure(graph), true});
+  Schema unary_schema;
+  unary_schema.AddRelation("p", 1);
+  const SchemaRef unary = MakeSchema(std::move(unary_schema));
+  out.push_back({"all_unary", std::make_shared<AllStructuresClass>(unary),
                  {1, 2, 3},
+                 EveryStructure(unary),
                  true});
-  out.push_back(
-      {"orders", std::make_shared<LinearOrderClass>(), {1, 2, 3}, true});
-  out.push_back(
-      {"equiv", std::make_shared<EquivalenceClass>(), {1, 2, 3}, true});
+  const auto orders = std::make_shared<LinearOrderClass>();
+  out.push_back({"orders", orders, {1, 2, 3},
+                 [orders](int m) {
+                   return BinaryRelationNest(orders->schema(), m, true);
+                 },
+                 true});
+  const auto equiv = std::make_shared<EquivalenceClass>();
+  out.push_back({"equiv", equiv, {1, 2, 3},
+                 [equiv](int m) {
+                   return BinaryRelationNest(equiv->schema(), m, false);
+                 },
+                 true});
+  const auto hom = std::make_shared<HomClass>(Example2Template());
+  out.push_back({"hom", hom, {1, 2, 3},
+                 [hom](int m) {
+                   return AtomMaskNest(
+                       hom->schema(), m,
+                       [&](const Structure& s) { return hom->Contains(s); });
+                 },
+                 false});
   out.push_back({"word_runs",
                  std::make_shared<WordRunClass>(NfaAPlusBPlus()),
                  {1, 2},
+                 nullptr,
                  true});
   out.push_back({"tree_runs",
                  std::make_shared<TreeRunClass>(TwoLevelAutomaton(), 3),
                  {1, 2},
+                 nullptr,
                  true});
   out.push_back({"hom_lift",
                  std::make_shared<LiftedHomClass>(Example2Template()),
                  {1, 2},
+                 nullptr,
                  false});
+  for (DataDomain domain : {DataDomain::kNaturalsWithEquality,
+                            DataDomain::kRationalsWithOrder}) {
+    for (bool injective : {false, true}) {
+      const auto data = std::make_shared<DataClass>(all, domain, injective);
+      out.push_back(
+          {std::string("data_") +
+               (domain == DataDomain::kNaturalsWithEquality ? "eq" : "lt") +
+               (injective ? "_injective" : ""),
+           data,
+           {1, 2},
+           [data, base = EveryStructure(graph)](int m) {
+             return DataNest(*data, base(m));
+           },
+           false});
+    }
+  }
   return out;
 }
 
@@ -121,10 +294,12 @@ std::vector<FormulaRef> GuardsOf(const DdsSystem& system) {
 TEST(CursorConformanceTest, FromReproducesEveryReferenceSuffix) {
   for (const NamedBackend& nb : AllBackends()) {
     for (int m : nb.ms) {
-      const std::vector<Member> ref = ReferenceStream(*nb.backend, m);
+      const Stream ref = nb.reference ? nb.reference(m)
+                                      : StreamFromStart(*nb.backend, m);
       const std::uint64_t total = ref.size();
-      std::set<std::uint64_t> starts = {0, 1, total / 2, total, total + 5};
-      if (total > 0) starts.insert(total - 1);
+      ASSERT_GT(total, 0u) << nb.name << " m=" << m;
+      std::set<std::uint64_t> starts = {0, 1, total / 2, total - 1, total,
+                                        total + 5};
       for (std::uint64_t start : starts) {
         std::uint64_t generated = 0;
         std::uint64_t expect_next = start;
@@ -135,16 +310,26 @@ TEST(CursorConformanceTest, FromReproducesEveryReferenceSuffix) {
               EXPECT_EQ(pos, expect_next) << nb.name << " m=" << m;
               ++expect_next;
               EXPECT_LT(pos, total);
-              EXPECT_TRUE(SameMember(ref[pos], s, marks))
+              EXPECT_TRUE(pos < total && SameMember(ref[pos], s, marks))
                   << nb.name << " m=" << m << " diverges at position " << pos;
               return true;
             },
             EnumControl{&generated, 0});
         const std::uint64_t suffix = total - std::min(start, total);
         EXPECT_EQ(expect_next - start, suffix) << nb.name << " m=" << m;
-        // Native cursors materialize only the suffix; the adapter
-        // regenerates the whole stream to skip the prefix.
+        // Native cursors materialize only the suffix; the skipping walks
+        // count the whole stream.
         EXPECT_EQ(generated, nb.seeks ? suffix : total)
+            << nb.name << " m=" << m << " start=" << start;
+        // A stop ends the stream at the member that asked for it.
+        std::uint64_t delivered = 0;
+        nb.backend->EnumerateGeneratedFrom(
+            m, start,
+            [&](const Structure&, std::span<const Elem>, std::uint64_t) {
+              ++delivered;
+              return false;
+            });
+        EXPECT_EQ(delivered, std::min<std::uint64_t>(suffix, 1))
             << nb.name << " m=" << m << " start=" << start;
       }
     }
@@ -168,6 +353,37 @@ TEST(CursorConformanceTest, AtomCapThrowsStructuredError) {
     EXPECT_STREQ(EnumerationCapError::kCode, "enumeration_cap");
     EXPECT_NE(std::string(e.what()).find("raise atom_cap"),
               std::string::npos);
+  }
+}
+
+// The cap reaches every relational backend through EnumControl, not only
+// the all-structures grid: raw HOM(H) filters that grid, the lifted class
+// caps the atoms its coloring allows, and a data product passes the cap to
+// its base. Each has rows of 2 atoms, which cap 1 refuses.
+TEST(CursorConformanceTest, EveryRelationalBackendHonoursTheAtomCap) {
+  const DdsSystem system = ReachRedSystem();
+  const auto all = std::make_shared<AllStructuresClass>(GraphZooSchema());
+  const HomClass hom(Example2Template());
+  const LiftedHomClass lifted(Example2Template());
+  const DataClass data(all, DataDomain::kNaturalsWithEquality, false);
+  for (const FraisseClass* cls :
+       std::initializer_list<const FraisseClass*>{&hom, &lifted, &data}) {
+    SCOPED_TRACE(cls->Fingerprint());
+    SolveOptions options;
+    options.build_witness = false;
+    options.strategy = SolveStrategy::kEager;
+    const bool nonempty = SolveEmptiness(system, *cls, options).nonempty;
+    options.relational_atom_cap = 1;
+    try {
+      SolveEmptiness(system, *cls, options);
+      ADD_FAILURE() << "expected EnumerationCapError";
+    } catch (const EnumerationCapError& e) {
+      EXPECT_EQ(e.cap(), 1u);
+      EXPECT_GT(e.atoms(), 1u);
+    }
+    // A cap the stream fits under changes no verdict.
+    options.relational_atom_cap = 32;
+    EXPECT_EQ(SolveEmptiness(system, *cls, options).nonempty, nonempty);
   }
 }
 
@@ -331,8 +547,10 @@ TEST(CursorConformanceTest, StoreResumedBuildGeneratesOnlyTheSuffix) {
   std::vector<FormulaRef> guards = GuardsOf(system);
   const int k = system.num_registers();
   ASSERT_EQ(k, 1);
-  const std::uint64_t initial_total = ReferenceStream(cls, k).size();
-  const std::uint64_t joint_total = ReferenceStream(cls, 2 * k).size();
+  const std::uint64_t initial_total =
+      EveryStructure(cls.schema())(k).size();
+  const std::uint64_t joint_total =
+      EveryStructure(cls.schema())(2 * k).size();
 
   SubTransitionGraph cold(guards, k);
   SolveStats cold_stats;

@@ -7,8 +7,10 @@
 // graph cache.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <vector>
 
 #include "fraisse/hom_class.h"  // for LiftedHomClass in other cases
 #include "fraisse/relational.h"
@@ -174,25 +176,28 @@ class BigElementIdClass : public FraisseClass {
   }
   std::uint64_t Blowup(int) const override { return kDomain; }
 
-  void EnumerateGeneratedUntil(int m, const StopCallback& cb) const override {
+  void EnumerateGeneratedFrom(int m, std::uint64_t start,
+                              const PositionCallback& cb,
+                              const EnumControl& ctl = {}) const override {
     // Every mark generates the whole cycle, so each mark tuple yields one
     // member. Two single-mark members whose marks differ by exactly 256 —
     // the one-byte aliasing distance — plus the joint member that puts both
     // registers on the sel element.
+    std::vector<std::vector<Elem>> stream;
     if (m == 1) {
-      if (!Emit(cb, {1})) return;
-      Emit(cb, {kDomain - 1});
+      stream = {{1}, {kDomain - 1}};
     } else if (m == 2) {
-      Emit(cb, {kDomain - 1, kDomain - 1});
+      stream = {{kDomain - 1, kDomain - 1}};
+    }
+    for (std::uint64_t i = start; i < stream.size(); ++i) {
+      if (ctl.generated != nullptr) ++*ctl.generated;
+      if (!cb(*member_, stream[i], i)) return;
     }
   }
 
   static constexpr Elem kDomain = 258;
 
  private:
-  bool Emit(const StopCallback& cb, std::vector<Elem> marks) const {
-    return cb(*member_, marks);
-  }
 
   SchemaRef schema_;
   std::unique_ptr<Structure> member_;
