@@ -504,7 +504,7 @@ BENCHMARK(BM_OnTheFlyEarlyExit)
 // 1/4/8 workers serving batches of identical cache-hot queries (the first
 // batch's leader builds the graph once; everything after is pure BFS
 // replay over the shared cache). Measures the broker overhead — queueing,
-// single-flight bookkeeping, future resolution — on top of BM_CachedQuery's
+// thread handoffs, future resolution — on top of BM_CachedQuery's
 // raw solve time, and how it scales with concurrent submitters.
 void BM_ServiceThroughput(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -9,6 +10,13 @@
 #include <utility>
 
 namespace amalgam {
+
+namespace {
+// How long one client may take to send its request, or to take the
+// response: the accept loop serves clients one at a time, so a silent
+// connection must not stall the scrapes behind it or Stop().
+constexpr timeval kClientTimeout{.tv_sec = 1, .tv_usec = 0};
+}  // namespace
 
 MetricsHttpServer::MetricsHttpServer(Renderer renderer)
     : renderer_(std::move(renderer)) {}
@@ -65,8 +73,13 @@ void MetricsHttpServer::AcceptLoop() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;  // listener is gone
     }
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &kClientTimeout,
+                 sizeof(kClientTimeout));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &kClientTimeout,
+                 sizeof(kClientTimeout));
     // Read (and discard) the request line so well-behaved clients see
-    // their request consumed; any bytes at all trigger a response.
+    // their request consumed; any bytes at all — or none within the
+    // timeout — trigger a response.
     char buf[1024];
     (void)::recv(client, buf, sizeof(buf), 0);
     const std::string body = renderer_ ? renderer_() : std::string();

@@ -2,7 +2,9 @@
 // thing — the registry's Prometheus text — to any GET.
 //
 // Deliberately not a web server: one accept-loop thread, blocking I/O
-// per request, connection closed after each response. A Prometheus
+// per request bounded by a fixed one-second timeout (so a silent client
+// delays the scrapes behind it and Stop() by at most that), connection
+// closed after each response. A Prometheus
 // scraper (or curl) opens a connection, sends a request line, and gets
 // `200 OK` with `Content-Type: text/plain; version=0.0.4` and the
 // renderer's output; everything about the request beyond its existence

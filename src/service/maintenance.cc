@@ -78,8 +78,8 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
 
   // Complete partials: every remembered key whose graph stopped short of
   // complete, resumed through the ordinary submit path (eager, no
-  // witness) so it occupies the key's resume flight — a live query either
-  // joins this build or this build joins it, never a duplicate sweep.
+  // witness) so it takes the key's build claim — a live query either waits
+  // for this build or this build waits for it, never a duplicate sweep.
   // Warmest first; a line is parsed only for a key that needs the work.
   std::vector<std::string> keys;
   {

@@ -13,7 +13,7 @@
 //      first, and skips every key whose graph is complete in memory or in
 //      the store without parsing its line. A partial graph's line is
 //      parsed and resubmitted through the ordinary Submit path, eager and
-//      without a witness, so it rides the same resume flight as live
+//      without a witness, so it takes the key's build claim like live
 //      traffic: never two racing suffix sweeps over one key. Only while
 //      the worker pool is idle (Pending() == 0); live traffic ends the
 //      phase.

@@ -92,9 +92,9 @@ struct QueryResult {
 
   /// Wall time inside the service, from worker pickup to verdict.
   double latency_ms = 0.0;
-  /// This query waited on another in-flight query building the same
-  /// sub-transition graph (the single-flight join path) instead of
-  /// building it itself.
+  /// This query waited on another query's build claim for the same
+  /// sub-transition graph (SolveStats::coalesced) instead of building it
+  /// first itself.
   bool coalesced = false;
 
   /// The request's trace recorder, with the query's span tree recorded
@@ -138,11 +138,10 @@ struct RecentQuery {
 #define AMALGAM_SERVICE_STATS_FIELDS(X)                                        \
   X(queries, Counter, "Completed queries (ok or failed)")                      \
   X(failed, Counter, "Queries completed with an error")                        \
-  X(coalesced_joins, Counter, "Queries that waited on another query's build")  \
-  X(single_flight_leads, Counter, "Queries that owned a single-flight build")  \
-  X(resume_leads, Counter, "Queries that owned a partial-entry extension")     \
-  X(resume_coalesced, Counter,                                                 \
-    "Queries that waited on another query's resume")                           \
+  X(coalesced_joins, Counter, "Waits on a build claim over a missing entry")   \
+  X(single_flight_leads, Counter, "Build claims taken on a missing entry")     \
+  X(resume_leads, Counter, "Build claims taken on a partial entry")            \
+  X(resume_coalesced, Counter, "Waits on a build claim over a partial entry")  \
   X(pending, Gauge, "Queries accepted but not yet finished")                   \
   X(cache_hits, Counter, "Graph cache hits (memory or promoted store load)")   \
   X(cache_misses, Counter, "Graph cache misses")                               \

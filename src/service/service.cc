@@ -12,6 +12,7 @@
 #include "solver/store.h"
 #include "trees/run_class.h"
 #include "trees/solve.h"
+#include "util/hash.h"
 #include "words/run_class.h"
 #include "words/solve.h"
 
@@ -20,11 +21,10 @@ namespace amalgam {
 namespace {
 
 // The request's graph context, derived by the same function its front door
-// uses when called without one — so the single-flight table, the prewarm
-// path and the engine agree on what "the same graph" means by
-// construction. Word and tree run classes are built here and owned by the
-// context; they reference the request's automaton, which the request keeps
-// alive.
+// uses when called without one — so the recent ring, the prewarm path and
+// the engine agree on what "the same graph" means by construction. Word
+// and tree run classes are built here and owned by the context; they
+// reference the request's automaton, which the request keeps alive.
 GraphContext ComputeGraphContext(const QueryRequest& request) {
   switch (request.kind) {
     case QueryKind::kSystem:
@@ -54,18 +54,13 @@ GraphContext ComputeGraphContext(const QueryRequest& request) {
 }
 
 // The graph cache key embeds a separator byte and free-form formula text;
-// the recent-query log wants a compact, log-greppable identifier instead.
-// FNV-1a is stable across runs, so "the same graph" hashes the same after
-// a restart.
+// the recent-query log wants a compact, log-greppable identifier instead:
+// the key's FNV-1a hash, which also names its loose store file
+// (GraphStore::PathFor), and is stable across runs.
 std::string HashedKey(const std::string& key) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(Fnv1a64(key)));
   return std::string(buf);
 }
 
@@ -86,11 +81,9 @@ const char* QueryKindName(QueryKind kind) {
 }
 
 QueryService::QueryService(Options options)
-    : options_(std::move(options)), cache_(options_.cache_max_entries) {
+    : options_(std::move(options)),
+      cache_(options_.cache_max_entries, options_.store_dir) {
   if (options_.num_workers < 1) options_.num_workers = 1;
-  if (!options_.store_dir.empty()) {
-    cache_.AttachStore(options_.store_dir);
-  }
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
@@ -131,58 +124,6 @@ bool QueryService::Prewarm(const QueryRequest& request,
   }
 }
 
-void QueryService::ComputeTaskContext(Task& task) {
-  try {
-    task.context = ComputeGraphContext(task.request);
-  } catch (const std::exception& e) {
-    task.setup_error = e.what();
-    return;
-  }
-  // A complete cached graph serves the query with zero build work: run it
-  // directly, off the flight table, so hot complete keys never serialize.
-  // A *partial* entry goes through the table as a resume flight — without
-  // one, N concurrent queries over a warm-but-partial key would each copy
-  // the entry and duplicate the same suffix sweep (the progress-guarded
-  // insert keeps only the furthest, so all but one copy is wasted work).
-  // Peeked before the queue lock is taken: the cache may change either way
-  // until a worker runs the query, which the front door's own lookup
-  // absorbs.
-  const std::shared_ptr<const SubTransitionGraph> cached =
-      cache_.Peek(task.context.key);
-  if (cached != nullptr && cached->complete()) {
-    task.role = Role::kDirect;
-    return;
-  }
-  task.role = Role::kLeader;
-  task.resume = cached != nullptr;
-}
-
-void QueryService::RegisterFlight(Task& task) {
-  if (!task.setup_error.empty() || task.role == Role::kDirect) return;
-  std::lock_guard<std::mutex> flock(flights_mutex_);
-  auto it = flights_.find(task.context.key);
-  if (it != flights_.end()) {
-    task.role = Role::kJoiner;
-    task.join_on = it->second.done;
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    if (task.resume) {
-      ++resume_coalesced_;
-    } else {
-      ++coalesced_joins_;
-    }
-  } else {
-    task.role = Role::kLeader;
-    task.lead_done = std::make_shared<std::promise<void>>();
-    flights_.emplace(task.context.key, Flight{task.lead_done->get_future()});
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    if (task.resume) {
-      ++resume_leads_;
-    } else {
-      ++single_flight_leads_;
-    }
-  }
-}
-
 std::future<QueryResult> QueryService::Submit(QueryRequest request,
                                               std::string* graph_key) {
   auto promise = std::make_shared<std::promise<QueryResult>>();
@@ -201,56 +142,33 @@ void QueryService::Submit(QueryRequest request, Completion done,
   Task task;
   task.request = std::move(request);
   task.done = std::move(done);
-  ComputeTaskContext(task);  // backend construction: keep it off the lock
+  // Backend construction and guard interning: keep them off the lock.
+  try {
+    task.context = ComputeGraphContext(task.request);
+  } catch (const std::exception& e) {
+    task.setup_error = e.what();
+  }
   if (graph_key != nullptr) *graph_key = task.context.key;
   task.submitted_at = std::chrono::steady_clock::now();
-  Enqueue(std::span<Task>(&task, 1));
-}
-
-std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
-    std::vector<QueryRequest> requests) {
-  std::vector<Task> tasks;
-  std::vector<std::future<QueryResult>> futures;
-  tasks.reserve(requests.size());
-  futures.reserve(requests.size());
-  for (QueryRequest& request : requests) {
-    Task task;
-    task.request = std::move(request);
-    auto promise = std::make_shared<std::promise<QueryResult>>();
-    futures.push_back(promise->get_future());
-    task.done = [promise](QueryRequest, QueryResult result) {
-      promise->set_value(std::move(result));
-    };
-    ComputeTaskContext(task);  // per-request backend construction, unlocked
-    task.submitted_at = std::chrono::steady_clock::now();
-    tasks.push_back(std::move(task));
-  }
-  Enqueue(tasks);
-  return futures;
-}
-
-void QueryService::Enqueue(std::span<Task> tasks) {
   {
-    // Registration and enqueue are atomic together, for the whole batch:
-    // a joiner must never precede its leader in the queue, or a one-worker
-    // pool would pick up the joiner first and deadlock waiting for a build
-    // that cannot start; and identical cold queries in a batch coalesce
-    // deterministically.
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stopping_) {
       throw std::runtime_error("QueryService is shut down");
     }
-    for (Task& task : tasks) {
-      RegisterFlight(task);
-      queue_.push_back(std::move(task));
-      ++outstanding_;
-    }
+    queue_.push_back(std::move(task));
+    ++outstanding_;
   }
-  if (tasks.size() == 1) {
-    queue_cv_.notify_one();
-  } else {
-    queue_cv_.notify_all();
+  queue_cv_.notify_one();
+}
+
+std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
+    std::vector<QueryRequest> requests) {
+  std::vector<std::future<QueryResult>> futures;
+  futures.reserve(requests.size());
+  for (QueryRequest& request : requests) {
+    futures.push_back(Submit(std::move(request)));
   }
+  return futures;
 }
 
 void QueryService::WorkerLoop() {
@@ -370,27 +288,14 @@ QueryResult QueryService::Execute(Task& task) {
     ScopedSpan query_span(trace, "query");
     if (trace != nullptr) {
       query_span.Annotate("kind", QueryKindName(task.request.kind));
-      query_span.Annotate("role", task.role == Role::kLeader   ? "leader"
-                                  : task.role == Role::kJoiner ? "joiner"
-                                                               : "direct");
       trace->RecordSpan("queue_wait", task.submitted_at, start);
     }
     if (!task.setup_error.empty()) {
       result.error = task.setup_error;
     } else {
-      if (task.role == Role::kJoiner) {
-        ScopedSpan wait_span(trace, "coalesced_wait");
-        task.join_on.wait();
-        result.coalesced = true;
-      }
       try {
-        const bool coalesced = result.coalesced;
-        {
-          ScopedSpan run_span(trace, task.role == Role::kLeader ? "lead_build"
-                                                                : "run");
-          result = RunQuery(task.request, task.context);
-        }
-        result.coalesced = coalesced;
+        ScopedSpan run_span(trace, "run");
+        result = RunQuery(task.request, task.context);
       } catch (const EnumerationCapError& e) {
         // Structured: clients can distinguish "raise atom_cap and retry"
         // from a malformed request without parsing the message text.
@@ -406,16 +311,15 @@ QueryResult QueryService::Execute(Task& task) {
         result.error = e.what();
       }
     }
-    if (task.role == Role::kLeader) {
-      // Resolve the flight whatever happened: joiners proceed (a failed
-      // leader's joiners retry the build themselves through the ordinary
-      // cache path) and the key becomes eligible for a fresh flight.
-      {
-        std::lock_guard<std::mutex> flock(flights_mutex_);
-        flights_.erase(task.context.key);
-      }
-      task.lead_done->set_value();
-    }
+    // How the graph path served the query, known only after the run: it
+    // waited on another query's build claim, found a complete entry, or
+    // held the claim itself.
+    result.coalesced = result.stats.coalesced;
+    query_span.Annotate("role", result.coalesced ? "joiner"
+                                : result.stats.graph_from_cache &&
+                                        !result.stats.graph_resumed
+                                    ? "direct"
+                                    : "leader");
     // Sweep only when something was actually written to the disk tier
     // since this query started — cache-hot replay traffic must not pay an
     // O(files) directory scan per query.
@@ -523,10 +427,6 @@ ServiceStats QueryService::Stats() const {
     std::lock_guard<std::mutex> slock(stats_mutex_);
     stats.queries = completed_;
     stats.failed = failed_;
-    stats.coalesced_joins = coalesced_joins_;
-    stats.single_flight_leads = single_flight_leads_;
-    stats.resume_leads = resume_leads_;
-    stats.resume_coalesced = resume_coalesced_;
     stats.members_enumerated = members_enumerated_;
     stats.members_generated = members_generated_;
   }
@@ -534,6 +434,10 @@ ServiceStats QueryService::Stats() const {
     std::lock_guard<std::mutex> qlock(queue_mutex_);
     stats.pending = outstanding_;
   }
+  stats.coalesced_joins = cache_.coalesced_joins();
+  stats.single_flight_leads = cache_.single_flight_leads();
+  stats.resume_leads = cache_.resume_leads();
+  stats.resume_coalesced = cache_.resume_coalesced();
   stats.cache_hits = cache_.hits();
   stats.cache_misses = cache_.misses();
   stats.cache_evictions = cache_.evictions();

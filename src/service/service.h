@@ -1,10 +1,5 @@
-// The concurrent query service: a single-flight, shared-cache broker over
-// the exploration engine.
-//
-// Every caller so far invokes a synchronous front door directly, so N
-// concurrent identical cold queries run N redundant graph builds. The
-// QueryService multiplexes queries over one shared engine/cache/store
-// stack instead:
+// The concurrent query service: a worker pool over one shared
+// engine/cache/store stack.
 //
 //   * a fixed worker pool executes submitted queries asynchronously
 //     (Submit returns a std::future<QueryResult>, or calls a completion on
@@ -14,27 +9,18 @@
 //     Options::store_dir names a directory — the only way a service gets a
 //     store) is shared by every query, so distinct requests over the same
 //     (class, k, guard set) reuse one sub-transition graph;
-//   * a single-flight table keyed by the graph's cache key coalesces
-//     concurrent cold queries: the first becomes the *leader* and builds,
-//     the rest *join* — they block on the leader's per-key flight future
-//     and then run pure BFS replay over the cached graph. Registration
-//     happens at submit time, and SubmitBatch registers the whole batch
-//     before any worker starts, so a batch of N identical cold queries
-//     deterministically performs exactly one build;
-//   * the same table carries *resume* flights: when the cached entry for a
-//     key is partial (an earlier on-the-fly query early-exited), at most
-//     one query extends it — concurrent queries over the warm-but-partial
-//     key wait on the extender's flight and then replay, so a hot partial
-//     key performs exactly one suffix build instead of N duplicated ones.
-//     Only a *complete* cached entry skips the table entirely (replay
-//     needs no build work, so those queries never serialize).
+//   * concurrent queries over one cold or partial key coalesce onto one
+//     build or one suffix sweep by the cache's build claims, on the graph
+//     path every front door takes (solver/cache.h): the service only
+//     derives each request's graph context, enqueues it and reads back
+//     whether the query waited (QueryResult::coalesced). A queued query
+//     holds no claim, so any number of workers, one included, serves any
+//     submission order.
 //
 // Verdict equivalence with the synchronous front doors is structural: a
 // query is executed by calling the very same front door with the shared
-// cache passed in, so the only thing the service changes is *when* the
-// graph gets built and by whom. A leader that early-exits leaves a partial
-// graph; a joiner whose verdict needs more of the class resumes it through
-// the ordinary cache path (correct, just no longer coalesced).
+// cache passed in, so the only thing the service changes is which thread
+// runs it.
 //
 // Blocking work that must not hold a query worker (an admin op that drains
 // the service would wait on the worker it held) runs on the service's one
@@ -54,10 +40,8 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -120,9 +104,7 @@ class QueryService {
   void Submit(QueryRequest request, Completion done,
               std::string* graph_key = nullptr);
 
-  /// Enqueues a batch. All single-flight registrations happen before any
-  /// of the batch's tasks can start, so identical cold requests within one
-  /// batch coalesce deterministically onto a single build.
+  /// Submits each request in order; one future per request.
   std::vector<std::future<QueryResult>> SubmitBatch(
       std::vector<QueryRequest> requests);
 
@@ -185,63 +167,21 @@ class QueryService {
   StoreSweepResult SweepStoreToCaps();
 
  private:
-  // One in-flight build permit per cache key. Joiners wait on `done`;
-  // the leader fulfills it when its query completes (even on error).
-  struct Flight {
-    std::shared_future<void> done;
-  };
-
-  enum class Role {
-    // A *complete* graph is cached for the key: run directly, off the
-    // flight table — replay needs no build work, so hot complete keys
-    // never serialize.
-    kDirect,
-    // Owns the build for its key: the cold build when nothing is cached,
-    // or the suffix extension when the cached entry is partial (Task::
-    // resume distinguishes the two for the stats counters).
-    kLeader,
-    kJoiner,  // waits for the leader, then replays
-  };
-
   struct Task {
     QueryRequest request;
     Completion done;
-    Role role = Role::kDirect;
-    // The flight extends a cached partial entry rather than building cold
-    // (counts toward resume_leads/resume_coalesced instead of the cold
-    // single-flight counters).
-    bool resume = false;
     // The graph context, derived once at submit time; the front door
     // reuses it instead of deriving its own. Its key is empty when the
     // derivation failed (setup_error says why).
     GraphContext context;
-    std::shared_ptr<std::promise<void>> lead_done;  // kLeader
-    std::shared_future<void> join_on;               // kJoiner
     std::string setup_error;                // non-empty: fail without running
     // When the task entered the queue; worker pickup minus this is the
     // queue wait (histogram + retroactive "queue_wait" span).
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// Derives the request's graph context (backend construction and guard
-  /// interning — the expensive part, so it runs before any lock is taken)
-  /// and peeks at the cache: a complete graph makes the task kDirect.
-  /// Fills context/setup_error/role/resume.
-  void ComputeTaskContext(Task& task);
-
-  /// Registers a task that is not kDirect in the single-flight table as
-  /// leader or joiner. Caller holds queue_mutex_ (registration must be
-  /// atomic with the enqueue so a joiner can never precede its leader in
-  /// the queue).
-  void RegisterFlight(Task& task);
-
-  /// Enqueues tasks whose contexts are derived, registering every one in
-  /// the single-flight table before any of them can start.
-  void Enqueue(std::span<Task> tasks);
-
-  /// Runs one query end to end on a worker thread: waits on the join
-  /// future (joiners), executes the front door against the shared cache,
-  /// resolves the flight (leaders) and records stats. Returns the result
+  /// Runs one query end to end on a worker thread: executes the front
+  /// door against the shared cache and records stats. Returns the result
   /// instead of completing the task itself so WorkerLoop can mark the
   /// query no-longer-outstanding *before* its completion runs — Pending()
   /// must never report a query whose response was already observed.
@@ -265,16 +205,9 @@ class QueryService {
   std::uint64_t outstanding_ = 0;  // accepted (queued or running), unfinished
   bool stopping_ = false;
 
-  std::mutex flights_mutex_;
-  std::unordered_map<std::string, Flight> flights_;
-
   mutable std::mutex stats_mutex_;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
-  std::uint64_t coalesced_joins_ = 0;
-  std::uint64_t single_flight_leads_ = 0;
-  std::uint64_t resume_leads_ = 0;
-  std::uint64_t resume_coalesced_ = 0;
   std::uint64_t members_enumerated_ = 0;
   std::uint64_t members_generated_ = 0;
   // The recent-query ring, oldest first; bounded by

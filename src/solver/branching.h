@@ -91,7 +91,7 @@ struct BranchingSolveResult {
 /// an early-exited linear query over the same guard set is resumed from
 /// its cursor to completion (the backward fixpoint needs the whole
 /// relation) rather than rebuilt. A store attached to `cache`
-/// (GraphCache::AttachStore) persists the graph across processes. A
+/// (GraphCache's `store_dir`) persists the graph across processes. A
 /// non-null `trace` records a "solve" span with cache_lookup / full_build
 /// / fixpoint children (and the resume annotations when a partial entry
 /// was picked up), the same cache_lookup and full_build the linear engine

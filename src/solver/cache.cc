@@ -10,9 +10,22 @@
 
 namespace amalgam {
 
-GraphCache::GraphCache(std::size_t max_entries) : max_entries_(max_entries) {}
+GraphCache::GraphCache(std::size_t max_entries, const std::string& store_dir)
+    : max_entries_(max_entries),
+      store_(store_dir.empty() ? nullptr
+                               : std::make_shared<GraphStore>(store_dir)) {}
 
 GraphCache::~GraphCache() = default;
+
+void GraphCache::BuildClaim::Release() {
+  if (cache_ == nullptr) return;
+  {
+    std::lock_guard<std::mutex> lock(cache_->mutex_);
+    cache_->claimed_.erase(key_);
+  }
+  cache_->claim_released_.notify_all();
+  cache_ = nullptr;
+}
 
 std::shared_ptr<MemberTable> GraphCache::AcquireMemberTable(
     const GraphContext& context, std::uint32_t atom_cap) {
@@ -50,33 +63,8 @@ std::size_t GraphCache::member_table_bytes() const {
   return bytes;
 }
 
-void GraphCache::AttachStore(const std::string& dir) {
-  // The new tier is constructed (and its directory created) outside the
-  // lock; only the handle swap is serialized.
-  std::shared_ptr<const GraphStore> fresh;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (store_ && store_->dir() == dir) return;
-  }
-  fresh = std::make_shared<GraphStore>(dir);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (store_ && store_->dir() == dir) return;  // lost a benign attach race
-  store_ = std::move(fresh);
-}
-
-std::shared_ptr<const GraphStore> GraphCache::StoreSnapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return store_;
-}
-
-std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = graphs_.find(key);
-  if (it == graphs_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
+std::shared_ptr<const SubTransitionGraph> GraphCache::HitLocked(
+    EntryMap::iterator it) {
   hits_.fetch_add(1, std::memory_order_relaxed);
   // Freshen the entry's recency rank. Skipped when already freshest — the
   // common case for a hot key — so steady-state hits touch no list nodes.
@@ -87,22 +75,60 @@ std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
 }
 
 std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
+    const std::string& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = graphs_.find(key);
+  if (it != graphs_.end()) return HitLocked(it);
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return nullptr;
+}
+
+std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
     const GraphContext& context, TraceRecorder* trace) {
-  const std::string& key = context.key;
-  std::shared_ptr<const GraphStore> store;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = graphs_.find(key);
-    if (it != graphs_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (it->second.lru_pos != lru_.begin()) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      }
-      return it->second.graph;
-    }
-    store = store_;  // snapshot: the load below must not hold the lock
+    auto it = graphs_.find(context.key);
+    if (it != graphs_.end()) return HitLocked(it);
   }
-  if (store) {
+  return LoadFromStore(context, trace);
+}
+
+std::shared_ptr<const SubTransitionGraph> GraphCache::LookupOrClaim(
+    const GraphContext& context, BuildClaim& claim, bool& waited,
+    TraceRecorder* trace) {
+  const std::string& key = context.key;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      auto it = graphs_.find(key);
+      if (it != graphs_.end() && it->second.graph->complete()) {
+        return HitLocked(it);
+      }
+      const bool partial = it != graphs_.end();
+      if (claimed_.insert(key).second) {
+        (partial ? resume_leads_ : single_flight_leads_)
+            .fetch_add(1, std::memory_order_relaxed);
+        claim.cache_ = this;
+        claim.key_ = key;
+        if (partial) return HitLocked(it);
+        break;
+      }
+      // Counted before the wait starts, under the lock, so a reader that
+      // sees the count knows the waiter is blocked until the release.
+      (partial ? resume_coalesced_ : coalesced_joins_)
+          .fetch_add(1, std::memory_order_relaxed);
+      ScopedSpan wait_span(trace, "coalesced_wait");
+      claim_released_.wait(lock, [&] { return !claimed_.contains(key); });
+      waited = true;
+    }
+  }
+  return LoadFromStore(context, trace);
+}
+
+std::shared_ptr<const SubTransitionGraph> GraphCache::LoadFromStore(
+    const GraphContext& context, TraceRecorder* trace) {
+  const std::string& key = context.key;
+  if (store_) {
     // Disk I/O outside the mutex — concurrent queries for other keys (or
     // this one) proceed instead of convoying behind the read.
     ScopedSpan load_span(trace, "store_load");
@@ -110,11 +136,11 @@ std::shared_ptr<const SubTransitionGraph> GraphCache::Lookup(
     // counters; the delta is exact because a Load bumps exactly one of
     // them. Only traced queries pay for the extra snapshot.
     StoreCounters before{};
-    if (trace != nullptr) before = store->counters();
-    GraphStore::LoadResult loaded = store->Load(
+    if (trace != nullptr) before = store_->counters();
+    GraphStore::LoadResult loaded = store_->Load(
         key, context.backend->schema(), context.guards, context.k);
     if (trace != nullptr) {
-      const StoreCounters after = store->counters();
+      const StoreCounters after = store_->counters();
       load_span.Annotate("tier",
                          after.loose_loads > before.loose_loads  ? "loose"
                          : after.pack_loads > before.pack_loads  ? "pack"
@@ -155,18 +181,17 @@ void GraphCache::Insert(const std::string& key,
     throw std::invalid_argument("GraphCache cannot store a null graph");
   }
   std::shared_ptr<const SubTransitionGraph> to_write;
-  std::shared_ptr<const GraphStore> store;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    to_write = InsertLocked(key, std::move(graph), /*want_store_write=*/true);
-    store = store_;
+    to_write = InsertLocked(key, std::move(graph),
+                            /*want_store_write=*/store_ != nullptr);
   }
   // Write-through outside the mutex. Save is progress-guarded on its own
   // (it peeks the incumbent file's header), so racing writers cannot
   // regress the persisted trajectory even without the lock.
-  if (to_write && store) {
+  if (to_write) {
     ScopedSpan save_span(trace, "store_save");
-    const bool accepted = store->Save(key, *to_write);
+    const bool accepted = store_->Save(key, *to_write);
     save_span.Annotate("accepted", std::uint64_t{accepted});
     if (accepted) {
       store_writes_.fetch_add(1, std::memory_order_relaxed);
@@ -199,9 +224,8 @@ std::shared_ptr<const SubTransitionGraph> GraphCache::InsertLocked(
 
 StoreSweepResult GraphCache::SweepStore(std::uint64_t max_bytes,
                                         std::uint64_t max_files) {
-  std::shared_ptr<const GraphStore> store = StoreSnapshot();
-  if (!store) return StoreSweepResult{};
-  return store->Sweep(max_bytes, max_files);
+  if (!store_) return StoreSweepResult{};
+  return store_->Sweep(max_bytes, max_files);
 }
 
 std::size_t GraphCache::size() const {
@@ -211,12 +235,13 @@ std::size_t GraphCache::size() const {
 
 std::shared_ptr<const SubTransitionGraph> LookupGraph(
     GraphCache* cache, const GraphContext& context, ScopedSpan& solve_span,
-    SolveStats& stats) {
+    SolveStats& stats, GraphCache::BuildClaim& claim) {
   if (cache == nullptr) return nullptr;
   std::shared_ptr<const SubTransitionGraph> hit;
   {
     ScopedSpan lookup_span(solve_span.recorder(), "cache_lookup");
-    hit = cache->Lookup(context, solve_span.recorder());
+    hit = cache->LookupOrClaim(context, claim, stats.coalesced,
+                               solve_span.recorder());
     lookup_span.Annotate("hit", std::uint64_t{hit != nullptr});
     lookup_span.Annotate("complete", std::uint64_t{hit && hit->complete()});
   }
@@ -238,8 +263,10 @@ std::shared_ptr<const SubTransitionGraph> LookupGraph(
 std::shared_ptr<const SubTransitionGraph> AcquireCompleteGraph(
     GraphCache* cache, const GraphContext& context, ScopedSpan& solve_span,
     SolveStats& stats, std::uint32_t atom_cap, std::uint64_t max_shapes) {
+  // Released when this returns, after the insert below (or by a throw).
+  GraphCache::BuildClaim claim;
   std::shared_ptr<const SubTransitionGraph> hit =
-      LookupGraph(cache, context, solve_span, stats);
+      LookupGraph(cache, context, solve_span, stats, claim);
   if (hit && hit->complete()) return hit;
   auto built = hit ? std::make_shared<SubTransitionGraph>(*hit)
                    : std::make_shared<SubTransitionGraph>(context.guards,

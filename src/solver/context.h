@@ -21,7 +21,7 @@
 //
 // GraphContext bundles that derivation with the backend and the cache key,
 // so it is computed once per query: the query service builds it at submit
-// time (it needs the key for single-flight registration) and hands it to
+// time (the maintenance loop's recipe index needs the key) and hands it to
 // the front door, and a front door called without one builds its own
 // through the same function. MakeGraphContext is the only place a key is
 // derived, and the context is the only thing the cache is asked with

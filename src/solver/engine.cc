@@ -214,6 +214,10 @@ void ExplorationEngine::RunOnTheFly() {
 
 SolveResult ExplorationEngine::Run() {
   ScopedSpan solve_span(options_.trace, "solve");
+  // The key's build claim, when the on-the-fly lookup took one (a miss or
+  // a partial entry; the eager path holds its own inside
+  // AcquireCompleteGraph): held through the sweep and the insert.
+  GraphCache::BuildClaim claim;
   if (options_.strategy == SolveStrategy::kEager) {
     const std::uint64_t max_shapes = num_states_ == 0
                                          ? ~std::uint64_t{0}
@@ -222,7 +226,8 @@ SolveResult ExplorationEngine::Run() {
                                   result_.stats, options_.relational_atom_cap,
                                   max_shapes);
   } else {
-    graph_ = LookupGraph(options_.cache, ctx_, solve_span, result_.stats);
+    graph_ = LookupGraph(options_.cache, ctx_, solve_span, result_.stats,
+                         claim);
   }
   if (graph_ && graph_->complete()) {
     // Pure BFS over interned ids, zero enumeration.
@@ -242,6 +247,7 @@ SolveResult ExplorationEngine::Run() {
       options_.cache->Insert(ctx_.key, owned_graph_, options_.trace);
     }
   }
+  claim.Release();  // the witness reconstruction below reads no cache entry
   Finish();
   return std::move(result_);
 }

@@ -32,7 +32,7 @@
 //     the verdict needs more of the class, resumed from its cursor instead
 //     of rebuilt. Whatever this query adds is inserted back, so the cache's
 //     trajectory only ever advances. With a store attached to the cache
-//     (GraphCache::AttachStore) the same holds across processes
+//     (GraphCache's `store_dir`) the same holds across processes
 //     (solver/store.h). The eager path takes its graph from
 //     AcquireCompleteGraph and the on-the-fly path from its lookup half,
 //     LookupGraph (solver/cache.h) — the same path the branching fixpoint
@@ -107,7 +107,7 @@ struct SolveOptions {
   /// atom cap: they read what earlier sweeps over the class appended and
   /// append what they sweep past its end. Graphs and all counters but
   /// members_generated are the same as without the table. Graphs persist across processes when
-  /// the cache has a store attached (GraphCache::AttachStore): a query in
+  /// the cache has a store attached (GraphCache's `store_dir`): a query in
   /// a fresh process finds the previous run's complete graph (zero
   /// enumeration) or resumes its partial one from the stored cursor. The
   /// store's disk caps are the cache owner's to enforce

@@ -98,6 +98,7 @@ struct SolveStats {
   std::uint64_t members_unpacked = 0;
   bool graph_from_cache = false;         // seeded by a GraphCache entry
   bool graph_resumed = false;            // that entry was partial (cursor)
+  bool coalesced = false;  // waited on another query's build claim
 };
 
 /// Annotates a sweep's span with where its members came from (`source`:

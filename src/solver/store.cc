@@ -38,15 +38,6 @@ void AppendVarint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-std::uint64_t Fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // Bounds-checked sequential reader over the serialized payload. Every
 // primitive returns false on truncation or malformed data; callers
 // propagate the failure up to a nullptr load.

@@ -37,7 +37,7 @@ struct TreeSolveResult {
 /// `cache`, when given, reuses/stores the sub-transition graph keyed by
 /// (automaton fingerprint + pattern cap, k, guard set); complete entries
 /// serve queries with zero enumeration, partial ones resume from their
-/// cursor. A store attached to `cache` (GraphCache::AttachStore) persists
+/// cursor. A store behind `cache` (GraphCache's `store_dir`) persists
 /// graphs to disk for cross-process reuse. A non-null `trace` is passed
 /// through as SolveOptions::trace — the engine records its "solve" span
 /// tree into it.

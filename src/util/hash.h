@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace amalgam {
@@ -24,6 +25,18 @@ inline std::uint64_t HashU64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+/// The 64-bit FNV-1a hash of `bytes`: stable across runs and machines, so
+/// it names store files (GraphStore::PathFor), checksums their payloads,
+/// and identifies a graph key in the recent-query log.
+inline std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // the offset basis
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// Hashes a contiguous range of integral values.

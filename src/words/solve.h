@@ -39,7 +39,7 @@ struct WordSolveResult {
 /// (automaton fingerprint, k, guard set) — a complete entry lets repeated
 /// queries skip run-pattern enumeration entirely, and a partial entry
 /// (early-exited earlier build) is resumed from its cursor. A store attached
-/// to `cache` (GraphCache::AttachStore) persists graphs to disk, so the
+/// to `cache` (GraphCache's `store_dir`) persists graphs to disk, so the
 /// reuse also works in a fresh process. A non-null `trace` is passed
 /// through as SolveOptions::trace — the engine records its "solve" span
 /// tree into it. With `build_witness`, a nonempty verdict always carries a

@@ -37,8 +37,7 @@ void ExpectResumedAndStoredWitnesses(const DdsSystem& system,
                                      const SolveResult& cold) {
   const std::string dir = ::testing::TempDir() + "/engine_witness_store";
   std::filesystem::remove_all(dir);
-  GraphCache cache;
-  cache.AttachStore(dir);
+  GraphCache cache(0, dir);
   SolveOptions partial{.build_witness = false, .cache = &cache};
   ASSERT_TRUE(SolveEmptiness(system, backend, partial).nonempty);
   SolveOptions eager{.strategy = SolveStrategy::kEager, .cache = &cache};
@@ -48,8 +47,7 @@ void ExpectResumedAndStoredWitnesses(const DdsSystem& system,
   EXPECT_TRUE(hit.stats.graph_from_cache);
   EXPECT_EQ(hit.stats.members_enumerated, 0u);
 
-  GraphCache fresh;
-  fresh.AttachStore(dir);
+  GraphCache fresh(0, dir);
   eager.cache = &fresh;
   const SolveResult loaded = SolveEmptiness(system, backend, eager);
   EXPECT_TRUE(loaded.stats.graph_from_cache);

@@ -7,12 +7,16 @@
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
+#include <latch>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fraisse/data_class.h"
 #include "fraisse/relational.h"
+#include "solver/branching.h"
 #include "solver/cache.h"
 #include "solver/emptiness.h"
 #include "system/concrete.h"
@@ -359,8 +363,7 @@ TEST(GraphCacheTest, ConcurrentColdStoreLookupsDoNotConvoyOrRace) {
   const GraphContext ctx = SystemGraphContext(BorrowBackend(cls), system);
   {
     // Seed the directory with a complete graph.
-    GraphCache seeder;
-    seeder.AttachStore(dir.string());
+    GraphCache seeder(0, dir.string());
     SolveOptions options;
     options.build_witness = false;
     options.cache = &seeder;
@@ -368,8 +371,7 @@ TEST(GraphCacheTest, ConcurrentColdStoreLookupsDoNotConvoyOrRace) {
     ASSERT_GE(seeder.store_writes(), 1u);
   }
 
-  GraphCache cache;
-  cache.AttachStore(dir.string());
+  GraphCache cache(0, dir.string());
   std::vector<std::shared_ptr<const SubTransitionGraph>> results(4);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < results.size(); ++t) {
@@ -388,6 +390,60 @@ TEST(GraphCacheTest, ConcurrentColdStoreLookupsDoNotConvoyOrRace) {
   // lookups are pure memory hits.
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_NE(cache.Lookup(ctx.key), nullptr);
+}
+
+TEST(GraphCacheTest, ThreadsSharingACacheBuildEachGraphOnce) {
+  // Single flight is on the graph path, not in the query service: two
+  // threads that start the same query at once over one shared cache build
+  // its graph once, whichever front door they call. The other one waits on
+  // the builder's claim and replays the graph, or finds it finished.
+  const AllStructuresClass cls(GraphZooSchema());
+  const DdsSystem system = OddRedCycleSystem();
+  BranchingSystem branching(GraphZooSchema());
+  branching.AddRegister("x");
+  branching.AddRegister("y");
+  const int walk = branching.AddState("walk", true);
+  const int done = branching.AddState("done", false, true);
+  branching.AddRule(walk, {{"E(x_old, x_new) & y_new = y_old", walk}});
+  branching.AddRule(walk, {{"x_old = y_old & red(x_new)", done}});
+  auto linear = [&](SolveStrategy strategy) {
+    return [&, strategy](GraphCache& cache) {
+      return SolveEmptiness(system, cls,
+                            SolveOptions{.build_witness = false,
+                                         .strategy = strategy,
+                                         .cache = &cache})
+          .stats;
+    };
+  };
+  const std::vector<std::pair<const char*,
+                              std::function<SolveStats(GraphCache&)>>>
+      front_doors = {
+          {"eager", linear(SolveStrategy::kEager)},
+          {"on the fly", linear(SolveStrategy::kOnTheFly)},
+          {"branching",
+           [&](GraphCache& cache) {
+             return SolveBranchingEmptiness(branching, cls, &cache).stats;
+           }},
+      };
+  for (const auto& [name, run] : front_doors) {
+    GraphCache cache;
+    std::latch start(2);
+    SolveStats stats[2];
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        stats[t] = run(cache);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ((stats[0].members_enumerated > 0) +
+                  (stats[1].members_enumerated > 0),
+              1)
+        << name;
+    EXPECT_EQ(cache.single_flight_leads(), 1u) << name;
+    EXPECT_EQ(cache.misses(), 1u) << name;
+  }
 }
 
 TEST(GraphCacheTest, FingerprintsAreInjectionSafe) {

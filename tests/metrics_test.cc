@@ -10,10 +10,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -240,6 +242,64 @@ TEST(MetricsSessionTest, MetricsOpEmitsTheFullExposition) {
   EXPECT_FALSE(entry.GetBool("traced"));
   EXPECT_FALSE(entry.Get("spans"))
       << "an untraced entry carries no span rollup";
+}
+
+// A connected loopback client of `port` whose reads give up after
+// `timeout`, or -1.
+int ConnectLoopback(int port, std::chrono::seconds timeout) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval tv{.tv_sec = static_cast<time_t>(timeout.count()),
+                   .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(MetricsHttpTest, SilentClientStallsNeitherScrapesNorStop) {
+  MetricsHttpServer server([] { return std::string("amalgam_up 1\n"); });
+  ASSERT_EQ(server.Start(0), "");
+  constexpr auto kBound = std::chrono::seconds(5);
+
+  // A client that connects and never sends a byte, then a scrape.
+  const int silent = ConnectLoopback(server.port(), kBound);
+  ASSERT_GE(silent, 0);
+  const auto scrape_start = std::chrono::steady_clock::now();
+  const int scraper = ConnectLoopback(server.port(), kBound);
+  ASSERT_GE(scraper, 0);
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(scraper, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(scraper, buf, sizeof(buf), 0)) > 0) {
+    response.append(buf, n);
+  }
+  ::close(scraper);
+  EXPECT_NE(response.find("amalgam_up 1\n"), std::string::npos)
+      << "the scrape behind a silent client got no answer";
+  EXPECT_LT(std::chrono::steady_clock::now() - scrape_start, kBound);
+
+  // Stop with another silent connection open.
+  const int second = ConnectLoopback(server.port(), kBound);
+  ASSERT_GE(second, 0);
+  std::future<void> stopped =
+      std::async(std::launch::async, [&] { server.Stop(); });
+  EXPECT_EQ(stopped.wait_for(kBound), std::future_status::ready)
+      << "Stop() waited on a silent client";
+  // Closing the silent clients frees a server still waiting on them, so a
+  // failure here ends instead of hanging.
+  ::close(silent);
+  ::close(second);
+  stopped.wait();
 }
 
 TEST(MetricsHttpTest, ScrapeRoundTripOverARealSocket) {

@@ -1,6 +1,7 @@
 // Tests for the concurrent query service: single-flight coalescing of
-// concurrent identical cold queries (exactly one graph build — one cache
-// miss, the rest joins), verdict parity with the synchronous front doors
+// concurrent identical cold queries through the cache's build claims
+// (exactly one graph build — one cache miss, the rest joins, in a
+// schedule GatedClass fixes), verdict parity with the synchronous front doors
 // across the system/words/trees zoos under mixed-key stress, graceful
 // drain-during-inflight shutdown, in-band error delivery, the shared
 // store tier, and the JSONL protocol layer behind amalgamd. Runs under
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "fraisse/relational.h"
+#include "gated_class.h"
 #include "service/json.h"
 #include "service/protocol.h"
 #include "service/service.h"
@@ -51,11 +53,11 @@ QueryRequest ReachRedRequest() {
 }
 
 TEST(ServiceTest, SingleFlightColdBatchBuildsExactlyOnce) {
-  // Eight concurrent identical cold queries: SubmitBatch registers the
-  // whole batch in the single-flight table before any worker starts, so
-  // exactly one query (the leader) builds the graph — the cache records
-  // one miss — and the other seven join: they wait for the leader, replay
-  // the cached graph as a pure BFS (zero enumeration) and count as hits.
+  // Eight concurrent identical cold queries: the first to reach the cache
+  // takes the key's build claim and builds the graph — the cache records
+  // one miss — while the other seven wait on the claim (the gate holds the
+  // build until all seven do), then replay the cached graph as a pure BFS
+  // (zero enumeration) and count as hits.
   QueryService::Options options;
   options.num_workers = 8;
   QueryService service(options);
@@ -65,7 +67,9 @@ TEST(ServiceTest, SingleFlightColdBatchBuildsExactlyOnce) {
                      SolveOptions{.build_witness = false})
           .nonempty;
 
-  std::vector<QueryRequest> batch(8, ReachRedRequest());
+  QueryRequest gated = ReachRedRequest();
+  gated.cls = std::make_shared<GatedClass>(gated.cls, service.cache(), 7);
+  std::vector<QueryRequest> batch(8, gated);
   std::vector<std::future<QueryResult>> futures =
       service.SubmitBatch(std::move(batch));
 
@@ -196,10 +200,11 @@ QueryRequest RedProbeRequest(bool accepting,
 }
 
 TEST(ServiceTest, PartialEntryResumeCoalescesOntoOneSuffixBuild) {
-  // The resume-flight regression (the gap PR-5 documented): N concurrent
-  // queries over one warm-but-partial cache entry must perform exactly
-  // one suffix build — a resume leader extends the entry, the rest wait
-  // on its flight and replay — instead of N duplicated extension sweeps.
+  // N concurrent queries over one warm-but-partial cache entry must
+  // perform exactly one suffix build — the query holding the key's claim
+  // extends the entry, the rest wait on the claim (the gate holds the
+  // extension until all seven do) and replay — instead of N duplicated
+  // extension sweeps.
   QueryService::Options options;
   options.num_workers = 8;
   QueryService service(options);
@@ -216,9 +221,12 @@ TEST(ServiceTest, PartialEntryResumeCoalescesOntoOneSuffixBuild) {
   ASSERT_FALSE(cached->complete())
       << "the accepting seed must leave a partial entry for the key";
 
-  // Eight concurrent queries whose verdict needs the rest of the class.
-  std::vector<std::future<QueryResult>> futures = service.SubmitBatch(
-      std::vector<QueryRequest>(8, RedProbeRequest(false, cls)));
+  // Eight concurrent queries whose verdict needs the rest of the class,
+  // over a gated class with the same fingerprint, so the same key.
+  QueryRequest probe = RedProbeRequest(false, cls);
+  probe.cls = std::make_shared<GatedClass>(cls, service.cache(), 7);
+  std::vector<std::future<QueryResult>> futures =
+      service.SubmitBatch(std::vector<QueryRequest>(8, probe));
   int extenders = 0;
   for (auto& future : futures) {
     QueryResult result = future.get();
@@ -235,8 +243,8 @@ TEST(ServiceTest, PartialEntryResumeCoalescesOntoOneSuffixBuild) {
   EXPECT_EQ(stats.single_flight_leads, 1u) << "only the cold seed build";
   EXPECT_EQ(stats.coalesced_joins, 0u);
 
-  // The flight completed the graph: later queries run direct, off the
-  // flight table, and enumerate nothing.
+  // The extension completed the graph: later queries run direct, without
+  // a claim, and enumerate nothing.
   cached = service.cache().Peek(key);
   ASSERT_NE(cached, nullptr);
   EXPECT_TRUE(cached->complete());
@@ -245,7 +253,7 @@ TEST(ServiceTest, PartialEntryResumeCoalescesOntoOneSuffixBuild) {
   EXPECT_EQ(direct.stats.members_enumerated, 0u);
   service.Drain();
   EXPECT_EQ(service.Stats().resume_leads, 1u)
-      << "a complete entry must skip the flight table";
+      << "a complete entry is served without a claim";
 }
 
 // A system over `guards` (one rule each) walking states 0 -> 1 -> ... with
@@ -646,9 +654,10 @@ TEST(ServiceTest, SingleFlightKeysAgreeWithEngineKeys) {
   // the function its front door uses when called without one, and the
   // front door reuses it. If a kind ever built its key another way, the
   // leader's build would land under a key the engine never looks up (or
-  // vice versa), and a cold identical pair would stop coalescing onto one
-  // build — so: one cache miss per unique request, one coalesced join per
-  // duplicate, across every front-door kind.
+  // vice versa), and a cold identical pair would stop sharing one build —
+  // so: one cache miss and one claim per unique request, and one hit per
+  // duplicate (it waited on the claim or found the finished graph),
+  // across every front-door kind.
   QueryRequest word;
   word.kind = QueryKind::kWord;
   word.system = std::make_shared<DdsSystem>(ZigZagSystem(1));
@@ -684,13 +693,72 @@ TEST(ServiceTest, SingleFlightKeysAgreeWithEngineKeys) {
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.cache_misses, 4u) << "one cold build per unique key";
   EXPECT_EQ(stats.single_flight_leads, 4u);
-  EXPECT_EQ(stats.coalesced_joins, 4u) << "every duplicate joined its leader";
+  EXPECT_EQ(stats.cache_hits, 4u) << "every duplicate replayed its leader's";
+}
+
+TEST(ServiceTest, OneWorkerAnswersALeaderAndItsDuplicate) {
+  // A queued query holds no build claim, so a one-worker service answers
+  // two identical cold queries submitted separately, in turn: the second
+  // finds the first's graph.
+  QueryService::Options options;
+  options.num_workers = 1;
+  QueryService service(options);
+  QueryRequest eager = ReachRedRequest();
+  eager.strategy = SolveStrategy::kEager;
+  std::future<QueryResult> leader = service.Submit(eager);
+  std::future<QueryResult> duplicate = service.Submit(eager);
+  const QueryResult first = leader.get();
+  const QueryResult second = duplicate.get();
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(first.nonempty, second.nonempty);
+  EXPECT_GT(first.stats.members_enumerated, 0u);
+  EXPECT_EQ(second.stats.members_enumerated, 0u);
+  EXPECT_TRUE(second.stats.graph_from_cache);
+  EXPECT_FALSE(second.coalesced);
+}
+
+TEST(ServiceTest, FailedLeadersWaiterRetriesTheBuild) {
+  // The claim holder's stream throws once its duplicate waits on the
+  // claim: the leader answers the enumeration-cap error in band, its claim
+  // is released by the throw, and the waiter takes the claim, builds the
+  // graph itself and answers the verdict.
+  QueryService::Options options;
+  options.num_workers = 2;
+  QueryService service(options);
+  const bool expected =
+      SolveEmptiness(*ReachRedRequest().system, *ReachRedRequest().cls,
+                     SolveOptions{.build_witness = false})
+          .nonempty;
+  QueryRequest gated = ReachRedRequest();
+  gated.cls = std::make_shared<GatedClass>(gated.cls, service.cache(), 1,
+                                           /*throw_first=*/true);
+  std::future<QueryResult> first = service.Submit(gated);
+  std::future<QueryResult> second = service.Submit(gated);
+  std::vector<QueryResult> results = {first.get(), second.get()};
+  if (results[0].ok) std::swap(results[0], results[1]);
+  const QueryResult& failed = results[0];
+  const QueryResult& retried = results[1];
+  EXPECT_FALSE(failed.ok);
+  EXPECT_EQ(failed.error_code, EnumerationCapError::kCode);
+  EXPECT_FALSE(failed.coalesced);
+  ASSERT_TRUE(retried.ok) << retried.error;
+  EXPECT_EQ(retried.nonempty, expected);
+  EXPECT_TRUE(retried.coalesced);
+  EXPECT_GT(retried.stats.members_enumerated, 0u);
+
+  service.Drain();
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.coalesced_joins, 1u);
+  EXPECT_EQ(stats.single_flight_leads, 2u) << "the waiter claimed the retry";
+  EXPECT_EQ(stats.cache_misses, 2u);
 }
 
 TEST(ServiceTest, MixedKeyStressAcrossTheZoos) {
   // A shuffled pile of repeated queries across all zoos: every verdict
   // must match the synchronous answer, whatever interleaving the worker
-  // pool picks and however the single-flight table carves up the builds.
+  // pool picks and however the build claims carve up the builds.
   std::vector<QueryRequest> unique_requests;
   std::vector<bool> expected;
 
@@ -831,6 +899,25 @@ TEST(ServiceTest, StoreTierSharedAcrossServiceRestarts) {
         << "the persisted complete graph must serve the fresh service";
     EXPECT_EQ(service.Stats().store_loads, 1u);
   }
+}
+
+TEST(ServiceTest, RecentKeyNamesTheLooseStoreFile) {
+  // The recent ring's key and the loose store file's name are one FNV-1a
+  // hash of the graph key, so a logged query leads to its file.
+  const std::string dir = ServiceStoreDir("recent_key");
+  QueryService::Options options;
+  options.store_dir = dir;
+  QueryService service(options);
+  QueryRequest request = ReachRedRequest();
+  request.strategy = SolveStrategy::kEager;
+  const std::string key = service.GraphKeyFor(request);
+  ASSERT_TRUE(service.Submit(request).get().ok);
+  service.Drain();
+  const std::vector<RecentQuery> recent = service.Recent();
+  ASSERT_EQ(recent.size(), 1u);
+  const fs::path file = service.cache().store()->PathFor(key);
+  EXPECT_EQ(file.filename().string(), "g" + recent[0].key + ".amg");
+  EXPECT_TRUE(fs::exists(file));
 }
 
 TEST(ServiceTest, StoreSweepCapsTheDiskTier) {

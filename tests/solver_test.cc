@@ -580,14 +580,12 @@ void ExpectRepeatsChangeNothing(const DdsSystem& system,
     // a fresh cache over the same directory resumes it to completion.
     const std::string dir = FreshStoreDir("r" + std::to_string(r));
     {
-      GraphCache persisting;
-      persisting.AttachStore(dir);
+      GraphCache persisting(0, dir);
       SolveOptions persist = lazy;
       persist.cache = &persisting;
       SolveEmptiness(repeated, cls, persist);
     }
-    GraphCache resuming;
-    resuming.AttachStore(dir);
+    GraphCache resuming(0, dir);
     SolveOptions resume = eager;
     resume.cache = &resuming;
     const SolveResult resumed = SolveEmptiness(repeated, cls, resume);
@@ -789,13 +787,11 @@ void ExpectTableServedQueriesMatchStreamed(const DdsSystem& system,
     WarmMemberTable(warm, ctx);
     const std::string dir = FreshStoreDir("table_" + name);
     for (SolveStrategy strategy : strategies) {
-      GraphCache streaming;
-      streaming.AttachStore(dir);
+      GraphCache streaming(0, dir);
       const SolveStats streamed = SolveStreamed(system, ctx, &streaming,
                                                 strategy);
       EXPECT_EQ(streaming.member_table_builds(), 0u);
-      GraphCache loader;
-      loader.AttachStore(dir);
+      GraphCache loader(0, dir);
       const auto expected = loader.Lookup(ctx);
       ASSERT_NE(expected, nullptr);
       for (GraphCache* tabled : {&cold, &warm}) {

@@ -164,8 +164,7 @@ TEST(StoreTest, CompleteGraphServesAFreshProcessWithZeroEnumeration) {
   AllStructuresClass all(GraphZooSchema());
   DdsSystem system = ContradictionSystem();  // empty: builds to completion
 
-  GraphCache building;
-  building.AttachStore(dir);
+  GraphCache building(0, dir);
   SolveOptions first;
   first.build_witness = false;
   first.cache = &building;
@@ -177,8 +176,7 @@ TEST(StoreTest, CompleteGraphServesAFreshProcessWithZeroEnumeration) {
 
   // A fresh process: nothing shared with the first query but the
   // directory.
-  GraphCache fresh;
-  fresh.AttachStore(dir);
+  GraphCache fresh(0, dir);
   SolveOptions second;
   second.build_witness = false;
   second.cache = &fresh;
@@ -216,8 +214,7 @@ TEST(StoreTest, PartialGraphResumesAcrossProcessesWithFewerMembers) {
   ASSERT_GT(cold.stats.members_enumerated, 0u);
 
   // Process 1: nonempty query early-exits; the partial graph hits disk.
-  GraphCache writer;
-  writer.AttachStore(dir);
+  GraphCache writer(0, dir);
   SolveOptions first = plain;
   first.cache = &writer;
   SolveResult r1 = SolveEmptiness(reach, all, first);
@@ -226,8 +223,7 @@ TEST(StoreTest, PartialGraphResumesAcrossProcessesWithFewerMembers) {
 
   // Process 2: same guard set, empty verdict — needs the rest of the
   // class, resumed from the stored cursor.
-  GraphCache reader;
-  reader.AttachStore(dir);
+  GraphCache reader(0, dir);
   SolveOptions second = plain;
   second.cache = &reader;
   SolveResult r2 = SolveEmptiness(dead, all, second);
@@ -241,8 +237,7 @@ TEST(StoreTest, PartialGraphResumesAcrossProcessesWithFewerMembers) {
   EXPECT_EQ(r2.stats.edges, cold.stats.edges);
 
   // Process 3: the resumed build upgraded the stored graph to complete.
-  GraphCache third;
-  third.AttachStore(dir);
+  GraphCache third(0, dir);
   SolveOptions final_query = plain;
   final_query.cache = &third;
   SolveResult r3 = SolveEmptiness(dead, all, final_query);
@@ -296,8 +291,7 @@ TEST(StoreTest, CorruptOrTruncatedFilesFallBackToAFreshBuild) {
   const int k = system.num_registers();
   const std::string key = KeyOf(all, k, guards);
 
-  GraphCache seeding;
-  seeding.AttachStore(dir);
+  GraphCache seeding(0, dir);
   SolveOptions seed;
   seed.build_witness = false;
   seed.cache = &seeding;
@@ -308,8 +302,7 @@ TEST(StoreTest, CorruptOrTruncatedFilesFallBackToAFreshBuild) {
   const auto full_size = fs::file_size(path);
 
   auto query_against_store = [&](std::uint64_t* load_failures) {
-    GraphCache cache;
-    cache.AttachStore(dir);
+    GraphCache cache(0, dir);
     SolveOptions options;
     options.build_witness = false;
     options.cache = &cache;
@@ -435,8 +428,7 @@ TEST(StoreTest, VersionSkewedRecordsReadAsMissesAndAreReplaced) {
                            .strategy = SolveStrategy::kEager};
   const SolveResult reference = SolveEmptiness(system, all, eager);
   auto query_against_store = [&](const std::string& dir) {
-    GraphCache cache;
-    cache.AttachStore(dir);
+    GraphCache cache(0, dir);
     SolveOptions options = eager;
     options.cache = &cache;
     SolveResult r = SolveEmptiness(system, all, options);
@@ -604,9 +596,7 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     const std::string dir = StoreDir("words");
     DdsSystem system = ZigZagSystem(1);
     Nfa nfa = NfaAPlusBPlus();
-    GraphCache first_process, second_process;
-    first_process.AttachStore(dir);
-    second_process.AttachStore(dir);
+    GraphCache first_process(0, dir), second_process(0, dir);
     WordSolveResult first =
         SolveWordEmptiness(system, nfa, true, SolveStrategy::kOnTheFly,
                            &first_process);
@@ -627,9 +617,7 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     const std::string dir = StoreDir("trees");
     TreeAutomaton two = TaTwoLevel();
     DdsSystem system = DescendSystem(two, 1);
-    GraphCache first_process, second_process;
-    first_process.AttachStore(dir);
-    second_process.AttachStore(dir);
+    GraphCache first_process(0, dir), second_process(0, dir);
     TreeSolveResult first = SolveTreeEmptiness(
         system, two, 0, 3, SolveStrategy::kOnTheFly, &first_process);
     TreeSolveResult second = SolveTreeEmptiness(
@@ -651,9 +639,7 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     int white = bs.AddState("white_found", false, true);
     bs.AddRule(start, {{"E(x_old, x_new) & red(x_new)", red},
                        {"E(x_old, x_new) & !red(x_new)", white}});
-    GraphCache first_process, second_process;
-    first_process.AttachStore(dir);
-    second_process.AttachStore(dir);
+    GraphCache first_process(0, dir), second_process(0, dir);
     BranchingSolveResult first =
         SolveBranchingEmptiness(bs, all, &first_process);
     BranchingSolveResult second =
@@ -675,9 +661,7 @@ TEST(StoreTest, WordTreeAndBranchingFrontDoorsPersist) {
     int a = linear.AddState("a", true);
     int b = linear.AddState("b", false, true);
     linear.AddRule(a, b, "E(x_old, x_new)");
-    GraphCache linear_process, branching_process;
-    linear_process.AttachStore(dir);
-    branching_process.AttachStore(dir);
+    GraphCache linear_process(0, dir), branching_process(0, dir);
     SolveOptions options;
     options.build_witness = false;
     options.cache = &linear_process;
@@ -778,8 +762,7 @@ TEST(StoreTest, SweepWithoutCapsIsANoOp) {
 TEST(StoreTest, SweepAfterAQueryCapsTheStore) {
   const std::string dir = StoreDir("sweep_knob");
   AllStructuresClass all(GraphZooSchema());
-  GraphCache cache;
-  cache.AttachStore(dir);
+  GraphCache cache(0, dir);
 
   // Build up two persisted graphs, run a third query, then sweep to a
   // one-file cap (what a daemon's post-query sweep does): the directory

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "fraisse/relational.h"
+#include "gated_class.h"
 #include "obs/trace.h"
 #include "service/json.h"
 #include "service/protocol.h"
@@ -285,7 +286,7 @@ TEST(TraceServiceTest, ColdQuerySpanTreeCoversQueueBuildAndBfs) {
   ASSERT_NE(role, nullptr);
   EXPECT_EQ(role->value, "leader");
   ASSERT_EQ(SpansNamed(spans, "queue_wait").size(), 1u);
-  ASSERT_EQ(SpansNamed(spans, "lead_build").size(), 1u);
+  ASSERT_EQ(SpansNamed(spans, "run").size(), 1u);
   ASSERT_EQ(SpansNamed(spans, "solve").size(), 1u);
   EXPECT_FALSE(SpansNamed(spans, "sweep_initial").empty());
   EXPECT_FALSE(SpansNamed(spans, "cache_lookup").empty());
@@ -311,11 +312,20 @@ TEST(TraceServiceTest, CacheHitTraceSkipsTheSweeps) {
 }
 
 TEST(TraceServiceTest, CoalescedJoinerRecordsItsWait) {
+  // Eager, so the leader leaves a complete graph and each joiner waits
+  // exactly once; the gate holds the build until all seven wait.
   QueryService::Options options;
   options.num_workers = 8;
   QueryService service(options);
+  const auto gated = std::make_shared<GatedClass>(
+      std::make_shared<AllStructuresClass>(GraphZooSchema()), service.cache(),
+      7);
   std::vector<QueryRequest> batch;
-  for (int i = 0; i < 8; ++i) batch.push_back(ReachRedRequest(true));
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back(ReachRedRequest(true));
+    batch.back().cls = gated;
+    batch.back().strategy = SolveStrategy::kEager;
+  }
   std::vector<std::future<QueryResult>> futures =
       service.SubmitBatch(std::move(batch));
 
@@ -326,14 +336,23 @@ TEST(TraceServiceTest, CoalescedJoinerRecordsItsWait) {
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_NE(result.trace, nullptr);
     const std::vector<TraceSpan> spans = result.trace->Snapshot();
+    EXPECT_EQ(SpansNamed(spans, "run").size(), 1u);
+    const std::vector<TraceSpan> roots = SpansNamed(spans, "query");
+    ASSERT_EQ(roots.size(), 1u);
+    const TraceAnnotation* role = FindAnnotation(roots[0], "role");
+    ASSERT_NE(role, nullptr);
     if (result.coalesced) {
       ++joiners;
-      EXPECT_EQ(SpansNamed(spans, "coalesced_wait").size(), 1u);
-      EXPECT_EQ(SpansNamed(spans, "run").size(), 1u);
-      EXPECT_TRUE(SpansNamed(spans, "lead_build").empty());
+      EXPECT_EQ(role->value, "joiner");
+      const std::vector<TraceSpan> waits = SpansNamed(spans, "coalesced_wait");
+      ASSERT_EQ(waits.size(), 1u);
+      EXPECT_STREQ(spans.at(waits[0].parent).name, "cache_lookup")
+          << "the wait is recorded where it happens";
+      EXPECT_TRUE(SpansNamed(spans, "full_build").empty());
     } else {
       ++leaders;
-      EXPECT_EQ(SpansNamed(spans, "lead_build").size(), 1u);
+      EXPECT_EQ(role->value, "leader");
+      EXPECT_EQ(SpansNamed(spans, "full_build").size(), 1u);
       EXPECT_TRUE(SpansNamed(spans, "coalesced_wait").empty());
     }
   }
@@ -344,7 +363,7 @@ TEST(TraceServiceTest, CoalescedJoinerRecordsItsWait) {
 // Two systems that share a graph cache key but differ in acceptance: the
 // accepting variant early-exits and caches a partial graph; the
 // non-accepting one must resume it (see service_test.cc for the
-// single-flight version of this setup).
+// concurrent version of this setup).
 DdsSystem RedProbeSystem(bool accepting) {
   DdsSystem system(GraphZooSchema());
   system.AddRegister("x");
@@ -432,7 +451,7 @@ TEST(TraceProtocolTest, TracedLineReturnsSpanTreeInBand) {
   bool saw_build = false;
   for (const JsonView child : children.elements()) {
     if (child.GetString("name") == "queue_wait") saw_queue_wait = true;
-    if (child.GetString("name") == "lead_build") saw_build = true;
+    if (child.GetString("name") == "run") saw_build = true;
   }
   EXPECT_TRUE(saw_queue_wait);
   EXPECT_TRUE(saw_build);
@@ -486,8 +505,7 @@ TEST(TraceCatalogTest, DocumentedSpansAreExactlyTheRecordedOnes) {
     // Eager through a store-attached cache: a store miss, then the save.
     const std::string dir = ::testing::TempDir() + "/trace_catalog_store";
     std::filesystem::remove_all(dir);
-    GraphCache cache;
-    cache.AttachStore(dir);
+    GraphCache cache(0, dir);
     TraceRecorder trace;
     SolveOptions options;
     options.strategy = SolveStrategy::kEager;
@@ -511,13 +529,19 @@ TEST(TraceCatalogTest, DocumentedSpansAreExactlyTheRecordedOnes) {
   }
   {
     // Two identical service queries: a leader and a coalesced joiner, which
-    // waits for the leader and then replays the partial graph it left.
+    // waits for the leader's claim (the gate holds the build until it
+    // does) and then replays the partial graph it left.
     QueryService::Options options;
     options.num_workers = 2;
     QueryService service(options);
+    const auto gated = std::make_shared<GatedClass>(
+        std::make_shared<AllStructuresClass>(GraphZooSchema()),
+        service.cache(), 1);
     std::vector<QueryRequest> batch;
-    batch.push_back(ReachRedRequest(true));
-    batch.push_back(ReachRedRequest(true));
+    for (int i = 0; i < 2; ++i) {
+      batch.push_back(ReachRedRequest(true));
+      batch.back().cls = gated;
+    }
     int joiners = 0;
     for (auto& future : service.SubmitBatch(std::move(batch))) {
       const QueryResult result = future.get();
