@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -103,14 +104,14 @@ MaintenancePassResult MaintenanceLoop::RunOnce() {
         continue;
       }
     }
-    std::string line;
+    std::shared_ptr<const std::string> line;
     {
       std::lock_guard<std::mutex> lock(recipes_mutex_);
       const auto it = recipe_index_.find(key);
       if (it == recipe_index_.end()) continue;  // forgotten meanwhile
       line = it->second->line;
     }
-    ProtocolRequest parsed = ParseRequestLine(line);
+    ProtocolRequest parsed = ParseRequestLine(*line);
     if (!parsed.error.empty() || parsed.op != ProtocolRequest::Op::kQuery) {
       continue;
     }
@@ -187,7 +188,9 @@ std::uint64_t MaintenanceLoop::KeyLoggedLines(bool prewarm) {
   for (std::size_t i = lines.size(); i-- > 0;) {
     if (recipes_.size() >= kRecipeCapacity) break;
     if (keys[i].empty() || recipe_index_.count(keys[i]) != 0) continue;
-    recipes_.push_front(Recipe{std::move(keys[i]), std::move(lines[i])});
+    recipes_.push_front(
+        Recipe{std::move(keys[i]),
+               std::make_shared<const std::string>(std::move(lines[i]))});
     recipe_index_.emplace(recipes_.front().key, recipes_.begin());
   }
   return loads;
@@ -195,12 +198,15 @@ std::uint64_t MaintenanceLoop::KeyLoggedLines(bool prewarm) {
 
 void MaintenanceLoop::RecordAccess(std::string key, std::string_view line) {
   if (key.empty()) return;
+  // Copied before the lock: a flush may still be writing the line this
+  // one replaces.
+  auto recorded = std::make_shared<const std::string>(line);
   std::lock_guard<std::mutex> lock(recipes_mutex_);
   dirty_ = true;
   auto it = recipe_index_.find(key);
   if (it != recipe_index_.end()) {
     // A known graph: its latest line moves to the warm end.
-    it->second->line = line;
+    it->second->line = std::move(recorded);
     recipes_.splice(recipes_.end(), recipes_, it->second);
     return;
   }
@@ -208,7 +214,7 @@ void MaintenanceLoop::RecordAccess(std::string key, std::string_view line) {
     recipe_index_.erase(recipes_.front().key);
     recipes_.pop_front();
   }
-  recipes_.push_back(Recipe{std::move(key), std::string(line)});
+  recipes_.push_back(Recipe{std::move(key), std::move(recorded)});
   recipe_index_.emplace(recipes_.back().key, std::prev(recipes_.end()));
 }
 
@@ -221,13 +227,11 @@ void MaintenanceLoop::FlushAccessLog() {
   // The log holds one line per key, so lines loaded but not yet keyed
   // are keyed before they are rewritten.
   KeyLoggedLines(/*prewarm=*/false);
-  std::string bytes;
+  std::vector<std::shared_ptr<const std::string>> lines;
   {
     std::lock_guard<std::mutex> lock(recipes_mutex_);
-    for (const Recipe& recipe : recipes_) {
-      bytes += recipe.line;
-      bytes += '\n';
-    }
+    lines.reserve(recipes_.size());
+    for (const Recipe& recipe : recipes_) lines.push_back(recipe.line);
     dirty_ = false;
   }
   // Unique temp name per process *and* per call: two daemons sharing the
@@ -238,7 +242,10 @@ void MaintenanceLoop::FlushAccessLog() {
                           std::to_string(static_cast<long>(::getpid())) + "." +
                           std::to_string(flush_counter.fetch_add(1));
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  for (const std::shared_ptr<const std::string>& line : lines) {
+    out.write(line->data(), static_cast<std::streamsize>(line->size()));
+    out.put('\n');
+  }
   out.close();
   std::error_code ec;
   if (!out.fail()) std::filesystem::rename(tmp, path, ec);

@@ -39,6 +39,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -123,7 +124,9 @@ class MaintenanceLoop {
  private:
   struct Recipe {
     std::string key;
-    std::string line;
+    /// Immutable once recorded, so a flush snapshots the table by
+    /// reference and writes it outside recipes_mutex_.
+    std::shared_ptr<const std::string> line;
   };
 
   void ThreadLoop();
@@ -134,9 +137,11 @@ class MaintenanceLoop {
   /// pass_mutex_.
   std::uint64_t KeyLoggedLines(bool prewarm);
   /// Persists the table to <store_dir>/access.jsonl (temp+rename; no-op
-  /// when nothing new was recorded or without a store_dir). Caller holds
-  /// pass_mutex_, so a flush never publishes a table that keying is
-  /// halfway through filling.
+  /// when nothing new was recorded or without a store_dir). Snapshots the
+  /// lines by reference under recipes_mutex_ and writes them one at a time
+  /// outside it: the log is never built in memory, and RecordAccess never
+  /// waits on the disk. Caller holds pass_mutex_, so a flush never
+  /// publishes a table that keying is halfway through filling.
   void FlushAccessLog();
   std::string AccessLogPath() const;
 

@@ -64,6 +64,14 @@ std::string HashedKey(const std::string& key) {
   return std::string(buf);
 }
 
+// A completion that fulfills `promise` with the query's result.
+QueryService::Completion Fulfilling(
+    std::shared_ptr<std::promise<QueryResult>> promise) {
+  return [promise = std::move(promise)](QueryRequest, QueryResult result) {
+    promise->set_value(std::move(result));
+  };
+}
+
 }  // namespace
 
 const char* QueryKindName(QueryKind kind) {
@@ -128,17 +136,12 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request,
                                               std::string* graph_key) {
   auto promise = std::make_shared<std::promise<QueryResult>>();
   std::future<QueryResult> future = promise->get_future();
-  Submit(
-      std::move(request),
-      [promise](QueryRequest, QueryResult result) {
-        promise->set_value(std::move(result));
-      },
-      graph_key);
+  Submit(std::move(request), Fulfilling(std::move(promise)), graph_key);
   return future;
 }
 
-void QueryService::Submit(QueryRequest request, Completion done,
-                          std::string* graph_key) {
+QueryService::Task QueryService::MakeTask(QueryRequest request,
+                                          Completion done) {
   Task task;
   task.request = std::move(request);
   task.done = std::move(done);
@@ -148,6 +151,12 @@ void QueryService::Submit(QueryRequest request, Completion done,
   } catch (const std::exception& e) {
     task.setup_error = e.what();
   }
+  return task;
+}
+
+void QueryService::Submit(QueryRequest request, Completion done,
+                          std::string* graph_key) {
+  Task task = MakeTask(std::move(request), std::move(done));
   if (graph_key != nullptr) *graph_key = task.context.key;
   task.submitted_at = std::chrono::steady_clock::now();
   {
@@ -164,10 +173,31 @@ void QueryService::Submit(QueryRequest request, Completion done,
 std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
     std::vector<QueryRequest> requests) {
   std::vector<std::future<QueryResult>> futures;
+  std::vector<Task> tasks;
   futures.reserve(requests.size());
+  tasks.reserve(requests.size());
   for (QueryRequest& request : requests) {
-    futures.push_back(Submit(std::move(request)));
+    auto promise = std::make_shared<std::promise<QueryResult>>();
+    futures.push_back(promise->get_future());
+    tasks.push_back(
+        MakeTask(std::move(request), Fulfilling(std::move(promise))));
   }
+  const auto submitted_at = std::chrono::steady_clock::now();
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (stopping_) {
+      throw std::runtime_error("QueryService is shut down");
+    }
+    for (Task& task : tasks) {
+      task.submitted_at = submitted_at;
+      queue_.push_back(std::move(task));
+    }
+    outstanding_ += tasks.size();
+  }
+  // One wake-up per task, up to one per worker: a woken worker that finds
+  // more queued keeps taking tasks before it waits again.
+  const std::size_t wakes = std::min(tasks.size(), workers_.size());
+  for (std::size_t i = 0; i < wakes; ++i) queue_cv_.notify_one();
   return futures;
 }
 

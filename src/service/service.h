@@ -104,7 +104,9 @@ class QueryService {
   void Submit(QueryRequest request, Completion done,
               std::string* graph_key = nullptr);
 
-  /// Submits each request in order; one future per request.
+  /// Submits each request in order; one future per request. The batch
+  /// enters the queue under one lock and wakes at most one worker per
+  /// request. Throws std::runtime_error after Shutdown(), enqueuing none.
   std::vector<std::future<QueryResult>> SubmitBatch(
       std::vector<QueryRequest> requests);
 
@@ -179,6 +181,10 @@ class QueryService {
     // queue wait (histogram + retroactive "queue_wait" span).
     std::chrono::steady_clock::time_point submitted_at;
   };
+
+  /// A task for `request`, its graph context derived (off the queue
+  /// lock); the caller stamps submitted_at when it enqueues.
+  static Task MakeTask(QueryRequest request, Completion done);
 
   /// Runs one query end to end on a worker thread: executes the front
   /// door against the shared cache and records stats. Returns the result

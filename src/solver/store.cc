@@ -292,6 +292,54 @@ std::optional<BuildProgress> PeekProgress(const std::string& path,
   return std::nullopt;
 }
 
+/// Reader::ReadVarint over a stream, counting the bytes it consumes into
+/// `*pos`.
+bool ReadStreamVarint(std::istream& in, std::uint64_t* v, std::uint64_t* pos) {
+  *v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    const int c = in.get();
+    if (c == std::char_traits<char>::eof()) return false;
+    ++*pos;
+    const std::uint8_t byte = static_cast<std::uint8_t>(c);
+    *v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if (!(byte & 0x80)) return true;
+  }
+  return false;
+}
+
+/// Scans a pack file sequentially, holding one entry in memory at a time:
+/// calls `visit(key, progress, offset, length)` for each entry in file
+/// order, where offset and length place the entry's bytes in the file, and
+/// stops at the first entry that is torn or fails ReadHeader.
+template <typename Visit>
+void ScanPack(std::istream& in, Visit&& visit) {
+  if (!in.seekg(0, std::ios::end)) return;
+  const std::streamoff end = in.tellg();
+  if (end < 0 || !in.seekg(0)) return;
+  const std::uint64_t size = static_cast<std::uint64_t>(end);
+  char magic[sizeof(kPackMagic)];
+  std::uint64_t pos = sizeof(magic);
+  std::uint64_t version = 0;
+  if (size <= sizeof(magic) || !in.read(magic, sizeof(magic)) ||
+      std::string_view(magic, sizeof(magic)) !=
+          std::string_view(kPackMagic, sizeof(kPackMagic)) ||
+      !ReadStreamVarint(in, &version, &pos) || version != kPackFormatVersion) {
+    return;
+  }
+  std::string entry;
+  std::string key;
+  for (;;) {
+    std::uint64_t length = 0;
+    if (!ReadStreamVarint(in, &length, &pos) || length > size - pos) break;
+    entry.resize(length);
+    if (!in.read(entry.data(), static_cast<std::streamsize>(length))) break;
+    BuildProgress progress;
+    if (!PeekEntryBytes(entry, &key, &progress)) break;
+    visit(key, progress, pos, length);
+    pos += length;
+  }
+}
+
 }  // namespace
 
 std::string SerializeGraph(const SubTransitionGraph& graph,
@@ -776,13 +824,25 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
 
   // Collect the best copy per key: every valid packed entry, overridden by
   // a valid loose file whenever the loose copy is at least as far along
-  // (ties go to the loose file so it can be folded away).
-  struct Candidate {
+  // (ties go to the loose file so it can be folded away). A packed copy is
+  // kept as its place in the old pack, which stays open (the same file,
+  // whatever renames happen meanwhile) until the new pack is written; a
+  // loose copy keeps its bytes, since a save may replace its file.
+  struct LooseCopy {
+    std::string key;
+    std::string path;
     std::string bytes;
     BuildProgress progress;
-    std::string loose_path;  // empty: came from the current pack
   };
-  std::unordered_map<std::string, Candidate> best;
+  static constexpr std::size_t kPacked = static_cast<std::size_t>(-1);
+  struct Copy {
+    BuildProgress progress;
+    std::uint64_t offset = 0;  // a packed copy's bytes in the old pack
+    std::uint64_t length = 0;
+    std::size_t loose = kPacked;  // or its slot in `loose`
+  };
+  std::unordered_map<std::string, Copy> best;
+  std::vector<LooseCopy> loose;
 
   // Scan the pack *sequentially* instead of through its index: entries are
   // length-prefixed and self-validating, so this recovers a pack whose
@@ -790,28 +850,14 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
   // publication renames leaves behind. A torn tail (or any invalid entry)
   // ends the scan; everything before it is kept.
   std::shared_ptr<const PackIndex> index = LoadPackIndex();
-  std::string pack_bytes;
-  if (ReadFileBytes(PackPath(), &pack_bytes) &&
-      pack_bytes.size() > sizeof(kPackMagic) &&
-      std::string_view(pack_bytes).substr(0, sizeof(kPackMagic)) ==
-          std::string_view(kPackMagic, sizeof(kPackMagic))) {
-    Reader r(std::string_view(pack_bytes).substr(sizeof(kPackMagic)));
-    std::uint64_t version = 0;
-    if (r.ReadVarint(&version) && version == kPackFormatVersion) {
-      for (;;) {
-        std::uint64_t len = 0;
-        std::string_view entry;
-        if (!r.ReadVarint(&len) || !r.ReadBytes(len, &entry)) break;
-        std::string key;
-        BuildProgress progress;
-        if (!PeekEntryBytes(entry, &key, &progress)) break;
-        auto it = best.find(key);
-        if (it == best.end() || it->second.progress < progress) {
-          best[key] = Candidate{std::string(entry), progress, ""};
-        }
-      }
+  std::ifstream old_pack(PackPath(), std::ios::binary);
+  ScanPack(old_pack, [&](const std::string& key, const BuildProgress& progress,
+                         std::uint64_t offset, std::uint64_t length) {
+    auto it = best.find(key);
+    if (it == best.end() || it->second.progress < progress) {
+      best[key] = Copy{progress, offset, length};
     }
-  }
+  });
 
   std::uint64_t loose_seen = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
@@ -824,9 +870,16 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
     if (!PeekEntryBytes(bytes, &key, &progress)) continue;  // corrupt
     ++loose_seen;
     auto it = best.find(key);
-    if (it == best.end() || progress >= it->second.progress) {
-      best[key] = Candidate{std::move(bytes), progress, entry.path().string()};
+    if (it != best.end() && progress < it->second.progress) continue;
+    Copy& copy = best[key];
+    if (copy.loose == kPacked) {
+      copy.loose = loose.size();
+      loose.emplace_back();
     }
+    copy.progress = progress;
+    copy.length = bytes.size();
+    loose[copy.loose] = LooseCopy{std::move(key), entry.path().string(),
+                                  std::move(bytes), progress};
   }
 
   // Nothing loose to fold and the pack's index is live: no-op. (A stale
@@ -835,42 +888,92 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
   if (loose_seen == 0 && index != nullptr) return result;
   if (best.empty()) return result;
 
-  // New pack, entries in index (key-hash) order so the sorted index walks
-  // the file sequentially. Each entry is length-prefixed: the pack alone
-  // reconstructs its content (the recovery scan above).
-  std::vector<std::pair<std::uint64_t, const Candidate*>> ordered;
+  // From here on an entry is its key's hash and where its bytes are; the
+  // keys are dropped before the write.
+  struct Entry {
+    PackIndexEntry at;  // the old place until written, then the new one
+    std::size_t loose;
+  };
+  std::vector<Entry> ordered;
   ordered.reserve(best.size());
-  for (const auto& [key, candidate] : best) {
-    ordered.emplace_back(Fnv1a64(key), &candidate);
+  for (const auto& [key, copy] : best) {
+    ordered.push_back(
+        Entry{PackIndexEntry{Fnv1a64(key), copy.offset, copy.length},
+              copy.loose});
   }
+  decltype(best)().swap(best);
+
+  // An entry's bytes: a loose copy's from memory, a packed one's read back
+  // from the old pack into `buffer`. False when the read fails.
+  auto entry_bytes = [&](const Entry& e, std::string& buffer,
+                         std::string_view* out) {
+    if (e.loose != kPacked) {
+      *out = loose[e.loose].bytes;
+      return true;
+    }
+    buffer.resize(e.at.length);
+    old_pack.clear();
+    old_pack.seekg(static_cast<std::streamoff>(e.at.offset));
+    if (!old_pack.read(buffer.data(),
+                       static_cast<std::streamsize>(e.at.length))) {
+      return false;
+    }
+    *out = buffer;
+    return true;
+  };
+
+  // New pack, entries in index (key-hash) order so the sorted index walks
+  // the file sequentially; equal hashes order by their entries' bytes.
+  // Each entry is length-prefixed: the pack alone reconstructs its content
+  // (the recovery scan above).
   std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first < b.first
-                                        : a.second->bytes < b.second->bytes;
+            [&](const Entry& a, const Entry& b) {
+              if (a.at.key_hash != b.at.key_hash) {
+                return a.at.key_hash < b.at.key_hash;
+              }
+              // Two keys of one hash (rare): compare their bytes.
+              std::string a_buffer, b_buffer;
+              std::string_view a_bytes, b_bytes;
+              entry_bytes(a, a_buffer, &a_bytes);
+              entry_bytes(b, b_buffer, &b_bytes);
+              return a_bytes < b_bytes;
             });
 
-  std::string pack(kPackMagic, sizeof(kPackMagic));
-  AppendVarint(pack, kPackFormatVersion);
-  std::vector<PackIndexEntry> entries;
-  entries.reserve(ordered.size());
-  for (const auto& [hash, candidate] : ordered) {
-    AppendVarint(pack, candidate->bytes.size());
-    entries.push_back(PackIndexEntry{hash, pack.size(),
-                                     candidate->bytes.size()});
-    pack += candidate->bytes;
-  }
-
+  // Written one entry at a time: the pass holds the index and the loose
+  // tier, never the pack.
   static std::atomic<std::uint64_t> repack_counter{0};
   const std::string suffix = ".tmp." +
                              std::to_string(static_cast<long>(::getpid())) +
                              "." +
                              std::to_string(repack_counter.fetch_add(1));
   const std::string pack_tmp = PackPath() + suffix;
+  std::uint64_t pack_size = 0;
   {
     std::ofstream out(pack_tmp, std::ios::binary | std::ios::trunc);
-    out.write(pack.data(), static_cast<std::streamsize>(pack.size()));
-    if (!out.good()) {
-      result.error = "repack: cannot write " + pack_tmp;
+    auto write = [&](std::string_view bytes) {
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      pack_size += bytes.size();
+    };
+    std::string framing(kPackMagic, sizeof(kPackMagic));
+    AppendVarint(framing, kPackFormatVersion);
+    write(framing);
+    std::string buffer;
+    bool read_ok = true;
+    for (Entry& e : ordered) {
+      std::string_view bytes;
+      if (!entry_bytes(e, buffer, &bytes)) {
+        read_ok = false;
+        break;
+      }
+      framing.clear();
+      AppendVarint(framing, bytes.size());
+      write(framing);
+      e.at.offset = pack_size;
+      write(bytes);
+    }
+    if (!read_ok || !out.good()) {
+      result.error = read_ok ? "repack: cannot write " + pack_tmp
+                             : "repack: cannot read " + PackPath();
       out.close();
       std::filesystem::remove(pack_tmp, ec);
       return result;
@@ -888,12 +991,13 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
 
   std::string idx(kIndexMagic, sizeof(kIndexMagic));
   AppendVarint(idx, kPackFormatVersion);
-  AppendVarint(idx, pack.size());
-  AppendVarint(idx, entries.size());
-  for (const PackIndexEntry& e : entries) {
-    AppendU64LE(idx, e.key_hash);
-    AppendU64LE(idx, e.offset);
-    AppendU64LE(idx, e.length);
+  AppendVarint(idx, pack_size);
+  AppendVarint(idx, ordered.size());
+  idx.reserve(idx.size() + 24 * ordered.size() + 8);
+  for (const Entry& e : ordered) {
+    AppendU64LE(idx, e.at.key_hash);
+    AppendU64LE(idx, e.at.offset);
+    AppendU64LE(idx, e.at.length);
   }
   AppendU64LE(idx, Fnv1a64(idx));
   const std::string idx_tmp = IndexPath() + suffix;
@@ -922,23 +1026,21 @@ StoreRepackResult GraphStore::Repack(RepackKillPoint kill_point) const {
   }
   repacks_.fetch_add(1, std::memory_order_relaxed);
   result.performed = true;
-  result.entries = entries.size();
-  result.pack_bytes = pack.size();
+  result.entries = ordered.size();
+  result.pack_bytes = pack_size;
   if (kill_point == RepackKillPoint::kBeforeLooseDelete) return result;
 
   // Fold the absorbed loose files away — unless one advanced while this
   // pass ran, in which case it stays authoritative until the next repack.
-  for (const auto& [key, candidate] : best) {
-    if (candidate.loose_path.empty()) continue;
+  for (const LooseCopy& copy : loose) {
     const std::optional<BuildProgress> now =
-        PeekProgress(candidate.loose_path, key);
-    if (now && candidate.progress < *now) {
+        PeekProgress(copy.path, copy.key);
+    if (now && copy.progress < *now) {
       ++result.loose_kept;
       continue;
     }
     std::error_code remove_ec;
-    if (std::filesystem::remove(candidate.loose_path, remove_ec) &&
-        !remove_ec) {
+    if (std::filesystem::remove(copy.path, remove_ec) && !remove_ec) {
       ++result.loose_folded;
     }
   }

@@ -10,11 +10,16 @@
 // pass through the session layer.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -365,6 +370,77 @@ TEST(MaintenanceTest, ConcurrentFlushesFromTwoLoopsPublishWholeLogs) {
               0u)
         << entry.path();
   }
+  service.Shutdown();
+}
+
+TEST(MaintenanceTest, FlushesUnderConcurrentRecordingPublishWholeLruLogs) {
+  // A transport thread records accesses while passes flush the log: every
+  // published log is whole, holds one line per key and is in LRU order.
+  // Each line carries its key and a recording sequence number, so LRU
+  // order is ascending sequence numbers.
+  const std::string dir = MaintStoreDir("flush_while_recording");
+  QueryService service;
+  MaintenanceOptions mopts;
+  mopts.store_dir = dir;
+  mopts.repack_min_loose = 0;
+  MaintenanceLoop loop(service, mopts);
+  constexpr std::size_t kCap = MaintenanceLoop::kRecipeCapacity;
+  constexpr std::size_t kKeys = kCap + 100;  // recording also evicts
+  constexpr std::size_t kRecords = 20000;
+  auto line_of = [](std::size_t seq) {
+    return "{\"key\":" + std::to_string(seq % kKeys) +
+           ",\"seq\":" + std::to_string(seq) + "}";
+  };
+  std::atomic<bool> done{false};
+  std::thread recorder([&] {
+    for (std::size_t seq = 0; seq < kRecords; ++seq) {
+      loop.RecordAccess("key" + std::to_string(seq % kKeys), line_of(seq));
+    }
+    done = true;
+  });
+
+  // Checks one published log; returns its last sequence number.
+  auto check_log = [&](std::size_t* lines_read) {
+    std::ifstream in(dir + "/access.jsonl", std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    *lines_read = 0;
+    if (bytes.empty()) return;
+    ASSERT_EQ(bytes.back(), '\n') << "a torn log";
+    std::istringstream lines(bytes);
+    std::string line;
+    long long previous = -1;
+    std::set<unsigned long long> keys;
+    while (std::getline(lines, line)) {
+      unsigned long long key = 0, seq = 0;
+      ASSERT_EQ(std::sscanf(line.c_str(), "{\"key\":%llu,\"seq\":%llu}",
+                            &key, &seq),
+                2)
+          << line;
+      ASSERT_EQ(line, line_of(seq)) << "a torn line";
+      EXPECT_GT(static_cast<long long>(seq), previous) << "not LRU order";
+      EXPECT_TRUE(keys.insert(key).second) << "key " << key << " twice";
+      previous = static_cast<long long>(seq);
+      ++*lines_read;
+    }
+    EXPECT_LE(*lines_read, kCap);
+  };
+
+  std::size_t passes = 0;
+  while (!done) {
+    loop.RunOnce();
+    ++passes;
+    std::size_t lines_read = 0;
+    check_log(&lines_read);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  recorder.join();
+  loop.Stop();  // the last flush holds the last kCap records
+  std::size_t lines_read = 0;
+  check_log(&lines_read);
+  EXPECT_EQ(lines_read, kCap);
+  EXPECT_EQ(ReadLines(dir + "/access.jsonl").back(), line_of(kRecords - 1));
+  EXPECT_GT(passes, 0u);
   service.Shutdown();
 }
 

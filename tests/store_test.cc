@@ -11,18 +11,25 @@
 // result as an artifact).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <new>
+#include <optional>
 #include <random>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include <malloc.h>
 #include <sys/time.h>
 
 #include "fraisse/relational.h"
@@ -35,9 +42,41 @@
 #include "trees/run_class.h"
 #include "trees/solve.h"
 #include "trees/zoo.h"
+#include "util/hash.h"
 #include "words/run_class.h"
 #include "words/solve.h"
 #include "words/zoo.h"
+
+// Live heap bytes, counted by this binary's own operator new and delete,
+// and their peak since the last reset: the repack memory test's gauge.
+namespace {
+std::atomic<std::int64_t> g_live_heap{0};
+std::atomic<std::int64_t> g_peak_heap{0};
+
+void* CountedAlloc(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live = g_live_heap.fetch_add(size) + size;
+  std::int64_t peak = g_peak_heap.load();
+  while (live > peak && !g_peak_heap.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+
+void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_heap.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)));
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace amalgam {
 namespace {
@@ -789,6 +828,152 @@ TEST(StoreTest, SweepAfterAQueryCapsTheStore) {
   EXPECT_EQ(amg_files, 1u);
 }
 
+// ---- The whole-buffer fold, as a reference for Repack's output ----------
+
+// A varint of `bytes` at `*pos`, advancing it; false past the end.
+bool TakeVarint(std::string_view bytes, std::size_t* pos, std::uint64_t* v) {
+  *v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (*pos >= bytes.size()) return false;
+    const auto byte = static_cast<std::uint8_t>(bytes[(*pos)++]);
+    *v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if (!(byte & 0x80)) return true;
+  }
+  return false;
+}
+
+void PutVarint(std::string& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+void PutU64LE(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+// The embedded key and progress of a record whose checksum, magic and
+// format version hold (docs/STORE_FORMAT.md).
+bool PeekRecord(std::string_view bytes, std::string* key,
+                BuildProgress* progress) {
+  if (bytes.size() < 12 || bytes.substr(0, 4) != "AMGS" ||
+      WithChecksum(bytes.substr(0, bytes.size() - 8)) != bytes) {
+    return false;
+  }
+  const std::string_view payload = bytes.substr(0, bytes.size() - 8);
+  std::size_t pos = 4;
+  std::uint64_t version, key_len, k, guards, phase;
+  if (!TakeVarint(payload, &pos, &version) ||
+      version != kGraphStoreFormatVersion ||
+      !TakeVarint(payload, &pos, &key_len) || key_len > payload.size() - pos) {
+    return false;
+  }
+  key->assign(payload.substr(pos, key_len));
+  pos += key_len;
+  if (!TakeVarint(payload, &pos, &k) || !TakeVarint(payload, &pos, &guards) ||
+      !TakeVarint(payload, &pos, &phase) || phase > UINT32_MAX) {
+    return false;
+  }
+  progress->cursor.phase = static_cast<std::uint32_t>(phase);
+  return TakeVarint(payload, &pos, &progress->cursor.next_member) &&
+         TakeVarint(payload, &pos, &progress->edges);
+}
+
+struct PackFiles {
+  std::string pack;
+  std::string idx;
+};
+
+// What a repack of `store` publishes, computed the way Repack did before it
+// streamed: the whole pack and every loose file read into memory, the
+// furthest copy per key kept (a loose one on a tie), and the new pack and
+// index built as whole buffers. Nullopt when Repack publishes nothing.
+std::optional<PackFiles> ReferenceFold(const GraphStore& store) {
+  struct Candidate {
+    std::string bytes;
+    BuildProgress progress;
+  };
+  std::unordered_map<std::string, Candidate> best;
+  const std::string pack = ReadFile(store.PackPath());
+  std::size_t pos = 4;
+  std::uint64_t version = 0;
+  if (pack.size() > 4 && pack.compare(0, 4, "AMGP") == 0 &&
+      TakeVarint(pack, &pos, &version) && version == kPackFormatVersion) {
+    for (;;) {
+      std::uint64_t len = 0;
+      if (!TakeVarint(pack, &pos, &len) || len > pack.size() - pos) break;
+      const std::string_view entry = std::string_view(pack).substr(pos, len);
+      pos += len;
+      std::string key;
+      BuildProgress progress;
+      if (!PeekRecord(entry, &key, &progress)) break;
+      auto it = best.find(key);
+      if (it == best.end() || it->second.progress < progress) {
+        best[key] = Candidate{std::string(entry), progress};
+      }
+    }
+  }
+  std::uint64_t loose_seen = 0;
+  for (const auto& file : fs::directory_iterator(store.dir())) {
+    if (!file.is_regular_file() || file.path().extension() != ".amg") continue;
+    std::string bytes = ReadFile(file.path().string());
+    std::string key;
+    BuildProgress progress;
+    if (!PeekRecord(bytes, &key, &progress)) continue;
+    ++loose_seen;
+    auto it = best.find(key);
+    if (it == best.end() || progress >= it->second.progress) {
+      best[key] = Candidate{std::move(bytes), progress};
+    }
+  }
+  const bool index_live =
+      fs::exists(store.PackPath()) && !store.PackNeedsRepair();
+  if ((loose_seen == 0 && index_live) || best.empty()) return std::nullopt;
+
+  std::vector<std::pair<std::uint64_t, const Candidate*>> ordered;
+  for (const auto& [key, candidate] : best) {
+    ordered.emplace_back(Fnv1a64(key), &candidate);
+  }
+  std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first
+                              : a.second->bytes < b.second->bytes;
+  });
+  PackFiles out;
+  out.pack = "AMGP";
+  PutVarint(out.pack, kPackFormatVersion);
+  std::string entries;
+  for (const auto& [hash, candidate] : ordered) {
+    PutVarint(out.pack, candidate->bytes.size());
+    PutU64LE(entries, hash);
+    PutU64LE(entries, out.pack.size());
+    PutU64LE(entries, candidate->bytes.size());
+    out.pack += candidate->bytes;
+  }
+  out.idx = "AMGI";
+  PutVarint(out.idx, kPackFormatVersion);
+  PutVarint(out.idx, out.pack.size());
+  PutVarint(out.idx, ordered.size());
+  out.idx += entries;
+  PutU64LE(out.idx, Fnv1a64(out.idx));
+  return out;
+}
+
+// Repacks `store`, expecting it to publish exactly the reference fold's
+// pack and index bytes.
+StoreRepackResult RepackAgainstReference(const GraphStore& store) {
+  const std::optional<PackFiles> expected = ReferenceFold(store);
+  const StoreRepackResult repack = store.Repack();
+  EXPECT_TRUE(expected.has_value()) << "the reference fold publishes nothing";
+  if (expected) {
+    EXPECT_TRUE(ReadFile(store.PackPath()) == expected->pack)
+        << "pack.amgp differs from the reference fold's";
+    EXPECT_TRUE(ReadFile(store.IndexPath()) == expected->idx)
+        << "pack.idx differs from the reference fold's";
+  }
+  return repack;
+}
+
 // One small complete graph the pack tests save under many synthetic keys:
 // repack needs volume, not variety, and the store validates entries by the
 // key they were saved under, not by what the graph "means".
@@ -820,7 +1005,7 @@ TEST(StoreTest, RepackFoldsAThousandKeysIntoByteIdenticalPackLoads) {
   EXPECT_EQ(store.LooseFileCount(), kKeys);
   EXPECT_EQ(store.PackEntryCount(), 0u);
 
-  const StoreRepackResult repack = store.Repack();
+  const StoreRepackResult repack = RepackAgainstReference(store);
   EXPECT_TRUE(repack.performed);
   EXPECT_TRUE(repack.error.empty()) << repack.error;
   EXPECT_EQ(repack.entries, kKeys);
@@ -842,6 +1027,97 @@ TEST(StoreTest, RepackFoldsAThousandKeysIntoByteIdenticalPackLoads) {
   EXPECT_EQ(reader.counters().pack_loads, kKeys);
   EXPECT_EQ(reader.counters().loose_loads, 0u);
   EXPECT_EQ(reader.counters().load_failures, 0u);
+}
+
+TEST(StoreTest, RepackKeepsNewerLooseCopiesOverTheirPackedEntries) {
+  // A packed generation, then newer loose copies of half its keys and two
+  // new keys: the fold keeps each key's furthest copy, loose or packed.
+  const std::string dir = StoreDir("repack_newer_loose");
+  AllStructuresClass all(GraphZooSchema());
+  DdsSystem older_system = ContradictionSystem();
+  DdsSystem newer_system = ReachRedSystem();
+  std::vector<FormulaRef> older_guards = GuardsOf(older_system);
+  std::vector<FormulaRef> newer_guards = GuardsOf(newer_system);
+  SubTransitionGraph older = BuildSmallCompleteGraph(all, older_system);
+  SubTransitionGraph newer = BuildSmallCompleteGraph(all, newer_system);
+  ASSERT_LT(older.progress(), newer.progress());
+
+  GraphStore store(dir);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 16; ++i) {
+    keys.push_back("newer/" + std::to_string(i));
+    ASSERT_TRUE(store.Save(keys.back(), older));
+  }
+  ASSERT_TRUE(RepackAgainstReference(store).performed);
+  auto is_newer = [](std::size_t i) { return i % 2 == 1 || i >= 16; };
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (is_newer(i)) {
+      ASSERT_TRUE(store.Save(keys[i], newer)) << keys[i];
+    }
+  }
+  for (int i = 16; i < 18; ++i) {
+    keys.push_back("newer/" + std::to_string(i));
+    ASSERT_TRUE(store.Save(keys.back(), newer));
+  }
+
+  const StoreRepackResult repack = RepackAgainstReference(store);
+  EXPECT_TRUE(repack.performed);
+  EXPECT_EQ(repack.entries, keys.size());
+  EXPECT_EQ(repack.loose_folded, 10u);
+  EXPECT_EQ(store.LooseFileCount(), 0u);
+  GraphStore reader(dir);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const SubTransitionGraph& expected = is_newer(i) ? newer : older;
+    GraphStore::LoadResult load =
+        reader.Load(keys[i], all.schema(),
+                    is_newer(i) ? newer_guards : older_guards, 1);
+    ASSERT_NE(load.graph, nullptr) << keys[i];
+    EXPECT_EQ(SerializeGraph(*load.graph, keys[i]),
+              SerializeGraph(expected, keys[i]));
+  }
+  EXPECT_EQ(reader.counters().pack_loads, keys.size());
+}
+
+TEST(StoreTest, RepackPeakHeapIsASmallFractionOfThePack) {
+  // A pack of several MB and a few loose files: the repack streams the
+  // pack, so its peak heap is the index plus the loose tier plus one
+  // entry, not a multiple of the pack.
+  const std::string dir = StoreDir("repack_peak_heap");
+  AllStructuresClass all(GraphZooSchema());
+  DdsSystem system(GraphZooSchema());
+  const int a = system.AddState("a", /*initial=*/true);
+  const int b = system.AddState("b", /*initial=*/false, /*accepting=*/true);
+  system.AddRegister("x");
+  // Many rules make a graph of many edges: about 2.4 KB an entry.
+  const char* const kGuards[] = {"E(x_old, x_new)", "!E(x_old, x_new)",
+                                 "red(x_new)",      "!red(x_new)",
+                                 "x_old = x_new",   "x_old != x_new",
+                                 "E(x_new, x_old)", "red(x_old)"};
+  for (int i = 0; i < 96; ++i) system.AddRule(a, b, kGuards[i % 8]);
+  SubTransitionGraph graph = BuildSmallCompleteGraph(all, system);
+
+  GraphStore store(dir);
+  constexpr int kKeys = 4000;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(store.Save("heap/" + std::to_string(i), graph));
+  }
+  ASSERT_TRUE(store.Repack().performed);
+  for (int i = kKeys; i < kKeys + 4; ++i) {
+    ASSERT_TRUE(store.Save("heap/" + std::to_string(i), graph));
+  }
+  const std::int64_t pack_size =
+      static_cast<std::int64_t>(fs::file_size(store.PackPath()));
+  ASSERT_GT(pack_size, 4 << 20);
+
+  const std::int64_t before = g_live_heap.load();
+  g_peak_heap.store(before);
+  const StoreRepackResult repack = store.Repack();
+  const std::int64_t peak = g_peak_heap.load() - before;
+  EXPECT_TRUE(repack.performed) << repack.error;
+  EXPECT_EQ(repack.entries, static_cast<std::uint64_t>(kKeys + 4));
+  EXPECT_LE(peak, pack_size / 8)
+      << "peak heap " << peak << " bytes over a " << pack_size
+      << "-byte pack";
 }
 
 TEST(StoreTest, RepackSurvivesACrashAtEveryKillPoint) {
@@ -944,7 +1220,7 @@ TEST(StoreTest, StaleIndexAfterCrashRecoversPackOnlyEntriesByScan) {
   // unindexed pack) — unavailable, but not lost:
   EXPECT_EQ(reader.Load(keys.front(), all.schema(), guards, k).graph,
             nullptr);
-  const StoreRepackResult recovery = reader.Repack();
+  const StoreRepackResult recovery = RepackAgainstReference(reader);
   EXPECT_TRUE(recovery.performed);
   EXPECT_TRUE(recovery.error.empty()) << recovery.error;
   EXPECT_EQ(recovery.entries, 12u);
@@ -983,7 +1259,7 @@ TEST(StoreTest, TruncatedPackRecoversItsValidPrefixOnTheNextRepack) {
 
   GraphStore reader(dir);
   EXPECT_TRUE(reader.PackNeedsRepair());
-  const StoreRepackResult recovery = reader.Repack();
+  const StoreRepackResult recovery = RepackAgainstReference(reader);
   EXPECT_TRUE(recovery.performed);
   EXPECT_TRUE(recovery.error.empty()) << recovery.error;
   EXPECT_EQ(recovery.entries, kKeys - 1) << "only the torn entry is gone";
