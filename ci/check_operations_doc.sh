@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Doc-drift guard for docs/OPERATIONS.md and docs/OBSERVABILITY.md.
+# Doc-drift guard for docs/OPERATIONS.md, docs/OBSERVABILITY.md and
+# docs/STORE_FORMAT.md.
 #
-# Three checks, all against the *built* amalgamd so the docs can never
-# drift from the binary unnoticed:
+# Checks 1-3 run against the *built* amalgamd so the docs can never
+# drift from the binary unnoticed; check 4 reads the source:
 #
 #   1. Flags, both directions: every `--flag` named in either doc must
 #      be listed by `amalgamd --help`, and every flag `--help` lists
@@ -15,20 +16,27 @@
 #      and every metric the scrape exports must be documented.
 #      (`_bucket`/`_sum`/`_count` suffixes fold onto their histogram's
 #      base name before comparing.)
+#   4. Store versions: the record-version and pack-version rows of
+#      STORE_FORMAT.md's layout tables name the values of
+#      kGraphStoreFormatVersion and kPackFormatVersion in
+#      src/solver/store.h.
 #
 # Usage: ci/check_operations_doc.sh [path/to/amalgamd] [path/to/docs]
+#        [path/to/store.h]
 set -u
 
 AMALGAMD=${1:-build/amalgamd}
 DOCDIR=${2:-docs}
+STORE_H=${3:-$DOCDIR/../src/solver/store.h}
 OPS_DOC="$DOCDIR/OPERATIONS.md"
 OBS_DOC="$DOCDIR/OBSERVABILITY.md"
+STORE_DOC="$DOCDIR/STORE_FORMAT.md"
 
 if [ ! -x "$AMALGAMD" ]; then
   echo "error: amalgamd not executable at $AMALGAMD" >&2
   exit 1
 fi
-for doc in "$OPS_DOC" "$OBS_DOC"; do
+for doc in "$OPS_DOC" "$OBS_DOC" "$STORE_DOC" "$STORE_H"; do
   if [ ! -f "$doc" ]; then
     echo "error: doc not found at $doc" >&2
     exit 1
@@ -122,9 +130,31 @@ for m in $live_metrics; do
   fi
 done
 
+# --- 4. Store format versions ----------------------------------------
+# The doc's rows read "| format version | varint, = N (`kGraphStoreFormatVersion`) |"
+# and "| pack version | varint, = N (`kPackFormatVersion`) |".
+for constant in kGraphStoreFormatVersion kPackFormatVersion; do
+  source_value=$(grep -oE "constexpr std::uint32_t $constant = [0-9]+;" "$STORE_H" \
+    | grep -oE '[0-9]+;' | tr -d ';')
+  doc_values=$(grep -E "^\| [a-z ]*version \| varint, = [0-9]+ \(\`$constant\`\) \|" "$STORE_DOC" \
+    | grep -oE '= [0-9]+' | tr -d '= ')
+  if [ -z "$source_value" ] || [ -z "$doc_values" ]; then
+    echo "drift: no $constant value found in $STORE_H or no row naming it in $STORE_DOC"
+    fail=1
+    continue
+  fi
+  for v in $doc_values; do
+    if [ "$v" != "$source_value" ]; then
+      echo "drift: $STORE_DOC gives $constant = $v but $STORE_H has $source_value"
+      fail=1
+    fi
+  done
+done
+
 if [ "$fail" -eq 0 ]; then
   n_metrics=$(printf '%s\n' "$live_metrics" | wc -l)
   echo "ok: $block jsonl blocks replayed, flags in sync with --help," \
-       "$n_metrics metrics in sync with the doc"
+       "$n_metrics metrics in sync with the doc, store versions in sync" \
+       "with store.h"
 fi
 exit $fail

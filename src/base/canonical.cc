@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <map>
 
 #include "util/enumerate.h"
@@ -178,6 +179,109 @@ CanonicalForm Canonicalize(const Structure& s, std::span<const Elem> marks) {
   const std::size_t hash = HashRange(best_key.begin(), best_key.end());
   return CanonicalForm{std::move(best_structure), std::move(best_marks),
                        std::move(best_key), std::move(best_perm), hash};
+}
+
+namespace {
+
+// Reads one AppendFullWidth varint at `*pos`; false when it is truncated or
+// does not fit 32 bits.
+bool ReadKeyVarint(std::string_view key, std::size_t* pos,
+                   std::uint32_t* value) {
+  std::uint64_t v = 0;
+  for (int shift = 0; shift < 35; shift += 7) {
+    if (*pos >= key.size()) return false;
+    const auto byte = static_cast<std::uint8_t>(key[(*pos)++]);
+    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      if (v > std::numeric_limits<std::uint32_t>::max()) return false;
+      *value = static_cast<std::uint32_t>(v);
+      return true;
+    }
+  }
+  return false;
+}
+
+// n^arity, or SIZE_MAX once it passes `limit`.
+std::size_t TableEntries(std::size_t n, int arity, std::size_t limit) {
+  std::size_t entries = 1;
+  for (int i = 0; i < arity; ++i) {
+    if (n != 0 && entries > limit / n) return SIZE_MAX;
+    entries *= n;
+  }
+  return entries > limit ? SIZE_MAX : entries;
+}
+
+// The argument tuple of dense table index `idx` (little-endian digits).
+void TupleOf(std::size_t idx, std::size_t n, std::vector<Elem>& tuple) {
+  for (Elem& e : tuple) {
+    e = static_cast<Elem>(idx % n);
+    idx /= n;
+  }
+}
+
+}  // namespace
+
+bool DecodeCanonicalKey(std::string_view key, const SchemaRef& schema,
+                        std::size_t num_marks, Structure* structure,
+                        std::vector<Elem>* marks) {
+  std::size_t pos = 0;
+  std::uint32_t max_mark = 0;
+  if (marks != nullptr) marks->resize(num_marks);
+  for (std::size_t i = 0; i < num_marks; ++i) {
+    std::uint32_t m;
+    if (!ReadKeyVarint(key, &pos, &m)) return false;
+    max_mark = std::max(max_mark, m);
+    if (marks != nullptr) (*marks)[i] = m;
+  }
+  std::uint32_t n;
+  if (pos >= key.size() || key[pos++] != '\x01' ||
+      !ReadKeyVarint(key, &pos, &n)) {
+    return false;
+  }
+  const std::size_t rest = key.size() - pos;
+  if ((num_marks > 0 && max_mark >= n) || n > num_marks + rest) return false;
+  // The tables must fit the bytes left (every entry takes at least one)
+  // before any is allocated.
+  const Schema& sig = *schema;
+  std::size_t needed = 0;
+  for (int r = 0; r < sig.num_relations(); ++r) {
+    const std::size_t entries = TableEntries(n, sig.relation(r).arity, rest);
+    if (entries == SIZE_MAX || (needed += entries) > rest) return false;
+  }
+  for (int f = 0; f < sig.num_functions(); ++f) {
+    const std::size_t entries = TableEntries(n, sig.function(f).arity, rest);
+    if (entries == SIZE_MAX || (needed += entries) > rest) return false;
+  }
+
+  if (structure != nullptr) *structure = Structure(schema, n);
+  std::vector<Elem> tuple;
+  for (int r = 0; r < sig.num_relations(); ++r) {
+    const int arity = sig.relation(r).arity;
+    const std::size_t entries = TableEntries(n, arity, rest);
+    if (structure != nullptr) tuple.resize(arity);
+    for (std::size_t idx = 0; idx < entries; ++idx) {
+      const auto bit = static_cast<std::uint8_t>(key[pos++]);
+      if (bit > 1) return false;
+      if (bit == 0 || structure == nullptr) continue;
+      TupleOf(idx, n, tuple);
+      structure->SetHolds(r, tuple, true);
+    }
+  }
+  for (int f = 0; f < sig.num_functions(); ++f) {
+    const int arity = sig.function(f).arity;
+    const std::size_t entries = TableEntries(n, arity, rest);
+    if (structure != nullptr) tuple.resize(arity);
+    for (std::size_t idx = 0; idx < entries; ++idx) {
+      std::uint32_t value;
+      if (!ReadKeyVarint(key, &pos, &value)) return false;
+      // A constant over the empty domain is the constructor's untouched 0.
+      if (n == 0 ? value != 0 : value >= n) return false;
+      if (structure == nullptr || n == 0) continue;
+      TupleOf(idx, n, tuple);
+      structure->SetFunction(f, tuple, value);
+    }
+  }
+  return pos == key.size();
 }
 
 }  // namespace amalgam

@@ -10,6 +10,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/structure.h"
@@ -18,7 +19,10 @@ namespace amalgam {
 
 /// A structure renamed into canonical form, together with the renamed marks
 /// and a canonical key. Two inputs produce equal `key`s iff there is an
-/// isomorphism between them mapping marks to marks position-wise.
+/// isomorphism between them mapping marks to marks position-wise. The key
+/// is the renamed marks (AppendFullWidth varints), byte 0x01, then the
+/// renamed structure's EncodeContent bytes, so it determines `structure`
+/// and `marks`: DecodeCanonicalKey recovers them.
 struct CanonicalForm {
   Structure structure;
   std::vector<Elem> marks;
@@ -26,24 +30,28 @@ struct CanonicalForm {
   /// The canonical renaming: element e of the input is element perm[e] of
   /// `structure`. Needed to chase embeddings during witness reconstruction.
   std::vector<Elem> perm;
-  /// Hash of `key`, computed once at canonicalization time so interners and
-  /// hash-consing maps never re-hash the key string.
+  /// Hash of `key` (HashRange over its bytes, so a key read back alone
+  /// re-hashes to it), computed once at canonicalization time so interners
+  /// and hash-consing maps never re-hash the key string.
   std::size_t hash = 0;
-
-  bool operator==(const CanonicalForm& other) const {
-    return hash == other.hash && key == other.key;
-  }
-};
-
-/// Hash functor over precomputed CanonicalForm hashes, usable as the Hash
-/// template argument of unordered containers.
-struct CanonicalFormHash {
-  std::size_t operator()(const CanonicalForm& f) const { return f.hash; }
 };
 
 /// Canonicalizes `s` with the marked tuple `marks` (entries are elements of
 /// s; repetitions allowed; the tuple need not cover the domain).
 CanonicalForm Canonicalize(const Structure& s, std::span<const Elem> marks);
+
+/// Decodes a canonical key (CanonicalForm::key) of a structure over
+/// `schema` with `num_marks` marks back into the canonical structure and
+/// marks (the form's `structure` and `marks`), writing each to its output
+/// when that is non-null; with both null it only validates. Returns false
+/// on bytes no such key holds: a truncated key or trailing bytes, a mark or
+/// function value outside the domain, a relation entry other than 0 or 1,
+/// or a domain larger than the marks plus the table bytes account for
+/// (every element of a generated structure is a mark or a function value).
+/// Well-formed bytes decode even when they are not a canonical key.
+bool DecodeCanonicalKey(std::string_view key, const SchemaRef& schema,
+                        std::size_t num_marks, Structure* structure,
+                        std::vector<Elem>* marks);
 
 /// Color refinement only (1-WL): returns a stable coloring of the elements,
 /// as color ids in 0..k-1, canonical across isomorphic inputs. Exposed for

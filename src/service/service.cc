@@ -140,23 +140,22 @@ std::future<QueryResult> QueryService::Submit(QueryRequest request,
   return future;
 }
 
-QueryService::Task QueryService::MakeTask(QueryRequest request,
-                                          Completion done) {
-  Task task;
-  task.request = std::move(request);
-  task.done = std::move(done);
-  // Backend construction and guard interning: keep them off the lock.
+void QueryService::DeriveContext(Task& task) {
+  task.derived = true;
   try {
     task.context = ComputeGraphContext(task.request);
   } catch (const std::exception& e) {
     task.setup_error = e.what();
   }
-  return task;
 }
 
 void QueryService::Submit(QueryRequest request, Completion done,
                           std::string* graph_key) {
-  Task task = MakeTask(std::move(request), std::move(done));
+  Task task;
+  task.request = std::move(request);
+  task.done = std::move(done);
+  // Backend construction and guard interning: keep them off the lock.
+  DeriveContext(task);
   if (graph_key != nullptr) *graph_key = task.context.key;
   task.submitted_at = std::chrono::steady_clock::now();
   {
@@ -176,11 +175,14 @@ std::vector<std::future<QueryResult>> QueryService::SubmitBatch(
   std::vector<Task> tasks;
   futures.reserve(requests.size());
   tasks.reserve(requests.size());
+  // The workers derive the contexts: with one worker the first task runs
+  // while the rest queue, and with several they derive in parallel.
   for (QueryRequest& request : requests) {
     auto promise = std::make_shared<std::promise<QueryResult>>();
     futures.push_back(promise->get_future());
-    tasks.push_back(
-        MakeTask(std::move(request), Fulfilling(std::move(promise))));
+    Task& task = tasks.emplace_back();
+    task.request = std::move(request);
+    task.done = Fulfilling(std::move(promise));
   }
   const auto submitted_at = std::chrono::steady_clock::now();
   {
@@ -320,6 +322,7 @@ QueryResult QueryService::Execute(Task& task) {
       query_span.Annotate("kind", QueryKindName(task.request.kind));
       trace->RecordSpan("queue_wait", task.submitted_at, start);
     }
+    if (!task.derived) DeriveContext(task);
     if (!task.setup_error.empty()) {
       result.error = task.setup_error;
     } else {

@@ -106,7 +106,9 @@ class QueryService {
 
   /// Submits each request in order; one future per request. The batch
   /// enters the queue under one lock and wakes at most one worker per
-  /// request. Throws std::runtime_error after Shutdown(), enqueuing none.
+  /// request; the worker that picks a task up derives its graph context,
+  /// and a request that has none is answered with the derivation's error.
+  /// Throws std::runtime_error after Shutdown(), enqueuing none.
   std::vector<std::future<QueryResult>> SubmitBatch(
       std::vector<QueryRequest> requests);
 
@@ -172,19 +174,21 @@ class QueryService {
   struct Task {
     QueryRequest request;
     Completion done;
-    // The graph context, derived once at submit time; the front door
-    // reuses it instead of deriving its own. Its key is empty when the
-    // derivation failed (setup_error says why).
+    // The graph context, derived once — at submit time by Submit, on the
+    // worker for a batch task — and reused by the front door instead of
+    // deriving its own. Its key is empty when the derivation failed
+    // (setup_error says why).
     GraphContext context;
     std::string setup_error;                // non-empty: fail without running
+    bool derived = false;                   // DeriveContext has run
     // When the task entered the queue; worker pickup minus this is the
     // queue wait (histogram + retroactive "queue_wait" span).
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// A task for `request`, its graph context derived (off the queue
-  /// lock); the caller stamps submitted_at when it enqueues.
-  static Task MakeTask(QueryRequest request, Completion done);
+  /// Derives `task`'s graph context (off the queue lock), or records why
+  /// it cannot be derived in setup_error.
+  static void DeriveContext(Task& task);
 
   /// Runs one query end to end on a worker thread: executes the front
   /// door against the shared cache and records stats. Returns the result

@@ -40,16 +40,6 @@ std::string ClassKey(const SolverBackend& backend, int k) {
 GraphContext MakeGraphContext(std::shared_ptr<const SolverBackend> backend,
                               const Schema& schema, int k,
                               std::span<const RuleGuard> rule_guards) {
-  for (const RuleGuard& rule : rule_guards) {
-    if (!rule.guard->IsQuantifierFree()) {
-      throw std::invalid_argument(
-          "guards must be quantifier-free; run EliminateExistentials first");
-    }
-  }
-  if (!IsPrefixSchema(schema, *backend->schema())) {
-    throw std::invalid_argument(
-        "the system's schema must be a prefix of the class's schema");
-  }
   GraphContext ctx;
   ctx.key = ClassKey(*backend, k);
   ctx.class_key_length = ctx.key.size();
@@ -68,6 +58,12 @@ GraphContext MakeGraphContext(std::shared_ptr<const SolverBackend> backend,
       return printed[static_cast<std::size_t>(j)] == text;
     });
     if (known == nullptr) {
+      // Guards that print alike are alike, so each distinct one is walked
+      // once.
+      if (!rule.guard->IsQuantifierFree()) {
+        throw std::invalid_argument(
+            "guards must be quantifier-free; run EliminateExistentials first");
+      }
       known = &by_text.InsertUnique(hash, static_cast<int>(printed.size()));
       ctx.guards.push_back(rule.guard);
       printed.push_back(text);
@@ -80,6 +76,10 @@ GraphContext MakeGraphContext(std::shared_ptr<const SolverBackend> backend,
       ctx.key += text;
     }
     ctx.guard_of.push_back(*known);
+  }
+  if (!IsPrefixSchema(schema, *ctx.backend->schema())) {
+    throw std::invalid_argument(
+        "the system's schema must be a prefix of the class's schema");
   }
   // A duplicate-free list's rule -> guard index is the identity; only a
   // list that repeats a guard spells it out, after a separator no guard

@@ -21,13 +21,13 @@
 //
 // GraphContext bundles that derivation with the backend and the cache key,
 // so it is computed once per query: the query service builds it at submit
-// time (the maintenance loop's recipe index needs the key) and hands it to
-// the front door, and a front door called without one builds its own
-// through the same function. MakeGraphContext is the only place a key is
-// derived, and the context is the only thing the cache is asked with
-// (GraphCache::Lookup, GraphCache::AcquireMemberTable). It checks that the
-// system fits the class, so a context always describes a query the engine
-// can run.
+// time (the maintenance loop's recipe index needs the key), or on the
+// worker for a batch, and hands it to the front door, and a front door
+// called without one builds its own through the same function.
+// MakeGraphContext is the only place a key is derived, and the context is
+// the only thing the cache is asked with (GraphCache::Lookup,
+// GraphCache::AcquireMemberTable). It checks that the system fits the
+// class, so a context always describes a query the engine can run.
 #ifndef AMALGAM_SOLVER_CONTEXT_H_
 #define AMALGAM_SOLVER_CONTEXT_H_
 

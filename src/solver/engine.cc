@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "solver/member_table.h"
+#include "util/hash.h"
 
 namespace amalgam {
 
@@ -265,15 +266,15 @@ void ExplorationEngine::Finish() {
     return;
   }
   result_.nonempty = true;
-  // The path copies a canonical form per configuration and its steps are
+  // The path copies a shape key per configuration and its steps are
   // re-derived from the backend; only witness reconstruction reads them.
   if (!options_.build_witness) return;
 
   // ---- Reconstruct the path of small configurations. ----
   std::vector<int> guard_path;
   for (int c = goal_; c != kRoot; c = parent_[c]) {
-    result_.path.push_back(SmallConfig{
-        c % num_states_, graph_->interner().shape(c / num_states_)});
+    const std::string_view key = graph_->interner().shape(c / num_states_).key;
+    result_.path.push_back(SmallConfig{c % num_states_, std::string(key)});
     if (parent_[c] != kRoot) guard_path.push_back(via_guard_[c]);
   }
   std::reverse(result_.path.begin(), result_.path.end());
@@ -291,7 +292,8 @@ std::uint64_t ExplorationEngine::RealizeSteps(
   ConfigInterner scratch;
   std::vector<int> path_id;
   for (const SmallConfig& config : result_.path) {
-    path_id.push_back(scratch.InternCanonical(config.form));
+    path_id.push_back(scratch.InternCanonical(ShapeKey{
+        config.shape, HashRange(config.shape.begin(), config.shape.end())}));
   }
   const std::vector<CompiledGuard>& guards = graph_->compiled_guards();
   GuardEvaluator eval;
@@ -344,11 +346,14 @@ void ExplorationEngine::ReconstructWitness() {
   // `cur[c]` maps the canonical elements of the current configuration's
   // shape into `big`; `valuations[i]` are the register contents of step i
   // in `big`'s coordinates.
-  Structure big = result_.path.front().form.structure;
+  Structure big(backend_.schema(), 0);
+  std::vector<std::vector<Elem>> valuations(1);
+  if (!DecodeCanonicalKey(result_.path.front().shape, backend_.schema(), k_,
+                          &big, &valuations.front())) {
+    throw WitnessInvalidError("the path's first configuration does not decode");
+  }
   std::vector<Elem> cur(big.size());
   for (Elem e = 0; e < big.size(); ++e) cur[e] = e;
-  std::vector<std::vector<Elem>> valuations;
-  valuations.push_back(result_.path.front().form.marks);
   // The substructure of step i's joint member generated by `marks`, and its
   // canonical form, which must be path configuration `at`'s shape.
   auto project = [&](std::size_t i, std::span<const Elem> marks,
@@ -358,7 +363,7 @@ void ExplorationEngine::ReconstructWitness() {
     std::vector<Elem> sub_marks(k_);
     for (int j = 0; j < k_; ++j) sub_marks[j] = sub.old_to_new[marks[j]];
     CanonicalForm canon = Canonicalize(sub.structure, sub_marks);
-    if (canon.key != result_.path[at].form.key) {
+    if (canon.key != result_.path[at].shape) {
       throw WitnessInvalidError("step " + std::to_string(i) + " does not " +
                                 (at == i ? "start" : "end") +
                                 " at its path configuration");

@@ -71,10 +71,12 @@
 
 namespace amalgam {
 
-/// A small configuration: control state + canonical (database, valuation).
+/// A small configuration: control state + the canonical key of its
+/// (database, valuation) shape, from which DecodeCanonicalKey recovers
+/// both.
 struct SmallConfig {
   int state = -1;
-  CanonicalForm form;
+  std::string shape;
 };
 
 /// How the engine explores the sub-transition graph.

@@ -35,49 +35,73 @@ void AnnotateSweepSource(ScopedSpan& span, const MemberTable* table,
 SubTransitionGraph::SubTransitionGraph(std::vector<FormulaRef> guards, int k)
     : guards_(std::move(guards)), k_(k), seen_(guards_.size()) {
   compiled_guards_.reserve(guards_.size());
-  sliced_guards_.reserve(guards_.size());
   for (const FormulaRef& g : guards_) {
     compiled_guards_.push_back(CompiledGuard::Compile(*g));
-    sliced_guards_.push_back(SlicedGuard::Lower(*g));
   }
 }
 
 std::shared_ptr<SubTransitionGraph> SubTransitionGraph::FromParts(
-    std::vector<FormulaRef> guards, int k, std::vector<CanonicalForm> shapes,
-    std::vector<int> initial_shapes,
-    std::vector<std::vector<Edge>> edges_by_shape, BuildCursor cursor) {
-  const int num_shapes = static_cast<int>(shapes.size());
+    std::vector<FormulaRef> guards, int k, SchemaRef schema,
+    std::span<const std::string_view> shape_keys,
+    std::vector<int> initial_shapes, std::vector<Edge> edges,
+    std::vector<std::uint32_t> edge_begin, BuildCursor cursor) {
+  const int num_shapes = static_cast<int>(shape_keys.size());
   const int num_guards = static_cast<int>(guards.size());
   if (cursor.phase > kCursorPhaseComplete) return nullptr;
-  if (edges_by_shape.size() != shapes.size()) return nullptr;
+  if (edge_begin.size() != shape_keys.size() + 1 || edge_begin.front() != 0 ||
+      edge_begin.back() != edges.size()) {
+    return nullptr;
+  }
 
   auto graph = std::make_shared<SubTransitionGraph>(std::move(guards), k);
-  if (!graph->interner_.RestoreShapes(std::move(shapes))) return nullptr;
+  graph->schema_ = std::move(schema);
+  if (!graph->interner_.RestoreShapes(shape_keys)) return nullptr;
 
-  graph->is_initial_.assign(num_shapes, 0);
+  std::vector<char> is_initial(num_shapes, 0);
   for (int shape : initial_shapes) {
     if (shape < 0 || shape >= num_shapes) return nullptr;
-    if (graph->is_initial_[shape]) return nullptr;  // duplicates are corrupt
-    graph->is_initial_[shape] = 1;
+    if (is_initial[shape]) return nullptr;  // duplicates are corrupt
+    is_initial[shape] = 1;
   }
-  graph->initial_shapes_ = std::move(initial_shapes);
 
-  std::uint64_t num_edges = 0;
+  // A repeated (guard, old, new) triple can only come from a corrupt
+  // payload: each shape's edges are checked sorted in a scratch buffer.
+  std::vector<std::uint64_t> sorted;
   for (int s = 0; s < num_shapes; ++s) {
-    for (const Edge& e : edges_by_shape[s]) {
+    if (edge_begin[s] > edge_begin[s + 1]) return nullptr;
+    sorted.clear();
+    for (std::uint32_t i = edge_begin[s]; i < edge_begin[s + 1]; ++i) {
+      const Edge& e = edges[i];
       if (e.guard < 0 || e.guard >= num_guards) return nullptr;
       if (e.new_shape < 0 || e.new_shape >= num_shapes) return nullptr;
-      // Rebuild the per-guard dedup sets; a repeated (guard, old, new)
-      // triple can only come from a corrupt payload.
-      if (!graph->seen_[e.guard].Insert(PackShapePair(s, e.new_shape))) {
-        return nullptr;
-      }
-      ++num_edges;
+      sorted.push_back(PackShapePair(e.guard, e.new_shape));
+    }
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      return nullptr;
     }
   }
-  graph->edges_by_shape_ = std::move(edges_by_shape);
-  graph->num_edges_ = num_edges;
+  graph->initial_shapes_ = std::move(initial_shapes);
+  graph->num_edges_ = edges.size();
   graph->cursor_ = cursor;
+  if (graph->complete()) {
+    graph->edges_ = std::move(edges);
+    graph->edge_begin_ = std::move(edge_begin);
+    graph->ReleaseBuildState();
+    return graph;
+  }
+  // A partial graph sweeps on: it gets its per-shape edge lists, initial
+  // flags and dedup sets back.
+  graph->is_initial_ = std::move(is_initial);
+  graph->edges_by_shape_.resize(num_shapes);
+  for (int s = 0; s < num_shapes; ++s) {
+    std::vector<Edge>& out = graph->edges_by_shape_[s];
+    out.assign(edges.begin() + edge_begin[s],
+               edges.begin() + edge_begin[s + 1]);
+    for (const Edge& e : out) {
+      graph->seen_[e.guard].Insert(PackShapePair(s, e.new_shape));
+    }
+  }
   return graph;
 }
 
@@ -85,7 +109,39 @@ void SubTransitionGraph::AdvanceCursorTo(const BuildCursor& c) {
   if (c < cursor_) {
     throw std::logic_error("SubTransitionGraph cursor moved backwards");
   }
+  SetCursor(c);
+}
+
+void SubTransitionGraph::SetCursor(const BuildCursor& c) {
+  const bool completes = !complete() && c.phase == kCursorPhaseComplete;
   cursor_ = c;
+  if (completes) Freeze();
+}
+
+void SubTransitionGraph::Freeze() {
+  // Flatten the edge lists, in shape order.
+  const std::size_t shapes = static_cast<std::size_t>(num_shapes());
+  edges_.reserve(num_edges_);
+  edge_begin_.reserve(shapes + 1);
+  for (std::size_t s = 0; s < shapes; ++s) {
+    edge_begin_.push_back(static_cast<std::uint32_t>(edges_.size()));
+    if (s < edges_by_shape_.size()) {
+      edges_.insert(edges_.end(), edges_by_shape_[s].begin(),
+                    edges_by_shape_[s].end());
+    }
+  }
+  edge_begin_.push_back(static_cast<std::uint32_t>(edges_.size()));
+  decltype(edges_by_shape_)().swap(edges_by_shape_);
+  decltype(is_initial_)().swap(is_initial_);
+  initial_shapes_.shrink_to_fit();
+  ReleaseBuildState();
+}
+
+void SubTransitionGraph::ReleaseBuildState() {
+  interner_.Freeze();
+  decltype(seen_)().swap(seen_);
+  decltype(sliced_guards_)().swap(sliced_guards_);
+  guard_eval_ = GuardEvaluator();
 }
 
 int SubTransitionGraph::MarkInitial(int shape) {
@@ -107,6 +163,7 @@ int SubTransitionGraph::MarkInitial(int shape) {
 
 int SubTransitionGraph::AddInitialMember(const Structure& d,
                                          std::span<const Elem> marks) {
+  NoteSchema(d.schema_ref());
   return MarkInitial(interner_.Intern(d, marks));
 }
 
@@ -146,6 +203,7 @@ bool SubTransitionGraph::ProcessJointMember(const Structure& d,
                                             std::span<const Elem> marks,
                                             SolveStats& stats,
                                             const EdgeCallback& on_new_edge) {
+  NoteSchema(d.schema_ref());
   return SweepMember(
       stats,
       [&](std::size_t g) {
@@ -270,6 +328,7 @@ template <typename Read, typename Member>
 bool SubTransitionGraph::SweepPhase(const MemberSource& source, int stream,
                                     SolveStats& stats, Read&& read,
                                     Member&& member) {
+  NoteSchema(source.backend.schema());
   const std::uint64_t raw_hits_before = interner_.raw_hits();
   auto stream_from_backend = [&](MemberTable* extend) {
     return StreamMembers(source, stream,
@@ -300,7 +359,7 @@ bool SubTransitionGraph::SweepPhase(const MemberSource& source, int stream,
                                                  : stream_from_backend(nullptr);
   stats.raw_memo_hits += interner_.raw_hits() - raw_hits_before;
   if (!swept_all) return false;
-  cursor_ = BuildCursor{static_cast<std::uint32_t>(stream) + 1, 0};
+  SetCursor(BuildCursor{static_cast<std::uint32_t>(stream) + 1, 0});
   return true;
 }
 
@@ -355,8 +414,15 @@ bool SubTransitionGraph::ReadJoint(TableSweep& sweep, std::uint64_t to,
   const std::size_t num_guards = compiled_guards_.size();
   if (!sweep.planned) {
     // Slice every guard whose atoms the marks cover; one column per
-    // distinct atom across them.
+    // distinct atom across them. The guards are lowered on the graph's
+    // first table read.
     sweep.planned = true;
+    if (sliced_guards_.empty()) {
+      sliced_guards_.reserve(num_guards);
+      for (const FormulaRef& g : guards_) {
+        sliced_guards_.push_back(SlicedGuard::Lower(*g));
+      }
+    }
     std::vector<GuardAtom> atoms;
     for (std::size_t g = 0; g < num_guards; ++g) {
       const std::optional<SlicedGuard>& sliced = sliced_guards_[g];

@@ -53,6 +53,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "logic/compiled.h"
@@ -166,17 +167,22 @@ class SubTransitionGraph {
   SubTransitionGraph(std::vector<FormulaRef> guards, int k);
 
   /// Reassembles a graph from persisted parts (solver/store.cc): the shape
-  /// arena, initial set and per-shape edge lists are adopted verbatim;
-  /// derived state (the interner's hash-consing map, per-guard dedup sets,
-  /// initial-shape flags, edge count) is rebuilt here, so a restored graph
-  /// resumes or serves queries exactly like the graph that was serialized.
-  /// Returns nullptr when the parts are inconsistent (corrupt payload):
-  /// out-of-range shape/guard indices, duplicate shapes, initial shapes or
-  /// edges, or an out-of-range cursor.
+  /// keys (copied into the interner's arena), the initial set and the edge
+  /// lists, flattened — the edges out of shape s are
+  /// edges[edge_begin[s], edge_begin[s + 1]) — are adopted verbatim.
+  /// Derived state is rebuilt here so a restored graph resumes or serves
+  /// queries exactly like the graph that was serialized: a partial graph
+  /// gets its hash-consing map, per-guard dedup sets and initial-shape
+  /// flags back, and a complete one comes out frozen, as its build would
+  /// have left it, with no dedup sets at all. Returns nullptr when the
+  /// parts are inconsistent (corrupt payload): out-of-range shape/guard
+  /// indices or edge offsets, duplicate shapes, initial shapes or edges,
+  /// or an out-of-range cursor.
   static std::shared_ptr<SubTransitionGraph> FromParts(
-      std::vector<FormulaRef> guards, int k,
-      std::vector<CanonicalForm> shapes, std::vector<int> initial_shapes,
-      std::vector<std::vector<Edge>> edges_by_shape, BuildCursor cursor);
+      std::vector<FormulaRef> guards, int k, SchemaRef schema,
+      std::span<const std::string_view> shape_keys,
+      std::vector<int> initial_shapes, std::vector<Edge> edges,
+      std::vector<std::uint32_t> edge_begin, BuildCursor cursor);
 
   // ---- Streaming construction (the incremental engine). ----
 
@@ -228,8 +234,16 @@ class SubTransitionGraph {
 
   const ConfigInterner& interner() const { return interner_; }
   int num_shapes() const { return interner_.size(); }
+  /// The schema of the class whose members the shapes project (every
+  /// shape key decodes over it); null until a sweep or a member has
+  /// supplied it.
+  const SchemaRef& schema() const { return schema_; }
   const std::vector<int>& initial_shapes() const { return initial_shapes_; }
-  const std::vector<Edge>& edges_from(int shape) const {
+  std::span<const Edge> edges_from(int shape) const {
+    if (complete()) {
+      return std::span<const Edge>(edges_.data() + edge_begin_[shape],
+                                   edges_.data() + edge_begin_[shape + 1]);
+    }
     return edges_by_shape_[shape];
   }
   std::uint64_t num_edges() const { return num_edges_; }
@@ -255,9 +269,26 @@ class SubTransitionGraph {
 
   /// True once the whole class has been swept (cursor phase 2): the graph
   /// holds every shape and edge and serves any query with zero enumeration.
+  /// A complete graph is frozen: it keeps only what a query reads — shape
+  /// keys, initial shapes, edges and the compiled guards — and releases
+  /// the build state the sweep needed (dedup sets, the interner's tables
+  /// and memo, sliced guards, VM scratch). It is never mutated again.
   bool complete() const { return cursor_.phase == kCursorPhaseComplete; }
 
  private:
+  /// Moves the cursor to `c`, freezing the graph when `c` is complete.
+  void SetCursor(const BuildCursor& c);
+  /// Flattens the edge lists and releases the build state (see
+  /// complete()).
+  void Freeze();
+  /// Releases what only a sweep reads: the interner's tables and memo, the
+  /// dedup sets, the sliced guards and the VM scratch.
+  void ReleaseBuildState();
+  /// Records the class schema from the first source that supplies it.
+  void NoteSchema(const SchemaRef& schema) {
+    if (schema_ == nullptr) schema_ = schema;
+  }
+
   /// Records `shape` as initial (once); returns it.
   int MarkInitial(int shape);
 
@@ -293,18 +324,24 @@ class SubTransitionGraph {
   std::vector<FormulaRef> guards_;
   // The guards lowered to bytecode once at construction (logic/compiled.h).
   std::vector<CompiledGuard> compiled_guards_;
-  // The guards lowered for bit-sliced table sweeps; nullopt keeps a guard
-  // on the VM.
+  // The guards lowered for bit-sliced table sweeps, on the first table
+  // read; nullopt keeps a guard on the VM.
   std::vector<std::optional<SlicedGuard>> sliced_guards_;
   // The sweep's reusable VM state (the class is not thread-safe for
   // concurrent mutation).
   GuardEvaluator guard_eval_;
   int k_;
 
+  SchemaRef schema_;
   ConfigInterner interner_;
   std::vector<int> initial_shapes_;
   std::vector<char> is_initial_;  // dedup flag per shape id
+  // The edges while the graph grows, one list per shape.
   std::vector<std::vector<Edge>> edges_by_shape_;
+  // The edges once it is complete: shape s's are
+  // edges_[edge_begin_[s], edge_begin_[s + 1]).
+  std::vector<Edge> edges_;
+  std::vector<std::uint32_t> edge_begin_;
   // Deduplication per guard: packed (old_shape, new_shape) pairs already
   // recorded. Shape ids are 32-bit, so the pair packs exactly into the two
   // halves of a uint64 — no overlap however large the arena grows.

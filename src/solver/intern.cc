@@ -7,33 +7,45 @@
 
 namespace amalgam {
 
-int ConfigInterner::InternCanonical(CanonicalForm&& canon) {
+int ConfigInterner::InternCanonical(ShapeKey canon) {
   const std::int32_t* found = by_canonical_hash_.Find(
-      canon.hash, [&](std::int32_t id) { return shapes_[id] == canon; });
+      canon.hash, [&](std::int32_t id) { return shape(id).key == canon.key; });
   if (found) return *found;
   const int id = static_cast<int>(shapes_.size());
   by_canonical_hash_.InsertUnique(canon.hash, id);
-  shapes_.push_back(std::move(canon));
+  shapes_.push_back(Slot{static_cast<std::uint32_t>(shape_arena_.size()),
+                         static_cast<std::uint32_t>(canon.key.size()),
+                         canon.hash});
+  shape_arena_ += canon.key;
   return id;
 }
 
-int ConfigInterner::InternCanonical(const CanonicalForm& canon) {
-  const std::int32_t* found = by_canonical_hash_.Find(
-      canon.hash, [&](std::int32_t id) { return shapes_[id] == canon; });
-  if (found) return *found;
-  const int id = static_cast<int>(shapes_.size());
-  by_canonical_hash_.InsertUnique(canon.hash, id);
-  shapes_.push_back(canon);
-  return id;
-}
-
-bool ConfigInterner::RestoreShapes(std::vector<CanonicalForm> shapes) {
+bool ConfigInterner::RestoreShapes(std::span<const std::string_view> keys) {
   if (!shapes_.empty()) return false;
-  for (CanonicalForm& form : shapes) {
+  std::size_t arena = 0;
+  for (std::string_view key : keys) arena += key.size();
+  shape_arena_.reserve(arena);
+  shapes_.reserve(keys.size());
+  by_canonical_hash_.Reserve(keys.size());
+  for (std::string_view key : keys) {
     const int expected = static_cast<int>(shapes_.size());
-    if (InternCanonical(std::move(form)) != expected) return false;
+    if (InternCanonical(ShapeKey{key, HashRange(key.begin(), key.end())}) !=
+        expected) {
+      return false;
+    }
   }
   return true;
+}
+
+void ConfigInterner::Freeze() {
+  by_canonical_hash_ = {};
+  by_raw_hash_ = {};
+  std::string().swap(raw_arena_);
+  std::string().swap(raw_scratch_);
+  proj_scratch_ = ProjectionScratch();
+  std::vector<Elem>().swap(sub_marks_scratch_);
+  shape_arena_.shrink_to_fit();
+  shapes_.shrink_to_fit();
 }
 
 template <typename Canonicalize>
@@ -49,7 +61,8 @@ int ConfigInterner::InternRawScratch(Canonicalize&& canonicalize) {
     ++raw_hits_;
     return found->id;
   }
-  const int id = InternCanonical(canonicalize());
+  const CanonicalForm canon = canonicalize();
+  const int id = InternCanonical(ShapeKey{canon.key, canon.hash});
   const std::uint32_t offset = static_cast<std::uint32_t>(raw_arena_.size());
   raw_arena_ += raw_scratch_;
   by_raw_hash_.InsertUnique(

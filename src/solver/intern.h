@@ -6,11 +6,14 @@
 //   * a raw-key memo: identical (structure content, marks) projections show
 //     up for many joint members, and skip canonicalization entirely;
 //   * hash-consing of canonical forms: each distinct form is stored once in
-//     an arena and addressed by a dense id, so all downstream comparisons
-//     (edge dedup, reachability) are integer compares.
+//     an arena — as its canonical key alone, which determines it — and
+//     addressed by a dense id, so all downstream comparisons (edge dedup,
+//     reachability) are integer compares.
 // Both maps are open-addressing flat tables (util/flat_hash.h) keyed by
 // precomputed hashes (CanonicalForm::hash and a one-pass hash of the raw
 // bytes); key bytes are only compared within a probe chain, never re-hashed.
+// Both maps only serve interning: Freeze releases them once a graph is
+// complete, keeping the shape keys.
 // Raw keys are (offset, length) spans into a bump arena owned by the
 // interner, built in a reusable scratch buffer, and InternProjection probes
 // the memo through base/ops' direct projected-content encoder — so a memo
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/canonical.h"
@@ -33,6 +37,15 @@
 #include "util/flat_hash.h"
 
 namespace amalgam {
+
+/// An interned shape: its canonical key (CanonicalForm::key), which
+/// determines the shape (DecodeCanonicalKey), and the key's hash
+/// (CanonicalForm::hash). `key` views the interner's arena, so the next
+/// intern into that interner may invalidate it.
+struct ShapeKey {
+  std::string_view key;
+  std::size_t hash = 0;
+};
 
 /// Interns canonical forms of marked structures into dense shape ids.
 class ConfigInterner {
@@ -46,34 +59,45 @@ class ConfigInterner {
   /// `marks` (projection + canonicalization + Intern in one step).
   int InternProjection(const Structure& joint, std::span<const Elem> marks);
 
-  /// Interns an already-canonicalized form (hash-consing only; the raw-key
-  /// memo is not consulted or populated). Used to restore a persisted arena
-  /// and to map a MemberTable's shapes into a graph. The const-ref overload
-  /// copies the form only when it is genuinely new — a form already present
-  /// resolves to its id without allocating.
-  int InternCanonical(CanonicalForm&& canon);
-  int InternCanonical(const CanonicalForm& canon);
+  /// Interns a canonical key (hash-consing only; the raw-key memo is not
+  /// consulted or populated). Used to map a MemberTable's shapes into a
+  /// graph and to seed a witness's scratch interner with a path's shapes.
+  /// The key is copied into the arena only when it is genuinely new.
+  int InternCanonical(ShapeKey canon);
 
   /// Rebuilds an empty interner from a persisted shape arena (ids are the
-  /// vector positions): hash-conses every form back into the arena in
-  /// order, so later Intern calls dedup against the restored shapes and a
-  /// resumed build numbers fresh shapes exactly where a never-suspended
-  /// build would. The raw-key memo starts empty — it is a per-process
-  /// accelerator and regrows as a resumed build re-projects members; only
-  /// raw_hits() can differ from an unsuspended build. Returns false
-  /// (leaving the interner unusable) when the arena holds a duplicate form
-  /// or the interner is non-empty — both mean a corrupt payload, and the
-  /// store loader falls back to a fresh build.
-  bool RestoreShapes(std::vector<CanonicalForm> shapes);
+  /// positions in `keys`), so later Intern calls dedup against the
+  /// restored shapes and a resumed build numbers fresh shapes exactly where
+  /// a never-suspended build would. The raw-key memo starts empty — it is
+  /// a per-process accelerator and regrows as a resumed build re-projects
+  /// members; only raw_hits() can differ from an unsuspended build.
+  /// Returns false (leaving the interner unusable) when `keys` holds a
+  /// duplicate or the interner is non-empty — both mean a corrupt payload,
+  /// and the store loader falls back to a fresh build.
+  bool RestoreShapes(std::span<const std::string_view> keys);
 
-  /// The interned canonical form with id `id`.
-  const CanonicalForm& shape(int id) const { return shapes_[id]; }
+  /// Releases everything only interning reads: the hash-consing table, the
+  /// raw-key memo with its arena, the scratch buffers, and the shape
+  /// arena's slack. shape(), size() and raw_hits() keep working; nothing
+  /// may be interned afterwards. A complete graph's interner is frozen.
+  void Freeze();
+
+  /// The interned shape with id `id`.
+  ShapeKey shape(int id) const {
+    const Slot& slot = shapes_[id];
+    return ShapeKey{
+        std::string_view(shape_arena_).substr(slot.offset, slot.length),
+        slot.hash};
+  }
 
   /// Number of distinct canonical forms interned so far.
   int size() const { return static_cast<int>(shapes_.size()); }
 
   /// Raw-key memo hits: canonicalizations skipped entirely.
   std::uint64_t raw_hits() const { return raw_hits_; }
+
+  /// The bytes one shape adds to the interner beyond its key bytes.
+  static constexpr std::size_t kBytesPerShape = 16;
 
  private:
   // Probes the raw memo for the key currently in raw_scratch_ (hit counts
@@ -82,10 +106,20 @@ class ConfigInterner {
   template <typename Canonicalize>
   int InternRawScratch(Canonicalize&& canonicalize);
 
-  // Arena of interned shapes; ids index into it.
-  std::vector<CanonicalForm> shapes_;
-  // Hash-consing table: entries are shape ids stored under their
-  // CanonicalForm::hash; equality compares against the shape arena.
+  // One interned shape: its key's span in shape_arena_, and its hash.
+  struct Slot {
+    std::uint32_t offset;
+    std::uint32_t length;
+    std::size_t hash;
+  };
+  static_assert(sizeof(Slot) == kBytesPerShape);
+
+  // Bump arena holding every shape's canonical key back to back; ids
+  // index shapes_, whose slots index the arena.
+  std::string shape_arena_;
+  std::vector<Slot> shapes_;
+  // Hash-consing table: entries are shape ids stored under their key's
+  // hash; equality compares against the shape arena.
   FlatTable<std::int32_t> by_canonical_hash_;
   // Raw-key memo: entries are (offset, length) spans into raw_arena_ plus
   // the memoized id, stored under a one-pass hash of the key bytes.

@@ -7,30 +7,6 @@ namespace amalgam {
 
 namespace {
 
-std::size_t ApproxBytes(const CanonicalForm& form) {
-  std::size_t bytes = sizeof(CanonicalForm) + form.key.capacity() +
-                      (form.marks.capacity() + form.perm.capacity()) *
-                          sizeof(Elem);
-  // The structure's dense tables: one byte per relation entry, one Elem
-  // per function entry, each in its own vector.
-  const Schema& schema = form.structure.schema();
-  for (int r = 0; r < schema.num_relations(); ++r) {
-    std::size_t entries = 1;
-    for (int i = 0; i < schema.relation(r).arity; ++i) {
-      entries *= form.structure.size();
-    }
-    bytes += sizeof(std::vector<std::uint8_t>) + entries;
-  }
-  for (int f = 0; f < schema.num_functions(); ++f) {
-    std::size_t entries = 1;
-    for (int i = 0; i < schema.function(f).arity; ++i) {
-      entries *= form.structure.size();
-    }
-    bytes += sizeof(std::vector<Elem>) + entries * sizeof(Elem);
-  }
-  return bytes;
-}
-
 // Reads the marks StoreRecord wrote at `in`.
 void ReadMarks(const std::uint8_t* in, std::vector<Elem>& marks) {
   for (Elem& m : marks) {
@@ -79,7 +55,8 @@ void MemberTable::EndExtend(int stream, bool exhausted) {
 void MemberTable::AccountShapes() {
   std::size_t added = 0;
   for (; accounted_shapes_ < interner_.size(); ++accounted_shapes_) {
-    added += ApproxBytes(interner_.shape(accounted_shapes_));
+    added += ConfigInterner::kBytesPerShape +
+             interner_.shape(accounted_shapes_).key.size();
   }
   if (added > 0) bytes_.fetch_add(added, std::memory_order_relaxed);
 }

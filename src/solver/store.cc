@@ -15,6 +15,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "base/canonical.h"
 #include "util/hash.h"
 
 namespace amalgam {
@@ -128,87 +129,6 @@ bool ReadAndCheckSchema(Reader& r, const Schema& schema) {
          check_symbols(schema.num_functions(), [&](int i) -> const Symbol& {
            return schema.function(i);
          });
-}
-
-// Structures travel as their EncodeContent bytes (base/structure.h): the
-// domain size as a varint, then per relation the dense 0/1 table bytes,
-// then per function the varint-coded value table. Given the schema the
-// encoding is self-delimiting, so this decoder is the exact inverse.
-bool ReadStructure(Reader& r, const SchemaRef& schema, Structure* out) {
-  std::size_t n;
-  if (!r.ReadCounted(&n)) return false;
-  // Dense tables must fit in the remaining payload (each entry costs at
-  // least one byte), which caps a corrupt domain size long before any
-  // allocation could hurt. The generated structures this library persists
-  // are tiny — a few elements — so the bound never bites on valid files.
-  auto table_size = [&](int arity) -> std::size_t {
-    std::size_t size = 1;
-    for (int i = 0; i < arity; ++i) {
-      size *= n;
-      if (n != 0 && size > r.remaining()) return SIZE_MAX;
-    }
-    return size;
-  };
-  if (n > r.remaining() + 1) return false;
-  Structure s(schema, n);
-  std::vector<Elem> tuple;
-  for (int rel = 0; rel < schema->num_relations(); ++rel) {
-    const int arity = schema->relation(rel).arity;
-    const std::size_t size = table_size(arity);
-    std::string_view raw;
-    if (size == SIZE_MAX || !r.ReadBytes(size, &raw)) return false;
-    tuple.assign(arity, 0);
-    for (std::size_t idx = 0; idx < size; ++idx) {
-      const std::uint8_t bit = static_cast<std::uint8_t>(raw[idx]);
-      if (bit > 1) return false;
-      if (!bit) continue;
-      std::size_t rest = idx;
-      for (int i = 0; i < arity; ++i) {
-        tuple[i] = static_cast<Elem>(rest % n);
-        rest /= n;
-      }
-      s.SetHolds(rel, tuple, true);
-    }
-  }
-  for (int fn = 0; fn < schema->num_functions(); ++fn) {
-    const int arity = schema->function(fn).arity;
-    const std::size_t size = table_size(arity);
-    if (size == SIZE_MAX) return false;
-    tuple.assign(arity, 0);
-    for (std::size_t idx = 0; idx < size; ++idx) {
-      std::uint64_t value;
-      if (!r.ReadVarint(&value)) return false;
-      if (n == 0) {
-        // A constant over the empty domain is the constructor's untouched
-        // 0 placeholder; anything else is corrupt.
-        if (value != 0) return false;
-        continue;
-      }
-      if (value >= n) return false;
-      std::size_t rest = idx;
-      for (int i = 0; i < arity; ++i) {
-        tuple[i] = static_cast<Elem>(rest % n);
-        rest /= n;
-      }
-      s.SetFunction(fn, tuple, static_cast<Elem>(value));
-    }
-  }
-  *out = std::move(s);
-  return true;
-}
-
-bool ReadMarks(Reader& r, std::size_t expected_count, std::size_t domain,
-               std::vector<Elem>* out) {
-  std::uint64_t count;
-  if (!r.ReadVarint(&count) || count != expected_count) return false;
-  out->clear();
-  out->reserve(expected_count);
-  for (std::size_t i = 0; i < expected_count; ++i) {
-    std::uint64_t m;
-    if (!r.ReadVarint(&m) || m >= domain) return false;
-    out->push_back(static_cast<Elem>(m));
-  }
-  return true;
 }
 
 bool ReadFileBytes(const std::string& path, std::string* out) {
@@ -360,21 +280,19 @@ std::string SerializeGraph(const SubTransitionGraph& graph,
   // Every shape projects a member of one backend class, so all share one
   // schema; a graph without shapes writes an empty block.
   if (graph.num_shapes() > 0) {
-    AppendSchema(out, graph.interner().shape(0).structure.schema());
+    AppendSchema(out, *graph.schema());
   } else {
     AppendVarint(out, 0);
     AppendVarint(out, 0);
   }
 
+  // A shape is its canonical key: the key alone determines the structure
+  // and the marks (DecodeCanonicalKey).
   AppendVarint(out, graph.num_shapes());
   for (int id = 0; id < graph.num_shapes(); ++id) {
-    const CanonicalForm& form = graph.interner().shape(id);
-    out += form.structure.EncodeContent();
-    AppendVarint(out, form.marks.size());
-    for (Elem m : form.marks) AppendVarint(out, m);
-    AppendVarint(out, form.key.size());
-    out += form.key;
-    for (Elem p : form.perm) AppendVarint(out, p);
+    const std::string_view canon_key = graph.interner().shape(id).key;
+    AppendVarint(out, canon_key.size());
+    out += canon_key;
   }
 
   AppendVarint(out, graph.initial_shapes().size());
@@ -412,64 +330,54 @@ std::shared_ptr<SubTransitionGraph> DeserializeGraph(
   if (!r.ReadCounted(&num_shapes) || num_shapes > r.remaining()) {
     return nullptr;
   }
-  std::vector<CanonicalForm> shapes;
-  shapes.reserve(num_shapes);
-  for (std::size_t id = 0; id < num_shapes; ++id) {
-    CanonicalForm form{Structure(schema, 0), {}, {}, {}, 0};
-    if (!ReadStructure(r, schema, &form.structure)) return nullptr;
-    const std::size_t n = form.structure.size();
-    if (!ReadMarks(r, static_cast<std::size_t>(k), n, &form.marks)) {
+  // Views into `bytes`: FromParts copies them into the interner's arena.
+  // Each key is checked to decode over the schema, so the witness path can
+  // rely on every shape of a loaded graph.
+  std::vector<std::string_view> shape_keys(num_shapes);
+  for (std::string_view& canon_key : shape_keys) {
+    std::size_t key_size;
+    if (!r.ReadCounted(&key_size) || !r.ReadBytes(key_size, &canon_key) ||
+        !DecodeCanonicalKey(canon_key, schema, static_cast<std::size_t>(k),
+                            nullptr, nullptr)) {
       return nullptr;
     }
-    std::uint64_t key_size;
-    std::string_view canon_key;
-    if (!r.ReadVarint(&key_size) || !r.ReadBytes(key_size, &canon_key)) {
-      return nullptr;
-    }
-    form.key.assign(canon_key);
-    std::vector<char> seen_perm(n, 0);
-    form.perm.reserve(n);
-    for (std::size_t e = 0; e < n; ++e) {
-      std::uint64_t p;
-      if (!r.ReadVarint(&p) || p >= n || seen_perm[p]) return nullptr;
-      seen_perm[p] = 1;
-      form.perm.push_back(static_cast<Elem>(p));
-    }
-    form.hash = HashRange(form.key.begin(), form.key.end());
-    shapes.push_back(std::move(form));
   }
 
   std::size_t num_initial;
   if (!r.ReadCounted(&num_initial) || num_initial > num_shapes) {
     return nullptr;
   }
-  std::vector<int> initial_shapes;
-  initial_shapes.reserve(num_initial);
-  for (std::size_t i = 0; i < num_initial; ++i) {
-    int shape;
+  std::vector<int> initial_shapes(num_initial);
+  for (int& shape : initial_shapes) {
     if (!r.ReadCounted(&shape)) return nullptr;
-    initial_shapes.push_back(shape);
   }
 
-  std::vector<std::vector<SubTransitionGraph::Edge>> edges(num_shapes);
+  // Two bytes at least per edge bound the reservation on a corrupt header.
+  std::vector<SubTransitionGraph::Edge> edges;
+  edges.reserve(std::min<std::uint64_t>(header.progress.edges,
+                                        r.remaining() / 2));
+  std::vector<std::uint32_t> edge_begin(num_shapes + 1, 0);
   for (std::size_t shape = 0; shape < num_shapes; ++shape) {
     std::size_t count;
     if (!r.ReadCounted(&count) || count > r.remaining()) return nullptr;
-    edges[shape].reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       SubTransitionGraph::Edge e;
       if (!r.ReadCounted(&e.guard) || !r.ReadCounted(&e.new_shape)) {
         return nullptr;
       }
-      edges[shape].push_back(e);
+      edges.push_back(e);
     }
+    if (edges.size() > std::numeric_limits<std::uint32_t>::max()) {
+      return nullptr;
+    }
+    edge_begin[shape + 1] = static_cast<std::uint32_t>(edges.size());
   }
   if (!r.done()) return nullptr;  // trailing garbage
 
   std::shared_ptr<SubTransitionGraph> graph = SubTransitionGraph::FromParts(
-      std::vector<FormulaRef>(guards.begin(), guards.end()), k,
-      std::move(shapes), std::move(initial_shapes), std::move(edges),
-      header.progress.cursor);
+      std::vector<FormulaRef>(guards.begin(), guards.end()), k, schema,
+      shape_keys, std::move(initial_shapes), std::move(edges),
+      std::move(edge_begin), header.progress.cursor);
   // Save compares records by their header alone, so the header's edge count
   // must be the edge block's.
   if (graph == nullptr || graph->progress() != header.progress) {

@@ -9,11 +9,11 @@
 // *partial* graph (its BuildCursor travels with it) resumes its member
 // sweep exactly where the suspended build stopped.
 //
-// File format, version 2 — everything after the magic is varint-coded with
+// File format, version 3 — everything after the magic is varint-coded with
 // the same LEB128 encoding as AppendFullWidth (base/structure.h), so the
 // file shares its vocabulary with the canonical keys it contains:
 //
-//   "AMGS" magic, varint format version (= 2)
+//   "AMGS" magic, varint format version (= 3)
 //   varint key length, key bytes        (the GraphCache key, verified on load)
 //   varint k, varint guard count        (verified against the loading query)
 //   varint cursor phase, varint cursor next_member, varint edge count
@@ -22,9 +22,9 @@
 //                                       parsing the body)
 //   schema block: #relations, per symbol (name length, name, arity);
 //                 #functions likewise    (verified against the backend schema)
-//   shape block:  #shapes, per shape its Structure content (EncodeContent
-//                 bytes — decoded, not just compared), marks, canonical key,
-//                 canonical permutation
+//   shape block:  #shapes, per shape its canonical key (varint length,
+//                 bytes), which alone determines the shape; every key is
+//                 checked to decode over the schema
 //   varint #initial shapes, their ids
 //   edge block:   per shape (#edges, per edge guard, new shape)
 //   8-byte little-endian FNV-1a checksum of all preceding bytes
@@ -76,8 +76,10 @@ namespace amalgam {
 /// The serialization format version written by SerializeGraph and required
 /// by DeserializeGraph. Bump on any layout change; old files then fail
 /// soft (rebuild) instead of being misread.
-/// Version 2 dropped version 1's per-edge witness steps.
-inline constexpr std::uint32_t kGraphStoreFormatVersion = 2;
+/// Version 2 dropped version 1's per-edge witness steps; version 3 keeps
+/// only each shape's canonical key, dropping version 2's structure, marks
+/// and permutation.
+inline constexpr std::uint32_t kGraphStoreFormatVersion = 3;
 
 /// Serializes `graph` (complete or partial) under its cache key. The
 /// output is a pure function of the graph's logical content — two

@@ -2,29 +2,63 @@
 // over the same (class fingerprint, k, guard set) must skip class
 // enumeration entirely (members_enumerated == 0), verdicts and witnesses
 // must be unaffected, and backend fingerprints must separate classes that
-// enumerate different member streams.
+// enumerate different member streams. A complete graph holds the same
+// heap however it was made, and replaying it grows no heap.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <latch>
 #include <memory>
+#include <new>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <malloc.h>
 
 #include "fraisse/data_class.h"
 #include "fraisse/relational.h"
 #include "solver/branching.h"
 #include "solver/cache.h"
 #include "solver/emptiness.h"
+#include "solver/store.h"
 #include "system/concrete.h"
 #include "system/zoo.h"
 #include "trees/solve.h"
 #include "trees/zoo.h"
 #include "words/solve.h"
 #include "words/zoo.h"
+
+// Live heap bytes, counted by this binary's own operator new and delete:
+// the footprint test's gauge.
+namespace {
+std::atomic<std::int64_t> g_live_heap{0};
+
+void* CountedAlloc(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_heap.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)));
+  return p;
+}
+
+void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_heap.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)));
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace amalgam {
 namespace {
@@ -443,6 +477,101 @@ TEST(GraphCacheTest, ThreadsSharingACacheBuildEachGraphOnce) {
         << name;
     EXPECT_EQ(cache.single_flight_leads(), 1u) << name;
     EXPECT_EQ(cache.misses(), 1u) << name;
+  }
+}
+
+// The heap `graph` holds: what releasing it, its last owner, frees.
+std::int64_t HeldBytes(std::shared_ptr<const SubTransitionGraph> graph) {
+  EXPECT_EQ(graph.use_count(), 1);
+  const std::int64_t before = g_live_heap.load();
+  graph.reset();
+  return before - g_live_heap.load();
+}
+
+// perfbench's unary keys: two registers over red/blue, three distinct
+// guards from its pool.
+DdsSystem UnarySystem() {
+  Schema schema;
+  schema.AddRelation("red", 1);
+  schema.AddRelation("blue", 1);
+  DdsSystem system(MakeSchema(std::move(schema)));
+  const int a = system.AddState("a", /*initial=*/true);
+  const int b = system.AddState("b", /*initial=*/false, /*accepting=*/true);
+  system.AddRegister("x");
+  system.AddRegister("y");
+  system.AddRule(a, a, "x_new = y_old & red(x_new)");
+  system.AddRule(a, b, "y_new = x_old & blue(y_new)");
+  system.AddRule(b, a, "x_old = x_new & y_old != y_new");
+  return system;
+}
+
+TEST(GraphCacheTest, CompleteGraphHeapIsTheSameHoweverItWasMade) {
+  // A complete graph keeps only what a query reads, so one built eagerly,
+  // one resumed from a partial build and one loaded from the store hold
+  // the same heap; and serving queries from it grows none.
+  struct Case {
+    std::string name;
+    DdsSystem system;
+    std::shared_ptr<const SolverBackend> cls;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"reach_red", ReachRedSystem(),
+                   std::make_shared<AllStructuresClass>(GraphZooSchema())});
+  DdsSystem unary = UnarySystem();
+  auto unary_cls = std::make_shared<AllStructuresClass>(unary.schema_ref());
+  cases.push_back({"unary", std::move(unary), unary_cls});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SolverBackend& cls = *c.cls;
+    const GraphContext ctx = SystemGraphContext(c.cls, c.system);
+    const MemberSource source{cls};
+    SolveStats stats;
+
+    auto eager = std::make_shared<SubTransitionGraph>(ctx.guards, ctx.k);
+    eager->BuildFull(source, stats);
+    ASSERT_TRUE(eager->complete());
+
+    auto partial = std::make_shared<SubTransitionGraph>(ctx.guards, ctx.k);
+    partial->SweepInitial(source, stats, ~std::uint64_t{0}, nullptr);
+    std::uint64_t edges = 0;
+    partial->SweepJoint(source, stats, ~std::uint64_t{0},
+                        [&](int, int, int) { return ++edges < 3; });
+    ASSERT_FALSE(partial->complete());
+    auto resumed = std::make_shared<SubTransitionGraph>(*partial);
+    partial.reset();
+    resumed->BuildFull(source, stats);
+    ASSERT_TRUE(resumed->complete());
+
+    const std::string bytes = SerializeGraph(*eager, ctx.key);
+    std::shared_ptr<SubTransitionGraph> loaded =
+        DeserializeGraph(bytes, ctx.key, cls.schema(), ctx.guards, ctx.k);
+    ASSERT_NE(loaded, nullptr);
+    ASSERT_TRUE(loaded->complete());
+    ASSERT_EQ(SerializeGraph(*resumed, ctx.key), bytes);
+
+    const std::int64_t eager_bytes = HeldBytes(std::move(eager));
+    const std::int64_t resumed_bytes = HeldBytes(std::move(resumed));
+    const std::int64_t loaded_bytes = HeldBytes(std::move(loaded));
+    RecordProperty(c.name + "_heap_bytes", std::to_string(eager_bytes));
+    EXPECT_GT(eager_bytes, 0);
+    EXPECT_LE(std::abs(resumed_bytes - eager_bytes) * 10, eager_bytes)
+        << "resumed " << resumed_bytes << " B, eager " << eager_bytes << " B";
+    EXPECT_LE(std::abs(loaded_bytes - eager_bytes) * 10, eager_bytes)
+        << "loaded " << loaded_bytes << " B, eager " << eager_bytes << " B";
+
+    // Replays: every query after the first is a complete memory-tier hit.
+    GraphCache cache;
+    const SolveOptions options{.build_witness = false, .cache = &cache};
+    const bool nonempty = SolveEmptiness(c.system, ctx, options).nonempty;
+    ASSERT_TRUE(SolveEmptiness(c.system, ctx, options).stats.graph_from_cache);
+    const std::int64_t before = g_live_heap.load();
+    for (int i = 0; i < 1000; ++i) {
+      const SolveResult r = SolveEmptiness(c.system, ctx, options);
+      ASSERT_EQ(r.nonempty, nonempty);
+      ASSERT_TRUE(r.stats.graph_from_cache);
+    }
+    EXPECT_LE(g_live_heap.load(), before)
+        << "1,000 replays grew the live heap";
   }
 }
 

@@ -13,6 +13,7 @@
 #include "fraisse/relational.h"
 #include "solver/intern.h"
 #include "system/zoo.h"
+#include "util/hash.h"
 
 // Counting replacements for the global allocation functions: the
 // MemoHitAllocatesNothing test below asserts the interner's hot path stays
@@ -88,11 +89,14 @@ TEST(InternTest, DistinctShapesNeverCollide) {
     cls.EnumerateGenerated(2, [&](const Structure& s,
                                   std::span<const Elem> marks) {
       const int id = interner.Intern(s, marks);
-      const CanonicalForm& form = interner.shape(id);
-      keys.insert(form.key);
-      // The id round-trips: interning the stored canonical form again gives
+      keys.insert(std::string(interner.shape(id).key));
+      // The id round-trips: interning the shape its key decodes to gives
       // the same id.
-      EXPECT_EQ(interner.Intern(form.structure, form.marks), id);
+      Structure decoded(s.schema_ref(), 0);
+      std::vector<Elem> decoded_marks;
+      ASSERT_TRUE(DecodeCanonicalKey(interner.shape(id).key, s.schema_ref(),
+                                     marks.size(), &decoded, &decoded_marks));
+      EXPECT_EQ(interner.Intern(decoded, decoded_marks), id);
     });
     EXPECT_EQ(static_cast<std::size_t>(interner.size()), keys.size())
         << "arena size diverged from the number of distinct canonical keys";
@@ -155,7 +159,8 @@ TEST(CanonicalHashTest, HashIsPrecomputedAndIsomorphismInvariant) {
   std::vector<Elem> marks = {0, 2};
   CanonicalForm a = Canonicalize(g, marks);
   EXPECT_NE(a.hash, 0u);
-  EXPECT_EQ(CanonicalFormHash{}(a), a.hash);
+  // Restored and witness shapes re-hash their keys the same way.
+  EXPECT_EQ(a.hash, HashRange(a.key.begin(), a.key.end()));
 
   std::vector<Elem> perm = {2, 0, 1};
   Structure renamed = g.ApplyPermutation(perm);
@@ -163,7 +168,6 @@ TEST(CanonicalHashTest, HashIsPrecomputedAndIsomorphismInvariant) {
   CanonicalForm b = Canonicalize(renamed, renamed_marks);
   EXPECT_EQ(a.key, b.key);
   EXPECT_EQ(a.hash, b.hash);
-  EXPECT_TRUE(a == b);
 }
 
 }  // namespace

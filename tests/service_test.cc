@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fraisse/relational.h"
@@ -326,18 +327,26 @@ TEST(ServiceTest, InconsistentWitnessStepAnswersInBand) {
   const std::shared_ptr<const SubTransitionGraph> good = builder.Peek(key);
   ASSERT_NE(good, nullptr);
 
-  std::vector<CanonicalForm> shapes;
-  std::vector<std::vector<SubTransitionGraph::Edge>> edges(good->num_shapes());
+  std::vector<std::string_view> shapes;
+  std::vector<std::vector<SubTransitionGraph::Edge>> reversed(
+      good->num_shapes());
   for (int s = 0; s < good->num_shapes(); ++s) {
-    shapes.push_back(good->interner().shape(s));
+    shapes.push_back(good->interner().shape(s).key);
     for (const SubTransitionGraph::Edge& e : good->edges_from(s)) {
-      edges[e.new_shape].push_back(SubTransitionGraph::Edge{e.guard, s});
+      reversed[e.new_shape].push_back(SubTransitionGraph::Edge{e.guard, s});
     }
   }
+  std::vector<SubTransitionGraph::Edge> edges;
+  std::vector<std::uint32_t> edge_begin = {0};
+  for (const auto& out : reversed) {
+    edges.insert(edges.end(), out.begin(), out.end());
+    edge_begin.push_back(static_cast<std::uint32_t>(edges.size()));
+  }
   const std::shared_ptr<const SubTransitionGraph> bad =
-      SubTransitionGraph::FromParts(good->guards(), good->k(),
-                                    std::move(shapes), good->initial_shapes(),
-                                    std::move(edges), good->cursor());
+      SubTransitionGraph::FromParts(
+          good->guards(), good->k(), good->schema(), shapes,
+          good->initial_shapes(), std::move(edges), std::move(edge_begin),
+          good->cursor());
   ASSERT_NE(bad, nullptr);
   ASSERT_EQ(bad->num_edges(), good->num_edges());
 
@@ -872,6 +881,17 @@ TEST(ServiceTest, ErrorsArriveInBandNotAsBrokenFutures) {
   QueryResult r3 = service.Submit(ReachRedRequest()).get();
   ASSERT_TRUE(r3.ok) << r3.error;
   EXPECT_TRUE(r3.nonempty);
+
+  // In a batch the worker that picks a task up derives its context: a
+  // task without one gets the same in-band error, and the rest still run.
+  std::vector<std::future<QueryResult>> futures =
+      service.SubmitBatch({incomplete, ReachRedRequest()});
+  QueryResult r4 = futures[0].get();
+  EXPECT_FALSE(r4.ok);
+  EXPECT_EQ(r4.error, r1.error);
+  QueryResult r5 = futures[1].get();
+  ASSERT_TRUE(r5.ok) << r5.error;
+  EXPECT_TRUE(r5.nonempty);
 }
 
 TEST(ServiceTest, StoreTierSharedAcrossServiceRestarts) {

@@ -32,6 +32,7 @@
 #include <malloc.h>
 #include <sys/time.h>
 
+#include "base/canonical.h"
 #include "fraisse/relational.h"
 #include "solver/branching.h"
 #include "solver/cache.h"
@@ -512,13 +513,85 @@ TEST(StoreTest, VersionSkewedRecordsReadAsMissesAndAreReplaced) {
   }
 }
 
-// A decoded graph is safe to serve: BFS from its initial shapes stays in
-// range, and it re-serializes to bytes that decode again.
+// A version-2 record of reach_red's complete graph over the E/red graphs,
+// under its SystemGraphContext key, as the previous store format wrote it:
+// each shape as its structure, marks, canonical key and permutation.
+constexpr char kReachRedVersion2[] =
+    "\x41\x4d\x47\x53\x02\x4b\x33\x35\x3a\x61\x6c\x6c\x2d\x73\x74\x72"
+    "\x75\x63\x74\x75\x72\x65\x73\x7c\x52\x32\x3b\x31\x3a\x45\x2f\x32"
+    "\x3b\x33\x3a\x72\x65\x64\x2f\x31\x3b\x46\x30\x3b\x1f\x31\x1f\x39"
+    "\x3a\x45\x28\x76\x30\x2c\x20\x76\x31\x29\x1f\x31\x39\x3a\x28\x76"
+    "\x30\x20\x3d\x20\x76\x31\x20\x26\x20\x72\x65\x64\x28\x76\x30\x29"
+    "\x29\x01\x02\x02\x00\x12\x02\x01\x45\x02\x03\x72\x65\x64\x01\x00"
+    "\x04\x01\x00\x00\x01\x00\x05\x00\x01\x01\x00\x00\x00\x01\x01\x00"
+    "\x01\x00\x05\x00\x01\x01\x01\x00\x00\x01\x00\x01\x01\x00\x05\x00"
+    "\x01\x01\x00\x01\x00\x01\x01\x01\x01\x00\x05\x00\x01\x01\x01\x01"
+    "\x00\x04\x00\x01\x02\x03\x04\x00\x00\x00\x01\x00\x02\x00\x03\x04"
+    "\x00\x01\x00\x00\x00\x02\x00\x03\x05\x01\x02\x00\x00\x00\x01\x00"
+    "\x02\x00\x03\x05\x00\x03\x01\x03\x00\x00\x00\x01\x00\x02\x41\x9c"
+    "\x49\xa0\x64\x1f\xae\xc4";
+
+TEST(StoreTest, Version2RecordReadsAsAMissAndIsRebuiltToTheSameGraph) {
+  AllStructuresClass all(GraphZooSchema());
+  const DdsSystem system = ReachRedSystem();
+  const GraphContext ctx = SystemGraphContext(BorrowBackend(all), system);
+  const std::string_view stale(kReachRedVersion2,
+                               sizeof(kReachRedVersion2) - 1);
+  ASSERT_EQ(stale[4], 2) << "the fixture is a version-2 record";
+  ASSERT_NE(stale.find(ctx.key), std::string_view::npos)
+      << "the fixture is stored under reach_red's key";
+  EXPECT_EQ(DeserializeGraph(stale, ctx.key, all.schema(), ctx.guards, ctx.k),
+            nullptr);
+
+  SubTransitionGraph cold(ctx.guards, ctx.k);
+  SolveStats cold_stats;
+  cold.BuildFull(MemberSource{all}, cold_stats);
+  const std::string dir = StoreDir("version2_fixture");
+  WriteFile(GraphStore(dir).PathFor(ctx.key), stale);
+  {
+    GraphCache cache(0, dir);
+    SolveOptions options{.build_witness = false,
+                         .strategy = SolveStrategy::kEager,
+                         .cache = &cache};
+    const SolveResult r = SolveEmptiness(system, all, options);
+    EXPECT_TRUE(r.nonempty);
+    EXPECT_FALSE(r.stats.graph_from_cache);
+    EXPECT_GT(r.stats.members_enumerated, 0u);
+    EXPECT_EQ(cache.store_writes(), 1u);
+    const auto rebuilt = cache.Peek(ctx.key);
+    ASSERT_NE(rebuilt, nullptr);
+    EXPECT_EQ(SerializeGraph(*rebuilt, ctx.key),
+              SerializeGraph(cold, ctx.key));
+  }
+  // The rebuilt record replaced the stale one and serves the next process.
+  EXPECT_EQ(ReadFile(GraphStore(dir).PathFor(ctx.key)),
+            SerializeGraph(cold, ctx.key));
+  GraphCache fresh(0, dir);
+  SolveOptions options{.build_witness = false, .cache = &fresh};
+  const SolveResult served = SolveEmptiness(system, all, options);
+  EXPECT_TRUE(served.nonempty);
+  EXPECT_TRUE(served.stats.graph_from_cache);
+  EXPECT_EQ(served.stats.members_enumerated, 0u);
+}
+
+// A decoded graph is safe to serve: every shape key decodes to a
+// well-formed structure with its marks in range (what a witness reads),
+// BFS from its initial shapes stays in range, and it re-serializes to
+// bytes that decode again.
 void ExpectServable(const SubTransitionGraph& graph, const std::string& key,
                     const SchemaRef& schema,
                     std::span<const FormulaRef> guards, int k) {
   const int num_shapes = graph.num_shapes();
   const int num_guards = static_cast<int>(guards.size());
+  for (int id = 0; id < num_shapes; ++id) {
+    Structure structure(schema, 0);
+    std::vector<Elem> marks;
+    ASSERT_TRUE(DecodeCanonicalKey(graph.interner().shape(id).key, schema,
+                                   static_cast<std::size_t>(k), &structure,
+                                   &marks));
+    ASSERT_EQ(marks.size(), static_cast<std::size_t>(k));
+    for (Elem m : marks) ASSERT_LT(m, structure.size());
+  }
   std::vector<char> seen(num_shapes, 0);
   std::vector<int> queue;
   for (int shape : graph.initial_shapes()) {
@@ -547,10 +620,13 @@ void ExpectServable(const SubTransitionGraph& graph, const std::string& key,
 }
 
 TEST(StoreTest, DeserializeSurvivesEveryTruncationAndSeededMutations) {
-  // Each zoo graph's record cut at every length, and single-byte mutations
-  // from a fixed seed — with the checksum recomputed, so the damage reaches
-  // the parser instead of stopping at the checksum. Every input decodes to
-  // nullptr or to a graph that ExpectServable accepts.
+  // Each zoo graph's record — relational, word and tree, complete and
+  // partial — cut at every length, and single-byte mutations from a fixed
+  // seed, with the checksum recomputed, so the damage reaches the parser
+  // instead of stopping at the checksum. A format-3 record holds each
+  // shape as its canonical key alone, so mutations land in the keys the
+  // witness path decodes. Every input decodes to nullptr or to a graph
+  // that ExpectServable accepts.
   struct Record {
     std::string name;
     std::string key;
@@ -594,6 +670,19 @@ TEST(StoreTest, DeserializeSurvivesEveryTruncationAndSeededMutations) {
     ASSERT_NE(partial, nullptr);
     ASSERT_FALSE(partial->complete());
     add("reach_red_partial", *partial, all);
+  }
+  {
+    // A word graph stopped at its first edge.
+    const DdsSystem system = ZigZagSystem(1);
+    SubTransitionGraph graph(GuardsOf(system), system.num_registers());
+    SolveStats stats;
+    graph.SweepInitial(MemberSource{words}, stats, ~std::uint64_t{0},
+                       nullptr);
+    graph.SweepJoint(MemberSource{words}, stats, ~std::uint64_t{0},
+                     [](int, int, int) { return false; });
+    ASSERT_FALSE(graph.complete());
+    ASSERT_GT(graph.num_edges(), 0u);
+    add("words_zigzag_partial", graph, words);
   }
 
   std::mt19937 rng(17);
