@@ -1,10 +1,13 @@
 // Canonical forms of finite structures with marked tuples.
 //
 // The Theorem 5 search deduplicates small configurations up to isomorphism
-// of (database, register valuation) pairs. We compute a canonical renaming
-// by color refinement followed by exhaustive search over the remaining
-// symmetric choices; at the sizes the algorithm produces (databases
-// generated by the register contents) this is instantaneous.
+// of (database, register valuation) pairs. A canonical form is its key:
+// color refinement splits the elements into classes, and every ordering
+// within every class is encoded straight into one key buffer, the smallest
+// encoding winning. No renamed structure is built; DecodeCanonicalKey
+// recovers it from the key where one is needed. At the sizes the algorithm
+// produces (databases generated by the register contents) this is
+// instantaneous.
 #ifndef AMALGAM_BASE_CANONICAL_H_
 #define AMALGAM_BASE_CANONICAL_H_
 
@@ -17,18 +20,17 @@
 
 namespace amalgam {
 
-/// A structure renamed into canonical form, together with the renamed marks
-/// and a canonical key. Two inputs produce equal `key`s iff there is an
-/// isomorphism between them mapping marks to marks position-wise. The key
-/// is the renamed marks (AppendFullWidth varints), byte 0x01, then the
-/// renamed structure's EncodeContent bytes, so it determines `structure`
-/// and `marks`: DecodeCanonicalKey recovers them.
+/// The canonical form of a marked structure. Two inputs produce equal
+/// `key`s iff there is an isomorphism between them mapping marks to marks
+/// position-wise. The key is the canonically renamed marks
+/// (AppendFullWidth varints), byte 0x01, then the renamed structure's
+/// content bytes (base/structure.h), so it determines the canonical
+/// structure and marks: DecodeCanonicalKey recovers them.
 struct CanonicalForm {
-  Structure structure;
-  std::vector<Elem> marks;
   std::string key;
   /// The canonical renaming: element e of the input is element perm[e] of
-  /// `structure`. Needed to chase embeddings during witness reconstruction.
+  /// the canonical structure, and mark i is perm[marks[i]]. Needed to chase
+  /// embeddings during witness reconstruction.
   std::vector<Elem> perm;
   /// Hash of `key` (HashRange over its bytes, so a key read back alone
   /// re-hashes to it), computed once at canonicalization time so interners
@@ -42,21 +44,16 @@ CanonicalForm Canonicalize(const Structure& s, std::span<const Elem> marks);
 
 /// Decodes a canonical key (CanonicalForm::key) of a structure over
 /// `schema` with `num_marks` marks back into the canonical structure and
-/// marks (the form's `structure` and `marks`), writing each to its output
-/// when that is non-null; with both null it only validates. Returns false
-/// on bytes no such key holds: a truncated key or trailing bytes, a mark or
-/// function value outside the domain, a relation entry other than 0 or 1,
-/// or a domain larger than the marks plus the table bytes account for
-/// (every element of a generated structure is a mark or a function value).
+/// marks, writing each to its output when that is non-null; with both null
+/// it only validates. Returns false on bytes no such key holds: a truncated
+/// key or trailing bytes, a mark or function value outside the domain, a
+/// relation entry other than 0 or 1, or a domain larger than the marks plus
+/// the table bytes account for (every element of a generated structure is a
+/// mark or a function value).
 /// Well-formed bytes decode even when they are not a canonical key.
 bool DecodeCanonicalKey(std::string_view key, const SchemaRef& schema,
                         std::size_t num_marks, Structure* structure,
                         std::vector<Elem>* marks);
-
-/// Color refinement only (1-WL): returns a stable coloring of the elements,
-/// as color ids in 0..k-1, canonical across isomorphic inputs. Exposed for
-/// tests and for the blowup experiments.
-std::vector<int> RefineColors(const Structure& s, std::span<const Elem> marks);
 
 }  // namespace amalgam
 

@@ -38,49 +38,9 @@ bool IsClosedUnderFunctions(const Structure& s, std::span<const Elem> subset) {
 
 std::vector<Elem> GeneratedSubset(const Structure& s,
                                   std::span<const Elem> seeds) {
-  std::vector<char> in_set(s.size(), 0);
-  std::vector<Elem> worklist;
-  for (Elem e : seeds) {
-    if (!in_set[e]) {
-      in_set[e] = 1;
-      worklist.push_back(e);
-    }
-  }
-  // Constants must be included regardless of seeds.
-  for (int f = 0; f < s.schema().num_functions(); ++f) {
-    if (s.schema().function(f).arity == 0 && s.size() > 0) {
-      Elem c = s.Apply(f, {});
-      if (!in_set[c]) {
-        in_set[c] = 1;
-        worklist.push_back(c);
-      }
-    }
-  }
-  // Fixpoint: apply every function to every tuple of current elements.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::vector<Elem> current;
-    for (Elem e = 0; e < s.size(); ++e) {
-      if (in_set[e]) current.push_back(e);
-    }
-    for (int f = 0; f < s.schema().num_functions(); ++f) {
-      const int arity = s.schema().function(f).arity;
-      if (arity == 0) continue;
-      ForEachArgTuple(current, arity, [&](const std::vector<Elem>& args) {
-        Elem value = s.Apply(f, args);
-        if (!in_set[value]) {
-          in_set[value] = 1;
-          changed = true;
-        }
-      });
-    }
-  }
-  std::vector<Elem> result;
-  for (Elem e = 0; e < s.size(); ++e) {
-    if (in_set[e]) result.push_back(e);
-  }
-  return result;
+  ProjectionScratch scratch;
+  ComputeGeneratedSubset(s, seeds, scratch);
+  return std::move(scratch.subset);
 }
 
 SubstructureResult Restrict(const Structure& s, std::span<const Elem> subset) {
@@ -118,39 +78,6 @@ SubstructureResult GeneratedSubstructure(const Structure& s,
   return Restrict(s, GeneratedSubset(s, seeds));
 }
 
-namespace {
-
-// Iterates subset^arity in the table-index order of Structure::EncodeIndex
-// (position 0 is the least significant digit, so it increments fastest),
-// invoking cb() with scratch.args holding the old-id tuple. No allocation:
-// the odometer and the argument tuple live in the scratch.
-template <typename Cb>
-void ForEachSubsetTupleIndexOrder(std::span<const Elem> subset, int arity,
-                                  ProjectionScratch& scratch, Cb&& cb) {
-  if (arity == 0) {
-    cb();
-    return;
-  }
-  if (subset.empty()) return;
-  scratch.odometer.assign(arity, 0);
-  scratch.args.assign(arity, subset[0]);
-  const Elem top = static_cast<Elem>(subset.size() - 1);
-  for (;;) {
-    cb();
-    int i = 0;
-    while (i < arity && scratch.odometer[i] == top) {
-      scratch.odometer[i] = 0;
-      scratch.args[i] = subset[0];
-      ++i;
-    }
-    if (i == arity) return;
-    ++scratch.odometer[i];
-    scratch.args[i] = subset[scratch.odometer[i]];
-  }
-}
-
-}  // namespace
-
 void ComputeGeneratedSubset(const Structure& s, std::span<const Elem> seeds,
                             ProjectionScratch& scratch) {
   const std::size_t n = s.size();
@@ -171,13 +98,17 @@ void ComputeGeneratedSubset(const Structure& s, std::span<const Elem> seeds,
     for (int f = 0; f < s.schema().num_functions(); ++f) {
       const int arity = s.schema().function(f).arity;
       if (arity == 0) continue;
-      ForEachSubsetTupleIndexOrder(scratch.subset, arity, scratch, [&] {
-        const Elem value = s.Apply(f, scratch.args);
-        if (!scratch.in_set[value]) {
-          scratch.in_set[value] = 1;
-          changed = true;
-        }
-      });
+      ForEachTableTuple(
+          scratch.subset.size(), arity,
+          [&](Elem i) { return scratch.subset[i]; }, scratch.args,
+          [&](std::span<const Elem> args) {
+            const Elem value = s.Apply(f, args);
+            if (!scratch.in_set[value]) {
+              scratch.in_set[value] = 1;
+              changed = true;
+            }
+            return true;
+          });
     }
   }
   scratch.subset.clear();
@@ -190,39 +121,21 @@ void ComputeGeneratedSubset(const Structure& s, std::span<const Elem> seeds,
   }
 }
 
-void AppendRestrictedContent(const Structure& s, ProjectionScratch& scratch,
-                             std::string& out) {
-  // ForEachSubsetTupleIndexOrder mutates scratch.subset's siblings, never
-  // subset itself; take a span so the loops below read a stable view.
-  const std::span<const Elem> subset(scratch.subset);
-  const std::size_t m = subset.size();
-  AppendFullWidth(out, static_cast<std::uint32_t>(m));
-  for (int r = 0; r < s.schema().num_relations(); ++r) {
-    const int arity = s.schema().relation(r).arity;
-    if (m == 0 && arity == 0) {
-      // Degenerate empty-domain table: one default entry, untouched.
-      out.push_back(0);
-      continue;
-    }
-    ForEachSubsetTupleIndexOrder(subset, arity, scratch, [&] {
-      out.push_back(
-          s.Holds(r, std::span<const Elem>(scratch.args.data(), arity)) ? 1
-                                                                        : 0);
-    });
-  }
-  for (int f = 0; f < s.schema().num_functions(); ++f) {
-    const int arity = s.schema().function(f).arity;
-    if (m == 0 && arity == 0) {
-      AppendFullWidth(out, 0);
-      continue;
-    }
-    ForEachSubsetTupleIndexOrder(subset, arity, scratch, [&] {
-      AppendFullWidth(
-          out,
-          scratch.old_to_new[s.Apply(
-              f, std::span<const Elem>(scratch.args.data(), arity))]);
-    });
-  }
+void AppendRenamedContent(const Structure& s, std::span<const Elem> order,
+                          std::span<const Elem> old_to_new,
+                          std::vector<Elem>& scratch, std::string& out) {
+  AppendFullWidth(out, static_cast<std::uint32_t>(order.size()));
+  ForEachContentEntry(
+      s.schema(), order.size(), [&](Elem i) { return order[i]; }, scratch,
+      [&](int r, std::span<const Elem> args) {
+        out.push_back(s.Holds(r, args) ? 1 : 0);
+        return true;
+      },
+      [&](int f, std::span<const Elem> args) {
+        // A constant over the empty domain is the constructor's untouched 0.
+        AppendFullWidth(out, order.empty() ? 0 : old_to_new[s.Apply(f, args)]);
+        return true;
+      });
 }
 
 Structure DisjointUnion(const Structure& a, const Structure& b) {

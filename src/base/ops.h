@@ -46,8 +46,7 @@ struct ProjectionScratch {
   std::vector<char> in_set;
   std::vector<Elem> subset;       // sorted generated subset (old ids)
   std::vector<Elem> old_to_new;   // old id -> dense new id (kNoElem if out)
-  std::vector<Elem> args;         // argument-tuple scratch (old ids)
-  std::vector<Elem> odometer;     // tuple-index scratch (new ids)
+  std::vector<Elem> args;         // argument-tuple scratch
 };
 
 /// GeneratedSubset into caller-owned buffers: fills `scratch.subset` with
@@ -56,14 +55,18 @@ struct ProjectionScratch {
 void ComputeGeneratedSubset(const Structure& s, std::span<const Elem> seeds,
                             ProjectionScratch& scratch);
 
-/// Appends to `out` exactly the bytes
-/// `Restrict(s, scratch.subset).structure.EncodeContent()` would produce,
-/// without materializing the substructure — the interner's raw-key memo
-/// probes projected joint members through this, so a memo hit skips both
-/// the substructure construction and the canonicalization.
-/// `scratch` must have been filled by ComputeGeneratedSubset on `s`.
-void AppendRestrictedContent(const Structure& s, ProjectionScratch& scratch,
-                             std::string& out);
+/// Appends to `out` the content bytes (base/structure.h) of the structure
+/// whose element i is element order[i] of `s`, without materializing it.
+/// `order` lists distinct elements of `s` closed under the function symbols,
+/// and old_to_new[order[i]] == i. With ComputeGeneratedSubset's `subset` and
+/// `old_to_new` these are the bytes `Restrict(s, subset)` encodes to, so the
+/// interner's raw-key memo probes projected joint members without building
+/// them; with a permutation of the whole domain and its inverse they are
+/// the bytes `s.ApplyPermutation(old_to_new)` encodes to, which is how
+/// Canonicalize encodes its candidates. `scratch` is caller-owned.
+void AppendRenamedContent(const Structure& s, std::span<const Elem> order,
+                          std::span<const Elem> old_to_new,
+                          std::vector<Elem>& scratch, std::string& out);
 
 /// Disjoint union. Elements of `a` keep their ids; elements of `b` are
 /// shifted by a.size(). Function values on argument tuples that mix the two

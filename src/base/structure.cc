@@ -146,21 +146,19 @@ Structure Structure::ApplyPermutation(std::span<const Elem> perm) const {
 
 std::string Structure::EncodeContent() const {
   std::string out;
-  AppendContent(out);
-  return out;
-}
-
-void Structure::AppendContent(std::string& out) const {
-  // Domain size and function values are varint-encoded: single-byte
-  // encodings alias as soon as a value reaches 256, which silently merges
-  // distinct structures in every key built on top of this encoding.
   AppendFullWidth(out, static_cast<std::uint32_t>(n_));
-  for (const auto& table : rel_tables_) {
-    out.append(reinterpret_cast<const char*>(table.data()), table.size());
-  }
-  for (const auto& table : fn_tables_) {
-    for (Elem value : table) AppendFullWidth(out, value);
-  }
+  std::vector<Elem> scratch;
+  ForEachContentEntry(
+      *schema_, n_, [](Elem e) { return e; }, scratch,
+      [&](int r, std::span<const Elem> t) {
+        out.push_back(Holds(r, t) ? 1 : 0);
+        return true;
+      },
+      [&](int f, std::span<const Elem> t) {
+        AppendFullWidth(out, Apply(f, t));
+        return true;
+      });
+  return out;
 }
 
 std::size_t Structure::PackedBound() const {

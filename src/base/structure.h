@@ -8,6 +8,7 @@
 #ifndef AMALGAM_BASE_STRUCTURE_H_
 #define AMALGAM_BASE_STRUCTURE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -18,9 +19,9 @@
 namespace amalgam {
 
 /// Appends `v` to `out` as a LEB128-style varint (7 value bits per byte,
-/// high bit = continuation). Every byte-string key builder (EncodeContent,
-/// canonical keys, interner raw keys) encodes element ids, domain sizes and
-/// function values through this helper: unlike the old single-byte
+/// high bit = continuation). Every byte-string key builder (the content
+/// encoders, canonical keys, interner raw keys) encodes element ids, domain
+/// sizes and function values through this helper: unlike the old single-byte
 /// truncation, values >= 256 can never alias a smaller value — each varint
 /// is self-delimiting, so concatenations decode uniquely — while the
 /// common < 128 case still costs one byte in the canonicalization hot loop.
@@ -82,15 +83,11 @@ class Structure {
   /// permutation of the domain.
   Structure ApplyPermutation(std::span<const Elem> perm) const;
 
-  /// Serializes the structure content (not the schema) to a byte string that
-  /// is equal for two structures over the same schema iff they are identical
-  /// under the identity naming of elements. Used as a canonical key after
-  /// canonical renaming.
+  /// Serializes the structure content (not the schema) in the content
+  /// layout (ForEachContentEntry below): equal for two structures over the
+  /// same schema iff they are identical under the identity naming of
+  /// elements.
   std::string EncodeContent() const;
-
-  /// EncodeContent appended to a caller-owned buffer — the allocation-free
-  /// variant the interner's raw-key memo builds its keys through.
-  void AppendContent(std::string& out) const;
 
   /// Writes a compact, self-delimiting record of the content to `out`,
   /// which has room for PackedBound() bytes, and returns the record's end:
@@ -122,6 +119,69 @@ class Structure {
   std::vector<std::vector<std::uint8_t>> rel_tables_;
   std::vector<std::vector<Elem>> fn_tables_;
 };
+
+/// Calls visit(tuple) for every tuple of `arity` positions in 0..n-1, in
+/// the little-endian tuple-index order of a table (position 0 varies
+/// fastest), with tuple[i] = at(position i): `at` names the element at a
+/// position, so one walk serves a table of the structure itself (`at` the
+/// identity) and of a renamed one. `scratch` is caller-owned and holds the
+/// tuple and its positions. Stops and returns false as soon as a call
+/// returns false.
+template <typename At, typename Visit>
+bool ForEachTableTuple(std::size_t n, int arity, At&& at,
+                       std::vector<Elem>& scratch, Visit&& visit) {
+  // An empty domain has no tuples, except the one nullary tuple.
+  if (n == 0 && arity > 0) return true;
+  scratch.assign(2 * static_cast<std::size_t>(arity), 0);
+  Elem* tuple = scratch.data();
+  Elem* position = tuple + arity;
+  const Elem first = arity == 0 ? 0 : at(Elem{0});
+  std::fill(tuple, position, first);
+  for (;;) {
+    if (!visit(std::span<const Elem>(tuple, arity))) return false;
+    int i = 0;
+    while (i < arity && ++position[i] == n) {
+      position[i] = 0;
+      tuple[i++] = first;
+    }
+    if (i == arity) return true;
+    tuple[i] = at(position[i]);
+  }
+}
+
+/// The structure-content layout, which EncodeContent and AppendRenamedContent
+/// (base/ops.h) write and DecodeCanonicalKey (base/canonical.h) reads: the
+/// domain size n as a varint, then each relation table as one 0/1 byte per
+/// entry, then each function table as one varint per entry, every table in
+/// little-endian tuple-index order over {0..n-1} (tuple[0] varies fastest).
+///
+/// This is the one walk over those tables: after the domain size, it calls
+/// on_relation(r, tuple) for each entry of each relation table, then
+/// on_function(f, tuple) for each entry of each function table, with
+/// `tuple` the entry's argument tuple renamed by `at` (ForEachTableTuple).
+/// It stops and returns false as soon as a call returns false.
+template <typename At, typename OnRelation, typename OnFunction>
+bool ForEachContentEntry(const Schema& schema, std::size_t n, At&& at,
+                         std::vector<Elem>& scratch, OnRelation&& on_relation,
+                         OnFunction&& on_function) {
+  for (int r = 0; r < schema.num_relations(); ++r) {
+    if (!ForEachTableTuple(n, schema.relation(r).arity, at, scratch,
+                           [&](std::span<const Elem> t) {
+                             return on_relation(r, t);
+                           })) {
+      return false;
+    }
+  }
+  for (int f = 0; f < schema.num_functions(); ++f) {
+    if (!ForEachTableTuple(n, schema.function(f).arity, at, scratch,
+                           [&](std::span<const Elem> t) {
+                             return on_function(f, t);
+                           })) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace amalgam
 

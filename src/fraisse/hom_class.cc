@@ -17,7 +17,8 @@ HomClass::HomClass(Structure template_db)
 }
 
 std::string HomClass::Fingerprint() const {
-  // EncodeContent is unambiguous given the schema (fixed-width fields), so
+  // EncodeContent is unambiguous given the schema (its varints are
+  // self-delimiting and its tables have schema-determined lengths), so
   // schema fingerprint + content cannot be imitated by another template.
   return "hom|" + schema_->Fingerprint() + "|" + template_.EncodeContent();
 }

@@ -399,7 +399,9 @@ void ExplorationEngine::ReconstructWitness() {
       cur[new_canon.perm[sub_e]] = am->embed_b[new_sub.new_to_old[sub_e]];
     }
     std::vector<Elem> val(k_);
-    for (int j = 0; j < k_; ++j) val[j] = cur[new_canon.marks[j]];
+    for (int j = 0; j < k_; ++j) {
+      val[j] = cur[new_canon.perm[new_sub.old_to_new[new_marks[j]]]];
+    }
     valuations.push_back(std::move(val));
   }
 

@@ -79,7 +79,7 @@ int ConfigInterner::Intern(const Structure& s, std::span<const Elem> marks) {
   raw_scratch_.clear();
   for (Elem m : marks) AppendFullWidth(raw_scratch_, m);
   raw_scratch_.push_back('\x02');
-  s.AppendContent(raw_scratch_);
+  raw_scratch_ += s.EncodeContent();
   return InternRawScratch([&] { return Canonicalize(s, marks); });
 }
 
@@ -95,7 +95,8 @@ int ConfigInterner::InternProjection(const Structure& joint,
     AppendFullWidth(raw_scratch_, proj_scratch_.old_to_new[m]);
   }
   raw_scratch_.push_back('\x02');
-  AppendRestrictedContent(joint, proj_scratch_, raw_scratch_);
+  AppendRenamedContent(joint, proj_scratch_.subset, proj_scratch_.old_to_new,
+                       proj_scratch_.args, raw_scratch_);
   return InternRawScratch([&] {
     SubstructureResult sub = Restrict(joint, proj_scratch_.subset);
     sub_marks_scratch_.resize(marks.size());

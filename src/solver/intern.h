@@ -10,8 +10,9 @@
 //     addressed by a dense id, so all downstream comparisons (edge dedup,
 //     reachability) are integer compares.
 // Both maps are open-addressing flat tables (util/flat_hash.h) keyed by
-// precomputed hashes (CanonicalForm::hash and a one-pass hash of the raw
-// bytes); key bytes are only compared within a probe chain, never re-hashed.
+// precomputed hashes (the key hash Canonicalize returns with the key,
+// CanonicalForm::hash, and a one-pass hash of the raw bytes); key bytes are
+// only compared within a probe chain, never re-hashed.
 // Both maps only serve interning: Freeze releases them once a graph is
 // complete, keeping the shape keys.
 // Raw keys are (offset, length) spans into a bump arena owned by the
@@ -40,8 +41,9 @@ namespace amalgam {
 
 /// An interned shape: its canonical key (CanonicalForm::key), which
 /// determines the shape (DecodeCanonicalKey), and the key's hash
-/// (CanonicalForm::hash). `key` views the interner's arena, so the next
-/// intern into that interner may invalidate it.
+/// (HashRange over the key bytes, as CanonicalForm::hash is, so a shape
+/// restored from the store hashes alike). `key` views the interner's
+/// arena, so the next intern into that interner may invalidate it.
 struct ShapeKey {
   std::string_view key;
   std::size_t hash = 0;

@@ -287,8 +287,11 @@ void TreeRunClass::EnumeratePatterns(int m, const PatternSink& sink) const {
     }
     const int cap = m + extra_cap_;
     // Enumerate pattern shapes (parent[i] < i), states, cmax flags, and
-    // mark placements, filtered by generation + membership. Shapes repeat
-    // across numberings; the solver deduplicates by canonical form.
+    // mark placements, filtered by generation + membership. A tree
+    // skeleton recurs under several numberings (parent arrays), but the
+    // members emitted need no deduplication: the zoo's tree streams at
+    // m <= 4 hold no two with one canonical key. The solver's canonical
+    // forms deduplicate the projections of joint members.
     TreePattern p;
     std::function<void(int, int)> build = [&](int size, int next) {
       if (next == size) {

@@ -4,9 +4,14 @@
 // renaming, idempotence, and agreement between the canonical key and
 // marked-isomorphism (decided independently by embedding search). The
 // key decoder round-trips every key of those cases and of the zoo member
-// streams, and rejects or safely decodes every damaged key.
+// streams, and rejects or safely decodes every damaged key. A reference
+// canonicalizer, which materializes every candidate renaming, pins the
+// key, permutation and hash of Canonicalize on random structures and on
+// the zoo member streams.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <random>
 #include <string>
 #include <string_view>
@@ -17,11 +22,160 @@
 #include "system/zoo.h"
 #include "trees/run_class.h"
 #include "trees/zoo.h"
+#include "util/hash.h"
 #include "words/run_class.h"
 #include "words/zoo.h"
 
 namespace amalgam {
 namespace {
+
+// ---------------------------------------------------------------------------
+// The reference canonicalizer: color refinement over a std::map of
+// signature vectors, then a recursion over every ordering of every color
+// class that renames the structure for each candidate and keeps the
+// smallest key (the first among equal keys). Canonicalize must agree with
+// it on the key, the permutation and the hash.
+// ---------------------------------------------------------------------------
+
+std::vector<int> ReferenceRefineOnce(const Structure& s,
+                                     const std::vector<int>& color) {
+  const std::size_t n = s.size();
+  std::vector<std::vector<std::int64_t>> sig(n);
+  for (std::size_t e = 0; e < n; ++e) sig[e].push_back(color[e]);
+  const int num_colors =
+      n == 0 ? 0 : 1 + *std::max_element(color.begin(), color.end());
+  for (int r = 0; r < s.schema().num_relations(); ++r) {
+    const int arity = s.schema().relation(r).arity;
+    if (arity == 1) {
+      for (Elem e = 0; e < n; ++e) sig[e].push_back(s.Holds1(r, e) ? 1 : 0);
+    } else if (arity == 2) {
+      for (Elem e = 0; e < n; ++e) {
+        std::vector<std::int64_t> out_counts(num_colors, 0);
+        std::vector<std::int64_t> in_counts(num_colors, 0);
+        std::int64_t self = s.Holds2(r, e, e) ? 1 : 0;
+        for (Elem x = 0; x < n; ++x) {
+          if (s.Holds2(r, e, x)) ++out_counts[color[x]];
+          if (s.Holds2(r, x, e)) ++in_counts[color[x]];
+        }
+        sig[e].push_back(self);
+        sig[e].insert(sig[e].end(), out_counts.begin(), out_counts.end());
+        sig[e].insert(sig[e].end(), in_counts.begin(), in_counts.end());
+      }
+    }
+  }
+  for (int f = 0; f < s.schema().num_functions(); ++f) {
+    const int arity = s.schema().function(f).arity;
+    if (arity == 0) {
+      if (n == 0) continue;
+      Elem c = s.Apply(f, {});
+      for (Elem e = 0; e < n; ++e) sig[e].push_back(e == c ? 1 : 0);
+    } else if (arity == 1) {
+      for (Elem e = 0; e < n; ++e) {
+        sig[e].push_back(color[s.Apply1(f, e)]);
+        sig[e].push_back(s.Apply1(f, e) == e ? 1 : 0);
+        std::vector<std::int64_t> pre_counts(num_colors, 0);
+        for (Elem x = 0; x < n; ++x) {
+          if (s.Apply1(f, x) == e) ++pre_counts[color[x]];
+        }
+        sig[e].insert(sig[e].end(), pre_counts.begin(), pre_counts.end());
+      }
+    } else if (arity == 2) {
+      for (Elem e = 0; e < n; ++e) {
+        std::vector<std::int64_t> counts(
+            static_cast<std::size_t>(num_colors) * num_colors, 0);
+        for (Elem x = 0; x < n; ++x) {
+          ++counts[static_cast<std::size_t>(color[x]) * num_colors +
+                   color[s.Apply2(f, e, x)]];
+        }
+        sig[e].insert(sig[e].end(), counts.begin(), counts.end());
+        sig[e].push_back(s.Apply2(f, e, e) == e ? 1 : 0);
+      }
+    }
+  }
+  std::map<std::vector<std::int64_t>, int> order;
+  for (const auto& g : sig) order.emplace(g, 0);
+  int next = 0;
+  for (auto& [key, id] : order) id = next++;
+  std::vector<int> result(n);
+  for (std::size_t e = 0; e < n; ++e) result[e] = order[sig[e]];
+  return result;
+}
+
+std::vector<int> ReferenceRefineColors(const Structure& s,
+                                       std::span<const Elem> marks) {
+  const std::size_t n = s.size();
+  std::vector<std::vector<std::int64_t>> sig(n);
+  for (std::size_t e = 0; e < n; ++e) {
+    for (std::size_t i = 0; i < marks.size(); ++i) {
+      sig[e].push_back(marks[i] == e ? 1 : 0);
+    }
+  }
+  std::map<std::vector<std::int64_t>, int> order;
+  for (const auto& g : sig) order.emplace(g, 0);
+  int next = 0;
+  for (auto& [key, id] : order) id = next++;
+  std::vector<int> color(n);
+  for (std::size_t e = 0; e < n; ++e) color[e] = order[sig[e]];
+  while (true) {
+    std::vector<int> refined = ReferenceRefineOnce(s, color);
+    if (refined == color) return color;
+    color = std::move(refined);
+  }
+}
+
+CanonicalForm ReferenceCanonicalize(const Structure& s,
+                                    std::span<const Elem> marks) {
+  const std::size_t n = s.size();
+  std::vector<int> color = ReferenceRefineColors(s, marks);
+  std::vector<std::vector<Elem>> classes;
+  const int num_colors =
+      n == 0 ? 0 : 1 + *std::max_element(color.begin(), color.end());
+  classes.resize(num_colors);
+  for (Elem e = 0; e < n; ++e) classes[color[e]].push_back(e);
+
+  std::string best_key;
+  std::vector<Elem> best_perm;
+  bool have_best = false;
+  std::vector<Elem> perm(n, kNoElem);
+  std::function<void(std::size_t, Elem)> assign = [&](std::size_t class_idx,
+                                                      Elem next_position) {
+    if (class_idx == classes.size()) {
+      Structure renamed = s.ApplyPermutation(perm);
+      std::string key;
+      for (Elem m : marks) AppendFullWidth(key, perm[m]);
+      key.push_back('\x01');
+      key += renamed.EncodeContent();
+      if (!have_best || key < best_key) {
+        best_key = std::move(key);
+        best_perm = perm;
+        have_best = true;
+      }
+      return;
+    }
+    std::vector<Elem>& cls = classes[class_idx];
+    std::sort(cls.begin(), cls.end());
+    std::vector<Elem> ordering = cls;
+    do {
+      for (std::size_t i = 0; i < ordering.size(); ++i) {
+        perm[ordering[i]] = next_position + static_cast<Elem>(i);
+      }
+      assign(class_idx + 1, next_position + static_cast<Elem>(cls.size()));
+    } while (std::next_permutation(ordering.begin(), ordering.end()));
+    for (Elem e : cls) perm[e] = kNoElem;
+  };
+  assign(0, 0);
+  const std::size_t hash = HashRange(best_key.begin(), best_key.end());
+  return CanonicalForm{std::move(best_key), std::move(best_perm), hash};
+}
+
+// Canonicalize and the reference agree on (s, marks).
+void ExpectMatchesReference(const Structure& s, std::span<const Elem> marks) {
+  const CanonicalForm canon = Canonicalize(s, marks);
+  const CanonicalForm reference = ReferenceCanonicalize(s, marks);
+  ASSERT_EQ(canon.key, reference.key) << s.ToString();
+  ASSERT_EQ(canon.perm, reference.perm) << s.ToString();
+  ASSERT_EQ(canon.hash, reference.hash);
+}
 
 SchemaRef RichSchema() {
   Schema s;
@@ -57,18 +211,22 @@ TEST_P(CanonicalStress, InvarianceIdempotencePermCorrectness) {
     std::vector<Elem> marks = {static_cast<Elem>(rng() % n),
                                static_cast<Elem>(rng() % n)};
     CanonicalForm canon = Canonicalize(s, marks);
+    Structure canon_structure(schema, 0);
+    std::vector<Elem> canon_marks;
+    ASSERT_TRUE(DecodeCanonicalKey(canon.key, schema, marks.size(),
+                                   &canon_structure, &canon_marks));
 
     // perm correctness: applying the recorded permutation reproduces the
-    // canonical structure and marks.
+    // canonical structure and marks the key decodes to.
     Structure renamed = s.ApplyPermutation(canon.perm);
-    EXPECT_TRUE(renamed == canon.structure);
+    EXPECT_TRUE(renamed == canon_structure);
     for (std::size_t i = 0; i < marks.size(); ++i) {
-      EXPECT_EQ(canon.perm[marks[i]], canon.marks[i]);
+      EXPECT_EQ(canon.perm[marks[i]], canon_marks[i]);
     }
 
     // Idempotence: canonicalizing the canonical form is a fixpoint of the
     // key.
-    CanonicalForm again = Canonicalize(canon.structure, canon.marks);
+    CanonicalForm again = Canonicalize(canon_structure, canon_marks);
     EXPECT_EQ(again.key, canon.key);
 
     // Invariance: random renamings keep the key.
@@ -108,8 +266,8 @@ TEST_P(CanonicalStress, KeyEqualityMatchesMarkedIsomorphism) {
 }
 
 // Canonicalizes (s, marks), decodes the key, and checks the decoded
-// structure and marks are the canonical form's and re-canonicalize to the
-// same key byte for byte.
+// structure and marks are the canonical renaming of (s, marks) by the
+// form's perm and re-canonicalize to the same key byte for byte.
 void ExpectKeyRoundTrips(const Structure& s, std::span<const Elem> marks) {
   const CanonicalForm canon = Canonicalize(s, marks);
   Structure decoded(s.schema_ref(), 0);
@@ -118,8 +276,11 @@ void ExpectKeyRoundTrips(const Structure& s, std::span<const Elem> marks) {
                                  &decoded, &decoded_marks));
   EXPECT_TRUE(DecodeCanonicalKey(canon.key, s.schema_ref(), marks.size(),
                                  nullptr, nullptr));
-  EXPECT_TRUE(decoded == canon.structure);
-  EXPECT_EQ(decoded_marks, canon.marks);
+  EXPECT_TRUE(decoded == s.ApplyPermutation(canon.perm));
+  ASSERT_EQ(decoded_marks.size(), marks.size());
+  for (std::size_t i = 0; i < marks.size(); ++i) {
+    EXPECT_EQ(decoded_marks[i], canon.perm[marks[i]]);
+  }
   EXPECT_EQ(Canonicalize(decoded, decoded_marks).key, canon.key);
 }
 
@@ -203,11 +364,11 @@ TEST_P(CanonicalStress, DecodedKeysRecanonicalizeToThemselves) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CanonicalStress, ::testing::Range(0, 6));
 
-TEST(CanonicalDecodeTest, ZooMemberKeysRoundTrip) {
-  // Every member of the relational, word and tree zoo classes' streams at
-  // m <= 4 (m <= 3 for the E/red graphs, whose 4-generated stream holds a
-  // million members): its key decodes to the canonical form, which
-  // re-canonicalizes to the same key. Every 64th key is also damaged.
+// Calls visit(cls, s, marks) on every member of the relational, word and
+// tree zoo classes' streams at m <= 4 (m <= 3 for the E/red graphs, whose
+// 4-generated stream holds a million members).
+template <typename Visit>
+void ForEachZooMember(Visit&& visit) {
   AllStructuresClass graphs(GraphZooSchema());
   Schema unary_schema;
   unary_schema.AddRelation("red", 1);
@@ -229,22 +390,75 @@ TEST(CanonicalDecodeTest, ZooMemberKeysRoundTrip) {
                             {"equivalences", equivalences, 4},
                             {"words", words, 4},
                             {"trees", trees, 4}};
-  std::mt19937 damage(5);
   for (const Stream& stream : streams) {
     SCOPED_TRACE(stream.name);
     for (int m = 1; m <= stream.max_m; ++m) {
       std::uint64_t members = 0;
       stream.cls.EnumerateGenerated(
           m, [&](const Structure& s, std::span<const Elem> marks) {
-            ExpectKeyRoundTrips(s, marks);
-            if (members++ % 64 == 0) {
-              ExpectDamageIsSafe(Canonicalize(s, marks).key,
-                                 stream.cls.schema(), marks.size(), damage,
-                                 16);
-            }
+            ++members;
+            visit(stream.cls, s, marks);
           });
       EXPECT_GT(members, 0u) << "m = " << m;
     }
+  }
+}
+
+TEST(CanonicalDecodeTest, ZooMemberKeysRoundTrip) {
+  // Every zoo member's key decodes to the canonical form, which
+  // re-canonicalizes to the same key. Every 64th key is also damaged.
+  std::mt19937 damage(5);
+  std::uint64_t members = 0;
+  ForEachZooMember([&](const FraisseClass& cls, const Structure& s,
+                       std::span<const Elem> marks) {
+    ExpectKeyRoundTrips(s, marks);
+    if (members++ % 64 == 0) {
+      ExpectDamageIsSafe(Canonicalize(s, marks).key, cls.schema(),
+                         marks.size(), damage, 16);
+    }
+  });
+}
+
+TEST(CanonicalReferenceTest, ZooMembersMatchReference) {
+  ForEachZooMember([](const FraisseClass&, const Structure& s,
+                      std::span<const Elem> marks) {
+    ExpectMatchesReference(s, marks);
+  });
+}
+
+// A random structure over RichSchema with `n` elements. Symmetric ones
+// (f the identity, g the first projection, p all or nothing, E a sparse
+// symmetric relation) leave large color classes, so the candidate search
+// and its tie-break do real work.
+Structure RandomDifferentialCase(std::mt19937& rng, const SchemaRef& schema,
+                                 int n) {
+  if (rng() % 2 == 0) return RandomStructure(rng, schema, n);
+  Structure s(schema, n);
+  const bool all_p = rng() % 2 == 0;
+  for (Elem a = 0; a < static_cast<Elem>(n); ++a) {
+    if (all_p) s.SetHolds1(0, a);
+    s.SetFunction1(0, a, a);
+    for (Elem b = 0; b < static_cast<Elem>(n); ++b) {
+      s.SetFunction2(1, a, b, a);
+      if (a < b && rng() % 4 == 0) {
+        s.SetHolds2(1, a, b);
+        s.SetHolds2(1, b, a);
+      }
+    }
+  }
+  return s;
+}
+
+TEST(CanonicalReferenceTest, RandomStructuresMatchReference) {
+  auto schema = RichSchema();
+  std::mt19937 rng(20240611);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int n = static_cast<int>(rng() % 7);
+    Structure s = RandomDifferentialCase(rng, schema, n);
+    std::vector<Elem> marks(n == 0 ? 0 : rng() % 4);
+    for (Elem& m : marks) m = static_cast<Elem>(rng() % n);
+    SCOPED_TRACE(trial);
+    ExpectMatchesReference(s, marks);
   }
 }
 
@@ -276,6 +490,14 @@ TEST(CanonicalDecodeTest, RejectsMalformedKeys) {
                                  nullptr, nullptr));
   EXPECT_FALSE(DecodeCanonicalKey(std::string("\x00\x01\x7f", 3), bare, 1,
                                   nullptr, nullptr));
+  // A table no key bytes could hold: 2^40 entries of a 40-ary relation
+  // over two elements.
+  Schema wide;
+  wide.AddRelation("w", 40);
+  Structure wide_structure(bare, 0);
+  EXPECT_FALSE(DecodeCanonicalKey(std::string("\x00\x01\x02\x00", 4),
+                                  MakeSchema(std::move(wide)), 1,
+                                  &wide_structure, nullptr));
 }
 
 // ---------------------------------------------------------------------------

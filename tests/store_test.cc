@@ -574,6 +574,56 @@ TEST(StoreTest, Version2RecordReadsAsAMissAndIsRebuiltToTheSameGraph) {
   EXPECT_EQ(served.stats.members_enumerated, 0u);
 }
 
+// A complete format-3 record of reach_red's graph over the E/red graphs,
+// under its SystemGraphContext key, as SerializeGraph wrote it while
+// Canonicalize still built a renamed structure for every candidate
+// ordering. It pins the persisted canonical key bytes: a canonicalizer
+// that encodes candidates differently must still load this record and
+// write these bytes.
+constexpr char kReachRedVersion3[] =
+    "\x41\x4d\x47\x53\x03\x4b\x33\x35\x3a\x61\x6c\x6c\x2d\x73\x74\x72"
+    "\x75\x63\x74\x75\x72\x65\x73\x7c\x52\x32\x3b\x31\x3a\x45\x2f\x32"
+    "\x3b\x33\x3a\x72\x65\x64\x2f\x31\x3b\x46\x30\x3b\x1f\x31\x1f\x39"
+    "\x3a\x45\x28\x76\x30\x2c\x20\x76\x31\x29\x1f\x31\x39\x3a\x28\x76"
+    "\x30\x20\x3d\x20\x76\x31\x20\x26\x20\x72\x65\x64\x28\x76\x30\x29"
+    "\x29\x01\x02\x02\x00\x12\x02\x01\x45\x02\x03\x72\x65\x64\x01\x00"
+    "\x04\x05\x00\x01\x01\x00\x00\x05\x00\x01\x01\x01\x00\x05\x00\x01"
+    "\x01\x00\x01\x05\x00\x01\x01\x01\x01\x04\x00\x01\x02\x03\x04\x00"
+    "\x00\x00\x01\x00\x02\x00\x03\x04\x00\x01\x00\x00\x00\x02\x00\x03"
+    "\x05\x01\x02\x00\x00\x00\x01\x00\x02\x00\x03\x05\x00\x03\x01\x03"
+    "\x00\x00\x00\x01\x00\x02\x94\xab\x45\x6c\xf7\x6c\xc0\xeb";
+
+TEST(StoreTest, Version3RecordLoadsCompleteWithItsShapeKeys) {
+  AllStructuresClass all(GraphZooSchema());
+  const DdsSystem system = ReachRedSystem();
+  const GraphContext ctx = SystemGraphContext(BorrowBackend(all), system);
+  const std::string_view record(kReachRedVersion3,
+                                sizeof(kReachRedVersion3) - 1);
+  ASSERT_EQ(kGraphStoreFormatVersion, 3u);
+  ASSERT_EQ(record[4], 3) << "the fixture is a version-3 record";
+  const auto loaded =
+      DeserializeGraph(record, ctx.key, all.schema(), ctx.guards, ctx.k);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_TRUE(loaded->complete());
+
+  SubTransitionGraph cold(ctx.guards, ctx.k);
+  SolveStats cold_stats;
+  cold.BuildFull(MemberSource{all}, cold_stats);
+  ASSERT_EQ(loaded->num_shapes(), cold.num_shapes());
+  for (int id = 0; id < cold.num_shapes(); ++id) {
+    const std::string_view key = loaded->interner().shape(id).key;
+    EXPECT_EQ(key, cold.interner().shape(id).key) << "shape " << id;
+    Structure structure(all.schema(), 0);
+    std::vector<Elem> marks;
+    ASSERT_TRUE(DecodeCanonicalKey(key, all.schema(),
+                                   static_cast<std::size_t>(ctx.k),
+                                   &structure, &marks));
+    EXPECT_EQ(Canonicalize(structure, marks).key, key) << "shape " << id;
+  }
+  EXPECT_EQ(SerializeGraph(*loaded, ctx.key), record);
+  EXPECT_EQ(SerializeGraph(cold, ctx.key), record);
+}
+
 // A decoded graph is safe to serve: every shape key decodes to a
 // well-formed structure with its marks in range (what a witness reads),
 // BFS from its initial shapes stays in range, and it re-serializes to
