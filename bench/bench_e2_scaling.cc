@@ -245,11 +245,14 @@ BENCHMARK(BM_SweepKernel)->Unit(benchmark::kMicrosecond);
 
 // Projection interning throughput with the global allocation counter
 // wrapped around the measured loop. hot:0 interns the chain joint stream
-// into a fresh interner every iteration (every distinct projection
-// canonicalizes and allocates); hot:1 replays it against a warmed interner,
-// where every member is a raw-memo hit served straight from the arena —
-// allocs_per_member reports the heap traffic per swept member and must be
-// zero on the hot path (intern_test pins the same contract as an assert).
+// into a fresh interner every iteration: every distinct projection misses
+// and is canonicalized in place in the interner's scratch, so it allocates
+// only while that scratch, the arenas and the tables grow — at most 4 per
+// member (intern_test's ColdInternAllocatesAtMostFourPerMember bound);
+// hot:1 replays it against a warmed interner, where every member is a
+// raw-memo hit served straight from the arena — allocs_per_member reports
+// the heap traffic per swept member and must be zero on the hot path
+// (intern_test pins the same contract as an assert).
 void BM_InternThroughput(benchmark::State& state) {
   const bool hot = state.range(0) == 1;
   AllStructuresClass cls(GraphZooSchema());

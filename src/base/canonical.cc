@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "base/ops.h"
 #include "util/enumerate.h"
 #include "util/hash.h"
 
@@ -13,15 +12,19 @@ namespace amalgam {
 
 namespace {
 
-// The signature rows of one refinement round, written to `sig` as n rows
-// of equal width, which is returned: each element's old color, then how it
-// relates to each of the k color classes through every relation and
+// The signature rows of one refinement round over scratch.subset, written
+// to scratch.sig as one row of equal width per subset position, which is
+// returned: the element's old color (scratch.color, by position), then how
+// it relates to each of the k color classes through every relation and
 // function of arity <= 2 (higher arities contribute through the exhaustive
 // phase instead; they are rare in this library).
-std::size_t SignatureRows(const Structure& s, std::span<const int> color,
-                          std::size_t k, std::vector<int>& sig) {
+std::size_t SignatureRows(const Structure& s, std::size_t k,
+                          ProjectionScratch& scratch) {
   const Schema& schema = s.schema();
-  const std::size_t n = s.size();
+  const std::span<const Elem> domain = scratch.subset;
+  const std::span<const Elem> old_to_new = scratch.old_to_new;
+  const std::span<const int> color = scratch.color;
+  const std::size_t n = domain.size();
   std::size_t width = 1;
   for (int r = 0; r < schema.num_relations(); ++r) {
     const int arity = schema.relation(r).arity;
@@ -31,10 +34,11 @@ std::size_t SignatureRows(const Structure& s, std::span<const int> color,
     const int arity = schema.function(f).arity;
     width += arity == 0 ? 1 : arity == 1 ? 2 + k : arity == 2 ? k * k + 1 : 0;
   }
-  sig.assign(n * width, 0);
-  for (Elem e = 0; e < n; ++e) {
-    int* row = sig.data() + e * width;
-    *row++ = color[e];
+  scratch.sig.assign(n * width, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Elem e = domain[i];
+    int* row = scratch.sig.data() + i * width;
+    *row++ = color[i];
     for (int r = 0; r < schema.num_relations(); ++r) {
       const int arity = schema.relation(r).arity;
       if (arity == 1) {
@@ -42,9 +46,9 @@ std::size_t SignatureRows(const Structure& s, std::span<const int> color,
       } else if (arity == 2) {
         // Self loop, then out- and in-neighbours per color.
         *row++ = s.Holds2(r, e, e) ? 1 : 0;
-        for (Elem x = 0; x < n; ++x) {
-          if (s.Holds2(r, e, x)) ++row[color[x]];
-          if (s.Holds2(r, x, e)) ++row[k + color[x]];
+        for (std::size_t x = 0; x < n; ++x) {
+          if (s.Holds2(r, e, domain[x])) ++row[color[x]];
+          if (s.Holds2(r, domain[x], e)) ++row[k + color[x]];
         }
         row += 2 * k;
       }
@@ -56,17 +60,17 @@ std::size_t SignatureRows(const Structure& s, std::span<const int> color,
       } else if (arity == 1) {
         // The image's color, a fixed point, then preimages per color.
         const Elem image = s.Apply1(f, e);
-        *row++ = color[image];
+        *row++ = color[old_to_new[image]];
         *row++ = image == e ? 1 : 0;
-        for (Elem x = 0; x < n; ++x) {
-          if (s.Apply1(f, x) == e) ++row[color[x]];
+        for (std::size_t x = 0; x < n; ++x) {
+          if (s.Apply1(f, domain[x]) == e) ++row[color[x]];
         }
         row += k;
       } else if (arity == 2) {
         // Multiset over x of (color(x), color(f(e,x))) as a count matrix,
         // then whether f(e,e) = e.
-        for (Elem x = 0; x < n; ++x) {
-          ++row[color[x] * k + color[s.Apply2(f, e, x)]];
+        for (std::size_t x = 0; x < n; ++x) {
+          ++row[color[x] * k + color[old_to_new[s.Apply2(f, e, domain[x])]]];
         }
         row += k * k;
         *row++ = s.Apply2(f, e, e) == e ? 1 : 0;
@@ -76,12 +80,12 @@ std::size_t SignatureRows(const Structure& s, std::span<const int> color,
   return width;
 }
 
-// Colors element e by the rank of row e of `sig` (rows of `width`
+// Colors position i by the rank of row i of `sig` (rows of `width`
 // entries) among the distinct rows in lexicographic order; returns the
 // number of colors. `rows` is scratch.
 std::size_t RankRows(std::span<const int> sig, std::size_t width,
                      std::vector<Elem>& rows, std::vector<int>& color) {
-  auto row = [&](Elem e) { return sig.subspan(e * width, width); };
+  auto row = [&](Elem i) { return sig.subspan(i * width, width); };
   auto less = [&](Elem a, Elem b) {
     return std::ranges::lexicographical_compare(row(a), row(b));
   };
@@ -96,64 +100,66 @@ std::size_t RankRows(std::span<const int> sig, std::size_t width,
   return rows.empty() ? 0 : colors + 1;
 }
 
-// Color refinement (1-WL): a stable coloring of the elements, as color ids
-// in 0..k-1, canonical across isomorphic inputs. Elements start colored by
-// the mark positions pointing at them.
-std::vector<int> RefineColors(const Structure& s,
-                              std::span<const Elem> marks) {
-  const std::size_t n = s.size();
-  std::vector<int> sig(n * marks.size());
+// Color refinement (1-WL): leaves in scratch.color a stable coloring of the
+// subset's positions, as color ids in 0..k-1, canonical across isomorphic
+// inputs. Elements start colored by the mark positions pointing at them.
+void RefineColors(const Structure& s, std::span<const Elem> marks,
+                  ProjectionScratch& scratch) {
+  const std::size_t n = scratch.subset.size();
+  scratch.sig.assign(n * marks.size(), 0);
   for (std::size_t i = 0; i < marks.size(); ++i) {
-    sig[marks[i] * marks.size() + i] = 1;
+    scratch.sig[scratch.old_to_new[marks[i]] * marks.size() + i] = 1;
   }
-  std::vector<Elem> rows;
-  std::vector<int> color(n);
-  std::vector<int> refined(n);
-  std::size_t k = RankRows(sig, marks.size(), rows, color);
+  scratch.color.resize(n);
+  scratch.refined.resize(n);
+  std::size_t k =
+      RankRows(scratch.sig, marks.size(), scratch.rows, scratch.color);
   for (;;) {
-    const std::size_t width = SignatureRows(s, color, k, sig);
-    k = RankRows(sig, width, rows, refined);
-    if (refined == color) return color;
-    color.swap(refined);
+    const std::size_t width = SignatureRows(s, k, scratch);
+    k = RankRows(scratch.sig, width, scratch.rows, scratch.refined);
+    if (scratch.refined == scratch.color) return;
+    scratch.color.swap(scratch.refined);
   }
 }
 
 }  // namespace
 
-CanonicalForm Canonicalize(const Structure& s, std::span<const Elem> marks) {
-  const std::size_t n = s.size();
-  const std::vector<int> color = RefineColors(s, marks);
+void CanonicalizeSubset(const Structure& s, std::span<const Elem> marks,
+                        ProjectionScratch& scratch) {
+  RefineColors(s, marks, scratch);
+  const std::size_t n = scratch.subset.size();
+  auto color = [&](Elem e) { return scratch.color[scratch.old_to_new[e]]; };
 
-  // A candidate lists the elements by position, ordered by color class.
-  // The first is every class in id order; each next one steps the last
-  // class that has a next ordering, resetting the classes after it, so
-  // every ordering within every class is tried. The smallest key wins,
+  // A candidate lists the subset's elements by position, ordered by color
+  // class. The first is every class in id order; each next one steps the
+  // last class that has a next ordering, resetting the classes after it,
+  // so every ordering within every class is tried. The smallest key wins,
   // the earliest candidate among equal keys.
-  std::vector<Elem> order(n);
-  std::iota(order.begin(), order.end(), Elem{0});
+  std::vector<Elem>& order = scratch.order;
+  order = scratch.subset;
   std::sort(order.begin(), order.end(), [&](Elem a, Elem b) {
-    return color[a] != color[b] ? color[a] < color[b] : a < b;
+    return color(a) != color(b) ? color(a) < color(b) : a < b;
   });
-  // perm[old] = position.
-  std::vector<Elem> perm(n);
-  std::vector<Elem> best_perm;
-  std::string key;
-  std::string best_key;
-  std::vector<Elem> scratch;
+  // perm[element] = position.
+  std::vector<Elem>& perm = scratch.perm;
+  perm.resize(s.size());
+  std::string& key = scratch.key;
+  std::string& candidate = scratch.candidate;
+  key.clear();
   for (;;) {
     for (std::size_t p = 0; p < n; ++p) perm[order[p]] = static_cast<Elem>(p);
-    key.clear();
-    for (Elem m : marks) AppendFullWidth(key, perm[m]);
-    key.push_back('\x01');
-    AppendRenamedContent(s, order, perm, scratch, key);
-    if (best_key.empty() || key < best_key) {
-      best_key.swap(key);
-      best_perm = perm;
+    candidate.clear();
+    for (Elem m : marks) AppendFullWidth(candidate, perm[m]);
+    candidate.push_back('\x01');
+    AppendRenamedContent(s, order, perm, scratch.args, candidate);
+    if (key.empty() || candidate < key) {
+      key.swap(candidate);
+      scratch.best_order = order;
     }
     std::size_t end = n;
     while (end > 0) {
       std::size_t begin = end - 1;
-      while (begin > 0 && color[order[begin - 1]] == color[order[end - 1]]) {
+      while (begin > 0 && color(order[begin - 1]) == color(order[end - 1])) {
         --begin;
       }
       if (std::next_permutation(order.begin() + begin, order.begin() + end)) {
@@ -163,8 +169,20 @@ CanonicalForm Canonicalize(const Structure& s, std::span<const Elem> marks) {
     }
     if (end == 0) break;
   }
-  const std::size_t hash = HashRange(best_key.begin(), best_key.end());
-  return CanonicalForm{std::move(best_key), std::move(best_perm), hash};
+  for (std::size_t p = 0; p < n; ++p) {
+    perm[scratch.best_order[p]] = static_cast<Elem>(p);
+  }
+  scratch.hash = HashRange(key.begin(), key.end());
+}
+
+CanonicalForm Canonicalize(const Structure& s, std::span<const Elem> marks) {
+  ProjectionScratch scratch;
+  scratch.subset.resize(s.size());
+  std::iota(scratch.subset.begin(), scratch.subset.end(), Elem{0});
+  scratch.old_to_new = scratch.subset;
+  CanonicalizeSubset(s, marks, scratch);
+  return CanonicalForm{std::move(scratch.key), std::move(scratch.perm),
+                       scratch.hash};
 }
 
 namespace {

@@ -4,10 +4,11 @@
 // of (database, register valuation) pairs. A canonical form is its key:
 // color refinement splits the elements into classes, and every ordering
 // within every class is encoded straight into one key buffer, the smallest
-// encoding winning. No renamed structure is built; DecodeCanonicalKey
-// recovers it from the key where one is needed. At the sizes the algorithm
-// produces (databases generated by the register contents) this is
-// instantaneous.
+// encoding winning. The one search, CanonicalizeSubset, reads a projection
+// in place in the structure it sits in; no substructure or renamed
+// structure is built, and DecodeCanonicalKey recovers the canonical one
+// from the key where it is needed. At the sizes the algorithm produces
+// (databases generated by the register contents) this is instantaneous.
 #ifndef AMALGAM_BASE_CANONICAL_H_
 #define AMALGAM_BASE_CANONICAL_H_
 
@@ -16,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/ops.h"
 #include "base/structure.h"
 
 namespace amalgam {
@@ -38,8 +40,19 @@ struct CanonicalForm {
   std::size_t hash = 0;
 };
 
-/// Canonicalizes `s` with the marked tuple `marks` (entries are elements of
-/// s; repetitions allowed; the tuple need not cover the domain).
+/// Canonicalizes the substructure of `s` on `scratch.subset` (sorted and
+/// closed under the function symbols, renamed densely by
+/// `scratch.old_to_new`, as ComputeGeneratedSubset leaves them) with the
+/// marked tuple `marks` (elements of the subset, in s's ids; repetitions
+/// allowed; the tuple need not cover the subset), reading `s` in place.
+/// Leaves the key and its hash in `scratch.key` and `scratch.hash`, and the
+/// canonical renaming in `scratch.perm`, indexed by s's ids: subset element
+/// e is element perm[e] of the canonical structure. All buffers are the
+/// scratch's, so once they have grown a call allocates nothing.
+void CanonicalizeSubset(const Structure& s, std::span<const Elem> marks,
+                        ProjectionScratch& scratch);
+
+/// CanonicalizeSubset over the whole domain of `s`, in a fresh scratch.
 CanonicalForm Canonicalize(const Structure& s, std::span<const Elem> marks);
 
 /// Decodes a canonical key (CanonicalForm::key) of a structure over

@@ -21,9 +21,10 @@ void ForEachArgTuple(std::span<const Elem> subset, int arity,
                });
 }
 
-}  // namespace
-
-bool IsClosedUnderFunctions(const Structure& s, std::span<const Elem> subset) {
+// True if `subset` (a sorted list of distinct elements) is closed under all
+// function symbols of the structure's schema.
+[[maybe_unused]] bool IsClosedUnderFunctions(const Structure& s,
+                                             std::span<const Elem> subset) {
   std::vector<char> in_subset(s.size(), 0);
   for (Elem e : subset) in_subset[e] = 1;
   bool closed = true;
@@ -35,6 +36,8 @@ bool IsClosedUnderFunctions(const Structure& s, std::span<const Elem> subset) {
   }
   return closed;
 }
+
+}  // namespace
 
 std::vector<Elem> GeneratedSubset(const Structure& s,
                                   std::span<const Elem> seeds) {
@@ -80,20 +83,21 @@ SubstructureResult GeneratedSubstructure(const Structure& s,
 
 void ComputeGeneratedSubset(const Structure& s, std::span<const Elem> seeds,
                             ProjectionScratch& scratch) {
+  // Until the closure is complete, old_to_new marks membership: kNoElem
+  // for elements outside, 0 for elements inside.
   const std::size_t n = s.size();
-  scratch.in_set.assign(n, 0);
-  for (Elem e : seeds) scratch.in_set[e] = 1;
+  std::vector<Elem>& in_set = scratch.old_to_new;
+  in_set.assign(n, kNoElem);
+  for (Elem e : seeds) in_set[e] = 0;
   for (int f = 0; f < s.schema().num_functions(); ++f) {
-    if (s.schema().function(f).arity == 0 && n > 0) {
-      scratch.in_set[s.Apply(f, {})] = 1;
-    }
+    if (s.schema().function(f).arity == 0 && n > 0) in_set[s.Apply(f, {})] = 0;
   }
   bool changed = true;
   while (changed) {
     changed = false;
     scratch.subset.clear();
     for (Elem e = 0; e < n; ++e) {
-      if (scratch.in_set[e]) scratch.subset.push_back(e);
+      if (in_set[e] != kNoElem) scratch.subset.push_back(e);
     }
     for (int f = 0; f < s.schema().num_functions(); ++f) {
       const int arity = s.schema().function(f).arity;
@@ -103,21 +107,17 @@ void ComputeGeneratedSubset(const Structure& s, std::span<const Elem> seeds,
           [&](Elem i) { return scratch.subset[i]; }, scratch.args,
           [&](std::span<const Elem> args) {
             const Elem value = s.Apply(f, args);
-            if (!scratch.in_set[value]) {
-              scratch.in_set[value] = 1;
+            if (in_set[value] == kNoElem) {
+              in_set[value] = 0;
               changed = true;
             }
             return true;
           });
     }
   }
-  scratch.subset.clear();
-  scratch.old_to_new.assign(n, kNoElem);
-  for (Elem e = 0; e < n; ++e) {
-    if (scratch.in_set[e]) {
-      scratch.old_to_new[e] = static_cast<Elem>(scratch.subset.size());
-      scratch.subset.push_back(e);
-    }
+  // The last round added nothing, so `subset` is the closure.
+  for (std::size_t i = 0; i < scratch.subset.size(); ++i) {
+    scratch.old_to_new[scratch.subset[i]] = static_cast<Elem>(i);
   }
 }
 

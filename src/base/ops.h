@@ -6,6 +6,7 @@
 
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "base/structure.h"
@@ -20,10 +21,6 @@ struct SubstructureResult {
   std::vector<Elem> new_to_old;  // size = new domain
 };
 
-/// True if `subset` (a sorted list of distinct elements) is closed under all
-/// function symbols of the structure's schema.
-bool IsClosedUnderFunctions(const Structure& s, std::span<const Elem> subset);
-
 /// Returns the closure of `seeds` under all function symbols, as a sorted
 /// list of distinct elements. This is the least generating superset
 /// (paper §4.1: "S generates C if there is no proper substructure containing
@@ -32,21 +29,32 @@ std::vector<Elem> GeneratedSubset(const Structure& s,
                                   std::span<const Elem> seeds);
 
 /// Induced substructure on `subset` (sorted, distinct, and closed under
-/// functions — asserts otherwise).
+/// functions — asserts otherwise). It and GeneratedSubstructure materialize
+/// projections, which the library reads in place instead, so they have no
+/// library caller: they are the reference its tests compare against.
 SubstructureResult Restrict(const Structure& s, std::span<const Elem> subset);
 
 /// Substructure generated by `seeds` = Restrict(s, GeneratedSubset(s, seeds)).
 SubstructureResult GeneratedSubstructure(const Structure& s,
                                          std::span<const Elem> seeds);
 
-/// Reusable buffers for the allocation-free projection helpers below. Owned
-/// by the caller (one per interner / per thread); every vector keeps its
-/// capacity across calls, so steady-state use performs zero allocations.
+/// Reusable buffers for the allocation-free projection helpers below and
+/// CanonicalizeSubset (base/canonical.h). Owned by the caller (one per
+/// interner / per thread); every buffer keeps its capacity across calls, so
+/// steady-state use performs zero allocations.
 struct ProjectionScratch {
-  std::vector<char> in_set;
   std::vector<Elem> subset;       // sorted generated subset (old ids)
   std::vector<Elem> old_to_new;   // old id -> dense new id (kNoElem if out)
   std::vector<Elem> args;         // argument-tuple scratch
+  // CanonicalizeSubset's refinement rows and colors (by subset position),
+  // candidate orderings and key buffer, then its result: the key, its hash
+  // and the canonical renaming (by the structure's ids).
+  std::vector<int> sig, color, refined;
+  std::vector<Elem> rows, order, best_order;
+  std::string candidate;
+  std::string key;
+  std::size_t hash = 0;
+  std::vector<Elem> perm;
 };
 
 /// GeneratedSubset into caller-owned buffers: fills `scratch.subset` with
@@ -61,9 +69,9 @@ void ComputeGeneratedSubset(const Structure& s, std::span<const Elem> seeds,
 /// and old_to_new[order[i]] == i. With ComputeGeneratedSubset's `subset` and
 /// `old_to_new` these are the bytes `Restrict(s, subset)` encodes to, so the
 /// interner's raw-key memo probes projected joint members without building
-/// them; with a permutation of the whole domain and its inverse they are
-/// the bytes `s.ApplyPermutation(old_to_new)` encodes to, which is how
-/// Canonicalize encodes its candidates. `scratch` is caller-owned.
+/// them; with a reordering of such a subset and its position map they are
+/// the bytes of the projection renamed by that order, which is how
+/// CanonicalizeSubset encodes its candidates. `scratch` is caller-owned.
 void AppendRenamedContent(const Structure& s, std::span<const Elem> order,
                           std::span<const Elem> old_to_new,
                           std::vector<Elem>& scratch, std::string& out);

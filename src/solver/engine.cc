@@ -354,21 +354,21 @@ void ExplorationEngine::ReconstructWitness() {
   }
   std::vector<Elem> cur(big.size());
   for (Elem e = 0; e < big.size(); ++e) cur[e] = e;
-  // The substructure of step i's joint member generated by `marks`, and its
-  // canonical form, which must be path configuration `at`'s shape.
+  // Canonicalizes the substructure of step i's joint member generated by
+  // `marks` where it sits, leaving its subset and canonical renaming (perm,
+  // by joint ids) in `proj`; its key must be path configuration `at`'s
+  // shape.
+  ProjectionScratch proj;
   auto project = [&](std::size_t i, std::span<const Elem> marks,
                      std::size_t at) {
-    SubstructureResult sub =
-        GeneratedSubstructure(result_.steps[i].joint, marks);
-    std::vector<Elem> sub_marks(k_);
-    for (int j = 0; j < k_; ++j) sub_marks[j] = sub.old_to_new[marks[j]];
-    CanonicalForm canon = Canonicalize(sub.structure, sub_marks);
-    if (canon.key != result_.path[at].shape) {
+    const Structure& joint = result_.steps[i].joint;
+    ComputeGeneratedSubset(joint, marks, proj);
+    CanonicalizeSubset(joint, marks, proj);
+    if (proj.key != result_.path[at].shape) {
       throw WitnessInvalidError("step " + std::to_string(i) + " does not " +
                                 (at == i ? "start" : "end") +
                                 " at its path configuration");
     }
-    return std::pair(std::move(sub), std::move(canon));
   };
 
   for (std::size_t i = 0; i < result_.steps.size(); ++i) {
@@ -376,13 +376,10 @@ void ExplorationEngine::ReconstructWitness() {
     const Structure& joint = st.joint;
     std::span<const Elem> old_marks(st.marks.data(), k_);
     std::span<const Elem> new_marks(st.marks.data() + k_, k_);
-    const auto [old_sub, old_canon] = project(i, old_marks, i);
+    project(i, old_marks, i);
     // Map joint -> big over the common part (the old configuration).
     std::vector<Elem> joint_to_big(joint.size(), kNoElem);
-    for (Elem sub_e = 0; sub_e < old_sub.structure.size(); ++sub_e) {
-      Elem joint_e = old_sub.new_to_old[sub_e];
-      joint_to_big[joint_e] = cur[old_canon.perm[sub_e]];
-    }
+    for (Elem e : proj.subset) joint_to_big[e] = cur[proj.perm[e]];
     auto am = backend_.Amalgamate(big, joint, joint_to_big);
     if (!am.has_value()) return;  // backend without witness reconstruction
     big = std::move(am->structure);
@@ -393,15 +390,11 @@ void ExplorationEngine::ReconstructWitness() {
     }
     // New current embedding: canonical elements of the new configuration's
     // shape -> big.
-    const auto [new_sub, new_canon] = project(i, new_marks, i + 1);
-    cur.assign(new_sub.structure.size(), kNoElem);
-    for (Elem sub_e = 0; sub_e < new_sub.structure.size(); ++sub_e) {
-      cur[new_canon.perm[sub_e]] = am->embed_b[new_sub.new_to_old[sub_e]];
-    }
+    project(i, new_marks, i + 1);
+    cur.assign(proj.subset.size(), kNoElem);
+    for (Elem e : proj.subset) cur[proj.perm[e]] = am->embed_b[e];
     std::vector<Elem> val(k_);
-    for (int j = 0; j < k_; ++j) {
-      val[j] = cur[new_canon.perm[new_sub.old_to_new[new_marks[j]]]];
-    }
+    for (int j = 0; j < k_; ++j) val[j] = am->embed_b[new_marks[j]];
     valuations.push_back(std::move(val));
   }
 

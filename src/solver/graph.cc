@@ -164,7 +164,7 @@ int SubTransitionGraph::MarkInitial(int shape) {
 int SubTransitionGraph::AddInitialMember(const Structure& d,
                                          std::span<const Elem> marks) {
   NoteSchema(d.schema_ref());
-  return MarkInitial(interner_.Intern(d, marks));
+  return MarkInitial(interner_.InternProjection(d, marks));
 }
 
 // One joint member through the guard sweep: evaluates every guard in

@@ -42,14 +42,24 @@ void ConfigInterner::Freeze() {
   by_raw_hash_ = {};
   std::string().swap(raw_arena_);
   std::string().swap(raw_scratch_);
-  proj_scratch_ = ProjectionScratch();
-  std::vector<Elem>().swap(sub_marks_scratch_);
+  scratch_ = ProjectionScratch();
   shape_arena_.shrink_to_fit();
   shapes_.shrink_to_fit();
 }
 
-template <typename Canonicalize>
-int ConfigInterner::InternRawScratch(Canonicalize&& canonicalize) {
+int ConfigInterner::InternProjection(const Structure& joint,
+                                     std::span<const Elem> marks) {
+  // The raw key is the projected member's marks and content bytes, encoded
+  // straight off the joint structure (the closure and the dense renaming
+  // come from reusable scratch). Marks are self-delimiting varints, so equal
+  // raw keys are identical marked projections: the memo is exact, however
+  // large the element ids grow.
+  ComputeGeneratedSubset(joint, marks, scratch_);
+  raw_scratch_.clear();
+  for (Elem m : marks) AppendFullWidth(raw_scratch_, scratch_.old_to_new[m]);
+  raw_scratch_.push_back('\x02');
+  AppendRenamedContent(joint, scratch_.subset, scratch_.old_to_new,
+                       scratch_.args, raw_scratch_);
   const std::size_t raw_hash =
       HashRange(raw_scratch_.begin(), raw_scratch_.end());
   const RawEntry* found = by_raw_hash_.Find(raw_hash, [&](const RawEntry& e) {
@@ -61,50 +71,15 @@ int ConfigInterner::InternRawScratch(Canonicalize&& canonicalize) {
     ++raw_hits_;
     return found->id;
   }
-  const CanonicalForm canon = canonicalize();
-  const int id = InternCanonical(ShapeKey{canon.key, canon.hash});
+  // A miss canonicalizes the projection where it sits, in the same scratch.
+  CanonicalizeSubset(joint, marks, scratch_);
+  const int id = InternCanonical(ShapeKey{scratch_.key, scratch_.hash});
   const std::uint32_t offset = static_cast<std::uint32_t>(raw_arena_.size());
   raw_arena_ += raw_scratch_;
   by_raw_hash_.InsertUnique(
       raw_hash,
       RawEntry{offset, static_cast<std::uint32_t>(raw_scratch_.size()), id});
   return id;
-}
-
-int ConfigInterner::Intern(const Structure& s, std::span<const Elem> marks) {
-  // Raw (non-canonical) fingerprint of the marked structure. Marks are
-  // encoded as self-delimiting varints so identical fingerprints are
-  // identical marked structures (same content bytes, same mark tuple) —
-  // the memo is exact, not heuristic, however large the element ids grow.
-  raw_scratch_.clear();
-  for (Elem m : marks) AppendFullWidth(raw_scratch_, m);
-  raw_scratch_.push_back('\x02');
-  raw_scratch_ += s.EncodeContent();
-  return InternRawScratch([&] { return Canonicalize(s, marks); });
-}
-
-int ConfigInterner::InternProjection(const Structure& joint,
-                                     std::span<const Elem> marks) {
-  // Build the projected member's raw key straight off the joint structure:
-  // the closure and the dense renaming come from reusable scratch, and the
-  // content bytes are encoded without materializing the substructure, so a
-  // memo hit costs no allocation at all. Only a miss restricts for real.
-  ComputeGeneratedSubset(joint, marks, proj_scratch_);
-  raw_scratch_.clear();
-  for (Elem m : marks) {
-    AppendFullWidth(raw_scratch_, proj_scratch_.old_to_new[m]);
-  }
-  raw_scratch_.push_back('\x02');
-  AppendRenamedContent(joint, proj_scratch_.subset, proj_scratch_.old_to_new,
-                       proj_scratch_.args, raw_scratch_);
-  return InternRawScratch([&] {
-    SubstructureResult sub = Restrict(joint, proj_scratch_.subset);
-    sub_marks_scratch_.resize(marks.size());
-    for (std::size_t i = 0; i < marks.size(); ++i) {
-      sub_marks_scratch_[i] = sub.old_to_new[marks[i]];
-    }
-    return Canonicalize(sub.structure, sub_marks_scratch_);
-  });
 }
 
 }  // namespace amalgam

@@ -1,25 +1,26 @@
 // Canonical-form interning for the exploration engine.
 //
 // The engine deduplicates small configurations up to isomorphism of
-// (database, register valuation) pairs. Canonicalization is the expensive
-// step, so the interner memoizes on two levels:
-//   * a raw-key memo: identical (structure content, marks) projections show
-//     up for many joint members, and skip canonicalization entirely;
+// (database, register valuation) pairs: the substructure a member's marks
+// generate (paper §4.1), interned by InternProjection. Canonicalization is
+// the expensive step, so the interner memoizes on two levels:
+//   * a raw-key memo: identical (projected content, marks) pairs show up
+//     for many members, and skip canonicalization entirely;
 //   * hash-consing of canonical forms: each distinct form is stored once in
 //     an arena — as its canonical key alone, which determines it — and
 //     addressed by a dense id, so all downstream comparisons (edge dedup,
 //     reachability) are integer compares.
 // Both maps are open-addressing flat tables (util/flat_hash.h) keyed by
-// precomputed hashes (the key hash Canonicalize returns with the key,
-// CanonicalForm::hash, and a one-pass hash of the raw bytes); key bytes are
-// only compared within a probe chain, never re-hashed.
+// precomputed hashes (the key hash the canonical search returns with the
+// key, and a one-pass hash of the raw bytes); key bytes are only compared
+// within a probe chain, never re-hashed.
 // Both maps only serve interning: Freeze releases them once a graph is
 // complete, keeping the shape keys.
 // Raw keys are (offset, length) spans into a bump arena owned by the
-// interner, built in a reusable scratch buffer, and InternProjection probes
-// the memo through base/ops' direct projected-content encoder — so a memo
-// hit performs zero heap allocations: no substructure is materialized, no
-// key string is constructed, nothing is node-allocated.
+// interner, encoded straight off the member in a reusable buffer, and a
+// miss canonicalizes the projection in place (CanonicalizeSubset) in the
+// interner's scratch. No projection is materialized: a memo hit performs
+// zero heap allocations, and a miss allocates only as the arenas grow.
 //
 // Ids are assigned in first-encounter order, so a sweep over a fixed member
 // stream numbers its shapes deterministically.
@@ -52,13 +53,9 @@ struct ShapeKey {
 /// Interns canonical forms of marked structures into dense shape ids.
 class ConfigInterner {
  public:
-  /// Interns the canonical form of (s, marks); returns its dense id.
-  /// `marks` entries are elements of s; the marked tuple must generate s
-  /// if ids are meant to coincide with generated-substructure projections.
-  int Intern(const Structure& s, std::span<const Elem> marks);
-
   /// Interns the canonical form of the substructure of `joint` generated by
-  /// `marks` (projection + canonicalization + Intern in one step).
+  /// `marks` (elements of joint) and returns its dense id. A member its
+  /// marks generate, as every initial member is, is its own projection.
   int InternProjection(const Structure& joint, std::span<const Elem> marks);
 
   /// Interns a canonical key (hash-consing only; the raw-key memo is not
@@ -68,7 +65,7 @@ class ConfigInterner {
   int InternCanonical(ShapeKey canon);
 
   /// Rebuilds an empty interner from a persisted shape arena (ids are the
-  /// positions in `keys`), so later Intern calls dedup against the
+  /// positions in `keys`), so later interning calls dedup against the
   /// restored shapes and a resumed build numbers fresh shapes exactly where
   /// a never-suspended build would. The raw-key memo starts empty — it is
   /// a per-process accelerator and regrows as a resumed build re-projects
@@ -102,12 +99,6 @@ class ConfigInterner {
   static constexpr std::size_t kBytesPerShape = 16;
 
  private:
-  // Probes the raw memo for the key currently in raw_scratch_ (hit counts
-  // and returns the memoized id); on a miss, interns the canonical form
-  // produced by `canonicalize` and memoizes the key as an arena span.
-  template <typename Canonicalize>
-  int InternRawScratch(Canonicalize&& canonicalize);
-
   // One interned shape: its key's span in shape_arena_, and its hash.
   struct Slot {
     std::uint32_t offset;
@@ -134,12 +125,11 @@ class ConfigInterner {
   // Bump arena holding every memoized raw key back to back; entries index
   // into it, so growth never invalidates them.
   std::string raw_arena_;
-  // Reusable key-construction buffer: every Intern/InternProjection builds
-  // its probe key here, and only a miss copies it into the arena.
+  // Reusable key-construction buffer: InternProjection builds its probe
+  // key here, and only a miss copies it into the arena.
   std::string raw_scratch_;
-  // Reusable projection buffers for InternProjection's direct encoding.
-  ProjectionScratch proj_scratch_;
-  std::vector<Elem> sub_marks_scratch_;
+  // Reusable projection and canonicalization buffers.
+  ProjectionScratch scratch_;
   std::uint64_t raw_hits_ = 0;
 };
 

@@ -113,7 +113,7 @@ int MemberTable::InitialShape(std::uint64_t i) {
     if (packed == 0) {
       Unpack(kInitial, i, unpacked_, unpacked_marks_);
       packed = static_cast<std::uint64_t>(
-                   interner_.Intern(unpacked_, unpacked_marks_)) +
+                   interner_.InternProjection(unpacked_, unpacked_marks_)) +
                1;
       AccountShapes();
       slot.store(packed, std::memory_order_release);

@@ -11,10 +11,11 @@
 // enumeration; for them the stream from 0 is the reference, which pins how
 // they skip to a start.
 //
-// Also covered: the structured EnumerationCapError surfaced through every
-// relational backend, engine options and the query service, and the
-// members_generated acceptance property — a store-resumed relational build
-// materializes only the stream suffix.
+// Also covered: every member is the substructure its marks generate; the
+// structured EnumerationCapError surfaced through every relational backend,
+// engine options and the query service; and the members_generated
+// acceptance property — a store-resumed relational build materializes only
+// the stream suffix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/ops.h"
 #include "fraisse/data_class.h"
 #include "fraisse/hom_class.h"
 #include "fraisse/relational.h"
@@ -332,6 +334,29 @@ TEST(CursorConformanceTest, FromReproducesEveryReferenceSuffix) {
         EXPECT_EQ(delivered, std::min<std::uint64_t>(suffix, 1))
             << nb.name << " m=" << m << " start=" << start;
       }
+    }
+  }
+}
+
+TEST(CursorConformanceTest, EveryMemberIsGeneratedByItsMarks) {
+  // Initial members are interned through the projection their marks
+  // generate (ConfigInterner::InternProjection), as joint members are. An
+  // initial shape is the whole member only if every member of every stream
+  // is the substructure its marks generate. Checked at each backend's
+  // listed m, which covers the k-stream (m = 1) and the 2k-stream (m = 2)
+  // at k = 1.
+  ProjectionScratch scratch;
+  for (const NamedBackend& nb : AllBackends()) {
+    for (int m : nb.ms) {
+      std::uint64_t members = 0;
+      nb.backend->EnumerateGenerated(
+          m, [&](const Structure& s, std::span<const Elem> marks) {
+            ++members;
+            ComputeGeneratedSubset(s, marks, scratch);
+            EXPECT_EQ(scratch.subset.size(), s.size())
+                << nb.name << " m=" << m << " member " << members;
+          });
+      EXPECT_GT(members, 0u) << nb.name << " m=" << m;
     }
   }
 }

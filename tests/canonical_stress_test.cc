@@ -7,7 +7,8 @@
 // streams, and rejects or safely decodes every damaged key. A reference
 // canonicalizer, which materializes every candidate renaming, pins the
 // key, permutation and hash of Canonicalize on random structures and on
-// the zoo member streams.
+// the zoo member streams, and CanonicalizeSubset's in-place projection
+// against the reference on the materialized substructure.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -460,6 +461,101 @@ TEST(CanonicalReferenceTest, RandomStructuresMatchReference) {
     SCOPED_TRACE(trial);
     ExpectMatchesReference(s, marks);
   }
+}
+
+// CanonicalizeSubset on the subset `seeds` generate, marked by `marks`
+// (elements of that subset) and read in place through the shared `scratch`
+// (reused across calls, as the interner reuses its own), agrees with the
+// reference on the materialized projection: equal key and hash, and perm,
+// read at each projected element's original id, equal to the reference's.
+void ExpectProjectionMatchesReference(const Structure& s,
+                                      std::span<const Elem> seeds,
+                                      std::span<const Elem> marks,
+                                      ProjectionScratch& scratch) {
+  ComputeGeneratedSubset(s, seeds, scratch);
+  CanonicalizeSubset(s, marks, scratch);
+  const SubstructureResult sub = Restrict(s, scratch.subset);
+  std::vector<Elem> sub_marks;
+  for (Elem m : marks) sub_marks.push_back(sub.old_to_new[m]);
+  const CanonicalForm reference =
+      ReferenceCanonicalize(sub.structure, sub_marks);
+  ASSERT_EQ(scratch.key, reference.key) << s.ToString();
+  ASSERT_EQ(scratch.hash, reference.hash);
+  for (Elem i = 0; i < sub.new_to_old.size(); ++i) {
+    ASSERT_EQ(scratch.perm[sub.new_to_old[i]], reference.perm[i])
+        << s.ToString();
+  }
+}
+
+// A random structure over RichSchema with `n` elements whose first
+// `closed` elements are closed under f and g, so seeds among them generate
+// a proper subset. Half are symmetric on that prefix (f the identity, g the
+// first projection, p all or nothing, E sparse and symmetric), which
+// leaves large color classes for the tie-break.
+Structure RandomWithClosedPrefix(std::mt19937& rng, const SchemaRef& schema,
+                                 int n, int closed) {
+  const bool symmetric = rng() % 2 == 0;
+  const bool all_p = rng() % 2 == 0;
+  Structure s(schema, n);
+  auto image = [&](Elem a) {
+    return static_cast<Elem>(a < static_cast<Elem>(closed) ? rng() % closed
+                                                           : rng() % n);
+  };
+  for (Elem a = 0; a < static_cast<Elem>(n); ++a) {
+    if (symmetric ? all_p : rng() % 2 == 0) s.SetHolds1(0, a);
+    s.SetFunction1(0, a, symmetric ? a : image(a));
+    for (Elem b = 0; b < static_cast<Elem>(n); ++b) {
+      if (symmetric) {
+        s.SetFunction2(1, a, b, a);
+        if (a < b && rng() % 4 == 0) {
+          s.SetHolds2(1, a, b);
+          s.SetHolds2(1, b, a);
+        }
+      } else {
+        if (rng() % 3 == 0) s.SetHolds2(1, a, b);
+        s.SetFunction2(1, a, b, image(std::max(a, b)));
+      }
+    }
+  }
+  return s;
+}
+
+TEST(CanonicalReferenceTest, RandomProjectionsMatchReference) {
+  auto schema = RichSchema();
+  std::mt19937 rng(20261020);
+  ProjectionScratch scratch;
+  int proper = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int n = 2 + static_cast<int>(rng() % 6);
+    const int closed = 1 + static_cast<int>(rng() % (n - 1));
+    Structure s = RandomWithClosedPrefix(rng, schema, n, closed);
+    std::vector<Elem> seeds(rng() % 5);
+    for (Elem& m : seeds) m = static_cast<Elem>(rng() % closed);
+    // Marking only some of the seeds leaves unmarked elements in the
+    // subset, and with them automorphisms for the tie-break to settle.
+    const std::span<const Elem> marks =
+        std::span<const Elem>(seeds).first(rng() % (seeds.size() + 1));
+    SCOPED_TRACE(trial);
+    ExpectProjectionMatchesReference(s, seeds, marks, scratch);
+    if (scratch.subset.size() < s.size()) ++proper;
+  }
+  // Every seed tuple lies in the closed prefix, a proper subset.
+  EXPECT_EQ(proper, 20000);
+}
+
+TEST(CanonicalReferenceTest, ZooJointProjectionsMatchReference) {
+  // The old and new k-mark projections of every joint (2k-mark) member of
+  // the zoo streams, as the sweep interns them.
+  ProjectionScratch scratch;
+  ForEachZooMember([&](const FraisseClass&, const Structure& s,
+                       std::span<const Elem> marks) {
+    if (marks.size() % 2 != 0) return;
+    const std::size_t k = marks.size() / 2;
+    ExpectProjectionMatchesReference(s, marks.first(k), marks.first(k),
+                                     scratch);
+    ExpectProjectionMatchesReference(s, marks.subspan(k, k),
+                                     marks.subspan(k, k), scratch);
+  });
 }
 
 TEST(CanonicalDecodeTest, RejectsMalformedKeys) {
